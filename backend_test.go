@@ -16,6 +16,9 @@ import (
 // regardless of partitioning (DESIGN.md §8); across backends only the
 // float32 tolerance holds, which TestBackendCrossParity covers.
 func TestBackendDeterminismAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow; CI's backend-determinism job runs it under -race, one backend per runner")
+	}
 	const seed, perPhase = 17, 40
 	for _, backend := range []Backend{Float64, Float32} {
 		t.Run(backend.String(), func(t *testing.T) {
@@ -92,6 +95,9 @@ func TestBackendDeterminismAcrossWorkers(t *testing.T) {
 // models are trained independently per backend, so this is an end-to-end
 // tolerance check, not a bit comparison.
 func TestBackendCrossParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a numeric tolerance check on sequential Process: nothing for -race -short to find")
+	}
 	const seed, perPhase = 23, 30
 	run := func(backend Backend) (*Server, []Result) {
 		srv, err := New(append(fastServerOptions(seed), WithBackend(backend))...)

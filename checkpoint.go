@@ -121,11 +121,9 @@ func (s *Server) Checkpoint(w io.Writer) error {
 // WithFleetRecovery without a shared registry restores the checkpointed
 // entries into the private registry; no WithFleetRecovery drops them.
 func Restore(r io.Reader, opts ...Option) (*Server, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := resolveConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 
 	payload, _, err := checkpoint.Read(r)

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -111,10 +109,10 @@ func benchDetect(dt tensor.DType, imgs []*synth.Image, minDur time.Duration) flo
 	return float64(len(imgs)) / secs
 }
 
-// runBackendBench measures both backends and writes the JSON document to
-// outPath; the human-readable table goes to w. Returns an error — failing
-// the run — if float32 misses the speedup gate anywhere.
-func runBackendBench(scale exp.Scale, outPath string, w io.Writer) error {
+// runBackendBench measures both backends and writes BENCH_backend.json
+// under outDir; the human-readable table goes to w. Returns an error —
+// failing the run — if float32 misses the speedup gate anywhere.
+func runBackendBench(scale exp.Scale, outDir string, w io.Writer) error {
 	minDur := 300 * time.Millisecond
 	sizes := []int{256, 512}
 	if scale == exp.Full {
@@ -167,20 +165,9 @@ func runBackendBench(scale exp.Scale, outPath string, w io.Writer) error {
 	fmt.Fprintf(w, "  DetectBatch  f64 %7.1f frames/s   f32 %7.1f frames/s   %5.2fx\n",
 		doc.E2E.F64FPS, doc.E2E.F32FPS, doc.E2E.Speedup)
 
-	f, err := os.Create(outPath)
-	if err != nil {
+	if err := writeJSON(outDir, "backend", doc, w); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", outPath)
 
 	// The JSON lands first so a miss still leaves the numbers on disk; then
 	// the gate fails the run.

@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -250,9 +248,9 @@ func measureStall(p dispatchBenchParams, async bool) ([]float64, int, int, error
 	return lat, drifts, interim, nil
 }
 
-// runDispatchBench measures the fleet dispatcher and writes the JSON
-// document to outPath; the human-readable tables go to w.
-func runDispatchBench(scale exp.Scale, outPath string, w io.Writer) error {
+// runDispatchBench measures the fleet dispatcher and writes
+// BENCH_dispatch.json under outDir; the human-readable tables go to w.
+func runDispatchBench(scale exp.Scale, outDir string, w io.Writer) error {
 	p := dispatchParams(scale)
 	doc := dispatchBenchResult{
 		Scale: scale.String(), GOMAXPROCS: runtime.GOMAXPROCS(0), FramesPerStream: p.framesPerStream,
@@ -321,20 +319,9 @@ func runDispatchBench(scale exp.Scale, outPath string, w io.Writer) error {
 		rs.AsyncP99Ms, rs.AsyncMaxMs, rs.AsyncDrifts, rs.PendingInterim)
 	fmt.Fprintf(w, "  recovery-stall p99 reduction: %.1fx\n", rs.P99Reduction)
 
-	f, err := os.Create(outPath)
-	if err != nil {
+	if err := writeJSON(outDir, "dispatch", doc, w); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", outPath)
 
 	// The JSON lands on disk first so a regression still leaves the series
 	// for debugging — but it must fail the run: this bench is the fleet

@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -263,8 +261,9 @@ func equalStrings(a, b []string) bool {
 }
 
 // runFleetRecoveryBench measures cross-camera correlated recovery and
-// writes the JSON document to outPath; human-readable output goes to w.
-func runFleetRecoveryBench(scale exp.Scale, outPath string, w io.Writer) error {
+// writes BENCH_fleet_recovery.json under outDir; human-readable output goes
+// to w.
+func runFleetRecoveryBench(scale exp.Scale, outDir string, w io.Writer) error {
 	p := fleetRecoveryParamsFor(scale)
 	sub := buildFleetSubstrate(p)
 	workersSweep := []int{1, 4, 8}
@@ -315,20 +314,9 @@ func runFleetRecoveryBench(scale exp.Scale, outPath string, w io.Writer) error {
 	fmt.Fprintf(w, "  scratch-training reduction: %.1fx   (registry: %d misses, %d adopt, %d coalesce, %d warm)\n",
 		doc.ScratchReduction, on.Misses, on.AdoptHits, on.CoalesceHits, on.WarmHits)
 
-	f, err := os.Create(outPath)
-	if err != nil {
+	if err := writeJSON(outDir, "fleet_recovery", doc, w); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", outPath)
 
 	// Gates — after the JSON lands so a regression leaves the series behind.
 	if off.Scratch == 0 {

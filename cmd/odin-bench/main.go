@@ -1,57 +1,54 @@
 // Command odin-bench regenerates the paper's tables and figures, plus the
-// streaming-throughput benchmark of the Server/Stream API.
+// self-gating subsystem experiments of the Server/Stream API.
 //
 // Usage:
 //
 //	odin-bench [-scale quick|full] [-exp all|fig1|fig2|fig4|fig5|table1|
 //	            table2|fig8|table3|table4|table5|fig9|table6|table7|
-//	            stream|query|dispatch|backend|fleet-recovery|restore|
+//	            ablation|query|dispatch|backend|fleet-recovery|restore|
 //	            overload|obs]
-//	            [-workers 1,2,4,8]
-//	            [-streamout BENCH_stream.json] [-queryout BENCH_query.json]
-//	            [-dispatchout BENCH_dispatch.json]
-//	            [-backendout BENCH_backend.json]
-//	            [-fleetrecoveryout BENCH_fleet_recovery.json]
-//	            [-restoreout BENCH_restore.json]
-//	            [-overloadout BENCH_overload.json]
-//	            [-obsout BENCH_obs.json] [-v]
+//	            [-out <dir>] [-v]
 //
 // Experiments share one context, so models trained for an earlier
-// experiment are reused by later ones. Four experiments drive the public
-// odin.Server API instead: "stream" compares sequential Stream.Process
-// against sharded Stream.Run across a -workers sweep (default 1,2,4,8) on
-// the Fig9 drift stream (frames/sec series → -streamout), "query" measures
-// prepared-query throughput vs per-call parse plus the overhead of a
-// standing Stream.Subscribe query vs a bare Run session (→ -queryout),
-// "dispatch" measures the fleet dispatcher — per-stream vs cross-stream
-// batched throughput at 1/2/4/8 cameras and the recovery-stall p99 with
-// inline vs async drift training (→ -dispatchout), "backend" compares
-// the float32 compute backend against the float64 reference on matmul/conv
-// microkernels and end-to-end DetectBatch, gating a ≥1.5× float32 speedup
-// (→ -backendout), "fleet-recovery" measures the fleet model registry —
-// four cameras drifting through the same dawn, gating a ≥2× reduction in
+// experiment are reused by later ones. Seven experiments drive the public
+// odin.Server API instead; each writes its JSON document as
+// BENCH_<experiment>.json under -out (default the current directory) and
+// fails the run when its gate is missed. "query" measures prepared-query
+// throughput vs per-call parse plus the overhead of a standing
+// Stream.Subscribe query vs a bare Run session, "dispatch" measures the
+// fleet dispatcher — per-stream vs cross-stream batched throughput at
+// 1/2/4/8 cameras and the recovery-stall p99 with inline vs async drift
+// training, "backend" compares the float32 compute backend against the
+// float64 reference on matmul/conv microkernels and end-to-end
+// DetectBatch, gating a ≥1.5× float32 speedup, "fleet-recovery" (→
+// BENCH_fleet_recovery.json) measures the fleet model registry — four
+// cameras drifting through the same dawn, gating a ≥2× reduction in
 // scratch trainings via adopt/coalesce plus bit-identical registry-on
-// results across worker counts (→ -fleetrecoveryout), "restore"
-// measures warm restart from a checkpoint against cold re-bootstrap,
-// gating a ≥5× time-to-first-detection speedup plus a bit-identical
-// post-checkpoint tail replay (→ -restoreout), and "overload" drives a
-// four-camera bursty fleet at ~4× the calibrated service rate through
-// bounded admission queues, gating that adaptive fidelity degradation
-// bounds the worst per-camera p99 at ≤1/3 of the non-adaptive arm with
-// zero silent frame loss, full-fidelity restoration after the burst,
-// at-capacity bit-identity with the non-QoS path, and a deterministic
-// script replay of the live run's admission decisions (→ -overloadout),
-// and "obs" measures the observability layer's cost — gating ≤5% steady-
-// state throughput overhead, zero added allocations per frame on the hot
-// path, and bit-identical drift-stream fingerprints with obs on and off
-// at 1/4/8 workers (→ -obsout).
+// results across worker counts, "restore" measures warm restart from a
+// checkpoint against cold re-bootstrap, gating a ≥5× time-to-first-
+// detection speedup plus a bit-identical post-checkpoint tail replay,
+// "overload" drives a four-camera bursty fleet at ~4× the calibrated
+// service rate through bounded admission queues, gating that adaptive
+// fidelity degradation bounds the worst per-camera p99 at ≤1/3 of the
+// non-adaptive arm with zero silent frame loss, full-fidelity restoration
+// after the burst, at-capacity bit-identity with the non-QoS path, and a
+// deterministic script replay of the live run's admission decisions, and
+// "obs" measures the observability layer's cost — gating ≤5% steady-state
+// throughput overhead, zero added allocations per frame on the hot path,
+// and bit-identical drift-stream fingerprints with obs on and off at
+// 1/4/8 workers.
+//
+// Serving throughput and latency are measured by the repository benchmark
+// (bench/, BENCHMARK.json), not here.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -61,15 +58,7 @@ import (
 func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids or 'all'")
-	streamOut := flag.String("streamout", "BENCH_stream.json", "output path of the 'stream' experiment's JSON series")
-	queryOut := flag.String("queryout", "BENCH_query.json", "output path of the 'query' experiment's JSON document")
-	dispatchOut := flag.String("dispatchout", "BENCH_dispatch.json", "output path of the 'dispatch' experiment's JSON document")
-	backendOut := flag.String("backendout", "BENCH_backend.json", "output path of the 'backend' experiment's JSON document")
-	fleetRecoveryOut := flag.String("fleetrecoveryout", "BENCH_fleet_recovery.json", "output path of the 'fleet-recovery' experiment's JSON document")
-	restoreOut := flag.String("restoreout", "BENCH_restore.json", "output path of the 'restore' experiment's JSON document")
-	overloadOut := flag.String("overloadout", "BENCH_overload.json", "output path of the 'overload' experiment's JSON document")
-	obsOut := flag.String("obsout", "BENCH_obs.json", "output path of the 'obs' experiment's JSON document")
-	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated worker counts for the 'stream' experiment's sharded sweep")
+	outDir := flag.String("out", ".", "directory the Server-API experiments write their BENCH_<experiment>.json documents to")
 	verbose := flag.Bool("v", false, "log model-training progress")
 	flag.Parse()
 
@@ -78,14 +67,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	workers, err := parseWorkers(*workersFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	ctx := exp.NewContext(scale)
 	if *verbose {
 		ctx.SetLog(os.Stderr)
+	}
+	// bench adapts a self-gating Server-API experiment: a missed gate (or
+	// any other error) fails the whole run.
+	bench := func(run func(exp.Scale, string, io.Writer) error) func() {
+		return func() {
+			if err := run(scale, *outDir, os.Stdout); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+		}
 	}
 
 	runners := []struct {
@@ -106,54 +100,13 @@ func main() {
 		{"table6", func() { exp.RunTable6(ctx, os.Stdout) }},
 		{"table7", func() { exp.RunTable7(ctx, os.Stdout) }},
 		{"ablation", func() { exp.RunAblationBands(ctx, os.Stdout) }},
-		{"stream", func() {
-			if err := runStreamBench(scale, workers, *streamOut, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}},
-		{"query", func() {
-			if err := runQueryBench(scale, *queryOut, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}},
-		{"dispatch", func() {
-			if err := runDispatchBench(scale, *dispatchOut, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}},
-		{"backend", func() {
-			if err := runBackendBench(scale, *backendOut, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}},
-		{"fleet-recovery", func() {
-			if err := runFleetRecoveryBench(scale, *fleetRecoveryOut, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}},
-		{"restore", func() {
-			if err := runRestoreBench(scale, *restoreOut, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}},
-		{"overload", func() {
-			if err := runOverloadBench(scale, *overloadOut, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}},
-		{"obs", func() {
-			if err := runObsBench(scale, *obsOut, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}},
+		{"query", bench(runQueryBench)},
+		{"dispatch", bench(runDispatchBench)},
+		{"backend", bench(runBackendBench)},
+		{"fleet-recovery", bench(runFleetRecoveryBench)},
+		{"restore", bench(runRestoreBench)},
+		{"overload", bench(runOverloadBench)},
+		{"obs", bench(runObsBench)},
 	}
 
 	want := map[string]bool{}
@@ -177,23 +130,22 @@ func main() {
 	}
 }
 
-// parseWorkers parses the -workers sweep list ("1,2,4,8") into worker
-// counts, rejecting empty lists and non-positive entries.
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("invalid -workers entry %q (want positive integers)", part)
-		}
-		out = append(out, n)
+// writeJSON writes one experiment's result document as BENCH_<name>.json
+// under dir (created if missing) and notes the path on w. Experiments call
+// it before evaluating their gates, so a miss still leaves the numbers on
+// disk.
+func writeJSON(dir, name string, doc any, w io.Writer) error {
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workers list is empty")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	return out, nil
+	path := filepath.Join(dir, "BENCH_"+name+".json")
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  wrote %s\n", path)
+	return nil
 }

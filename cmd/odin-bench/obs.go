@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -53,7 +51,7 @@ type obsIdentityRun struct {
 	Identical bool `json:"identical"`
 }
 
-func runObsBench(scale exp.Scale, outPath string, w io.Writer) error {
+func runObsBench(scale exp.Scale, outDir string, w io.Writer) error {
 	p := streamParams(scale)
 	const seed = 77
 
@@ -210,14 +208,9 @@ func runObsBench(scale exp.Scale, outPath string, w io.Writer) error {
 	// wheels, map growth) that land inside the measured window.
 	res.GatePassed = res.OverheadPct <= 5 && res.AddedAllocsPerFrame < 1 && allIdentical
 
-	doc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
+	if err := writeJSON(outDir, "obs", res, w); err != nil {
 		return err
 	}
-	if err := os.WriteFile(outPath, append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", outPath)
 
 	if !res.GatePassed {
 		return fmt.Errorf("obs gate failed: overhead %.2f%% (want <= 5%%), added allocs/frame %.2f (want < 1), identical %v",

@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -531,8 +529,8 @@ func runReplay(p overloadParams, script []int) (bool, error) {
 }
 
 // runOverloadBench measures the QoS subsystem under bursty overload and
-// writes the JSON document to outPath; human-readable tables go to w.
-func runOverloadBench(scale exp.Scale, outPath string, w io.Writer) error {
+// writes BENCH_overload.json under outDir; human-readable tables go to w.
+func runOverloadBench(scale exp.Scale, outDir string, w io.Writer) error {
 	p := overloadParamsFor(scale)
 	doc := overloadBenchResult{
 		Scale: scale.String(), GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -608,20 +606,9 @@ func runOverloadBench(scale exp.Scale, outPath string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "  live-run script replay (%d windows) bit-identical at workers 1 vs 4\n", doc.ReplayWindows)
 
-	f, err := os.Create(outPath)
-	if err != nil {
+	if err := writeJSON(outDir, "overload", doc, w); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", outPath)
 
 	// The JSON lands first so a regression still leaves the series for
 	// debugging — but it must fail the run: this bench is the QoS

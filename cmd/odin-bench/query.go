@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -80,8 +78,8 @@ func newQueryServer(p queryBenchParams) (*odin.Server, error) {
 }
 
 // runQueryBench measures prepared-query and subscription overhead and
-// writes the JSON document to outPath; the human-readable table goes to w.
-func runQueryBench(scale exp.Scale, outPath string, w io.Writer) error {
+// writes BENCH_query.json under outDir; the human-readable table goes to w.
+func runQueryBench(scale exp.Scale, outDir string, w io.Writer) error {
 	p := queryParams(scale)
 	ctx := context.Background()
 	doc := queryBenchResult{
@@ -226,22 +224,11 @@ func runQueryBench(scale exp.Scale, outPath string, w io.Writer) error {
 	fmt.Fprintf(w, "  with standing query: %6.1f frames/s  (%d windows, overhead %.1f%%, identical=%v)\n",
 		doc.SubscribedRunFPS, windows, doc.SubscribeOverhead*100, doc.SubscribeIdentical)
 
-	f, err := os.Create(outPath)
-	if err != nil {
+	if err := writeJSON(outDir, "query", doc, w); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", outPath)
-	// Like the stream bench, the identity check is a regression gate: a
-	// standing query that diverges from the offline result fails the run.
+	// The identity check is a regression gate: a standing query that
+	// diverges from the offline result fails the run.
 	if !doc.SubscribeIdentical {
 		return fmt.Errorf("query bench: subscription aggregates diverged from the offline query")
 	}

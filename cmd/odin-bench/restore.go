@@ -3,10 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -41,12 +39,8 @@ type restoreBenchResult struct {
 	GatePassed       bool    `json:"gate_passed"`
 }
 
-func restoreParams(scale exp.Scale) streamBenchParams {
-	return streamParams(scale)
-}
-
-func runRestoreBench(scale exp.Scale, outPath string, w io.Writer) error {
-	p := restoreParams(scale)
+func runRestoreBench(scale exp.Scale, outDir string, w io.Writer) error {
+	p := streamParams(scale)
 	const seed = 29
 
 	boot := func() (*odin.Server, error) {
@@ -178,14 +172,9 @@ func runRestoreBench(scale exp.Scale, outPath string, w io.Writer) error {
 	fmt.Fprintf(w, "  speedup %.1fx, tail replay identical: %v (replay p50 %.2fms, p99 %.2fms)\n",
 		res.Speedup, res.ReplayIdentical, res.ReplayP50Millis, res.ReplayP99Millis)
 
-	doc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
+	if err := writeJSON(outDir, "restore", res, w); err != nil {
 		return err
 	}
-	if err := os.WriteFile(outPath, append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", outPath)
 
 	if !res.GatePassed {
 		return fmt.Errorf("restore gate failed: speedup %.2fx (want >= 5x), replay identical %v",

@@ -1,50 +1,17 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"runtime"
-	"sort"
-	"time"
-
 	"odin"
 	"odin/internal/exp"
-	"odin/internal/obs"
 )
 
-// The streaming-throughput benchmark measures the public Server/Stream API
-// on the Fig9 drifting sequence: wall-clock frames/sec of sequential
-// Stream.Process versus sharded Stream.Run across the -workers sweep
-// (default 1, 2, 4 and 8 workers), with the sharded results checked
-// frame-by-frame against the sequential ones (detections, cluster
-// assignments, drift events and stats must all match). Results are emitted
-// as BENCH_stream.json for CI tracking.
+// The Fig9 drift stream through the public API, shared by the obs and
+// restore experiments. (Serving throughput itself is measured by bench/'s
+// steady_1cam workload; Run ≡ sequential Process is asserted by
+// TestRunMatchesSequentialProcess and by that workload's fingerprint check.)
 
-// streamBenchResult is the JSON document written to -streamout.
-type streamBenchResult struct {
-	Scale         string           `json:"scale"`
-	GOMAXPROCS    int              `json:"gomaxprocs"`
-	Frames        int              `json:"frames"`
-	DriftEvents   int              `json:"drift_events"`
-	SequentialFPS float64          `json:"sequential_fps"`
-	SeqP50Ms      float64          `json:"sequential_p50_ms"`
-	SeqP99Ms      float64          `json:"sequential_p99_ms"`
-	Runs          []streamBenchRun `json:"runs"`
-}
-
-// streamBenchRun is one sharded configuration's measurement.
-type streamBenchRun struct {
-	Workers   int     `json:"workers"`
-	FPS       float64 `json:"fps"`
-	Speedup   float64 `json:"speedup_vs_sequential"`
-	Identical bool    `json:"identical_to_sequential"`
-}
-
-// streamBenchParams scales the benchmark: quick keeps it in CI-smoke
-// range, full matches the paper's Fig9 stream length.
+// streamBenchParams scales the stream: quick keeps it in CI-smoke range,
+// full matches the paper's Fig9 stream length.
 type streamBenchParams struct {
 	bootFrames, bootEpochs, baselineEpochs, phaseLen int
 }
@@ -54,25 +21,6 @@ func streamParams(scale exp.Scale) streamBenchParams {
 		return streamBenchParams{bootFrames: 600, bootEpochs: 8, baselineEpochs: 40, phaseLen: 375}
 	}
 	return streamBenchParams{bootFrames: 150, bootEpochs: 2, baselineEpochs: 6, phaseLen: 60}
-}
-
-// newStreamServer builds and bootstraps one server for the benchmark; each
-// configuration gets a fresh identically-seeded server so cluster
-// evolution starts from the same state.
-func newStreamServer(p streamBenchParams) (*odin.Server, error) {
-	srv, err := odin.New(
-		odin.WithSeed(91),
-		odin.WithBootstrapFrames(p.bootFrames),
-		odin.WithBootstrapEpochs(p.bootEpochs),
-		odin.WithBaselineEpochs(p.baselineEpochs),
-	)
-	if err != nil {
-		return nil, err
-	}
-	if err := srv.Bootstrap(context.Background(), nil); err != nil {
-		return nil, err
-	}
-	return srv, nil
 }
 
 // fig9PublicStream rebuilds the paper's 4-phase drifting sequence (NIGHT,
@@ -95,112 +43,4 @@ func fig9PublicStream(srv *odin.Server, phaseLen int) []*odin.Frame {
 		}
 	}
 	return out
-}
-
-// runStreamBench measures sequential vs sharded throughput and writes the
-// JSON document to outPath. The human-readable table goes to w. A sharded
-// run that diverges from the sequential results (compared frame by frame
-// via Result.Fingerprint) is an error — this bench doubles as the
-// determinism regression gate in CI.
-func runStreamBench(scale exp.Scale, workerSweep []int, outPath string, w io.Writer) error {
-	p := streamParams(scale)
-	doc := streamBenchResult{Scale: scale.String(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-
-	// Sequential reference: Stream.Process frame by frame.
-	srv, err := newStreamServer(p)
-	if err != nil {
-		return err
-	}
-	frames := fig9PublicStream(srv, p.phaseLen)
-	doc.Frames = len(frames)
-	st, err := srv.OpenStream(context.Background(), odin.StreamOptions{Name: "seq"})
-	if err != nil {
-		return err
-	}
-	want := make([]string, len(frames))
-	latMs := make([]float64, len(frames))
-	start := time.Now()
-	for i, f := range frames {
-		t0 := time.Now()
-		r, err := st.Process(context.Background(), f)
-		if err != nil {
-			return err
-		}
-		latMs[i] = float64(time.Since(t0)) / float64(time.Millisecond)
-		want[i] = r.Fingerprint()
-	}
-	seqSecs := time.Since(start).Seconds()
-	sort.Float64s(latMs)
-	doc.SequentialFPS = float64(len(frames)) / seqSecs
-	doc.SeqP50Ms = obs.Percentile(latMs, 0.50)
-	doc.SeqP99Ms = obs.Percentile(latMs, 0.99)
-	doc.DriftEvents = srv.Stats().DriftEvents
-	fmt.Fprintf(w, "Streaming throughput (Fig9 drift stream, %d frames, GOMAXPROCS=%d)\n",
-		len(frames), doc.GOMAXPROCS)
-	fmt.Fprintf(w, "  sequential Process: %8.1f frames/s  p50 %.2fms  p99 %.2fms  (%d drift events)\n",
-		doc.SequentialFPS, doc.SeqP50Ms, doc.SeqP99Ms, doc.DriftEvents)
-
-	for _, workers := range workerSweep {
-		srv, err := newStreamServer(p)
-		if err != nil {
-			return err
-		}
-		frames := fig9PublicStream(srv, p.phaseLen)
-		stream, err := srv.OpenStream(context.Background(),
-			odin.StreamOptions{Name: fmt.Sprintf("w%d", workers), Workers: workers, MaxBatch: 64})
-		if err != nil {
-			return err
-		}
-		in := make(chan *odin.Frame, len(frames))
-		for _, f := range frames {
-			in <- f
-		}
-		close(in)
-		identical := true
-		start := time.Now()
-		n := 0
-		for res := range stream.Run(context.Background(), in) {
-			if identical && (res.Seq != n || res.Fingerprint() != want[n]) {
-				identical = false
-			}
-			n++
-		}
-		secs := time.Since(start).Seconds()
-		if n != len(frames) {
-			return fmt.Errorf("stream bench: %d workers delivered %d/%d results", workers, n, len(frames))
-		}
-		run := streamBenchRun{
-			Workers:   workers,
-			FPS:       float64(n) / secs,
-			Speedup:   (float64(n) / secs) / doc.SequentialFPS,
-			Identical: identical,
-		}
-		doc.Runs = append(doc.Runs, run)
-		fmt.Fprintf(w, "  Run workers=%d:      %8.1f frames/s  %5.2fx  identical=%v\n",
-			run.Workers, run.FPS, run.Speedup, run.Identical)
-	}
-
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", outPath)
-	// The JSON is written first so a divergence still leaves the series on
-	// disk for debugging — but it must fail the run: this bench is the
-	// determinism regression gate in CI.
-	for _, run := range doc.Runs {
-		if !run.Identical {
-			return fmt.Errorf("stream bench: %d-worker run diverged from sequential results", run.Workers)
-		}
-	}
-	return nil
 }

@@ -52,7 +52,7 @@ func main() {
 	backendFlag := flag.String("backend", "float64", "compute backend: float64 or float32")
 	trainAsync := flag.Bool("train-async", true, "recover from drift asynchronously")
 	dispatcher := flag.Bool("dispatcher", false, "enable the cross-stream batch dispatcher")
-	maxQueue := flag.Int("max-queue", 0, "per-stream admission queue bound (0: unbounded legacy intake)")
+	maxQueue := flag.Int("max-queue", 0, "per-stream admission queue bound (0: no queue; sessions read their input directly, back-pressured by it)")
 	dropPolicy := flag.String("drop-policy", "block", "full-queue policy: block, drop-newest, drop-oldest")
 	adaptive := flag.Bool("adaptive", false, "enable load-adaptive fidelity degradation under overload")
 	labelDelay := flag.Int("label-delay", 0, "frames of label latency before recovery starts")
@@ -116,10 +116,13 @@ func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
 			o = append(o, odin.WithMinScore(minScore))
 		}
 		if maxQueue > 0 {
-			o = append(o, odin.WithMaxQueue(maxQueue), odin.WithDropPolicy(dropPol))
+			o = append(o, odin.WithMaxQueue(maxQueue))
 		}
 		if adaptive {
 			o = append(o, odin.WithAdaptiveFidelity(odin.AdaptiveFidelity{}))
+		}
+		if maxQueue > 0 || adaptive { // -adaptive implies a queue for the policy to act on
+			o = append(o, odin.WithDropPolicy(dropPol))
 		}
 		return o
 	}

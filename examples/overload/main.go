@@ -1,6 +1,7 @@
 // Load-adaptive serving under overload: four cameras with mixed frame
 // rates burst at ~4x what the server can sustain at full fidelity. Every
-// stream has a bounded admission queue (no silent unbounded buffering),
+// stream has a bounded admission queue (overload is shed or degraded in
+// the server's sight instead of piling up behind the input channel),
 // and the adaptive controller walks each overloaded stream down the
 // fidelity ladder — lite model, count pushdown, subsampled counts — until
 // service matches the offered rate, then restores full fidelity as the

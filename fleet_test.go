@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"odin/internal/qos"
 )
 
 // fleetSubsets gives each camera its own domain so the shared cluster set
@@ -463,7 +465,8 @@ func TestWaitRecoveriesInlineNoop(t *testing.T) {
 
 // TestQueryCountPushdownMatchesFullPath: the server-level COUNT plan over
 // the built-in bindings uses the pushdown (no detection materialisation)
-// and still counts exactly what the full path counts.
+// and still counts exactly what the full path counts — and so does the
+// Count fidelity, the other entry point into the same count execute.
 func TestQueryCountPushdownMatchesFullPath(t *testing.T) {
 	// Two identically seeded servers: the drift pipeline mutates cluster
 	// state per query, so each path gets its own.
@@ -512,5 +515,38 @@ func TestQueryCountPushdownMatchesFullPath(t *testing.T) {
 		if got.Detections != nil {
 			t.Fatalf("%s: pushdown materialised detections", model)
 		}
+	}
+
+	// Count fidelity: the same execute stage under the every-class,
+	// no-floor spec, so Result.Count must equal the number of detections the
+	// Lite fidelity — same cheapest single model — materialises.
+	uniform := func(fid qos.Fidelity) []qos.Fidelity {
+		fids := make([]qos.Fidelity, 12)
+		for i := range fids {
+			fids[i] = fid
+		}
+		return fids
+	}
+	run := func(fid qos.Fidelity) []Result {
+		srv := mk()
+		p, err := srv.pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.ProcessBatchFid(srv.GenerateFrames(DayData, 12), 2, uniform(fid))
+	}
+	counted, detected := run(qos.Count), run(qos.Lite)
+	total := 0
+	for i := range detected {
+		if counted[i].Detections != nil {
+			t.Fatalf("frame %d: count fidelity materialised detections", i)
+		}
+		if counted[i].Count != len(detected[i].Detections) {
+			t.Fatalf("frame %d: count fidelity %d, detection path %d", i, counted[i].Count, len(detected[i].Detections))
+		}
+		total += counted[i].Count
+	}
+	if total == 0 {
+		t.Fatal("count fidelity counted nothing; the comparison would be vacuous")
 	}
 }

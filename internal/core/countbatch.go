@@ -3,17 +3,17 @@ package core
 import (
 	"odin/internal/detect"
 	"odin/internal/synth"
-	"odin/internal/tensor"
 )
 
 // This file is the COUNT projection pushdown (ROADMAP follow-on from the
 // query planner split): when a query only needs per-frame detection counts,
 // the pipeline's execute stage can count matches directly instead of
-// materialising Detection slices for every frame. Projection and the
-// serialized drift stage run exactly as in ProcessBatch — cluster
-// evolution, drift events, stats and scheduled training jobs are identical
-// — only the execute stage differs, and detect.CountBatch guarantees its
-// counts equal len(filtered DetectBatch output) bit for bit.
+// materialising Detection slices for every frame. It is processBatch with
+// a count spec — projection, the serialized drift stage and the execute
+// grouping are the very same code as ProcessBatch, so cluster evolution,
+// drift events, stats and scheduled training jobs cannot diverge — and
+// detect.CountBatch guarantees its counts equal len(filtered DetectBatch
+// output) bit for bit.
 
 // CountBatch advances frames exactly like ProcessBatch but executes a
 // count-only projection: per frame, the number of post-NMS detections
@@ -23,52 +23,14 @@ import (
 // count its output, so counts always equal what ProcessBatch would have
 // produced.
 func (o *Odin) CountBatch(frames []*synth.Frame, workers, class int, minScore float64) []int {
-	n := len(frames)
-	if n == 0 {
+	results := o.processBatch(frames, workers, nil, &countSpec{class: class, minScore: minScore})
+	if results == nil {
 		return nil
 	}
-	if workers < 1 {
-		workers = 1
+	counts := make([]int, len(results))
+	for i, r := range results {
+		counts[i] = r.Count
 	}
-
-	// Stages 1+2 are ProcessBatch's exact front half (advanceAll), so the
-	// drift stage cannot diverge between the two paths.
-	plans := o.advanceAll(frames, workers)
-
-	counts := make([]int, n)
-	simLat := make([]float64, n)
-
-	// Group single-model frames by model for the batched counting path;
-	// ensembles (and model-less frames) take the full execute fallback.
-	groups, rest := groupSingleModel(plans, nil)
-	for m, idx := range groups {
-		imgs := make([]*synth.Image, len(idx))
-		for k, i := range idx {
-			imgs[k] = frames[i].Image
-		}
-		cs := m.Det.CountBatch(imgs, class, minScore)
-		for k, i := range idx {
-			counts[i] = cs[k]
-			if m.Cost.FPS > 0 {
-				simLat[i] = 1 / m.Cost.FPS
-			}
-		}
-	}
-	tensor.ParallelWorkers(len(rest), workers, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			i := rest[k]
-			res := o.Execute(frames[i], plans[i])
-			counts[i] = countKept(res.Detections, class, minScore)
-			simLat[i] = res.SimLatency
-		}
-	})
-
-	// Simulated time accumulates in frame order, matching ProcessBatch.
-	o.mu.Lock()
-	for i := range simLat {
-		o.stats.SimTime += simLat[i]
-	}
-	o.mu.Unlock()
 	return counts
 }
 

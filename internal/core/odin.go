@@ -80,7 +80,7 @@ type Result struct {
 
 // Fingerprint reduces the Result to a comparable summary for determinism
 // checks: the sharded path must reproduce sequential results exactly, so
-// the facade tests and `odin-bench -exp stream` compare fingerprints
+// the facade tests and bench/'s steady_1cam workload compare fingerprints
 // frame by frame. Drift events are identified by cluster label and seed
 // count because cluster pointers differ across separately constructed
 // pipelines.
@@ -299,9 +299,10 @@ func (o *Odin) RegimeSignature(clusterID int) (cluster.Signature, bool) {
 type Plan struct {
 	res    Result
 	models []WeightedModel
-	// countOnly marks a count-pushdown plan: execute counts the single
-	// selected model's detections instead of materialising them.
-	countOnly bool
+	// count, when set, makes the batched execute stage count the plan's
+	// detections under the spec instead of materialising them (the Count
+	// fidelity and the query COUNT pushdown).
+	count *countSpec
 }
 
 // Project computes the frame's DA-GAN latent — stage one of the pipeline.
@@ -363,8 +364,8 @@ func (o *Odin) submitJobs(jobs []TrainJob) {
 // whole batch). fid is the QoS treatment level: Skip short-circuits the
 // whole drift stage (no cluster observation, no drift bookkeeping — the
 // frame was shed except for its place in the result stream), Lite and
-// Count degrade the selection to its single cheapest model, Full is the
-// legacy behaviour.
+// Count degrade the selection to its single cheapest model, Full changes
+// nothing.
 func (o *Odin) advanceLocked(f *synth.Frame, z []float64, fid qos.Fidelity) Plan {
 	o.stats.Frames++
 	switch fid {
@@ -388,9 +389,9 @@ func (o *Odin) advanceLocked(f *synth.Frame, z []float64, fid qos.Fidelity) Plan
 
 	if !o.Cfg.DriftRecovery {
 		return Plan{
-			res:       Result{ClusterID: -1, Fidelity: fid},
-			models:    []WeightedModel{{Model: o.Manager.Baseline, Weight: 1}},
-			countOnly: fid == qos.Count,
+			res:    Result{ClusterID: -1, Fidelity: fid},
+			models: []WeightedModel{{Model: o.Manager.Baseline, Weight: 1}},
+			count:  countFor(fid),
 		}
 	}
 
@@ -446,7 +447,16 @@ func (o *Odin) advanceLocked(f *synth.Frame, z []float64, fid qos.Fidelity) Plan
 	res.Fidelity = fid
 	res.ModelGen = o.Manager.Gen()
 	res.RecoveryPending = o.Manager.pendingFor(res.ClusterID)
-	return Plan{res: res, models: selection, countOnly: fid == qos.Count}
+	return Plan{res: res, models: selection, count: countFor(fid)}
+}
+
+// countFor returns the count spec a fidelity executes under: the Count
+// fidelity counts every detection, every other level materialises them.
+func countFor(fid qos.Fidelity) *countSpec {
+	if fid == qos.Count {
+		return fidelityCount
+	}
+	return nil
 }
 
 // cheapestSingle reduces a selection to its single cheapest model —

@@ -34,20 +34,42 @@ import (
 // detect stages sharded across at most workers concurrent executors.
 // Results are identical to calling Process on each frame in order.
 func (o *Odin) ProcessBatch(frames []*synth.Frame, workers int) []Result {
-	return o.ProcessBatchFid(frames, workers, nil)
+	return o.processBatch(frames, workers, nil, nil)
 }
 
 // ProcessBatchFid is ProcessBatch with a per-frame fidelity assignment
-// from the QoS layer. A nil fids slice is the legacy full-fidelity path,
-// bit-identical to ProcessBatch before fidelity existed. Otherwise
-// fids[i] governs frames[i]: Skip frames bypass projection, drift
-// bookkeeping and detection entirely (their Result carries only the
-// fidelity stamp and model generation); Count frames run the
-// count-pushdown execute (Result.Count, no Detections); Lite and Full
-// frames run detection, Lite on the plan's single cheapest model. The
-// result slice always has one entry per input frame, in order — the QoS
-// layer's zero-silent-loss contract.
+// from the QoS layer. nil fids is the allocation-free representation of
+// "every frame at full fidelity" — the same path, nothing more.
+// Otherwise fids[i] governs frames[i]: Skip frames bypass projection,
+// drift bookkeeping and detection entirely (their Result carries only the
+// fidelity stamp and model generation); Count frames run the count
+// execute (Result.Count, no Detections); Lite and Full frames run
+// detection, Lite on the plan's single cheapest model. The result slice
+// always has one entry per input frame, in order — the QoS layer's
+// zero-silent-loss contract.
 func (o *Odin) ProcessBatchFid(frames []*synth.Frame, workers int, fids []qos.Fidelity) []Result {
+	return o.processBatch(frames, workers, fids, nil)
+}
+
+// countSpec makes execute count a plan's detections instead of
+// materialising them: those clearing minScore whose class matches (class
+// < 0 counts every class).
+type countSpec struct {
+	class    int
+	minScore float64
+}
+
+// fidelityCount is the Count fidelity's spec: every class, no score floor,
+// so Result.Count equals the length of the detections the same model
+// would have materialised.
+var fidelityCount = &countSpec{class: -1}
+
+// processBatch is the one batch path: project (parallel, pure), advance
+// (serialized, in frame order, one lock acquisition for the whole window),
+// execute (parallel, pure). fids is the per-frame fidelity (nil = all
+// full); a non-nil pushdown is the query COUNT projection, which executes
+// every frame as a count under the query's spec.
+func (o *Odin) processBatch(frames []*synth.Frame, workers int, fids []qos.Fidelity, pushdown *countSpec) []Result {
 	n := len(frames)
 	if n == 0 {
 		return nil
@@ -55,31 +77,16 @@ func (o *Odin) ProcessBatchFid(frames []*synth.Frame, workers int, fids []qos.Fi
 	if workers < 1 {
 		workers = 1
 	}
+	plans := o.advanceAll(frames, workers, fids)
+	if pushdown != nil {
+		for i := range plans {
+			plans[i].count = pushdown
+		}
+	}
 
-	// Stages 1+2 — project (parallel, pure), then advance (serialized, in
-	// frame order, one lock acquisition for the whole window).
-	plans := o.advanceAllFid(frames, workers, fids)
-
-	// Stage 3 — execute (parallel, pure): group single-model frames by
-	// model for batched detection, shard the ensemble frames. Count-only
-	// plans take the counting kernel instead.
 	ob := o.observer()
 	t0 := ob.Now()
-	results := make([]Result, n)
-	if fids == nil {
-		o.executeBatched(frames, plans, results, workers, nil)
-	} else {
-		var detIdx, cntIdx []int
-		for i := range plans {
-			if plans[i].countOnly {
-				cntIdx = append(cntIdx, i)
-			} else {
-				detIdx = append(detIdx, i)
-			}
-		}
-		o.executeBatched(frames, plans, results, workers, detIdx)
-		o.executeCount(frames, plans, results, workers, cntIdx)
-	}
+	results := o.executeAll(frames, plans, workers)
 	ob.Stage(obs.StageDetect, t0, n)
 
 	// Simulated time accumulates in frame order so the sharded and
@@ -92,34 +99,33 @@ func (o *Odin) ProcessBatchFid(frames []*synth.Frame, workers int, fids []qos.Fi
 	return results
 }
 
-// advanceAll runs the batched front half shared by ProcessBatch and
-// CountBatch: every frame's latent (sharded), then the serialized drift
-// stage in frame order under one lock acquisition. Training jobs the
-// window scheduled (async mode) are handed off outside the lock. Keeping
-// this in one place is what guarantees the count-only path advances
-// cluster evolution, drift events, stats and training jobs identically to
-// the full path.
-func (o *Odin) advanceAll(frames []*synth.Frame, workers int) []Plan {
-	return o.advanceAllFid(frames, workers, nil)
+// fidelityAt reads frame i's fidelity from an assignment whose nil form
+// means all full.
+func fidelityAt(fids []qos.Fidelity, i int) qos.Fidelity {
+	if fids == nil {
+		return qos.Full
+	}
+	return fids[i]
 }
 
-// advanceAllFid is advanceAll with a per-frame fidelity assignment (nil =
-// all full). Skip frames are excluded from projection and short-circuit
-// inside advanceLocked, so a shed frame costs only its result slot.
-func (o *Odin) advanceAllFid(frames []*synth.Frame, workers int, fids []qos.Fidelity) []Plan {
+// advanceAll runs the batched front half: every frame's latent (sharded),
+// then the serialized drift stage in frame order under one lock
+// acquisition. Training jobs the window scheduled (async mode) are handed
+// off outside the lock. Every batch entry point comes through here, which
+// is what guarantees the count paths advance cluster evolution, drift
+// events, stats and training jobs identically to full detection. Skip
+// frames are excluded from projection and short-circuit inside
+// advanceLocked, so a shed frame costs only its result slot.
+func (o *Odin) advanceAll(frames []*synth.Frame, workers int, fids []qos.Fidelity) []Plan {
 	ob := o.observer()
 	t0 := ob.Now()
-	latents := o.projectAllFid(frames, workers, fids)
+	latents := o.projectAll(frames, workers, fids)
 	ob.Stage(obs.StageProject, t0, len(frames))
 	plans := make([]Plan, len(frames))
 	t0 = ob.Now()
 	o.mu.Lock()
 	for i, f := range frames {
-		fid := qos.Full
-		if fids != nil {
-			fid = fids[i]
-		}
-		plans[i] = o.advanceLocked(f, latents[i], fid)
+		plans[i] = o.advanceLocked(f, latents[i], fidelityAt(fids, i))
 	}
 	jobs := o.pendingJobs
 	o.pendingJobs = nil
@@ -132,84 +138,24 @@ func (o *Odin) advanceAllFid(frames []*synth.Frame, workers int, fids []qos.Fide
 	return plans
 }
 
-// groupSingleModel partitions a window's plans for the execute stage:
-// frames whose plan selected exactly one detecting model, grouped by that
-// model (batched detection), and the rest (ensembles, model-less frames)
-// for per-frame execution. A non-nil idx restricts the partition to that
-// subset of plan indices (the fidelity-split execute paths).
-func groupSingleModel(plans []Plan, idx []int) (groups map[*Model][]int, rest []int) {
-	groups = make(map[*Model][]int)
-	add := func(i int) {
-		p := plans[i]
-		if len(p.models) == 1 && p.models[0].Model != nil && p.models[0].Model.Det != nil {
-			m := p.models[0].Model
-			groups[m] = append(groups[m], i)
-		} else {
-			rest = append(rest, i)
-		}
-	}
-	if idx == nil {
-		for i := range plans {
-			add(i)
-		}
-	} else {
-		for _, i := range idx {
-			add(i)
-		}
-	}
-	return groups, rest
-}
-
-// projectAll computes every frame's latent. Encoding shards across the
-// worker pool; the projector encodes the whole window in one forward pass
-// when it supports batching (the DA-GAN does), otherwise per-frame
-// projection shards too.
-func (o *Odin) projectAll(frames []*synth.Frame, workers int) [][]float64 {
-	n := len(frames)
-	latents := make([][]float64, n)
+// projectAll computes the latent of every frame that is not skipped (a
+// Skip frame's latent stays nil: shed frames never reach the projector).
+// Encoding shards across the worker pool; the projector encodes the whole
+// window in one forward pass when it supports batching (the DA-GAN does),
+// otherwise per-frame projection shards too. Leaving rows out of the
+// batched projection is safe for bit-identity of the remaining frames
+// because the matmul kernels accumulate each output element in a fixed
+// order regardless of batch width.
+func (o *Odin) projectAll(frames []*synth.Frame, workers int, fids []qos.Fidelity) [][]float64 {
+	latents := make([][]float64, len(frames))
 	if !o.Cfg.DriftRecovery {
 		return latents // static mode projects nothing
 	}
-	bp, batched := o.Detector.Proj.(gan.BatchProjector)
-	if batched && n > 1 {
-		rows := make([][]float64, n)
-		tensor.ParallelWorkers(n, workers, func(i0, i1 int) {
-			for i := i0; i < i1; i++ {
-				rows[i] = o.Detector.Encode(frames[i].Image)
-			}
-		})
-		return bp.ProjectBatch(rows)
-	}
-	tensor.ParallelWorkers(n, workers, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			latents[i] = o.Detector.Project(frames[i].Image)
-		}
-	})
-	return latents
-}
-
-// projectAllFid is projectAll minus the Skip frames: shed frames never
-// reach the projector. Excluding rows from the batched projection is safe
-// for bit-identity of the remaining frames because the matmul kernels
-// accumulate each output element in a fixed order regardless of batch
-// width. nil fids delegates to the untouched legacy path.
-func (o *Odin) projectAllFid(frames []*synth.Frame, workers int, fids []qos.Fidelity) [][]float64 {
-	if fids == nil {
-		return o.projectAll(frames, workers)
-	}
-	n := len(frames)
-	latents := make([][]float64, n)
-	if !o.Cfg.DriftRecovery {
-		return latents
-	}
-	idx := make([]int, 0, n)
+	idx := make([]int, 0, len(frames))
 	for i := range frames {
-		if fids[i] != qos.Skip {
+		if fidelityAt(fids, i) != qos.Skip {
 			idx = append(idx, i)
 		}
-	}
-	if len(idx) == 0 {
-		return latents
 	}
 	bp, batched := o.Detector.Proj.(gan.BatchProjector)
 	if batched && len(idx) > 1 {
@@ -219,9 +165,8 @@ func (o *Odin) projectAllFid(frames []*synth.Frame, workers int, fids []qos.Fide
 				rows[k] = o.Detector.Encode(frames[idx[k]].Image)
 			}
 		})
-		out := bp.ProjectBatch(rows)
-		for k, i := range idx {
-			latents[i] = out[k]
+		for k, z := range bp.ProjectBatch(rows) {
+			latents[idx[k]] = z
 		}
 		return latents
 	}
@@ -233,64 +178,57 @@ func (o *Odin) projectAllFid(frames []*synth.Frame, workers int, fids []qos.Fide
 	return latents
 }
 
-// executeBatched fills results[i] = Execute(frames[i], plans[i]), batching
-// frames that selected the same single model through DetectBatch and
-// sharding the rest. A non-nil idx restricts execution to that subset
-// (nil = every plan).
-func (o *Odin) executeBatched(frames []*synth.Frame, plans []Plan, results []Result, workers int, idx []int) {
-	groups, rest := groupSingleModel(plans, idx)
-
-	for m, idx := range groups {
-		if len(idx) == 1 {
-			rest = append(rest, idx[0])
+// executeAll is the one execute stage: results[i] = Execute(frames[i],
+// plans[i]), with frames that selected the same single model batched
+// through one detector call and the rest (ensembles, model-less frames)
+// sharded across the workers. Plans carrying a count spec — the Count
+// fidelity and the query COUNT pushdown alike — take the detector's
+// allocation-free counting kernel for the batched call and have their
+// stragglers' fused detections counted and discarded, so Result.Count
+// always equals what counting the detection path's output would give and
+// Detections stay nil.
+func (o *Odin) executeAll(frames []*synth.Frame, plans []Plan, workers int) []Result {
+	type batch struct {
+		m     *Model
+		count *countSpec
+	}
+	groups := make(map[batch][]int)
+	var rest []int
+	for i, p := range plans {
+		if len(p.models) == 1 && p.models[0].Model != nil && p.models[0].Model.Det != nil {
+			b := batch{p.models[0].Model, p.count}
+			groups[b] = append(groups[b], i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	results := make([]Result, len(frames))
+	for b, gi := range groups {
+		if b.count == nil && len(gi) == 1 {
+			rest = append(rest, gi[0]) // nothing to batch: shard it
 			continue
 		}
-		imgs := make([]*synth.Image, len(idx))
-		for k, i := range idx {
-			imgs[k] = frames[i].Image
-		}
-		dets := m.Det.DetectBatch(imgs)
-		for k, i := range idx {
-			res := plans[i].res
-			res.Detections = dets[k]
-			res.ModelsUsed = append(res.ModelsUsed, m.Name())
-			if m.Cost.FPS > 0 {
-				res.SimLatency += 1 / m.Cost.FPS
-			}
-			results[i] = res
-		}
-	}
-
-	tensor.ParallelWorkers(len(rest), workers, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			i := rest[k]
-			results[i] = o.Execute(frames[i], plans[i])
-		}
-	})
-}
-
-// executeCount fills results[i] for the count-pushdown plans in idx: the
-// plan's single model runs its allocation-free counting kernel (class -1,
-// minScore 0, so Count equals the length of the detections the same model
-// would have materialised), ensemble or model-less stragglers fall back
-// to a full execute whose output is counted and discarded.
-func (o *Odin) executeCount(frames []*synth.Frame, plans []Plan, results []Result, workers int, idx []int) {
-	if len(idx) == 0 {
-		return
-	}
-	groups, rest := groupSingleModel(plans, idx)
-	for m, gi := range groups {
 		imgs := make([]*synth.Image, len(gi))
 		for k, i := range gi {
 			imgs[k] = frames[i].Image
 		}
-		cs := m.Det.CountBatch(imgs, -1, 0)
+		var dets [][]detect.Detection
+		var counts []int
+		if b.count != nil {
+			counts = b.m.Det.CountBatch(imgs, b.count.class, b.count.minScore)
+		} else {
+			dets = b.m.Det.DetectBatch(imgs)
+		}
 		for k, i := range gi {
 			res := plans[i].res
-			res.Count = cs[k]
-			res.ModelsUsed = append(res.ModelsUsed, m.Name())
-			if m.Cost.FPS > 0 {
-				res.SimLatency += 1 / m.Cost.FPS
+			if b.count != nil {
+				res.Count = counts[k]
+			} else {
+				res.Detections = dets[k]
+			}
+			res.ModelsUsed = append(res.ModelsUsed, b.m.Name())
+			if b.m.Cost.FPS > 0 {
+				res.SimLatency += 1 / b.m.Cost.FPS
 			}
 			results[i] = res
 		}
@@ -299,11 +237,14 @@ func (o *Odin) executeCount(frames []*synth.Frame, plans []Plan, results []Resul
 		for k := k0; k < k1; k++ {
 			i := rest[k]
 			res := o.Execute(frames[i], plans[i])
-			res.Count = countKept(res.Detections, -1, 0)
-			res.Detections = nil
+			if c := plans[i].count; c != nil {
+				res.Count = countKept(res.Detections, c.class, c.minScore)
+				res.Detections = nil
+			}
 			results[i] = res
 		}
 	})
+	return results
 }
 
 var _ detect.BatchDetector = (*detect.GridDetector)(nil)

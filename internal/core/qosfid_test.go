@@ -17,7 +17,7 @@ func mixedFids(n int) []qos.Fidelity {
 	return fids
 }
 
-// TestProcessBatchFidNilMatchesExplicitFull pins the legacy contract: a
+// TestProcessBatchFidNilMatchesExplicitFull pins the representation contract: a
 // nil fidelity slice and an explicit all-Full slice are the same path —
 // bit-identical results and stats.
 func TestProcessBatchFidNilMatchesExplicitFull(t *testing.T) {

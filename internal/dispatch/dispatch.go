@@ -19,17 +19,10 @@ import (
 	"odin/internal/synth"
 )
 
-// Pipeline is the slice of the core pipeline the batcher needs.
+// Pipeline is the slice of the core pipeline the batcher needs: one batch
+// call taking the per-frame QoS fidelities submitted with SubmitFid (nil
+// when every frame is full fidelity).
 type Pipeline interface {
-	ProcessBatch(frames []*synth.Frame, workers int) []core.Result
-}
-
-// FidPipeline is the optional fidelity-aware extension: pipelines that
-// implement it (core.Odin does) receive the per-frame QoS fidelity
-// assignments submitted with SubmitFid. A plain Pipeline silently treats
-// every frame as full fidelity.
-type FidPipeline interface {
-	Pipeline
 	ProcessBatchFid(frames []*synth.Frame, workers int, fids []qos.Fidelity) []core.Result
 }
 
@@ -112,10 +105,8 @@ type Stats struct {
 // selection IS take-all, so at/under capacity the merge is unchanged.
 // See DESIGN.md §7 and §11 for the full contract.
 type Batcher struct {
-	pipe    Pipeline
-	fidPipe FidPipeline // non-nil when pipe understands fidelities
-
-	cfg Config
+	pipe Pipeline
+	cfg  Config
 
 	mu            sync.Mutex
 	nextID        uint64
@@ -134,10 +125,8 @@ type Batcher struct {
 
 // NewBatcher creates a batcher over the pipeline.
 func NewBatcher(pipe Pipeline, cfg Config) *Batcher {
-	fp, _ := pipe.(FidPipeline)
 	return &Batcher{
 		pipe:     pipe,
-		fidPipe:  fp,
 		cfg:      cfg.withDefaults(),
 		sessions: make(map[uint64]bool),
 	}
@@ -222,8 +211,7 @@ func (s *Session) Submit(ctx context.Context, frames []*synth.Frame) ([]core.Res
 
 // SubmitFid is Submit with a per-frame fidelity assignment from the QoS
 // layer (fids[i] governs frames[i]; nil means full fidelity). Fidelities
-// ride along into the merged batch; a pipeline that does not implement
-// FidPipeline processes every frame at full fidelity.
+// ride along into the merged batch.
 func (s *Session) SubmitFid(ctx context.Context, frames []*synth.Frame, fids []qos.Fidelity) ([]core.Result, error) {
 	if len(frames) == 0 {
 		return nil, nil
@@ -439,8 +427,9 @@ func (b *Batcher) process(ws []*window) {
 
 // runBatch runs one merged batch: windows ordered by session join order (a
 // stable, deterministic cross-stream merge), frames concatenated, one
-// ProcessBatch call, results split back per window. Windows carrying QoS
-// fidelities route through the fidelity-aware pipeline when available.
+// batch call, results split back per window. The merged fidelities stay nil
+// unless some window carried any; a full-fidelity window merged beside a
+// degraded one contributes explicit Full entries.
 func (b *Batcher) runBatch(ws []*window) {
 	sort.SliceStable(ws, func(i, j int) bool { return ws[i].sessID < ws[j].sessID })
 	total := 0
@@ -461,20 +450,16 @@ func (b *Batcher) runBatch(ws []*window) {
 	for _, w := range ws {
 		merged = append(merged, w.frames...)
 	}
-	var results []core.Result
-	if degraded && b.fidPipe != nil {
-		fids := make([]qos.Fidelity, 0, total)
+	var fids []qos.Fidelity
+	if degraded {
+		fids = make([]qos.Fidelity, total) // zero value is Full
+		off := 0
 		for _, w := range ws {
-			if w.fids != nil {
-				fids = append(fids, w.fids...)
-			} else {
-				fids = append(fids, make([]qos.Fidelity, len(w.frames))...)
-			}
+			copy(fids[off:], w.fids)
+			off += len(w.frames)
 		}
-		results = b.fidPipe.ProcessBatchFid(merged, b.cfg.Workers, fids)
-	} else {
-		results = b.pipe.ProcessBatch(merged, b.cfg.Workers)
 	}
+	results := b.pipe.ProcessBatchFid(merged, b.cfg.Workers, fids)
 	off := 0
 	for _, w := range ws {
 		w.res <- results[off : off+len(w.frames) : off+len(w.frames)]

@@ -8,17 +8,20 @@ import (
 	"time"
 
 	"odin/internal/core"
+	"odin/internal/qos"
 	"odin/internal/synth"
 )
 
-// fakePipe records every ProcessBatch call and tags each frame's Result
-// with a per-frame identity (via ClusterID), so tests can verify the demux
-// returned exactly the right results to the right session.
+// fakePipe records every merged batch — frames and the fidelity slice
+// handed along — and tags each frame's Result with a per-frame identity
+// (via ClusterID), so tests can verify the demux returned exactly the
+// right results to the right session.
 type fakePipe struct {
-	mu      sync.Mutex
-	ids     map[*synth.Frame]int
-	next    int
-	batches [][]*synth.Frame
+	mu       sync.Mutex
+	ids      map[*synth.Frame]int
+	next     int
+	batches  [][]*synth.Frame
+	fidCalls [][]qos.Fidelity
 }
 
 func newFakePipe() *fakePipe { return &fakePipe{ids: make(map[*synth.Frame]int)} }
@@ -41,9 +44,10 @@ func (f *fakePipe) id(fr *synth.Frame) int {
 	return f.ids[fr]
 }
 
-func (f *fakePipe) ProcessBatch(frames []*synth.Frame, workers int) []core.Result {
+func (f *fakePipe) ProcessBatchFid(frames []*synth.Frame, workers int, fids []qos.Fidelity) []core.Result {
 	f.mu.Lock()
 	f.batches = append(f.batches, append([]*synth.Frame(nil), frames...))
+	f.fidCalls = append(f.fidCalls, append([]qos.Fidelity(nil), fids...))
 	out := make([]core.Result, len(frames))
 	for i, fr := range frames {
 		out[i] = core.Result{ClusterID: f.ids[fr]}

@@ -19,22 +19,9 @@ type slowPipe struct {
 	delay time.Duration
 }
 
-func (s *slowPipe) ProcessBatch(frames []*synth.Frame, workers int) []core.Result {
+func (s *slowPipe) ProcessBatchFid(frames []*synth.Frame, workers int, fids []qos.Fidelity) []core.Result {
 	time.Sleep(s.delay)
-	return s.fakePipe.ProcessBatch(frames, workers)
-}
-
-// fidPipe records the fidelity slice handed to the merged batch.
-type fidPipe struct {
-	*fakePipe
-	fidCalls [][]qos.Fidelity
-}
-
-func (f *fidPipe) ProcessBatchFid(frames []*synth.Frame, workers int, fids []qos.Fidelity) []core.Result {
-	f.mu.Lock()
-	f.fidCalls = append(f.fidCalls, append([]qos.Fidelity(nil), fids...))
-	f.mu.Unlock()
-	return f.fakePipe.ProcessBatch(frames, workers)
+	return s.fakePipe.ProcessBatchFid(frames, workers, fids)
 }
 
 // TestWeightedFlushSelection pins the weighted-round-robin cut rule
@@ -229,11 +216,11 @@ func TestLeaveDuringInFlightWeightedFlush(t *testing.T) {
 	s2.Leave()
 }
 
-// TestSubmitFidRoutesFidelities: windows submitted with fidelities reach a
-// fidelity-aware pipeline as one merged slice in join order, padded with
-// Full for plain windows.
+// TestSubmitFidRoutesFidelities: windows submitted with fidelities reach
+// the pipeline as one merged slice in join order, padded with Full for
+// plain windows.
 func TestSubmitFidRoutesFidelities(t *testing.T) {
-	fp := &fidPipe{fakePipe: newFakePipe()}
+	fp := newFakePipe()
 	b := NewBatcher(fp, Config{MaxBatch: 1 << 20, MaxLinger: time.Minute})
 	s1, s2 := b.Join(), b.Join()
 	f1, f2 := fp.frames(2), fp.frames(3)
@@ -248,7 +235,7 @@ func TestSubmitFidRoutesFidelities(t *testing.T) {
 			t.Errorf("s1: %v", err)
 			return
 		}
-		checkResults(t, fp.fakePipe, f1, rs)
+		checkResults(t, fp, f1, rs)
 	}()
 	go func() {
 		defer wg.Done()
@@ -257,14 +244,14 @@ func TestSubmitFidRoutesFidelities(t *testing.T) {
 			t.Errorf("s2: %v", err)
 			return
 		}
-		checkResults(t, fp.fakePipe, f2, rs)
+		checkResults(t, fp, f2, rs)
 	}()
 	wg.Wait()
 
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
 	if len(fp.fidCalls) != 1 {
-		t.Fatalf("fidelity-aware path saw %d calls, want 1 merged batch", len(fp.fidCalls))
+		t.Fatalf("pipeline saw %d calls, want 1 merged batch", len(fp.fidCalls))
 	}
 	got := fp.fidCalls[0]
 	want := []qos.Fidelity{qos.Lite, qos.Skip, qos.Full, qos.Full, qos.Full}

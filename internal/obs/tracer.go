@@ -14,8 +14,8 @@ const (
 	// StageQueueWait is the time a frame waits inside the admission queue,
 	// from push to pop.
 	StageQueueWait
-	// StageAssembly is batch-assembly wait: the legacy fill-loop window, or
-	// the dispatcher window from submit to flush.
+	// StageAssembly is batch-assembly wait: a queue-less session's greedy
+	// fill of its window, or the dispatcher window from submit to flush.
 	StageAssembly
 	// StageProject is the pure DA-GAN projection (ODIN Project).
 	StageProject

@@ -15,7 +15,7 @@ package qos
 import "fmt"
 
 // Fidelity is the per-frame treatment level. The ladder is ordered from
-// most to least work; Full is the zero value so legacy paths that never
+// most to least work; Full is the zero value so callers that never
 // mention fidelity are implicitly full-fidelity.
 type Fidelity uint8
 

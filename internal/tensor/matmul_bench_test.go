@@ -96,7 +96,7 @@ func BenchmarkMatMulBT(b *testing.B) {
 // paths: with operands and destination pre-allocated, the kernels must run
 // alloc-free in steady state, exactly like the float64 reference. The loop
 // runs inline (parallelism 1) so the assertion isolates the kernels — the
-// parallel dispatch path's one job header per fan-out is accounted for
+// parallel dispatch path's range closure per fan-out is accounted for
 // separately and predates the backend seam.
 func TestMatMulKernelAllocs(t *testing.T) {
 	SetParallelism(1)

@@ -9,9 +9,9 @@ import (
 // This file is the shared parallel substrate for every kernel in the
 // repository. Instead of spawning goroutines and filling a fresh channel on
 // every call (as the old tensor.parallelRows and nn.parallelFor both did),
-// a persistent pool of workers pulls chunk ranges off an atomic cursor, so
-// the steady-state cost of a parallel loop is one job allocation and a few
-// channel sends.
+// a persistent pool of workers pulls chunk ranges off an atomic cursor and
+// job records are recycled, so the steady-state cost of a parallel loop is
+// a few channel sends (plus the caller's range closure).
 
 // job is one Parallel invocation. Workers (and the submitting goroutine)
 // claim half-open ranges [start, end) by advancing the atomic cursor until
@@ -20,12 +20,41 @@ import (
 // whether the queued copies were ever dequeued — so a submitter that ends
 // up doing all the work itself (e.g. nested Parallel while every worker
 // is busy) never blocks on the queue.
+//
+// refs counts the holders of the record — the submitter plus every queued
+// copy — so it returns to jobFree only after the last stale copy has been
+// dequeued and found the cursor exhausted; a recycled record is never
+// visible to a worker still holding its previous life.
 type job struct {
 	fn    func(start, end int)
 	n     int
 	chunk int
 	next  atomic.Int64
 	wg    sync.WaitGroup
+	refs  atomic.Int32
+}
+
+// jobFree is the free list of job records. A buffered channel rather than
+// a sync.Pool: neither side ever allocates (a Pool's Put may, which the
+// kernels' zero-allocation pins would see from a background worker), and
+// the records are too few and too small to be worth handing back to the
+// GC. A record is away from the list while its loop runs plus however long
+// its stale copies sit in jobCh, so the list needs about one slot per
+// concurrent submitter and a few more; 64 is generous, and overflow just
+// falls to the GC.
+var jobFree = make(chan *job, 64)
+
+// release drops one holder's reference and recycles the record with the
+// last one.
+func (j *job) release() {
+	if j.refs.Add(-1) != 0 {
+		return
+	}
+	j.fn = nil
+	select {
+	case jobFree <- j:
+	default: // free list full; let the GC have it
+	}
 }
 
 // run claims and executes chunks until the job is drained, marking one
@@ -85,6 +114,7 @@ func ensureWorkers(want int) {
 		go func() {
 			for j := range jobCh {
 				j.run()
+				j.release()
 			}
 		}()
 	}
@@ -133,11 +163,10 @@ func Parallel(n, work int, fn func(start, end int)) {
 // capped at workers concurrent executors (the caller included), independent
 // of the global parallelism target and with no minimum-work gate — callers
 // use it when each index is a whole frame's worth of compute. Chunks are
-// claimed off the same persistent worker pool Parallel uses, so the
-// steady-state cost is one job allocation. fn must be safe to run
-// concurrently on disjoint ranges; which indices land on which worker is
-// unspecified, so determinism requires each index to write only its own
-// output slot.
+// claimed off the same persistent worker pool Parallel uses. fn must be
+// safe to run concurrently on disjoint ranges; which indices land on which
+// worker is unspecified, so determinism requires each index to write only
+// its own output slot.
 func ParallelWorkers(n, workers int, fn func(start, end int)) {
 	if n <= 0 {
 		return
@@ -156,25 +185,36 @@ func ParallelWorkers(n, workers int, fn func(start, end int)) {
 func dispatch(n, w int, fn func(start, end int)) {
 	ensureWorkers(w)
 
-	j := &job{fn: fn, n: n}
+	var j *job
+	select {
+	case j = <-jobFree:
+	default:
+		j = new(job)
+	}
+	j.fn, j.n = fn, n
 	// Oversubscribe chunks ×4 so a straggler worker cannot hold the whole
 	// loop hostage; the cursor hands out the slack dynamically.
 	j.chunk = (n + 4*w - 1) / (4 * w)
 	if j.chunk < 1 {
 		j.chunk = 1
 	}
+	j.next.Store(0)
+	j.refs.Store(1)
 	chunks := (n + j.chunk - 1) / j.chunk
 	j.wg.Add(chunks)
 	for h := 0; h < w-1 && h < chunks-1; h++ {
 		// Non-blocking: if the queue is full, the caller simply runs the
 		// remainder itself — blocking here could deadlock with every
 		// worker submitting.
+		j.refs.Add(1)
 		select {
 		case jobCh <- j:
 		default:
+			j.refs.Add(-1)
 			h = chunks // queue full; stop offering copies
 		}
 	}
 	j.run()
 	j.wg.Wait()
+	j.release()
 }

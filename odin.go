@@ -26,8 +26,7 @@
 // One-shot string SQL remains available via Server.Query / PrepareSQL
 // ("SELECT COUNT(detections) FROM stream USING MODEL odin WHERE
 // class='car'"). Single frames can also be processed synchronously with
-// Stream.Process. The pre-Server blocking facade survives as the
-// deprecated System shim (see NewSystem).
+// Stream.Process.
 package odin
 
 import (

@@ -20,32 +20,61 @@ func fastServerOptions(seed uint64) []Option {
 	}
 }
 
-// fastOptions is the legacy-shim equivalent of fastServerOptions.
-func fastOptions() Options {
-	return Options{Seed: 3, BootstrapFrames: 80, BootstrapEpochs: 1, BaselineEpochs: 2}
-}
-
-// sharedSrv is one bootstrapped server reused by the tests that only read
+// lazyServer is one bootstrapped server reused by the tests that only read
 // it (queries, error paths, stream smoke tests). Tests that mutate drift
 // state in ways they assert on build their own server instead.
-var (
-	sharedSrv  *Server
-	sharedOnce sync.Once
-	sharedErr  error
-)
+type lazyServer struct {
+	opts []Option
+	once sync.Once
+	srv  *Server
+	err  error
+}
+
+func (l *lazyServer) get(t *testing.T) *Server {
+	t.Helper()
+	l.once.Do(func() {
+		l.srv, l.err = New(l.opts...)
+		if l.err == nil {
+			l.err = l.srv.Bootstrap(context.Background(), nil)
+		}
+	})
+	if l.err != nil {
+		t.Fatalf("shared server: %v", l.err)
+	}
+	return l.srv
+}
+
+// windowSources are the two places a Run session's windows come from
+// (Stream.windowSource): the input channel read directly, or the bounded
+// admission queue behind an intake. One session loop serves both, so the
+// Run-lifecycle tests run as rows over both.
+var windowSources = []struct {
+	name string
+	opts []Option
+}{
+	{"direct", nil},
+	{"queue", []Option{WithMaxQueue(8), WithDropPolicy(DropBlock)}},
+}
+
+var sharedServers = func() []*lazyServer {
+	out := make([]*lazyServer, len(windowSources))
+	for i, src := range windowSources {
+		out[i] = &lazyServer{opts: append(fastServerOptions(3), src.opts...)}
+	}
+	return out
+}()
 
 func sharedServer(t *testing.T) *Server {
 	t.Helper()
-	sharedOnce.Do(func() {
-		sharedSrv, sharedErr = New(fastServerOptions(3)...)
-		if sharedErr == nil {
-			sharedErr = sharedSrv.Bootstrap(context.Background(), nil)
-		}
-	})
-	if sharedErr != nil {
-		t.Fatalf("shared server: %v", sharedErr)
+	return sharedServers[0].get(t)
+}
+
+// eachWindowSource runs fn as one subtest per window source, on that
+// source's shared server.
+func eachWindowSource(t *testing.T, fn func(t *testing.T, srv *Server)) {
+	for i, src := range windowSources {
+		t.Run(src.name, func(t *testing.T) { fn(t, sharedServers[i].get(t)) })
 	}
-	return sharedSrv
 }
 
 func TestOptionValidation(t *testing.T) {
@@ -275,7 +304,10 @@ func TestRunMatchesSequentialProcess(t *testing.T) {
 }
 
 func TestRunContextCancellation(t *testing.T) {
-	srv := sharedServer(t)
+	eachWindowSource(t, testRunContextCancellation)
+}
+
+func testRunContextCancellation(t *testing.T, srv *Server) {
 	stream, err := srv.OpenStream(context.Background(), StreamOptions{Workers: 2, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +329,10 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestRunExitsWhenStreamCloses(t *testing.T) {
-	srv := sharedServer(t)
+	eachWindowSource(t, testRunExitsWhenStreamCloses)
+}
+
+func testRunExitsWhenStreamCloses(t *testing.T, srv *Server) {
 	stream, err := srv.OpenStream(context.Background(), StreamOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -442,65 +477,4 @@ func TestStaticMode(t *testing.T) {
 	if srv.NumClusters() != 0 || srv.NumModels() != 0 {
 		t.Fatal("static mode must not build clusters or models")
 	}
-}
-
-// --- legacy System shim ---
-
-func TestSystemShimLifecycle(t *testing.T) {
-	sys, err := NewSystem(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Bootstrap(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Bootstrap(nil); !errors.Is(err, ErrAlreadyBootstrapped) {
-		t.Fatalf("double bootstrap: %v", err)
-	}
-
-	frames := sys.GenerateFrames(DayData, 10)
-	for _, f := range frames {
-		r := sys.Process(f)
-		if len(r.ModelsUsed) == 0 {
-			t.Fatal("no model served the frame")
-		}
-	}
-	if sys.Stats().Frames != 10 {
-		t.Fatalf("frames %d", sys.Stats().Frames)
-	}
-	if sys.MemoryMB() <= 0 {
-		t.Fatal("memory should be positive")
-	}
-
-	out, err := sys.Query("SELECT COUNT(detections) FROM stream USING MODEL yolo WHERE class='car'", frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.FramesScanned != 10 {
-		t.Fatalf("scanned %d", out.FramesScanned)
-	}
-	if sys.Server() == nil {
-		t.Fatal("shim should expose its Server")
-	}
-	_ = sys.NumClusters()
-	_ = sys.NumModels()
-}
-
-func TestSystemShimRejectsBadPolicy(t *testing.T) {
-	if _, err := NewSystem(Options{Policy: "turbo"}); err == nil {
-		t.Fatal("unknown policy should error")
-	}
-}
-
-func TestSystemShimProcessPanicsBeforeBootstrap(t *testing.T) {
-	sys, err := NewSystem(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("System.Process before Bootstrap should keep the legacy panic contract")
-		}
-	}()
-	sys.Process(sys.GenerateFrames(DayData, 1)[0])
 }

@@ -62,7 +62,7 @@ type config struct {
 	backend          Backend
 	fleet            *FleetRecovery
 
-	maxQueue      int // 0: no admission queue (unbounded legacy intake)
+	maxQueue      int // 0: no admission queue (Run reads its input channel directly)
 	dropPolicy    qos.DropPolicy
 	dropPolicySet bool
 	adaptive      *AdaptiveFidelity
@@ -88,6 +88,27 @@ func defaultConfig() config {
 
 // Option configures a Server at construction time.
 type Option func(*config) error
+
+// resolveConfig applies opts to the defaults, then the cross-option QoS
+// rules, in an order that does not depend on how the caller listed them:
+// adaptive fidelity needs a queue to observe, so it implies a bound of 64
+// unless one was set; only then is a drop policy checked for a queue to
+// act on. New and Restore both resolve through here.
+func resolveConfig(opts []Option) (config, error) {
+	cfg := defaultConfig()
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			return cfg, err
+		}
+	}
+	if cfg.adaptive != nil && cfg.maxQueue == 0 {
+		cfg.maxQueue = 64
+	}
+	if cfg.dropPolicySet && cfg.maxQueue == 0 {
+		return cfg, fmt.Errorf("odin: WithDropPolicy requires WithMaxQueue or WithAdaptiveFidelity")
+	}
+	return cfg, nil
+}
 
 // WithSeed sets the seed driving all randomness; equal seeds give
 // identical servers. The seed must be non-zero.
@@ -340,12 +361,13 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithMaxQueue bounds each Run session's admission queue to n frames:
-// instead of buffering input without limit, a session admits at most n
-// frames ahead of processing and applies the configured drop policy
-// (WithDropPolicy, default DropBlock backpressure) when full. The queue is
-// also what Stream.Offer admits into and what the adaptive fidelity
-// controller observes. 0 (the default) keeps the legacy unbounded intake.
+// WithMaxQueue puts a bounded admission queue of n frames in front of each
+// Run session: an intake admits at most n frames ahead of processing and
+// applies the configured drop policy (WithDropPolicy, default DropBlock
+// backpressure) when full. The queue is also what Stream.Offer admits into
+// and what the adaptive fidelity controller observes. 0 (the default) means
+// no queue: the session reads its input channel directly, so intake is
+// back-pressured by that channel's capacity and nothing is ever shed.
 func WithMaxQueue(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -361,7 +383,7 @@ func WithMaxQueue(n int) Option {
 // sheds the arriving frame, DropOldest sheds the stalest queued frame.
 // Shed frames are never silently lost: each yields a StreamResult with
 // Dropped set, in sequence order, and is counted in Stats().Dropped.
-// Requires WithMaxQueue.
+// Requires a queue: WithMaxQueue, or the one WithAdaptiveFidelity implies.
 func WithDropPolicy(p DropPolicy) Option {
 	return func(c *config) error {
 		switch p {

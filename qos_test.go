@@ -334,12 +334,29 @@ func TestQoSOptionValidation(t *testing.T) {
 			t.Errorf("bad option %d accepted", i)
 		}
 	}
-	// Adaptive fidelity alone implies a default admission queue.
-	srv, err := New(append(fastServerOptions(2), WithAdaptiveFidelity(AdaptiveFidelity{}))...)
-	if err != nil {
-		t.Fatal(err)
+	// Adaptive fidelity alone implies a default admission queue, which a
+	// drop policy may act on — in either option order, and only the
+	// explicit bound overrides the implied one.
+	good := []struct {
+		name      string
+		opts      []Option
+		wantQueue int
+		wantDrop  DropPolicy
+	}{
+		{"adaptive alone", []Option{WithAdaptiveFidelity(AdaptiveFidelity{})}, 64, DropBlock},
+		{"adaptive then policy", []Option{WithAdaptiveFidelity(AdaptiveFidelity{}), WithDropPolicy(DropOldest)}, 64, DropOldest},
+		{"policy then adaptive", []Option{WithDropPolicy(DropOldest), WithAdaptiveFidelity(AdaptiveFidelity{})}, 64, DropOldest},
+		{"policy then queue", []Option{WithDropPolicy(DropNewest), WithMaxQueue(8)}, 8, DropNewest},
+		{"adaptive with explicit queue", []Option{WithAdaptiveFidelity(AdaptiveFidelity{}), WithMaxQueue(8)}, 8, DropBlock},
 	}
-	if srv.cfg.maxQueue != 64 {
-		t.Fatalf("implied queue bound %d, want 64", srv.cfg.maxQueue)
+	for _, c := range good {
+		srv, err := New(append(fastServerOptions(2), c.opts...)...)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if srv.cfg.maxQueue != c.wantQueue || srv.cfg.dropPolicy != c.wantDrop {
+			t.Errorf("%s: queue %d policy %v, want %d %v", c.name, srv.cfg.maxQueue, srv.cfg.dropPolicy, c.wantQueue, c.wantDrop)
+		}
 	}
 }

@@ -260,8 +260,8 @@ func subscribeRun(t *testing.T, srv *Server, workers int, pq *PreparedQuery, fra
 // TestSubscribeMatchesOfflineQuery is the acceptance-criteria test: a
 // continuous Subscribe run over N frames produces window aggregates
 // bit-identical to an offline Server.Query over the same frames, at 1, 4
-// and 8 workers (run under -race in CI). The final window is partial,
-// which also pins the end-of-session flush.
+// and 8 workers from either window source (run under -race in CI). The
+// final window is partial, which also pins the end-of-session flush.
 func TestSubscribeMatchesOfflineQuery(t *testing.T) {
 	const seed, perPhase, windowSize = 17, 20, 16
 	sql := "SELECT COUNT(detections) FROM stream USING MODEL odin WHERE class='car'"
@@ -283,9 +283,20 @@ func TestSubscribeMatchesOfflineQuery(t *testing.T) {
 		t.Fatal("offline reference counted nothing; the comparison would be vacuous")
 	}
 
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv, err := New(fastServerOptions(seed)...)
+	type row struct {
+		source  string
+		opts    []Option
+		workers int
+	}
+	var rows []row
+	for _, src := range windowSources {
+		for _, workers := range []int{1, 4, 8} {
+			rows = append(rows, row{src.name, src.opts, workers})
+		}
+	}
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("%s/workers=%d", r.source, r.workers), func(t *testing.T) {
+			srv, err := New(append(fastServerOptions(seed), r.opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +308,7 @@ func TestSubscribeMatchesOfflineQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wins := subscribeRun(t, srv, workers, pq, frames, windowSize)
+			wins := subscribeRun(t, srv, r.workers, pq, frames, windowSize)
 
 			// Window bookkeeping: contiguous seq ranges covering all frames.
 			seq := 0
@@ -523,7 +534,10 @@ func TestSubscribeContextCancellation(t *testing.T) {
 // returns a closed channel and leaves the active session's subscriptions
 // untouched.
 func TestRunRejectsOverlappingSession(t *testing.T) {
-	srv := sharedServer(t)
+	eachWindowSource(t, testRunRejectsOverlappingSession)
+}
+
+func testRunRejectsOverlappingSession(t *testing.T, srv *Server) {
 	st, err := srv.OpenStream(context.Background(), StreamOptions{Workers: 2, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -579,31 +593,35 @@ func TestRunRejectsOverlappingSession(t *testing.T) {
 // server) closes the stream's subscription channels instead of leaving
 // consumers ranging forever.
 func TestRunErrorPathClosesSubscriptions(t *testing.T) {
-	srv, err := New(fastServerOptions(53)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Bootstrap(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	st, err := srv.OpenStream(context.Background(), StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq, err := srv.Prepare(Select(Count).UsingModel("odin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wins, err := st.Subscribe(context.Background(), pq, WindowOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	if _, ok := <-st.Run(context.Background(), make(chan *Frame)); ok {
-		t.Fatal("Run on a closed server should return a closed channel")
-	}
-	if _, ok := <-wins; ok {
-		t.Fatal("failed Run should close subscription channels")
+	for _, src := range windowSources {
+		t.Run(src.name, func(t *testing.T) {
+			srv, err := New(append(fastServerOptions(53), src.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Bootstrap(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+			st, err := srv.OpenStream(context.Background(), StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pq, err := srv.Prepare(Select(Count).UsingModel("odin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wins, err := st.Subscribe(context.Background(), pq, WindowOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
+			if _, ok := <-st.Run(context.Background(), make(chan *Frame)); ok {
+				t.Fatal("Run on a closed server should return a closed channel")
+			}
+			if _, ok := <-wins; ok {
+				t.Fatal("failed Run should close subscription channels")
+			}
+		})
 	}
 }
 

@@ -79,19 +79,9 @@ type Server struct {
 // New creates a Server from functional options. The server owns no trained
 // models yet; call Bootstrap before opening streams or running queries.
 func New(opts ...Option) (*Server, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
-	}
-	// Cross-option QoS validation: a drop policy is meaningless without a
-	// queue bound, and adaptive fidelity needs a queue to observe.
-	if cfg.dropPolicySet && cfg.maxQueue == 0 {
-		return nil, fmt.Errorf("odin: WithDropPolicy requires WithMaxQueue")
-	}
-	if cfg.adaptive != nil && cfg.maxQueue == 0 {
-		cfg.maxQueue = 64
+	cfg, err := resolveConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	scene := synth.DefaultSceneConfig()
 	engine := query.NewEngine()

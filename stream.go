@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"odin/internal/core"
 	"odin/internal/dispatch"
 	"odin/internal/obs"
 	"odin/internal/qos"
@@ -166,7 +165,7 @@ type Stream struct {
 	weight   int
 
 	// QoS configuration copied from the server at OpenStream.
-	maxQueue int // 0: legacy unbounded intake
+	maxQueue int // 0: no admission queue; Run reads its input channel directly
 	dropPol  qos.DropPolicy
 	adaptive *AdaptiveFidelity
 
@@ -302,11 +301,10 @@ func (st *Stream) dropSubLocked(sub *subscription) {
 
 // deliverSubs offers one processed window of the Run session to every
 // subscription, emitting completed aggregation windows along the way.
-// seqs[i] is batch[i]'s Run sequence number — contiguous on the legacy
-// path, possibly gapped under admission control (dropped frames consume
-// sequence numbers but never reach subscriptions). Returns false when the
-// session must abort (run context cancelled or stream closed while blocked
-// on a subscriber).
+// seqs[i] is batch[i]'s Run sequence number — gapped where the admission
+// queue shed frames (dropped frames consume sequence numbers but never
+// reach subscriptions). Returns false when the session must abort (run
+// context cancelled or stream closed while blocked on a subscriber).
 func (st *Stream) deliverSubs(ctx context.Context, batch []*Frame, results []Result, seqs []int) bool {
 	subs := st.snapshotSubs()
 	if len(subs) == 0 {
@@ -423,16 +421,15 @@ func (st *Stream) finishSubs(ctx context.Context, clean bool) {
 // session leaves the fleet when the loop exits. Results are still
 // delivered in this stream's frame order.
 //
-// On a server built WithMaxQueue (or WithAdaptiveFidelity), the session
-// runs under admission control instead of the unbounded intake: an intake
-// goroutine admits frames from in into a bounded queue under the
-// configured drop policy, Stream.Offer admits into the same queue without
-// blocking, and frames the queue sheds yield StreamResults with Dropped
-// set, in sequence order. With adaptive fidelity the session additionally
-// degrades to cheaper plans under sustained overload (see
-// WithAdaptiveFidelity); every result carries the fidelity that served
-// it. At or under capacity nothing is dropped or degraded and results are
-// bit-identical to a server without QoS.
+// There is one session loop. Admission control (WithMaxQueue, implied by
+// WithAdaptiveFidelity) changes where a window comes from and which
+// fidelity each frame gets — nothing else (see windowSource). Frames the
+// admission queue sheds yield StreamResults with Dropped set, in sequence
+// order; with adaptive fidelity the session degrades to cheaper plans
+// under sustained overload (see WithAdaptiveFidelity) and every result
+// carries the fidelity that served it. At or under capacity nothing is
+// dropped or degraded and results are bit-identical to a server without
+// QoS.
 func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -472,105 +469,11 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 			}
 		}()
 	}
-	if st.maxQueue > 0 {
-		st.runQoS(ctx, in, out, p, sess, submitCtx, stopWatch)
-		return out
-	}
-	go func() {
-		clean := false
-		// LIFO: out closes first, then subscriptions flush — so a consumer
-		// draining out before the subscription channel cannot deadlock the
-		// final window flush.
-		defer func() { st.finishSubs(ctx, clean) }()
-		defer close(out)
-		if sess != nil {
-			defer stopWatch()
-			defer sess.Leave()
-		}
-		ob := st.srv.obs
-		seq := 0
-		batch := make([]*Frame, 0, st.maxBatch)
-		seqs := make([]int, 0, st.maxBatch)
-		for {
-			// Block for the window's first frame, then greedily take
-			// whatever has already arrived, up to MaxBatch.
-			batch = batch[:0]
-			select {
-			case <-ctx.Done():
-				return
-			case <-st.done:
-				return
-			case f, ok := <-in:
-				if !ok {
-					clean = true
-					return
-				}
-				batch = append(batch, f)
-			}
-			tA := ob.Now()
-		fill:
-			for len(batch) < st.maxBatch {
-				select {
-				case f, ok := <-in:
-					if !ok {
-						break fill // flush, then exit on the next receive
-					}
-					batch = append(batch, f)
-				default:
-					break fill
-				}
-			}
-			ob.Stage(obs.StageAssembly, tA, len(batch))
 
-			var results []Result
-			if sess != nil {
-				rs, err := sess.Submit(submitCtx, batch)
-				if err != nil {
-					return // run context cancelled or stream closed
-				}
-				results = rs
-			} else {
-				results = p.ProcessBatch(batch, st.workers)
-			}
-			// Standing queries observe the window before the per-frame
-			// results go out, reusing the same sharded detections.
-			seqs = seqs[:0]
-			for i := range batch {
-				seqs = append(seqs, seq+i)
-			}
-			if !st.deliverSubs(ctx, batch, results, seqs) {
-				return
-			}
-			tE := ob.Now()
-			for i, r := range results {
-				select {
-				case <-ctx.Done():
-					return
-				case <-st.done:
-					return
-				case out <- StreamResult{Seq: seq, Frame: batch[i], Result: r}:
-					seq++
-				}
-			}
-			ob.Stage(obs.StageEmit, tE, len(results))
-		}
-	}()
-	return out
-}
-
-// runQoS is the admission-controlled Run session (WithMaxQueue): an
-// intake goroutine drains in into the bounded queue, and the main loop
-// pops admitted batches, applies the fidelity controller (live hysteresis
-// or replay script), processes, and emits results — real and drop markers
-// interleaved — in admission order.
-func (st *Stream) runQoS(ctx context.Context, in <-chan *Frame, out chan StreamResult, p *core.Odin, sess *dispatch.Session, submitCtx context.Context, stopWatch context.CancelFunc) {
-	queue := qos.NewQueue(st.maxQueue, st.dropPol)
-	ob := st.srv.obs
-	if ob != nil {
-		// Arrival stamps feed the queue-wait stage metric; the
-		// uninstrumented path never reads the clock.
-		queue.StampArrivals(true)
-	}
+	next, queue := st.windowSource(ctx, in)
+	// Fidelity is per-frame data: a replay script or the live hysteresis
+	// controller picks a degradation level, qos.ForLevel maps it to each
+	// frame. Neither exists without adaptive fidelity — every frame is full.
 	var ctrl *qos.Controller
 	var script []int
 	subsample := 0
@@ -590,39 +493,14 @@ func (st *Stream) runQoS(ctx context.Context, in <-chan *Frame, out chan StreamR
 	}
 	st.qosMu.Lock()
 	st.queue, st.ctrl = queue, ctrl
-	st.qosActive = true
+	st.qosActive = queue != nil
 	st.qosMu.Unlock()
-
-	// Intake: admit frames from in under the drop policy. A blocked push
-	// (DropBlock backpressure) wakes on cancellation or stream close;
-	// when in closes, the queue closes, which the main loop observes as a
-	// clean end of input once the backlog drains.
-	go func() {
-		defer queue.Close()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-st.done:
-				return
-			case f, ok := <-in:
-				if !ok {
-					return
-				}
-				// The admission sample includes any DropBlock backpressure
-				// wait — time a frame spends fighting for a queue slot.
-				t0 := ob.Now()
-				if queue.Push(ctx, st.done, f) != nil {
-					return
-				}
-				ob.Stage(obs.StageAdmission, t0, 1)
-			}
-		}
-	}()
 
 	go func() {
 		clean := false
-		// LIFO: out closes first, then subscriptions flush (see Run).
+		// LIFO: out closes first, then subscriptions flush — so a consumer
+		// draining out before the subscription channel cannot deadlock the
+		// final window flush.
 		defer func() { st.finishSubs(ctx, clean) }()
 		defer close(out)
 		defer func() {
@@ -634,12 +512,13 @@ func (st *Stream) runQoS(ctx context.Context, in <-chan *Frame, out chan StreamR
 			defer stopWatch()
 			defer sess.Leave()
 		}
+		ob := st.srv.obs
 		frames := make([]*Frame, 0, st.maxBatch)
 		fids := make([]qos.Fidelity, 0, st.maxBatch)
 		seqs := make([]int, 0, st.maxBatch)
 		prevLevel := 0
 		for {
-			entries, err := queue.Pop(ctx, st.done, st.maxBatch)
+			entries, err := next()
 			if err != nil {
 				// ErrClosed with a live context and an open stream means
 				// the input closed and the backlog drained: a clean end
@@ -647,11 +526,11 @@ func (st *Stream) runQoS(ctx context.Context, in <-chan *Frame, out chan StreamR
 				clean = err == qos.ErrClosed && ctx.Err() == nil && !st.closedNow()
 				return
 			}
-			// Degradation level for this batch: scripted sessions derive
+			// Degradation level for this window: scripted sessions derive
 			// it per frame from the sequence number alone (bit-for-bit
 			// replayable at any worker count), live sessions observe the
 			// backlog the pop found — the depth left behind plus the
-			// batch just taken. (Depth after the pop alone is too noisy:
+			// window just taken. (Depth after the pop alone is too noisy:
 			// with queue ≈ 4×MaxBatch it oscillates across the mid-band,
 			// which resets the patience counter and the controller never
 			// engages even when the queue is pinned full.)
@@ -677,18 +556,14 @@ func (st *Stream) runQoS(ctx context.Context, in <-chan *Frame, out chan StreamR
 				}
 				prevLevel = level
 			}
-			if ob != nil {
-				for _, e := range entries {
-					if !e.At.IsZero() {
-						ob.StageDur(obs.StageQueueWait, time.Since(e.At), 1)
-					}
-				}
-			}
 			frames, fids, seqs = frames[:0], fids[:0], seqs[:0]
 			degraded := false
 			for _, e := range entries {
 				if e.DropN > 0 {
 					continue
+				}
+				if !e.At.IsZero() {
+					ob.StageDur(obs.StageQueueWait, time.Since(e.At), 1)
 				}
 				lv := level
 				if script != nil {
@@ -699,9 +574,7 @@ func (st *Stream) runQoS(ctx context.Context, in <-chan *Frame, out chan StreamR
 					lv = script[w]
 				}
 				fid := qos.ForLevel(lv, e.Seq, subsample)
-				if fid.Degraded() {
-					degraded = true
-				}
+				degraded = degraded || fid.Degraded()
 				frames = append(frames, e.Frame)
 				fids = append(fids, fid)
 				seqs = append(seqs, e.Seq)
@@ -711,17 +584,17 @@ func (st *Stream) runQoS(ctx context.Context, in <-chan *Frame, out chan StreamR
 			if len(frames) > 0 {
 				batchFids := fids
 				if !degraded {
-					batchFids = nil // all-full fidelity IS the legacy path
+					batchFids = nil // nil is the representation of all-full
 				}
 				if sess != nil {
-					rs, err := sess.SubmitFid(submitCtx, frames, batchFids)
-					if err != nil {
+					if results, err = sess.SubmitFid(submitCtx, frames, batchFids); err != nil {
 						return // run context cancelled or stream closed
 					}
-					results = rs
 				} else {
 					results = p.ProcessBatchFid(frames, st.workers, batchFids)
 				}
+				// Standing queries observe the window before the per-frame
+				// results go out, reusing the same sharded detections.
 				if !st.deliverSubs(ctx, frames, results, seqs) {
 					return
 				}
@@ -734,34 +607,113 @@ func (st *Stream) runQoS(ctx context.Context, in <-chan *Frame, out chan StreamR
 			tE := ob.Now()
 			emitted := 0
 			for _, e := range entries {
+				sr, n := StreamResult{Seq: e.Seq, Frame: e.Frame}, 1
 				if e.DropN > 0 {
-					p.AddDropped(e.DropN)
-					ob.DroppedFrames(e.DropN)
-					for k := 0; k < e.DropN; k++ {
-						select {
-						case <-ctx.Done():
-							return
-						case <-st.done:
-							return
-						case out <- StreamResult{Seq: e.Seq + k, Dropped: true}:
-							emitted++
-						}
+					sr.Dropped, n = true, e.DropN
+					p.AddDropped(n)
+					ob.DroppedFrames(n)
+				} else {
+					sr.Result = results[ri]
+					ri++
+				}
+				for ; n > 0; n-- {
+					select {
+					case <-ctx.Done():
+						return
+					case <-st.done:
+						return
+					case out <- sr:
+						emitted++
+						sr.Seq++
 					}
-					continue
 				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-st.done:
-					return
-				case out <- StreamResult{Seq: e.Seq, Frame: e.Frame, Result: results[ri]}:
-					emitted++
-				}
-				ri++
 			}
 			ob.Stage(obs.StageEmit, tE, emitted)
 		}
 	}()
+	return out
+}
+
+// windowSource is the one place that knows whether admission control is
+// on. It returns the session's window source — a function that blocks for
+// the next window of at most MaxBatch frames, in sequence order, or
+// reports why there is none (qos.ErrClosed: the input ended and nothing
+// is left; anything else: cancelled or closed) — and the admission queue
+// behind it, nil when there is none.
+//
+// Without a queue the source reads in directly: it blocks for the
+// window's first frame, greedily takes whatever has already arrived, and
+// numbers the frames itself. No goroutine and no buffer sit between the
+// caller's channel and the loop, so the caller's channel is the only
+// back-pressure and a window is exactly what had arrived. With a queue an
+// intake goroutine admits frames from in under the drop policy — a
+// blocked push (DropBlock) wakes on cancellation or stream close, and
+// closing in closes the queue, which Pop reports once the backlog
+// drains — and the source is Pop.
+func (st *Stream) windowSource(ctx context.Context, in <-chan *Frame) (func() ([]qos.Entry, error), *qos.Queue) {
+	ob := st.srv.obs
+	if st.maxQueue == 0 {
+		seq := 0
+		win := make([]qos.Entry, 0, st.maxBatch)
+		return func() ([]qos.Entry, error) {
+			win = win[:0]
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-st.done:
+				return nil, ErrStreamClosed
+			case f, ok := <-in:
+				if !ok {
+					return nil, qos.ErrClosed
+				}
+				win = append(win, qos.Entry{Frame: f, Seq: seq})
+			}
+			tA := ob.Now()
+		fill:
+			for len(win) < st.maxBatch {
+				select {
+				case f, ok := <-in:
+					if !ok {
+						break fill // flush, then end on the next call
+					}
+					win = append(win, qos.Entry{Frame: f, Seq: seq + len(win)})
+				default:
+					break fill
+				}
+			}
+			seq += len(win)
+			ob.Stage(obs.StageAssembly, tA, len(win))
+			return win, nil
+		}, nil
+	}
+
+	queue := qos.NewQueue(st.maxQueue, st.dropPol)
+	// Arrival stamps feed the queue-wait stage metric; the uninstrumented
+	// path never reads the clock.
+	queue.StampArrivals(ob != nil)
+	go func() {
+		defer queue.Close()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-st.done:
+				return
+			case f, ok := <-in:
+				if !ok {
+					return
+				}
+				// The admission sample includes any DropBlock backpressure
+				// wait — time a frame spends fighting for a queue slot.
+				t0 := ob.Now()
+				if queue.Push(ctx, st.done, f) != nil {
+					return
+				}
+				ob.Stage(obs.StageAdmission, t0, 1)
+			}
+		}
+	}()
+	return func() ([]qos.Entry, error) { return queue.Pop(ctx, st.done, st.maxBatch) }, queue
 }
 
 // Offer submits one frame to the stream's active Run session without
