@@ -13,25 +13,51 @@ import (
 	"odin/internal/tensor"
 )
 
-// The backend benchmark compares the float32 compute backend against the
-// float64 reference on the kernels that dominate serving cost — square
-// matmul and the detector's conv layer — and end to end on DetectBatch
-// through the heavyweight YOLO baseline. It writes BENCH_backend.json and
-// fails the run if float32 does not clear the minimum speedup on every
-// kernel and on end-to-end throughput: this bench is the performance
-// regression gate for the vectorized backend.
+// The backend benchmark measures both compute backends on the kernels that
+// dominate serving cost — square matmul and the detector's conv layer — and
+// end to end on DetectBatch through the heavyweight YOLO baseline. It
+// writes BENCH_backend.json and fails the run on either of two gates:
+//
+//   - the vector path is live for both dtypes: tensor.Vectorized() is true
+//     and each dtype's matmul beats a plain-Go loop doing the same
+//     accumulation, one worker each, by backendMinVectorGain;
+//   - float32 is never slower than float64, on any kernel or end to end.
+//
+// Before the float64 kernels were vectorized the gate was "float32 ≥ 1.5×
+// float64": that held because float64 was scalar, and would now pass or
+// fail on the ratio of two vector widths, not on whether either path works.
 
-// backendMinSpeedup is the gate: float32 must beat float64 by at least
-// this factor on every measured kernel and end to end.
-const backendMinSpeedup = 1.5
+const (
+	// backendMinVectorGain is how far a dtype's matmul must beat the scalar
+	// reference loop. Measured 1.7–1.95× (float64) and 2.9–3.6× (float32)
+	// on a two-core AVX2 box whose scalar loop already runs 7–8 GFLOP/s; a
+	// disabled or bypassed vector path measures about 1.
+	backendMinVectorGain = 1.3
+	// backendMinF32OverF64 is the floor on float32 throughput over float64.
+	// Measured 1.5–2.2× on the kernels and 1.1–1.25× on DetectBatch, where
+	// the float64 frames are converted on the way in.
+	backendMinF32OverF64 = 1.0
+)
 
 // backendBenchResult is the JSON document written to -backendout.
 type backendBenchResult struct {
-	Scale      string               `json:"scale"`
-	GOMAXPROCS int                  `json:"gomaxprocs"`
-	MinSpeedup float64              `json:"min_speedup_gate"`
-	Kernels    []backendKernelBench `json:"kernels"`
-	E2E        backendE2EBench      `json:"e2e_detect_batch"`
+	Scale         string               `json:"scale"`
+	GOMAXPROCS    int                  `json:"gomaxprocs"`
+	Vectorized    bool                 `json:"vectorized"`
+	MinVectorGain float64              `json:"min_vector_gain_gate"`
+	MinF32OverF64 float64              `json:"min_f32_over_f64_gate"`
+	VectorGain    []backendVectorGain  `json:"vector_gain"`
+	Kernels       []backendKernelBench `json:"kernels"`
+	E2E           backendE2EBench      `json:"e2e_detect_batch"`
+}
+
+// backendVectorGain is one dtype's single-worker matmul against the scalar
+// reference loop.
+type backendVectorGain struct {
+	DType        string  `json:"dtype"`
+	ScalarGFLOPS float64 `json:"scalar_gflops"`
+	KernelGFLOPS float64 `json:"kernel_gflops"`
+	Gain         float64 `json:"gain"`
 }
 
 // backendKernelBench is one microkernel's measurement.
@@ -63,16 +89,56 @@ func benchSecs(minDur time.Duration, f func()) float64 {
 	return time.Since(start).Seconds() / float64(iters)
 }
 
-// benchMatMul measures one square-matmul size in GFLOP/s for dtype dt.
-func benchMatMul(dt tensor.DType, n int, minDur time.Duration) float64 {
+// benchMatMul measures mul on one square size in GFLOP/s for dtype dt.
+func benchMatMul(dt tensor.DType, n int, minDur time.Duration, mul func(dst, a, b *tensor.Mat)) float64 {
 	rng := tensor.NewRNG(uint64(n))
 	a := tensor.NewOf(dt, n, n)
 	b := tensor.NewOf(dt, n, n)
 	dst := tensor.NewOf(dt, n, n)
 	rng.FillNormal(a, 1)
 	rng.FillNormal(b, 1)
-	secs := benchSecs(minDur, func() { tensor.MatMulInto(dst, a, b) })
+	secs := benchSecs(minDur, func() { mul(dst, a, b) })
 	return 2 * float64(n) * float64(n) * float64(n) / secs / 1e9
+}
+
+// scalarMatMulInto is the reference the vector gate compares against: the
+// kernels' own accumulation — four k per pass over a dst row — in plain Go,
+// for square operands whose size is a multiple of four.
+func scalarMatMulInto(dst, a, b *tensor.Mat) {
+	if dst.V32 != nil {
+		scalarMatMul(dst.V32, a.V32, b.V32, dst.R)
+		return
+	}
+	scalarMatMul(dst.V, a.V, b.V, dst.R)
+}
+
+func scalarMatMul[T float32 | float64](dst, a, b []T, n int) {
+	clear(dst)
+	for i := 0; i < n; i++ {
+		drow, arow := dst[i*n:(i+1)*n], a[i*n:(i+1)*n]
+		for k := 0; k < n; k += 4 {
+			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+			b0, b1 := b[k*n:(k+1)*n], b[(k+1)*n:(k+2)*n]
+			b2, b3 := b[(k+2)*n:(k+3)*n], b[(k+3)*n:(k+4)*n]
+			for j, d := range drow {
+				drow[j] = d + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
+		}
+	}
+}
+
+// benchVectorGain measures dtype dt's 256×256 matmul on one worker against
+// scalarMatMulInto.
+func benchVectorGain(dt tensor.DType, minDur time.Duration) backendVectorGain {
+	tensor.SetParallelism(1)
+	defer tensor.SetParallelism(0)
+	g := backendVectorGain{
+		DType:        dt.String(),
+		ScalarGFLOPS: benchMatMul(dt, 256, minDur, scalarMatMulInto),
+		KernelGFLOPS: benchMatMul(dt, 256, minDur, tensor.MatMulInto),
+	}
+	g.Gain = g.KernelGFLOPS / g.ScalarGFLOPS
+	return g
 }
 
 // benchConv measures a detector-shaped conv forward in GFLOP/s for dtype
@@ -111,7 +177,7 @@ func benchDetect(dt tensor.DType, imgs []*synth.Image, minDur time.Duration) flo
 
 // runBackendBench measures both backends and writes BENCH_backend.json
 // under outDir; the human-readable table goes to w. Returns an error —
-// failing the run — if float32 misses the speedup gate anywhere.
+// failing the run — if a gate is missed anywhere.
 func runBackendBench(scale exp.Scale, outDir string, w io.Writer) error {
 	minDur := 300 * time.Millisecond
 	sizes := []int{256, 512}
@@ -120,18 +186,26 @@ func runBackendBench(scale exp.Scale, outDir string, w io.Writer) error {
 		sizes = []int{256, 512, 1024}
 	}
 	doc := backendBenchResult{
-		Scale:      scale.String(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		MinSpeedup: backendMinSpeedup,
+		Scale:         scale.String(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		Vectorized:    tensor.Vectorized(),
+		MinVectorGain: backendMinVectorGain,
+		MinF32OverF64: backendMinF32OverF64,
 	}
-	fmt.Fprintf(w, "Compute backend comparison (float32 vs float64, GOMAXPROCS=%d, gate ≥%.1fx)\n",
-		doc.GOMAXPROCS, backendMinSpeedup)
+	fmt.Fprintf(w, "Compute backends (GOMAXPROCS=%d, vectorized=%v; gates: kernel ≥%.1fx scalar loop, float32 ≥%.1fx float64)\n",
+		doc.GOMAXPROCS, doc.Vectorized, backendMinVectorGain, backendMinF32OverF64)
 
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		g := benchVectorGain(dt, minDur)
+		doc.VectorGain = append(doc.VectorGain, g)
+		fmt.Fprintf(w, "  %-12s scalar loop %6.2f GFLOP/s   kernel %6.2f GFLOP/s   %5.2fx (one worker)\n",
+			"vec_"+g.DType, g.ScalarGFLOPS, g.KernelGFLOPS, g.Gain)
+	}
 	for _, n := range sizes {
 		k := backendKernelBench{
 			Name:      fmt.Sprintf("matmul_%d", n),
-			F64GFLOPS: benchMatMul(tensor.F64, n, minDur),
-			F32GFLOPS: benchMatMul(tensor.F32, n, minDur),
+			F64GFLOPS: benchMatMul(tensor.F64, n, minDur, tensor.MatMulInto),
+			F32GFLOPS: benchMatMul(tensor.F32, n, minDur, tensor.MatMulInto),
 		}
 		k.Speedup = k.F32GFLOPS / k.F64GFLOPS
 		doc.Kernels = append(doc.Kernels, k)
@@ -149,6 +223,8 @@ func runBackendBench(scale exp.Scale, outDir string, w io.Writer) error {
 		ck.Name, ck.F64GFLOPS, ck.F32GFLOPS, ck.Speedup)
 
 	// End to end: one shared frame batch, fresh identically-seeded detectors.
+	// The two backends are a tenth apart here, so they take turns and each
+	// keeps its best round: a neighbour's burst then costs both alike.
 	scene := synth.DefaultSceneConfig()
 	gen := synth.NewSceneGen(91, scene)
 	frames := gen.Dataset(synth.FullData, 32)
@@ -156,10 +232,10 @@ func runBackendBench(scale exp.Scale, outDir string, w io.Writer) error {
 	for i, f := range frames {
 		imgs[i] = f.Image
 	}
-	doc.E2E = backendE2EBench{
-		BatchFrames: len(imgs),
-		F64FPS:      benchDetect(tensor.F64, imgs, minDur),
-		F32FPS:      benchDetect(tensor.F32, imgs, minDur),
+	doc.E2E = backendE2EBench{BatchFrames: len(imgs)}
+	for round := 0; round < 3; round++ {
+		doc.E2E.F64FPS = max(doc.E2E.F64FPS, benchDetect(tensor.F64, imgs, minDur))
+		doc.E2E.F32FPS = max(doc.E2E.F32FPS, benchDetect(tensor.F32, imgs, minDur))
 	}
 	doc.E2E.Speedup = doc.E2E.F32FPS / doc.E2E.F64FPS
 	fmt.Fprintf(w, "  DetectBatch  f64 %7.1f frames/s   f32 %7.1f frames/s   %5.2fx\n",
@@ -170,14 +246,22 @@ func runBackendBench(scale exp.Scale, outDir string, w io.Writer) error {
 	}
 
 	// The JSON lands first so a miss still leaves the numbers on disk; then
-	// the gate fails the run.
-	for _, k := range doc.Kernels {
-		if k.Speedup < backendMinSpeedup {
-			return fmt.Errorf("backend bench: %s speedup %.2fx below the %.1fx gate", k.Name, k.Speedup, backendMinSpeedup)
+	// the gates fail the run.
+	if !doc.Vectorized {
+		return fmt.Errorf("backend bench: tensor.Vectorized() is false: no AVX2 on this host, or the detection broke")
+	}
+	for _, g := range doc.VectorGain {
+		if g.Gain < backendMinVectorGain {
+			return fmt.Errorf("backend bench: %s matmul is %.2fx the scalar loop, below the %.1fx gate: is its vector path live?", g.DType, g.Gain, backendMinVectorGain)
 		}
 	}
-	if doc.E2E.Speedup < backendMinSpeedup {
-		return fmt.Errorf("backend bench: DetectBatch speedup %.2fx below the %.1fx gate", doc.E2E.Speedup, backendMinSpeedup)
+	for _, k := range doc.Kernels {
+		if k.Speedup < backendMinF32OverF64 {
+			return fmt.Errorf("backend bench: %s float32 is %.2fx float64, below the %.1fx gate", k.Name, k.Speedup, backendMinF32OverF64)
+		}
+	}
+	if doc.E2E.Speedup < backendMinF32OverF64 {
+		return fmt.Errorf("backend bench: DetectBatch float32 is %.2fx float64, below the %.1fx gate", doc.E2E.Speedup, backendMinF32OverF64)
 	}
 	return nil
 }

@@ -82,7 +82,7 @@ type GridConfig struct {
 
 	// DType selects the compute backend the detector runs on. The zero
 	// value is float64 (the reference backend); tensor.F32 stores frame
-	// batches and activations in float32 and runs the vectorized kernels
+	// batches and activations in float32 and runs the float32 kernels
 	// (master weights stay float64, see nn.Param).
 	DType tensor.DType
 }

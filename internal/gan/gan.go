@@ -91,7 +91,7 @@ type Config struct {
 
 	// DType selects the compute backend the model's batches run on. The
 	// zero value is float64 (the reference backend); tensor.F32 stores
-	// activations in float32 and runs the vectorized kernels, while master
+	// activations in float32 and runs the float32 kernels, while master
 	// weights and gradient accumulation stay float64 (see nn.Param).
 	DType tensor.DType
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"odin/internal/tensor"
@@ -40,6 +41,35 @@ func BenchmarkConv2DBackward(b *testing.B) {
 		layer.Weight.Grad.Zero()
 		layer.Bias.Grad.Zero()
 		Recycle(layer.Backward(grad))
+	}
+}
+
+// BenchmarkIm2col unrolls the specialized detector's two backbone
+// convolutions (3×3, stride 2, pad 1 on a 27×48 frame) and a stride-1 layer
+// at serving batch sizes — a quarter of serving time once the matmul behind
+// it is vectorized.
+func BenchmarkIm2col(b *testing.B) {
+	rng := tensor.NewRNG(5)
+	for _, l := range []*Conv2D{
+		NewConv2D(3, 27, 48, 10, 3, 2, 1, rng),
+		NewConv2D(10, 14, 24, 14, 3, 2, 1, rng),
+		NewConv2D(24, 7, 12, 24, 3, 1, 1, rng),
+	} {
+		for _, n := range []int{1, 4, 64} {
+			b.Run(fmt.Sprintf("%dx%dx%d_s%d/n%d", l.InC, l.InH, l.InW, l.Stride, n), func(b *testing.B) {
+				spatial := l.OutH * l.OutW
+				x := tensor.New(n, l.InSize())
+				rng.FillNormal(x, 1)
+				cols := tensor.New(l.patchRows(), n*spatial)
+				b.SetBytes(int64(8 * cols.Len()))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for s := 0; s < n; s++ {
+						im2colInto(l, x.Row(s), cols.V, cols.C, s*spatial)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -61,38 +61,56 @@ func (c *Conv2D) InSize() int { return c.InC * c.InH * c.InW }
 // patchRows returns the patch-matrix height K*K*InC.
 func (c *Conv2D) patchRows() int { return c.K * c.K * c.InC }
 
+// tapRange returns the run [o0, o1) of output positions along one axis whose
+// kernel tap k lands inside the input: 0 <= o*Stride+k-Pad < in. Outside it
+// the tap reads padding.
+func (c *Conv2D) tapRange(k, in, out int) (o0, o1 int) {
+	if lo := c.Pad - k; lo > 0 {
+		o0 = (lo + c.Stride - 1) / c.Stride
+	}
+	if hi := in - 1 + c.Pad - k; hi >= 0 {
+		o1 = min(hi/c.Stride+1, out)
+	}
+	return min(o0, o1), o1
+}
+
 // im2colInto unrolls one flattened sample into the column block
 // [off, off+OutH*OutW) of the batched patch matrix (colsV with row stride
 // colsC). Padded positions are written as zeros because the workspace is
-// reused across steps.
+// reused across steps. Padding is resolved once per kernel tap, not per
+// element: inside the tap's valid rectangle every output row is one strided
+// run of an input row, and everything outside it is cleared.
 func im2colInto[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
 	spatial := c.OutH * c.OutW
 	for ch := 0; ch < c.InC; ch++ {
 		chOff := ch * c.InH * c.InW
 		for ky := 0; ky < c.K; ky++ {
+			oy0, oy1 := c.tapRange(ky, c.InH, c.OutH)
 			for kx := 0; kx < c.K; kx++ {
 				base := ((ch*c.K+ky)*c.K + kx) * colsC
 				crow := colsV[base+off : base+off+spatial]
-				idx := 0
-				for oy := 0; oy < c.OutH; oy++ {
-					iy := oy*c.Stride + ky - c.Pad
-					if iy < 0 || iy >= c.InH {
-						for ox := 0; ox < c.OutW; ox++ {
-							crow[idx] = 0
-							idx++
+				ox0, ox1 := c.tapRange(kx, c.InW, c.OutW)
+				if ox0 == ox1 || oy0 == oy1 {
+					clear(crow)
+					continue
+				}
+				clear(crow[:oy0*c.OutW])
+				clear(crow[oy1*c.OutW:])
+				si := chOff + (oy0*c.Stride+ky-c.Pad)*c.InW + ox0*c.Stride + kx - c.Pad
+				last := (ox1 - ox0 - 1) * c.Stride // offset of a row's last tap
+				for oy := oy0; oy < oy1; oy++ {
+					orow := crow[oy*c.OutW : (oy+1)*c.OutW]
+					clear(orow[:ox0])
+					clear(orow[ox1:])
+					in, src := orow[ox0:ox1], row[si:si+last+1]
+					if c.Stride == 1 {
+						copy(in, src)
+					} else {
+						for i := range in {
+							in[i] = src[i*c.Stride]
 						}
-						continue
 					}
-					rbase := chOff + iy*c.InW
-					for ox := 0; ox < c.OutW; ox++ {
-						ix := ox*c.Stride + kx - c.Pad
-						if ix >= 0 && ix < c.InW {
-							crow[idx] = row[rbase+ix]
-						} else {
-							crow[idx] = 0
-						}
-						idx++
-					}
+					si += c.Stride * c.InW
 				}
 			}
 		}

@@ -361,6 +361,74 @@ func TestConvOutputGeometry(t *testing.T) {
 	}
 }
 
+// im2colRef is im2colInto as it was first written: one padding test per
+// element. The run-based version must fill the patch matrix identically —
+// every byte of it, since the workspace is reused and never cleared.
+func im2colRef[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
+	for ch := 0; ch < c.InC; ch++ {
+		for ky := 0; ky < c.K; ky++ {
+			for kx := 0; kx < c.K; kx++ {
+				idx := ((ch*c.K+ky)*c.K+kx)*colsC + off
+				for oy := 0; oy < c.OutH; oy++ {
+					iy := oy*c.Stride + ky - c.Pad
+					for ox := 0; ox < c.OutW; ox++ {
+						ix := ox*c.Stride + kx - c.Pad
+						var v T
+						if iy >= 0 && iy < c.InH && ix >= 0 && ix < c.InW {
+							v = row[(ch*c.InH+iy)*c.InW+ix]
+						}
+						colsV[idx] = v
+						idx++
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestIm2colMatchesPerElementReference(t *testing.T) {
+	rng := tensor.NewRNG(31)
+	for _, g := range []struct{ inC, h, w, k, stride, pad int }{
+		{3, 27, 48, 3, 2, 1}, // the detectors' first layer
+		{10, 14, 24, 3, 2, 1},
+		{24, 7, 12, 3, 1, 1},
+		{14, 7, 12, 1, 1, 0}, // 1×1 head
+		{2, 9, 7, 3, 1, 0},
+		{2, 9, 7, 3, 2, 0},
+		{1, 5, 5, 5, 1, 2}, // kernel as wide as the input
+		{2, 1, 1, 3, 1, 1}, // every tap but the centre is padding
+		{1, 2, 3, 3, 2, 1},
+		{3, 7, 5, 3, 3, 1},
+		{1, 4, 9, 2, 2, 0},
+		{1, 3, 3, 3, 2, 2}, // padding wider than a stride: whole taps miss
+	} {
+		c := NewConv2D(g.inC, g.h, g.w, 2, g.k, g.stride, g.pad, rng)
+		const n = 3 // the middle sample's block has neighbours on both sides
+		spatial := c.OutH * c.OutW
+		x := randomBatch(n, c.InSize(), 77)
+		got := tensor.New(c.patchRows(), n*spatial)
+		want := tensor.New(c.patchRows(), n*spatial)
+		got.Fill(math.NaN()) // stale workspace: every element must be overwritten
+		want.Fill(math.NaN())
+		x32 := x.ToDType(tensor.F32)
+		got32, want32 := got.ToDType(tensor.F32), want.ToDType(tensor.F32)
+		for s := 0; s < n; s++ {
+			im2colInto(c, x.Row(s), got.V, got.C, s*spatial)
+			im2colRef(c, x.Row(s), want.V, want.C, s*spatial)
+			im2colInto(c, x32.Row32(s), got32.V32, got32.C, s*spatial)
+			im2colRef(c, x32.Row32(s), want32.V32, want32.C, s*spatial)
+		}
+		for i, v := range want.V {
+			if math.Float64bits(got.V[i]) != math.Float64bits(v) {
+				t.Fatalf("%+v: float64 patch element %d = %v, reference %v", g, i, got.V[i], v)
+			}
+			if math.Float32bits(got32.V32[i]) != math.Float32bits(want32.V32[i]) {
+				t.Fatalf("%+v: float32 patch element %d = %v, reference %v", g, i, got32.V32[i], want32.V32[i])
+			}
+		}
+	}
+}
+
 func TestUpsampleValues(t *testing.T) {
 	u := NewUpsample2D(1, 2, 2, 2)
 	x := tensor.FromSlice(1, 4, []float64{1, 2, 3, 4})

@@ -138,21 +138,40 @@ func clamp01(v float64) float64 {
 
 // Downsample averages blocks to produce an image 1/factor the size in each
 // spatial dimension; used to feed the DA-GAN a lower-resolution manifold.
+// A block is summed row by row, left to right, from zero.
 func (im *Image) Downsample(factor int) *Image {
 	oh := im.H / factor
 	ow := im.W / factor
 	out := NewImage(im.C, oh, ow)
 	inv := 1 / float64(factor*factor)
 	for c := 0; c < im.C; c++ {
+		plane := im.Pix[c*im.H*im.W : (c+1)*im.H*im.W]
 		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
+			orow := out.Pix[(c*oh+y)*ow : (c*oh+y+1)*ow]
+			// band is the factor source rows under this output row.
+			band := plane[y*factor*im.W : (y+1)*factor*im.W]
+			if factor == 2 {
+				// Every served frame is halved (core.DownsampleEncoder(2)):
+				// the same sum, unrolled.
+				r0, r1 := band[:2*ow], band[im.W:im.W+2*ow]
+				for x := range orow {
+					var s float64
+					s += r0[2*x]
+					s += r0[2*x+1]
+					s += r1[2*x]
+					s += r1[2*x+1]
+					orow[x] = clamp01(s * inv)
+				}
+				continue
+			}
+			for x := range orow {
 				var s float64
 				for dy := 0; dy < factor; dy++ {
-					for dx := 0; dx < factor; dx++ {
-						s += im.At(c, y*factor+dy, x*factor+dx)
+					for _, v := range band[dy*im.W+x*factor:][:factor] {
+						s += v
 					}
 				}
-				out.Set(c, y, x, s*inv)
+				orow[x] = clamp01(s * inv)
 			}
 		}
 	}

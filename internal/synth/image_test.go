@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"odin/internal/tensor"
 )
 
 func TestImageSetAtBounds(t *testing.T) {
@@ -82,6 +84,73 @@ func TestDownsample(t *testing.T) {
 	}
 	if d.At(0, 0, 0) != 1 || d.At(0, 1, 1) != 0 {
 		t.Fatalf("downsample values wrong: %v", d.Pix)
+	}
+}
+
+// downsampleRef is Downsample as it was first written, one bounds-tested
+// At and one clamping Set per pixel. The row-sliced version must reproduce
+// it bit for bit: frames reach the DA-GAN through it, so one changed bit
+// moves every latent and every fingerprint downstream.
+func downsampleRef(im *Image, factor int) *Image {
+	oh, ow := im.H/factor, im.W/factor
+	out := NewImage(im.C, oh, ow)
+	inv := 1 / float64(factor*factor)
+	for c := 0; c < im.C; c++ {
+		for y := 0; y < oh; y++ {
+			for x := 0; x < ow; x++ {
+				var s float64
+				for dy := 0; dy < factor; dy++ {
+					for dx := 0; dx < factor; dx++ {
+						s += im.At(c, y*factor+dy, x*factor+dx)
+					}
+				}
+				out.Set(c, y, x, s*inv)
+			}
+		}
+	}
+	return out
+}
+
+func TestDownsampleMatchesPerPixelReference(t *testing.T) {
+	rng := tensor.NewRNG(23)
+	for _, sz := range []struct{ c, h, w int }{
+		{3, 27, 48}, {1, 7, 5}, {3, 9, 9}, {2, 2, 3}, {1, 1, 1}, {3, 3, 2},
+	} {
+		im := NewImage(sz.c, sz.h, sz.w)
+		for i := range im.Pix {
+			im.Pix[i] = rng.Float64()
+		}
+		// Values Set never stores but a caller may: the clamp and the sum
+		// must treat them as the reference does.
+		im.Pix[0] = math.Copysign(0, -1)
+		im.Pix[len(im.Pix)-1] = 1.5
+		im.Pix[len(im.Pix)/2] = math.NaN()
+		for factor := 1; factor <= 3; factor++ {
+			got, want := im.Downsample(factor), downsampleRef(im, factor)
+			if got.C != want.C || got.H != want.H || got.W != want.W {
+				t.Fatalf("%v /%d: shape %v, want %v", im, factor, got, want)
+			}
+			for i, v := range want.Pix {
+				if math.Float64bits(got.Pix[i]) != math.Float64bits(v) {
+					t.Fatalf("%v /%d: pixel %d = %v, reference %v", im, factor, i, got.Pix[i], v)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDownsample is the frame encoder of the serving path: every
+// frame is halved before the DA-GAN projects it.
+func BenchmarkDownsample(b *testing.B) {
+	cfg := DefaultSceneConfig()
+	im := NewSceneGen(1, cfg).GenerateSubset(NightData).Image
+	for _, factor := range []int{2, 3} {
+		b.Run(map[int]string{2: "half", 3: "third"}[factor], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				im.Downsample(factor)
+			}
+		})
 	}
 }
 

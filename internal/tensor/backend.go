@@ -84,23 +84,24 @@ func mustSameDType(dt DType, ms ...*Mat) {
 	}
 }
 
-// backend64 is the float64 reference backend wrapping the original scalar
-// kernels. It is the precision ground truth: results are unchanged from the
-// pre-seam implementation bit for bit.
+// backend64 is the float64 reference backend. It is the precision ground
+// truth, and the default every server computes in.
 type backend64 struct{}
 
 func (backend64) Name() string { return "float64" }
 func (backend64) DType() DType { return F64 }
 
 func (backend64) MatMulBias(dst, a, b, bias *Mat) {
-	if bias == nil {
-		matmulBias(dst, a, b, nil)
-		return
+	var bv []float64
+	if bias != nil {
+		bv = bias.V
 	}
-	matmulBias(dst, a, b, bias.V)
+	mmAxpy(rows64, dst.V, a.V, b.V, bv, a.R, a.C, b.C, a.C, 1)
 }
-func (backend64) MatMulAT(dst, a, b *Mat) { matmulAT(dst, a, b) }
-func (backend64) MatMulBT(dst, a, b *Mat) { matmulBT(dst, a, b) }
+func (backend64) MatMulAT(dst, a, b *Mat) {
+	mmAxpy(rows64, dst.V, a.V, b.V, nil, a.C, a.R, b.C, 1, a.C)
+}
+func (backend64) MatMulBT(dst, a, b *Mat) { mmBT(dst.V, a.V, b.V, a.R, a.C, b.R) }
 
 func (backend64) Axpy(s float64, src, dst *Mat) { addScaledSlices(dst.V, s, src.V) }
 func (backend64) Dot(a, b *Mat) float64         { return Dot(a.V, b.V) }
@@ -117,23 +118,25 @@ func (backend64) AddScaled(dst *Mat, s float64, o *Mat) {
 }
 func (backend64) Hadamard(dst, o *Mat) { dst.Hadamard(o) }
 
-// backend32 serves packed float32 storage with the register-tiled kernels
-// in kernels32.go. Reductions still widen to float64 so downstream drift
-// statistics keep their dynamic range.
+// backend32 serves packed float32 storage: the same kernels at half the
+// memory traffic and twice the lanes per vector. Reductions still widen to
+// float64 so downstream drift statistics keep their dynamic range.
 type backend32 struct{}
 
 func (backend32) Name() string { return "float32" }
 func (backend32) DType() DType { return F32 }
 
 func (backend32) MatMulBias(dst, a, b, bias *Mat) {
-	if bias == nil {
-		matmulBias32(dst, a, b, nil)
-		return
+	var bv []float32
+	if bias != nil {
+		bv = bias.V32
 	}
-	matmulBias32(dst, a, b, bias.V32)
+	mmAxpy(rows32, dst.V32, a.V32, b.V32, bv, a.R, a.C, b.C, a.C, 1)
 }
-func (backend32) MatMulAT(dst, a, b *Mat) { matmulAT32(dst, a, b) }
-func (backend32) MatMulBT(dst, a, b *Mat) { matmulBT32(dst, a, b) }
+func (backend32) MatMulAT(dst, a, b *Mat) {
+	mmAxpy(rows32, dst.V32, a.V32, b.V32, nil, a.C, a.R, b.C, 1, a.C)
+}
+func (backend32) MatMulBT(dst, a, b *Mat) { mmBT(dst.V32, a.V32, b.V32, a.R, a.C, b.R) }
 
 func (backend32) Axpy(s float64, src, dst *Mat) {
 	addScaledSlices(dst.V32, float32(s), src.V32)

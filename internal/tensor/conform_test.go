@@ -11,7 +11,7 @@ import (
 // matching the float64 reference semantics — transpose variants, bias
 // fusion, shape validation, and the edge shapes that exercise unroll tails
 // (k not a multiple of 4, odd row counts that break the 2-row pairing,
-// single-row and single-column operands).
+// single-row and single-column operands, a zero-width product).
 
 // naiveRef computes the requested product in float64 with a plain triple
 // loop, reading operands through the dtype-agnostic At accessor. It is the
@@ -51,7 +51,8 @@ func naiveRef(op string, a, b, bias *Mat) *Mat {
 
 // conformShapes covers the unroll edges: R or C = 1, k below / straddling /
 // far beyond the 4-wide unroll, odd rows (2-row pairing tail), odd columns
-// (2×2 BT tile edge), and a k-depth crossing the mmKBlock cache panel.
+// (2×2 BT tile edge), a k-depth crossing the mmKBlock cache panel, and a
+// product with no columns at all (a row update over an empty row).
 func conformShapes() []struct{ m, k, n int } {
 	return []struct{ m, k, n int }{
 		{1, 1, 1},
@@ -63,6 +64,7 @@ func conformShapes() []struct{ m, k, n int } {
 		{4, 5, 8},
 		{8, mmKBlock + 3, 4}, // k panel boundary plus remainder
 		{16, 32, 16},
+		{3, 8, 0},
 	}
 }
 
@@ -143,45 +145,45 @@ func runKernel(op string, dst, a, b, bias *Mat) {
 }
 
 // TestBackendDeterminismAcrossWorkers pins the determinism contract: within
-// one backend, kernel output bits must not depend on the parallelism level.
+// one backend, kernel output bits must not depend on the parallelism level
+// — nor, for the wide-short products convolution makes, on whether the
+// workers split dst by rows or by column tiles (the conv shapes at batch 64
+// are wide enough to take the column partition at every worker count here,
+// at batch 1 and 4 they take rows or run inline).
 func TestBackendDeterminismAcrossWorkers(t *testing.T) {
 	defer SetParallelism(0)
+	shapes := append(convShapes(), struct{ m, k, n int }{33, 70, 37}) // odd rows, k tail, > chunk sizes
 	for _, bk := range Backends() {
 		dt := bk.DType()
-		rng := NewRNG(7)
-		a := randFilled(dt, 33, 70, rng) // odd rows, k tail, > chunk sizes
-		b := randFilled(dt, 70, 37, rng)
-		bias := randFilled(dt, 1, 37, rng)
-		at := randFilled(dt, 70, 33, rng)
-		bt := randFilled(dt, 37, 70, rng)
+		for _, s := range shapes {
+			rng := NewRNG(7)
+			a := randFilled(dt, s.m, s.k, rng)
+			b := randFilled(dt, s.k, s.n, rng)
+			bias := randFilled(dt, 1, s.n, rng)
+			at := randFilled(dt, s.k, s.m, rng)
+			bt := randFilled(dt, s.n, s.k, rng)
 
-		type run struct{ mm, bias, at, bt *Mat }
-		do := func() run {
-			r := run{
-				mm:   NewOf(dt, 33, 37),
-				bias: NewOf(dt, 33, 37),
-				at:   NewOf(dt, 33, 37),
-				bt:   NewOf(dt, 33, 37),
+			ops := []string{"matmul", "matmulBias", "matmulAT", "matmulBT"}
+			do := func() []*Mat {
+				out := make([]*Mat, len(ops))
+				for i := range out {
+					out[i] = NewOf(dt, s.m, s.n)
+				}
+				MatMulInto(out[0], a, b)
+				MatMulBiasInto(out[1], a, b, bias)
+				MatMulATInto(out[2], at, b)
+				MatMulBTInto(out[3], a, bt)
+				return out
 			}
-			MatMulInto(r.mm, a, b)
-			MatMulBiasInto(r.bias, a, b, bias)
-			MatMulATInto(r.at, at, b)
-			MatMulBTInto(r.bt, a, bt)
-			return r
-		}
-		SetParallelism(1)
-		ref := do()
-		for _, workers := range []int{4, 8} {
-			SetParallelism(workers)
-			got := do()
-			for name, pair := range map[string][2]*Mat{
-				"matmul":     {ref.mm, got.mm},
-				"matmulBias": {ref.bias, got.bias},
-				"matmulAT":   {ref.at, got.at},
-				"matmulBT":   {ref.bt, got.bt},
-			} {
-				if !bitsEqual(pair[0], pair[1]) {
-					t.Errorf("%s/%s: workers=%d differs from workers=1", bk.Name(), name, workers)
+			SetParallelism(1)
+			ref := do()
+			for _, workers := range []int{2, 4, 8} {
+				SetParallelism(workers)
+				for i, got := range do() {
+					if !bitsEqual(ref[i], got) {
+						t.Errorf("%s/%s %dx%dx%d: workers=%d differs from workers=1",
+							bk.Name(), ops[i], s.m, s.k, s.n, workers)
+					}
 				}
 			}
 		}
@@ -205,37 +207,92 @@ func bitsEqual(a, b *Mat) bool {
 	return true
 }
 
-// TestVectorizedScalarBitIdentity pins the strongest float32 invariant:
-// the AVX2 paths and the pure-Go scalar fallback accumulate in the same
-// order with the same per-op rounding (no FMA), so toggling vectorization
-// must not change one output bit.
+// TestVectorizedScalarBitIdentity pins the strongest kernel invariant, for
+// both dtypes: the AVX2 row updates and the pure-Go scalar fallback
+// accumulate in the same order with the same per-op rounding (no FMA), so
+// toggling vectorization must not change one output bit. Row lengths cover
+// every vector-width tail of both dtypes (and the empty row), the k depth
+// leaves a remainder after the groups of four, a has an all-zero and
+// partly-zero k-groups, and every operand starts one element into its
+// allocation so no row is 32-byte aligned. Each width runs once on finite
+// operands, where a reordered sum shows as a rounding difference, and once
+// with NaN, ±Inf, −0 and denormals planted in a, b and bias.
+//
+// The comparison is strict for NaN results too. Where two different NaNs
+// meet in one add, x86 keeps the first operand's payload; the assembly
+// puts the accumulator first, as the compiler does today. A future
+// compiler that orders them otherwise would fail this test on a NaN
+// payload alone.
 func TestVectorizedScalarBitIdentity(t *testing.T) {
 	wasOn := Vectorized()
 	if !setVectorized(true) {
 		t.Skip("SIMD unsupported on this platform")
 	}
 	defer setVectorized(wasOn)
-	rng := NewRNG(11)
-	a := randFilled(F32, 21, 75, rng)
-	b := randFilled(F32, 75, 19, rng)
-	bias := randFilled(F32, 1, 19, rng)
-	at := randFilled(F32, 75, 21, rng)
 
-	do := func() [3]*Mat {
-		mm := NewOf(F32, 21, 19)
-		mb := NewOf(F32, 21, 19)
-		atd := NewOf(F32, 21, 19)
-		MatMulInto(mm, a, b)
-		MatMulBiasInto(mb, a, b, bias)
-		MatMulATInto(atd, at, b)
-		return [3]*Mat{mm, mb, atd}
+	const m, k = 8, 11 // k: two groups of four and a three-coefficient tail
+	negZero := math.Copysign(0, -1)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero, 5e-324, -3e-310, 1e-42}
+	// unaligned returns an r×c matrix of dt whose storage starts one element
+	// into a larger allocation.
+	unaligned := func(dt DType, r, c int, rng *RNG) *Mat {
+		var out *Mat
+		if dt == F32 {
+			out = FromSlice32(r, c, make([]float32, r*c+1)[1:])
+		} else {
+			out = FromSlice(r, c, make([]float64, r*c+1)[1:])
+		}
+		rng.FillNormal(out, 1)
+		return out
 	}
-	vec := do()
-	setVectorized(false)
-	scalar := do()
-	for i, name := range []string{"matmul", "matmulBias", "matmulAT"} {
-		if !bitsEqual(vec[i], scalar[i]) {
-			t.Errorf("%s: vectorized and scalar paths disagree bitwise", name)
+	for _, bk := range Backends() {
+		dt := bk.DType()
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65} {
+			for _, planted := range []bool{false, true} {
+				rng := NewRNG(uint64(11 + n))
+				a := unaligned(dt, m, k, rng)
+				b := unaligned(dt, k, n, rng)
+				bias := unaligned(dt, 1, n, rng)
+				for kk := 0; kk < k; kk++ {
+					if kk < 4 {
+						a.Set(1, kk, 0) // row 1: a wholly zero group, skipped
+					}
+					if kk%2 == 0 {
+						a.Set(2, kk, 0) // row 2: zeros inside live groups, applied
+					}
+				}
+				a.Set(3, k-1, 0)       // row 3: a zero in the tail,
+				a.Set(3, k-2, negZero) // and a negative zero, skipped alike
+				if planted {
+					a.Set(4, 5, math.Inf(1))
+					a.Set(5, 9, math.NaN())
+					for i, v := range specials {
+						if n > 0 {
+							b.Set((i*3)%k, (i*5)%n, v)
+							bias.Set(0, (i*7+1)%n, v)
+						}
+					}
+				}
+				at := a.Transpose()
+
+				do := func() []*Mat {
+					out := []*Mat{unaligned(dt, m, n, rng), unaligned(dt, m, n, rng), unaligned(dt, m, n, rng)}
+					MatMulInto(out[0], a, b)
+					MatMulBiasInto(out[1], a, b, bias)
+					MatMulATInto(out[2], at, b)
+					return out
+				}
+				setVectorized(true)
+				vec := do()
+				setVectorized(false)
+				scalar := do()
+				for i, name := range []string{"matmul", "matmulBias", "matmulAT"} {
+					if !bitsEqual(vec[i], scalar[i]) {
+						t.Errorf("%s/%s n=%d planted=%v: vectorized and scalar paths disagree bitwise",
+							bk.Name(), name, n, planted)
+					}
+				}
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@ const (
 	// accumulation-sensitive statistic stay in it.
 	F64 DType = iota
 	// F32 is the packed float32 compute precision: half the memory traffic
-	// per matmul/conv, served by the width-unrolled kernels in kernels32.go.
+	// per matmul/conv and twice the lanes per vector of the same kernels.
 	F32
 
 	numDTypes = 2

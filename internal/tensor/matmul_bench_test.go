@@ -22,6 +22,22 @@ func benchShapes() []struct{ m, k, n int } {
 	}
 }
 
+// convShapes are the products the serving path spends its time in: a
+// specialized detector's convolutions as batch-level im2col lays them out
+// (OutC × K²·InC weights against a patch matrix with N·spatial columns) at
+// batch 1, 4 and 64. A dozen rows by up to 16 384 columns — nothing like
+// the square cases above, and the shape the column partition exists for.
+func convShapes() []struct{ m, k, n int } {
+	var out []struct{ m, k, n int }
+	for _, n := range []int{1, 4, 64} {
+		out = append(out,
+			struct{ m, k, n int }{10, 27, n * 256},
+			struct{ m, k, n int }{14, 90, n * 64},
+			struct{ m, k, n int }{10, 14, n * 64})
+	}
+	return out
+}
+
 func randMat(r, c int, seed uint64) *Mat { return randMatOf(F64, r, c, seed) }
 
 func randMatOf(dt DType, r, c int, seed uint64) *Mat {
@@ -37,9 +53,9 @@ func reportGFLOPS(b *testing.B, m, k, n int) {
 	b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-func benchBackends(b *testing.B, run func(b *testing.B, bk Backend, m, k, n int)) {
+func benchBackends(b *testing.B, shapes []struct{ m, k, n int }, run func(b *testing.B, bk Backend, m, k, n int)) {
 	for _, bk := range Backends() {
-		for _, s := range benchShapes() {
+		for _, s := range shapes {
 			b.Run(fmt.Sprintf("%s/%dx%dx%d", bk.Name(), s.m, s.k, s.n), func(b *testing.B) {
 				run(b, bk, s.m, s.k, s.n)
 			})
@@ -48,7 +64,7 @@ func benchBackends(b *testing.B, run func(b *testing.B, bk Backend, m, k, n int)
 }
 
 func BenchmarkMatMul(b *testing.B) {
-	benchBackends(b, func(b *testing.B, bk Backend, m, k, n int) {
+	benchBackends(b, append(benchShapes(), convShapes()...), func(b *testing.B, bk Backend, m, k, n int) {
 		a := randMatOf(bk.DType(), m, k, 1)
 		bb := randMatOf(bk.DType(), k, n, 2)
 		dst := NewOf(bk.DType(), m, n)
@@ -63,7 +79,7 @@ func BenchmarkMatMul(b *testing.B) {
 }
 
 func BenchmarkMatMulAT(b *testing.B) {
-	benchBackends(b, func(b *testing.B, bk Backend, m, k, n int) {
+	benchBackends(b, benchShapes(), func(b *testing.B, bk Backend, m, k, n int) {
 		a := randMatOf(bk.DType(), k, m, 1) // aᵀ is m×k
 		bb := randMatOf(bk.DType(), k, n, 2)
 		dst := NewOf(bk.DType(), m, n)
@@ -78,7 +94,7 @@ func BenchmarkMatMulAT(b *testing.B) {
 }
 
 func BenchmarkMatMulBT(b *testing.B) {
-	benchBackends(b, func(b *testing.B, bk Backend, m, k, n int) {
+	benchBackends(b, benchShapes(), func(b *testing.B, bk Backend, m, k, n int) {
 		a := randMatOf(bk.DType(), m, k, 1)
 		bb := randMatOf(bk.DType(), n, k, 2) // bᵀ is k×n
 		dst := NewOf(bk.DType(), m, n)

@@ -2,10 +2,16 @@
 
 package tensor
 
-// The float32 backend's inner row updates dispatch to AVX2 when the CPU
-// supports it. The assembly mirrors the scalar accumulation order exactly
-// (see simd_amd64.s), so enabling or disabling vectorization never changes
-// a single output bit — it only changes how many elements retire per cycle.
+// Both backends' inner row updates dispatch to AVX2 when the CPU supports
+// it. The assembly mirrors the scalar accumulation order exactly (see
+// simd_amd64.s), so enabling or disabling vectorization never changes a
+// single output bit — it only changes how many elements retire per cycle.
+
+//go:noescape
+func axpy4x64(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
+
+//go:noescape
+func axpy1x64(dst, b []float64, a float64)
 
 //go:noescape
 func axpy4x32(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
@@ -17,9 +23,16 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
-// vecEnabled gates the AVX2 paths. It is a plain bool set once at init
-// (and flipped only by tests, before any kernels run concurrently).
-var vecEnabled = detectAVX2()
+// vecEnabled gates the AVX2 paths and rows64/rows32 hold the row updates it
+// selects. They are set once at init (and flipped only by tests, before any
+// kernels run concurrently).
+var (
+	vecEnabled bool
+	rows64     rowOps[float64]
+	rows32     rowOps[float32]
+)
+
+func init() { setVectorized(detectAVX2()) }
 
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
@@ -42,15 +55,23 @@ func detectAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
-// Vectorized reports whether the float32 kernels are using the AVX2 paths.
+// Vectorized reports whether the matmul kernels are using the AVX2 row
+// updates.
 func Vectorized() bool { return vecEnabled }
 
-// setVectorized is a test hook: the conformance suite runs the float32
-// kernels both vectorized and scalar and asserts bit-equal output.
+// setVectorized installs the AVX2 row updates or the pure-Go ones, and
+// reports whether it could. Besides init it is a test hook: the conformance
+// suite runs the kernels of both dtypes either way and asserts bit-equal
+// output.
 func setVectorized(on bool) bool {
 	if on && !detectAVX2() {
 		return false
 	}
 	vecEnabled = on
+	rows64, rows32 = goRowOps[float64](), goRowOps[float32]()
+	if on {
+		rows64 = rowOps[float64]{axpy4x64, axpy1x64}
+		rows32 = rowOps[float32]{axpy4x32, axpy1x32}
+	}
 	return true
 }

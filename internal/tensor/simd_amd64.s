@@ -1,6 +1,6 @@
-// AVX2 row-update primitives for the float32 backend. Each dst element is
+// AVX2 row-update primitives for both backends. Each dst element is
 // accumulated in the exact left-associated order of the pure-Go fallback
-// expression (VMULPS+VADDPS, never FMA), so the vector path, the scalar
+// expression (VMULPx+VADDPx, never FMA), so the vector path, the scalar
 // tail, and the non-amd64 fallback all produce bit-identical results.
 
 //go:build amd64
@@ -136,6 +136,124 @@ tail:
 	VMULSS X0, X5, X5
 	VADDSS X5, X4, X4
 	VMOVSS X4, (DI)(AX*4)
+	INCQ   AX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET
+
+// func axpy4x64(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
+// dst[j] = ((((dst[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j])
+TEXT ·axpy4x64(SB), NOSPLIT, $0-152
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ b0_base+24(FP), R8
+	MOVQ b1_base+48(FP), R9
+	MOVQ b2_base+72(FP), R10
+	MOVQ b3_base+96(FP), R11
+	VBROADCASTSD a0+120(FP), Y0
+	VBROADCASTSD a1+128(FP), Y1
+	VBROADCASTSD a2+136(FP), Y2
+	VBROADCASTSD a3+144(FP), Y3
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+
+loop8:
+	CMPQ AX, DX
+	JGE  loop4start
+	VMOVUPD (DI)(AX*8), Y4
+	VMOVUPD 32(DI)(AX*8), Y6
+	VMULPD  (R8)(AX*8), Y0, Y5
+	VMULPD  32(R8)(AX*8), Y0, Y7
+	VADDPD  Y5, Y4, Y4
+	VADDPD  Y7, Y6, Y6
+	VMULPD  (R9)(AX*8), Y1, Y5
+	VMULPD  32(R9)(AX*8), Y1, Y7
+	VADDPD  Y5, Y4, Y4
+	VADDPD  Y7, Y6, Y6
+	VMULPD  (R10)(AX*8), Y2, Y5
+	VMULPD  32(R10)(AX*8), Y2, Y7
+	VADDPD  Y5, Y4, Y4
+	VADDPD  Y7, Y6, Y6
+	VMULPD  (R11)(AX*8), Y3, Y5
+	VMULPD  32(R11)(AX*8), Y3, Y7
+	VADDPD  Y5, Y4, Y4
+	VADDPD  Y7, Y6, Y6
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y6, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     loop8
+
+loop4start:
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+loop4:
+	CMPQ AX, DX
+	JGE  tail
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  (R8)(AX*8), Y0, Y5
+	VADDPD  Y5, Y4, Y4
+	VMULPD  (R9)(AX*8), Y1, Y5
+	VADDPD  Y5, Y4, Y4
+	VMULPD  (R10)(AX*8), Y2, Y5
+	VADDPD  Y5, Y4, Y4
+	VMULPD  (R11)(AX*8), Y3, Y5
+	VADDPD  Y5, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     loop4
+
+tail:
+	CMPQ AX, CX
+	JGE  done
+	VMOVSD (DI)(AX*8), X4
+	VMULSD (R8)(AX*8), X0, X5
+	VADDSD X5, X4, X4
+	VMULSD (R9)(AX*8), X1, X5
+	VADDSD X5, X4, X4
+	VMULSD (R10)(AX*8), X2, X5
+	VADDSD X5, X4, X4
+	VMULSD (R11)(AX*8), X3, X5
+	VADDSD X5, X4, X4
+	VMOVSD X4, (DI)(AX*8)
+	INCQ   AX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET
+
+// func axpy1x64(dst, b []float64, a float64)
+// dst[j] += a * b[j]
+TEXT ·axpy1x64(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ b_base+24(FP), R8
+	VBROADCASTSD a+48(FP), Y0
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+loop4:
+	CMPQ AX, DX
+	JGE  tail
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  (R8)(AX*8), Y0, Y5
+	VADDPD  Y5, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     loop4
+
+tail:
+	CMPQ AX, CX
+	JGE  done
+	VMOVSD (DI)(AX*8), X4
+	VMULSD (R8)(AX*8), X0, X5
+	VADDSD X5, X4, X4
+	VMOVSD X4, (DI)(AX*8)
 	INCQ   AX
 	JMP    tail
 

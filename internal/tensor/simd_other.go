@@ -2,21 +2,16 @@
 
 package tensor
 
-// Non-amd64 builds run the pure-Go float32 kernels; the scalar expressions
+// Non-amd64 builds run the pure-Go row updates; the scalar expressions
 // accumulate in the same order as the AVX2 paths, so results are portable
-// bit for bit wherever the platform's scalar float32 ops are IEEE-exact.
+// bit for bit wherever the platform's scalar float ops are IEEE-exact.
 
-const vecEnabled = false
+var (
+	rows64 = goRowOps[float64]()
+	rows32 = goRowOps[float32]()
+)
 
-// Vectorized reports whether the float32 kernels are using SIMD paths.
+// Vectorized reports whether the matmul kernels are using SIMD row updates.
 func Vectorized() bool { return false }
 
 func setVectorized(on bool) bool { return !on }
-
-func axpy4x32(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	panic("tensor: axpy4x32 without SIMD support")
-}
-
-func axpy1x32(dst, b []float32, a float32) {
-	panic("tensor: axpy1x32 without SIMD support")
-}

@@ -1,9 +1,9 @@
 // Package tensor provides the dense matrix and vector primitives that the
 // neural-network substrate and the drift-detection algorithms are built on.
 // It is deliberately small: row-major matrices, a handful of BLAS-like
-// kernels behind a per-dtype Backend seam (float64 reference kernels plus
-// register-tiled float32 kernels), and deterministic random initialisation
-// helpers.
+// kernels behind a per-dtype Backend seam (one tiled loop nest per product,
+// instantiated for float64 and float32, with AVX2 row updates on amd64), and
+// deterministic random initialisation helpers.
 package tensor
 
 import (
@@ -185,11 +185,6 @@ func MatMul(a, b *Mat) *Mat {
 	return out
 }
 
-// mmKBlock is the k-panel depth of the cache-blocked kernels: the panel of
-// b rows touched per pass (mmKBlock × dst.C floats) stays L2-resident while
-// every dst row in the worker's range streams over it.
-const mmKBlock = 256
-
 // MatMulInto computes dst = a×b, reusing dst's storage. All operands must
 // share a dtype — the matching backend's kernel runs. dst must not alias a
 // or b.
@@ -218,75 +213,6 @@ func MatMulBiasInto(dst, a, b, bias *Mat) {
 	For(dt).MatMulBias(dst, a, b, bias)
 }
 
-// matmulBias is the shared cache-blocked, 4-way k-unrolled kernel behind
-// MatMulInto and MatMulBiasInto. Each worker owns a contiguous block of dst
-// rows; the k dimension is tiled so the active panel of b stays in cache,
-// and four a-coefficients are applied per pass over a dst row to quarter
-// the dst load/store traffic of the naive saxpy loop.
-func matmulBias(dst, a, b *Mat, bias []float64) {
-	work := 2 * a.R * a.C * b.C
-	if runsInline(a.R, work) {
-		matmulBiasRange(dst, a, b, bias, 0, a.R)
-		return
-	}
-	Parallel(a.R, work, func(i0, i1 int) {
-		matmulBiasRange(dst, a, b, bias, i0, i1)
-	})
-}
-
-// matmulBiasRange applies the kernel to dst rows [i0, i1).
-func matmulBiasRange(dst, a, b *Mat, bias []float64, i0, i1 int) {
-	kk, n := a.C, b.C
-	{
-		for i := i0; i < i1; i++ {
-			drow := dst.V[i*n : i*n+n]
-			if bias == nil {
-				for j := range drow {
-					drow[j] = 0
-				}
-			} else {
-				copy(drow, bias)
-			}
-		}
-		for k0 := 0; k0 < kk; k0 += mmKBlock {
-			k1 := k0 + mmKBlock
-			if k1 > kk {
-				k1 = kk
-			}
-			for i := i0; i < i1; i++ {
-				arow := a.V[i*kk : i*kk+kk]
-				drow := dst.V[i*n : i*n+n]
-				k := k0
-				for ; k+3 < k1; k += 4 {
-					a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-						// ReLU activations feed these kernels: whole-zero
-						// groups are common enough to be worth skipping.
-						continue
-					}
-					b0 := b.V[k*n : k*n+n]
-					b1 := b.V[(k+1)*n : (k+1)*n+n]
-					b2 := b.V[(k+2)*n : (k+2)*n+n]
-					b3 := b.V[(k+3)*n : (k+3)*n+n]
-					for j, d := range drow {
-						drow[j] = d + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
-				}
-				for ; k < k1; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
-					}
-					brow := b.V[k*n : k*n+n]
-					for j, bv := range brow {
-						drow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
-}
-
 // MatMulATInto computes dst = aᵀ×b. All operands must share a dtype. dst
 // must not alias a or b.
 func MatMulATInto(dst, a, b *Mat) {
@@ -298,69 +224,6 @@ func MatMulATInto(dst, a, b *Mat) {
 	For(dt).MatMulAT(dst, a, b)
 }
 
-// matmulAT is the float64 aᵀ×b kernel: same cache blocking and k-unroll as
-// matmulBias, with strided column loads from a.
-func matmulAT(dst, a, b *Mat) {
-	m := a.C
-	work := 2 * m * a.R * b.C
-	if runsInline(m, work) {
-		matmulATRange(dst, a, b, 0, m)
-		return
-	}
-	Parallel(m, work, func(i0, i1 int) {
-		matmulATRange(dst, a, b, i0, i1)
-	})
-}
-
-// matmulATRange applies the aᵀ×b kernel to dst rows [i0, i1).
-func matmulATRange(dst, a, b *Mat, i0, i1 int) {
-	kk, m, n := a.R, a.C, b.C
-	{
-		for i := i0; i < i1; i++ {
-			drow := dst.V[i*n : i*n+n]
-			for j := range drow {
-				drow[j] = 0
-			}
-		}
-		for k0 := 0; k0 < kk; k0 += mmKBlock {
-			k1 := k0 + mmKBlock
-			if k1 > kk {
-				k1 = kk
-			}
-			for i := i0; i < i1; i++ {
-				drow := dst.V[i*n : i*n+n]
-				k := k0
-				for ; k+3 < k1; k += 4 {
-					a0 := a.V[k*m+i]
-					a1 := a.V[(k+1)*m+i]
-					a2 := a.V[(k+2)*m+i]
-					a3 := a.V[(k+3)*m+i]
-					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-						continue
-					}
-					b0 := b.V[k*n : k*n+n]
-					b1 := b.V[(k+1)*n : (k+1)*n+n]
-					b2 := b.V[(k+2)*n : (k+2)*n+n]
-					b3 := b.V[(k+3)*n : (k+3)*n+n]
-					for j, d := range drow {
-						drow[j] = d + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
-				}
-				for ; k < k1; k++ {
-					av := a.V[k*m+i]
-					if av == 0 {
-						continue
-					}
-					brow := b.V[k*n : k*n+n]
-					for j, bv := range brow {
-						drow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
-}
-
 // MatMulBTInto computes dst = a×bᵀ. All operands must share a dtype. dst
 // must not alias a or b.
 func MatMulBTInto(dst, a, b *Mat) {
@@ -370,78 +233,6 @@ func MatMulBTInto(dst, a, b *Mat) {
 	dt := dst.DType()
 	mustSameDType(dt, a, b)
 	For(dt).MatMulBT(dst, a, b)
-}
-
-// matmulBT is the float64 a×bᵀ kernel with the 2×2 register tile.
-func matmulBT(dst, a, b *Mat) {
-	work := 2 * a.R * a.C * b.R
-	if runsInline(a.R, work) {
-		matmulBTRange(dst, a, b, 0, a.R)
-		return
-	}
-	Parallel(a.R, work, func(i0, i1 int) {
-		matmulBTRange(dst, a, b, i0, i1)
-	})
-}
-
-// matmulBTRange applies the a×bᵀ kernel to dst rows [i0, i1).
-func matmulBTRange(dst, a, b *Mat, i0, i1 int) {
-	kk, n := a.C, b.R
-	{
-		i := i0
-		// 2×2 register tile: two a rows against two b rows share every
-		// operand load across two dot products, doubling the flops per load
-		// of the naive one-dot-at-a-time loop.
-		for ; i+1 < i1; i += 2 {
-			ar0 := a.V[i*kk : i*kk+kk]
-			ar1 := a.V[(i+1)*kk : (i+1)*kk+kk]
-			dr0 := dst.V[i*n : i*n+n]
-			dr1 := dst.V[(i+1)*n : (i+1)*n+n]
-			j := 0
-			for ; j+1 < n; j += 2 {
-				br0 := b.V[j*kk : j*kk+kk]
-				br1 := b.V[(j+1)*kk : (j+1)*kk+kk]
-				var s00, s01, s10, s11 float64
-				for k, a0 := range ar0 {
-					a1 := ar1[k]
-					b0 := br0[k]
-					b1 := br1[k]
-					s00 += a0 * b0
-					s01 += a0 * b1
-					s10 += a1 * b0
-					s11 += a1 * b1
-				}
-				dr0[j] = s00
-				dr0[j+1] = s01
-				dr1[j] = s10
-				dr1[j+1] = s11
-			}
-			if j < n {
-				brow := b.V[j*kk : j*kk+kk]
-				dr0[j] = dotSeq(ar0, brow)
-				dr1[j] = dotSeq(ar1, brow)
-			}
-		}
-		if i < i1 {
-			arow := a.V[i*kk : i*kk+kk]
-			drow := dst.V[i*n : i*n+n]
-			for j := 0; j < n; j++ {
-				drow[j] = dotSeq(arow, b.V[j*kk:j*kk+kk])
-			}
-		}
-	}
-}
-
-// dotSeq is a single-chain inner product. The edge rows and columns of the
-// 2×2 tile use it so every dst element is accumulated in the same k-order
-// no matter how the worker pool partitions the rows — results must be
-// bit-identical across parallelism levels.
-func dotSeq(a, b []float64) float64 {
-	var s float64
-	for k, av := range a {
-		s += av * b[k]
-	}
-	return s
 }
 
 // Transpose returns a new matrix holding mᵀ, preserving the dtype.

@@ -14,13 +14,14 @@ import (
 type Backend int
 
 const (
-	// Float64 is the reference backend: float64 storage and kernels,
-	// bit-identical to the original implementation. The default.
+	// Float64 is the reference backend: float64 storage and kernels, its
+	// results bit-identical to the original scalar implementation (the row
+	// updates are vectorized on AVX2 hosts, in the same order). The default.
 	Float64 Backend = iota
 	// Float32 stores activations and frame batches in float32 and runs the
-	// vectorized kernels (AVX2 where available): about half the memory
-	// traffic and multiple-× matmul throughput, at float32 precision.
-	// Master weights and gradient accumulation stay float64; see
+	// same kernels at twice the lanes per vector and half the memory
+	// traffic — 1.5–2× the float64 matmul throughput — at float32
+	// precision. Master weights and gradient accumulation stay float64; see
 	// DESIGN.md §8 for the determinism contract and tolerance audit.
 	Float32
 )
