@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"runtime/debug"
 	"strconv"
 	"sync"
 
@@ -43,6 +44,19 @@ type app struct {
 	logger   *log.Logger
 }
 
+// maxBodyBytes bounds every request body; a body that runs past it is
+// answered 413. At ~70 KB of JSON per 3×27×48 frame this is a batch of
+// about 450 frames — far beyond what a Run window can use at once.
+const maxBodyBytes = 32 << 20
+
+// sessionBuffer is the capacity of a session's input channel. A frame
+// batch up to this long is queued in full before the Run loop wakes, so
+// the loop assembles whole MaxBatch windows instead of whatever a feeder
+// goroutine managed to hand over one frame at a time; 64 covers the batch
+// sizes clients use (4–16) with room to spare, and a longer batch only
+// falls back to feeding its tail from a goroutine.
+const sessionBuffer = 64
+
 // session is one live stream: a Run loop fed by in, drained through out.
 // Frame batches are serialized per session by mu; results come back in
 // frame order, so batch k's results are exactly the next len(batch) reads.
@@ -72,7 +86,8 @@ func newApp(srv *odin.Server, store *checkpoint.DirStore, opts func() []odin.Opt
 	}
 }
 
-// handler builds the route table.
+// handler builds the route table. Every request body is capped at
+// maxBodyBytes.
 func (a *app) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", a.handleHealthz)
@@ -97,7 +112,7 @@ func (a *app) handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return mux
+	return http.MaxBytesHandler(mux, maxBodyBytes)
 }
 
 // handleMetrics serves the Prometheus text exposition. 404 when the server
@@ -155,6 +170,42 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, serveapi.ErrorResponse{Error: err.Error()})
+}
+
+// badBody answers a request whose body could not be read or decoded: 413
+// when it ran past maxBodyBytes, 400 otherwise.
+func badBody(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, err)
+}
+
+// readFrames is the one way frames enter the server: the body goes through
+// serveapi's decoder, and every frame must have the shape the server's
+// models were built for — the pipeline indexes pixels without checking, and
+// a panic on a session goroutine would take the process down. It answers
+// the request itself (400 or 413, naming the offending frame) when it
+// reports !ok.
+func (a *app) readFrames(w http.ResponseWriter, r *http.Request) (sql string, frames []*odin.Frame, ok bool) {
+	req, err := serveapi.ReadRequest(r.Body, r.ContentLength)
+	if err != nil {
+		badBody(w, err)
+		return "", nil, false
+	}
+	c, h, wd := a.server().FrameShape()
+	frames = make([]*odin.Frame, len(req.Frames))
+	for i, wf := range req.Frames {
+		if wf.C != c || wf.H != h || wf.W != wd {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("frame %d: shape %dx%dx%d, this server's frames are %dx%dx%d",
+				i, wf.C, wf.H, wf.W, c, h, wd))
+			return "", nil, false
+		}
+		frames[i] = serveapi.ToFrame(wf)
+	}
+	return req.SQL, frames, true
 }
 
 // statusOf maps facade sentinels to HTTP statuses.
@@ -259,7 +310,7 @@ func (a *app) handleGenerate(w http.ResponseWriter, r *http.Request) {
 func (a *app) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 	var req serveapi.CreateStreamRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		badBody(w, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	srv := a.server()
@@ -272,7 +323,7 @@ func (a *app) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan *odin.Frame)
+	in := make(chan *odin.Frame, sessionBuffer)
 	sess := &session{
 		st:     st,
 		ctx:    ctx,
@@ -329,24 +380,30 @@ func (s *session) close() {
 	s.st.Close()
 }
 
+// feed sends frames to the Run loop, giving up when the session ends.
+func (s *session) feed(frames []*odin.Frame) {
+	for _, f := range frames {
+		select {
+		case s.in <- f:
+		case <-s.ctx.Done():
+			return
+		}
+	}
+}
+
 func (a *app) handleFrames(w http.ResponseWriter, r *http.Request) {
 	sess, err := a.sessionOf(r)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	var req serveapi.FramesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	_, frames, ok := a.readFrames(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Frames) == 0 {
+	if len(frames) == 0 {
 		writeJSON(w, http.StatusOK, serveapi.FramesResponse{})
 		return
-	}
-	frames := make([]*odin.Frame, len(req.Frames))
-	for i, wf := range req.Frames {
-		frames[i] = serveapi.ToFrame(wf)
 	}
 
 	// Shared checkpoint gate: a checkpoint never cuts a batch in half.
@@ -359,15 +416,14 @@ func (a *app) handleFrames(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, odin.ErrStreamClosed)
 		return
 	}
-	go func() {
-		for _, f := range frames {
-			select {
-			case sess.in <- f:
-			case <-sess.ctx.Done():
-				return
-			}
-		}
-	}()
+	// The previous batch was read out in full before sess.mu was released,
+	// so in is empty: up to its capacity this batch goes in without
+	// blocking, and the Run loop wakes to whole windows.
+	head := min(len(frames), cap(sess.in))
+	sess.feed(frames[:head])
+	if tail := frames[head:]; len(tail) > 0 {
+		go sess.feed(tail)
+	}
 	// Every submitted frame yields exactly one result — real or an
 	// admission-drop marker — so the batch's results are still exactly the
 	// next len(frames) reads (the QoS layer's zero-silent-loss contract).
@@ -375,7 +431,7 @@ func (a *app) handleFrames(w http.ResponseWriter, r *http.Request) {
 	for range frames {
 		sr, ok := <-sess.out
 		if !ok {
-			sess.cancel() // unblock the feeder goroutine
+			sess.cancel() // unblock a tail feeder
 			writeErr(w, http.StatusConflict, odin.ErrStreamClosed)
 			return
 		}
@@ -408,16 +464,11 @@ func (a *app) handleFrames(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *app) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req serveapi.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	sql, frames, ok := a.readFrames(w, r)
+	if !ok {
 		return
 	}
-	frames := make([]*odin.Frame, len(req.Frames))
-	for i, wf := range req.Frames {
-		frames[i] = serveapi.ToFrame(wf)
-	}
-	res, err := a.server().Query(r.Context(), req.SQL, frames)
+	res, err := a.server().Query(r.Context(), sql, frames)
 	if err != nil {
 		writeErr(w, statusOf(err), err)
 		return
@@ -442,7 +493,7 @@ func fromQueryResult(res *odin.QueryResult) serveapi.QueryResult {
 func (a *app) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	var req serveapi.PrepareRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		badBody(w, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	pq, err := a.server().PrepareSQL(req.SQL)
@@ -474,14 +525,9 @@ func (a *app) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	var req serveapi.ExecuteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	_, frames, ok := a.readFrames(w, r)
+	if !ok {
 		return
-	}
-	frames := make([]*odin.Frame, len(req.Frames))
-	for i, wf := range req.Frames {
-		frames[i] = serveapi.ToFrame(wf)
 	}
 	res, err := pq.Execute(r.Context(), frames)
 	if err != nil {
@@ -605,7 +651,7 @@ func (a *app) handleCheckpointDownload(w http.ResponseWriter, r *http.Request) {
 func (a *app) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var req serveapi.RestoreRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		badBody(w, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	path := req.Path
@@ -651,9 +697,18 @@ func (a *app) handleRestore(w http.ResponseWriter, r *http.Request) {
 	a.prepared = make(map[string]*odin.PreparedQuery) // bound to the old server
 	a.mu.Unlock()
 	old.Close()
+	freeRestoreGarbage()
 	a.logger.Printf("restored from %s", path)
 	writeJSON(w, http.StatusOK, serveapi.CheckpointResponse{Path: path})
 }
+
+// freeRestoreGarbage collects what odin.Restore leaves behind and hands the
+// memory back to the OS. The gob decoder's garbage is ~90 MB beside a few
+// MB of live state; left alone it doubles the heap goal of the first
+// serving-time collection, and that transient — not anything serving
+// needs — becomes the process's peak RSS. Called once per restore, never
+// on the request path.
+func freeRestoreGarbage() { debug.FreeOSMemory() }
 
 // shutdown closes every session and the server, then — per the Close →
 // Checkpoint contract — writes a final checkpoint to the store when one is

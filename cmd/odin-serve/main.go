@@ -42,6 +42,15 @@ import (
 	"odin/internal/checkpoint"
 )
 
+// Front-door timeouts: a client gets readHeaderTimeout to state its
+// request, and an idle keep-alive connection is closed after idleTimeout.
+// There is no write timeout: /v1/streams/{id}/subscribe is an open-ended
+// SSE feed and GET /v1/checkpoint streams the envelope.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8780", "listen address")
 	storeDir := flag.String("store", "", "checkpoint store directory (empty: no durable checkpoints)")
@@ -140,9 +149,16 @@ func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
 		return err
 	}
 
+	freeRestoreGarbage() // bootstrap leaves its training garbage the same way
+
 	a := newApp(srv, store, opts, logger)
 	a.pprofOn = pprofOn
-	httpSrv := &http.Server{Addr: addr, Handler: a.handler()}
+	httpSrv := &http.Server{
+		Addr:              addr,
+		Handler:           a.handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errCh := make(chan error, 1)
 	go func() {

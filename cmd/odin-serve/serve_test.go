@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -369,6 +371,173 @@ func TestServeEndpointErrors(t *testing.T) {
 	if len(gen.Frames) != 3 {
 		t.Fatalf("generate returned %d frames, want 3", len(gen.Frames))
 	}
+}
+
+// TestServeRejectsBadFrames: a frame body that is malformed, or well formed
+// but not the server's frame shape, is answered 400 on every endpoint that
+// takes frames, before anything reaches the pipeline — where the first two
+// bodies used to panic on the session goroutine and kill the process — and
+// the session that saw it still serves the next valid batch, in order.
+func TestServeRejectsBadFrames(t *testing.T) {
+	srv := quickServer(t, 5)
+	a := newApp(srv, nil, func() []odin.Option { return nil }, quietLogger())
+	ts := httptest.NewServer(a.handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	sessID := openSession(t, client, ts.URL, 2)
+	pq := postJSON[serveapi.PrepareResponse](t, client, ts.URL+"/v1/prepared",
+		serveapi.PrepareRequest{SQL: "SELECT COUNT(detections) FROM stream USING MODEL odin"})
+	next := 0 // valid frames fed so far
+
+	// pixel spells a frame of the server's shape whose first pixel is tok.
+	pixel := func(tok string) string {
+		return `{"frames":[{"c":3,"h":27,"w":48,"pix":[` + tok + strings.Repeat(",0", 3*27*48-1) + `]}]}`
+	}
+	bodies := map[string]string{
+		"short pix":       `{"frames":[{"c":3,"h":27,"w":48,"pix":[0.1,0.2,0.3]}]}`,
+		"foreign shape":   `{"frames":[{"c":1,"h":2,"w":2,"pix":[0.1,0.2,0.3,0.4]}]}`,
+		"NaN":             pixel("NaN"),
+		"Infinity":        pixel("Infinity"),
+		"hex float":       pixel("0x1p-2"),
+		"underscore":      pixel("1_0"),
+		"plus sign":       pixel("+1"),
+		"leading zero":    pixel("01"),
+		"no integer part": pixel(".5"),
+		"no fraction":     pixel("5."),
+		"overflow":        pixel("1e999"),
+		"truncated array": pixel("0.5")[:4000],
+		"trailing bytes":  pixel("0.5") + "x",
+	}
+	if body := pixel("0.5"); !json.Valid([]byte(body)) {
+		t.Fatalf("the template the cases are cut from is itself malformed: %.80s", body)
+	}
+	// want is what the 400 must say: the offending frame by position in
+	// the batch, or what else is wrong with the body.
+	want := map[string]string{"trailing bytes": "trailing data"}
+	// The decoder's committed fuzz seeds go through the same door. None is
+	// of the server's shape, so the valid ones stop at the shape check.
+	seeds, err := filepath.Glob("../../internal/serveapi/testdata/fuzz/FuzzDecodeRequest/*")
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("no fuzz seeds found: %v", err)
+	}
+	for _, path := range seeds {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1\n[]byte(\"...\")\n"
+		lit := strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(raw), "\n")[1], "[]byte("), ")")
+		body, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		name := "seed " + filepath.Base(path)
+		bodies[name] = body
+		want[name] = "decode request"
+		if strings.HasPrefix(filepath.Base(path), "valid-") {
+			want[name] = "this server's frames are"
+		}
+	}
+	for name, body := range bodies {
+		for _, path := range []string{
+			"/v1/streams/" + sessID + "/frames",
+			"/v1/prepared/" + pq.ID + "/execute",
+			"/v1/query",
+		} {
+			if path == "/v1/query" && !strings.Contains(body, `"sql"`) && strings.HasPrefix(body, "{") {
+				body = `{"sql":"SELECT COUNT(detections) FROM stream USING MODEL odin",` + body[1:]
+			}
+			resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			say := want[name]
+			if say == "" {
+				say = "frame 0"
+			}
+			var e serveapi.ErrorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || !strings.Contains(e.Error, say) {
+				t.Fatalf("%s: POST %s = %d %s, want 400 saying %q", name, path, resp.StatusCode, raw, say)
+			}
+		}
+		// Same session, next valid batch: results for exactly these frames.
+		got := feedHTTP(t, client, ts.URL, sessID, srv.GenerateFrames(odin.NightData, 2), 2)
+		if len(got) != 2 || got[0] == "" {
+			t.Fatalf("after %s: session served %v", name, got)
+		}
+		next += 2
+	}
+	if got := srv.Stats().Frames; got != next {
+		t.Fatalf("server saw %d frames, want the %d valid ones", got, next)
+	}
+
+	// Past maxBodyBytes the answer is 413, whatever the endpoint decodes with.
+	huge := `{"name":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/streams", "/v1/streams/" + sessID + "/frames"} {
+		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with %d bytes = %d, want 413", path, len(huge), resp.StatusCode)
+		}
+	}
+}
+
+// stageMetric reads odin_<name>{stage="..."} off a /metrics page.
+func stageMetric(t *testing.T, page, name, stage string) float64 {
+	t.Helper()
+	prefix := fmt.Sprintf("%s{stage=%q} ", name, stage)
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", prefix)
+	return 0
+}
+
+// TestServeWholeRequestWindows: a posted batch reaches the Run loop as
+// whole windows, not as the one or two frames a feeder goroutine had
+// handed over when the loop woke (mean width was 1.34 for 4-frame posts);
+// and a batch longer than the session's input buffer still comes back
+// complete and in order.
+func TestServeWholeRequestWindows(t *testing.T) {
+	const batch, posts = 4, 50
+	srv := quickServer(t, 7, odin.WithObservability(true))
+	a := newApp(srv, nil, func() []odin.Option { return nil }, quietLogger())
+	ts := httptest.NewServer(a.handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	sess := postJSON[serveapi.CreateStreamResponse](t, client, ts.URL+"/v1/streams",
+		serveapi.CreateStreamRequest{Name: "windows", Workers: 2, MaxBatch: batch})
+	frames := srv.GenerateFrames(odin.NightData, batch*posts+3*sessionBuffer)
+	feedHTTP(t, client, ts.URL, sess.ID, frames[:batch*posts], batch)
+
+	resp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	inWindows := stageMetric(t, string(page), "odin_stage_frames_total", "assembly")
+	windows := stageMetric(t, string(page), "odin_stage_seconds_count", "assembly")
+	if inWindows != batch*posts || inWindows/windows < 3 {
+		t.Fatalf("%v frames in %v windows (mean width %.2f), want %d frames at mean width ≥ 3",
+			inWindows, windows, inWindows/windows, batch*posts)
+	}
+
+	// feedHTTP checks count and seq order; the tail goes through the feeder.
+	feedHTTP(t, client, ts.URL, sess.ID, frames[batch*posts:], 3*sessionBuffer)
 }
 
 // TestServeShutdownCheckpoints verifies the graceful-shutdown contract:

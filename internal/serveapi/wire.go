@@ -4,9 +4,24 @@
 //
 // Determinism note: frames cross the wire as raw float64 pixel/box values.
 // encoding/json renders float64 with the shortest representation that
-// round-trips exactly, so a frame POSTed to a replica is bit-identical to
+// round-trips exactly, and the server parses every number with a correctly
+// rounded conversion, so a frame POSTed to a replica is bit-identical to
 // the frame the client generated — which is what lets the cross-process
 // conformance tests compare fingerprints bit-for-bit.
+//
+// Who parses what: clients, responses and the small control-plane bodies
+// use encoding/json on the structs below. The frame-bearing request bodies
+// (FramesRequest, ExecuteRequest, QueryRequest — ~70 KB of numbers per
+// frame) go through DecodeRequest in the server instead: one pass, no
+// reflection, the JSON number grammar checked in place, and each token
+// converted either by a single exact IEEE division (when its digits fit
+// 2⁵³ and it has no exponent) or by strconv.ParseFloat — the conversion
+// encoding/json itself ends in. Both are correctly rounded, so there is
+// exactly one float64 a token can become and the argument above does not
+// depend on which decoder ran; the differential test and FuzzDecodeRequest
+// hold DecodeRequest to encoding/json's result bit for bit. DecodeRequest
+// is stricter than encoding/json and never looser; its doc comment lists
+// how.
 package serveapi
 
 import (

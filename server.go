@@ -108,6 +108,15 @@ func (s *Server) GenerateFrames(sub Subset, n int) []*Frame {
 	return s.gen.Dataset(sub, n)
 }
 
+// FrameShape returns the channels, height and width of the frames this
+// server's models were built for — what GenerateFrames renders. The
+// pipeline indexes pixels by this shape without checking it, so a front
+// end that takes frames from outside the process compares against it
+// before submitting them.
+func (s *Server) FrameShape() (c, h, w int) {
+	return 3, s.scene.H, s.scene.W
+}
+
 // Bootstrap trains the DA-GAN projection and the heavyweight baseline
 // detector, then assembles the drift pipeline. When boot is nil, bootstrap
 // frames are generated from the full domain distribution (the paper trains
