@@ -10,7 +10,7 @@ import (
 // the pipeline's execute stage can count matches directly instead of
 // materialising Detection slices for every frame. It is processBatch with
 // a count spec — projection, the serialized drift stage and the execute
-// grouping are the very same code as ProcessBatch, so cluster evolution,
+// blocks are the very same code as ProcessBatch, so cluster evolution,
 // drift events, stats and scheduled training jobs cannot diverge — and
 // detect.CountBatch guarantees its counts equal len(filtered DetectBatch
 // output) bit for bit.
@@ -19,9 +19,9 @@ import (
 // count-only projection: per frame, the number of post-NMS detections
 // clearing minScore whose class matches class (class < 0 counts every
 // class). Single-model frames count through the detector's allocation-free
-// counting path; ensemble frames fall back to the full fused execute and
-// count its output, so counts always equal what ProcessBatch would have
-// produced.
+// counting path; ensemble frames detect with every member, fuse, and have
+// the fused set counted and dropped, so counts always equal what
+// ProcessBatch would have produced.
 func (o *Odin) CountBatch(frames []*synth.Frame, workers, class int, minScore float64) []int {
 	results := o.processBatch(frames, workers, nil, &countSpec{class: class, minScore: minScore})
 	if results == nil {

@@ -144,8 +144,8 @@ type bufferedOutlier struct {
 //	          trained (drift swaps pointers in Advance, it never retrains
 //	          a deployed model in place).
 //
-// Process composes the three sequentially; ProcessBatch shards the pure
-// stages across a bounded worker pool and batches same-model detection,
+// Process composes the three sequentially; ProcessBatch cuts the pure
+// stages into blocks of frames sharded across a bounded worker pool,
 // producing bit-identical results (see processbatch.go).
 type Odin struct {
 	Cfg      Config
@@ -483,14 +483,31 @@ func cheapestSingle(sel []WeightedModel) []WeightedModel {
 // model weights, so any number of Executes may run concurrently; simulated
 // time is accounted separately (addSimTime) to keep this stage pure.
 func (o *Odin) Execute(f *synth.Frame, p Plan) Result {
-	res := p.res
-	sets := make([][]detect.Detection, 0, len(p.models))
-	weights := make([]float64, 0, len(p.models))
+	sets := make([][]detect.Detection, 0, 4) // stays on the stack at this size
 	for _, wm := range p.models {
-		if wm.Model == nil || wm.Model.Det == nil {
+		if wm.runs() {
+			sets = append(sets, wm.Model.Det.Detect(f.Image))
+		}
+	}
+	return p.assemble(sets)
+}
+
+// runs reports whether a selected model can execute: a selection may name a
+// model whose detector was never built, and every stage skips it.
+func (wm WeightedModel) runs() bool { return wm.Model != nil && wm.Model.Det != nil }
+
+// assemble completes the plan's Result from its models' detections, one
+// set per model that runs, in plan order: names and simulated latency add
+// up in that order, one set passes through, several fuse, and a count spec
+// has the outcome counted and dropped. Execute and executeAll both end
+// here, so how a set was computed cannot show in the Result.
+func (p Plan) assemble(sets [][]detect.Detection) Result {
+	res := p.res
+	weights := make([]float64, 0, 4) // likewise
+	for _, wm := range p.models {
+		if !wm.runs() {
 			continue
 		}
-		sets = append(sets, wm.Model.Det.Detect(f.Image))
 		weights = append(weights, wm.Weight)
 		res.ModelsUsed = append(res.ModelsUsed, wm.Model.Name())
 		if wm.Model.Cost.FPS > 0 {
@@ -501,6 +518,10 @@ func (o *Odin) Execute(f *synth.Frame, p Plan) Result {
 		res.Detections = sets[0]
 	} else if len(sets) > 1 {
 		res.Detections = FuseDetections(sets, weights)
+	}
+	if c := p.count; c != nil {
+		res.Count = countKept(res.Detections, c.class, c.minScore)
+		res.Detections = nil
 	}
 	return res
 }

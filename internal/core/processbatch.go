@@ -9,26 +9,22 @@ import (
 	"odin/internal/tensor"
 )
 
-// This file is the sharded streaming path (ROADMAP "Sharded streaming"):
-// ProcessBatch runs a window of frames through the pipeline with the pure
-// stages fanned out across a bounded worker pool and the mutating drift
-// stage serialized in frame order. Two properties make it fast without
-// sacrificing reproducibility:
+// This file is the sharded streaming path: ProcessBatch runs a window of
+// frames through the pipeline with the pure stages — project and execute —
+// cut into blocks of a few frames, one worker taking each block through
+// its whole network, and the mutating drift stage serialized in frame
+// order between them. Sent through whole, a window pays a fork-join per
+// kernel over matrices of several MB with everything between kernels on
+// one core; cut into blocks it pays one fork-join per stage, and an
+// ensemble's frames batch with the others naming the same model instead of
+// running alone (DESIGN §5; measurements in CHANGES.md, PR 17).
 //
-//  1. Stage sharding. Projection and detection are pure (see Odin's
-//     concurrency model), so frames split across tensor.ParallelWorkers;
-//     each index writes only its own slot, which re-orders results back to
-//     frame order for free.
-//  2. Same-model batching. Frames whose Plan selected the same single
-//     model run as one DetectBatch — batch-level im2col turns N small
-//     matmuls into one large one (the PR-1 substrate's 2.3× conv win).
-//     The matmul kernels accumulate each output element over k in a fixed
-//     order regardless of batch width, so batched detection is
-//     bit-identical to per-frame detection.
-//
-// The result: ProcessBatch(frames, w) equals the sequence of Process(f)
-// calls exactly — detections, cluster assignments, drift events and even
-// the simulated-time stats — for every worker count.
+// Nothing about a block can show in a Result: the kernels accumulate each
+// output element over k in a fixed order whatever the batch width, a block
+// writes only its own frames' slots, and every Result is assembled in plan
+// order by the helper Execute uses. So ProcessBatch(frames, w) equals the
+// sequence of Process(f) calls exactly — detections, cluster assignments,
+// drift events, even the simulated-time stats — for every worker count.
 
 // ProcessBatch processes frames in stream order with the project and
 // detect stages sharded across at most workers concurrent executors.
@@ -138,14 +134,24 @@ func (o *Odin) advanceAll(frames []*synth.Frame, workers int, fids []qos.Fidelit
 	return plans
 }
 
+// shardBlock is the number of frames one worker takes through a whole
+// network at a time. Throughput is flat in it (steady_1cam, two cores: 2 to
+// 64 alike, convolution being sample-blocked underneath), so it is set for
+// memory: the workspace pool never evicts, and no stage asks it for a
+// batch wider than a block however wide the window.
+const shardBlock = 8
+
+// blockSize is the block width for n frames: shardBlock, or less when that
+// is what it takes to give every worker a block.
+func blockSize(n, workers int) int {
+	return max(1, min(shardBlock, (n+workers-1)/workers))
+}
+
 // projectAll computes the latent of every frame that is not skipped (a
-// Skip frame's latent stays nil: shed frames never reach the projector).
-// Encoding shards across the worker pool; the projector encodes the whole
-// window in one forward pass when it supports batching (the DA-GAN does),
-// otherwise per-frame projection shards too. Leaving rows out of the
-// batched projection is safe for bit-identity of the remaining frames
-// because the matmul kernels accumulate each output element in a fixed
-// order regardless of batch width.
+// Skip frame's latent stays nil: shed frames never reach the projector),
+// a block per worker at a time: encode the block's frames, then project
+// them in one forward pass when the projector batches (the DA-GAN does)
+// and frame by frame otherwise.
 func (o *Odin) projectAll(frames []*synth.Frame, workers int, fids []qos.Fidelity) [][]float64 {
 	latents := make([][]float64, len(frames))
 	if !o.Cfg.DriftRecovery {
@@ -157,94 +163,91 @@ func (o *Odin) projectAll(frames []*synth.Frame, workers int, fids []qos.Fidelit
 			idx = append(idx, i)
 		}
 	}
-	bp, batched := o.Detector.Proj.(gan.BatchProjector)
-	if batched && len(idx) > 1 {
-		rows := make([][]float64, len(idx))
-		tensor.ParallelWorkers(len(idx), workers, func(k0, k1 int) {
-			for k := k0; k < k1; k++ {
-				rows[k] = o.Detector.Encode(frames[idx[k]].Image)
+	size := blockSize(len(idx), workers)
+	tensor.ParallelWorkers((len(idx)+size-1)/size, workers, func(b0, b1 int) {
+		for b := b0; b < b1; b++ {
+			blk := idx[b*size : min((b+1)*size, len(idx))]
+			rows := make([][]float64, len(blk))
+			for k, i := range blk {
+				rows[k] = o.Detector.Encode(frames[i].Image)
 			}
-		})
-		for k, z := range bp.ProjectBatch(rows) {
-			latents[idx[k]] = z
-		}
-		return latents
-	}
-	tensor.ParallelWorkers(len(idx), workers, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			latents[idx[k]] = o.Detector.Project(frames[idx[k]].Image)
+			for k, z := range gan.ProjectAll(o.Detector.Proj, rows) {
+				latents[blk[k]] = z
+			}
 		}
 	})
 	return latents
 }
 
 // executeAll is the one execute stage: results[i] = Execute(frames[i],
-// plans[i]), with frames that selected the same single model batched
-// through one detector call and the rest (ensembles, model-less frames)
-// sharded across the workers. Plans carrying a count spec — the Count
-// fidelity and the query COUNT pushdown alike — take the detector's
-// allocation-free counting kernel for the batched call and have their
-// stragglers' fused detections counted and discarded, so Result.Count
-// always equals what counting the detection path's output would give and
-// Detections stay nil.
+// plans[i]). Every model any plan names — a frame's sole selection or one
+// member of its ensemble alike — collects the frames naming it, in frame
+// order, into blocks; one fan-out takes every block through its model in a
+// single detector call; then each Result is assembled in plan order. A
+// one-model plan with a count spec (the Count fidelity, the query COUNT
+// pushdown) goes to the detector's allocation-free counting kernel instead,
+// which counts exactly what assemble would.
 func (o *Odin) executeAll(frames []*synth.Frame, plans []Plan, workers int) []Result {
-	type batch struct {
+	// A use is one model's output for one frame; slot indexes it among the
+	// window's outputs, plan i owning slots [first[i], first[i+1]).
+	type use struct{ frame, slot int }
+	type block struct {
 		m     *Model
-		count *countSpec
+		count *countSpec // non-nil: CountBatch under this spec, not DetectBatch
+		uses  []use
 	}
-	groups := make(map[batch][]int)
-	var rest []int
+	var blocks []block
+	size := blockSize(len(frames), workers)
+	first := make([]int, len(plans)+1)
 	for i, p := range plans {
-		if len(p.models) == 1 && p.models[0].Model != nil && p.models[0].Model.Det != nil {
-			b := batch{p.models[0].Model, p.count}
-			groups[b] = append(groups[b], i)
-		} else {
-			rest = append(rest, i)
+		count := p.count
+		if len(p.models) > 1 {
+			count = nil // an ensemble is counted after fusion
+		}
+		first[i+1] = first[i]
+		for _, wm := range p.models {
+			if !wm.runs() {
+				continue
+			}
+			// A (model, kernel) pair's open block is its latest of a dozen.
+			k := len(blocks) - 1
+			for k >= 0 && (blocks[k].m != wm.Model || blocks[k].count != count) {
+				k--
+			}
+			if k < 0 || len(blocks[k].uses) == size {
+				k = len(blocks)
+				blocks = append(blocks, block{wm.Model, count, make([]use, 0, size)})
+			}
+			blocks[k].uses = append(blocks[k].uses, use{i, first[i+1]})
+			first[i+1]++
 		}
 	}
-	results := make([]Result, len(frames))
-	for b, gi := range groups {
-		if b.count == nil && len(gi) == 1 {
-			rest = append(rest, gi[0]) // nothing to batch: shard it
-			continue
-		}
-		imgs := make([]*synth.Image, len(gi))
-		for k, i := range gi {
-			imgs[k] = frames[i].Image
-		}
-		var dets [][]detect.Detection
-		var counts []int
-		if b.count != nil {
-			counts = b.m.Det.CountBatch(imgs, b.count.class, b.count.minScore)
-		} else {
-			dets = b.m.Det.DetectBatch(imgs)
-		}
-		for k, i := range gi {
-			res := plans[i].res
+	sets := make([][]detect.Detection, first[len(plans)])
+	counts := make([]int, len(sets))
+	tensor.ParallelWorkers(len(blocks), workers, func(b0, b1 int) {
+		for _, b := range blocks[b0:b1] {
+			imgs := make([]*synth.Image, len(b.uses))
+			for k, u := range b.uses {
+				imgs[k] = frames[u.frame].Image
+			}
 			if b.count != nil {
-				res.Count = counts[k]
+				for k, n := range b.m.Det.CountBatch(imgs, b.count.class, b.count.minScore) {
+					counts[b.uses[k].slot] = n
+				}
 			} else {
-				res.Detections = dets[k]
+				for k, dets := range b.m.Det.DetectBatch(imgs) {
+					sets[b.uses[k].slot] = dets
+				}
 			}
-			res.ModelsUsed = append(res.ModelsUsed, b.m.Name())
-			if b.m.Cost.FPS > 0 {
-				res.SimLatency += 1 / b.m.Cost.FPS
-			}
-			results[i] = res
-		}
-	}
-	tensor.ParallelWorkers(len(rest), workers, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			i := rest[k]
-			res := o.Execute(frames[i], plans[i])
-			if c := plans[i].count; c != nil {
-				res.Count = countKept(res.Detections, c.class, c.minScore)
-				res.Detections = nil
-			}
-			results[i] = res
 		}
 	})
+	results := make([]Result, len(frames))
+	for i, p := range plans {
+		lo, hi := first[i], first[i+1]
+		results[i] = p.assemble(sets[lo:hi])
+		if p.count != nil && len(p.models) == 1 && hi > lo {
+			results[i].Count = counts[lo] // counted in the detector, not from a set
+		}
+	}
 	return results
 }
-
-var _ detect.BatchDetector = (*detect.GridDetector)(nil)

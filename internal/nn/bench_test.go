@@ -44,6 +44,31 @@ func BenchmarkConv2DBackward(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2D runs the specialized detector's two backbone convolutions
+// in inference mode at one frame, one serving block and one whole window —
+// the per-layer half of the block-sharding story (DESIGN §4): ns per frame
+// should not depend on N once each sample's patch window stays in cache.
+func BenchmarkConv2D(b *testing.B) {
+	rng := tensor.NewRNG(6)
+	for _, l := range []*Conv2D{
+		NewConv2D(3, 27, 48, 10, 3, 2, 1, rng),
+		NewConv2D(10, 14, 24, 14, 3, 2, 1, rng),
+	} {
+		for _, n := range []int{1, 8, 64} {
+			b.Run(fmt.Sprintf("%dx%dx%d_s%d/n%d", l.InC, l.InH, l.InW, l.Stride, n), func(b *testing.B) {
+				x := tensor.New(n, l.InSize())
+				rng.FillNormal(x, 1)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					Recycle(l.Forward(x, false))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/frame")
+			})
+		}
+	}
+}
+
 // BenchmarkIm2col unrolls the specialized detector's two backbone
 // convolutions (3×3, stride 2, pad 1 on a 27×48 frame) and a stride-1 layer
 // at serving batch sizes — a quarter of serving time once the matmul behind

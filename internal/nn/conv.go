@@ -7,13 +7,13 @@ import (
 	"odin/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over channel-major C×H×W rows, implemented
-// with batch-level im2col: the whole batch is unrolled into one patch
-// matrix with a column per output pixel, so forward and backward are each
-// a single large matrix multiply instead of one small multiply per sample.
-// Output rows are flattened OutC×OutH×OutW. The compute dtype follows the
-// input batch: float32 batches unroll into float32 patch matrices and
-// multiply against the float32 weight shadows.
+// Conv2D is a 2-D convolution over channel-major C×H×W rows by im2col: a
+// sample unrolls into a patch window with a column per output pixel, and
+// weight × window is that sample's output, flattened OutC×OutH×OutW.
+// Forward is sample-blocked — a worker unrolls and multiplies one
+// cache-sized window at a time; Backward works on the whole-batch patch
+// matrix training retains, one large multiply per gradient. The compute
+// dtype follows the input batch (float32 batches read the weight shadows).
 type Conv2D struct {
 	InC, InH, InW  int
 	OutC           int
@@ -23,11 +23,10 @@ type Conv2D struct {
 	Weight *Param // OutC × (K*K*InC)
 	Bias   *Param // 1 × OutC
 
-	// cols is the batched im2col workspace, (K*K*InC) × (R*OutH*OutW),
-	// retained across steps (it is also the backward cache) and reallocated
-	// only when the batch size or dtype changes.
-	cols  *tensor.Mat
-	lastN int
+	// cols is the whole-batch patch matrix of the last training forward,
+	// (K*K*InC) × (R*OutH*OutW): the backward cache, retained across steps
+	// and reallocated only when the batch size or dtype changes.
+	cols *tensor.Mat
 }
 
 // NewConv2D builds a conv layer. Output spatial dims follow the standard
@@ -148,20 +147,13 @@ func col2imInto[T float](c *Conv2D, colsV []T, colsC, off int, dst []T) {
 	}
 }
 
-// convRegroup rewrites the channel-major matmul output yV (row stride yC)
-// into per-sample rows of outV (row stride outC·spatial), adding the channel
-// bias in the same pass. Samples [n0,n1).
-func convRegroup[T float](outV, yV, bias []T, nOutC, spatial, yC int, n0, n1 int) {
-	outW := nOutC * spatial
-	for n := n0; n < n1; n++ {
-		orow := outV[n*outW : (n+1)*outW]
-		for oc := 0; oc < nOutC; oc++ {
-			src := yV[oc*yC+n*spatial : oc*yC+(n+1)*spatial]
-			dst := orow[oc*spatial : (oc+1)*spatial]
-			b := bias[oc]
-			for i, v := range src {
-				dst[i] = v + b
-			}
+// addChannelBias adds bias[oc] to channel oc's run of spatial outputs in one
+// channel-major sample row.
+func addChannelBias[T float](orow, bias []T, spatial int) {
+	for oc, b := range bias {
+		ch := orow[oc*spatial : (oc+1)*spatial]
+		for i := range ch {
+			ch[i] += b
 		}
 	}
 }
@@ -178,10 +170,12 @@ func convRegroupBack[T float](gV, gradV []T, nOutC, spatial, gC int, n0, n1 int)
 	}
 }
 
-// Forward convolves the batch: one im2col pass, one weight×patches multiply
-// and a bias-fused regroup into row-major output. Training retains the
-// patch matrix as the backward cache; inference draws it from the workspace
-// pool and writes no layer state, so concurrent inference is race-free.
+// Forward convolves the batch sample by sample, split across the workers:
+// unroll one into its patch window, multiply the window into the sample's
+// output row while it is still in cache, add the channel bias in place.
+// Training unrolls into the retained whole-batch matrix; inference draws a
+// one-sample window per worker from the workspace pool and writes no layer
+// state, so concurrent inference is race-free.
 func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != c.InSize() {
 		panic(fmt.Sprintf("nn: conv2d input width %d, want %d", x.C, c.InSize()))
@@ -190,55 +184,43 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	r := x.R
 	spatial := c.OutH * c.OutW
 	rows := c.patchRows()
-	var cols *tensor.Mat
+	var cols *tensor.Mat // training only: at inference each worker brings its own window
 	if train {
-		c.lastN = r
 		if c.cols == nil || c.cols.R != rows || c.cols.C != r*spatial || c.cols.DType() != dt {
 			c.cols = tensor.NewOf(dt, rows, r*spatial)
 		}
 		cols = c.cols
-	} else {
-		// im2colInto writes every element (pads as zeros), so raw reuse is safe.
-		cols = ws.GetRawOf(dt, rows, r*spatial)
 	}
-	if dt == tensor.F32 {
-		tensor.Parallel(r, r*rows*spatial, func(n0, n1 int) {
-			for n := n0; n < n1; n++ {
-				im2colInto(c, x.Row32(n), cols.V32, cols.C, n*spatial)
-			}
-		})
-	} else {
-		tensor.Parallel(r, r*rows*spatial, func(n0, n1 int) {
-			for n := n0; n < n1; n++ {
-				im2colInto(c, x.Row(n), cols.V, cols.C, n*spatial)
-			}
-		})
-	}
-
 	wt, bias := c.Weight.W, c.Bias.W
 	if dt == tensor.F32 {
 		wt, bias = c.Weight.W32(), c.Bias.W32()
 	}
-
-	// y holds the whole batch channel-major: y[oc][n*spatial+s].
-	y := ws.GetRawOf(dt, c.OutC, r*spatial)
-	tensor.MatMulInto(y, wt, cols)
-	if !train {
-		ws.Put(cols)
-	}
-
-	// Regroup into per-sample rows, adding the channel bias in the same pass.
 	out := ws.GetRawOf(dt, r, c.OutSize())
-	if dt == tensor.F32 {
-		tensor.Parallel(r, r*c.OutC*spatial, func(n0, n1 int) {
-			convRegroup(out.V32, y.V32, bias.V32, c.OutC, spatial, y.C, n0, n1)
-		})
-	} else {
-		tensor.Parallel(r, r*c.OutC*spatial, func(n0, n1 int) {
-			convRegroup(out.V, y.V, bias.V, c.OutC, spatial, y.C, n0, n1)
-		})
-	}
-	ws.Put(y)
+	tensor.Parallel(r, 2*r*c.OutC*rows*spatial, func(n0, n1 int) {
+		win := cols
+		if !train {
+			// im2colInto writes every element (pads as zeros), so raw reuse is safe.
+			win = ws.GetRawOf(dt, rows, spatial)
+			defer ws.Put(win)
+		}
+		for n := n0; n < n1; n++ {
+			off := 0 // the window is all of a scratch, or the sample's columns of cols
+			if train {
+				off = n * spatial
+			}
+			if dt == tensor.F32 {
+				im2colInto(c, x.Row32(n), win.V32, win.C, off)
+			} else {
+				im2colInto(c, x.Row(n), win.V, win.C, off)
+			}
+			tensor.MatMulWindowInto(out, n, wt, win, off)
+			if dt == tensor.F32 {
+				addChannelBias(out.Row32(n), bias.V32, spatial)
+			} else {
+				addChannelBias(out.Row(n), bias.V, spatial)
+			}
+		}
+	})
 	return out
 }
 

@@ -429,6 +429,95 @@ func TestIm2colMatchesPerElementReference(t *testing.T) {
 	}
 }
 
+// convForwardWholeBatch is Conv2D.Forward as it was before it became
+// sample-blocked: unroll the whole batch into one patch matrix, one
+// weight × patches multiply, then regroup the channel-major product into
+// per-sample rows while adding the bias. It returns the patch matrix too.
+func convForwardWholeBatch(c *Conv2D, x *tensor.Mat) (out, cols *tensor.Mat) {
+	dt := x.DType()
+	spatial := c.OutH * c.OutW
+	cols = tensor.NewOf(dt, c.patchRows(), x.R*spatial)
+	wt, bias := c.Weight.W, c.Bias.W
+	if dt == tensor.F32 {
+		wt, bias = c.Weight.W32(), c.Bias.W32()
+	}
+	for n := 0; n < x.R; n++ {
+		if dt == tensor.F32 {
+			im2colInto(c, x.Row32(n), cols.V32, cols.C, n*spatial)
+		} else {
+			im2colInto(c, x.Row(n), cols.V, cols.C, n*spatial)
+		}
+	}
+	y := tensor.NewOf(dt, c.OutC, x.R*spatial)
+	tensor.MatMulInto(y, wt, cols)
+	out = tensor.NewOf(dt, x.R, c.OutSize())
+	for n := 0; n < x.R; n++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			for s := 0; s < spatial; s++ {
+				src, dst := oc*y.C+n*spatial+s, n*out.C+oc*spatial+s
+				if dt == tensor.F32 {
+					out.V32[dst] = y.V32[src] + bias.V32[oc]
+				} else {
+					out.V[dst] = y.V[src] + bias.V[oc]
+				}
+			}
+		}
+	}
+	return out, cols
+}
+
+// sameBits reports the first element at which two matrices of one dtype
+// differ bit for bit, or -1.
+func sameBits(a, b *tensor.Mat) int {
+	for i := range a.V {
+		if math.Float64bits(a.V[i]) != math.Float64bits(b.V[i]) {
+			return i
+		}
+	}
+	for i := range a.V32 {
+		if math.Float32bits(a.V32[i]) != math.Float32bits(b.V32[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestConvForwardBlockedBitIdentity pins the sample-blocked forward to the
+// whole-batch one it replaced: same output bits in both dtypes, at one
+// sample, a few and a serving window, in inference and in training — where
+// the retained patch matrix, the backward cache, must match too.
+func TestConvForwardBlockedBitIdentity(t *testing.T) {
+	rng := tensor.NewRNG(41)
+	for _, g := range []struct{ inC, h, w, outC, k, stride, pad int }{
+		{3, 27, 48, 10, 3, 2, 1}, // specialized and lite backbone
+		{10, 14, 24, 14, 3, 2, 1},
+		{14, 7, 12, 10, 1, 1, 0}, // their 1×1 head
+		{3, 27, 48, 16, 3, 2, 1}, // baseline backbone
+		{16, 14, 24, 24, 3, 2, 1},
+		{24, 7, 12, 24, 3, 1, 1},
+		{2, 9, 11, 5, 3, 3, 2}, // padding wider than a tap, stride past the edge
+	} {
+		c := NewConv2D(g.inC, g.h, g.w, g.outC, g.k, g.stride, g.pad, rng)
+		rng.FillNormal(c.Bias.W, 1) // a zero bias would hide a missing add
+		for _, n := range []int{1, 3, 64} {
+			x64 := randomBatch(n, c.InSize(), uint64(100+n))
+			for _, x := range []*tensor.Mat{x64, x64.ToDType(tensor.F32)} {
+				want, wantCols := convForwardWholeBatch(c, x)
+				for _, train := range []bool{false, true} {
+					got := c.Forward(x, train)
+					if i := sameBits(got, want); i >= 0 {
+						t.Fatalf("%+v n=%d %v train=%v: output element %d differs from the whole-batch forward", g, n, x.DType(), train, i)
+					}
+					Recycle(got)
+				}
+				if i := sameBits(c.cols, wantCols); i >= 0 || c.cols.C != wantCols.C {
+					t.Fatalf("%+v n=%d %v: retained patch matrix differs at %d", g, n, x.DType(), i)
+				}
+			}
+		}
+	}
+}
+
 func TestUpsampleValues(t *testing.T) {
 	u := NewUpsample2D(1, 2, 2, 2)
 	x := tensor.FromSlice(1, 4, []float64{1, 2, 3, 4})

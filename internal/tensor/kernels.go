@@ -82,24 +82,25 @@ func mmAxpy[T number](ops rowOps[T], dst, a, b, bias []T, m, kk, n, ai, ak int) 
 	switch {
 	case tiles >= 2*Parallelism() && !runsInline(tiles, work):
 		Parallel(tiles, work, func(t0, t1 int) {
-			mmAxpyRange(ops, dst, a, b, bias, kk, n, ai, ak, 0, m, t0*tile, min(t1*tile, n))
+			mmAxpyRange(ops, dst, a, b, bias, kk, n, n, ai, ak, 0, m, t0*tile, min(t1*tile, n))
 		})
 	case !runsInline(m, work):
 		Parallel(m, work, func(i0, i1 int) {
-			mmAxpyRange(ops, dst, a, b, bias, kk, n, ai, ak, i0, i1, 0, n)
+			mmAxpyRange(ops, dst, a, b, bias, kk, n, n, ai, ak, i0, i1, 0, n)
 		})
 	default:
-		mmAxpyRange(ops, dst, a, b, bias, kk, n, ai, ak, 0, m, 0, n)
+		mmAxpyRange(ops, dst, a, b, bias, kk, n, n, ai, ak, 0, m, 0, n)
 	}
 }
 
-// mmAxpyRange applies the kernel to dst rows [i0, i1), columns [j0, j1).
-func mmAxpyRange[T number](ops rowOps[T], dst, a, b, bias []T, kk, n, ai, ak, i0, i1, j0, j1 int) {
+// mmAxpyRange applies the kernel to dst rows [i0, i1), columns [j0, j1);
+// dn and bn are the row strides of dst and b (apart in MatMulWindowInto).
+func mmAxpyRange[T number](ops rowOps[T], dst, a, b, bias []T, kk, dn, bn, ai, ak, i0, i1, j0, j1 int) {
 	tile := tileCols[T]()
 	for jt := j0; jt < j1; jt += tile {
 		je := min(jt+tile, j1)
 		for i := i0; i < i1; i++ {
-			drow := dst[i*n+jt : i*n+je]
+			drow := dst[i*dn+jt : i*dn+je]
 			if bias == nil {
 				clear(drow)
 			} else {
@@ -110,7 +111,7 @@ func mmAxpyRange[T number](ops rowOps[T], dst, a, b, bias []T, kk, n, ai, ak, i0
 			k1 := min(k0+mmKBlock, kk)
 			kEnd := k0 + (k1-k0)&^3 // end of the last full group of four
 			for i := i0; i < i1; i++ {
-				drow := dst[i*n+jt : i*n+je]
+				drow := dst[i*dn+jt : i*dn+je]
 				for k := k0; k < kEnd; k += 4 {
 					ap := i*ai + k*ak
 					a0, a1, a2, a3 := a[ap], a[ap+ak], a[ap+2*ak], a[ap+3*ak]
@@ -119,15 +120,15 @@ func mmAxpyRange[T number](ops rowOps[T], dst, a, b, bias []T, kk, n, ai, ak, i0
 						// groups are common enough to be worth skipping.
 						continue
 					}
-					b0 := b[k*n+jt : k*n+je]
-					b1 := b[(k+1)*n+jt : (k+1)*n+je]
-					b2 := b[(k+2)*n+jt : (k+2)*n+je]
-					b3 := b[(k+3)*n+jt : (k+3)*n+je]
+					b0 := b[k*bn+jt : k*bn+je]
+					b1 := b[(k+1)*bn+jt : (k+1)*bn+je]
+					b2 := b[(k+2)*bn+jt : (k+2)*bn+je]
+					b3 := b[(k+3)*bn+jt : (k+3)*bn+je]
 					ops.axpy4(drow, b0, b1, b2, b3, a0, a1, a2, a3)
 				}
 				for k := kEnd; k < k1; k++ {
 					if av := a[i*ai+k*ak]; av != 0 {
-						ops.axpy1(drow, b[k*n+jt:k*n+je], av)
+						ops.axpy1(drow, b[k*bn+jt:k*bn+je], av)
 					}
 				}
 			}

@@ -197,6 +197,25 @@ func MatMulInto(dst, a, b *Mat) {
 	For(dt).MatMulBias(dst, a, b, nil)
 }
 
+// MatMulWindowInto multiplies a by the column window [j0, j0+w) of b and
+// writes the a.R×w product, row-major, over row i of dst (dst.C = a.R·w).
+// It is MatMulInto for a caller that is already one shard of a parallel
+// loop (convolution, one sample at a time): it stays on the calling
+// goroutine and gives every element the k-groups MatMulInto would, so it
+// matches those columns of the whole product bit for bit.
+func MatMulWindowInto(dst *Mat, i int, a, b *Mat, j0 int) {
+	w := dst.C / a.R
+	if a.C != b.R || a.R*w != dst.C || j0 < 0 || j0+w > b.C {
+		panic("tensor: matmul-window shape mismatch")
+	}
+	mustSameDType(dst.DType(), a, b)
+	if dst.V32 != nil {
+		mmAxpyRange(rows32, dst.Row32(i), a.V32, b.V32[j0:], nil, a.C, w, b.C, a.C, 1, 0, a.R, 0, w)
+	} else {
+		mmAxpyRange(rows64, dst.Row(i), a.V, b.V[j0:], nil, a.C, w, b.C, a.C, 1, 0, a.R, 0, w)
+	}
+}
+
 // MatMulBiasInto computes dst = a×b + bias, with the row-vector bias
 // broadcast over dst's rows and folded into the accumulation epilogue so
 // the result needs no second pass. bias must hold dst.C elements in the

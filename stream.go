@@ -26,8 +26,9 @@ type StreamOptions struct {
 	// worker count either way.
 	Workers int
 	// MaxBatch caps how many already-arrived frames one Run dispatch
-	// aggregates. Larger windows amortise better (batched detection) at
-	// the cost of per-frame latency. 0 picks 4×Workers (at least 8).
+	// aggregates. Larger windows spread the per-window costs (one lock, one
+	// fork-join per stage) over more frames, at the cost of per-frame
+	// latency. 0 picks 4×Workers (at least 8).
 	MaxBatch int
 	// Buffer is the capacity of the channel Run returns. 0 picks MaxBatch.
 	Buffer int
