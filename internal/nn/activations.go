@@ -13,8 +13,8 @@ import (
 type float interface{ ~float32 | ~float64 }
 
 // Element-wise transforms shared by the layer Forwards (dst and src
-// distinct) and the fused Dense+activation inference path (dst == src);
-// see Network.Forward.
+// distinct) and the fused inference path (dst == src: the applyRows methods,
+// see epilogue and Network.Forward).
 
 func reluInto[T float](dst, src []T) {
 	for i, x := range src {
@@ -48,6 +48,15 @@ func tanhInto[T float](dst, src []T) {
 	}
 }
 
+// rowRun returns rows [r0, r1) of m's storage: one of the two slices, the
+// other nil.
+func rowRun(m *tensor.Mat, r0, r1 int) ([]float64, []float32) {
+	if m.V32 != nil {
+		return nil, m.V32[r0*m.C : r1*m.C]
+	}
+	return m.V[r0*m.C : r1*m.C], nil
+}
+
 // ReLU is the rectified linear activation max(0, x).
 type ReLU struct {
 	lastIn *tensor.Mat
@@ -70,6 +79,12 @@ func (r *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		reluInto(out.V, x.V)
 	}
 	return out
+}
+
+func (r *ReLU) applyRows(m *tensor.Mat, r0, r1 int) {
+	v, v32 := rowRun(m, r0, r1)
+	reluInto(v, v)
+	reluInto(v32, v32)
 }
 
 func reluBack[T float](dst, in, g []T) {
@@ -120,6 +135,12 @@ func (l *LeakyReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return out
 }
 
+func (l *LeakyReLU) applyRows(m *tensor.Mat, r0, r1 int) {
+	v, v32 := rowRun(m, r0, r1)
+	leakyReLUInto(v, v, l.Alpha)
+	leakyReLUInto(v32, v32, float32(l.Alpha))
+}
+
 func leakyBack[T float](dst, in, g []T, alpha T) {
 	for i, v := range in {
 		if v < 0 {
@@ -166,6 +187,12 @@ func (s *Sigmoid) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return out
 }
 
+func (s *Sigmoid) applyRows(m *tensor.Mat, r0, r1 int) {
+	v, v32 := rowRun(m, r0, r1)
+	sigmoidInto(v, v)
+	sigmoidInto(v32, v32)
+}
+
 func sigmoidBack[T float](dst, y, g []T) {
 	for i, v := range y {
 		dst[i] = g[i] * v * (1 - v)
@@ -206,6 +233,12 @@ func (t *Tanh) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		t.lastOut = out
 	}
 	return out
+}
+
+func (t *Tanh) applyRows(m *tensor.Mat, r0, r1 int) {
+	v, v32 := rowRun(m, r0, r1)
+	tanhInto(v, v)
+	tanhInto(v32, v32)
 }
 
 func tanhBack[T float](dst, y, g []T) {

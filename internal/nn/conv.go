@@ -78,7 +78,8 @@ func (c *Conv2D) tapRange(k, in, out int) (o0, o1 int) {
 // colsC). Padded positions are written as zeros because the workspace is
 // reused across steps. Padding is resolved once per kernel tap, not per
 // element: inside the tap's valid rectangle every output row is one strided
-// run of an input row, and everything outside it is cleared.
+// run of an input row — copied at stride 1, de-interleaved by tensor.Gather2
+// at stride 2 — and everything outside it is cleared.
 func im2colInto[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
 	spatial := c.OutH * c.OutW
 	for ch := 0; ch < c.InC; ch++ {
@@ -95,21 +96,27 @@ func im2colInto[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
 				}
 				clear(crow[:oy0*c.OutW])
 				clear(crow[oy1*c.OutW:])
-				si := chOff + (oy0*c.Stride+ky-c.Pad)*c.InW + ox0*c.Stride + kx - c.Pad
-				last := (ox1 - ox0 - 1) * c.Stride // offset of a row's last tap
-				for oy := oy0; oy < oy1; oy++ {
-					orow := crow[oy*c.OutW : (oy+1)*c.OutW]
-					clear(orow[:ox0])
-					clear(orow[ox1:])
-					in, src := orow[ox0:ox1], row[si:si+last+1]
+				rect := crow[oy0*c.OutW : oy1*c.OutW]
+				if ox0 > 0 || ox1 < c.OutW {
+					for o := 0; o < len(rect); o += c.OutW {
+						clear(rect[o : o+ox0])
+						clear(rect[o+ox1 : o+c.OutW])
+					}
+				}
+				n, si := ox1-ox0, chOff+(oy0*c.Stride+ky-c.Pad)*c.InW+ox0*c.Stride+kx-c.Pad
+				if c.Stride == 2 {
+					tensor.Gather2(rect[ox0:], row[si:], n, oy1-oy0, c.OutW, 2*c.InW)
+					continue
+				}
+				for o := ox0; o < len(rect); o, si = o+c.OutW, si+c.Stride*c.InW {
+					in, src := rect[o:o+n], row[si:si+(n-1)*c.Stride+1]
 					if c.Stride == 1 {
 						copy(in, src)
-					} else {
-						for i := range in {
-							in[i] = src[i*c.Stride]
-						}
+						continue
 					}
-					si += c.Stride * c.InW
+					for i := range in {
+						in[i] = src[i*c.Stride]
+					}
 				}
 			}
 		}
@@ -177,6 +184,17 @@ func convRegroupBack[T float](gV, gradV []T, nOutC, spatial, gC int, n0, n1 int)
 // one-sample window per worker from the workspace pool and writes no layer
 // state, so concurrent inference is race-free.
 func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+	return c.forward(x, train, nil)
+}
+
+// forwardFused is the inference-only path: the following activation is
+// applied in place on each sample's output row right after its bias, while
+// the row is cache-hot. No layer state is touched (re-entrant).
+func (c *Conv2D) forwardFused(x *tensor.Mat, act epilogue) *tensor.Mat {
+	return c.forward(x, false, act)
+}
+
+func (c *Conv2D) forward(x *tensor.Mat, train bool, act epilogue) *tensor.Mat {
 	if x.C != c.InSize() {
 		panic(fmt.Sprintf("nn: conv2d input width %d, want %d", x.C, c.InSize()))
 	}
@@ -191,6 +209,10 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		}
 		cols = c.cols
 	}
+	// A 1×1 stride-1 unpadded kernel's patch window is the sample row
+	// itself, InC × spatial: inference multiplies straight from x. Training
+	// still fills cols, which Backward reads.
+	direct := !train && c.K == 1 && c.Stride == 1 && c.Pad == 0
 	wt, bias := c.Weight.W, c.Bias.W
 	if dt == tensor.F32 {
 		wt, bias = c.Weight.W32(), c.Bias.W32()
@@ -198,26 +220,35 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	out := ws.GetRawOf(dt, r, c.OutSize())
 	tensor.Parallel(r, 2*r*c.OutC*rows*spatial, func(n0, n1 int) {
 		win := cols
-		if !train {
+		if !train && !direct {
 			// im2colInto writes every element (pads as zeros), so raw reuse is safe.
 			win = ws.GetRawOf(dt, rows, spatial)
 			defer ws.Put(win)
 		}
+		var view tensor.Mat // direct only: the sample row as its own window
 		for n := n0; n < n1; n++ {
-			off := 0 // the window is all of a scratch, or the sample's columns of cols
+			b, off := win, 0 // all of a scratch or of the sample row, or the sample's columns of cols
 			if train {
 				off = n * spatial
 			}
-			if dt == tensor.F32 {
+			switch {
+			case direct:
+				view = tensor.Mat{R: rows, C: spatial}
+				view.V, view.V32 = rowRun(x, n, n+1)
+				b = &view
+			case dt == tensor.F32:
 				im2colInto(c, x.Row32(n), win.V32, win.C, off)
-			} else {
+			default:
 				im2colInto(c, x.Row(n), win.V, win.C, off)
 			}
-			tensor.MatMulWindowInto(out, n, wt, win, off)
+			tensor.MatMulWindowInto(out, n, wt, b, off)
 			if dt == tensor.F32 {
 				addChannelBias(out.Row32(n), bias.V32, spatial)
 			} else {
 				addChannelBias(out.Row(n), bias.V, spatial)
+			}
+			if act != nil {
+				act.applyRows(out, n, n+1)
 			}
 		}
 	})

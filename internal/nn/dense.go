@@ -60,14 +60,14 @@ func (d *Dense) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 // forwardFused is the inference-only path: xW + b with the following
 // activation applied in place while the output is cache-hot. No backward
 // caches are recorded and no layer state is touched (re-entrant).
-func (d *Dense) forwardFused(x *tensor.Mat, act func(*tensor.Mat)) *tensor.Mat {
+func (d *Dense) forwardFused(x *tensor.Mat, act epilogue) *tensor.Mat {
 	if x.C != d.In {
 		panic("nn: dense input width mismatch")
 	}
 	w, b := d.weights(x.DType())
 	out := ws.GetRawOf(x.DType(), x.R, d.Out)
 	tensor.MatMulBiasInto(out, x, w, b)
-	act(out)
+	act.applyRows(out, 0, out.R)
 	return out
 }
 

@@ -90,55 +90,26 @@ func NewNetwork(name string, layers ...Layer) *Network {
 	return &Network{Name: name, Layers: layers}
 }
 
-// inferenceEpilogue returns an in-place transform for activation layers
-// that can fuse onto a preceding Dense at inference time, where no backward
-// caches are needed; nil when the layer cannot fuse. The transform operates
-// on whichever storage the matrix carries, so fusion works identically on
-// both backends.
-func inferenceEpilogue(l Layer) func(*tensor.Mat) {
-	switch a := l.(type) {
-	case *ReLU:
-		return func(m *tensor.Mat) {
-			if m.V32 != nil {
-				reluInto(m.V32, m.V32)
-			} else {
-				reluInto(m.V, m.V)
-			}
-		}
-	case *LeakyReLU:
-		alpha := a.Alpha
-		return func(m *tensor.Mat) {
-			if m.V32 != nil {
-				leakyReLUInto(m.V32, m.V32, float32(alpha))
-			} else {
-				leakyReLUInto(m.V, m.V, alpha)
-			}
-		}
-	case *Sigmoid:
-		return func(m *tensor.Mat) {
-			if m.V32 != nil {
-				sigmoidInto(m.V32, m.V32)
-			} else {
-				sigmoidInto(m.V, m.V)
-			}
-		}
-	case *Tanh:
-		return func(m *tensor.Mat) {
-			if m.V32 != nil {
-				tanhInto(m.V32, m.V32)
-			} else {
-				tanhInto(m.V, m.V)
-			}
-		}
-	}
-	return nil
+// epilogue is an activation layer that can be applied in place to rows
+// [r0, r1) of the output of the layer before it, on whichever storage the
+// matrix carries — what lets an inference pass, which needs no backward
+// caches, fuse the pair.
+type epilogue interface {
+	applyRows(m *tensor.Mat, r0, r1 int)
+}
+
+// fusedForwarder is a layer whose inference forward can apply the
+// activation that follows it before its output leaves the cache: Dense on
+// the whole product, Conv2D sample row by sample row.
+type fusedForwarder interface {
+	forwardFused(x *tensor.Mat, act epilogue) *tensor.Mat
 }
 
 // Forward runs the batch through every layer in order. A training pass
 // records each intermediate so Backward can recycle it; an inference pass
-// fuses Dense+activation pairs and recycles each intermediate as soon as
-// the next layer has consumed it, since no layer keeps caches when
-// train is false.
+// fuses Dense+activation and Conv2D+activation pairs and recycles each
+// intermediate as soon as the next layer has consumed it, since no layer
+// keeps caches when train is false.
 func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if train {
 		n.fwdIn = x
@@ -152,9 +123,9 @@ func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	cur := x
 	for i := 0; i < len(n.Layers); {
 		var next *tensor.Mat
-		if d, ok := n.Layers[i].(*Dense); ok && i+1 < len(n.Layers) {
-			if act := inferenceEpilogue(n.Layers[i+1]); act != nil {
-				next = d.forwardFused(cur, act)
+		if f, ok := n.Layers[i].(fusedForwarder); ok && i+1 < len(n.Layers) {
+			if act, ok := n.Layers[i+1].(epilogue); ok {
+				next = f.forwardFused(cur, act)
 				i += 2
 			}
 		}

@@ -38,6 +38,13 @@ func convShapes() []struct{ m, k, n int } {
 	return out
 }
 
+// denseShapes are the serving path's other products: the DA-GAN encoder's
+// Dense layers over one block of eight frames. The first walks a 958 KB
+// weight panel.
+func denseShapes() []struct{ m, k, n int } {
+	return []struct{ m, k, n int }{{8, 936, 128}, {8, 128, 48}}
+}
+
 func randMat(r, c int, seed uint64) *Mat { return randMatOf(F64, r, c, seed) }
 
 func randMatOf(dt DType, r, c int, seed uint64) *Mat {
@@ -64,7 +71,8 @@ func benchBackends(b *testing.B, shapes []struct{ m, k, n int }, run func(b *tes
 }
 
 func BenchmarkMatMul(b *testing.B) {
-	benchBackends(b, append(benchShapes(), convShapes()...), func(b *testing.B, bk Backend, m, k, n int) {
+	shapes := append(append(benchShapes(), convShapes()...), denseShapes()...)
+	benchBackends(b, shapes, func(b *testing.B, bk Backend, m, k, n int) {
 		a := randMatOf(bk.DType(), m, k, 1)
 		bb := randMatOf(bk.DType(), k, n, 2)
 		dst := NewOf(bk.DType(), m, n)
@@ -73,6 +81,25 @@ func BenchmarkMatMul(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			MatMulInto(dst, a, bb)
+		}
+		reportGFLOPS(b, m, k, n)
+	})
+}
+
+// BenchmarkMatMulWindow is the product sample-blocked convolution makes:
+// the specialized detector's two layers, one sample's patch window into its
+// output row, on the calling goroutine.
+func BenchmarkMatMulWindow(b *testing.B) {
+	shapes := []struct{ m, k, n int }{{10, 27, 336}, {14, 90, 84}}
+	benchBackends(b, shapes, func(b *testing.B, bk Backend, m, k, n int) {
+		a := randMatOf(bk.DType(), m, k, 1)
+		win := randMatOf(bk.DType(), k, n, 2)
+		dst := NewOf(bk.DType(), 1, m*n)
+		b.SetBytes(int64(bk.DType().Size() * m * k * n))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MatMulWindowInto(dst, 0, a, win, 0)
 		}
 		reportGFLOPS(b, m, k, n)
 	})

@@ -2,10 +2,11 @@
 
 package tensor
 
-// Both backends' inner row updates dispatch to AVX2 when the CPU supports
-// it. The assembly mirrors the scalar accumulation order exactly (see
-// simd_amd64.s), so enabling or disabling vectorization never changes a
-// single output bit — it only changes how many elements retire per cycle.
+// Both backends' row updates, register tile and stride-2 gather dispatch to
+// AVX2 when the CPU supports it. The assembly mirrors the scalar
+// accumulation order exactly (see simd_amd64.s), so enabling or disabling
+// vectorization never changes a single output bit — it only changes how
+// many elements retire per cycle.
 
 //go:noescape
 func axpy4x64(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
@@ -19,11 +20,23 @@ func axpy4x32(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 //go:noescape
 func axpy1x32(dst, b []float32, a float32)
 
+//go:noescape
+func tile4x64(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn, kn, w, nr int)
+
+//go:noescape
+func tile4x32(dst []float32, dn int, a []float32, ai, ak int, b []float32, bn, kn, w, nr int)
+
+//go:noescape
+func gather2x64(dst, src []float64, n, rows, dn, sn int)
+
+//go:noescape
+func gather2x32(dst, src []float32, n, rows, dn, sn int)
+
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
-// vecEnabled gates the AVX2 paths and rows64/rows32 hold the row updates it
+// vecEnabled gates the AVX2 paths and rows64/rows32 hold the primitives it
 // selects. They are set once at init (and flipped only by tests, before any
 // kernels run concurrently).
 var (
@@ -55,11 +68,11 @@ func detectAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
-// Vectorized reports whether the matmul kernels are using the AVX2 row
-// updates.
+// Vectorized reports whether the matmul kernels are using the AVX2
+// primitives.
 func Vectorized() bool { return vecEnabled }
 
-// setVectorized installs the AVX2 row updates or the pure-Go ones, and
+// setVectorized installs the AVX2 primitives or the pure-Go ones, and
 // reports whether it could. Besides init it is a test hook: the conformance
 // suite runs the kernels of both dtypes either way and asserts bit-equal
 // output.
@@ -70,8 +83,8 @@ func setVectorized(on bool) bool {
 	vecEnabled = on
 	rows64, rows32 = goRowOps[float64](), goRowOps[float32]()
 	if on {
-		rows64 = rowOps[float64]{axpy4x64, axpy1x64}
-		rows32 = rowOps[float32]{axpy4x32, axpy1x32}
+		rows64 = rowOps[float64]{axpy4x64, axpy1x64, tile4x64, gather2x64}
+		rows32 = rowOps[float32]{axpy4x32, axpy1x32, tile4x32, gather2x32}
 	}
 	return true
 }

@@ -201,8 +201,8 @@ func MatMulInto(dst, a, b *Mat) {
 // writes the a.R×w product, row-major, over row i of dst (dst.C = a.R·w).
 // It is MatMulInto for a caller that is already one shard of a parallel
 // loop (convolution, one sample at a time): it stays on the calling
-// goroutine and gives every element the k-groups MatMulInto would, so it
-// matches those columns of the whole product bit for bit.
+// goroutine and gives every element the terms MatMulInto would, in its
+// order, so it matches those columns of the whole product bit for bit.
 func MatMulWindowInto(dst *Mat, i int, a, b *Mat, j0 int) {
 	w := dst.C / a.R
 	if a.C != b.R || a.R*w != dst.C || j0 < 0 || j0+w > b.C {
