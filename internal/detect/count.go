@@ -39,8 +39,7 @@ func (g *GridDetector) CountBatch(imgs []*synth.Image, class int, minScore float
 	if len(imgs) == 0 {
 		return nil
 	}
-	batch := loadRows(g.Cfg.DType, len(imgs), imgs[0].Dim(), func(i int) []float64 { return imgs[i].Flat() })
-	out := g.Net.Predict(batch)
+	out := g.predict(imgs)
 	counts := make([]int, len(imgs))
 	sc := countPool.Get().(*countScratch)
 	for i := range imgs {
@@ -51,7 +50,7 @@ func (g *GridDetector) CountBatch(imgs []*synth.Image, class int, minScore float
 		counts[i] = g.countRow(row, class, minScore, sc)
 	}
 	countPool.Put(sc)
-	nn.Recycle(batch, out)
+	nn.Recycle(out)
 	return counts
 }
 

@@ -182,21 +182,14 @@ func (g *GridDetector) cellIndex(ch, gy, gx int) int {
 	return ch*g.GH*g.GW + gy*g.GW + gx
 }
 
-// vecWrap recycles the 1×dim Mat headers that wrap a frame's pixel slice
-// for Predict, so the streaming hot path allocates nothing per frame (the
-// header aliases the image storage; no pixels are copied). A sync.Pool —
-// rather than the workspace pool — because headers carry no backing array
-// and Detect runs concurrently across stream shards.
-var vecWrap = sync.Pool{New: func() any { return new(tensor.Mat) }}
-
 // row64Pool recycles the widening buffers the float32 decode paths use, so
 // counting and detection stay allocation-light under the float32 backend
 // too. (The float64 paths never touch it.)
 var row64Pool = sync.Pool{New: func() any { return new([]float64) }}
 
 // loadRows stacks n flattened pixel rows into a workspace batch of dtype
-// dt; row(i) supplies the i-th row. SetRow degrades to a plain copy on the
-// float64 path and narrows element-wise on float32.
+// dt, for training; row(i) supplies the i-th row. SetRow degrades to a plain
+// copy on the float64 path and narrows element-wise on float32.
 func loadRows(dt tensor.DType, n, dim int, row func(i int) []float64) *tensor.Mat {
 	m := nn.GetMatRawOf(dt, n, dim)
 	for i := 0; i < n; i++ {
@@ -205,38 +198,32 @@ func loadRows(dt tensor.DType, n, dim int, row func(i int) []float64) *tensor.Ma
 	return m
 }
 
-// Detect runs the network on one frame and decodes detections. It mutates
-// no detector state, so concurrent calls on a shared detector are safe.
-func (g *GridDetector) Detect(img *synth.Image) []Detection {
-	if g.Cfg.DType == tensor.F32 {
-		in := nn.GetMatRawOf(tensor.F32, 1, img.Dim())
-		in.SetRow(0, img.Flat())
-		out := g.Net.Predict(in)
-		buf := row64Pool.Get().(*[]float64)
-		*buf = out.Row64(0, *buf)
-		dets := g.decode(*buf)
-		row64Pool.Put(buf)
-		nn.Recycle(in, out)
-		return dets
+// predict runs the network on many frames at once, reading each where it
+// lies in its image — the first convolution's phase split is the only pass
+// over the pixels, and on float32 the narrowing too. The caller recycles
+// the head output.
+func (g *GridDetector) predict(imgs []*synth.Image) *tensor.Mat {
+	rows := make([][]float64, len(imgs))
+	for i, im := range imgs {
+		rows[i] = im.Flat()
 	}
-	in := vecWrap.Get().(*tensor.Mat)
-	in.R, in.C, in.V = 1, img.Dim(), img.Flat()
-	out := g.Net.Predict(in)
-	dets := g.decode(out.Row(0))
-	nn.Recycle(out)
-	in.V = nil // do not pin the image past the call
-	vecWrap.Put(in)
-	return dets
+	return g.Net.PredictRows(g.Cfg.DType, rows)
 }
 
-// DetectBatch runs the network on many frames at once, drawing the batch
-// from the workspace pool and handing it back once decoded.
+// Detect runs the network on one frame and decodes detections: a batch of
+// one. It mutates no detector state, so concurrent calls on a shared
+// detector are safe.
+func (g *GridDetector) Detect(img *synth.Image) []Detection {
+	return g.DetectBatch([]*synth.Image{img})[0]
+}
+
+// DetectBatch runs the network on many frames at once and decodes each
+// frame's head row.
 func (g *GridDetector) DetectBatch(imgs []*synth.Image) [][]Detection {
 	if len(imgs) == 0 {
 		return nil
 	}
-	batch := loadRows(g.Cfg.DType, len(imgs), imgs[0].Dim(), func(i int) []float64 { return imgs[i].Flat() })
-	out := g.Net.Predict(batch)
+	out := g.predict(imgs)
 	res := make([][]Detection, len(imgs))
 	if out.V32 == nil {
 		for i := range imgs {
@@ -250,7 +237,7 @@ func (g *GridDetector) DetectBatch(imgs []*synth.Image) [][]Detection {
 		}
 		row64Pool.Put(buf)
 	}
-	nn.Recycle(batch, out)
+	nn.Recycle(out)
 	return res
 }
 

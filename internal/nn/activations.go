@@ -13,8 +13,9 @@ import (
 type float interface{ ~float32 | ~float64 }
 
 // Element-wise transforms shared by the layer Forwards (dst and src
-// distinct) and the fused inference path (dst == src: the applyRows methods,
-// see epilogue and Network.Forward).
+// distinct) and, for the two activations the kernels do not apply
+// themselves, the fused inference path (dst == src: the applyRows methods,
+// see rowAct).
 
 func reluInto[T float](dst, src []T) {
 	for i, x := range src {
@@ -81,11 +82,7 @@ func (r *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return out
 }
 
-func (r *ReLU) applyRows(m *tensor.Mat, r0, r1 int) {
-	v, v32 := rowRun(m, r0, r1)
-	reluInto(v, v)
-	reluInto(v32, v32)
-}
+func (r *ReLU) kernelAct() tensor.Act { return tensor.Act{Kind: tensor.ActReLU} }
 
 func reluBack[T float](dst, in, g []T) {
 	for i, v := range in {
@@ -135,10 +132,8 @@ func (l *LeakyReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return out
 }
 
-func (l *LeakyReLU) applyRows(m *tensor.Mat, r0, r1 int) {
-	v, v32 := rowRun(m, r0, r1)
-	leakyReLUInto(v, v, l.Alpha)
-	leakyReLUInto(v32, v32, float32(l.Alpha))
+func (l *LeakyReLU) kernelAct() tensor.Act {
+	return tensor.Act{Kind: tensor.ActLeakyReLU, Alpha: l.Alpha}
 }
 
 func leakyBack[T float](dst, in, g []T, alpha T) {

@@ -44,18 +44,21 @@ func BenchmarkConv2DBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkConv2D runs the specialized detector's two backbone convolutions
-// in inference mode at one frame, one serving block and one whole window —
-// the per-layer half of the block-sharding story (DESIGN §4): ns per frame
-// should not depend on N once each sample's patch window stays in cache.
+// BenchmarkConv2D runs the specialized detector's two backbone convolutions,
+// the baseline's stride-1 layer and the 1×1 head in inference mode at one
+// frame, one serving block and one whole window — the per-layer half of the
+// block-sharding story (DESIGN §4): ns per frame should not depend on N once
+// each sample's scratch stays in cache.
 func BenchmarkConv2D(b *testing.B) {
 	rng := tensor.NewRNG(6)
 	for _, l := range []*Conv2D{
 		NewConv2D(3, 27, 48, 10, 3, 2, 1, rng),
 		NewConv2D(10, 14, 24, 14, 3, 2, 1, rng),
+		NewConv2D(24, 7, 12, 24, 3, 1, 1, rng),
+		NewConv2D(14, 7, 12, 10, 1, 1, 0, rng),
 	} {
 		for _, n := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%dx%dx%d_s%d/n%d", l.InC, l.InH, l.InW, l.Stride, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%dx%dx%d_k%ds%d/n%d", l.InC, l.InH, l.InW, l.K, l.Stride, n), func(b *testing.B) {
 				x := tensor.New(n, l.InSize())
 				rng.FillNormal(x, 1)
 				b.ReportAllocs()
@@ -95,6 +98,100 @@ func BenchmarkIm2col(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkPhaseSplit is what inference does instead of BenchmarkIm2col: the
+// same layers' samples rewritten once into phase planes (≈1× the input,
+// against the window's 2.25× at stride 2 and 9× at stride 1).
+func BenchmarkPhaseSplit(b *testing.B) {
+	rng := tensor.NewRNG(5)
+	kern := tensor.KernelsOf[float64]()
+	for _, l := range []*Conv2D{
+		NewConv2D(3, 27, 48, 10, 3, 2, 1, rng),
+		NewConv2D(10, 14, 24, 14, 3, 2, 1, rng),
+		NewConv2D(24, 7, 12, 24, 3, 1, 1, rng),
+	} {
+		for _, n := range []int{1, 4, 64} {
+			b.Run(fmt.Sprintf("%dx%dx%d_s%d/n%d", l.InC, l.InH, l.InW, l.Stride, n), func(b *testing.B) {
+				x := tensor.New(n, l.InSize())
+				rng.FillNormal(x, 1)
+				planes := make([]float64, l.planesLen())
+				b.SetBytes(int64(8 * n * len(planes)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for s := 0; s < n; s++ {
+						splitPlanes(kern, l, x.Row(s), l.InW, l.InH*l.InW, planes)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkConvStack runs whole backbones in inference mode, one frame and
+// one serving block, on both backends: the specialized detector's
+// conv → act → conv → act → head, which is a single run a sample goes through
+// out of scratch, and the baseline's, whose BatchNorm layers cut it into
+// four one-layer runs with batch matrices between.
+func BenchmarkConvStack(b *testing.B) {
+	rng := tensor.NewRNG(8)
+	stack := func(bn bool, channels, strides []int) *Network {
+		var layers []Layer
+		inC, h, w := 3, 27, 48
+		for i, ch := range channels {
+			c := NewConv2D(inC, h, w, ch, 3, strides[i], 1, rng)
+			layers = append(layers, c)
+			if bn {
+				layers = append(layers, NewBatchNorm(c.OutSize()))
+			}
+			layers = append(layers, NewLeakyReLU(0.1))
+			inC, h, w = ch, c.OutH, c.OutW
+		}
+		return NewNetwork("stack", append(layers, NewConv2D(inC, h, w, 10, 1, 1, 0, rng))...)
+	}
+	for _, s := range []struct {
+		name string
+		net  *Network
+	}{
+		{"specialized", stack(false, []int{10, 14}, []int{2, 2})},
+		{"yolo", stack(true, []int{16, 24, 24}, []int{2, 2, 1})},
+	} {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			for _, n := range []int{1, 8} {
+				b.Run(fmt.Sprintf("%s/%v/n%d", s.name, dt, n), func(b *testing.B) {
+					x := tensor.New(n, 3*27*48)
+					rng.FillNormal(x, 1)
+					x = x.ToDType(dt)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						Recycle(s.net.Forward(x, false))
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/frame")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkDense is the DA-GAN encoder's first layer over one serving block,
+// 8×936×128 with its ReLU — four k-blocks, the bias riding the first and the
+// activation the last.
+func BenchmarkDense(b *testing.B) {
+	rng := tensor.NewRNG(9)
+	net := NewNetwork("enc", NewDense(936, 128, rng), NewReLU())
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		b.Run(fmt.Sprintf("8x936x128/%v", dt), func(b *testing.B) {
+			x := tensor.New(8, 936)
+			rng.FillNormal(x, 1)
+			x = x.ToDType(dt)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Recycle(net.Forward(x, false))
+			}
+		})
 	}
 }
 

@@ -7,13 +7,14 @@ import (
 	"odin/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over channel-major C×H×W rows by im2col: a
-// sample unrolls into a patch window with a column per output pixel, and
-// weight × window is that sample's output, flattened OutC×OutH×OutW.
-// Forward is sample-blocked — a worker unrolls and multiplies one
-// cache-sized window at a time; Backward works on the whole-batch patch
-// matrix training retains, one large multiply per gradient. The compute
-// dtype follows the input batch (float32 batches read the weight shadows).
+// Conv2D is a 2-D convolution over channel-major C×H×W rows. A sample's
+// output, flattened OutC×OutH×OutW, is weight × its patch window (a row per
+// kernel tap, a column per output pixel). Training builds that window —
+// im2col into the whole-batch patch matrix Backward multiplies by, one large
+// multiply per gradient. Inference never does: a sample is rewritten once
+// into phase planes in which every tap is a contiguous run, and the product
+// reads its rows through a tap-offset table (convs.go). The compute dtype
+// follows the input batch (float32 batches read the weight shadows).
 type Conv2D struct {
 	InC, InH, InW  int
 	OutC           int
@@ -27,11 +28,23 @@ type Conv2D struct {
 	// (K*K*InC) × (R*OutH*OutW): the backward cache, retained across steps
 	// and reallocated only when the batch size or dtype changes.
 	cols *tensor.Mat
+
+	// The inference layout, fixed by the geometry: per channel phases²
+	// planes of planeH × planeW, where in them patch row k begins, and the
+	// pool the planes are drawn from (convs.go).
+	phases         int
+	planeH, planeW int
+	taps           tensor.Taps
+	planes         *tensor.Pool
 }
 
 // NewConv2D builds a conv layer. Output spatial dims follow the standard
-// formula out = (in + 2*pad - k)/stride + 1; the construction panics when
-// the geometry does not divide evenly, surfacing architecture typos early.
+// formula out = (in + 2*pad - k)/stride + 1, rounded down: a geometry that
+// does not divide evenly is accepted, and the input rows and columns past
+// the last tap of the last output position are never read (the served
+// 48-wide frame at stride 2 is such a geometry and loses nothing: its last
+// column is the last tap of the last output column). Only an empty output
+// panics.
 func NewConv2D(inC, inH, inW, outC, k, stride, pad int, rng *tensor.RNG) *Conv2D {
 	outH := (inH+2*pad-k)/stride + 1
 	outW := (inW+2*pad-k)/stride + 1
@@ -48,6 +61,7 @@ func NewConv2D(inC, inH, inW, outC, k, stride, pad int, rng *tensor.RNG) *Conv2D
 	fanIn := float64(k * k * inC)
 	bound := math.Sqrt(6.0 / fanIn)
 	rng.FillUniform(c.Weight.W, -bound, bound)
+	c.planLayout()
 	return c
 }
 
@@ -81,6 +95,7 @@ func (c *Conv2D) tapRange(k, in, out int) (o0, o1 int) {
 // run of an input row — copied at stride 1, de-interleaved by tensor.Gather2
 // at stride 2 — and everything outside it is cleared.
 func im2colInto[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
+	kern := tensor.KernelsOf[T]()
 	spatial := c.OutH * c.OutW
 	for ch := 0; ch < c.InC; ch++ {
 		chOff := ch * c.InH * c.InW
@@ -105,7 +120,7 @@ func im2colInto[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
 				}
 				n, si := ox1-ox0, chOff+(oy0*c.Stride+ky-c.Pad)*c.InW+ox0*c.Stride+kx-c.Pad
 				if c.Stride == 2 {
-					tensor.Gather2(rect[ox0:], row[si:], n, oy1-oy0, c.OutW, 2*c.InW)
+					kern.Gather2(rect[ox0:], row[si:], n, oy1-oy0, c.OutW, 2*c.InW)
 					continue
 				}
 				for o := ox0; o < len(rect); o, si = o+c.OutW, si+c.Stride*c.InW {
@@ -154,17 +169,6 @@ func col2imInto[T float](c *Conv2D, colsV []T, colsC, off int, dst []T) {
 	}
 }
 
-// addChannelBias adds bias[oc] to channel oc's run of spatial outputs in one
-// channel-major sample row.
-func addChannelBias[T float](orow, bias []T, spatial int) {
-	for oc, b := range bias {
-		ch := orow[oc*spatial : (oc+1)*spatial]
-		for i := range ch {
-			ch[i] += b
-		}
-	}
-}
-
 // convRegroupBack transposes per-sample gradient rows gradV back into the
 // channel-major layout gV (row stride gC) used by the gradient matmuls.
 func convRegroupBack[T float](gV, gradV []T, nOutC, spatial, gC int, n0, n1 int) {
@@ -177,24 +181,16 @@ func convRegroupBack[T float](gV, gradV []T, nOutC, spatial, gC int, n0, n1 int)
 	}
 }
 
-// Forward convolves the batch sample by sample, split across the workers:
-// unroll one into its patch window, multiply the window into the sample's
-// output row while it is still in cache, add the channel bias in place.
-// Training unrolls into the retained whole-batch matrix; inference draws a
-// one-sample window per worker from the workspace pool and writes no layer
-// state, so concurrent inference is race-free.
+// Forward convolves the batch sample by sample, split across the workers.
+// Inference is a one-layer run of the window-free path (forwardConvs) and
+// writes no layer state, so concurrent inference is race-free. Training
+// unrolls each sample into its columns of the retained whole-batch patch
+// matrix and multiplies that window into the sample's output row, channel
+// bias included, while it is still in cache.
 func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	return c.forward(x, train, nil)
-}
-
-// forwardFused is the inference-only path: the following activation is
-// applied in place on each sample's output row right after its bias, while
-// the row is cache-hot. No layer state is touched (re-entrant).
-func (c *Conv2D) forwardFused(x *tensor.Mat, act epilogue) *tensor.Mat {
-	return c.forward(x, false, act)
-}
-
-func (c *Conv2D) forward(x *tensor.Mat, train bool, act epilogue) *tensor.Mat {
+	if !train {
+		return forwardConvs([]convStage{{c: c}}, x, nil, x.DType())
+	}
 	if x.C != c.InSize() {
 		panic(fmt.Sprintf("nn: conv2d input width %d, want %d", x.C, c.InSize()))
 	}
@@ -202,54 +198,23 @@ func (c *Conv2D) forward(x *tensor.Mat, train bool, act epilogue) *tensor.Mat {
 	r := x.R
 	spatial := c.OutH * c.OutW
 	rows := c.patchRows()
-	var cols *tensor.Mat // training only: at inference each worker brings its own window
-	if train {
-		if c.cols == nil || c.cols.R != rows || c.cols.C != r*spatial || c.cols.DType() != dt {
-			c.cols = tensor.NewOf(dt, rows, r*spatial)
-		}
-		cols = c.cols
+	if c.cols == nil || c.cols.R != rows || c.cols.C != r*spatial || c.cols.DType() != dt {
+		c.cols = tensor.NewOf(dt, rows, r*spatial)
 	}
-	// A 1×1 stride-1 unpadded kernel's patch window is the sample row
-	// itself, InC × spatial: inference multiplies straight from x. Training
-	// still fills cols, which Backward reads.
-	direct := !train && c.K == 1 && c.Stride == 1 && c.Pad == 0
+	cols := c.cols
 	wt, bias := c.Weight.W, c.Bias.W
 	if dt == tensor.F32 {
 		wt, bias = c.Weight.W32(), c.Bias.W32()
 	}
 	out := ws.GetRawOf(dt, r, c.OutSize())
 	tensor.Parallel(r, 2*r*c.OutC*rows*spatial, func(n0, n1 int) {
-		win := cols
-		if !train && !direct {
-			// im2colInto writes every element (pads as zeros), so raw reuse is safe.
-			win = ws.GetRawOf(dt, rows, spatial)
-			defer ws.Put(win)
-		}
-		var view tensor.Mat // direct only: the sample row as its own window
 		for n := n0; n < n1; n++ {
-			b, off := win, 0 // all of a scratch or of the sample row, or the sample's columns of cols
-			if train {
-				off = n * spatial
-			}
-			switch {
-			case direct:
-				view = tensor.Mat{R: rows, C: spatial}
-				view.V, view.V32 = rowRun(x, n, n+1)
-				b = &view
-			case dt == tensor.F32:
-				im2colInto(c, x.Row32(n), win.V32, win.C, off)
-			default:
-				im2colInto(c, x.Row(n), win.V, win.C, off)
-			}
-			tensor.MatMulWindowInto(out, n, wt, b, off)
 			if dt == tensor.F32 {
-				addChannelBias(out.Row32(n), bias.V32, spatial)
+				im2colInto(c, x.Row32(n), cols.V32, cols.C, n*spatial)
 			} else {
-				addChannelBias(out.Row(n), bias.V, spatial)
+				im2colInto(c, x.Row(n), cols.V, cols.C, n*spatial)
 			}
-			if act != nil {
-				act.applyRows(out, n, n+1)
-			}
+			tensor.MatMulWindowInto(out, n, wt, cols, n*spatial, bias)
 		}
 	})
 	return out

@@ -1,0 +1,286 @@
+package nn
+
+import (
+	"fmt"
+
+	"odin/internal/tensor"
+)
+
+// Inference convolution, window-free. im2col copies every input element
+// K·K/Stride² times into a patch window before the multiply touches it; this
+// path rewrites a sample once instead, into phase planes, and lets the
+// product read the window's rows out of them in place.
+//
+// Layout. Pad the input by Pad on every side and take, per channel, every
+// Stride-th row and column starting at (py, px), py, px < phases =
+// min(Stride, K): that is plane (ch, py, px), planeH × planeW, the part the
+// input does not cover a zero border. Kernel tap (ky, kx) of output position
+// (oy, ox) reads padded element (oy·Stride+ky, ox·Stride+kx), which is
+// element (oy + ky/Stride, ox + kx/Stride) of plane (ch, ky%Stride,
+// kx%Stride) — so with output rows laid out planeW apart (OutW real columns,
+// then (K−1)/Stride junk ones), output index j = oy·planeW + ox reads plane
+// index taps[k] + j: patch row k is the contiguous run of the planes that
+// starts at taps[k], k = (ch·K + ky)·K + kx as im2col orders them.
+// tensor.Kernels.MatMulTaps multiplies through that table: the same terms in
+// the same ascending k as weight × window, hence the same bits.
+//
+// A junk column's sum reads across a plane's row end — real values, the
+// wrong ones — and lands in scratch only: the next layer's split and the
+// final compaction copy the first OutW columns of each row and nothing else,
+// so no junk value reaches a result; lanes do not interact, so it cannot
+// disturb a real column's sum either. A stride-1 unpadded layer's single
+// plane is its input as it lies (the 1×1 head: one tap, no border, no copy
+// when its sample is a batch row of the compute dtype).
+
+// planLayout fixes the inference layout from the geometry.
+func (c *Conv2D) planLayout() {
+	q := (c.K - 1) / c.Stride
+	c.phases = min(c.Stride, c.K)
+	c.planeH, c.planeW = c.OutH+q, c.OutW+q
+	size := c.planeH * c.planeW
+	off := make([]int, 0, c.patchRows())
+	for ch := 0; ch < c.InC; ch++ {
+		for ky := 0; ky < c.K; ky++ {
+			for kx := 0; kx < c.K; kx++ {
+				plane := (ch*c.phases+ky%c.Stride)*c.phases + kx%c.Stride
+				off = append(off, plane*size+ky/c.Stride*c.planeW+kx/c.Stride)
+			}
+		}
+	}
+	c.taps = tensor.NewTaps(off)
+	c.planes = tensor.NewPool()
+}
+
+// planesLen is the size of one sample's phase planes.
+func (c *Conv2D) planesLen() int { return c.InC * c.phases * c.phases * c.planeH * c.planeW }
+
+// wideLen is the size of one sample's output with rows planeW apart, and
+// wideCols how many of a channel's columns the product computes: through the
+// last real column of the last row.
+func (c *Conv2D) wideLen() int  { return c.OutC * c.OutH * c.planeW }
+func (c *Conv2D) wideCols() int { return (c.OutH-1)*c.planeW + c.OutW }
+
+// inPlace reports whether a compact sample is its own phase planes.
+func (c *Conv2D) inPlace() bool { return c.Stride == 1 && c.Pad == 0 }
+
+// phaseRect returns the part [y0, y1) × [x0, x1) of plane (·, py, px) the
+// input covers; the rest is border.
+func (c *Conv2D) phaseRect(py, px int) (y0, y1, x0, x1 int) {
+	y0, y1 = c.tapRange(py, c.InH, c.planeH)
+	x0, x1 = c.tapRange(px, c.InW, c.planeW)
+	if y0 == y1 || x0 == x1 {
+		return 0, 0, 0, 0
+	}
+	return
+}
+
+// splitPlanes rewrites one sample into c's phase planes. src is
+// channel-major with rows srcW and channels srcC apart: a sample where it
+// lies — a batch row, or a float64 frame, and then narrowing to the compute
+// dtype is this same pass — or the wide output of the layer before, whose
+// junk columns lie past every InW and are not read. Only a plane's covered
+// rectangle is written, all of it: planes come from c.planes, which hands
+// out zeroed memory or what an earlier splitPlanes left, so the border is
+// zero for as long as the layer lives and is never cleared again. Within the
+// rectangle each row is one strided run of an input row: copied at stride 1,
+// de-interleaved by the vector gather at stride 2.
+func splitPlanes[S, T float](kern tensor.Kernels[T], c *Conv2D, src []S, srcW, srcC int, planes []T) {
+	same, _ := any(src).([]T) // S is T: copy and gather apply
+	size := c.planeH * c.planeW
+	for py := 0; py < c.phases; py++ {
+		for px := 0; px < c.phases; px++ {
+			y0, y1, x0, x1 := c.phaseRect(py, px)
+			if y0 == y1 {
+				continue
+			}
+			n := x1 - x0
+			d0 := (py*c.phases+px)*size + y0*c.planeW + x0
+			s0 := (y0*c.Stride+py-c.Pad)*srcW + x0*c.Stride + px - c.Pad
+			for ch := 0; ch < c.InC; ch, d0, s0 = ch+1, d0+c.phases*c.phases*size, s0+srcC {
+				if same != nil && c.Stride == 2 {
+					kern.Gather2(planes[d0:], same[s0:], n, y1-y0, c.planeW, 2*srcW)
+					continue
+				}
+				for y, di, si := y0, d0, s0; y < y1; y, di, si = y+1, di+c.planeW, si+c.Stride*srcW {
+					d := planes[di : di+n]
+					if same != nil && c.Stride == 1 {
+						copy(d, same[si:si+n])
+						continue
+					}
+					run := src[si : si+(n-1)*c.Stride+1]
+					for i := range d {
+						d[i] = T(run[i*c.Stride])
+					}
+				}
+			}
+		}
+	}
+}
+
+// convStage is one convolution of an inference run and what rides on its
+// output: act in the product's store; rows — a Sigmoid or Tanh, which are
+// no blends — on the sample's finished output row, so only after the run's
+// last convolution.
+type convStage struct {
+	c    *Conv2D
+	act  tensor.Act
+	rows rowAct
+}
+
+// maxConvRun bounds a run, so that a worker can hold its planes in an array;
+// a longer chain of convolutions is two runs with a batch matrix between.
+const maxConvRun = 8
+
+// convRun collects the run of convolutions that starts at layers[i], each
+// with the activation after it, for as long as one's output is the next
+// one's input, and returns it with the index of the first layer past it.
+func convRun(layers []Layer, i int) ([]convStage, int) {
+	stages := make([]convStage, 0, maxConvRun)
+	for i < len(layers) && len(stages) < maxConvRun {
+		c, ok := layers[i].(*Conv2D)
+		if !ok {
+			break
+		}
+		if n := len(stages); n > 0 {
+			if p := stages[n-1].c; p.OutC != c.InC || p.OutH != c.InH || p.OutW != c.InW {
+				break
+			}
+		}
+		act, rows, fused := fusedAfter(layers, i)
+		stages = append(stages, convStage{c, act, rows})
+		i += 1 + fused
+		if rows != nil {
+			break
+		}
+	}
+	return stages, i
+}
+
+// forwardConvs takes every sample of a batch — the rows of x or, with x nil,
+// float64 frames where they lie, computed in dt — through a whole run of
+// convolutions, the batch split across the workers: one output matrix, and
+// between the layers nothing but a worker's scratch.
+func forwardConvs(stages []convStage, x *tensor.Mat, frames [][]float64, dt tensor.DType) *tensor.Mat {
+	first, last := stages[0].c, stages[len(stages)-1].c
+	r := len(frames)
+	if x != nil {
+		r = x.R
+		if x.C != first.InSize() {
+			panic(fmt.Sprintf("nn: conv2d input width %d, want %d", x.C, first.InSize()))
+		}
+	}
+	// The kernels take a sample's length on trust.
+	for i, f := range frames {
+		if len(f) != first.InSize() {
+			panic(fmt.Sprintf("nn: conv2d input %d has width %d, want %d", i, len(f), first.InSize()))
+		}
+	}
+	work := 0
+	for _, st := range stages {
+		work += 2 * r * st.c.OutC * st.c.patchRows() * st.c.OutH * st.c.OutW
+	}
+	out := ws.GetRawOf(dt, r, last.OutSize())
+	tensor.Parallel(r, work, func(n0, n1 int) {
+		switch {
+		case dt == tensor.F32 && x == nil:
+			convRange[float64, float32](stages, nil, frames, out, n0, n1)
+		case dt == tensor.F32:
+			convRange[float32, float32](stages, x, nil, out, n0, n1)
+		default:
+			convRange[float64, float64](stages, x, frames, out, n0, n1)
+		}
+	})
+	return out
+}
+
+// storage returns m's elements as the []T they are.
+func storage[T float](m *tensor.Mat) []T {
+	if v, ok := any(m.V).([]T); ok {
+		return v
+	}
+	v, _ := any(m.V32).([]T)
+	return v
+}
+
+// weightsOf returns p's values in T: the masters or their float32 shadow.
+func weightsOf[T float](p *Param) []T {
+	if v, ok := any(p.W.V).([]T); ok {
+		return v
+	}
+	return storage[T](p.W32())
+}
+
+// convRange is one worker's share of forwardConvs, samples [n0, n1) — rows of
+// x, or with x nil the frames. A stage that splits draws its planes from its layer's own pool (see
+// splitPlanes); the wide output between layers is workspace scratch, which
+// each layer writes only after the next one's planes — or the compaction —
+// have been read out of the previous.
+func convRange[S, T float](stages []convStage, x *tensor.Mat, frames [][]S, out *tensor.Mat, n0, n1 int) {
+	kern := tensor.KernelsOf[T]()
+	dt := out.DType()
+	_, inT := any(frames).([][]T)
+	sample := func(n int) []S { return frames[n] }
+	if x != nil {
+		xV := storage[S](x)
+		sample = func(n int) []S { return xV[n*x.C : (n+1)*x.C] }
+	}
+	// held[i] is stage i's planes; held[len(stages)] the wide output.
+	var held [maxConvRun + 1]*tensor.Mat
+	defer func() {
+		for i, st := range stages {
+			st.c.planes.Put(held[i])
+		}
+		ws.Put(held[len(stages)])
+	}()
+	var planes [maxConvRun][]T
+	wideLen := 0
+	for i, st := range stages {
+		c := st.c
+		// A stride-1 unpadded first layer reads a batch row where it lies.
+		if i > 0 || !inT || !c.inPlace() {
+			held[i] = c.planes.GetRawOf(dt, 1, c.planesLen())
+			planes[i] = storage[T](held[i])
+		}
+		if i < len(stages)-1 || c.planeW != c.OutW {
+			wideLen = max(wideLen, c.wideLen())
+		}
+	}
+	var wideBuf []T
+	if wideLen > 0 {
+		held[len(stages)] = ws.GetRawOf(dt, 1, wideLen)
+		wideBuf = storage[T](held[len(stages)])
+	}
+	outV := storage[T](out)
+	for n := n0; n < n1; n++ {
+		orow := outV[n*out.C : (n+1)*out.C]
+		var wide []T     // the layer before's output, rows prev.planeW apart
+		var prev *Conv2D // and that layer
+		for i, st := range stages {
+			c := st.c
+			b := planes[i]
+			switch {
+			case b == nil:
+				b = any(sample(n)).([]T)
+			case i == 0:
+				splitPlanes(kern, c, sample(n), c.InW, c.InH*c.InW, b)
+			default:
+				splitPlanes(kern, c, wide, prev.planeW, prev.OutH*prev.planeW, b)
+			}
+			final := i == len(stages)-1
+			dst, dn := wideBuf, c.OutH*c.planeW
+			if final && c.planeW == c.OutW {
+				dst, dn = orow, c.OutH*c.OutW // no junk columns: straight into the output row
+			}
+			kern.MatMulTaps(dst, dn, weightsOf[T](c.Weight), c.OutC, b, c.taps, c.wideCols(), weightsOf[T](c.Bias), st.act)
+			if final && dn != c.OutH*c.OutW {
+				for ro, o := 0, 0; ro < c.OutC*c.OutH; ro, o = ro+1, o+c.OutW {
+					copy(orow[o:o+c.OutW], dst[ro*c.planeW:])
+				}
+			}
+			wide, prev = dst, c
+		}
+		if rows := stages[len(stages)-1].rows; rows != nil {
+			rows.applyRows(out, n, n+1)
+		}
+	}
+}

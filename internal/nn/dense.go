@@ -38,36 +38,29 @@ func (d *Dense) weights(dt tensor.DType) (w, b *tensor.Mat) {
 }
 
 // Forward computes xW + b for a batch x (rows are examples), with the bias
-// folded into the matmul epilogue. The compute dtype follows the input: a
-// float32 batch runs entirely through the float32 backend against shadow
-// weights. The backward cache is only written on training passes; inference
-// passes touch no layer state at all, so any number of goroutines may run
-// inference Forwards concurrently (Backward must follow a Forward with
-// train=true).
+// folded into the matmul as the start of every sum. The compute dtype
+// follows the input: a float32 batch runs entirely through the float32
+// backend against shadow weights. The backward cache is only written on
+// training passes; inference passes touch no layer state at all, so any
+// number of goroutines may run inference Forwards concurrently (Backward
+// must follow a Forward with train=true).
 func (d *Dense) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if x.C != d.In {
-		panic("nn: dense input width mismatch")
-	}
 	if train {
 		d.lastIn = x
 	}
-	w, b := d.weights(x.DType())
-	out := ws.GetRawOf(x.DType(), x.R, d.Out)
-	tensor.MatMulBiasInto(out, x, w, b)
-	return out
+	return d.forwardAct(x, tensor.Act{})
 }
 
-// forwardFused is the inference-only path: xW + b with the following
-// activation applied in place while the output is cache-hot. No backward
-// caches are recorded and no layer state is touched (re-entrant).
-func (d *Dense) forwardFused(x *tensor.Mat, act epilogue) *tensor.Mat {
+// forwardAct computes act(xW + b), the activation applied by the kernel as
+// it stores each finished sum. No backward caches are recorded and no layer
+// state is touched (re-entrant).
+func (d *Dense) forwardAct(x *tensor.Mat, act tensor.Act) *tensor.Mat {
 	if x.C != d.In {
 		panic("nn: dense input width mismatch")
 	}
 	w, b := d.weights(x.DType())
 	out := ws.GetRawOf(x.DType(), x.R, d.Out)
-	tensor.MatMulBiasInto(out, x, w, b)
-	act.applyRows(out, 0, out.R)
+	tensor.MatMulBiasActInto(out, x, w, b, act)
 	return out
 }
 

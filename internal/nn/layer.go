@@ -90,26 +90,37 @@ func NewNetwork(name string, layers ...Layer) *Network {
 	return &Network{Name: name, Layers: layers}
 }
 
-// epilogue is an activation layer that can be applied in place to rows
-// [r0, r1) of the output of the layer before it, on whichever storage the
-// matrix carries — what lets an inference pass, which needs no backward
-// caches, fuse the pair.
-type epilogue interface {
+// An activation that follows a Dense or Conv2D layer is folded into that
+// layer at inference, which needs no backward caches: kernelAct is one the
+// kernels apply as they store each finished sum (ReLU, LeakyReLU — blends),
+// rowAct one applied in place to rows [r0, r1) of the layer's output before
+// they leave the cache (Sigmoid, Tanh).
+type kernelAct interface {
+	kernelAct() tensor.Act
+}
+
+type rowAct interface {
 	applyRows(m *tensor.Mat, r0, r1 int)
 }
 
-// fusedForwarder is a layer whose inference forward can apply the
-// activation that follows it before its output leaves the cache: Dense on
-// the whole product, Conv2D sample row by sample row.
-type fusedForwarder interface {
-	forwardFused(x *tensor.Mat, act epilogue) *tensor.Mat
+// fusedAfter returns the activation inference folds into layers[i], if
+// layers[i+1] is one, and how many layers that takes care of (0 or 1).
+func fusedAfter(layers []Layer, i int) (act tensor.Act, rows rowAct, fused int) {
+	if i+1 >= len(layers) {
+		return act, nil, 0
+	}
+	switch a := layers[i+1].(type) {
+	case kernelAct:
+		return a.kernelAct(), nil, 1
+	case rowAct:
+		return act, a, 1
+	}
+	return act, nil, 0
 }
 
 // Forward runs the batch through every layer in order. A training pass
 // records each intermediate so Backward can recycle it; an inference pass
-// fuses Dense+activation and Conv2D+activation pairs and recycles each
-// intermediate as soon as the next layer has consumed it, since no layer
-// keeps caches when train is false.
+// keeps none (see infer).
 func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if train {
 		n.fwdIn = x
@@ -120,21 +131,57 @@ func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		}
 		return x
 	}
-	cur := x
-	for i := 0; i < len(n.Layers); {
-		var next *tensor.Mat
-		if f, ok := n.Layers[i].(fusedForwarder); ok && i+1 < len(n.Layers) {
-			if act, ok := n.Layers[i+1].(epilogue); ok {
-				next = f.forwardFused(cur, act)
-				i += 2
-			}
+	return n.infer(x, 0, false)
+}
+
+// PredictRows is Predict for a batch whose rows lie apart as float64 slices
+// — frames still in their images — computed in dt. A network that opens
+// with a convolution reads them where they lie (on float32, narrowing as it
+// does); any other has them stacked into a batch first. A row of the wrong
+// width panics before any kernel sees it.
+func (n *Network) PredictRows(dt tensor.DType, rows [][]float64) *tensor.Mat {
+	if len(n.Layers) > 0 {
+		if _, ok := n.Layers[0].(*Conv2D); ok {
+			stages, next := convRun(n.Layers, 0)
+			return n.infer(forwardConvs(stages, nil, rows, dt), next, true)
 		}
-		if next == nil {
-			next = n.Layers[i].Forward(cur, false)
+	}
+	x := ws.GetRawOf(dt, len(rows), len(rows[0]))
+	for i, r := range rows {
+		x.SetRow(i, r)
+	}
+	return n.infer(x, 0, true)
+}
+
+// infer runs cur through layers[i:] in inference mode: a run of
+// convolutions goes a sample at a time through all of its layers
+// (forwardConvs), activations are folded into the Dense or Conv2D before
+// them, and each intermediate is recycled as soon as the next layer has
+// consumed it — cur itself only when the caller says it is owned.
+func (n *Network) infer(cur *tensor.Mat, i int, owned bool) *tensor.Mat {
+	for i < len(n.Layers) {
+		var next *tensor.Mat
+		switch l := n.Layers[i].(type) {
+		case *Conv2D:
+			var stages []convStage
+			stages, i = convRun(n.Layers, i)
+			next = forwardConvs(stages, cur, nil, cur.DType())
+		case *Dense:
+			act, rows, fused := fusedAfter(n.Layers, i)
+			next = l.forwardAct(cur, act)
+			if rows != nil {
+				rows.applyRows(next, 0, next.R)
+			}
+			i += 1 + fused
+		default:
+			next = l.Forward(cur, false)
 			i++
 		}
-		if next != cur && cur != x {
+		if next != cur && owned {
 			ws.Put(cur)
+		}
+		if next != cur {
+			owned = true
 		}
 		cur = next
 	}

@@ -138,16 +138,27 @@ func clamp01(v float64) float64 {
 
 // Downsample averages blocks to produce an image 1/factor the size in each
 // spatial dimension; used to feed the DA-GAN a lower-resolution manifold.
-// A block is summed row by row, left to right, from zero.
 func (im *Image) Downsample(factor int) *Image {
+	out := NewImage(im.C, im.H/factor, im.W/factor)
+	im.DownsampleInto(out.Pix, factor)
+	return out
+}
+
+// DownsampleInto writes the pixels of Downsample(factor), channel-major,
+// into dst — a row of the projector's input batch, say — which must hold
+// exactly C·(H/factor)·(W/factor) values. A block is summed row by row, left
+// to right, from zero.
+func (im *Image) DownsampleInto(dst []float64, factor int) {
 	oh := im.H / factor
 	ow := im.W / factor
-	out := NewImage(im.C, oh, ow)
+	if len(dst) != im.C*oh*ow {
+		panic(fmt.Sprintf("synth: downsample of %v by %d into %d values, want %d", im, factor, len(dst), im.C*oh*ow))
+	}
 	inv := 1 / float64(factor*factor)
 	for c := 0; c < im.C; c++ {
 		plane := im.Pix[c*im.H*im.W : (c+1)*im.H*im.W]
 		for y := 0; y < oh; y++ {
-			orow := out.Pix[(c*oh+y)*ow : (c*oh+y+1)*ow]
+			orow := dst[(c*oh+y)*ow : (c*oh+y+1)*ow]
 			// band is the factor source rows under this output row.
 			band := plane[y*factor*im.W : (y+1)*factor*im.W]
 			if factor == 2 {
@@ -175,7 +186,6 @@ func (im *Image) Downsample(factor int) *Image {
 			}
 		}
 	}
-	return out
 }
 
 // Grayscale collapses an RGB image to a single luminance channel.

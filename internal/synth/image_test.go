@@ -130,12 +130,37 @@ func TestDownsampleMatchesPerPixelReference(t *testing.T) {
 			if got.C != want.C || got.H != want.H || got.W != want.W {
 				t.Fatalf("%v /%d: shape %v, want %v", im, factor, got, want)
 			}
+			// The into-form writes every element of a stale destination.
+			into := make([]float64, len(want.Pix))
+			for i := range into {
+				into[i] = -7
+			}
+			im.DownsampleInto(into, factor)
 			for i, v := range want.Pix {
 				if math.Float64bits(got.Pix[i]) != math.Float64bits(v) {
 					t.Fatalf("%v /%d: pixel %d = %v, reference %v", im, factor, i, got.Pix[i], v)
 				}
+				if math.Float64bits(into[i]) != math.Float64bits(v) {
+					t.Fatalf("%v /%d: DownsampleInto pixel %d = %v, reference %v", im, factor, i, into[i], v)
+				}
 			}
 		}
+	}
+}
+
+// TestDownsampleIntoWrongLength: a destination of any other length than the
+// downsampled image's is a programming error and says so.
+func TestDownsampleIntoWrongLength(t *testing.T) {
+	im := NewImage(3, 8, 8)
+	for _, n := range []int{0, 3*4*4 - 1, 3*4*4 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("DownsampleInto accepted %d values for a 3x4x4 result", n)
+				}
+			}()
+			im.DownsampleInto(make([]float64, n), 2)
+		}()
 	}
 }
 
@@ -152,6 +177,13 @@ func BenchmarkDownsample(b *testing.B) {
 			}
 		})
 	}
+	b.Run("half-into", func(b *testing.B) {
+		dst := make([]float64, im.C*(im.H/2)*(im.W/2))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			im.DownsampleInto(dst, 2)
+		}
+	})
 }
 
 func TestGrayscaleRange(t *testing.T) {

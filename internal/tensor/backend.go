@@ -17,9 +17,9 @@ type Backend interface {
 	// DType is the element type this backend's kernels operate on.
 	DType() DType
 
-	// MatMulBias computes dst = a×b (+ bias broadcast over rows when bias
-	// is non-nil). Shapes are pre-validated by the caller.
-	MatMulBias(dst, a, b, bias *Mat)
+	// MatMulBias computes dst = act(a×b (+ bias broadcast over rows when
+	// bias is non-nil)). Shapes are pre-validated by the caller.
+	MatMulBias(dst, a, b, bias *Mat, act Act)
 	// MatMulAT computes dst = aᵀ×b.
 	MatMulAT(dst, a, b *Mat)
 	// MatMulBT computes dst = a×bᵀ.
@@ -91,15 +91,15 @@ type backend64 struct{}
 func (backend64) Name() string { return "float64" }
 func (backend64) DType() DType { return F64 }
 
-func (backend64) MatMulBias(dst, a, b, bias *Mat) {
+func (backend64) MatMulBias(dst, a, b, bias *Mat, act Act) {
 	var bv []float64
 	if bias != nil {
 		bv = bias.V
 	}
-	mmAxpy(rows64, dst.V, a.V, b.V, bv, a.R, a.C, b.C, a.C, 1)
+	mmAxpy(rows64, dst.V, a.V, b.V, bv, a.R, a.C, b.C, a.C, 1, act)
 }
 func (backend64) MatMulAT(dst, a, b *Mat) {
-	mmAxpy(rows64, dst.V, a.V, b.V, nil, a.C, a.R, b.C, 1, a.C)
+	mmAxpy(rows64, dst.V, a.V, b.V, nil, a.C, a.R, b.C, 1, a.C, Act{})
 }
 func (backend64) MatMulBT(dst, a, b *Mat) { mmBT(dst.V, a.V, b.V, a.R, a.C, b.R) }
 
@@ -126,15 +126,15 @@ type backend32 struct{}
 func (backend32) Name() string { return "float32" }
 func (backend32) DType() DType { return F32 }
 
-func (backend32) MatMulBias(dst, a, b, bias *Mat) {
+func (backend32) MatMulBias(dst, a, b, bias *Mat, act Act) {
 	var bv []float32
 	if bias != nil {
 		bv = bias.V32
 	}
-	mmAxpy(rows32, dst.V32, a.V32, b.V32, bv, a.R, a.C, b.C, a.C, 1)
+	mmAxpy(rows32, dst.V32, a.V32, b.V32, bv, a.R, a.C, b.C, a.C, 1, act)
 }
 func (backend32) MatMulAT(dst, a, b *Mat) {
-	mmAxpy(rows32, dst.V32, a.V32, b.V32, nil, a.C, a.R, b.C, 1, a.C)
+	mmAxpy(rows32, dst.V32, a.V32, b.V32, nil, a.C, a.R, b.C, 1, a.C, Act{})
 }
 func (backend32) MatMulBT(dst, a, b *Mat) { mmBT(dst.V32, a.V32, b.V32, a.R, a.C, b.R) }
 

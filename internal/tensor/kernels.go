@@ -3,17 +3,20 @@ package tensor
 import "unsafe"
 
 // Matmul kernels, written once over the element type. Two loop nests serve
-// the three products: mmAxpy (a×b and aᵀ×b, which differ only in how the
-// a-coefficients are addressed) and mmBT (a×bᵀ). Each backend instantiates
-// them over its storage slices and hands mmAxpy its dtype's rowOps: AVX2
+// every product: product.run (a×b, aᵀ×b and the window-free convolution,
+// which differ only in how the a-coefficients and the rows of b are
+// addressed) and mmBT (a×bᵀ). Each backend instantiates them over its
+// storage slices and hands product.run its dtype's rowOps: AVX2
 // (simd_amd64.s) or pure Go.
 //
-// Determinism: every dst element of mmAxpy starts from zero or its bias and
-// takes its terms a[i][k]*b[k][j] one at a time in ascending k, one rounding
-// per multiply and one per add, never FMA — the same left-associated sum in
-// the register tile, the AVX2 row updates, their scalar tails and the pure-Go
-// fallback. The group of four is only the granularity at which terms are
-// *skipped*: a k-aligned group whose four coefficients are all zero adds
+// Determinism: every dst element of a product starts from zero or its start
+// value and takes its terms a[i][k]*b[k][j] one at a time in ascending k,
+// one rounding per multiply and one per add, never FMA; the finished sum
+// then takes its row bias, one more add, and its activation — Σ, then +bias,
+// then activation, wherever the three happen. The same left-associated sum
+// in the register tile, the AVX2 row updates, their scalar tails and the
+// pure-Go fallback. The group of four is only the granularity at which terms
+// are *skipped*: a k-aligned group whose four coefficients are all zero adds
 // nothing, and neither does a zero coefficient among the k mod 4 trailing
 // ones (a zero inside a live group is applied). Skipping is visible — it
 // keeps an Inf or NaN in b out of the sum, and a −0 in it — so the tile,
@@ -24,32 +27,48 @@ import "unsafe"
 // the rows: the m mod 4 rows under the last whole block run as a shorter
 // block, and the last w mod 8 (float32: 16) columns as a column group with
 // its dead lanes masked off — lanes and rows are independent, so neither
-// changes what a live element sees. Tiling and partitioning only choose
-// which elements a pass touches, never the terms one element sees or their
-// order, so results are bit-identical across worker counts, across the row
-// and column partitions, and across the tile, the vectorized rows and the
-// scalar rows.
+// changes what a live element sees. Where b's k-th row lies — k row strides
+// into b, or at the k-th entry of a tap-offset table — decides which memory
+// a term's factor is read from, not which term it is. Tiling and
+// partitioning only choose which elements a pass touches, never the terms
+// one element sees or their order, so results are bit-identical across
+// worker counts, across the row and column partitions, and across the tile,
+// the vectorized rows and the scalar rows.
 
 // rowOps is one dtype's vector primitives, every b slice as long as dst:
 //
 //	axpy4: dst[j] = (((dst[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
 //	axpy1: dst[j] += a*b[j]
-//	tile:  dst[r*dn+j] += Σk a[r*ai+k*ak] * b[k*bn+j], k ascending over [0, kn),
-//	       for the rows r < nr ≤ mmTileRows and the columns j < w
+//	tile:  one k-block of a product, for the rows r < nr ≤ mmTileRows and the
+//	       columns j < w (below)
 //	gather2: dst[r*dn+i] = src[r*sn+2*i] for i < n, r < rows (see Gather2)
 //
 // The tile works through its columns a group of two vectors at a time, the
-// group's nr × 2 accumulators in registers for the whole k run: dst is
-// loaded and stored once, and a row of b is read once for the nr dst rows.
-// rows64 and rows32 (simd_*.go) hold the AVX2 set where the CPU has it and
-// goRowOps elsewhere; tile and gather2 are nil there, and the loop nests
-// then run rows, and plain loops, only.
+// group's nr × 2 accumulators in registers for the whole k run:
+//
+//	acc[r][j] = dst[r*dn+j] — or, on a product's first k-block
+//	            (mode&tileFirst), cb[j], or zero when cb is empty
+//	acc[r][j] += a[r*ai+k*ak] * brow(k)[j], k ascending over [0, kn), where
+//	            brow(k) is b[k*bn:], or b[boff[k]:] when boff is not empty
+//	acc[r][j] += rb[r], when rb is not empty (a product's last k-block)
+//	acc[r][j] = act(acc[r][j]), act the ActKind mode>>tileActShift
+//	dst[r*dn+j] = acc[r][j]
+//
+// so dst is loaded at most once and stored once, and a row of b is read
+// once for the nr dst rows. rows64 and rows32 (simd_*.go) hold the AVX2 set
+// where the CPU has it and goRowOps elsewhere; tile and gather2 are nil
+// there, and the loop nests then run rows, and plain loops, only.
 type rowOps[T number] struct {
 	axpy4   func(dst, b0, b1, b2, b3 []T, a0, a1, a2, a3 T)
 	axpy1   func(dst, b []T, a T)
-	tile    func(dst []T, dn int, a []T, ai, ak int, b []T, bn, kn, w, nr int)
+	tile    func(dst []T, dn int, a []T, ai, ak int, b []T, bn int, boff []int, kn, w, nr int, cb, rb []T, mode int, alpha T)
 	gather2 func(dst, src []T, n, rows, dn, sn int)
 }
+
+const (
+	tileFirst    = 1 // tile mode bit: the product's first k-block, dst is not loaded
+	tileActShift = 1 // the rest of the mode is the ActKind applied before the store
+)
 
 // goRowOps is the pure-Go set: the reference the assembly reproduces bit
 // for bit, and all a host without AVX2 has.
@@ -92,113 +111,236 @@ const (
 // tileCols is the column-tile width in elements of T.
 func tileCols[T number]() int { return mmTileBytes / int(unsafe.Sizeof(T(0))) }
 
-// mmAxpy computes dst = A×b (+ bias broadcast over rows) for an m×kk
-// coefficient matrix A addressed through strides, A[i][k] = a[i*ai+k*ak]:
-// a×b reads a row-major (ai=kk, ak=1), aᵀ×b reads it column-major (ai=1,
-// ak=m). dst is m×n, b is kk×n.
-//
-// Work is tiled over columns as well as k. When dst is wide enough to give
-// every worker several column tiles — the wide-short products convolution
-// makes, a dozen rows by N·spatial columns — workers split the columns, so
-// each b tile is fetched once and reused by every dst row; otherwise they
-// split the rows, in whole register-tile blocks.
-func mmAxpy[T number](ops rowOps[T], dst, a, b, bias []T, m, kk, n, ai, ak int) {
+// ActKind names an activation the kernels apply to an element as its
+// finished sum is stored, so the product's output needs no second pass.
+type ActKind uint8
+
+// The activations a product can end in. Both are blends on x < 0, false for
+// a NaN and for −0, which therefore pass through unchanged.
+const (
+	ActNone      ActKind = iota
+	ActReLU              // x < 0 → +0
+	ActLeakyReLU         // x < 0 → x·Alpha
+)
+
+// Act is an ActKind with its parameter.
+type Act struct {
+	Kind  ActKind
+	Alpha float64 // ActLeakyReLU's slope, rounded to the product's dtype
+}
+
+// product is one pass's operands: dst = A×B for an m×kk coefficient matrix
+// addressed through strides, A[i][k] = a[i*ai+k*ak] — a×b reads a row-major
+// (ai=kk, ak=1), aᵀ×b column-major (ai=1, ak=m) — and a B whose k-th row
+// starts at b[k*bn] or, with a tap-offset table, at b[taps[k]]: convolution
+// lays a sample out so that every kernel tap is a contiguous run of it, and
+// multiplies without ever building the kk × spatial window. The two edges of
+// an element's sum ride in the pass that computes it: the sum of column j
+// starts from start[j] (Dense's bias) instead of zero, and the finished sum
+// of row i takes bias[i] (a convolution's channel bias) and then act.
+type product[T number] struct {
+	dst    []T
+	dn     int // row stride of dst
+	a      []T
+	ai, ak int
+	b      []T
+	bn     int
+	taps   Taps // the zero Taps: B's rows are bn apart
+	kk     int
+	start  []T // nil: zero
+	bias   []T // nil: none
+	act    ActKind
+	alpha  T
+}
+
+// mmAxpy computes dst = A×b, m×n (+ bias broadcast over rows, then act),
+// with A and b as in product. Work is tiled over columns as well as k. When
+// dst is wide enough to give every worker several column tiles — the
+// wide-short products a whole-batch convolution makes, a dozen rows by
+// N·spatial columns — workers split the columns, so each b tile is fetched
+// once and reused by every dst row; otherwise they split the rows, in whole
+// register-tile blocks.
+func mmAxpy[T number](ops rowOps[T], dst, a, b, bias []T, m, kk, n, ai, ak int, act Act) {
+	p := product[T]{dst: dst, dn: n, a: a, ai: ai, ak: ak, b: b, bn: n, kk: kk, start: bias, act: act.Kind, alpha: T(act.Alpha)}
 	work := 2 * m * kk * n
 	tile := tileCols[T]()
 	tiles := (n + tile - 1) / tile
 	blocks := (m + mmTileRows - 1) / mmTileRows
 	switch {
 	case tiles >= 2*Parallelism() && !runsInline(tiles, work):
-		Parallel(tiles, work, func(t0, t1 int) {
-			mmAxpyRange(ops, dst, a, b, bias, kk, n, n, ai, ak, 0, m, t0*tile, min(t1*tile, n))
-		})
+		q := p // the closure's own: p stays on the stack for the inline case
+		Parallel(tiles, work, func(t0, t1 int) { q.run(ops, 0, m, t0*tile, min(t1*tile, n)) })
 	case !runsInline(blocks, work):
-		Parallel(blocks, work, func(b0, b1 int) {
-			mmAxpyRange(ops, dst, a, b, bias, kk, n, n, ai, ak, b0*mmTileRows, min(b1*mmTileRows, m), 0, n)
-		})
+		q := p
+		Parallel(blocks, work, func(b0, b1 int) { q.run(ops, b0*mmTileRows, min(b1*mmTileRows, m), 0, n) })
 	default:
-		mmAxpyRange(ops, dst, a, b, bias, kk, n, n, ai, ak, 0, m, 0, n)
+		p.run(ops, 0, m, 0, n)
 	}
 }
 
-// mmAxpyRange applies the kernel to dst rows [i0, i1), columns [j0, j1);
-// dn and bn are the row strides of dst and b (apart in MatMulWindowInto).
-// Per column tile and k-block, rows go through the register tile a block of
-// mmTileRows at a time (the last block may be shorter) — unless the row path
-// would skip one of the block's terms, and then through the row updates.
-func mmAxpyRange[T number](ops rowOps[T], dst, a, b, bias []T, kk, dn, bn, ai, ak, i0, i1, j0, j1 int) {
+// run applies the kernel to dst rows [i0, i1), columns [j0, j1). Per column
+// tile and k-block, rows go through the register tile a block of mmTileRows
+// at a time (the last block may be shorter) — unless the row path would skip
+// one of the block's terms, and then through the row updates. Either way a
+// row's first k-block starts its sums and its last one finishes them.
+func (p *product[T]) run(ops rowOps[T], i0, i1, j0, j1 int) {
 	if i0 >= i1 || j0 >= j1 {
 		return
 	}
-	if kk > 0 {
-		// The assembly takes strides on trust: check the far corners once.
-		_, _, _ = dst[(i1-1)*dn+j1-1], a[(i1-1)*ai+(kk-1)*ak], b[(kk-1)*bn+j1-1]
+	// The assembly takes strides and offsets on trust: check the far corners
+	// once.
+	_ = p.dst[(i1-1)*p.dn+j1-1]
+	if p.start != nil {
+		_ = p.start[j1-1]
+	}
+	if p.bias != nil {
+		_ = p.bias[i1-1]
+	}
+	if p.kk == 0 {
+		for i := i0; i < i1; i++ {
+			drow := p.dst[i*p.dn+j0 : i*p.dn+j1]
+			p.begin(drow, j0)
+			p.finish(drow, i)
+		}
+		return
+	}
+	_ = p.a[(i1-1)*p.ai+(p.kk-1)*p.ak]
+	if p.taps.off != nil {
+		_, _ = p.taps.off[p.kk-1], p.b[p.taps.end-1+j1-1]
+	} else {
+		_ = p.b[(p.kk-1)*p.bn+j1-1]
 	}
 	tile := tileCols[T]()
 	for jt := j0; jt < j1; jt += tile {
 		je := min(jt+tile, j1)
-		for i := i0; i < i1; i++ {
-			drow := dst[i*dn+jt : i*dn+je]
-			if bias == nil {
-				clear(drow)
-			} else {
-				copy(drow, bias[jt:je])
-			}
-		}
-		for k0 := 0; k0 < kk; k0 += mmKBlock {
-			k1 := min(k0+mmKBlock, kk)
+		for k0 := 0; k0 < p.kk; k0 += mmKBlock {
+			k1 := min(k0+mmKBlock, p.kk)
+			first, last := k0 == 0, k1 == p.kk
 			for i := i0; i < i1; i += mmTileRows {
 				nr := min(mmTileRows, i1-i)
-				if ops.tile != nil && !rowsSkipTerm(a, i*ai, ai, ak, nr, k0, k1) {
-					ops.tile(dst[i*dn+jt:], dn, a[i*ai+k0*ak:], ai, ak, b[k0*bn+jt:], bn, k1-k0, je-jt, nr)
+				if ops.tile != nil && !rowsSkipTerm(p.a, i*p.ai, p.ai, p.ak, nr, k0, k1) {
+					p.tile(ops, i, nr, jt, je, k0, k1)
 					continue
 				}
 				for r := i; r < i+nr; r++ {
-					mmRow(ops, dst[r*dn+jt:r*dn+je], a, b, r*ai, ak, bn, jt, k0, k1)
+					drow := p.dst[r*p.dn+jt : r*p.dn+je]
+					if first {
+						p.begin(drow, jt)
+					}
+					p.row(ops, drow, r*p.ai, jt, k0, k1)
+					if last {
+						p.finish(drow, r)
+					}
 				}
 			}
 		}
 	}
 }
 
-// mmRow is the row path: drow, columns [j, j+len(drow)) of one dst row,
-// takes its k-block [k0, k1) terms four coefficients per pass — a quarter
-// of the dst traffic of a plain axpy loop — then one at a time. ap is the
-// index of the row's first coefficient.
-func mmRow[T number](ops rowOps[T], drow, a, b []T, ap, ak, bn, j, k0, k1 int) {
+// tile hands the register tile the k-block [k0, k1) of rows [i, i+nr),
+// columns [jt, je), with the edges that fall in it.
+func (p *product[T]) tile(ops rowOps[T], i, nr, jt, je, k0, k1 int) {
+	b, boff := p.b[jt:], p.taps.off
+	if boff != nil {
+		boff = boff[k0:k1]
+	} else {
+		b = p.b[k0*p.bn+jt:]
+	}
+	var cb, rb []T
+	mode := 0
+	if k0 == 0 {
+		mode = tileFirst
+		if p.start != nil {
+			cb = p.start[jt:je]
+		}
+	}
+	if k1 == p.kk {
+		mode |= int(p.act) << tileActShift
+		if p.bias != nil {
+			rb = p.bias[i : i+nr]
+		}
+	}
+	ops.tile(p.dst[i*p.dn+jt:], p.dn, p.a[i*p.ai+k0*p.ak:], p.ai, p.ak, b, p.bn, boff, k1-k0, je-jt, nr, cb, rb, mode, p.alpha)
+}
+
+// begin starts the sums of drow, columns [j, j+len(drow)) of a dst row.
+func (p *product[T]) begin(drow []T, j int) {
+	if p.start == nil {
+		clear(drow)
+	} else {
+		copy(drow, p.start[j:])
+	}
+}
+
+// finish is the pure-Go form of the tile's store: the finished sums of drow,
+// part of dst row i, take the row's bias and then the activation.
+func (p *product[T]) finish(drow []T, i int) {
+	if p.bias != nil {
+		bv := p.bias[i]
+		for j := range drow {
+			drow[j] += bv
+		}
+	}
+	switch p.act {
+	case ActReLU:
+		for j, x := range drow {
+			if x < 0 {
+				drow[j] = 0
+			}
+		}
+	case ActLeakyReLU:
+		for j, x := range drow {
+			if x < 0 {
+				drow[j] = x * p.alpha
+			}
+		}
+	}
+}
+
+// brow is columns [j, je) of B's k-th row.
+func (p *product[T]) brow(k, j, je int) []T {
+	o := k * p.bn
+	if p.taps.off != nil {
+		o = p.taps.off[k]
+	}
+	return p.b[o+j : o+je]
+}
+
+// row is the row path: drow, columns [j, j+len(drow)) of one dst row, takes
+// its k-block [k0, k1) terms four coefficients per pass — a quarter of the
+// dst traffic of a plain axpy loop — then one at a time. ap is the index of
+// the row's first coefficient.
+func (p *product[T]) row(ops rowOps[T], drow []T, ap, j, k0, k1 int) {
+	a, ak := p.a, p.ak
 	je := j + len(drow)
 	kEnd := k0 + (k1-k0)&^3 // end of the last full group of four
 	for k := k0; k < kEnd; k += 4 {
-		p := ap + k*ak
-		if zeroGroup(a, p, ak) {
+		q := ap + k*ak
+		if zeroGroup(a, q, ak) {
 			// ReLU activations feed these kernels: whole-zero
 			// groups are common enough to be worth skipping.
 			continue
 		}
-		a0, a1, a2, a3 := a[p], a[p+ak], a[p+2*ak], a[p+3*ak]
-		b0 := b[k*bn+j : k*bn+je]
-		b1 := b[(k+1)*bn+j : (k+1)*bn+je]
-		b2 := b[(k+2)*bn+j : (k+2)*bn+je]
-		b3 := b[(k+3)*bn+j : (k+3)*bn+je]
-		ops.axpy4(drow, b0, b1, b2, b3, a0, a1, a2, a3)
+		ops.axpy4(drow, p.brow(k, j, je), p.brow(k+1, j, je), p.brow(k+2, j, je), p.brow(k+3, j, je),
+			a[q], a[q+ak], a[q+2*ak], a[q+3*ak])
 	}
 	for k := kEnd; k < k1; k++ {
 		if av := a[ap+k*ak]; av != 0 {
-			ops.axpy1(drow, b[k*bn+j:k*bn+je], av)
+			ops.axpy1(drow, p.brow(k, j, je), av)
 		}
 	}
 }
 
 // zeroGroup reports whether the four coefficients a[p], a[p+ak], … are all
-// zero: the group mmRow skips and rowsSkipTerm looks for.
+// zero: the group the row path skips and rowsSkipTerm looks for.
 func zeroGroup[T number](a []T, p, ak int) bool {
 	return a[p] == 0 && a[p+ak] == 0 && a[p+2*ak] == 0 && a[p+3*ak] == 0
 }
 
-// rowsSkipTerm reports whether mmRow would skip a term of k-block [k0, k1)
-// in any of the nr rows whose coefficients start at a[ap], a[ap+ai], …: the
-// register tile applies every term, so it may only stand in for the rows
-// where they skip none.
+// rowsSkipTerm reports whether the row path would skip a term of k-block
+// [k0, k1) in any of the nr rows whose coefficients start at a[ap],
+// a[ap+ai], …: the register tile applies every term, so it may only stand
+// in for the rows where they skip none.
 func rowsSkipTerm[T number](a []T, ap, ai, ak, nr, k0, k1 int) bool {
 	kEnd := k0 + (k1-k0)&^3
 	for r := 0; r < nr; r, ap = r+1, ap+ai {
@@ -214,6 +356,89 @@ func rowsSkipTerm[T number](a []T, ap, ai, ak, nr, k0, k1 int) bool {
 		}
 	}
 	return false
+}
+
+// Taps is a tap-offset table: where in a sample's phase planes each row of
+// a convolution's B begins (see Kernels.MatMulTaps).
+type Taps struct {
+	off []int
+	end int // 1 + the largest offset
+}
+
+// NewTaps wraps off, which it keeps.
+func NewTaps(off []int) Taps {
+	t := Taps{off: off}
+	for _, o := range off {
+		if o < 0 {
+			panic("tensor: negative tap offset")
+		}
+		t.end = max(t.end, o+1)
+	}
+	return t
+}
+
+// Len returns the number of taps, the product's depth.
+func (t Taps) Len() int { return len(t.off) }
+
+// Kernels is one dtype's kernels on raw slices, for a caller that is already
+// one shard of a parallel loop and works out of its own scratch (inference
+// convolution, a sample at a time): every method stays on the calling
+// goroutine.
+type Kernels[T number] struct{ ops *rowOps[T] }
+
+// KernelsOf returns T's kernel set. The dtype is resolved here, once, so
+// the methods dispatch through the set like the Mat entry points do through
+// their backend.
+func KernelsOf[T number]() Kernels[T] {
+	var k Kernels[T]
+	switch ops := any(&k.ops).(type) {
+	case **rowOps[float64]:
+		*ops = &rows64
+	case **rowOps[float32]:
+		*ops = &rows32
+	default:
+		panic("tensor: no kernels for this element type")
+	}
+	return k
+}
+
+// MatMulTaps is the window-free convolution product: for i < m and j < w,
+//
+//	dst[i*dn+j] = act(Σk a[i*kk+k]·b[taps[k]+j] + bias[i]),  kk = taps.Len()
+//
+// — the terms a×window would give element (i, j), in its ascending k, when
+// row k of the window is the run of b that starts at tap k. The sum starts
+// from zero, so dst is written without being read; bias may be nil.
+func (k Kernels[T]) MatMulTaps(dst []T, dn int, a []T, m int, b []T, taps Taps, w int, bias []T, act Act) {
+	kk := taps.Len()
+	if len(a) < m*kk || (bias != nil && len(bias) < m) {
+		panic("tensor: matmul-taps shape mismatch")
+	}
+	p := product[T]{dst: dst, dn: dn, a: a, ai: kk, ak: 1, b: b, taps: taps, kk: kk, bias: bias, act: act.Kind, alpha: T(act.Alpha)}
+	p.run(*k.ops, 0, m, 0, w)
+}
+
+// Gather2 copies every second element of each of rows strided runs:
+// dst[r*dn+i] = src[r*sn+2*i] for i < n and r < rows — the stride-2 unroll
+// of a convolution tap or phase, AVX2 where the CPU has it. Nothing past a
+// run's last source element src[r*sn+2*(n-1)] is read, so a run may end
+// flush against the end of its array.
+func (k Kernels[T]) Gather2(dst, src []T, n, rows, dn, sn int) {
+	if n <= 0 || rows <= 0 {
+		return
+	}
+	// The bounds the assembly relies on, checked once for the rectangle.
+	_, _ = dst[(rows-1)*dn+n-1], src[(rows-1)*sn+2*(n-1)]
+	if k.ops.gather2 != nil {
+		k.ops.gather2(dst, src, n, rows, dn, sn)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		in, run := dst[r*dn:r*dn+n], src[r*sn:r*sn+2*n-1]
+		for i := range in {
+			in[i] = run[2*i]
+		}
+	}
 }
 
 // mmBT computes dst = a×bᵀ for a m×kk, b n×kk with a 2×2 register tile:
@@ -284,35 +509,4 @@ func dotSeq[T number](a, b []T) T {
 		s += av * b[k]
 	}
 	return s
-}
-
-// Gather2 copies every second element of each of rows strided runs:
-// dst[r*dn+i] = src[r*sn+2*i] for i < n and r < rows — the stride-2 unroll
-// of a convolution tap, AVX2 where the CPU has it. Nothing past a run's last
-// source element src[r*sn+2*(n-1)] is read, so a run may end flush against
-// the end of its array.
-func Gather2[T number](dst, src []T, n, rows, dn, sn int) {
-	if n <= 0 || rows <= 0 {
-		return
-	}
-	// The bounds the assembly relies on, checked once for the rectangle.
-	_, _ = dst[(rows-1)*dn+n-1], src[(rows-1)*sn+2*(n-1)]
-	switch d := any(dst).(type) {
-	case []float64:
-		if rows64.gather2 != nil {
-			rows64.gather2(d, any(src).([]float64), n, rows, dn, sn)
-			return
-		}
-	case []float32:
-		if rows32.gather2 != nil {
-			rows32.gather2(d, any(src).([]float32), n, rows, dn, sn)
-			return
-		}
-	}
-	for r := 0; r < rows; r++ {
-		in, run := dst[r*dn:r*dn+n], src[r*sn:r*sn+2*n-1]
-		for i := range in {
-			in[i] = run[2*i]
-		}
-	}
 }

@@ -99,7 +99,7 @@ func BenchmarkMatMulWindow(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			MatMulWindowInto(dst, 0, a, win, 0)
+			MatMulWindowInto(dst, 0, a, win, 0, nil)
 		}
 		reportGFLOPS(b, m, k, n)
 	})

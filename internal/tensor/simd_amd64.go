@@ -21,10 +21,10 @@ func axpy4x32(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 func axpy1x32(dst, b []float32, a float32)
 
 //go:noescape
-func tile4x64(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn, kn, w, nr int)
+func tile4x64(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn int, boff []int, kn, w, nr int, cb, rb []float64, mode int, alpha float64)
 
 //go:noescape
-func tile4x32(dst []float32, dn int, a []float32, ai, ak int, b []float32, bn, kn, w, nr int)
+func tile4x32(dst []float32, dn int, a []float32, ai, ak int, b []float32, bn int, boff []int, kn, w, nr int, cb, rb []float32, mode int, alpha float32)
 
 //go:noescape
 func gather2x64(dst, src []float64, n, rows, dn, sn int)

@@ -270,18 +270,33 @@ done:
 // are branched over (their coefficients and dst rows do not exist), and
 // every load and store of dst goes through the lane masks Y13 and Y14: all
 // ones until the last column group, the live lanes only when that group is
-// partial — and then its b loads are masked too (kloopm; masking them in
-// every group cost the float64 tile a quarter of its speed). A column group
-// walks b down a column of cache lines, one row stride apart — a pattern no
-// hardware prefetcher follows once the stride passes a page — so each k step
-// also prefetches the line the next group will want from this row of b;
-// without it a wide b (24×216×5376, float64) ran at 0.6× the row updates,
-// with it level or better. Past the end of a row the prefetch is a no-op.
+// partial — and then its b loads are masked too (kloopm, tloopm; masking them
+// in every group cost the float64 tile a quarter of its speed).
+//
+// b's k-th row is one row stride after the last (kloop*: BX += R12), or
+// starts where the k-th entry of a table says (tloop*: R12 walks the table,
+// BX = b tile + entry): the window-free convolution, whose taps are runs of a
+// few small planes. With strides a column group walks b down a column of
+// cache lines, one row stride apart — a pattern no hardware prefetcher
+// follows once the stride passes a page — so each k step also prefetches the
+// line the next group will want from this row of b; without it a wide b
+// (24×216×5376, float64) ran at 0.6× the row updates, with it level or
+// better. Past the end of a row the prefetch is a no-op. A table's planes
+// are L1- and L2-resident and need none.
+//
+// The two ends of a sum ride along. On a product's first k-block (mode bit
+// 0) the accumulators start from the column bias cb, or from zero when there
+// is none, and dst is not read; on its last the finished sums take the row
+// bias rb (when there is one) and then the activation mode>>1 — 1: ReLU,
+// lanes below zero become +0; 2: LeakyReLU, they are multiplied by alpha —
+// as a blend under an ordered x < 0, false for NaN and −0, before the one
+// store: Σ, then +bias, then activation, the order of the separate passes
+// this replaces. Accumulators of rows past nr take part and are never stored.
 //
 // Registers: DI dst tile, R8 dst row stride, SI a[0][0], R9/R10 its row and
-// k strides, R11 three row strides, R13 b tile, R12 b row stride (strides in
-// bytes), R14 nr, DX column groups left, CX k left, AX and BX the running
-// a and b.
+// k strides, R11 three row strides, R13 b tile, R12 b row stride or the
+// running table entry (strides in bytes), R14 nr, DX column groups left,
+// CX k left, AX and BX the running a and b.
 
 // tilemask is 64 bytes of ones, then 64 of zeros: the 64 bytes that start
 // 8r (4r) bytes before its middle mask all but the first r float64
@@ -296,6 +311,10 @@ DATA tilemask<>+48(SB)/8, $0xffffffffffffffff
 DATA tilemask<>+56(SB)/8, $0xffffffffffffffff
 GLOBL tilemask<>(SB), RODATA|NOPTR, $128
 
+// The two ways a k step moves on in b: one row stride, or one table entry.
+#define BSTRIDE ADDQ R12, BX
+#define BTABLE  ADDQ $8, R12
+
 #define TILE_ROW64(acoef, acc0, acc1) \
 	VBROADCASTSD acoef, Y10; \
 	VMULPD Y8, Y10, Y11;     \
@@ -304,8 +323,9 @@ GLOBL tilemask<>(SB), RODATA|NOPTR, $128
 	VADDPD Y12, acc1, acc1
 
 // TILE_K64 is one k step after its b loads: every live row, then on to
-// the next k. It leaves DECQ's flags for the loop branch.
-#define TILE_K64(next) \
+// the next k, bstep moving b's row pointer or the table's. It leaves DECQ's
+// flags for the loop branch.
+#define TILE_K64(next, bstep) \
 	TILE_ROW64((AX), Y0, Y1);        \
 	CMPQ R14, $2;                    \
 	JB   next;                       \
@@ -317,12 +337,29 @@ GLOBL tilemask<>(SB), RODATA|NOPTR, $128
 	TILE_ROW64((AX)(R11*1), Y6, Y7); \
 next:                                \
 	ADDQ R10, AX;                    \
-	ADDQ R12, BX;                   \
+	bstep;                           \
 	DECQ CX
 
-// func tile4x64(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn, kn, w, nr int)
-// dst[r*dn+j] += Σk a[r*ai+k*ak]*b[k*bn+j], k ascending; r < nr ≤ 4, j < w; kn, w, nr > 0
-TEXT ·tile4x64(SB), NOSPLIT, $0-128
+// TILE_BIAS64 adds one row's bias to its two accumulators.
+#define TILE_BIAS64(rbias, acc0, acc1) \
+	VBROADCASTSD rbias, Y10;  \
+	VADDPD Y10, acc0, acc0;   \
+	VADDPD Y10, acc1, acc1
+
+// TILE_RELU64 and TILE_LEAKY64 blend one accumulator's lanes below zero
+// (Y12) to +0, or to themselves times alpha (Y15).
+#define TILE_RELU64(acc) \
+	VCMPPD  $0x11, Y12, acc, Y10; \
+	VANDNPD acc, Y10, acc
+
+#define TILE_LEAKY64(acc) \
+	VCMPPD    $0x11, Y12, acc, Y10; \
+	VMULPD    Y15, acc, Y11;        \
+	VBLENDVPD Y10, Y11, acc, acc
+
+// func tile4x64(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn int, boff []int, kn, w, nr int, cb, rb []float64, mode int, alpha float64)
+// one k-block of rows r < nr ≤ 4, columns j < w (rowOps.tile in kernels.go); kn, w, nr > 0
+TEXT ·tile4x64(SB), NOSPLIT, $0-216
 	MOVQ     dst_base+0(FP), DI
 	MOVQ     dn+24(FP), R8
 	SHLQ     $3, R8
@@ -333,10 +370,8 @@ TEXT ·tile4x64(SB), NOSPLIT, $0-128
 	SHLQ     $3, R10
 	LEAQ     (R9)(R9*2), R11
 	MOVQ     b_base+72(FP), R13
-	MOVQ     bn+96(FP), R12
-	SHLQ     $3, R12
-	MOVQ     nr+120(FP), R14
-	MOVQ     w+112(FP), DX
+	MOVQ     nr+144(FP), R14
+	MOVQ     w+136(FP), DX
 	ADDQ     $7, DX
 	SHRQ     $3, DX
 	JZ       done
@@ -348,7 +383,7 @@ cols:
 	// fault on nothing and are not stored.
 	CMPQ    DX, $1
 	JNE     load
-	MOVQ    w+112(FP), CX
+	MOVQ    w+136(FP), CX
 	ANDQ    $7, CX
 	JZ      load
 	LEAQ    tilemask<>+64(SB), AX
@@ -358,6 +393,36 @@ cols:
 	VMOVDQU 32(AX), Y14
 
 load:
+	TESTQ      $1, mode+200(FP)
+	JZ         loaddst
+	MOVQ       cb_len+160(FP), AX
+	TESTQ      AX, AX
+	JZ         zero
+	MOVQ       cb_base+152(FP), AX // cb keeps step with the dst tile
+	ADDQ       DI, AX
+	SUBQ       dst_base+0(FP), AX
+	VMASKMOVPD (AX), Y13, Y0
+	VMASKMOVPD 32(AX), Y14, Y1
+	VMOVAPD    Y0, Y2
+	VMOVAPD    Y1, Y3
+	VMOVAPD    Y0, Y4
+	VMOVAPD    Y1, Y5
+	VMOVAPD    Y0, Y6
+	VMOVAPD    Y1, Y7
+	JMP        loaded
+
+zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	JMP    loaded
+
+loaddst:
 	MOVQ       DI, AX
 	VMASKMOVPD (AX), Y13, Y0
 	VMASKMOVPD 32(AX), Y14, Y1
@@ -377,13 +442,18 @@ load:
 	VMASKMOVPD 32(AX), Y14, Y7
 
 loaded:
-	MOVQ R13, BX
-	MOVQ kn+104(FP), CX
-	MOVQ SI, AX
-	CMPQ DX, $1
-	JNE  kfull
-	TESTQ $7, w+112(FP)
-	JNZ  kloopm
+	MOVQ  kn+128(FP), CX
+	MOVQ  SI, AX
+	MOVQ  boff_len+112(FP), R12
+	TESTQ R12, R12
+	JNZ   table
+	MOVQ  bn+96(FP), R12
+	SHLQ  $3, R12
+	MOVQ  R13, BX
+	CMPQ  DX, $1
+	JNE   kfull
+	TESTQ $7, w+136(FP)
+	JNZ   kloopm
 
 kfull:
 	CMPQ R14, $4
@@ -409,7 +479,7 @@ kloop:
 	VMOVUPD (BX), Y8
 	VMOVUPD 32(BX), Y9
 	PREFETCHT0 64(BX)
-	TILE_K64(knext)
+	TILE_K64(knext, BSTRIDE)
 	JNZ     kloop
 	JMP     store
 
@@ -417,10 +487,100 @@ kloop:
 kloopm:
 	VMASKMOVPD (BX), Y13, Y8
 	VMASKMOVPD 32(BX), Y14, Y9
-	TILE_K64(knextm)
+	TILE_K64(knextm, BSTRIDE)
 	JNZ        kloopm
+	JMP        store
+
+table:
+	MOVQ  boff_base+104(FP), R12
+	CMPQ  DX, $1
+	JNE   tfull
+	TESTQ $7, w+136(FP)
+	JNZ   tloopm
+
+tfull:
+	CMPQ R14, $4
+	JNE  tloop
+
+	PCALIGN $32
+tloop4:
+	MOVQ    (R12), BX
+	LEAQ    (R13)(BX*8), BX
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	TILE_ROW64((AX), Y0, Y1)
+	TILE_ROW64((AX)(R9*1), Y2, Y3)
+	TILE_ROW64((AX)(R9*2), Y4, Y5)
+	TILE_ROW64((AX)(R11*1), Y6, Y7)
+	ADDQ    R10, AX
+	ADDQ    $8, R12
+	DECQ    CX
+	JNZ     tloop4
+	JMP     store
+
+	PCALIGN $32
+tloop:
+	MOVQ    (R12), BX
+	LEAQ    (R13)(BX*8), BX
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	TILE_K64(tnext, BTABLE)
+	JNZ     tloop
+	JMP     store
+
+	PCALIGN $32
+tloopm:
+	MOVQ       (R12), BX
+	LEAQ       (R13)(BX*8), BX
+	VMASKMOVPD (BX), Y13, Y8
+	VMASKMOVPD 32(BX), Y14, Y9
+	TILE_K64(tnextm, BTABLE)
+	JNZ        tloopm
 
 store:
+	MOVQ  rb_len+184(FP), AX
+	TESTQ AX, AX
+	JZ    activate
+	MOVQ  rb_base+176(FP), AX
+	TILE_BIAS64((AX), Y0, Y1)
+	CMPQ  R14, $2
+	JB    activate
+	TILE_BIAS64(8(AX), Y2, Y3)
+	JE    activate
+	TILE_BIAS64(16(AX), Y4, Y5)
+	CMPQ  R14, $4
+	JB    activate
+	TILE_BIAS64(24(AX), Y6, Y7)
+
+activate:
+	MOVQ   mode+200(FP), AX
+	SHRQ   $1, AX
+	JZ     put
+	VXORPD Y12, Y12, Y12
+	CMPQ   AX, $1
+	JE     relu
+	VBROADCASTSD alpha+208(FP), Y15
+	TILE_LEAKY64(Y0)
+	TILE_LEAKY64(Y1)
+	TILE_LEAKY64(Y2)
+	TILE_LEAKY64(Y3)
+	TILE_LEAKY64(Y4)
+	TILE_LEAKY64(Y5)
+	TILE_LEAKY64(Y6)
+	TILE_LEAKY64(Y7)
+	JMP    put
+
+relu:
+	TILE_RELU64(Y0)
+	TILE_RELU64(Y1)
+	TILE_RELU64(Y2)
+	TILE_RELU64(Y3)
+	TILE_RELU64(Y4)
+	TILE_RELU64(Y5)
+	TILE_RELU64(Y6)
+	TILE_RELU64(Y7)
+
+put:
 	MOVQ       DI, AX
 	VMASKMOVPD Y0, Y13, (AX)
 	VMASKMOVPD Y1, Y14, 32(AX)
@@ -457,8 +617,9 @@ done:
 	VADDPS Y12, acc1, acc1
 
 // TILE_K32 is one k step after its b loads: every live row, then on to
-// the next k. It leaves DECQ's flags for the loop branch.
-#define TILE_K32(next) \
+// the next k, bstep moving b's row pointer or the table's. It leaves DECQ's
+// flags for the loop branch.
+#define TILE_K32(next, bstep) \
 	TILE_ROW32((AX), Y0, Y1);        \
 	CMPQ R14, $2;                    \
 	JB   next;                       \
@@ -470,12 +631,29 @@ done:
 	TILE_ROW32((AX)(R11*1), Y6, Y7); \
 next:                                \
 	ADDQ R10, AX;                    \
-	ADDQ R12, BX;                   \
+	bstep;                           \
 	DECQ CX
 
-// func tile4x32(dst []float32, dn int, a []float32, ai, ak int, b []float32, bn, kn, w, nr int)
-// dst[r*dn+j] += Σk a[r*ai+k*ak]*b[k*bn+j], k ascending; r < nr ≤ 4, j < w; kn, w, nr > 0
-TEXT ·tile4x32(SB), NOSPLIT, $0-128
+// TILE_BIAS32 adds one row's bias to its two accumulators.
+#define TILE_BIAS32(rbias, acc0, acc1) \
+	VBROADCASTSS rbias, Y10;  \
+	VADDPS Y10, acc0, acc0;   \
+	VADDPS Y10, acc1, acc1
+
+// TILE_RELU32 and TILE_LEAKY32 blend one accumulator's lanes below zero
+// (Y12) to +0, or to themselves times alpha (Y15).
+#define TILE_RELU32(acc) \
+	VCMPPS  $0x11, Y12, acc, Y10; \
+	VANDNPS acc, Y10, acc
+
+#define TILE_LEAKY32(acc) \
+	VCMPPS    $0x11, Y12, acc, Y10; \
+	VMULPS    Y15, acc, Y11;        \
+	VBLENDVPS Y10, Y11, acc, acc
+
+// func tile4x32(dst []float32, dn int, a []float32, ai, ak int, b []float32, bn int, boff []int, kn, w, nr int, cb, rb []float32, mode int, alpha float32)
+// one k-block of rows r < nr ≤ 4, columns j < w (rowOps.tile in kernels.go); kn, w, nr > 0
+TEXT ·tile4x32(SB), NOSPLIT, $0-212
 	MOVQ     dst_base+0(FP), DI
 	MOVQ     dn+24(FP), R8
 	SHLQ     $2, R8
@@ -486,10 +664,8 @@ TEXT ·tile4x32(SB), NOSPLIT, $0-128
 	SHLQ     $2, R10
 	LEAQ     (R9)(R9*2), R11
 	MOVQ     b_base+72(FP), R13
-	MOVQ     bn+96(FP), R12
-	SHLQ     $2, R12
-	MOVQ     nr+120(FP), R14
-	MOVQ     w+112(FP), DX
+	MOVQ     nr+144(FP), R14
+	MOVQ     w+136(FP), DX
 	ADDQ     $15, DX
 	SHRQ     $4, DX
 	JZ       done
@@ -501,7 +677,7 @@ cols:
 	// fault on nothing and are not stored.
 	CMPQ    DX, $1
 	JNE     load
-	MOVQ    w+112(FP), CX
+	MOVQ    w+136(FP), CX
 	ANDQ    $15, CX
 	JZ      load
 	LEAQ    tilemask<>+64(SB), AX
@@ -511,6 +687,36 @@ cols:
 	VMOVDQU 32(AX), Y14
 
 load:
+	TESTQ      $1, mode+200(FP)
+	JZ         loaddst
+	MOVQ       cb_len+160(FP), AX
+	TESTQ      AX, AX
+	JZ         zero
+	MOVQ       cb_base+152(FP), AX // cb keeps step with the dst tile
+	ADDQ       DI, AX
+	SUBQ       dst_base+0(FP), AX
+	VMASKMOVPS (AX), Y13, Y0
+	VMASKMOVPS 32(AX), Y14, Y1
+	VMOVAPS    Y0, Y2
+	VMOVAPS    Y1, Y3
+	VMOVAPS    Y0, Y4
+	VMOVAPS    Y1, Y5
+	VMOVAPS    Y0, Y6
+	VMOVAPS    Y1, Y7
+	JMP        loaded
+
+zero:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	JMP    loaded
+
+loaddst:
 	MOVQ       DI, AX
 	VMASKMOVPS (AX), Y13, Y0
 	VMASKMOVPS 32(AX), Y14, Y1
@@ -530,13 +736,18 @@ load:
 	VMASKMOVPS 32(AX), Y14, Y7
 
 loaded:
-	MOVQ R13, BX
-	MOVQ kn+104(FP), CX
-	MOVQ SI, AX
-	CMPQ DX, $1
-	JNE  kfull
-	TESTQ $15, w+112(FP)
-	JNZ  kloopm
+	MOVQ  kn+128(FP), CX
+	MOVQ  SI, AX
+	MOVQ  boff_len+112(FP), R12
+	TESTQ R12, R12
+	JNZ   table
+	MOVQ  bn+96(FP), R12
+	SHLQ  $2, R12
+	MOVQ  R13, BX
+	CMPQ  DX, $1
+	JNE   kfull
+	TESTQ $15, w+136(FP)
+	JNZ   kloopm
 
 kfull:
 	CMPQ R14, $4
@@ -562,7 +773,7 @@ kloop:
 	VMOVUPS (BX), Y8
 	VMOVUPS 32(BX), Y9
 	PREFETCHT0 64(BX)
-	TILE_K32(knext)
+	TILE_K32(knext, BSTRIDE)
 	JNZ     kloop
 	JMP     store
 
@@ -570,10 +781,100 @@ kloop:
 kloopm:
 	VMASKMOVPS (BX), Y13, Y8
 	VMASKMOVPS 32(BX), Y14, Y9
-	TILE_K32(knextm)
+	TILE_K32(knextm, BSTRIDE)
 	JNZ        kloopm
+	JMP        store
+
+table:
+	MOVQ  boff_base+104(FP), R12
+	CMPQ  DX, $1
+	JNE   tfull
+	TESTQ $15, w+136(FP)
+	JNZ   tloopm
+
+tfull:
+	CMPQ R14, $4
+	JNE  tloop
+
+	PCALIGN $32
+tloop4:
+	MOVQ    (R12), BX
+	LEAQ    (R13)(BX*4), BX
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	TILE_ROW32((AX), Y0, Y1)
+	TILE_ROW32((AX)(R9*1), Y2, Y3)
+	TILE_ROW32((AX)(R9*2), Y4, Y5)
+	TILE_ROW32((AX)(R11*1), Y6, Y7)
+	ADDQ    R10, AX
+	ADDQ    $8, R12
+	DECQ    CX
+	JNZ     tloop4
+	JMP     store
+
+	PCALIGN $32
+tloop:
+	MOVQ    (R12), BX
+	LEAQ    (R13)(BX*4), BX
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	TILE_K32(tnext, BTABLE)
+	JNZ     tloop
+	JMP     store
+
+	PCALIGN $32
+tloopm:
+	MOVQ       (R12), BX
+	LEAQ       (R13)(BX*4), BX
+	VMASKMOVPS (BX), Y13, Y8
+	VMASKMOVPS 32(BX), Y14, Y9
+	TILE_K32(tnextm, BTABLE)
+	JNZ        tloopm
 
 store:
+	MOVQ  rb_len+184(FP), AX
+	TESTQ AX, AX
+	JZ    activate
+	MOVQ  rb_base+176(FP), AX
+	TILE_BIAS32((AX), Y0, Y1)
+	CMPQ  R14, $2
+	JB    activate
+	TILE_BIAS32(4(AX), Y2, Y3)
+	JE    activate
+	TILE_BIAS32(8(AX), Y4, Y5)
+	CMPQ  R14, $4
+	JB    activate
+	TILE_BIAS32(12(AX), Y6, Y7)
+
+activate:
+	MOVQ   mode+200(FP), AX
+	SHRQ   $1, AX
+	JZ     put
+	VXORPS Y12, Y12, Y12
+	CMPQ   AX, $1
+	JE     relu
+	VBROADCASTSS alpha+208(FP), Y15
+	TILE_LEAKY32(Y0)
+	TILE_LEAKY32(Y1)
+	TILE_LEAKY32(Y2)
+	TILE_LEAKY32(Y3)
+	TILE_LEAKY32(Y4)
+	TILE_LEAKY32(Y5)
+	TILE_LEAKY32(Y6)
+	TILE_LEAKY32(Y7)
+	JMP    put
+
+relu:
+	TILE_RELU32(Y0)
+	TILE_RELU32(Y1)
+	TILE_RELU32(Y2)
+	TILE_RELU32(Y3)
+	TILE_RELU32(Y4)
+	TILE_RELU32(Y5)
+	TILE_RELU32(Y6)
+	TILE_RELU32(Y7)
+
+put:
 	MOVQ       DI, AX
 	VMASKMOVPS Y0, Y13, (AX)
 	VMASKMOVPS Y1, Y14, 32(AX)

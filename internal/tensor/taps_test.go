@@ -1,0 +1,253 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+
+	"odin/internal/guardpage"
+)
+
+// Conformance of what the window-free convolution added to the loop nest:
+// b's rows found through a tap-offset table, and the two ends of a sum — its
+// start, its row bias and activation — done inside the pass. As in
+// tile_test.go everything runs three ways (tile, AVX2 rows, pure Go) and
+// must agree bit for bit; here it must also agree with refProduct, the
+// definition written out one element at a time.
+
+// kernelSpecials are planted in every operand. The NaN is the one the
+// hardware makes (Inf−Inf, Inf·0): where two different NaNs meet in an add or
+// a product x86 keeps the first operand's, and which operand is first in the
+// pure-Go path is the compiler's choice (it folds the dst load into the add)
+// — with one NaN in flight the choice cannot show, and everything else can.
+var kernelSpecials = []float64{math.Float64frombits(0xFFF8000000000000), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, -3e-310, 1e-42}
+
+// refProduct is the contract of kernels.go for one element, in plain Go:
+// from start, the terms in ascending k, each product and each sum rounded
+// once; a k-aligned group of four zero coefficients skipped whole, and a
+// zero coefficient among the kk mod 4 trailing ones; then the row bias; then
+// the activation. brow(k) is the element's factor in b's k-th row.
+func refProduct[T number](start T, a []T, brow func(k int) T, bias *T, act Act) T {
+	s := start
+	kk := len(a)
+	for k := 0; k+4 <= kk; k += 4 {
+		if a[k] == 0 && a[k+1] == 0 && a[k+2] == 0 && a[k+3] == 0 {
+			continue
+		}
+		for q := k; q < k+4; q++ {
+			s = T(s + T(a[q]*brow(q)))
+		}
+	}
+	for k := kk &^ 3; k < kk; k++ {
+		if a[k] != 0 {
+			s = T(s + T(a[k]*brow(k)))
+		}
+	}
+	if bias != nil {
+		s = T(s + *bias)
+	}
+	switch {
+	case act.Kind == ActReLU && s < 0:
+		s = 0
+	case act.Kind == ActLeakyReLU && s < 0:
+		s = T(s * T(act.Alpha))
+	}
+	return s
+}
+
+func sameBitsT[T number](a, b T) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b)) // widening is exact, NaN payloads included
+}
+
+// plantZeroGroups zeroes runs of a's coefficients — whole groups of four in
+// some rows, single ones in others — and puts specials into a few more.
+func plantZeroGroups[T number](a []T, m, kk int, rng *RNG) {
+	for i := 0; i < m; i++ {
+		switch i % 3 {
+		case 1: // a zero group and a zero in the tail: the tile must leave this block to the rows
+			if kk >= 4 {
+				k0 := 4 * int(rng.Uint64()%uint64(kk/4))
+				clear(a[i*kk+k0 : i*kk+k0+4])
+			}
+			a[i*kk+kk-1] = 0
+		case 2: // zeros inside live groups are applied like any coefficient
+			for k := 0; k < kk; k += 3 {
+				a[i*kk+k] = T(math.Copysign(0, -1))
+			}
+		}
+	}
+	for s := 0; s < 3; s++ {
+		a[int(rng.Uint64()%uint64(len(a)))] = T(kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
+	}
+}
+
+// tapsCase runs MatMulTaps three ways on guarded operands and checks every
+// element against refProduct. The taps overlap the way a convolution's do:
+// neighbouring rows of b start an element or a short row apart, and the
+// last one ends flush against the guard page.
+func tapsCase[T number](t *testing.T, m, kk, w int, withBias bool, act Act, seed uint64) {
+	t.Helper()
+	rng := NewRNG(seed)
+	off := make([]int, kk)
+	for k := range off {
+		off[k] = int(rng.Uint64() % uint64(3*w+kk))
+	}
+	off[int(rng.Uint64()%uint64(kk))] = 3*w + kk // the far end: b holds this tap's run and not one element more
+	taps := NewTaps(off)
+	dn := w + int(seed%4) // dst rows may be wider than the product
+	var frees []func()
+	alloc := func(n int) []T {
+		s, free := guardpage.Alloc[T](n)
+		frees = append(frees, free)
+		for i := range s {
+			s[i] = T(rng.Norm())
+		}
+		return s
+	}
+	defer func() {
+		for _, f := range frees {
+			f()
+		}
+	}()
+	a, b := alloc(m*kk), alloc(3*w+kk+w)
+	plantZeroGroups(a, m, kk, rng)
+	for s := 0; s < 4; s++ {
+		b[int(rng.Uint64()%uint64(len(b)))] = T(kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
+	}
+	var bias []T
+	if withBias {
+		bias = alloc(m)
+		bias[int(rng.Uint64()%uint64(m))] = T(kernelSpecials[int(seed%uint64(len(kernelSpecials)))])
+	}
+	var outs [][]T
+	names, _ := kernelPaths(t, func() []*Mat {
+		dst := alloc((m-1)*dn + w)
+		KernelsOf[T]().MatMulTaps(dst, dn, a, m, b, taps, w, bias, act)
+		outs = append(outs, dst)
+		return nil
+	})
+	for i := 0; i < m; i++ {
+		for j := 0; j < w; j++ {
+			var bp *T
+			if withBias {
+				bp = &bias[i]
+			}
+			want := refProduct(0, a[i*kk:(i+1)*kk], func(k int) T { return b[off[k]+j] }, bp, act)
+			for p, dst := range outs {
+				if got := dst[i*dn+j]; !sameBitsT(got, want) {
+					t.Fatalf("%dx%dx%d bias=%v act=%v seed %d: %s path has %v (%x) at (%d,%d), the definition gives %v (%x)", m, kk, w, withBias, act.Kind, seed, names[p], got, math.Float64bits(float64(got)), i, j, want, math.Float64bits(float64(want)))
+				}
+			}
+		}
+	}
+}
+
+// TestVectorizedScalarBitIdentityTaps walks the table-addressed product over
+// the row counts of one and two register blocks and the serving layers, k
+// depths on both sides of the k-block seam, widths with and without a
+// partial column group, with and without the row bias and each activation.
+func TestVectorizedScalarBitIdentityTaps(t *testing.T) {
+	acts := []Act{{}, {Kind: ActReLU}, {Kind: ActLeakyReLU, Alpha: 0.1}}
+	seed := uint64(0)
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 10, 14} {
+		for _, kk := range []int{1, 3, 9, 27, 90, mmKBlock - 1, mmKBlock, mmKBlock + 1, mmKBlock + 6} {
+			for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33, 90} {
+				seed++
+				withBias, act := seed%2 == 0, acts[seed%3]
+				tapsCase[float64](t, m, kk, w, withBias, act, seed)
+				tapsCase[float32](t, m, kk, w, withBias, act, seed)
+			}
+		}
+	}
+}
+
+// edgesCase runs the Dense product — a sum that starts from its column's
+// bias and ends in the activation — three ways and against the definition.
+func edgesCase(t *testing.T, dt DType, m, kk, n int, act Act, seed uint64) {
+	t.Helper()
+	rng := NewRNG(seed)
+	var g guarded
+	defer g.free()
+	a, b, bias := g.mat(dt, m, kk, rng), g.mat(dt, kk, n, rng), g.mat(dt, 1, n, rng)
+	if dt == F32 {
+		plantZeroGroups(a.V32, m, kk, rng)
+	} else {
+		plantZeroGroups(a.V, m, kk, rng)
+	}
+	for s := 0; s < 3; s++ {
+		b.set(int(rng.Uint64()%uint64(b.Len())), kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
+		bias.set(int(rng.Uint64()%uint64(n)), kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
+	}
+	names, outs := kernelPaths(t, func() []*Mat {
+		dst := g.mat(dt, m, n, rng)
+		MatMulBiasActInto(dst, a, b, bias, act)
+		return []*Mat{dst}
+	})
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var want float64
+			if dt == F32 {
+				want = float64(refProduct(bias.V32[j], a.V32[i*kk:(i+1)*kk], func(k int) float32 { return b.V32[k*n+j] }, nil, act))
+			} else {
+				want = refProduct(bias.V[j], a.V[i*kk:(i+1)*kk], func(k int) float64 { return b.V[k*n+j] }, nil, act)
+			}
+			for p := range outs {
+				if got := outs[p][0].At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v %dx%dx%d act=%v seed %d: %s path has %v at (%d,%d), the definition gives %v", dt, m, kk, n, act.Kind, seed, names[p], got, i, j, want)
+				}
+			}
+		}
+	}
+}
+
+// TestVectorizedScalarBitIdentityEdges pins the tile's two edges on the
+// Dense shapes: the bias start against copy(bias), the fused activation
+// against a separate pass, for k depths inside one k-block, at its seam and
+// over four of them (the DA-GAN encoder's 936), block heights one to four
+// and beyond, widths through two column groups.
+func TestVectorizedScalarBitIdentityEdges(t *testing.T) {
+	acts := []Act{{}, {Kind: ActReLU}, {Kind: ActLeakyReLU, Alpha: 0.2}}
+	seed := uint64(1000)
+	for _, bk := range Backends() {
+		for _, m := range []int{1, 2, 3, 4, 5, 8} {
+			for _, kk := range []int{7, mmKBlock - 1, mmKBlock, mmKBlock + 1, 936} {
+				for n := 1; n <= 17; n++ {
+					seed++
+					edgesCase(t, bk.DType(), m, kk, n, acts[seed%3], seed)
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulTapsBounds: a table that reaches past b, and operands too short
+// for the shape, must panic in Go before the assembly runs.
+func TestMatMulTapsBounds(t *testing.T) {
+	kern := KernelsOf[float64]()
+	taps := NewTaps([]int{0, 5, 9})
+	cases := map[string]func(){
+		"b short": func() {
+			kern.MatMulTaps(make([]float64, 8), 4, make([]float64, 6), 2, make([]float64, 12), taps, 4, nil, Act{})
+		},
+		"a short": func() {
+			kern.MatMulTaps(make([]float64, 8), 4, make([]float64, 5), 2, make([]float64, 13), taps, 4, nil, Act{})
+		},
+		"dst short": func() {
+			kern.MatMulTaps(make([]float64, 7), 4, make([]float64, 6), 2, make([]float64, 13), taps, 4, nil, Act{})
+		},
+		"bias short": func() {
+			kern.MatMulTaps(make([]float64, 8), 4, make([]float64, 6), 2, make([]float64, 13), taps, 4, make([]float64, 1), Act{})
+		},
+		"negative": func() { NewTaps([]int{3, -1}) },
+	}
+	for name, fn := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	kern.MatMulTaps(make([]float64, 8), 4, make([]float64, 6), 2, make([]float64, 13), taps, 4, nil, Act{}) // the exact fit
+}

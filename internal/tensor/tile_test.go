@@ -73,7 +73,7 @@ func tileProducts(t *testing.T, g *guarded, a, b, bias *Mat, seed uint64) []*Mat
 	MatMulATInto(out[2], a.Transpose(), b)
 	if j0, w := n/3, n-n/3-n/4; w > 0 {
 		win := g.mat(dt, 3, m*w, rng) // the product lands in the middle row
-		MatMulWindowInto(win, 1, a, b, j0)
+		MatMulWindowInto(win, 1, a, b, j0, nil)
 		for i := 0; i < m; i++ {
 			for j := 0; j < w; j++ {
 				if g, want := win.At(1, i*w+j), out[0].At(i, j0+j); math.Float64bits(g) != math.Float64bits(want) {
@@ -187,7 +187,7 @@ func gather2Guarded[T number](n, rows int) int {
 		src[i] = T(i + 1)
 	}
 	dst := make([]T, rows*dn)
-	Gather2(dst, src, n, rows, dn, sn)
+	KernelsOf[T]().Gather2(dst, src, n, rows, dn, sn)
 	for r := 0; r < rows; r++ {
 		for i := 0; i < dn; i++ {
 			var want T // past the run dst stays untouched
