@@ -215,8 +215,9 @@ func TestObserverEventCounters(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocFree is the unit-level half of the `-exp obs` alloc gate:
-// every per-frame instrumentation primitive must be allocation-free.
+// TestHotPathAllocFree is the unit-level half of the alloc contract (the
+// root package's TestObsStreamAllocFree is the stream-level half): every
+// per-frame instrumentation primitive must be allocation-free.
 func TestHotPathAllocFree(t *testing.T) {
 	o := New(16)
 	h := NewHistogram(nil)

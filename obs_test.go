@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -250,6 +252,50 @@ func TestObsFingerprintParityWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: result %d diverged with observability on", workers, i)
 			}
 		}
+	}
+}
+
+// TestObsStreamAllocFree is the stream-level half of TestHotPathAllocFree:
+// a steady night stream through Stream.Process adds under one allocation a
+// frame with observability on. It counts Mallocs deltas because
+// testing.AllocsPerRun pins GOMAXPROCS to 1, and interleaves the arms'
+// reps.
+func TestObsStreamAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomises sync.Pool reuse, so alloc counts mean nothing under it")
+	}
+	const seed, n = 77, 120
+	allocs := func(srv *Server, frames []*Frame) float64 {
+		st, err := srv.OpenStream(context.Background(), StreamOptions{Name: "steady"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for _, f := range frames {
+			if _, err := st.Process(context.Background(), f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs-m0.Mallocs) / float64(len(frames))
+	}
+	off, on := qosServer(t, seed), obsServer(t, seed)
+	offFrames, onFrames := off.GenerateFrames(NightData, n), on.GenerateFrames(NightData, n)
+	// Leaving the full-data bootstrap for night drifts and recovers within
+	// the first passes, and a pass that does allocates far more: one pass
+	// goes unmeasured and the best of the next three is the steady state.
+	allocs(off, offFrames)
+	allocs(on, onFrames)
+	offBest, onBest := math.Inf(1), math.Inf(1)
+	for rep := 0; rep < 3; rep++ {
+		offBest = min(offBest, allocs(off, offFrames))
+		onBest = min(onBest, allocs(on, onFrames))
+	}
+	if added := onBest - offBest; added >= 1 {
+		t.Fatalf("observability adds %.2f allocs/frame (%.2f on, %.2f off), want < 1", added, onBest, offBest)
 	}
 }
 

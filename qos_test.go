@@ -137,49 +137,53 @@ func TestQoSScriptedReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestQoSDropAccounting pins the zero-silent-loss ledger: with a
-// drop-newest queue and a stalled consumer, offered = delivered results +
+// TestQoSDropAccounting pins the zero-silent-loss ledger under both
+// shedding policies: with a stalled consumer, offered = delivered results +
 // drop markers, sequence numbers stay contiguous, and the marker count
 // agrees with both the stream's and the server's drop counters.
 func TestQoSDropAccounting(t *testing.T) {
 	const n = 48
-	srv := qosServer(t, 5, WithMaxQueue(2), WithDropPolicy(DropNewest))
-	frames := srv.GenerateFrames(DayData, n)
-	st, err := srv.OpenStream(context.Background(), StreamOptions{MaxBatch: 4, Buffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	out := st.Run(context.Background(), feedAll(frames))
-	var results []StreamResult
-	for r := range out {
-		results = append(results, r)
-		time.Sleep(2 * time.Millisecond) // stall so the queue overflows
-	}
-	if len(results) != n {
-		t.Fatalf("ledger broken: %d results for %d offered frames", len(results), n)
-	}
-	drops := 0
-	for i, r := range results {
-		if r.Seq != i {
-			t.Fatalf("result %d has seq %d; sequence must stay contiguous", i, r.Seq)
-		}
-		if r.Dropped {
-			drops++
-			if r.Frame != nil {
-				t.Fatalf("drop marker %d carries a frame", i)
+	for _, policy := range []DropPolicy{DropNewest, DropOldest} {
+		t.Run(policy.String(), func(t *testing.T) {
+			srv := qosServer(t, 5, WithMaxQueue(2), WithDropPolicy(policy))
+			frames := srv.GenerateFrames(DayData, n)
+			st, err := srv.OpenStream(context.Background(), StreamOptions{MaxBatch: 4, Buffer: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if drops == 0 {
-		t.Fatal("stalled consumer never overflowed the 2-frame queue")
-	}
-	q := st.QoS()
-	if !q.Enabled || q.Dropped != uint64(drops) {
-		t.Fatalf("stream QoS %+v, want %d drops", q, drops)
-	}
-	if got := srv.Stats().Dropped; got != drops {
-		t.Fatalf("server stats counted %d drops, markers say %d", got, drops)
+			defer st.Close()
+			out := st.Run(context.Background(), feedAll(frames))
+			var results []StreamResult
+			for r := range out {
+				results = append(results, r)
+				time.Sleep(2 * time.Millisecond) // stall so the queue overflows
+			}
+			if len(results) != n {
+				t.Fatalf("ledger broken: %d results for %d offered frames", len(results), n)
+			}
+			drops := 0
+			for i, r := range results {
+				if r.Seq != i {
+					t.Fatalf("result %d has seq %d; sequence must stay contiguous", i, r.Seq)
+				}
+				if r.Dropped {
+					drops++
+					if r.Frame != nil {
+						t.Fatalf("drop marker %d carries a frame", i)
+					}
+				}
+			}
+			if drops == 0 {
+				t.Fatal("stalled consumer never overflowed the 2-frame queue")
+			}
+			q := st.QoS()
+			if !q.Enabled || q.Dropped != uint64(drops) {
+				t.Fatalf("stream QoS %+v, want %d drops", q, drops)
+			}
+			if got := srv.Stats().Dropped; got != drops {
+				t.Fatalf("server stats counted %d drops, markers say %d", got, drops)
+			}
+		})
 	}
 }
 
