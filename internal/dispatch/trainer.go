@@ -61,7 +61,8 @@ type queuedJob struct {
 // via core.Odin.FinishJob. While a job trains, the pipeline keeps serving
 // every stream with the previous-best model — training is entirely off the
 // real-time path, which is what flattens the recovery-stall latency spike
-// (see odin-bench -exp dispatch).
+// (see TestDispatchAsyncRecoveryConverges, and drift_4cam's lat_p95_ms in
+// bench/).
 //
 // Jobs run in FIFO order, so a cluster's lite model always lands before
 // its specialized upgrade; overlapping drift events on different streams

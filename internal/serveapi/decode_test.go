@@ -335,28 +335,42 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// BenchmarkDecodeRequest is the layer number for the request path: one
-// 4-frame night body (what bench/'s http_2cam posts) through the decoder
-// the server used to use and the one it uses now.
+// BenchmarkDecodeRequest is the layer number for the request path: a
+// 4-frame body (what bench/'s http_2cam posts) through the decoder the
+// server used to use and the one it uses now. Night, day and snow pixels
+// split differently between the Clinger and Eisel–Lemire tiers.
 func BenchmarkDecodeRequest(b *testing.B) {
-	body := synthBody(b, synth.NightData, 4, "")
-	b.Run("encoding_json", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for b.Loop() {
+	subsets := []struct {
+		name string
+		sub  synth.Subset
+	}{{"night", synth.NightData}, {"day", synth.DayData}, {"snow", synth.SnowData}}
+	decoders := []struct {
+		name   string
+		decode func([]byte) error
+	}{
+		{"encoding_json", func(body []byte) error {
 			var req FramesRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				b.Fatal(err)
+			return json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		}},
+		{"serveapi", func(body []byte) error {
+			_, err := ReadRequest(bytes.NewReader(body), int64(len(body)))
+			return err
+		}},
+	}
+	for _, dec := range decoders {
+		b.Run(dec.name, func(b *testing.B) {
+			for _, s := range subsets {
+				body := synthBody(b, s.sub, 4, "")
+				b.Run(s.name, func(b *testing.B) {
+					b.SetBytes(int64(len(body)))
+					b.ReportAllocs()
+					for b.Loop() {
+						if err := dec.decode(body); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
-		}
-	})
-	b.Run("serveapi", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for b.Loop() {
-			if _, err := ReadRequest(bytes.NewReader(body), int64(len(body))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
