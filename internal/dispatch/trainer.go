@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,14 +17,37 @@ import (
 // down before they ran; their recoveries roll back to the prior model.
 var ErrTrainerClosed = errors.New("dispatch: trainer closed")
 
+// ErrBuildPanicked marks a model build that panicked. The trainer recovers
+// the panic into an error matching it (and naming the panic value), and the
+// job fails like any other build: it rolls back, and its registry claim is
+// aborted.
+var ErrBuildPanicked = errors.New("dispatch: model build panicked")
+
+// buildPanic is the error a panicking build returns.
+type buildPanic struct{ value any }
+
+func (e *buildPanic) Error() string { return fmt.Sprintf("%v: %v", ErrBuildPanicked, e.value) }
+
+func (e *buildPanic) Unwrap() error { return ErrBuildPanicked }
+
+// guardBuild runs build, turning a panic inside it into a *buildPanic.
+func guardBuild(build func() (*core.Model, error)) (m *core.Model, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			m, err = nil, &buildPanic{v}
+		}
+	}()
+	return build()
+}
+
 // TrainerStats is trainer telemetry.
 type TrainerStats struct {
 	// Trained counts jobs whose model was built and swapped in. It always
 	// equals Scratch + Warm + Adopted + Coalesced.
 	Trained int
-	// Failed counts jobs whose build errored or whose swap was rejected
-	// (cluster evicted mid-training, superseded model) — the pipeline kept
-	// the prior model.
+	// Failed counts jobs whose build errored or panicked, or whose swap was
+	// rejected (cluster evicted mid-training, superseded model) — the
+	// pipeline kept the prior model.
 	Failed int
 	// Dropped counts jobs discarded by Close before they ran.
 	Dropped int
@@ -66,8 +90,8 @@ type queuedJob struct {
 //
 // Jobs run in FIFO order, so a cluster's lite model always lands before
 // its specialized upgrade; overlapping drift events on different streams
-// simply queue. A failed build rolls back: FinishJob drops the job and the
-// prior model keeps serving.
+// simply queue. A failed build — one that errors or panics — rolls back:
+// FinishJob drops the job and the prior model keeps serving.
 //
 // With a fleet registry attached (AttachRegistry), each job is resolved
 // against the fleet's recovered models before building: adopt installs a
@@ -264,7 +288,7 @@ func (t *Trainer) runJob(q queuedJob) {
 
 	case registry.OutcomeWarm:
 		start := time.Now()
-		m, err := t.buildFrom(job, q.res.Model)
+		m, err := guardBuild(func() (*core.Model, error) { return t.buildFrom(job, q.res.Model) })
 		dur := time.Since(start)
 		ob.Event(obs.EvRecoveryWarm, src, job.ClusterID, -1, "warm-started from fleet model")
 		ob.BuildSeconds("warm", dur)
@@ -285,7 +309,7 @@ func (t *Trainer) runJob(q queuedJob) {
 // mid-build): the weights are still a valid recovery for the regime.
 func (t *Trainer) runScratch(job core.TrainJob, claim *registry.Claim) {
 	start := time.Now()
-	m, err := t.build(job)
+	m, err := guardBuild(func() (*core.Model, error) { return t.build(job) })
 	dur := time.Since(start)
 	if claim != nil {
 		if err != nil || m == nil {

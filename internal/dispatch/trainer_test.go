@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"odin/internal/cluster"
 	"odin/internal/core"
 	"odin/internal/detect"
+	"odin/internal/obs"
+	"odin/internal/registry"
 	"odin/internal/synth"
 	"odin/internal/tensor"
 )
@@ -123,6 +127,115 @@ func TestTrainerFailureRollsBack(t *testing.T) {
 	}
 	if r.ModelGen != 0 {
 		t.Fatalf("generation bumped by a failed job: %d", r.ModelGen)
+	}
+}
+
+// TestTrainerBuildPanicRollsBack: a scratch build that panics neither kills
+// the process nor wedges the trainer. The job fails like an erroring build
+// — rolled back, a recovery_failed event naming the panic, Failed counted —
+// its registry claim is aborted, so the camera coalesced onto it builds its
+// own model, and the next job trains.
+func TestTrainerBuildPanicRollsBack(t *testing.T) {
+	pipeA, genA := trainerTestPipe(t)
+	pipeB, genB := trainerTestPipe(t)
+	trA, trB := NewTrainer(pipeA), NewTrainer(pipeB)
+	defer trA.Close()
+	defer trB.Close()
+	reg := registry.New(4)
+	trA.AttachRegistry(reg, "camA", regTestPol)
+	trB.AttachRegistry(reg, "camB", regTestPol)
+	ob := obs.New(16)
+	pipeA.SetObserver(ob)
+
+	release := make(chan struct{})
+	var builds atomic.Int32
+	trA.SetBuild(func(job core.TrainJob) (*core.Model, error) {
+		if builds.Add(1) == 1 {
+			<-release
+			panic("index out of range [7] with length 7")
+		}
+		return &core.Model{Kind: job.Kind, ClusterID: job.ClusterID}, nil
+	})
+	trB.SetBuild(func(job core.TrainJob) (*core.Model, error) {
+		return &core.Model{Kind: job.Kind, ClusterID: job.ClusterID}, nil
+	})
+
+	trA.Enqueue([]core.TrainJob{liveJob(pipeA, genA, detect.KindLite, 5, 0)})
+	trB.Enqueue([]core.TrainJob{liveJob(pipeB, genB, detect.KindLite, 7, 0)}) // coalesces onto A's claim
+	close(release)
+	waitTrainer(t, trA)
+	waitTrainer(t, trB)
+
+	if st := trA.Stats(); st.Failed != 1 || st.Trained != 0 {
+		t.Fatalf("A stats %+v, want the panicked build failed", st)
+	}
+	if pipeA.PendingRecoveries() != 0 || pipeA.Manager.NumModels() != 0 {
+		t.Fatalf("after the panic: %d recoveries pending, %d models", pipeA.PendingRecoveries(), pipeA.Manager.NumModels())
+	}
+	requireFailedEvent(t, ob, "index out of range [7] with length 7")
+	if st := trB.Stats(); st.Scratch != 1 || st.Coalesced != 0 {
+		t.Fatalf("B stats %+v, want a scratch fallback after the aborted claim", st)
+	}
+
+	trA.Enqueue([]core.TrainJob{liveJob(pipeA, genA, detect.KindLite, 6, 100)})
+	waitTrainer(t, trA)
+	if st := trA.Stats(); st.Scratch != 1 || pipeA.Manager.Models()[6] == nil {
+		t.Fatalf("A stats %+v: the job after the panic did not train", st)
+	}
+}
+
+// TestTrainerWarmBuildPanicRollsBack: the same for a warm-started build.
+func TestTrainerWarmBuildPanicRollsBack(t *testing.T) {
+	pipe, gen := trainerTestPipe(t)
+	tr := NewTrainer(pipe)
+	defer tr.Close()
+	reg := registry.New(4)
+	tr.AttachRegistry(reg, "cam1", regTestPol)
+	ob := obs.New(16)
+	pipe.SetObserver(ob)
+	seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
+	tr.SetBuildFrom(func(core.TrainJob, *core.Model) (*core.Model, error) {
+		panic(errors.New("weights shape mismatch"))
+	})
+
+	tr.Enqueue([]core.TrainJob{liveJob(pipe, gen, detect.KindLite, 5, 1)}) // warm band
+	waitTrainer(t, tr)
+	if st := tr.Stats(); st.Failed != 1 || st.Warm != 0 {
+		t.Fatalf("stats %+v, want the panicked warm build failed", st)
+	}
+	if pipe.PendingRecoveries() != 0 {
+		t.Fatal("the panicked warm build left its recovery pending")
+	}
+	requireFailedEvent(t, ob, "weights shape mismatch")
+
+	tr.Enqueue([]core.TrainJob{liveJob(pipe, gen, detect.KindLite, 6, 100)}) // a miss: scratch
+	waitTrainer(t, tr)
+	if st := tr.Stats(); st.Scratch != 1 || pipe.Manager.Models()[6] == nil {
+		t.Fatalf("stats %+v: the job after the panic did not train", st)
+	}
+}
+
+// requireFailedEvent finds the recovery_failed event of a panicked build
+// that names the panic value.
+func requireFailedEvent(t *testing.T, ob *obs.Observer, value string) {
+	t.Helper()
+	for _, e := range ob.Events().Recent(0) {
+		if e.Kind == obs.EvRecoveryFailed && strings.Contains(e.Detail, ErrBuildPanicked.Error()) && strings.Contains(e.Detail, value) {
+			return
+		}
+	}
+	t.Fatalf("no recovery_failed event naming the panic %q in %+v", value, ob.Events().Recent(0))
+}
+
+func TestGuardBuild(t *testing.T) {
+	m, err := guardBuild(func() (*core.Model, error) { panic(42) })
+	var bp *buildPanic
+	if m != nil || !errors.Is(err, ErrBuildPanicked) || !errors.As(err, &bp) || bp.value != 42 {
+		t.Fatalf("guardBuild of a panic = %v, %v", m, err)
+	}
+	want := &core.Model{}
+	if m, err := guardBuild(func() (*core.Model, error) { return want, nil }); m != want || err != nil {
+		t.Fatalf("guardBuild of a plain build = %v, %v", m, err)
 	}
 }
 

@@ -208,13 +208,13 @@ func bitsEqual(a, b *Mat) bool {
 }
 
 // TestVectorizedScalarBitIdentity pins the strongest kernel invariant, for
-// both dtypes: the AVX2 row updates and the pure-Go scalar fallback
-// accumulate in the same order with the same per-op rounding (no FMA), so
-// toggling vectorization must not change one output bit. Row lengths cover
-// every vector-width tail of both dtypes (and the empty row), the k depth
-// leaves a remainder after the groups of four, a has an all-zero and
-// partly-zero k-groups, and every operand starts one element into its
-// allocation so no row is 32-byte aligned. Each width runs once on finite
+// both dtypes: the register tiles, the AVX2 row updates and the pure-Go
+// scalar fallback accumulate in the same order with the same per-op
+// rounding (no FMA), so the kernel path (kernelPaths) must not change one
+// output bit. Row lengths cover every vector-width tail of both dtypes (and
+// the empty row), the k depth leaves a remainder after the groups of four,
+// a has an all-zero and partly-zero k-groups, and every operand starts one
+// element into its allocation so no row is 32-byte aligned. Each width runs once on finite
 // operands, where a reordered sum shows as a rounding difference, and once
 // with NaN, ±Inf, −0 and denormals planted in a, b and bias.
 //
@@ -224,12 +224,6 @@ func bitsEqual(a, b *Mat) bool {
 // compiler that orders them otherwise would fail this test on a NaN
 // payload alone.
 func TestVectorizedScalarBitIdentity(t *testing.T) {
-	wasOn := Vectorized()
-	if !setVectorized(true) {
-		t.Skip("SIMD unsupported on this platform")
-	}
-	defer setVectorized(wasOn)
-
 	const m, k = 8, 11 // k: two groups of four and a three-coefficient tail
 	negZero := math.Copysign(0, -1)
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero, 5e-324, -3e-310, 1e-42}
@@ -275,23 +269,14 @@ func TestVectorizedScalarBitIdentity(t *testing.T) {
 				}
 				at := a.Transpose()
 
-				do := func() []*Mat {
+				names, outs := kernelPaths(t, func() []*Mat {
 					out := []*Mat{unaligned(dt, m, n, rng), unaligned(dt, m, n, rng), unaligned(dt, m, n, rng)}
 					MatMulInto(out[0], a, b)
 					MatMulBiasInto(out[1], a, b, bias)
 					MatMulATInto(out[2], at, b)
 					return out
-				}
-				setVectorized(true)
-				vec := do()
-				setVectorized(false)
-				scalar := do()
-				for i, name := range []string{"matmul", "matmulBias", "matmulAT"} {
-					if !bitsEqual(vec[i], scalar[i]) {
-						t.Errorf("%s/%s n=%d planted=%v: vectorized and scalar paths disagree bitwise",
-							bk.Name(), name, n, planted)
-					}
-				}
+				})
+				requireSameBits(t, names, outs, "%s n=%d planted=%v:", bk.Name(), n, planted)
 			}
 		}
 	}

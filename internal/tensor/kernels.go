@@ -7,29 +7,32 @@ import "unsafe"
 // which differ only in how the a-coefficients and the rows of b are
 // addressed) and mmBT (a×bᵀ). Each backend instantiates them over its
 // storage slices and hands product.run its dtype's rowOps: AVX2
-// (simd_amd64.s) or pure Go.
+// (simd_amd64.s) with the AVX-512F tile where the CPU has it
+// (simd512_amd64.s), AVX2 alone, or pure Go.
 //
 // Determinism: every dst element of a product starts from zero or its start
 // value and takes its terms a[i][k]*b[k][j] one at a time in ascending k,
 // one rounding per multiply and one per add, never FMA; the finished sum
 // then takes its row bias, one more add, and its activation — Σ, then +bias,
 // then activation, wherever the three happen. The same left-associated sum
-// in the register tile, the AVX2 row updates, their scalar tails and the
-// pure-Go fallback. The group of four is only the granularity at which terms
-// are *skipped*: a k-aligned group whose four coefficients are all zero adds
-// nothing, and neither does a zero coefficient among the k mod 4 trailing
-// ones (a zero inside a live group is applied). Skipping is visible — it
+// in the register tile (AVX2 or AVX-512F), the AVX2 row updates, their
+// scalar tails and the pure-Go fallback. The group of four is only the
+// granularity at which terms are *skipped*: a k-aligned group whose four
+// coefficients are all zero adds nothing, and neither does a zero
+// coefficient among the k mod 4 trailing ones (a zero inside a live group
+// is applied). Skipping is visible — it
 // keeps an Inf or NaN in b out of the sum, and a −0 in it — so the tile,
 // which applies every term, runs only where the rows would skip none: a
 // block of dst rows in which any row has a skipped term in the current
 // k-block falls back to rows, as does everything on a host without AVX2.
 // The other two remainders stay in the tile, masked rather than handed to
 // the rows: the m mod 4 rows under the last whole block run as a shorter
-// block, and the last w mod 8 (float32: 16) columns as a column group with
-// its dead lanes masked off — lanes and rows are independent, so neither
-// changes what a live element sees. Where b's k-th row lies — k row strides
-// into b, or at the k-th entry of a tap-offset table — decides which memory
-// a term's factor is read from, not which term it is. Tiling and
+// block, and the last columns short of a whole column group (AVX2: 8
+// float64 or 16 float32, AVX-512F: 16 or 32) as a group with its dead lanes
+// masked off — lanes and rows are independent, so neither changes what a
+// live element sees. Where b's k-th row lies — k row strides into b, or at
+// the k-th entry of a tap-offset table — decides which memory a term's
+// factor is read from, not which term it is. Tiling and
 // partitioning only choose which elements a pass touches, never the terms
 // one element sees or their order, so results are bit-identical across
 // worker counts, across the row and column partitions, and across the tile,
@@ -55,15 +58,26 @@ import "unsafe"
 //	dst[r*dn+j] = acc[r][j]
 //
 // so dst is loaded at most once and stored once, and a row of b is read
-// once for the nr dst rows. rows64 and rows32 (simd_*.go) hold the AVX2 set
-// where the CPU has it and goRowOps elsewhere; tile and gather2 are nil
-// there, and the loop nests then run rows, and plain loops, only.
+// once for the nr dst rows. rows64 and rows32 (simd_*.go) hold the set of
+// the host's isa: the AVX2 set, its tile swapped for the AVX-512F one where
+// the CPU has that, or goRowOps; tile and gather2 are nil there, and the
+// loop nests then run rows, and plain loops, only.
 type rowOps[T number] struct {
 	axpy4   func(dst, b0, b1, b2, b3 []T, a0, a1, a2, a3 T)
 	axpy1   func(dst, b []T, a T)
 	tile    func(dst []T, dn int, a []T, ai, ak int, b []T, bn int, boff []int, kn, w, nr int, cb, rb []T, mode int, alpha T)
 	gather2 func(dst, src []T, n, rows, dn, sn int)
 }
+
+// isa is an instruction-set level of the kernels, each a superset of the one
+// before.
+type isa int
+
+const (
+	isaGo     isa = iota // pure Go
+	isaAVX2              // AVX2 row updates, tile and gather
+	isaAVX512            // the AVX2 set with the AVX-512F register tile
+)
 
 const (
 	tileFirst    = 1 // tile mode bit: the product's first k-block, dst is not loaded
@@ -104,7 +118,8 @@ const (
 	// (14×90×4096 float64; 512³ moves by under 6 % at any width).
 	mmTileBytes = 4096
 	// mmTileRows is the height of the register tile: four dst rows by two
-	// 32-byte vectors of columns, eight accumulators.
+	// vectors of columns (32 bytes each in AVX2, 64 in AVX-512F), eight
+	// accumulators.
 	mmTileRows = 4
 )
 

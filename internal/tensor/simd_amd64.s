@@ -2,7 +2,9 @@
 // the stride-2 gather. Each dst element is accumulated in the exact
 // left-associated order of the pure-Go fallback expression (VMULPx+VADDPx,
 // never FMA), so the vector paths, the scalar tails, and the non-amd64
-// fallback all produce bit-identical results.
+// fallback all produce bit-identical results. On an AVX-512F host the
+// register tile here gives way to its zmm twin (simd512_amd64.s), which
+// keeps the same order; the rest of this file runs on every AVX2 host.
 
 //go:build amd64
 

@@ -3,15 +3,17 @@
 package tensor
 
 // Non-amd64 builds run the pure-Go row updates; the scalar expressions
-// accumulate in the same order as the AVX2 paths, so results are portable
-// bit for bit wherever the platform's scalar float ops are IEEE-exact.
+// accumulate in the same order as the AVX2 and AVX-512F paths, so results
+// are portable bit for bit wherever the platform's scalar float ops are
+// IEEE-exact.
 
 var (
-	rows64 = goRowOps[float64]()
-	rows32 = goRowOps[float32]()
+	hostISA = isaGo
+	rows64  = goRowOps[float64]()
+	rows32  = goRowOps[float32]()
 )
 
 // Vectorized reports whether the matmul kernels are using SIMD row updates.
 func Vectorized() bool { return false }
 
-func setVectorized(on bool) bool { return !on }
+func setISA(l isa) bool { return l == isaGo }

@@ -10,9 +10,9 @@ import (
 // Conformance of what the window-free convolution added to the loop nest:
 // b's rows found through a tap-offset table, and the two ends of a sum — its
 // start, its row bias and activation — done inside the pass. As in
-// tile_test.go everything runs three ways (tile, AVX2 rows, pure Go) and
-// must agree bit for bit; here it must also agree with refProduct, the
-// definition written out one element at a time.
+// tile_test.go everything runs every way (kernelPaths: zmm tile, AVX2 tile,
+// AVX2 rows, pure Go) and must agree bit for bit; here it must also agree
+// with refProduct, the definition written out one element at a time.
 
 // kernelSpecials are planted in every operand. The NaN is the one the
 // hardware makes (Inf−Inf, Inf·0): where two different NaNs meet in an add or
@@ -80,7 +80,7 @@ func plantZeroGroups[T number](a []T, m, kk int, rng *RNG) {
 	}
 }
 
-// tapsCase runs MatMulTaps three ways on guarded operands and checks every
+// tapsCase runs MatMulTaps every way on guarded operands and checks every
 // element against refProduct. The taps overlap the way a convolution's do:
 // neighbouring rows of b start an element or a short row apart, and the
 // last one ends flush against the guard page.
@@ -161,7 +161,7 @@ func TestVectorizedScalarBitIdentityTaps(t *testing.T) {
 }
 
 // edgesCase runs the Dense product — a sum that starts from its column's
-// bias and ends in the activation — three ways and against the definition.
+// bias and ends in the activation — every way and against the definition.
 func edgesCase(t *testing.T, dt DType, m, kk, n int, act Act, seed uint64) {
 	t.Helper()
 	rng := NewRNG(seed)
@@ -217,6 +217,154 @@ func TestVectorizedScalarBitIdentityEdges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVectorizedScalarBitIdentityWidths sweeps the width through the column
+// groups' edges: w = 1…40 gives a last group of every size on each side of
+// the 16-lane float64 and 32-lane float32 zmm groups (and of the AVX2
+// groups, 8 and 16), for every activation — see widthCase.
+func TestVectorizedScalarBitIdentityWidths(t *testing.T) {
+	acts := []Act{{}, {Kind: ActReLU}, {Kind: ActLeakyReLU, Alpha: 0.1}}
+	for w := 1; w <= 40; w++ {
+		for i, act := range acts {
+			seed := uint64(100*w + i)
+			widthCase[float64](t, w, act, seed)
+			widthCase[float32](t, w, act, seed)
+		}
+	}
+}
+
+// widthCase runs two products of width w every way and checks them against
+// the definition: the Dense product, whose sums start from their column's
+// bias, and the tap-table product, whose sums end in their row's bias. dst,
+// b and both biases end at guard pages, so the last row's last group ends
+// flush against one and a dead lane loaded or stored there faults.
+//
+// The operands carry the hardware NaN, ±Inf, −0 and denormals. Row 0 has
+// positive coefficients and the last column of the Dense b is −0 under a −0
+// start, so that sum is −0: the one input on which ReLU's x < 0 and x ≤ 0
+// differ. Then distinct NaN payloads meet in a multiply and in both adds.
+// Which payload survives is the first operand's, and which operand is first
+// in the pure-Go path is the compiler's choice, so that stage compares the
+// assembly paths with each other only: each keeps its dtype's operand order.
+func widthCase[T number](t *testing.T, w int, act Act, seed uint64) {
+	t.Helper()
+	const m, kk = 7, 12 // a block of four rows and one of three; whole k-groups, no tail
+	rng := NewRNG(seed)
+	var frees []func()
+	defer func() {
+		for _, f := range frees {
+			f()
+		}
+	}()
+	alloc := func(n int) []T {
+		s, free := guardpage.Alloc[T](n)
+		frees = append(frees, free)
+		for i := range s {
+			s[i] = T(rng.Norm())
+		}
+		return s
+	}
+	special := func() T { return T(kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))]) }
+	negZero := T(math.Copysign(0, -1))
+
+	a := alloc(m * kk)
+	for k := range kk {
+		a[k] = T(math.Abs(float64(a[k])) + 0.25)
+	}
+	for s := 0; s < 4; s++ { // a lone zero in a group is applied, not skipped
+		a[kk*(2+s)+int(rng.Uint64()%kk)] = special()
+	}
+	b, start := alloc(kk*w), alloc(w)
+	for s := 0; s < 4; s++ {
+		b[int(rng.Uint64()%uint64(kk*w))] = special()
+		start[int(rng.Uint64()%uint64(w))] = special()
+	}
+	for k := range kk {
+		b[k*w+w-1] = negZero
+	}
+	start[w-1] = negZero
+	// The taps overlap like a convolution's; one run ends at the guard page.
+	off := make([]int, kk)
+	for k := range off {
+		off[k] = int(rng.Uint64() % uint64(3*w+kk))
+	}
+	off[int(rng.Uint64()%kk)] = 3*w + kk
+	taps, planes, rb := NewTaps(off), alloc(4*w+kk), alloc(m)
+	for s := 0; s < 4; s++ {
+		planes[int(rng.Uint64()%uint64(len(planes)))] = special()
+	}
+	rb[int(rng.Uint64()%m)] = special()
+
+	run := func() (names []string, dense, tapped [][]T) {
+		names, _ = kernelPaths(t, func() []*Mat {
+			d := alloc(m * w)
+			MatMulBiasActInto(wrapMat(m, w, d), wrapMat(m, kk, a), wrapMat(kk, w, b), wrapMat(1, w, start), act)
+			p := alloc(m * w)
+			KernelsOf[T]().MatMulTaps(p, w, a, m, planes, taps, w, rb, act)
+			dense, tapped = append(dense, d), append(tapped, p)
+			return nil
+		})
+		return names, dense, tapped
+	}
+	names, dense, tapped := run()
+	for i := 0; i < m; i++ {
+		for j := 0; j < w; j++ {
+			row := a[i*kk : (i+1)*kk]
+			wantD := refProduct(start[j], row, func(k int) T { return b[k*w+j] }, nil, act)
+			wantT := refProduct(0, row, func(k int) T { return planes[off[k]+j] }, &rb[i], act)
+			for p := range names {
+				if got := dense[p][i*w+j]; !sameBitsT(got, wantD) {
+					t.Fatalf("%T w=%d act=%v seed %d: dense (%d,%d) on the %s path is %v (%x), the definition gives %v (%x)", T(0), w, act.Kind, seed, i, j, names[p], got, math.Float64bits(float64(got)), wantD, math.Float64bits(float64(wantD)))
+				}
+				if got := tapped[p][i*w+j]; !sameBitsT(got, wantT) {
+					t.Fatalf("%T w=%d act=%v seed %d: taps (%d,%d) on the %s path is %v (%x), the definition gives %v (%x)", T(0), w, act.Kind, seed, i, j, names[p], got, math.Float64bits(float64(got)), wantT, math.Float64bits(float64(wantT)))
+				}
+			}
+		}
+	}
+
+	// Row 1 against column 0 of the Dense b, both finite but for a NaN apiece
+	// at k = 3: the multiply keeps the float64 coefficient's payload and the
+	// float32 b's.
+	for k := range kk {
+		a[kk+k], b[k*w] = 1, 1
+	}
+	start[0] = 0.5
+	a[kk+3], b[3*w] = nanPayload[T](0x1a1), nanPayload[T](0x2b2)
+	// The last column's start against a NaN product at k = 7, and the tap
+	// product's NaN sum in row 2 against its row bias: adds keep the sum's.
+	if w > 1 {
+		start[w-1], b[7*w+w-1] = nanPayload[T](0x3c3), nanPayload[T](0x4d4)
+	}
+	planes[off[0]], rb[2] = nanPayload[T](0x5e5), nanPayload[T](0x6f6)
+	names, dense, tapped = run()
+	asm := len(names) - 1 // every path but the pure-Go one, which is last
+	for p := 1; p < asm; p++ {
+		for e := range dense[0] {
+			if !sameBitsT(dense[p][e], dense[0][e]) || !sameBitsT(tapped[p][e], tapped[0][e]) {
+				t.Fatalf("%T w=%d act=%v seed %d, NaN payloads: element %d is dense %x / taps %x on the %s path, %x / %x on the %s path", T(0), w, act.Kind, seed, e,
+					math.Float64bits(float64(dense[p][e])), math.Float64bits(float64(tapped[p][e])), names[p],
+					math.Float64bits(float64(dense[0][e])), math.Float64bits(float64(tapped[0][e])), names[0])
+			}
+		}
+	}
+}
+
+// wrapMat returns s as an r×c matrix of its element type.
+func wrapMat[T number](r, c int, s []T) *Mat {
+	if s, ok := any(s).([]float32); ok {
+		return FromSlice32(r, c, s)
+	}
+	return FromSlice(r, c, any(s).([]float64))
+}
+
+// nanPayload returns the quiet NaN of T with payload p (p < 2²²).
+func nanPayload[T number](p uint32) T {
+	if _, ok := any(T(0)).(float32); ok {
+		return T(math.Float32frombits(0x7fc00000 | p))
+	}
+	return T(math.Float64frombits(0x7ff8000000000000 | uint64(p)))
 }
 
 // TestMatMulTapsBounds: a table that reaches past b, and operands too short

@@ -10,24 +10,40 @@ import (
 
 // The register tile's conformance: whatever mix of tile and row updates the
 // loop nest picks, and on whichever rows, the output bits are those of the
-// pure-Go rows. Every test here runs the kernels three ways — AVX2 with the
-// tile, AVX2 rows only, pure Go — and requires all three bit-equal.
+// pure-Go rows. Every test here runs the kernels four ways — the AVX-512F
+// tile, the AVX2 tile, AVX2 rows only, pure Go — and requires all of them
+// bit-equal.
 
-// kernelPaths runs fn once per kernel path and returns what it produced.
-// Skips the test where there is no AVX2 to compare.
+// kernelPathList is the ways kernelPaths runs the kernels, pure Go last.
+var kernelPathList = []struct {
+	name  string
+	level isa
+	tile  bool
+}{
+	{"zmm tile", isaAVX512, true},
+	{"avx2 tile", isaAVX2, true},
+	{"avx2 rows", isaAVX2, false},
+	{"go", isaGo, false},
+}
+
+// kernelPaths runs fn once per kernel path the host has and returns what it
+// produced, pure Go last. Skips the test where there is no AVX2 to compare.
 func kernelPaths(t *testing.T, fn func() []*Mat) (names []string, outs [][]*Mat) {
 	t.Helper()
-	wasOn := Vectorized()
-	if !setVectorized(true) {
+	if hostISA < isaAVX2 {
 		t.Skip("SIMD unsupported on this platform")
 	}
-	defer setVectorized(wasOn)
-	names = []string{"tile", "rows", "scalar"}
-	outs = append(outs, fn())
-	rows64.tile, rows32.tile = nil, nil
-	outs = append(outs, fn())
-	setVectorized(false)
-	outs = append(outs, fn())
+	defer setISA(hostISA)
+	for _, p := range kernelPathList {
+		if !setISA(p.level) {
+			continue
+		}
+		if !p.tile {
+			rows64.tile, rows32.tile = nil, nil
+		}
+		names = append(names, p.name)
+		outs = append(outs, fn())
+	}
 	return names, outs
 }
 
