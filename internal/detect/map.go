@@ -113,8 +113,8 @@ func averagePrecision(dets []scoredDet, truth [][]synth.Box, class, totalGT int,
 }
 
 // evalBatch is the frame-batch size detectAll hands to batch-capable
-// detectors so the conv stack runs one big im2col matmul per batch instead
-// of a batch-1 pass per frame.
+// detectors so the conv stack runs one batched pass, split across the
+// workers, instead of a batch-1 pass per frame.
 const evalBatch = 32
 
 // detectAll runs a detector over every image, chunked through DetectBatch

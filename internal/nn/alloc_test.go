@@ -7,8 +7,8 @@ import (
 	"odin/internal/tensor"
 )
 
-// The batched-im2col conv and pooled workspace exist to make training steps
-// allocation-free at steady state. These tests pin that property down: the
+// The pooled workspace and the retained training planes exist to make
+// training steps allocation-free at steady state. These tests pin that property down: the
 // naive per-sample kernels sat at ~217 allocs per conv forward+backward,
 // the batched ones must stay in single digits (a little headroom is left
 // for the worker-pool job headers on multi-core machines).
@@ -87,7 +87,7 @@ func TestNetworkTrainingStepAllocs(t *testing.T) {
 
 // TestInferencePredictAllocs pins the streaming hot path: a detector-shaped
 // inference pass (conv → batchnorm → leaky ReLU → 1×1 head) must draw every
-// scratch matrix — including the im2col patch buffer and the batchnorm
+// scratch matrix — including the conv's phase planes and the batchnorm
 // affine scratch — from the workspace pool. This is the per-frame `Detect`
 // path of the streaming core (ROADMAP: "recycle the remaining inference
 // paths"); before the pooled-inference rework it allocated the patch matrix

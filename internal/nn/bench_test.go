@@ -72,37 +72,9 @@ func BenchmarkConv2D(b *testing.B) {
 	}
 }
 
-// BenchmarkIm2col unrolls the specialized detector's two backbone
-// convolutions (3×3, stride 2, pad 1 on a 27×48 frame) and a stride-1 layer
-// at serving batch sizes — a quarter of serving time once the matmul behind
-// it is vectorized.
-func BenchmarkIm2col(b *testing.B) {
-	rng := tensor.NewRNG(5)
-	for _, l := range []*Conv2D{
-		NewConv2D(3, 27, 48, 10, 3, 2, 1, rng),
-		NewConv2D(10, 14, 24, 14, 3, 2, 1, rng),
-		NewConv2D(24, 7, 12, 24, 3, 1, 1, rng),
-	} {
-		for _, n := range []int{1, 4, 64} {
-			b.Run(fmt.Sprintf("%dx%dx%d_s%d/n%d", l.InC, l.InH, l.InW, l.Stride, n), func(b *testing.B) {
-				spatial := l.OutH * l.OutW
-				x := tensor.New(n, l.InSize())
-				rng.FillNormal(x, 1)
-				cols := tensor.New(l.patchRows(), n*spatial)
-				b.SetBytes(int64(8 * cols.Len()))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for s := 0; s < n; s++ {
-						im2colInto(l, x.Row(s), cols.V, cols.C, s*spatial)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPhaseSplit is what inference does instead of BenchmarkIm2col: the
-// same layers' samples rewritten once into phase planes (≈1× the input,
+// BenchmarkPhaseSplit is what every convolution does instead of unrolling a
+// patch window: the specialized detector's two backbone layers and a
+// stride-1 layer, samples rewritten once into phase planes (≈1× the input,
 // against the window's 2.25× at stride 2 and 9× at stride 1).
 func BenchmarkPhaseSplit(b *testing.B) {
 	rng := tensor.NewRNG(5)

@@ -6,10 +6,10 @@ import (
 	"odin/internal/tensor"
 )
 
-// Inference convolution, window-free. im2col copies every input element
-// K·K/Stride² times into a patch window before the multiply touches it; this
-// path rewrites a sample once instead, into phase planes, and lets the
-// product read the window's rows out of them in place.
+// Convolution, window-free, for training and inference alike. im2col copies
+// every input element K·K/Stride² times into a patch window before a multiply
+// touches it; this path rewrites a sample once instead, into phase planes,
+// and lets the products read the window's rows out of them in place.
 //
 // Layout. Pad the input by Pad on every side and take, per channel, every
 // Stride-th row and column starting at (py, px), py, px < phases =
@@ -32,7 +32,7 @@ import (
 // plane is its input as it lies (the 1×1 head: one tap, no border, no copy
 // when its sample is a batch row of the compute dtype).
 
-// planLayout fixes the inference layout from the geometry.
+// planLayout fixes the layout from the geometry.
 func (c *Conv2D) planLayout() {
 	q := (c.K - 1) / c.Stride
 	c.phases = min(c.Stride, c.K)
@@ -79,11 +79,12 @@ func (c *Conv2D) phaseRect(py, px int) (y0, y1, x0, x1 int) {
 // lies — a batch row, or a float64 frame, and then narrowing to the compute
 // dtype is this same pass — or the wide output of the layer before, whose
 // junk columns lie past every InW and are not read. Only a plane's covered
-// rectangle is written, all of it: planes come from c.planes, which hands
-// out zeroed memory or what an earlier splitPlanes left, so the border is
-// zero for as long as the layer lives and is never cleared again. Within the
-// rectangle each row is one strided run of an input row: copied at stride 1,
-// de-interleaved by the vector gather at stride 2.
+// rectangle is written, all of it: planes come from c.planes or
+// c.trainPlanes, which hand out zeroed memory or what an earlier splitPlanes
+// left, so the border is zero for as long as the layer lives and is never
+// cleared again. Within the rectangle each row is one strided run of an
+// input row: copied at stride 1, de-interleaved by the vector gather at
+// stride 2.
 func splitPlanes[S, T float](kern tensor.Kernels[T], c *Conv2D, src []S, srcW, srcC int, planes []T) {
 	same, _ := any(src).([]T) // S is T: copy and gather apply
 	size := c.planeH * c.planeW
@@ -117,14 +118,16 @@ func splitPlanes[S, T float](kern tensor.Kernels[T], c *Conv2D, src []S, srcW, s
 	}
 }
 
-// convStage is one convolution of an inference run and what rides on its
-// output: act in the product's store; rows — a Sigmoid or Tanh, which are
-// no blends — on the sample's finished output row, so only after the run's
-// last convolution.
+// convStage is one convolution of a run and what rides on its output: act
+// in the product's store; rows — a Sigmoid or Tanh, which are no blends — on
+// the sample's finished output row, so only after the run's last
+// convolution. A training forward's stage keeps its planes: sample n's go
+// to row n of keep, not to scratch, for Backward to read.
 type convStage struct {
 	c    *Conv2D
 	act  tensor.Act
 	rows rowAct
+	keep *tensor.Mat
 }
 
 // maxConvRun bounds a run, so that a worker can hold its planes in an array;
@@ -147,7 +150,7 @@ func convRun(layers []Layer, i int) ([]convStage, int) {
 			}
 		}
 		act, rows, fused := fusedAfter(layers, i)
-		stages = append(stages, convStage{c, act, rows})
+		stages = append(stages, convStage{c: c, act: act, rows: rows})
 		i += 1 + fused
 		if rows != nil {
 			break
@@ -211,10 +214,11 @@ func weightsOf[T float](p *Param) []T {
 }
 
 // convRange is one worker's share of forwardConvs, samples [n0, n1) — rows of
-// x, or with x nil the frames. A stage that splits draws its planes from its layer's own pool (see
-// splitPlanes); the wide output between layers is workspace scratch, which
-// each layer writes only after the next one's planes — or the compaction —
-// have been read out of the previous.
+// x, or with x nil the frames. A stage that splits draws its planes from its
+// layer's own pool, or splits into its kept rows (see splitPlanes); the wide
+// output between layers is workspace scratch, which each layer writes only
+// after the next one's planes — or the compaction — have been read out of
+// the previous.
 func convRange[S, T float](stages []convStage, x *tensor.Mat, frames [][]S, out *tensor.Mat, n0, n1 int) {
 	kern := tensor.KernelsOf[T]()
 	dt := out.DType()
@@ -236,8 +240,9 @@ func convRange[S, T float](stages []convStage, x *tensor.Mat, frames [][]S, out 
 	wideLen := 0
 	for i, st := range stages {
 		c := st.c
-		// A stride-1 unpadded first layer reads a batch row where it lies.
-		if i > 0 || !inT || !c.inPlace() {
+		// A stride-1 unpadded first layer reads a batch row where it lies,
+		// unless it keeps its planes.
+		if st.keep == nil && (i > 0 || !inT || !c.inPlace()) {
 			held[i] = c.planes.GetRawOf(dt, 1, c.planesLen())
 			planes[i] = storage[T](held[i])
 		}
@@ -258,6 +263,9 @@ func convRange[S, T float](stages []convStage, x *tensor.Mat, frames [][]S, out 
 		for i, st := range stages {
 			c := st.c
 			b := planes[i]
+			if st.keep != nil {
+				b = storage[T](st.keep)[n*st.keep.C : (n+1)*st.keep.C]
+			}
 			switch {
 			case b == nil:
 				b = any(sample(n)).([]T)
@@ -282,5 +290,123 @@ func convRange[S, T float](stages []convStage, x *tensor.Mat, frames [][]S, out 
 		if rows := stages[len(stages)-1].rows; rows != nil {
 			rows.applyRows(out, n, n+1)
 		}
+	}
+}
+
+// mergePlanes is splitPlanes' transpose in one dtype: it copies the covered
+// rectangle of each of c's phase planes back to where it lies in the compact
+// sample dst. Border elements are padding and are dropped; the dst elements
+// no plane covers, input rows and columns past the last tap, are left as
+// they are.
+func mergePlanes[T float](c *Conv2D, planes, dst []T) {
+	size := c.planeH * c.planeW
+	for py := 0; py < c.phases; py++ {
+		for px := 0; px < c.phases; px++ {
+			y0, y1, x0, x1 := c.phaseRect(py, px)
+			if y0 == y1 {
+				continue
+			}
+			n := x1 - x0
+			s0 := (py*c.phases+px)*size + y0*c.planeW + x0
+			d0 := (y0*c.Stride+py-c.Pad)*c.InW + x0*c.Stride + px - c.Pad
+			for ch := 0; ch < c.InC; ch, s0, d0 = ch+1, s0+c.phases*c.phases*size, d0+c.InH*c.InW {
+				for y, si, di := y0, s0, d0; y < y1; y, si, di = y+1, si+c.planeW, di+c.Stride*c.InW {
+					for i, v := range planes[si : si+n] {
+						dst[di+i*c.Stride] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+// convGrads is Conv2D.Backward in T: dW (OutC × taps) and dx (zeroed, a row
+// per sample) take their sums, the bias master gradient its own. Every
+// element sums in the order of the whole-batch products over the patch
+// window it replaces (DESIGN §4). db[oc] is Σ over (n, position) ascending,
+// in float64.
+func convGrads[T float](c *Conv2D, grad, dW, dx *tensor.Mat) {
+	g, planes := storage[T](grad), storage[T](c.trainPlanes)
+	r, spatial, taps := grad.R, c.OutH*c.OutW, c.patchRows()
+	for oc := 0; oc < c.OutC; oc++ {
+		var s float64
+		for n := 0; n < r; n++ {
+			for _, v := range g[n*grad.C+oc*spatial : n*grad.C+(oc+1)*spatial] {
+				s += float64(v)
+			}
+		}
+		c.Bias.Grad.V[oc] += s
+	}
+	work := 2 * r * c.OutC * taps * spatial
+	dWV := storage[T](dW)
+	// Workers split the rows a pair at a time; an odd last row or column
+	// pairs with itself.
+	tensor.Parallel((c.OutC+1)/2, work, func(p0, p1 int) {
+		for oc := 2 * p0; oc < min(2*p1, c.OutC); oc += 2 {
+			oc2 := min(oc+1, c.OutC-1)
+			for k := 0; k < taps; k += 2 {
+				k2 := min(k+1, taps-1)
+				dWV[oc*taps+k], dWV[oc*taps+k2], dWV[oc2*taps+k], dWV[oc2*taps+k2] = convWeightTile(c, g, planes, r, oc, oc2, k, k2)
+			}
+		}
+	})
+	tensor.Parallel(r, work, func(n0, n1 int) { convInputGrad(c, g, dx, n0, n1) })
+}
+
+// convWeightTile returns the 2×2 tile of dW rows oc0, oc1 and columns k0,
+// k1: dW[oc][k] = Σ g_n[oc][oy][ox] · planes_n[taps[k] + oy·planeW + ox] over
+// (n, oy, ox) ascending, each element one chain from +0 — G × windowᵀ in
+// mmBT's order over the window's columns, read out of the planes in place.
+// The four chains share every load and stay in registers across all of the
+// row segments, one per (n, oy) — or one per sample where the planes have no
+// junk columns and an output row's run continues into the next.
+func convWeightTile[T float](c *Conv2D, g, planes []T, r, oc0, oc1, k0, k1 int) (s00, s01, s10, s11 T) {
+	spatial, gW, pW := c.OutH*c.OutW, c.OutSize(), c.planesLen()
+	seg, stride := c.OutW, c.planeW
+	if stride == seg {
+		seg, stride = spatial, spatial
+	}
+	t0, t1 := c.taps.At(k0), c.taps.At(k1)
+	for n := 0; n < r; n++ {
+		a0, a1 := g[n*gW+oc0*spatial:][:spatial], g[n*gW+oc1*spatial:][:spatial]
+		b0, b1 := planes[n*pW+t0:], planes[n*pW+t1:]
+		for j, o := 0, 0; j < spatial; j, o = j+seg, o+stride {
+			x0s, x1s, y0s, y1s := a0[j:j+seg], a1[j:j+seg], b0[o:o+seg], b1[o:o+seg]
+			for i := range x0s {
+				x0, x1, y0, y1 := x0s[i], x1s[i], y0s[i], y1s[i]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s10 += x1 * y0
+				s11 += x1 * y1
+			}
+		}
+	}
+	return
+}
+
+// convInputGrad writes the input gradient of samples [n0, n1) into dx's
+// zeroed rows. Per sample: dcol = Wᵀ × G_n, which is the whole-batch Wᵀ×G's
+// columns of the sample bit for bit (Kernels.MatMulAT); dcol's rows added
+// into zeroed phase planes tap by tap, k ascending — col2im's order at every
+// input element; the covered rectangles merged back into the sample's row.
+func convInputGrad[T float](c *Conv2D, g []T, dx *tensor.Mat, n0, n1 int) {
+	kern := tensor.KernelsOf[T]()
+	spatial, taps := c.OutH*c.OutW, c.patchRows()
+	buf := ws.GetRawOf(dx.DType(), 1, taps*spatial+c.planesLen())
+	defer ws.Put(buf)
+	dcol, planes := storage[T](buf)[:taps*spatial], storage[T](buf)[taps*spatial:]
+	w, dxV := weightsOf[T](c.Weight), storage[T](dx)
+	for n := n0; n < n1; n++ {
+		kern.MatMulAT(dcol, w, taps, c.OutC, g[n*c.OutSize():(n+1)*c.OutSize()], spatial)
+		clear(planes)
+		for k := 0; k < taps; k++ {
+			for oy, t := 0, c.taps.At(k); oy < c.OutH; oy++ {
+				p := planes[t+oy*c.planeW : t+oy*c.planeW+c.OutW]
+				for i, v := range dcol[(k*c.OutH+oy)*c.OutW:][:len(p)] {
+					p[i] += v
+				}
+			}
+		}
+		mergePlanes(c, planes, dxV[n*dx.C:(n+1)*dx.C])
 	}
 }

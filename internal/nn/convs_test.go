@@ -185,19 +185,13 @@ func firstDiff[T float](got, want []T) int {
 	return -1
 }
 
-// TestConvDirectParity runs the window-free path against the definition over
-// kernel × stride × padding × odd and even input sizes × every output width
-// through two vector groups of either dtype, at one, three and eight samples
-// (samples share one scratch: whatever a sample leaves in the planes' border
-// or the junk columns would show in the next), with each fused activation,
-// NaN, ±Inf, −0 and denormals in inputs, weights and biases, zero groups in
-// the weights, and every operand and scratch ending at a guard page.
-func TestConvDirectParity(t *testing.T) {
-	prev := tensor.Parallelism()
-	tensor.SetParallelism(1) // seedPools
-	defer tensor.SetParallelism(prev)
-	rng := tensor.NewRNG(5)
-	acts := []tensor.Act{{}, {Kind: tensor.ActReLU}, {Kind: tensor.ActLeakyReLU, Alpha: 0.1}}
+// convGrid calls fn with a fresh two-channel, five-filter layer for every
+// geometry of kernel 1/3/5 × stride 1/2/3 × padding 0/1/2 × every output
+// width through two vector groups of either dtype × odd and even input
+// widths × input heights 6 and 7, numbering them from 1, and returns how
+// many there were.
+func convGrid(t *testing.T, rng *tensor.RNG, fn func(c *Conv2D, i int)) int {
+	t.Helper()
 	cases := 0
 	for _, k := range []int{1, 3, 5} {
 		for _, stride := range []int{1, 2, 3} {
@@ -214,13 +208,30 @@ func TestConvDirectParity(t *testing.T) {
 							if c.OutW != outW {
 								t.Fatalf("k=%d s=%d p=%d inW=%d: OutW %d, meant %d", k, stride, pad, inW, c.OutW, outW)
 							}
-							convParityCase(t, c, []int{1, 3, 8}[cases%3], acts[cases%len(acts)], uint64(cases))
+							fn(c, cases)
 						}
 					}
 				}
 			}
 		}
 	}
+	return cases
+}
+
+// TestConvDirectParity runs the window-free path against the definition over
+// convGrid's geometries at one, three and eight samples (samples share one
+// scratch: whatever a sample leaves in the planes' border or the junk
+// columns would show in the next), with each fused activation, NaN, ±Inf, −0
+// and denormals in inputs, weights and biases, zero groups in the weights,
+// and every operand and scratch ending at a guard page.
+func TestConvDirectParity(t *testing.T) {
+	prev := tensor.Parallelism()
+	tensor.SetParallelism(1) // seedPools
+	defer tensor.SetParallelism(prev)
+	acts := []tensor.Act{{}, {Kind: tensor.ActReLU}, {Kind: tensor.ActLeakyReLU, Alpha: 0.1}}
+	cases := convGrid(t, tensor.NewRNG(5), func(c *Conv2D, i int) {
+		convParityCase(t, c, []int{1, 3, 8}[i%3], acts[i%len(acts)], uint64(i))
+	})
 	if cases < 1000 {
 		t.Fatalf("only %d geometries ran", cases)
 	}

@@ -361,9 +361,9 @@ func TestConvOutputGeometry(t *testing.T) {
 	}
 }
 
-// im2colRef is im2colInto as it was first written: one padding test per
-// element. The run-based version must fill the patch matrix identically —
-// every byte of it, since the workspace is reused and never cleared.
+// im2colRef unrolls one sample into the column block [off, off+OutH*OutW)
+// of a patch window (row stride colsC), one padding test per element: the
+// definition of the window the convolution multiplies by and never builds.
 func im2colRef[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
 	for ch := 0; ch < c.InC; ch++ {
 		for ky := 0; ky < c.K; ky++ {
@@ -386,53 +386,11 @@ func im2colRef[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
 	}
 }
 
-func TestIm2colMatchesPerElementReference(t *testing.T) {
-	rng := tensor.NewRNG(31)
-	for _, g := range []struct{ inC, h, w, k, stride, pad int }{
-		{3, 27, 48, 3, 2, 1}, // the detectors' first layer
-		{10, 14, 24, 3, 2, 1},
-		{24, 7, 12, 3, 1, 1},
-		{14, 7, 12, 1, 1, 0}, // 1×1 head
-		{2, 9, 7, 3, 1, 0},
-		{2, 9, 7, 3, 2, 0},
-		{1, 5, 5, 5, 1, 2}, // kernel as wide as the input
-		{2, 1, 1, 3, 1, 1}, // every tap but the centre is padding
-		{1, 2, 3, 3, 2, 1},
-		{3, 7, 5, 3, 3, 1},
-		{1, 4, 9, 2, 2, 0},
-		{1, 3, 3, 3, 2, 2}, // padding wider than a stride: whole taps miss
-	} {
-		c := NewConv2D(g.inC, g.h, g.w, 2, g.k, g.stride, g.pad, rng)
-		const n = 3 // the middle sample's block has neighbours on both sides
-		spatial := c.OutH * c.OutW
-		x := randomBatch(n, c.InSize(), 77)
-		got := tensor.New(c.patchRows(), n*spatial)
-		want := tensor.New(c.patchRows(), n*spatial)
-		got.Fill(math.NaN()) // stale workspace: every element must be overwritten
-		want.Fill(math.NaN())
-		x32 := x.ToDType(tensor.F32)
-		got32, want32 := got.ToDType(tensor.F32), want.ToDType(tensor.F32)
-		for s := 0; s < n; s++ {
-			im2colInto(c, x.Row(s), got.V, got.C, s*spatial)
-			im2colRef(c, x.Row(s), want.V, want.C, s*spatial)
-			im2colInto(c, x32.Row32(s), got32.V32, got32.C, s*spatial)
-			im2colRef(c, x32.Row32(s), want32.V32, want32.C, s*spatial)
-		}
-		for i, v := range want.V {
-			if math.Float64bits(got.V[i]) != math.Float64bits(v) {
-				t.Fatalf("%+v: float64 patch element %d = %v, reference %v", g, i, got.V[i], v)
-			}
-			if math.Float32bits(got32.V32[i]) != math.Float32bits(want32.V32[i]) {
-				t.Fatalf("%+v: float32 patch element %d = %v, reference %v", g, i, got32.V32[i], want32.V32[i])
-			}
-		}
-	}
-}
-
 // convForwardWholeBatch is Conv2D.Forward as it was before it became
 // sample-blocked: unroll the whole batch into one patch matrix, one
 // weight × patches multiply, then regroup the channel-major product into
-// per-sample rows while adding the bias. It returns the patch matrix too.
+// per-sample rows while adding the bias. It returns the patch matrix too,
+// the backward cache of those days.
 func convForwardWholeBatch(c *Conv2D, x *tensor.Mat) (out, cols *tensor.Mat) {
 	dt := x.DType()
 	spatial := c.OutH * c.OutW
@@ -443,9 +401,9 @@ func convForwardWholeBatch(c *Conv2D, x *tensor.Mat) (out, cols *tensor.Mat) {
 	}
 	for n := 0; n < x.R; n++ {
 		if dt == tensor.F32 {
-			im2colInto(c, x.Row32(n), cols.V32, cols.C, n*spatial)
+			im2colRef(c, x.Row32(n), cols.V32, cols.C, n*spatial)
 		} else {
-			im2colInto(c, x.Row(n), cols.V, cols.C, n*spatial)
+			im2colRef(c, x.Row(n), cols.V, cols.C, n*spatial)
 		}
 	}
 	y := tensor.NewOf(dt, c.OutC, x.R*spatial)
@@ -482,10 +440,28 @@ func sameBits(a, b *tensor.Mat) int {
 	return -1
 }
 
+// windowOfPlanes reads the whole-batch patch matrix out of a training
+// forward's retained planes through the tap table: column n·spatial +
+// oy·OutW + ox of row k is planes_n[taps[k] + oy·planeW + ox].
+func windowOfPlanes(c *Conv2D, planes *tensor.Mat) *tensor.Mat {
+	spatial := c.OutH * c.OutW
+	win := tensor.NewOf(planes.DType(), c.patchRows(), planes.R*spatial)
+	for k := 0; k < win.R; k++ {
+		for n := 0; n < planes.R; n++ {
+			for oy := 0; oy < c.OutH; oy++ {
+				for ox := 0; ox < c.OutW; ox++ {
+					win.Set(k, n*spatial+oy*c.OutW+ox, planes.At(n, c.taps.At(k)+oy*c.planeW+ox))
+				}
+			}
+		}
+	}
+	return win
+}
+
 // TestConvForwardBlockedBitIdentity pins the sample-blocked forward to the
 // whole-batch one it replaced: same output bits in both dtypes, at one
 // sample, a few and a serving window, in inference and in training — where
-// the retained patch matrix, the backward cache, must match too.
+// the retained planes, the backward cache, must hold the patch matrix too.
 func TestConvForwardBlockedBitIdentity(t *testing.T) {
 	rng := tensor.NewRNG(41)
 	for _, g := range []struct{ inC, h, w, outC, k, stride, pad int }{
@@ -510,8 +486,8 @@ func TestConvForwardBlockedBitIdentity(t *testing.T) {
 					}
 					Recycle(got)
 				}
-				if i := sameBits(c.cols, wantCols); i >= 0 || c.cols.C != wantCols.C {
-					t.Fatalf("%+v n=%d %v: retained patch matrix differs at %d", g, n, x.DType(), i)
+				if i := sameBits(windowOfPlanes(c, c.trainPlanes), wantCols); i >= 0 {
+					t.Fatalf("%+v n=%d %v: the retained planes' patch matrix differs at %d", g, n, x.DType(), i)
 				}
 			}
 		}

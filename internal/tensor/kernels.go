@@ -170,11 +170,10 @@ type product[T number] struct {
 
 // mmAxpy computes dst = A×b, m×n (+ bias broadcast over rows, then act),
 // with A and b as in product. Work is tiled over columns as well as k. When
-// dst is wide enough to give every worker several column tiles — the
-// wide-short products a whole-batch convolution makes, a dozen rows by
-// N·spatial columns — workers split the columns, so each b tile is fetched
-// once and reused by every dst row; otherwise they split the rows, in whole
-// register-tile blocks.
+// dst is wide enough to give every worker several column tiles — a wide,
+// short product, a dozen rows by thousands of columns — workers split the
+// columns, so each b tile is fetched once and reused by every dst row;
+// otherwise they split the rows, in whole register-tile blocks.
 func mmAxpy[T number](ops rowOps[T], dst, a, b, bias []T, m, kk, n, ai, ak int, act Act) {
 	p := product[T]{dst: dst, dn: n, a: a, ai: ai, ak: ak, b: b, bn: n, kk: kk, start: bias, act: act.Kind, alpha: T(act.Alpha)}
 	work := 2 * m * kk * n
@@ -395,10 +394,12 @@ func NewTaps(off []int) Taps {
 // Len returns the number of taps, the product's depth.
 func (t Taps) Len() int { return len(t.off) }
 
+// At returns where B's row k begins.
+func (t Taps) At(k int) int { return t.off[k] }
+
 // Kernels is one dtype's kernels on raw slices, for a caller that is already
-// one shard of a parallel loop and works out of its own scratch (inference
-// convolution, a sample at a time): every method stays on the calling
-// goroutine.
+// one shard of a parallel loop and works out of its own scratch (convolution,
+// a sample at a time): every method stays on the calling goroutine.
 type Kernels[T number] struct{ ops *rowOps[T] }
 
 // KernelsOf returns T's kernel set. The dtype is resolved here, once, so
@@ -431,6 +432,18 @@ func (k Kernels[T]) MatMulTaps(dst []T, dn int, a []T, m int, b []T, taps Taps, 
 	}
 	p := product[T]{dst: dst, dn: dn, a: a, ai: kk, ak: 1, b: b, taps: taps, kk: kk, bias: bias, act: act.Kind, alpha: T(act.Alpha)}
 	p.run(*k.ops, 0, m, 0, w)
+}
+
+// MatMulAT is MatMulATInto on raw slices: dst = aᵀ×b for a kk×m and b kk×n,
+// both row-major, dst m×n. It is the same loop nest, whose skip and tile
+// choices depend on a alone, so a product over some of b's columns gives
+// each element the bits the whole product's column has.
+func (k Kernels[T]) MatMulAT(dst, a []T, m, kk int, b []T, n int) {
+	if len(a) < kk*m || len(b) < kk*n || len(dst) < m*n {
+		panic("tensor: matmul-aT shape mismatch")
+	}
+	p := product[T]{dst: dst, dn: n, a: a, ai: 1, ak: m, b: b, bn: n, kk: kk}
+	p.run(*k.ops, 0, m, 0, n)
 }
 
 // Gather2 copies every second element of each of rows strided runs:

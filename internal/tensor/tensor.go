@@ -197,32 +197,6 @@ func MatMulInto(dst, a, b *Mat) {
 	For(dt).MatMulBias(dst, a, b, nil, Act{})
 }
 
-// MatMulWindowInto multiplies a by the column window [j0, j0+w) of b, adds
-// bias[r] (bias may be nil) to every element of the product's row r, and
-// writes the a.R×w result, row-major, over row i of dst (dst.C = a.R·w). It
-// is MatMulInto for a caller that is already one shard of a parallel loop
-// (the training convolution, one sample of the retained patch matrix at a
-// time): it stays on the calling goroutine and gives every element the
-// terms MatMulInto would, in its order, so without a bias it matches those
-// columns of the whole product bit for bit.
-func MatMulWindowInto(dst *Mat, i int, a, b *Mat, j0 int, bias *Mat) {
-	w := dst.C / a.R
-	if a.C != b.R || a.R*w != dst.C || j0 < 0 || j0+w > b.C || (bias != nil && bias.Len() != a.R) {
-		panic("tensor: matmul-window shape mismatch")
-	}
-	mustSameDType(dst.DType(), a, b, bias)
-	if bias == nil {
-		bias = new(Mat) // no storage: no bias
-	}
-	if dst.V32 != nil {
-		p := product[float32]{dst: dst.Row32(i), dn: w, a: a.V32, ai: a.C, ak: 1, b: b.V32[j0:], bn: b.C, kk: a.C, bias: bias.V32}
-		p.run(rows32, 0, a.R, 0, w)
-	} else {
-		p := product[float64]{dst: dst.Row(i), dn: w, a: a.V, ai: a.C, ak: 1, b: b.V[j0:], bn: b.C, kk: a.C, bias: bias.V}
-		p.run(rows64, 0, a.R, 0, w)
-	}
-}
-
 // MatMulBiasInto computes dst = a×b + bias, with the row-vector bias
 // broadcast over dst's rows and folded into the accumulation so the result
 // needs no second pass. bias must hold dst.C elements in the operands'

@@ -75,34 +75,32 @@ func (g *guarded) free() {
 	g.frees = nil
 }
 
-// tileProducts runs every entry point that reaches mmAxpyRange — a×b, a×b +
-// bias, aᵀ×b (the strided coefficient walk) and the column-window form with
-// dn ≠ bn and j0 > 0 — and checks on the way that the window matches its
-// columns of the whole product. Every operand and result ends at a guard
+// tileProducts runs every entry point that reaches product.run — a×b, a×b +
+// bias, aᵀ×b (the strided coefficient walk) and its raw-slice form
+// Kernels.MatMulAT on the calling goroutine — and checks on the way that the
+// raw form matches the matrix one. Every operand and result ends at a guard
 // page, so a tile that reads or writes past a row's last column faults.
 func tileProducts(t *testing.T, g *guarded, a, b, bias *Mat, seed uint64) []*Mat {
 	dt, m, n := a.DType(), a.R, b.C
 	rng := NewRNG(seed)
-	out := []*Mat{g.mat(dt, m, n, rng), g.mat(dt, m, n, rng), g.mat(dt, m, n, rng)}
+	out := []*Mat{g.mat(dt, m, n, rng), g.mat(dt, m, n, rng), g.mat(dt, m, n, rng), g.mat(dt, m, n, rng)}
 	MatMulInto(out[0], a, b)
 	MatMulBiasInto(out[1], a, b, bias)
-	MatMulATInto(out[2], a.Transpose(), b)
-	if j0, w := n/3, n-n/3-n/4; w > 0 {
-		win := g.mat(dt, 3, m*w, rng) // the product lands in the middle row
-		MatMulWindowInto(win, 1, a, b, j0, nil)
-		for i := 0; i < m; i++ {
-			for j := 0; j < w; j++ {
-				if g, want := win.At(1, i*w+j), out[0].At(i, j0+j); math.Float64bits(g) != math.Float64bits(want) {
-					t.Fatalf("%v %dx%dx%d: window [%d,%d) element (%d,%d) = %v, whole product has %v", dt, m, a.C, n, j0, j0+w, i, j, g, want)
-				}
-			}
-		}
-		out = append(out, win)
+	at := g.mat(dt, a.C, m, rng)
+	at.CopyFrom(a.Transpose())
+	MatMulATInto(out[2], at, b)
+	if dt == F32 {
+		KernelsOf[float32]().MatMulAT(out[3].V32, at.V32, m, a.C, b.V32, n)
+	} else {
+		KernelsOf[float64]().MatMulAT(out[3].V, at.V, m, a.C, b.V, n)
+	}
+	if !bitsEqual(out[3], out[2]) {
+		t.Fatalf("%v %dx%dx%d: Kernels.MatMulAT differs from MatMulATInto", dt, m, a.C, n)
 	}
 	return out
 }
 
-var tileProductNames = []string{"matmul", "matmulBias", "matmulAT", "window"}
+var tileProductNames = []string{"matmul", "matmulBias", "matmulAT", "kernelsAT"}
 
 func requireSameBits(t *testing.T, names []string, outs [][]*Mat, format string, args ...any) {
 	t.Helper()
