@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -213,6 +214,42 @@ func TestTrainerWarmBuildPanicRollsBack(t *testing.T) {
 	if st := tr.Stats(); st.Scratch != 1 || pipe.Manager.Models()[6] == nil {
 		t.Fatalf("stats %+v: the job after the panic did not train", st)
 	}
+}
+
+// TestTrainerKernelPanicRollsBack: a build whose kernel panics inside a
+// tensor.Parallel chunk fails like any panicked build. Both chunks of the
+// loop panic once they are running side by side, so one of the two panics
+// is on a pool helper; it reaches the trainer, not the process.
+func TestTrainerKernelPanicRollsBack(t *testing.T) {
+	pipe, gen := trainerTestPipe(t)
+	tr := NewTrainer(pipe)
+	defer tr.Close()
+	ob := obs.New(16)
+	pipe.SetObserver(ob)
+	prev := tensor.Parallelism()
+	tensor.SetParallelism(2)
+	defer tensor.SetParallelism(prev)
+	tr.SetBuild(func(core.TrainJob) (*core.Model, error) {
+		var running atomic.Int32
+		tensor.Parallel(2, 1<<20, func(int, int) {
+			running.Add(1)
+			for deadline := time.Now().Add(10 * time.Second); running.Load() < 2 && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			panic("kernel chunk")
+		})
+		return nil, nil
+	})
+
+	driftOnce(t, pipe, gen)
+	waitTrainer(t, tr)
+	if st := tr.Stats(); st.Failed != 1 || st.Trained != 0 {
+		t.Fatalf("stats %+v, want the panicked build failed", st)
+	}
+	if pipe.PendingRecoveries() != 0 || pipe.Manager.NumModels() != 0 {
+		t.Fatalf("after the panic: %d recoveries pending, %d models", pipe.PendingRecoveries(), pipe.Manager.NumModels())
+	}
+	requireFailedEvent(t, ob, "kernel chunk")
 }
 
 // requireFailedEvent finds the recovery_failed event of a panicked build

@@ -30,8 +30,23 @@ func BenchmarkConv2DForward(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DBackward is a training step's backward pass — dW, db and
+// dx — at batch 16: the CIFAR-like layer, kept for continuity, and
+// detectorConvs.
 func BenchmarkConv2DBackward(b *testing.B) {
-	layer, x := benchConv()
+	cifar, x := benchConv()
+	b.Run("cifar", func(b *testing.B) { benchBackward(b, cifar, x) })
+	rng := tensor.NewRNG(6)
+	for _, l := range detectorConvs(rng) {
+		b.Run(fmt.Sprintf("%dx%dx%d_k%ds%d", l.InC, l.InH, l.InW, l.K, l.Stride), func(b *testing.B) {
+			x := tensor.New(16, l.InSize())
+			rng.FillNormal(x, 1)
+			benchBackward(b, l, x)
+		})
+	}
+}
+
+func benchBackward(b *testing.B, layer *Conv2D, x *tensor.Mat) {
 	out := layer.Forward(x, true)
 	grad := tensor.New(out.R, out.C)
 	tensor.NewRNG(2).FillNormal(grad, 1)
@@ -44,19 +59,24 @@ func BenchmarkConv2DBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkConv2D runs the specialized detector's two backbone convolutions,
-// the baseline's stride-1 layer and the 1×1 head in inference mode at one
-// frame, one serving block and one whole window — the per-layer half of the
-// block-sharding story (DESIGN §4): ns per frame should not depend on N once
-// each sample's scratch stays in cache.
-func BenchmarkConv2D(b *testing.B) {
-	rng := tensor.NewRNG(6)
-	for _, l := range []*Conv2D{
+// detectorConvs are the specialized detector's two backbone convolutions,
+// the baseline's stride-1 layer and the 1×1 head.
+func detectorConvs(rng *tensor.RNG) []*Conv2D {
+	return []*Conv2D{
 		NewConv2D(3, 27, 48, 10, 3, 2, 1, rng),
 		NewConv2D(10, 14, 24, 14, 3, 2, 1, rng),
 		NewConv2D(24, 7, 12, 24, 3, 1, 1, rng),
 		NewConv2D(14, 7, 12, 10, 1, 1, 0, rng),
-	} {
+	}
+}
+
+// BenchmarkConv2D runs detectorConvs in inference mode at one frame, one
+// serving block and one whole window — the per-layer half of the
+// block-sharding story (DESIGN §4): ns per frame should not depend on N once
+// each sample's scratch stays in cache.
+func BenchmarkConv2D(b *testing.B) {
+	rng := tensor.NewRNG(6)
+	for _, l := range detectorConvs(rng) {
 		for _, n := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%dx%dx%d_k%ds%d/n%d", l.InC, l.InH, l.InW, l.K, l.Stride, n), func(b *testing.B) {
 				x := tensor.New(n, l.InSize())

@@ -338,50 +338,58 @@ func convGrads[T float](c *Conv2D, grad, dW, dx *tensor.Mat) {
 		c.Bias.Grad.V[oc] += s
 	}
 	work := 2 * r * c.OutC * taps * spatial
-	dWV := storage[T](dW)
-	// Workers split the rows a pair at a time; an odd last row or column
-	// pairs with itself.
-	tensor.Parallel((c.OutC+1)/2, work, func(p0, p1 int) {
-		for oc := 2 * p0; oc < min(2*p1, c.OutC); oc += 2 {
-			oc2 := min(oc+1, c.OutC-1)
-			for k := 0; k < taps; k += 2 {
-				k2 := min(k+1, taps-1)
-				dWV[oc*taps+k], dWV[oc*taps+k2], dWV[oc2*taps+k], dWV[oc2*taps+k2] = convWeightTile(c, g, planes, r, oc, oc2, k, k2)
-			}
-		}
-	})
+	convWeightGrad(c, grad, planes, storage[T](dW), work)
 	tensor.Parallel(r, work, func(n0, n1 int) { convInputGrad(c, g, dx, n0, n1) })
 }
 
-// convWeightTile returns the 2×2 tile of dW rows oc0, oc1 and columns k0,
-// k1: dW[oc][k] = Σ g_n[oc][oy][ox] · planes_n[taps[k] + oy·planeW + ox] over
-// (n, oy, ox) ascending, each element one chain from +0 — G × windowᵀ in
-// mmBT's order over the window's columns, read out of the planes in place.
-// The four chains share every load and stay in registers across all of the
-// row segments, one per (n, oy) — or one per sample where the planes have no
-// junk columns and an output row's run continues into the next.
-func convWeightTile[T float](c *Conv2D, g, planes []T, r, oc0, oc1, k0, k1 int) (s00, s01, s10, s11 T) {
-	spatial, gW, pW := c.OutH*c.OutW, c.OutSize(), c.planesLen()
+// convWeightGrad writes dW[oc][k] = Σ g_n[oc][oy][ox] · planes_n[taps[k] +
+// oy·planeW + ox] over (n, oy, ox) ascending, each element one chain from +0
+// — G × windowᵀ in mmBT's order over the window's columns, read out of the
+// planes in place. It runs as the transposed product on the register tile
+// (Kernels.MatMulAcc): a row of dWᵀ per (tap, channel), laid out (ky, kx, ch)
+// so that one tap's channels are rows a plane set apart, against gᵀ, each
+// sample's gradient position-major. One call per row segment — (n, oy), or n
+// alone where the planes have no junk columns and an output row's run
+// continues into the next — takes up to four channels' chains through it;
+// the first call starts them from +0 and the rest carry them on. Workers
+// split the (tap, block of four channels) units; a last pass transposes.
+func convWeightGrad[T float](c *Conv2D, grad *tensor.Mat, planes, dW []T, work int) {
+	kern := tensor.KernelsOf[T]()
+	g, r, spatial, kk := storage[T](grad), grad.R, c.OutH*c.OutW, c.K*c.K
 	seg, stride := c.OutW, c.planeW
 	if stride == seg {
 		seg, stride = spatial, spatial
 	}
-	t0, t1 := c.taps.At(k0), c.taps.At(k1)
+	bufs := ws.GetRawOf(grad.DType(), 1, r*spatial*c.OutC+c.patchRows()*c.OutC)
+	defer ws.Put(bufs)
+	gT, dWT := storage[T](bufs)[:r*spatial*c.OutC], storage[T](bufs)[r*spatial*c.OutC:]
 	for n := 0; n < r; n++ {
-		a0, a1 := g[n*gW+oc0*spatial:][:spatial], g[n*gW+oc1*spatial:][:spatial]
-		b0, b1 := planes[n*pW+t0:], planes[n*pW+t1:]
-		for j, o := 0, 0; j < spatial; j, o = j+seg, o+stride {
-			x0s, x1s, y0s, y1s := a0[j:j+seg], a1[j:j+seg], b0[o:o+seg], b1[o:o+seg]
-			for i := range x0s {
-				x0, x1, y0, y1 := x0s[i], x1s[i], y0s[i], y1s[i]
-				s00 += x0 * y0
-				s01 += x0 * y1
-				s10 += x1 * y0
-				s11 += x1 * y1
+		for oc := 0; oc < c.OutC; oc++ {
+			for s, v := range g[(n*c.OutC+oc)*spatial:][:spatial] {
+				gT[(n*spatial+s)*c.OutC+oc] = v
 			}
 		}
 	}
-	return
+	blocks, chStride := (c.InC+3)/4, c.phases*c.phases*c.planeH*c.planeW
+	tensor.Parallel(kk*blocks, work, func(u0, u1 int) {
+		for u := u0; u < u1; u++ {
+			t, ch := u/blocks, u%blocks*4
+			nr, dst := min(4, c.InC-ch), dWT[(t*c.InC+ch)*c.OutC:]
+			for n := 0; n < r; n++ {
+				p := planes[n*c.planesLen()+c.taps.At(ch*kk+t):]
+				for j, o := 0, 0; j < spatial; j, o = j+seg, o+stride {
+					kern.MatMulAcc(dst, c.OutC, p[o:], nr, chStride, 1, gT[(n*spatial+j)*c.OutC:], c.OutC, seg, c.OutC, n == 0 && j == 0)
+				}
+			}
+		}
+	})
+	for oc := 0; oc < c.OutC; oc++ {
+		for ch := 0; ch < c.InC; ch++ {
+			for t := 0; t < kk; t++ {
+				dW[(oc*c.InC+ch)*kk+t] = dWT[(t*c.InC+ch)*c.OutC+oc]
+			}
+		}
+	}
 }
 
 // convInputGrad writes the input gradient of samples [n0, n1) into dx's

@@ -446,6 +446,48 @@ func (k Kernels[T]) MatMulAT(dst, a []T, m, kk int, b []T, n int) {
 	p.run(*k.ops, 0, m, 0, n)
 }
 
+// MatMulAcc is a product that may run over several calls: for i < m and
+// j < w,
+//
+//	dst[i*dn+j] = s + Σk a[i*ai+k*ak]·b[k*bn+j],  k ascending over [0, kk)
+//
+// s zero when first is set and dst[i*dn+j] otherwise. It skips no term — a
+// zero coefficient, or a group of four, is applied like any other, so an Inf
+// or NaN behind it reaches the sum — and an element summed over a sequence
+// of calls, the first with first set, is therefore one chain from +0 over
+// every term in call order: the register tile where the host has it, rows
+// one term at a time where not.
+func (k Kernels[T]) MatMulAcc(dst []T, dn int, a []T, m, ai, ak int, b []T, bn, kk, w int, first bool) {
+	if m <= 0 || w <= 0 {
+		return
+	}
+	// The assembly takes strides on trust: check the far corners once.
+	_ = dst[(m-1)*dn+w-1]
+	if kk > 0 {
+		_, _ = a[(m-1)*ai+(kk-1)*ak], b[(kk-1)*bn+w-1]
+	}
+	mode := 0
+	if first {
+		mode = tileFirst
+	}
+	for i := 0; i < m; i += mmTileRows {
+		nr := min(mmTileRows, m-i)
+		if k.ops.tile != nil && kk > 0 {
+			k.ops.tile(dst[i*dn:], dn, a[i*ai:], ai, ak, b, bn, nil, kk, w, nr, nil, nil, mode, 0)
+			continue
+		}
+		for r := i; r < i+nr; r++ {
+			drow := dst[r*dn : r*dn+w]
+			if first {
+				clear(drow)
+			}
+			for q := 0; q < kk; q++ {
+				k.ops.axpy1(drow, b[q*bn:], a[r*ai+q*ak])
+			}
+		}
+	}
+}
+
 // Gather2 copies every second element of each of rows strided runs:
 // dst[r*dn+i] = src[r*sn+2*i] for i < n and r < rows — the stride-2 unroll
 // of a convolution tap or phase, AVX2 where the CPU has it. Nothing past a

@@ -25,6 +25,10 @@ import (
 // copy — so it returns to jobFree only after the last stale copy has been
 // dequeued and found the cursor exhausted; a recycled record is never
 // visible to a worker still holding its previous life.
+//
+// A chunk that panics still counts as run: the first panic is kept in pan
+// and re-raised on the submitter once every chunk is done, so it unwinds
+// the goroutine that asked for the loop and no pool helper dies of it.
 type job struct {
 	fn    func(start, end int)
 	n     int
@@ -32,6 +36,8 @@ type job struct {
 	next  atomic.Int64
 	wg    sync.WaitGroup
 	refs  atomic.Int32
+	mu    sync.Mutex
+	pan   any
 }
 
 // jobFree is the free list of job records. A buffered channel rather than
@@ -70,9 +76,24 @@ func (j *job) run() {
 		if end > j.n {
 			end = j.n
 		}
-		j.fn(start, end)
-		j.wg.Done()
+		j.call(start, end)
 	}
+}
+
+// call runs one chunk and marks it done, keeping its panic if it is the
+// job's first.
+func (j *job) call(start, end int) {
+	defer func() {
+		if p := recover(); p != nil {
+			j.mu.Lock()
+			if j.pan == nil {
+				j.pan = p
+			}
+			j.mu.Unlock()
+		}
+		j.wg.Done()
+	}()
+	j.fn(start, end)
 }
 
 var (
@@ -216,5 +237,10 @@ func dispatch(n, w int, fn func(start, end int)) {
 	}
 	j.run()
 	j.wg.Wait()
+	p := j.pan
+	j.pan = nil
 	j.release()
+	if p != nil {
+		panic(p)
+	}
 }

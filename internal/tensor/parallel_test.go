@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // forceParallel runs fn with the worker pool fanned out wide enough that
@@ -127,6 +130,44 @@ func TestParallelWorkersNestedKernels(t *testing.T) {
 	if got := total.Load(); got != 800 {
 		t.Fatalf("nested work covered %d of 800", got)
 	}
+}
+
+// goroutineID returns the calling goroutine's number, from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestParallelHelperPanicReachesCaller: a chunk that panics on a pool helper
+// does not kill the process. Its panic is re-raised on the goroutine that
+// called Parallel, after every other chunk has run, and the pool keeps
+// working. The two chunks meet before either goes on, so they run at once
+// on two goroutines, and only the one that is not the caller panics.
+func TestParallelHelperPanicReachesCaller(t *testing.T) {
+	forceParallel(t, 2, func() {
+		caller := goroutineID()
+		var arrived, finished atomic.Int32
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			Parallel(2, 1<<20, func(start, end int) {
+				arrived.Add(1)
+				for deadline := time.Now().Add(10 * time.Second); arrived.Load() < 2; runtime.Gosched() {
+					if time.Now().After(deadline) {
+						panic("the second chunk never started")
+					}
+				}
+				if goroutineID() != caller {
+					panic("helper chunk")
+				}
+				finished.Add(1)
+			})
+			return nil
+		}()
+		if got != "helper chunk" || finished.Load() != 1 {
+			t.Fatalf("recovered %v with %d chunks finished, want the helper's panic after the caller's chunk", got, finished.Load())
+		}
+	})
+	TestParallelCoversRangeExactlyOnce(t)
 }
 
 func TestParallelZeroAndNegative(t *testing.T) {

@@ -351,6 +351,109 @@ func widthCase[T number](t *testing.T, w int, act Act, seed uint64) {
 	}
 }
 
+// TestMatMulAccParity holds the every-term product to a plain triple loop,
+// bit for bit on every kernel path: one and two register blocks (m 1–6), every
+// width through the column groups' edges of both dtypes (w 1–33), strided
+// coefficients both ways, sums that start from zero or carry on from dst.
+// See accCase.
+func TestMatMulAccParity(t *testing.T) {
+	seed := uint64(5000)
+	for m := 1; m <= 6; m++ {
+		for _, kk := range []int{1, 3, 8, 13} {
+			for w := 1; w <= 33; w++ {
+				seed++
+				accCase[float64](t, m, kk, w, seed%2 == 0, seed)
+				accCase[float32](t, m, kk, w, seed%2 == 0, seed)
+			}
+		}
+	}
+}
+
+// accCase runs MatMulAcc every way on operands that end at guard pages and
+// checks every element against the definition. Every row's first group of
+// four coefficients is zero, with an Inf and the hardware NaN in the b rows
+// behind it: the row path would skip that group, MatMulAcc must not. Then
+// distinct NaN payloads meet in a multiply (one in a, one in b) and in an add
+// (the carried dst, a NaN product), and the assembly paths must agree with
+// each other: as in widthCase, the pure-Go path's operand order is the
+// compiler's.
+func accCase[T number](t *testing.T, m, kk, w int, first bool, seed uint64) {
+	t.Helper()
+	rng := NewRNG(seed)
+	var frees []func()
+	defer func() {
+		for _, f := range frees {
+			f()
+		}
+	}()
+	alloc := func(n int) []T {
+		s, free := guardpage.Alloc[T](n)
+		frees = append(frees, free)
+		for i := range s {
+			s[i] = T(rng.Norm())
+		}
+		return s
+	}
+	ai, ak := kk+int(seed%3), 1 // rows of coefficients, or columns
+	if seed%4 >= 2 {
+		ai, ak = 1, m+int(seed%3)
+	}
+	dn, bn := w+int(seed%2), w+int(seed%3)
+	a, b := alloc((m-1)*ai+(kk-1)*ak+1), alloc((kk-1)*bn+w)
+	for i := 0; i < m; i++ {
+		for k := 0; k < min(4, kk); k++ {
+			a[i*ai+k*ak] = 0
+		}
+	}
+	b[(min(4, kk)-1)*bn+int(seed%uint64(w))] = T(math.Inf(1))
+	b[int(seed/3%uint64(w))] = T(kernelSpecials[0])
+	for s := 0; s < 3; s++ {
+		b[int(rng.Uint64()%uint64(len(b)))] = T(kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
+	}
+	dst0 := alloc((m-1)*dn + w)
+	dst0[int(rng.Uint64()%uint64(len(dst0)))] = T(kernelSpecials[int(seed%uint64(len(kernelSpecials)))])
+
+	run := func() (names []string, outs [][]T) {
+		names, _ = kernelPaths(t, func() []*Mat {
+			dst := alloc(len(dst0))
+			copy(dst, dst0)
+			KernelsOf[T]().MatMulAcc(dst, dn, a, m, ai, ak, b, bn, kk, w, first)
+			outs = append(outs, dst)
+			return nil
+		})
+		return names, outs
+	}
+	names, outs := run()
+	for i := 0; i < m; i++ {
+		for j := 0; j < w; j++ {
+			var want T
+			if !first {
+				want = dst0[i*dn+j]
+			}
+			for k := 0; k < kk; k++ {
+				want = T(want + T(a[i*ai+k*ak]*b[k*bn+j]))
+			}
+			for p, dst := range outs {
+				if got := dst[i*dn+j]; !sameBitsT(got, want) {
+					t.Fatalf("%T %dx%dx%d first=%v seed %d: %s path has %v (%x) at (%d,%d), the triple loop gives %v (%x)", T(0), m, kk, w, first, seed, names[p], got, math.Float64bits(float64(got)), i, j, want, math.Float64bits(float64(want)))
+				}
+			}
+		}
+	}
+
+	a[(m-1)*ai+(kk-1)*ak], b[(kk-1)*bn] = nanPayload[T](0x1a1), nanPayload[T](0x2b2)
+	dst0[(m-1)*dn+w-1], b[(kk-1)*bn+w-1] = nanPayload[T](0x3c3), nanPayload[T](0x4d4)
+	names, outs = run()
+	for p := 1; p < len(names)-1; p++ { // every path but the pure-Go one, which is last
+		for e := range outs[0] {
+			if !sameBitsT(outs[p][e], outs[0][e]) {
+				t.Fatalf("%T %dx%dx%d first=%v seed %d, NaN payloads: element %d is %x on the %s path, %x on the %s path", T(0), m, kk, w, first, seed, e,
+					math.Float64bits(float64(outs[p][e])), names[p], math.Float64bits(float64(outs[0][e])), names[0])
+			}
+		}
+	}
+}
+
 // wrapMat returns s as an r×c matrix of its element type.
 func wrapMat[T number](r, c int, s []T) *Mat {
 	if s, ok := any(s).([]float32); ok {

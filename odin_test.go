@@ -2,12 +2,22 @@ package odin
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"odin/internal/core"
+	"odin/internal/detect"
+	"odin/internal/gan"
+	"odin/internal/nn"
+	"odin/internal/tensor"
 )
 
 // fastServerOptions keeps the public-API tests quick.
@@ -213,6 +223,65 @@ func TestBootstrapHonoursCancelledContext(t *testing.T) {
 	if err := srv.Bootstrap(context.Background(), nil); err != nil {
 		t.Fatalf("Bootstrap after cancelled attempt: %v", err)
 	}
+}
+
+// TestBootstrapSideBySideParity: Bootstrap trains the DA-GAN and the
+// baseline side by side, and each ends with the weights of a sequential run
+// with the same seeds and frames — core.TrainDAGAN, then baseline.Fit — at
+// one worker and at four.
+func TestBootstrapSideBySideParity(t *testing.T) {
+	const seed = 23
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			tensor.SetParallelism(procs)
+			defer tensor.SetParallelism(0)
+			srv, err := New(fastServerOptions(seed)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			boot := srv.GenerateFrames(FullData, 80)
+			if err := srv.Bootstrap(context.Background(), boot); err != nil {
+				t.Fatal(err)
+			}
+
+			dagan := core.TrainDAGAN(boot, core.DownsampleEncoder(2), gan.Config{
+				InputDim: core.EncodedDim(srv.scene, 2), Latent: 16, Hidden: []int{128, 48}, LR: 0.001, Seed: seed + 7,
+			}, 1, 32)
+			baseCfg := detect.YOLOConfig(srv.scene.H, srv.scene.W)
+			baseCfg.Seed = seed + 9
+			baseline := detect.NewGridDetector(baseCfg)
+			baseline.Fit(detect.SamplesFromFrames(boot), 2, 16)
+
+			for _, c := range []struct {
+				name      string
+				got, want []*nn.Network
+			}{
+				{"DA-GAN", []*nn.Network{srv.dagan.Enc, srv.dagan.Dec, srv.dagan.DZ, srv.dagan.DI}, []*nn.Network{dagan.Enc, dagan.Dec, dagan.DZ, dagan.DI}},
+				{"baseline", []*nn.Network{srv.baseline.Net}, []*nn.Network{baseline.Net}},
+			} {
+				if got, want := weightsHash(c.got), weightsHash(c.want); got != want {
+					t.Errorf("%s weights hash %016x after Bootstrap, %016x trained alone", c.name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// weightsHash is the FNV-1a hash of every parameter's float64 bits.
+func weightsHash(nets []*nn.Network) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, net := range nets {
+		for _, p := range net.Params() {
+			for _, v := range p.W.V {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+	}
+	return h.Sum64()
 }
 
 // driftStream returns a deterministic 3-phase drifting stream drawn from

@@ -118,10 +118,10 @@ func (s *Server) FrameShape() (c, h, w int) {
 }
 
 // Bootstrap trains the DA-GAN projection and the heavyweight baseline
-// detector, then assembles the drift pipeline. When boot is nil, bootstrap
-// frames are generated from the full domain distribution (the paper trains
-// on a held-out unlabeled split). The context is consulted between
-// training phases; a second call — including one that overlaps a Bootstrap
+// detector side by side, then assembles the drift pipeline. When boot is
+// nil, bootstrap frames are generated from the full domain distribution
+// (the paper trains on a held-out unlabeled split). The context is
+// consulted before and after training; a second call — including one that overlaps a Bootstrap
 // still training — returns ErrAlreadyBootstrapped. Training runs outside
 // the server lock, so other methods stay responsive (and report
 // ErrNotBootstrapped) while it is in progress.
@@ -163,16 +163,22 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 		Seed:     s.cfg.seed + 7,
 		DType:    s.cfg.backend.dtype(),
 	}
-	dagan := core.TrainDAGAN(boot, enc, dgCfg, s.cfg.bootstrapEpochs, 32)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
 	baseCfg := detect.YOLOConfig(s.scene.H, s.scene.W)
 	baseCfg.Seed = s.cfg.seed + 9
 	baseCfg.DType = s.cfg.backend.dtype()
 	baseline := detect.NewGridDetector(baseCfg)
-	baseline.Fit(detect.SamplesFromFrames(boot), s.cfg.baselineEpochs, 16)
+	// The two trainings share only the boot frames, which both read, and
+	// each draws from its own seeded RNG: side by side, each ends with the
+	// weights it would have alone. A panic in either reaches the caller.
+	fitted := make(chan any, 1)
+	go func() {
+		defer func() { fitted <- recover() }()
+		baseline.Fit(detect.SamplesFromFrames(boot), s.cfg.baselineEpochs, 16)
+	}()
+	dagan := core.TrainDAGAN(boot, enc, dgCfg, s.cfg.bootstrapEpochs, 32)
+	if p := <-fitted; p != nil {
+		panic(p)
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
