@@ -47,9 +47,7 @@ var (
 // state only; the shared registry belongs to the fleet, not to any one
 // server's checkpoint.
 //
-// Restore the result with Restore. Weights are stored as float64 masters
-// regardless of WithBackend, so a checkpoint can be restored under either
-// backend.
+// Restore the result with Restore.
 func (s *Server) Checkpoint(w io.Writer) error {
 	s.mu.Lock()
 	if !s.booted {
@@ -87,7 +85,7 @@ func (s *Server) Checkpoint(w io.Writer) error {
 		st := reg.State()
 		payload.Registry = &st
 	}
-	if err := checkpoint.Write(w, s.cfg.backend.dtype(), payload); err != nil {
+	if err := checkpoint.Write(w, payload); err != nil {
 		return err
 	}
 	s.obs.Event(obs.EvCheckpointSave, "", -1, int(pipeline.ModelGen()),
@@ -103,18 +101,13 @@ func (s *Server) Checkpoint(w io.Writer) error {
 //
 // Options supply the serving topology exactly as they do for a fresh
 // server: workers, dispatcher, async training, fleet recovery, policy,
-// backend, label delay, min score. Pass the same options the original
-// server ran with to continue bit-identically (per backend — see below).
+// label delay, min score. Pass the same options the original server ran
+// with to continue bit-identically.
 // Learned state always comes from the checkpoint; in particular the stored
 // base seed overrides WithSeed (derived seeds must match the original),
 // and the restored cluster geometry overrides WithMaxModels. Bootstrap
 // schedule options (WithBootstrapFrames/Epochs, WithBaselineEpochs) are
 // accepted and ignored — nothing is retrained.
-//
-// Cross-backend restore: weights are float64 masters in the file, so a
-// checkpoint written under Float64 restores under Float32 (and vice
-// versa). Within one backend, restore is bit-identical; across backends,
-// results agree within the DESIGN.md §8 tolerance envelope.
 //
 // A fleet registry restores as follows: WithFleetRecovery sharing a
 // registry adopts the shared (live) one and ignores checkpointed entries;
@@ -130,9 +123,6 @@ func Restore(r io.Reader, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("odin: restore: %w", err)
 	}
-	// Serve the stored weights with the backend the caller asked for; the
-	// masters in the payload are dtype-independent.
-	payload.SetDType(cfg.backend.dtype())
 	// The stored seed governs every derived seed (specializer sequence);
 	// it must survive restart for post-restore training to match.
 	cfg.seed = payload.Seed

@@ -5,7 +5,7 @@
 // means every frame matched; 1 means divergence (or transport failure).
 //
 // The replica must have been started with the same seed, bootstrap
-// schedule, backend, and policy, e.g.:
+// schedule and policy, e.g.:
 //
 //	odin-serve -addr :8780 -seed 7 -bootstrap-frames 80 -bootstrap-epochs 1 -baseline-epochs 2 &
 //	odin-conform -addr http://127.0.0.1:8780 -seed 7 -frames 50

@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -58,7 +57,6 @@ func main() {
 	restoreFrom := flag.String("restore", "", "warm-start source: a checkpoint path, or 'latest' for the store's newest")
 	seed := flag.Uint64("seed", 42, "bootstrap seed (ignored when restoring)")
 	policyFlag := flag.String("policy", "delta-bm", "selector policy: delta-bm, knn-u, knn-w, random-k, all")
-	backendFlag := flag.String("backend", "float64", "compute backend: float64 or float32")
 	trainAsync := flag.Bool("train-async", true, "recover from drift asynchronously")
 	dispatcher := flag.Bool("dispatcher", false, "enable the cross-stream batch dispatcher")
 	maxQueue := flag.Int("max-queue", 0, "per-stream admission queue bound (0: no queue; sessions read their input directly, back-pressured by it)")
@@ -76,7 +74,7 @@ func main() {
 
 	logger := log.New(os.Stderr, "odin-serve: ", log.LstdFlags)
 	if err := run(*addr, *storeDir, *retain, *restoreFrom, *seed, *policyFlag,
-		*backendFlag, *trainAsync, *dispatcher, *labelDelay, *maxModels,
+		*trainAsync, *dispatcher, *labelDelay, *maxModels,
 		*minScore, *bootFrames, *bootEpochs, *baseEpochs,
 		*maxQueue, *dropPolicy, *adaptive, *obsOn, *pprofOn, logger); err != nil {
 		logger.Fatal(err)
@@ -84,7 +82,7 @@ func main() {
 }
 
 func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
-	policyFlag, backendFlag string, trainAsync, dispatcher bool,
+	policyFlag string, trainAsync, dispatcher bool,
 	labelDelay, maxModels int, minScore float64,
 	bootFrames, bootEpochs, baseEpochs int,
 	maxQueue int, dropPolicyFlag string, adaptive, obsOn, pprofOn bool, logger *log.Logger) error {
@@ -97,15 +95,6 @@ func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
 	if err != nil {
 		return err
 	}
-	var backend odin.Backend
-	switch backendFlag {
-	case "float64", "f64":
-		backend = odin.Float64
-	case "float32", "f32":
-		backend = odin.Float32
-	default:
-		return fmt.Errorf("unknown backend %q (want float64 or float32)", backendFlag)
-	}
 
 	// Serving-topology options, shared by the fresh-boot and every restore
 	// path (including POST /v1/restore): the checkpoint carries learned
@@ -113,7 +102,6 @@ func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
 	opts := func() []odin.Option {
 		o := []odin.Option{
 			odin.WithPolicy(policy),
-			odin.WithBackend(backend),
 			odin.WithTrainAsync(trainAsync),
 			odin.WithDispatcher(dispatcher),
 			odin.WithObservability(obsOn),

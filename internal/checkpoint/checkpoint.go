@@ -1,23 +1,24 @@
 // Package checkpoint defines ODIN's durable state format: a self-describing
-// binary envelope (magic / version / dtype header, gob payload, CRC32
-// trailer) around the full recoverable state of a Server — substrate
-// projector, baseline and specialized detectors, cluster/∆-band detector
-// state, registry entries — plus an atomic-rename file store with retention.
+// binary envelope (magic / version header, gob payload, CRC32 trailer)
+// around the full recoverable state of a Server — substrate projector,
+// baseline and specialized detectors, cluster/∆-band detector state,
+// registry entries — plus an atomic-rename file store with retention.
 //
 // Format (all integers little-endian):
 //
 //	offset  size  field
 //	0       8     magic "ODINCKPT"
 //	8       4     format version (uint32)
-//	12      1     storage dtype of the writing server (tensor.DType)
+//	12      1     reserved (zero; see below)
 //	13      3     reserved (zero)
 //	16      8     payload length in bytes (uint64)
 //	24      n     gob-encoded Payload
 //	24+n    4     CRC32 (IEEE) over bytes [0, 24+n)
 //
-// Weights inside the payload are always float64 masters regardless of the
-// writer's compute backend, so a checkpoint written under one backend can be
-// restored under the other; the header dtype records provenance only.
+// Older writers stored their compute dtype in byte 12 (0 float64, 1
+// float32). Weights were float64 in the payload either way, so readers ignore
+// the byte and such a checkpoint restores like any other; gob skips the
+// dtype fields the architecture configs no longer have.
 package checkpoint
 
 import (
@@ -34,7 +35,6 @@ import (
 	"odin/internal/gan"
 	"odin/internal/registry"
 	"odin/internal/synth"
-	"odin/internal/tensor"
 )
 
 // Magic identifies an ODIN checkpoint stream.
@@ -86,29 +86,8 @@ type Payload struct {
 	Registry *registry.State
 }
 
-// SetDType rewrites every stored architecture config to the given compute
-// backend, so a checkpoint written under one backend restores under
-// another. Weights are float64 masters either way; this only switches which
-// kernel set serves them.
-func (p *Payload) SetDType(dt tensor.DType) {
-	p.DAGAN.Cfg.DType = dt
-	p.Baseline.Cfg.DType = dt
-	for i := range p.Pipeline.Manager.Models {
-		p.Pipeline.Manager.Models[i].Det.Cfg.DType = dt
-	}
-	if p.Pipeline.Manager.MostRecentOwn != nil {
-		p.Pipeline.Manager.MostRecentOwn.Det.Cfg.DType = dt
-	}
-	if p.Registry != nil {
-		for i := range p.Registry.Entries {
-			p.Registry.Entries[i].Model.Det.Cfg.DType = dt
-		}
-	}
-}
-
-// Write serializes the payload to w in the envelope format. dtype records
-// the writing server's compute backend in the header.
-func Write(w io.Writer, dtype tensor.DType, p *Payload) error {
+// Write serializes the payload to w in the envelope format.
+func Write(w io.Writer, p *Payload) error {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(p); err != nil {
 		return fmt.Errorf("checkpoint: encode payload: %w", err)
@@ -117,7 +96,6 @@ func Write(w io.Writer, dtype tensor.DType, p *Payload) error {
 	buf := make([]byte, headerSize, headerSize+body.Len()+4)
 	copy(buf[0:8], Magic)
 	binary.LittleEndian.PutUint32(buf[8:12], Version)
-	buf[12] = byte(dtype)
 	binary.LittleEndian.PutUint64(buf[16:24], uint64(body.Len()))
 	buf = append(buf, body.Bytes()...)
 
@@ -131,9 +109,9 @@ func Write(w io.Writer, dtype tensor.DType, p *Payload) error {
 }
 
 // Read parses an envelope from r, verifies magic, version and CRC, and
-// decodes the payload. The returned dtype is the writer's compute backend
-// as recorded in the header.
-func Read(r io.Reader) (*Payload, tensor.DType, error) {
+// decodes the payload. It also returns header byte 12 as stored: reserved,
+// zero from this writer, the dtype code from older ones; nothing reads it.
+func Read(r io.Reader) (*Payload, byte, error) {
 	header := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, 0, fmt.Errorf("%w: reading header: %v", ErrTruncated, err)
@@ -144,7 +122,6 @@ func Read(r io.Reader) (*Payload, tensor.DType, error) {
 	if v := binary.LittleEndian.Uint32(header[8:12]); v != Version {
 		return nil, 0, fmt.Errorf("%w: file is v%d, reader is v%d", ErrVersionMismatch, v, Version)
 	}
-	dtype := tensor.DType(header[12])
 	plen := binary.LittleEndian.Uint64(header[16:24])
 	const maxPayload = 1 << 32 // 4 GiB sanity bound against nonsense lengths
 	if plen > maxPayload {
@@ -171,5 +148,5 @@ func Read(r io.Reader) (*Payload, tensor.DType, error) {
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
 		return nil, 0, fmt.Errorf("%w: decode payload: %v", ErrCorrupt, err)
 	}
-	return &p, dtype, nil
+	return &p, header[12], nil
 }

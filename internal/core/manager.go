@@ -6,7 +6,6 @@ import (
 	"odin/internal/cluster"
 	"odin/internal/detect"
 	"odin/internal/synth"
-	"odin/internal/tensor"
 )
 
 // Model is one deployed detection model managed by the MODELMANAGER.
@@ -41,10 +40,6 @@ type SpecializerConfig struct {
 	LabelDelay int
 	// DistillMinScore filters teacher detections used as student labels.
 	DistillMinScore float64
-
-	// DType is the compute backend the recovery models train and serve on
-	// (zero value float64; tensor.F32 selects the float32 backend).
-	DType tensor.DType
 }
 
 // DefaultSpecializerConfig returns the configuration used in experiments.
@@ -323,7 +318,6 @@ func (mm *ModelManager) buildModel(job TrainJob, warm *Model) *Model {
 	case detect.KindLite:
 		cfg := detect.LiteConfig(mm.Scene.H, mm.Scene.W)
 		cfg.Seed = job.Seed
-		cfg.DType = mm.Cfg.DType
 		lite := detect.NewGridDetector(cfg)
 		epochs := mm.Cfg.LiteEpochs
 		if warm != nil && lite.CopyWeightsFrom(warm.Det) == nil {
@@ -338,7 +332,6 @@ func (mm *ModelManager) buildModel(job TrainJob, warm *Model) *Model {
 	case detect.KindSpecialized:
 		cfg := detect.SpecializedConfig(mm.Scene.H, mm.Scene.W)
 		cfg.Seed = job.Seed
-		cfg.DType = mm.Cfg.DType
 		spec := detect.NewGridDetector(cfg)
 		epochs := mm.Cfg.SpecEpochs
 		if warm != nil && spec.CopyWeightsFrom(warm.Det) == nil {

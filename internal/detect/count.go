@@ -24,7 +24,6 @@ type countScratch struct {
 	suppressed []bool
 	logits     []float64
 	probs      []float64
-	row64      []float64 // widening buffer for the float32 backend
 }
 
 var countPool = sync.Pool{New: func() any { return new(countScratch) }}
@@ -43,11 +42,7 @@ func (g *GridDetector) CountBatch(imgs []*synth.Image, class int, minScore float
 	counts := make([]int, len(imgs))
 	sc := countPool.Get().(*countScratch)
 	for i := range imgs {
-		row := out.Row64(i, sc.row64)
-		if out.V32 != nil {
-			sc.row64 = row // keep the grown widening buffer
-		}
-		counts[i] = g.countRow(row, class, minScore, sc)
+		counts[i] = g.countRow(out.Row(i), class, minScore, sc)
 	}
 	countPool.Put(sc)
 	nn.Recycle(out)

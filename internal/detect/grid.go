@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"odin/internal/nn"
 	"odin/internal/synth"
@@ -79,12 +78,6 @@ type GridConfig struct {
 
 	LR   float64
 	Seed uint64
-
-	// DType selects the compute backend the detector runs on. The zero
-	// value is float64 (the reference backend); tensor.F32 stores frame
-	// batches and activations in float32 and runs the float32 kernels
-	// (master weights stay float64, see nn.Param).
-	DType tensor.DType
 }
 
 // YOLOConfig returns the heavyweight baseline configuration.
@@ -182,16 +175,10 @@ func (g *GridDetector) cellIndex(ch, gy, gx int) int {
 	return ch*g.GH*g.GW + gy*g.GW + gx
 }
 
-// row64Pool recycles the widening buffers the float32 decode paths use, so
-// counting and detection stay allocation-light under the float32 backend
-// too. (The float64 paths never touch it.)
-var row64Pool = sync.Pool{New: func() any { return new([]float64) }}
-
-// loadRows stacks n flattened pixel rows into a workspace batch of dtype
-// dt, for training; row(i) supplies the i-th row. SetRow degrades to a plain
-// copy on the float64 path and narrows element-wise on float32.
-func loadRows(dt tensor.DType, n, dim int, row func(i int) []float64) *tensor.Mat {
-	m := nn.GetMatRawOf(dt, n, dim)
+// loadRows stacks n flattened pixel rows into a workspace batch, for
+// training; row(i) supplies the i-th row.
+func loadRows(n, dim int, row func(i int) []float64) *tensor.Mat {
+	m := nn.GetMatRaw(n, dim)
 	for i := 0; i < n; i++ {
 		m.SetRow(i, row(i))
 	}
@@ -200,14 +187,13 @@ func loadRows(dt tensor.DType, n, dim int, row func(i int) []float64) *tensor.Ma
 
 // predict runs the network on many frames at once, reading each where it
 // lies in its image — the first convolution's phase split is the only pass
-// over the pixels, and on float32 the narrowing too. The caller recycles
-// the head output.
+// over the pixels. The caller recycles the head output.
 func (g *GridDetector) predict(imgs []*synth.Image) *tensor.Mat {
 	rows := make([][]float64, len(imgs))
 	for i, im := range imgs {
 		rows[i] = im.Flat()
 	}
-	return g.Net.PredictRows(g.Cfg.DType, rows)
+	return g.Net.PredictRows(rows)
 }
 
 // Detect runs the network on one frame and decodes detections: a batch of
@@ -225,17 +211,8 @@ func (g *GridDetector) DetectBatch(imgs []*synth.Image) [][]Detection {
 	}
 	out := g.predict(imgs)
 	res := make([][]Detection, len(imgs))
-	if out.V32 == nil {
-		for i := range imgs {
-			res[i] = g.decode(out.Row(i))
-		}
-	} else {
-		buf := row64Pool.Get().(*[]float64)
-		for i := range imgs {
-			*buf = out.Row64(i, *buf)
-			res[i] = g.decode(*buf)
-		}
-		row64Pool.Put(buf)
+	for i := range imgs {
+		res[i] = g.decode(out.Row(i))
 	}
 	nn.Recycle(out)
 	return res

@@ -10,9 +10,7 @@ import (
 // thresholds, training RNG and the full network state (weights plus
 // BatchNorm running statistics — the part the params-only weight files
 // miss). Optimizer moments are not captured; a restored detector serves
-// inference bit-identically, resumed training restarts Adam. Override
-// Cfg.DType before FromState to rebuild under a different compute backend
-// (stored weights are always float64 masters).
+// inference bit-identically, resumed training restarts Adam.
 type State struct {
 	Cfg            GridConfig
 	ScoreThreshold float64

@@ -60,18 +60,13 @@ func (g *GridDetector) TrainEpoch(samples []Sample, batch int) float64 {
 			end = len(perm)
 		}
 		idx := perm[start:end]
-		x := loadRows(g.Cfg.DType, len(idx), samples[0].Image.Dim(),
+		x := loadRows(len(idx), samples[0].Image.Dim(),
 			func(i int) []float64 { return samples[idx[i]].Image.Flat() })
 		out := g.Net.Forward(x, true)
-		grad := nn.GetMatRawOf(out.DType(), out.R, out.C)
-		var row64 []float64
+		grad := nn.GetMatRaw(out.R, out.C)
 		for i, id := range idx {
 			target, objMask := g.buildTargets(samples[id].Boxes)
-			row := out.Row64(i, row64)
-			if out.V32 != nil {
-				row64 = row // reuse the widening buffer across the batch
-			}
-			loss, gr := g.lossGrad(row, target, objMask)
+			loss, gr := g.lossGrad(out.Row(i), target, objMask)
 			total += loss
 			grad.SetRow(i, gr)
 			count++

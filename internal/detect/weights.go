@@ -7,9 +7,7 @@ import "fmt"
 // seeds training instead of random initialisation. Both detectors must have
 // identical parameter shapes (same GridConfig architecture); on any
 // mismatch nothing is copied and the caller falls back to scratch
-// initialisation. Master weights are always float64 regardless of compute
-// backend, so the copy is backend-agnostic; Invalidate drops any float32
-// shadows so the next forward repacks from the copied weights.
+// initialisation.
 //
 // Optimizer state (Adam moments) is NOT copied: the warm start adapts the
 // borrowed weights to the new camera's frames with fresh momentum, which is
@@ -27,7 +25,6 @@ func (g *GridDetector) CopyWeightsFrom(src *GridDetector) error {
 	}
 	for i := range dst {
 		copy(dst[i].W.V, from[i].W.V)
-		dst[i].Invalidate()
 	}
 	return nil
 }

@@ -55,7 +55,7 @@ func (a *AAE) TrainEpoch(data [][]float64, batch int) float64 {
 	var total float64
 	batches := miniBatches(len(data), batch, a.rng)
 	for _, idx := range batches {
-		x := gather(a.Cfg.DType, data, idx)
+		x := gather(data, idx)
 
 		// 1. Reconstruction phase.
 		z := a.Enc.Forward(x, true)
@@ -70,7 +70,7 @@ func (a *AAE) TrainEpoch(data [][]float64, batch int) float64 {
 		nn.Recycle(z, xr, grad, gz, dIn)
 
 		// 2. Latent discriminator: N(0,1) real vs encoded fake (Eq. 3).
-		zReal := nn.GetMatRawOf(a.Cfg.DType, x.R, a.Cfg.Latent)
+		zReal := nn.GetMatRaw(x.R, a.Cfg.Latent)
 		a.rng.FillNormal(zReal, 1)
 		zFake := a.Enc.Predict(x)
 		a.DZ.ZeroGrad()
@@ -101,7 +101,7 @@ func (a *AAE) TrainEpoch(data [][]float64, batch int) float64 {
 
 // Project encodes one image into the latent space.
 func (a *AAE) Project(x []float64) []float64 {
-	out := a.Enc.Predict(fromVec(a.Cfg.DType, x))
+	out := a.Enc.Predict(tensor.FromVec(x))
 	return rowCopy(out, 0)
 }
 
@@ -110,18 +110,18 @@ func (a *AAE) LatentDim() int { return a.Cfg.Latent }
 
 // ProjectBatch encodes many images in one forward pass.
 func (a *AAE) ProjectBatch(rows [][]float64) [][]float64 {
-	return projectBatch(a.Enc, a.Cfg.DType, rows)
+	return projectBatch(a.Enc, rows)
 }
 
 // Reconstruct encodes then decodes one image.
 func (a *AAE) Reconstruct(x []float64) []float64 {
-	out := a.Dec.Predict(a.Enc.Predict(fromVec(a.Cfg.DType, x)))
+	out := a.Dec.Predict(a.Enc.Predict(tensor.FromVec(x)))
 	return rowCopy(out, 0)
 }
 
 // Decode maps a latent point back to image space.
 func (a *AAE) Decode(z []float64) []float64 {
-	out := a.Dec.Predict(fromVec(a.Cfg.DType, z))
+	out := a.Dec.Predict(tensor.FromVec(z))
 	return rowCopy(out, 0)
 }
 

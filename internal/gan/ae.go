@@ -49,7 +49,7 @@ func (a *Autoencoder) TrainEpoch(data [][]float64, batch int) float64 {
 	var total float64
 	batches := miniBatches(len(data), batch, a.rng)
 	for _, idx := range batches {
-		x := gather(a.Cfg.DType, data, idx)
+		x := gather(data, idx)
 		z := a.Enc.Forward(x, true)
 		xr := a.Dec.Forward(z, true)
 		loss, grad := nn.BCE(xr, x)
@@ -68,7 +68,7 @@ func (a *Autoencoder) TrainEpoch(data [][]float64, batch int) float64 {
 
 // Project encodes one image into the latent space.
 func (a *Autoencoder) Project(x []float64) []float64 {
-	out := a.Enc.Predict(fromVec(a.Cfg.DType, x))
+	out := a.Enc.Predict(tensor.FromVec(x))
 	return rowCopy(out, 0)
 }
 
@@ -77,12 +77,12 @@ func (a *Autoencoder) LatentDim() int { return a.Cfg.Latent }
 
 // ProjectBatch encodes many images in one forward pass.
 func (a *Autoencoder) ProjectBatch(rows [][]float64) [][]float64 {
-	return projectBatch(a.Enc, a.Cfg.DType, rows)
+	return projectBatch(a.Enc, rows)
 }
 
 // Reconstruct encodes then decodes one image.
 func (a *Autoencoder) Reconstruct(x []float64) []float64 {
-	z := a.Enc.Predict(fromVec(a.Cfg.DType, x))
+	z := a.Enc.Predict(tensor.FromVec(x))
 	out := a.Dec.Predict(z)
 	return rowCopy(out, 0)
 }
@@ -101,7 +101,7 @@ func (a *Autoencoder) ReconError(x []float64) float64 {
 
 // Decode maps a latent point back to image space.
 func (a *Autoencoder) Decode(z []float64) []float64 {
-	out := a.Dec.Predict(fromVec(a.Cfg.DType, z))
+	out := a.Dec.Predict(tensor.FromVec(z))
 	return rowCopy(out, 0)
 }
 

@@ -80,7 +80,7 @@ func (d *DAGAN) TrainEpoch(data [][]float64, batch int) LossReport {
 	var sum LossReport
 	batches := miniBatches(len(data), batch, d.rng)
 	for _, idx := range batches {
-		x := gather(d.Cfg.DType, data, idx)
+		x := gather(data, idx)
 		r := d.TrainIteration(x)
 		nn.Recycle(x)
 		sum.ImageDisc += r.ImageDisc
@@ -104,7 +104,7 @@ func (d *DAGAN) TrainIteration(x *tensor.Mat) LossReport {
 	n := x.R
 
 	// Lines 3–4: minibatches.
-	zPrime := nn.GetMatRawOf(x.DType(), n, d.Cfg.Latent)
+	zPrime := nn.GetMatRaw(n, d.Cfg.Latent)
 	d.rng.FillNormal(zPrime, 1)
 	xPrime := d.Dec.Predict(zPrime)
 
@@ -180,7 +180,7 @@ func (d *DAGAN) TrainIteration(x *tensor.Mat) LossReport {
 // Project encodes one image into the latent space. After training, this is
 // the only DA-GAN component the DETECTOR uses (§4.5).
 func (d *DAGAN) Project(x []float64) []float64 {
-	out := d.Enc.Predict(fromVec(d.Cfg.DType, x))
+	out := d.Enc.Predict(tensor.FromVec(x))
 	return rowCopy(out, 0)
 }
 
@@ -189,12 +189,12 @@ func (d *DAGAN) LatentDim() int { return d.Cfg.Latent }
 
 // ProjectBatch encodes many images in one forward pass.
 func (d *DAGAN) ProjectBatch(rows [][]float64) [][]float64 {
-	return projectBatch(d.Enc, d.Cfg.DType, rows)
+	return projectBatch(d.Enc, rows)
 }
 
 // Reconstruct encodes then decodes one image.
 func (d *DAGAN) Reconstruct(x []float64) []float64 {
-	out := d.Dec.Predict(d.Enc.Predict(fromVec(d.Cfg.DType, x)))
+	out := d.Dec.Predict(d.Enc.Predict(tensor.FromVec(x)))
 	return rowCopy(out, 0)
 }
 
@@ -211,7 +211,7 @@ func (d *DAGAN) ReconError(x []float64) float64 {
 
 // Decode maps a latent point back to image space.
 func (d *DAGAN) Decode(z []float64) []float64 {
-	out := d.Dec.Predict(fromVec(d.Cfg.DType, z))
+	out := d.Dec.Predict(tensor.FromVec(z))
 	return rowCopy(out, 0)
 }
 
@@ -220,14 +220,14 @@ func (d *DAGAN) Decode(z []float64) []float64 {
 // discriminator "is adept at discriminating the inlier frames from the
 // outlier frames", because outliers encode away from the prior.
 func (d *DAGAN) LatentRealism(x []float64) float64 {
-	z := d.Enc.Predict(fromVec(d.Cfg.DType, x))
+	z := d.Enc.Predict(tensor.FromVec(x))
 	return d.DZ.Predict(z).At(0, 0)
 }
 
 // ImageRealism returns DI(G(E(x))) — the image discriminator's judgement
 // of x's reconstruction. Outliers reconstruct poorly, so DI rejects them.
 func (d *DAGAN) ImageRealism(x []float64) float64 {
-	rec := d.Dec.Predict(d.Enc.Predict(fromVec(d.Cfg.DType, x)))
+	rec := d.Dec.Predict(d.Enc.Predict(tensor.FromVec(x)))
 	return d.DI.Predict(rec).At(0, 0)
 }
 

@@ -47,9 +47,8 @@ func ProjectAll(proj Projector, rows [][]float64) [][]float64 {
 const projBatch = 256
 
 // projectBatch runs the shared encoder-batch path behind the ProjectBatch
-// methods: stack a chunk in the model's compute dtype, one forward pass,
-// unstack, recycle.
-func projectBatch(enc *nn.Network, dt tensor.DType, rows [][]float64) [][]float64 {
+// methods: stack a chunk, one forward pass, unstack, recycle.
+func projectBatch(enc *nn.Network, rows [][]float64) [][]float64 {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -59,7 +58,7 @@ func projectBatch(enc *nn.Network, dt tensor.DType, rows [][]float64) [][]float6
 		if end > len(rows) {
 			end = len(rows)
 		}
-		x := toBatchOf(dt, rows[start:end])
+		x := ToBatch(rows[start:end])
 		out := enc.Predict(x)
 		for i := 0; i < out.R; i++ {
 			zs[start+i] = rowCopy(out, i)
@@ -69,16 +68,12 @@ func projectBatch(enc *nn.Network, dt tensor.DType, rows [][]float64) [][]float6
 	return zs
 }
 
-// rowCopy returns row i of out as a fresh float64 slice, whatever the
-// storage dtype. (Row64 aliases float64 storage, so it must be copied —
-// out is usually a pooled matrix about to be recycled.)
+// rowCopy returns row i of out as a fresh slice: out is usually a pooled
+// matrix about to be recycled.
 func rowCopy(out *tensor.Mat, i int) []float64 {
 	z := make([]float64, out.C)
-	if out.V32 == nil {
-		copy(z, out.Row(i))
-		return z
-	}
-	return out.Row64(i, z)
+	copy(z, out.Row(i))
+	return z
 }
 
 // Config describes the shared architecture of the generative models.
@@ -88,12 +83,6 @@ type Config struct {
 	Hidden   []int // encoder hidden layer widths (decoder mirrors them)
 	LR       float64
 	Seed     uint64
-
-	// DType selects the compute backend the model's batches run on. The
-	// zero value is float64 (the reference backend); tensor.F32 stores
-	// activations in float32 and runs the float32 kernels, while master
-	// weights and gradient accumulation stay float64 (see nn.Param).
-	DType tensor.DType
 }
 
 // DefaultConfig returns a compact architecture for inputDim-sized images,
@@ -171,33 +160,16 @@ func buildDiscriminator(name string, dim int, rng *tensor.RNG) *nn.Network {
 	)
 }
 
-// ToBatch stacks flattened images into a float64 batch matrix drawn from
-// the shared nn workspace pool.
-func ToBatch(rows [][]float64) *tensor.Mat { return toBatchOf(tensor.F64, rows) }
-
-// toBatchOf stacks flattened images into a batch matrix of the requested
-// dtype, drawn from the shared nn workspace pool.
-func toBatchOf(dt tensor.DType, rows [][]float64) *tensor.Mat {
+// ToBatch stacks flattened images into a batch matrix drawn from the shared
+// nn workspace pool.
+func ToBatch(rows [][]float64) *tensor.Mat {
 	if len(rows) == 0 {
 		return tensor.New(0, 0)
 	}
-	m := nn.GetMatRawOf(dt, len(rows), len(rows[0]))
+	m := nn.GetMatRaw(len(rows), len(rows[0]))
 	for i, r := range rows {
 		m.SetRow(i, r)
 	}
-	return m
-}
-
-// fromVec stacks one flattened image as a 1×n matrix in the model's dtype.
-// The float64 path aliases x exactly as before (zero-copy); float32
-// converts into a fresh matrix, which the cold single-image paths can
-// afford.
-func fromVec(dt tensor.DType, x []float64) *tensor.Mat {
-	if dt != tensor.F32 {
-		return tensor.FromVec(x)
-	}
-	m := tensor.NewOf(tensor.F32, 1, len(x))
-	m.SetRow(0, x)
 	return m
 }
 
@@ -215,10 +187,10 @@ func miniBatches(n, batch int, rng *tensor.RNG) [][]int {
 	return out
 }
 
-// gather stacks the indexed rows into a workspace batch of the requested
-// dtype; training loops recycle it once the step is done.
-func gather(dt tensor.DType, data [][]float64, idx []int) *tensor.Mat {
-	m := nn.GetMatRawOf(dt, len(idx), len(data[0]))
+// gather stacks the indexed rows into a workspace batch; training loops
+// recycle it once the step is done.
+func gather(data [][]float64, idx []int) *tensor.Mat {
+	m := nn.GetMatRaw(len(idx), len(data[0]))
 	for i, id := range idx {
 		m.SetRow(i, data[id])
 	}

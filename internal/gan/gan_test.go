@@ -28,13 +28,9 @@ func TestToBatchAndGather(t *testing.T) {
 	if m.R != 3 || m.C != 2 || m.At(2, 1) != 6 {
 		t.Fatalf("ToBatch wrong: %+v", m)
 	}
-	g := gather(tensor.F64, rows, []int{2, 0})
+	g := gather(rows, []int{2, 0})
 	if g.At(0, 0) != 5 || g.At(1, 1) != 2 {
 		t.Fatalf("gather wrong: %+v", g.V)
-	}
-	g32 := gather(tensor.F32, rows, []int{2, 0})
-	if g32.DType() != tensor.F32 || g32.At(0, 0) != 5 || g32.At(1, 1) != 2 {
-		t.Fatalf("float32 gather wrong: %+v", g32.V32)
 	}
 	empty := ToBatch(nil)
 	if empty.R != 0 {

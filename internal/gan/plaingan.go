@@ -42,10 +42,10 @@ func (g *GAN) TrainEpoch(data [][]float64, batch int) float64 {
 	var total float64
 	batches := miniBatches(len(data), batch, g.rng)
 	for _, idx := range batches {
-		x := gather(g.Cfg.DType, data, idx)
+		x := gather(data, idx)
 
 		// Discriminator: real x vs generated G(z').
-		zp := nn.GetMatRawOf(x.DType(), x.R, g.Cfg.Latent)
+		zp := nn.GetMatRaw(x.R, g.Cfg.Latent)
 		g.rng.FillNormal(zp, 1)
 		xFake := g.Gen.Predict(zp)
 		g.DI.ZeroGrad()
@@ -60,7 +60,7 @@ func (g *GAN) TrainEpoch(data [][]float64, batch int) float64 {
 		nn.Recycle(zp, xFake, pReal, gReal, dReal, pFake, gFake, dFake)
 
 		// Generator: fool the discriminator.
-		zp2 := nn.GetMatRawOf(x.DType(), x.R, g.Cfg.Latent)
+		zp2 := nn.GetMatRaw(x.R, g.Cfg.Latent)
 		g.rng.FillNormal(zp2, 1)
 		xg := g.Gen.Forward(zp2, true)
 		p := g.DI.Forward(xg, true)
@@ -77,11 +77,11 @@ func (g *GAN) TrainEpoch(data [][]float64, batch int) float64 {
 
 // Generate synthesises one image from a latent sample.
 func (g *GAN) Generate(z []float64) []float64 {
-	out := g.Gen.Predict(fromVec(g.Cfg.DType, z))
+	out := g.Gen.Predict(tensor.FromVec(z))
 	return rowCopy(out, 0)
 }
 
 // Discriminate returns DI's real-image probability for one image.
 func (g *GAN) Discriminate(x []float64) float64 {
-	return g.DI.Predict(fromVec(g.Cfg.DType, x)).At(0, 0)
+	return g.DI.Predict(tensor.FromVec(x)).At(0, 0)
 }

@@ -5,9 +5,7 @@ import "odin/internal/nn"
 // State is a value snapshot of a trained DA-GAN: the architecture config,
 // all four networks' weights and the generator RNG. Optimizer moments are
 // not captured — a restored DA-GAN projects bit-identically; resuming
-// adversarial training restarts its Adam state. Override Cfg.DType before
-// FromState to rebuild under a different compute backend (the stored
-// weights are always float64 masters).
+// adversarial training restarts its Adam state.
 type State struct {
 	Cfg     Config
 	LambdaR float64

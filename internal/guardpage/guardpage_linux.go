@@ -13,9 +13,9 @@ const Guarded = true
 
 // Alloc returns a zeroed slice of n elements whose last element is the last
 // before a PROT_NONE page, and the function that unmaps it.
-func Alloc[T any](n int) (s []T, free func()) {
+func Alloc(n int) (s []float64, free func()) {
 	page := syscall.Getpagesize()
-	size := n * int(unsafe.Sizeof(*new(T)))
+	size := n * int(unsafe.Sizeof(float64(0)))
 	data := (size + page - 1) / page * page
 	mem, err := syscall.Mmap(-1, 0, data+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
@@ -28,5 +28,5 @@ func Alloc[T any](n int) (s []T, free func()) {
 	if n == 0 {
 		return nil, free
 	}
-	return unsafe.Slice((*T)(unsafe.Pointer(&mem[data-size])), n), free
+	return unsafe.Slice((*float64)(unsafe.Pointer(&mem[data-size])), n), free
 }

@@ -10,6 +10,6 @@ package guardpage
 const Guarded = false
 
 // Alloc returns a zeroed slice of n elements with no spare capacity.
-func Alloc[T any](n int) (s []T, free func()) {
-	return make([]T, n), func() {}
+func Alloc(n int) (s []float64, free func()) {
+	return make([]float64, n), func() {}
 }

@@ -6,18 +6,12 @@ import (
 	"odin/internal/tensor"
 )
 
-// float constrains the element-wise helpers to the two storage dtypes the
-// tensor backends expose. Activation math runs natively in the activation
-// dtype (transcendentals round-trip through float64, which is exact for
-// float32 inputs), so a layer's output dtype always follows its input.
-type float interface{ ~float32 | ~float64 }
-
 // Element-wise transforms shared by the layer Forwards (dst and src
 // distinct) and, for the two activations the kernels do not apply
 // themselves, the fused inference path (dst == src: the applyRows methods,
 // see rowAct).
 
-func reluInto[T float](dst, src []T) {
+func reluInto(dst, src []float64) {
 	for i, x := range src {
 		if x < 0 {
 			dst[i] = 0
@@ -27,7 +21,7 @@ func reluInto[T float](dst, src []T) {
 	}
 }
 
-func leakyReLUInto[T float](dst, src []T, alpha T) {
+func leakyReLUInto(dst, src []float64, alpha float64) {
 	for i, x := range src {
 		if x < 0 {
 			dst[i] = x * alpha
@@ -37,25 +31,16 @@ func leakyReLUInto[T float](dst, src []T, alpha T) {
 	}
 }
 
-func sigmoidInto[T float](dst, src []T) {
+func sigmoidInto(dst, src []float64) {
 	for i, x := range src {
-		dst[i] = T(1 / (1 + math.Exp(-float64(x))))
+		dst[i] = 1 / (1 + math.Exp(-x))
 	}
 }
 
-func tanhInto[T float](dst, src []T) {
+func tanhInto(dst, src []float64) {
 	for i, x := range src {
-		dst[i] = T(math.Tanh(float64(x)))
+		dst[i] = math.Tanh(x)
 	}
-}
-
-// rowRun returns rows [r0, r1) of m's storage: one of the two slices, the
-// other nil.
-func rowRun(m *tensor.Mat, r0, r1 int) ([]float64, []float32) {
-	if m.V32 != nil {
-		return nil, m.V32[r0*m.C : r1*m.C]
-	}
-	return m.V[r0*m.C : r1*m.C], nil
 }
 
 // ReLU is the rectified linear activation max(0, x).
@@ -73,18 +58,14 @@ func (r *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if train {
 		r.lastIn = x
 	}
-	out := ws.GetRawOf(x.DType(), x.R, x.C)
-	if x.V32 != nil {
-		reluInto(out.V32, x.V32)
-	} else {
-		reluInto(out.V, x.V)
-	}
+	out := ws.GetRaw(x.R, x.C)
+	reluInto(out.V, x.V)
 	return out
 }
 
 func (r *ReLU) kernelAct() tensor.Act { return tensor.Act{Kind: tensor.ActReLU} }
 
-func reluBack[T float](dst, in, g []T) {
+func reluBack(dst, in, g []float64) {
 	for i, v := range in {
 		if v < 0 {
 			dst[i] = 0
@@ -96,12 +77,8 @@ func reluBack[T float](dst, in, g []T) {
 
 // Backward zeroes the gradient where the input was negative.
 func (r *ReLU) Backward(grad *tensor.Mat) *tensor.Mat {
-	out := ws.GetRawOf(grad.DType(), grad.R, grad.C)
-	if grad.V32 != nil {
-		reluBack(out.V32, r.lastIn.V32, grad.V32)
-	} else {
-		reluBack(out.V, r.lastIn.V, grad.V)
-	}
+	out := ws.GetRaw(grad.R, grad.C)
+	reluBack(out.V, r.lastIn.V, grad.V)
 	return out
 }
 
@@ -123,12 +100,8 @@ func (l *LeakyReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if train {
 		l.lastIn = x
 	}
-	out := ws.GetRawOf(x.DType(), x.R, x.C)
-	if x.V32 != nil {
-		leakyReLUInto(out.V32, x.V32, float32(l.Alpha))
-	} else {
-		leakyReLUInto(out.V, x.V, l.Alpha)
-	}
+	out := ws.GetRaw(x.R, x.C)
+	leakyReLUInto(out.V, x.V, l.Alpha)
 	return out
 }
 
@@ -136,7 +109,7 @@ func (l *LeakyReLU) kernelAct() tensor.Act {
 	return tensor.Act{Kind: tensor.ActLeakyReLU, Alpha: l.Alpha}
 }
 
-func leakyBack[T float](dst, in, g []T, alpha T) {
+func leakyBack(dst, in, g []float64, alpha float64) {
 	for i, v := range in {
 		if v < 0 {
 			dst[i] = g[i] * alpha
@@ -148,12 +121,8 @@ func leakyBack[T float](dst, in, g []T, alpha T) {
 
 // Backward scales the gradient by alpha where the input was negative.
 func (l *LeakyReLU) Backward(grad *tensor.Mat) *tensor.Mat {
-	out := ws.GetRawOf(grad.DType(), grad.R, grad.C)
-	if grad.V32 != nil {
-		leakyBack(out.V32, l.lastIn.V32, grad.V32, float32(l.Alpha))
-	} else {
-		leakyBack(out.V, l.lastIn.V, grad.V, l.Alpha)
-	}
+	out := ws.GetRaw(grad.R, grad.C)
+	leakyBack(out.V, l.lastIn.V, grad.V, l.Alpha)
 	return out
 }
 
@@ -170,12 +139,8 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
 // Forward applies the logistic function element-wise.
 func (s *Sigmoid) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	out := ws.GetRawOf(x.DType(), x.R, x.C)
-	if x.V32 != nil {
-		sigmoidInto(out.V32, x.V32)
-	} else {
-		sigmoidInto(out.V, x.V)
-	}
+	out := ws.GetRaw(x.R, x.C)
+	sigmoidInto(out.V, x.V)
 	if train {
 		s.lastOut = out
 	}
@@ -183,12 +148,11 @@ func (s *Sigmoid) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 }
 
 func (s *Sigmoid) applyRows(m *tensor.Mat, r0, r1 int) {
-	v, v32 := rowRun(m, r0, r1)
+	v := m.V[r0*m.C : r1*m.C]
 	sigmoidInto(v, v)
-	sigmoidInto(v32, v32)
 }
 
-func sigmoidBack[T float](dst, y, g []T) {
+func sigmoidBack(dst, y, g []float64) {
 	for i, v := range y {
 		dst[i] = g[i] * v * (1 - v)
 	}
@@ -196,12 +160,8 @@ func sigmoidBack[T float](dst, y, g []T) {
 
 // Backward multiplies the gradient by σ(x)(1−σ(x)).
 func (s *Sigmoid) Backward(grad *tensor.Mat) *tensor.Mat {
-	out := ws.GetRawOf(grad.DType(), grad.R, grad.C)
-	if grad.V32 != nil {
-		sigmoidBack(out.V32, s.lastOut.V32, grad.V32)
-	} else {
-		sigmoidBack(out.V, s.lastOut.V, grad.V)
-	}
+	out := ws.GetRaw(grad.R, grad.C)
+	sigmoidBack(out.V, s.lastOut.V, grad.V)
 	return out
 }
 
@@ -218,12 +178,8 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
 func (t *Tanh) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	out := ws.GetRawOf(x.DType(), x.R, x.C)
-	if x.V32 != nil {
-		tanhInto(out.V32, x.V32)
-	} else {
-		tanhInto(out.V, x.V)
-	}
+	out := ws.GetRaw(x.R, x.C)
+	tanhInto(out.V, x.V)
 	if train {
 		t.lastOut = out
 	}
@@ -231,12 +187,11 @@ func (t *Tanh) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 }
 
 func (t *Tanh) applyRows(m *tensor.Mat, r0, r1 int) {
-	v, v32 := rowRun(m, r0, r1)
+	v := m.V[r0*m.C : r1*m.C]
 	tanhInto(v, v)
-	tanhInto(v32, v32)
 }
 
-func tanhBack[T float](dst, y, g []T) {
+func tanhBack(dst, y, g []float64) {
 	for i, v := range y {
 		dst[i] = g[i] * (1 - v*v)
 	}
@@ -244,12 +199,8 @@ func tanhBack[T float](dst, y, g []T) {
 
 // Backward multiplies the gradient by 1−tanh²(x).
 func (t *Tanh) Backward(grad *tensor.Mat) *tensor.Mat {
-	out := ws.GetRawOf(grad.DType(), grad.R, grad.C)
-	if grad.V32 != nil {
-		tanhBack(out.V32, t.lastOut.V32, grad.V32)
-	} else {
-		tanhBack(out.V, t.lastOut.V, grad.V)
-	}
+	out := ws.GetRaw(grad.R, grad.C)
+	tanhBack(out.V, t.lastOut.V, grad.V)
 	return out
 }
 
@@ -270,11 +221,11 @@ func NewDropout(p float64, rng *tensor.RNG) *Dropout {
 	return &Dropout{P: p, rng: rng}
 }
 
-func dropoutApply[T float](dst, src []T, mask []float64, rng *tensor.RNG, keep, inv float64) {
+func dropoutApply(dst, src, mask []float64, rng *tensor.RNG, keep, inv float64) {
 	for i, v := range src {
 		if rng.Float64() < keep {
 			mask[i] = inv
-			dst[i] = v * T(inv)
+			dst[i] = v * inv
 		} else {
 			mask[i] = 0
 			dst[i] = 0
@@ -283,8 +234,7 @@ func dropoutApply[T float](dst, src []T, mask []float64, rng *tensor.RNG, keep, 
 }
 
 // Forward applies the dropout mask when train is true. Inference is the
-// identity and touches no layer state (re-entrant). The mask itself stays
-// float64 on both backends so the RNG stream consumption is identical.
+// identity and touches no layer state (re-entrant).
 func (d *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if !train {
 		return x
@@ -293,17 +243,13 @@ func (d *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		d.mask = nil
 		return x
 	}
-	out := ws.GetRawOf(x.DType(), x.R, x.C)
+	out := ws.GetRaw(x.R, x.C)
 	if len(d.mask) != x.Len() {
 		d.mask = make([]float64, x.Len())
 	}
 	keep := 1 - d.P
 	inv := 1 / keep
-	if x.V32 != nil {
-		dropoutApply(out.V32, x.V32, d.mask, d.rng, keep, inv)
-	} else {
-		dropoutApply(out.V, x.V, d.mask, d.rng, keep, inv)
-	}
+	dropoutApply(out.V, x.V, d.mask, d.rng, keep, inv)
 	return out
 }
 
@@ -312,15 +258,9 @@ func (d *Dropout) Backward(grad *tensor.Mat) *tensor.Mat {
 	if d.mask == nil {
 		return grad
 	}
-	out := ws.GetRawOf(grad.DType(), grad.R, grad.C)
-	if grad.V32 != nil {
-		for i, m := range d.mask {
-			out.V32[i] = grad.V32[i] * float32(m)
-		}
-	} else {
-		for i, m := range d.mask {
-			out.V[i] = grad.V[i] * m
-		}
+	out := ws.GetRaw(grad.R, grad.C)
+	for i, m := range d.mask {
+		out.V[i] = grad.V[i] * m
 	}
 	return out
 }

@@ -10,10 +10,6 @@ import (
 // and tracks running statistics for inference. The paper's heavyweight YOLO
 // baseline uses batch normalisation; the pruned YOLO-Specialized models drop
 // it (§5.2), which this substrate mirrors.
-//
-// Statistics are accumulated in float64 on both backends: means, variances,
-// running estimates and the backward reductions never round at 24 bits, so
-// the float32 backend loses precision only in the activations themselves.
 type BatchNorm struct {
 	Dim      int
 	Eps      float64
@@ -59,9 +55,9 @@ func NewBatchNorm(dim int) *BatchNorm {
 	return b
 }
 
-// bnAffine applies the precomputed y = scale*x + shift rows in the storage
-// dtype (the inference hot path: two flops per element).
-func bnAffine[T float](xV, outV []T, scale, shift []T, dim, rows int) {
+// bnAffine applies the precomputed y = scale*x + shift rows (the inference
+// hot path: two flops per element).
+func bnAffine(xV, outV, scale, shift []float64, dim, rows int) {
 	for i := 0; i < rows; i++ {
 		src := xV[i*dim : (i+1)*dim]
 		dst := outV[i*dim : (i+1)*dim]
@@ -71,15 +67,15 @@ func bnAffine[T float](xV, outV []T, scale, shift []T, dim, rows int) {
 	}
 }
 
-// bnBatchStats accumulates per-column mean and variance in float64.
-func bnBatchStats[T float](xV []T, dim, rows int, mean, variance []float64) {
+// bnBatchStats accumulates per-column mean and variance.
+func bnBatchStats(xV []float64, dim, rows int, mean, variance []float64) {
 	for j := range mean {
 		mean[j] = 0
 		variance[j] = 0
 	}
 	for i := 0; i < rows; i++ {
 		for j, v := range xV[i*dim : (i+1)*dim] {
-			mean[j] += float64(v)
+			mean[j] += v
 		}
 	}
 	n := float64(rows)
@@ -88,7 +84,7 @@ func bnBatchStats[T float](xV []T, dim, rows int, mean, variance []float64) {
 	}
 	for i := 0; i < rows; i++ {
 		for j, v := range xV[i*dim : (i+1)*dim] {
-			d := float64(v) - mean[j]
+			d := v - mean[j]
 			variance[j] += d * d
 		}
 	}
@@ -97,17 +93,16 @@ func bnBatchStats[T float](xV []T, dim, rows int, mean, variance []float64) {
 	}
 }
 
-// bnNormalize writes xhat and the affine output, computing each element in
-// float64 and rounding once into the storage dtype.
-func bnNormalize[T float](xV, xhV, outV []T, mean, std, gamma, beta []float64, dim, rows int) {
+// bnNormalize writes xhat and the affine output.
+func bnNormalize(xV, xhV, outV, mean, std, gamma, beta []float64, dim, rows int) {
 	for i := 0; i < rows; i++ {
 		src := xV[i*dim : (i+1)*dim]
 		xh := xhV[i*dim : (i+1)*dim]
 		dst := outV[i*dim : (i+1)*dim]
 		for j := range src {
-			h := (float64(src[j]) - mean[j]) / std[j]
-			xh[j] = T(h)
-			dst[j] = T(gamma[j]*h + beta[j])
+			h := (src[j] - mean[j]) / std[j]
+			xh[j] = h
+			dst[j] = gamma[j]*h + beta[j]
 		}
 	}
 }
@@ -119,31 +114,19 @@ func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != b.Dim {
 		panic("nn: batchnorm width mismatch")
 	}
-	dt := x.DType()
-	out := ws.GetRawOf(dt, x.R, x.C)
+	out := ws.GetRaw(x.R, x.C)
 	if !train || x.R == 1 {
 		// Precompute the affine form y = scale*x + shift of the running-stat
 		// normalisation so the row loop is two flops per element.
-		sc := ws.GetRawOf(dt, 2, b.Dim)
-		if dt == tensor.F32 {
-			scale := sc.Row32(0)
-			shift := sc.Row32(1)
-			for j := 0; j < b.Dim; j++ {
-				s := b.Gamma.W.V[j] / math.Sqrt(b.RunVar[j]+b.Eps)
-				scale[j] = float32(s)
-				shift[j] = float32(b.Beta.W.V[j] - s*b.RunMean[j])
-			}
-			bnAffine(x.V32, out.V32, scale, shift, b.Dim, x.R)
-		} else {
-			scale := sc.Row(0)
-			shift := sc.Row(1)
-			for j := 0; j < b.Dim; j++ {
-				s := b.Gamma.W.V[j] / math.Sqrt(b.RunVar[j]+b.Eps)
-				scale[j] = s
-				shift[j] = b.Beta.W.V[j] - s*b.RunMean[j]
-			}
-			bnAffine(x.V, out.V, scale, shift, b.Dim, x.R)
+		sc := ws.GetRaw(2, b.Dim)
+		scale := sc.Row(0)
+		shift := sc.Row(1)
+		for j := 0; j < b.Dim; j++ {
+			s := b.Gamma.W.V[j] / math.Sqrt(b.RunVar[j]+b.Eps)
+			scale[j] = s
+			shift[j] = b.Beta.W.V[j] - s*b.RunMean[j]
 		}
+		bnAffine(x.V, out.V, scale, shift, b.Dim, x.R)
 		ws.Put(sc)
 		if train {
 			b.lastXHat = nil // single-row training backward uses running stats
@@ -151,22 +134,14 @@ func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		return out
 	}
 	mean, variance := b.mean, b.variance
-	if dt == tensor.F32 {
-		bnBatchStats(x.V32, b.Dim, x.R, mean, variance)
-	} else {
-		bnBatchStats(x.V, b.Dim, x.R, mean, variance)
-	}
+	bnBatchStats(x.V, b.Dim, x.R, mean, variance)
 	for j := range variance {
 		b.lastStd[j] = math.Sqrt(variance[j] + b.Eps)
 	}
-	if b.lastXHat == nil || b.lastXHat.R != x.R || b.lastXHat.C != x.C || b.lastXHat.DType() != dt {
-		b.lastXHat = tensor.NewOf(dt, x.R, x.C)
+	if b.lastXHat == nil || b.lastXHat.R != x.R || b.lastXHat.C != x.C {
+		b.lastXHat = tensor.New(x.R, x.C)
 	}
-	if dt == tensor.F32 {
-		bnNormalize(x.V32, b.lastXHat.V32, out.V32, mean, b.lastStd, b.Gamma.W.V, b.Beta.W.V, b.Dim, x.R)
-	} else {
-		bnNormalize(x.V, b.lastXHat.V, out.V, mean, b.lastStd, b.Gamma.W.V, b.Beta.W.V, b.Dim, x.R)
-	}
+	bnNormalize(x.V, b.lastXHat.V, out.V, mean, b.lastStd, b.Gamma.W.V, b.Beta.W.V, b.Dim, x.R)
 	b.lastN = x.R
 	for j := range mean {
 		b.RunMean[j] = b.Momentum*b.RunMean[j] + (1-b.Momentum)*mean[j]
@@ -176,19 +151,19 @@ func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 }
 
 // bnScaleRows is the inference-mode backward: dx = g * scale, column-wise.
-func bnScaleRows[T float](gV, dxV []T, scale []float64, dim, rows int) {
+func bnScaleRows(gV, dxV, scale []float64, dim, rows int) {
 	for i := 0; i < rows; i++ {
 		src := gV[i*dim : (i+1)*dim]
 		dst := dxV[i*dim : (i+1)*dim]
 		for j, g := range src {
-			dst[j] = T(float64(g) * scale[j])
+			dst[j] = g * scale[j]
 		}
 	}
 }
 
-// bnReduce accumulates the backward column sums Σg and Σg·x̂ in float64 and
-// folds them into the master parameter gradients.
-func bnReduce[T float](gV, xhV []T, sumG, sumGX, betaG, gammaG []float64, dim, rows int) {
+// bnReduce accumulates the backward column sums Σg and Σg·x̂ and folds them
+// into the parameter gradients.
+func bnReduce(gV, xhV, sumG, sumGX, betaG, gammaG []float64, dim, rows int) {
 	for j := 0; j < dim; j++ {
 		sumG[j] = 0
 		sumGX[j] = 0
@@ -197,8 +172,8 @@ func bnReduce[T float](gV, xhV []T, sumG, sumGX, betaG, gammaG []float64, dim, r
 		g := gV[i*dim : (i+1)*dim]
 		xh := xhV[i*dim : (i+1)*dim]
 		for j := range g {
-			gj := float64(g[j])
-			xj := float64(xh[j])
+			gj := g[j]
+			xj := xh[j]
 			sumG[j] += gj
 			sumGX[j] += gj * xj
 			betaG[j] += gj
@@ -207,45 +182,34 @@ func bnReduce[T float](gV, xhV []T, sumG, sumGX, betaG, gammaG []float64, dim, r
 	}
 }
 
-// bnInputGrad writes the standard batch-norm input gradient, computed in
-// float64 per element and rounded once into the storage dtype.
-func bnInputGrad[T float](gV, xhV, dxV []T, gamma, std, sumG, sumGX []float64, n float64, dim, rows int) {
+// bnInputGrad writes the standard batch-norm input gradient.
+func bnInputGrad(gV, xhV, dxV, gamma, std, sumG, sumGX []float64, n float64, dim, rows int) {
 	for i := 0; i < rows; i++ {
 		g := gV[i*dim : (i+1)*dim]
 		xh := xhV[i*dim : (i+1)*dim]
 		dst := dxV[i*dim : (i+1)*dim]
 		for j := range g {
-			dst[j] = T(gamma[j] / (n * std[j]) *
-				(n*float64(g[j]) - sumG[j] - float64(xh[j])*sumGX[j]))
+			dst[j] = gamma[j] / (n * std[j]) *
+				(n*g[j] - sumG[j] - xh[j]*sumGX[j])
 		}
 	}
 }
 
 // Backward implements the standard batch-norm gradient.
 func (b *BatchNorm) Backward(grad *tensor.Mat) *tensor.Mat {
-	dt := grad.DType()
-	dx := ws.GetRawOf(dt, grad.R, grad.C)
+	dx := ws.GetRaw(grad.R, grad.C)
 	if b.lastXHat == nil {
 		// Inference-mode backward (running stats are constants).
 		scale := b.sumG[:b.Dim]
 		for j := 0; j < b.Dim; j++ {
 			scale[j] = b.Gamma.W.V[j] / math.Sqrt(b.RunVar[j]+b.Eps)
 		}
-		if dt == tensor.F32 {
-			bnScaleRows(grad.V32, dx.V32, scale, b.Dim, grad.R)
-		} else {
-			bnScaleRows(grad.V, dx.V, scale, b.Dim, grad.R)
-		}
+		bnScaleRows(grad.V, dx.V, scale, b.Dim, grad.R)
 		return dx
 	}
 	n := float64(b.lastN)
-	if dt == tensor.F32 {
-		bnReduce(grad.V32, b.lastXHat.V32, b.sumG, b.sumGX, b.Beta.Grad.V, b.Gamma.Grad.V, b.Dim, grad.R)
-		bnInputGrad(grad.V32, b.lastXHat.V32, dx.V32, b.Gamma.W.V, b.lastStd, b.sumG, b.sumGX, n, b.Dim, grad.R)
-	} else {
-		bnReduce(grad.V, b.lastXHat.V, b.sumG, b.sumGX, b.Beta.Grad.V, b.Gamma.Grad.V, b.Dim, grad.R)
-		bnInputGrad(grad.V, b.lastXHat.V, dx.V, b.Gamma.W.V, b.lastStd, b.sumG, b.sumGX, n, b.Dim, grad.R)
-	}
+	bnReduce(grad.V, b.lastXHat.V, b.sumG, b.sumGX, b.Beta.Grad.V, b.Gamma.Grad.V, b.Dim, grad.R)
+	bnInputGrad(grad.V, b.lastXHat.V, dx.V, b.Gamma.W.V, b.lastStd, b.sumG, b.sumGX, n, b.Dim, grad.R)
 	return dx
 }
 

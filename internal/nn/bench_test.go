@@ -98,7 +98,6 @@ func BenchmarkConv2D(b *testing.B) {
 // against the window's 2.25× at stride 2 and 9× at stride 1).
 func BenchmarkPhaseSplit(b *testing.B) {
 	rng := tensor.NewRNG(5)
-	kern := tensor.KernelsOf[float64]()
 	for _, l := range []*Conv2D{
 		NewConv2D(3, 27, 48, 10, 3, 2, 1, rng),
 		NewConv2D(10, 14, 24, 14, 3, 2, 1, rng),
@@ -113,7 +112,7 @@ func BenchmarkPhaseSplit(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for s := 0; s < n; s++ {
-						splitPlanes(kern, l, x.Row(s), l.InW, l.InH*l.InW, planes)
+						splitPlanes(l, x.Row(s), l.InW, l.InH*l.InW, planes)
 					}
 				}
 			})
@@ -122,7 +121,7 @@ func BenchmarkPhaseSplit(b *testing.B) {
 }
 
 // BenchmarkConvStack runs whole backbones in inference mode, one frame and
-// one serving block, on both backends: the specialized detector's
+// one serving block: the specialized detector's
 // conv → act → conv → act → head, which is a single run a sample goes through
 // out of scratch, and the baseline's, whose BatchNorm layers cut it into
 // four one-layer runs with batch matrices between.
@@ -149,20 +148,17 @@ func BenchmarkConvStack(b *testing.B) {
 		{"specialized", stack(false, []int{10, 14}, []int{2, 2})},
 		{"yolo", stack(true, []int{16, 24, 24}, []int{2, 2, 1})},
 	} {
-		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-			for _, n := range []int{1, 8} {
-				b.Run(fmt.Sprintf("%s/%v/n%d", s.name, dt, n), func(b *testing.B) {
-					x := tensor.New(n, 3*27*48)
-					rng.FillNormal(x, 1)
-					x = x.ToDType(dt)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						Recycle(s.net.Forward(x, false))
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/frame")
-				})
-			}
+		for _, n := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/n%d", s.name, n), func(b *testing.B) {
+				x := tensor.New(n, 3*27*48)
+				rng.FillNormal(x, 1)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					Recycle(s.net.Forward(x, false))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/frame")
+			})
 		}
 	}
 }
@@ -173,18 +169,15 @@ func BenchmarkConvStack(b *testing.B) {
 func BenchmarkDense(b *testing.B) {
 	rng := tensor.NewRNG(9)
 	net := NewNetwork("enc", NewDense(936, 128, rng), NewReLU())
-	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-		b.Run(fmt.Sprintf("8x936x128/%v", dt), func(b *testing.B) {
-			x := tensor.New(8, 936)
-			rng.FillNormal(x, 1)
-			x = x.ToDType(dt)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Recycle(net.Forward(x, false))
-			}
-		})
-	}
+	b.Run("8x936x128", func(b *testing.B) {
+		x := tensor.New(8, 936)
+		rng.FillNormal(x, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Recycle(net.Forward(x, false))
+		}
+	})
 }
 
 func benchDense() (*Dense, *tensor.Mat) {

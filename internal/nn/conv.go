@@ -12,8 +12,7 @@ import (
 // kernel tap, a column per output pixel), but the window is never built:
 // training and inference alike rewrite a sample once into phase planes in
 // which every tap is a contiguous run, and the products read the window's
-// rows through a tap-offset table (convs.go). The compute dtype follows the
-// input batch (float32 batches read the weight shadows).
+// rows through a tap-offset table (convs.go).
 type Conv2D struct {
 	InC, InH, InW  int
 	OutC           int
@@ -33,8 +32,7 @@ type Conv2D struct {
 
 	// trainPlanes holds the phase planes of the last training forward, a
 	// row per sample: the backward cache, retained across steps and
-	// reallocated (zeroed: the border) only when the batch size or dtype
-	// changes.
+	// reallocated (zeroed: the border) only when the batch size changes.
 	trainPlanes *tensor.Mat
 }
 
@@ -94,18 +92,17 @@ func (c *Conv2D) tapRange(k, in, out int) (o0, o1 int) {
 func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	st := convStage{c: c}
 	if train {
-		if p := c.trainPlanes; p == nil || p.R != x.R || p.DType() != x.DType() {
-			c.trainPlanes = tensor.NewOf(x.DType(), x.R, c.planesLen())
+		if p := c.trainPlanes; p == nil || p.R != x.R {
+			c.trainPlanes = tensor.New(x.R, c.planesLen())
 		}
 		st.keep = c.trainPlanes
 	}
-	return forwardConvs([]convStage{st}, x, nil, x.DType())
+	return forwardConvs([]convStage{st}, x, nil)
 }
 
 // Backward accumulates the weight and bias gradients and returns the input
 // gradient, out of grad's rows and the planes the training forward kept
-// (convGrads). It computes in the gradient's dtype; the results accumulate
-// into the float64 master gradients.
+// (convGrads).
 func (c *Conv2D) Backward(grad *tensor.Mat) *tensor.Mat {
 	// The kernels index the planes by grad's shape on trust. Each check is a
 	// programmer-error invariant, not an input error.
@@ -116,17 +113,10 @@ func (c *Conv2D) Backward(grad *tensor.Mat) *tensor.Mat {
 		panic(fmt.Sprintf("nn: conv2d gradient has %d rows, the training forward had %d", grad.R, p.R))
 	case grad.C != c.OutSize(): // one gradient per output element
 		panic(fmt.Sprintf("nn: conv2d gradient width %d, want %d", grad.C, c.OutSize()))
-	case grad.DType() != p.DType(): // the backward computes in the forward's dtype
-		panic(fmt.Sprintf("nn: conv2d %v gradient after a %v training forward", grad.DType(), p.DType()))
 	}
-	dt := grad.DType()
-	dW := ws.GetRawOf(dt, c.OutC, c.patchRows())
-	dx := ws.GetOf(dt, grad.R, c.InSize())
-	if dt == tensor.F32 {
-		convGrads[float32](c, grad, dW, dx)
-	} else {
-		convGrads[float64](c, grad, dW, dx)
-	}
+	dW := ws.GetRaw(c.OutC, c.patchRows())
+	dx := ws.Get(grad.R, c.InSize())
+	convGrads(c, grad, dW, dx)
 	c.Weight.Grad.Add(dW)
 	ws.Put(dW)
 	return dx
@@ -154,7 +144,7 @@ func NewUpsample2D(inC, inH, inW, scale int) *Upsample2D {
 // OutSize returns the flattened output width.
 func (u *Upsample2D) OutSize() int { return u.InC * u.OutH * u.OutW }
 
-func upsampleRow[T float](u *Upsample2D, src, dst []T) {
+func upsampleRow(u *Upsample2D, src, dst []float64) {
 	for ch := 0; ch < u.InC; ch++ {
 		sOff := ch * u.InH * u.InW
 		dOff := ch * u.OutH * u.OutW
@@ -172,24 +162,16 @@ func (u *Upsample2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != u.InC*u.InH*u.InW {
 		panic("nn: upsample input width mismatch")
 	}
-	out := ws.GetRawOf(x.DType(), x.R, u.OutSize())
-	if x.V32 != nil {
-		tensor.Parallel(x.R, x.R*u.OutSize(), func(n0, n1 int) {
-			for n := n0; n < n1; n++ {
-				upsampleRow(u, x.Row32(n), out.Row32(n))
-			}
-		})
-	} else {
-		tensor.Parallel(x.R, x.R*u.OutSize(), func(n0, n1 int) {
-			for n := n0; n < n1; n++ {
-				upsampleRow(u, x.Row(n), out.Row(n))
-			}
-		})
-	}
+	out := ws.GetRaw(x.R, u.OutSize())
+	tensor.Parallel(x.R, x.R*u.OutSize(), func(n0, n1 int) {
+		for n := n0; n < n1; n++ {
+			upsampleRow(u, x.Row(n), out.Row(n))
+		}
+	})
 	return out
 }
 
-func upsampleBackRow[T float](u *Upsample2D, src, dst []T) {
+func upsampleBackRow(u *Upsample2D, src, dst []float64) {
 	for ch := 0; ch < u.InC; ch++ {
 		sOff := ch * u.OutH * u.OutW
 		dOff := ch * u.InH * u.InW
@@ -204,20 +186,12 @@ func upsampleBackRow[T float](u *Upsample2D, src, dst []T) {
 
 // Backward sums gradients over each Scale×Scale block.
 func (u *Upsample2D) Backward(grad *tensor.Mat) *tensor.Mat {
-	dx := ws.GetOf(grad.DType(), grad.R, u.InC*u.InH*u.InW)
-	if grad.V32 != nil {
-		tensor.Parallel(grad.R, grad.R*u.OutSize(), func(n0, n1 int) {
-			for n := n0; n < n1; n++ {
-				upsampleBackRow(u, grad.Row32(n), dx.Row32(n))
-			}
-		})
-	} else {
-		tensor.Parallel(grad.R, grad.R*u.OutSize(), func(n0, n1 int) {
-			for n := n0; n < n1; n++ {
-				upsampleBackRow(u, grad.Row(n), dx.Row(n))
-			}
-		})
-	}
+	dx := ws.Get(grad.R, u.InC*u.InH*u.InW)
+	tensor.Parallel(grad.R, grad.R*u.OutSize(), func(n0, n1 int) {
+		for n := n0; n < n1; n++ {
+			upsampleBackRow(u, grad.Row(n), dx.Row(n))
+		}
+	})
 	return dx
 }
 

@@ -9,7 +9,7 @@ import (
 // TestConvFusedEpilogueBitIdentity pins inference fusion to the layers it
 // skips: a network's inference forward — conv + activation pairs fused, the
 // 1×1 head multiplied straight from its input — must match running the
-// layers one by one, bit for bit, in both dtypes; and a training forward
+// layers one by one, bit for bit; and a training forward
 // must not fuse at all (Backward needs the un-activated conv output).
 func TestConvFusedEpilogueBitIdentity(t *testing.T) {
 	rng := tensor.NewRNG(17)
@@ -30,28 +30,26 @@ func TestConvFusedEpilogueBitIdentity(t *testing.T) {
 	} {
 		net := build(act)
 		for _, n := range []int{1, 3, 8} {
-			x64 := randomBatch(n, 3*27*48, uint64(200+n))
-			for _, x := range []*tensor.Mat{x64, x64.ToDType(tensor.F32)} {
-				want := x
-				var convOut *tensor.Mat // the first conv's output, before its activation
-				for i, l := range net.Layers {
-					want = l.Forward(want, false)
-					if i == 0 {
-						convOut = want
-					}
+			x := randomBatch(n, 3*27*48, uint64(200+n))
+			want := x
+			var convOut *tensor.Mat // the first conv's output, before its activation
+			for i, l := range net.Layers {
+				want = l.Forward(want, false)
+				if i == 0 {
+					convOut = want
 				}
-				if i := sameBits(net.Forward(x, false), want); i >= 0 {
-					t.Fatalf("%s n=%d %v: fused inference differs from the layers run one by one at element %d", name, n, x.DType(), i)
-				}
-				if i := sameBits(net.Forward(x, true), want); i >= 0 {
-					t.Fatalf("%s n=%d %v: training forward differs from the layers run one by one at element %d", name, n, x.DType(), i)
-				}
-				if len(net.fwdOuts) != len(net.Layers) {
-					t.Fatalf("%s: training forward recorded %d intermediates for %d layers", name, len(net.fwdOuts), len(net.Layers))
-				}
-				if i := sameBits(net.fwdOuts[0], convOut); i >= 0 {
-					t.Fatalf("%s n=%d %v: training forward activated the conv output in place (element %d)", name, n, x.DType(), i)
-				}
+			}
+			if i := sameBits(net.Forward(x, false), want); i >= 0 {
+				t.Fatalf("%s n=%d: fused inference differs from the layers run one by one at element %d", name, n, i)
+			}
+			if i := sameBits(net.Forward(x, true), want); i >= 0 {
+				t.Fatalf("%s n=%d: training forward differs from the layers run one by one at element %d", name, n, i)
+			}
+			if len(net.fwdOuts) != len(net.Layers) {
+				t.Fatalf("%s: training forward recorded %d intermediates for %d layers", name, len(net.fwdOuts), len(net.Layers))
+			}
+			if i := sameBits(net.fwdOuts[0], convOut); i >= 0 {
+				t.Fatalf("%s n=%d: training forward activated the conv output in place (element %d)", name, n, i)
 			}
 		}
 	}

@@ -14,34 +14,30 @@ import (
 // element for the input gradient. Bit for bit, specials included.
 
 // convBackwardRef is Conv2D.Backward as it was over the whole-batch patch
-// matrix cols: the gradient regrouped channel-major, db summed in float64
-// along each channel's row, dW = G × colsᵀ, dCols = Wᵀ × G, and each dCols
+// matrix cols: the gradient regrouped channel-major, db summed along each
+// channel's row, dW = G × colsᵀ, dCols = Wᵀ × G, and each dCols
 // column added into its sample's input element by a per-element col2im,
 // taps ascending.
-func convBackwardRef[T float](c *Conv2D, cols, grad *tensor.Mat) (dx, dW *tensor.Mat, db []float64) {
-	dt, r, spatial := grad.DType(), grad.R, c.OutH*c.OutW
-	g := tensor.NewOf(dt, c.OutC, r*spatial)
-	gradV, gV := storage[T](grad), storage[T](g)
+func convBackwardRef(c *Conv2D, cols, grad *tensor.Mat) (dx, dW *tensor.Mat, db []float64) {
+	r, spatial := grad.R, c.OutH*c.OutW
+	g := tensor.New(c.OutC, r*spatial)
+	gradV, gV := grad.V, g.V
 	db = make([]float64, c.OutC)
 	for oc := 0; oc < c.OutC; oc++ {
 		for n := 0; n < r; n++ {
 			for s := 0; s < spatial; s++ {
 				v := gradV[n*grad.C+oc*spatial+s]
 				gV[oc*g.C+n*spatial+s] = v
-				db[oc] += float64(v)
+				db[oc] += v
 			}
 		}
 	}
-	w := c.Weight.W
-	if dt == tensor.F32 {
-		w = c.Weight.W32()
-	}
-	dW = tensor.NewOf(dt, c.OutC, c.patchRows())
+	dW = tensor.New(c.OutC, c.patchRows())
 	tensor.MatMulBTInto(dW, g, cols)
-	dCols := tensor.NewOf(dt, c.patchRows(), r*spatial)
-	tensor.MatMulATInto(dCols, w, g)
-	dx = tensor.NewOf(dt, r, c.InSize())
-	dcV, dxV := storage[T](dCols), storage[T](dx)
+	dCols := tensor.New(c.patchRows(), r*spatial)
+	tensor.MatMulATInto(dCols, c.Weight.W, g)
+	dx = tensor.New(r, c.InSize())
+	dcV, dxV := dCols.V, dx.V
 	for n := 0; n < r; n++ {
 		for k := 0; k < c.patchRows(); k++ {
 			ch, ky, kx := k/(c.K*c.K), k/c.K%c.K, k%c.K
@@ -58,8 +54,7 @@ func convBackwardRef[T float](c *Conv2D, cols, grad *tensor.Mat) (dx, dW *tensor
 	return dx, dW, db
 }
 
-// convTrainCase runs one training step of c on n samples in both dtypes and
-// compares output, dx, dW and db with the whole-batch reference.
+// convTrainCase runs one training step of c on n samples and compares output, dx, dW and db with the whole-batch reference.
 func convTrainCase(t *testing.T, c *Conv2D, n int, seed uint64) {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
@@ -70,39 +65,31 @@ func convTrainCase(t *testing.T, c *Conv2D, n int, seed uint64) {
 		}
 	}()
 	plantWeights(c, rng, &frees)
-	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-		x := guardedMat(dt, n, c.InSize(), rng, &frees)
-		grad := guardedMat(dt, n, c.OutSize(), rng, &frees)
-		wantOut, cols := convForwardWholeBatch(c, x)
-		var wantDx, dW *tensor.Mat
-		var db []float64
-		if dt == tensor.F32 {
-			wantDx, dW, db = convBackwardRef[float32](c, cols, grad)
-		} else {
-			wantDx, dW, db = convBackwardRef[float64](c, cols, grad)
+	x := guardedMat(n, c.InSize(), rng, &frees)
+	grad := guardedMat(n, c.OutSize(), rng, &frees)
+	wantOut, cols := convForwardWholeBatch(c, x)
+	wantDx, dW, db := convBackwardRef(c, cols, grad)
+	wantDW := tensor.New(dW.R, dW.C)
+	wantDW.Add(dW) // the master gradient a step accumulates into
+	c.Weight.Grad.Zero()
+	c.Bias.Grad.Zero()
+	out := c.Forward(x, true)
+	dx := c.Backward(grad)
+	where := fmt.Sprintf("k=%d s=%d p=%d in %dx%dx%d out %dx%dx%d n=%d", c.K, c.Stride, c.Pad, c.InC, c.InH, c.InW, c.OutC, c.OutH, c.OutW, n)
+	for _, m := range []struct {
+		name      string
+		got, want *tensor.Mat
+	}{
+		{"output", out, wantOut},
+		{"dx", dx, wantDx},
+		{"dW", c.Weight.Grad, wantDW},
+		{"db", c.Bias.Grad, tensor.FromVec(db)},
+	} {
+		if i := sameBits(m.got, m.want); i >= 0 {
+			t.Fatalf("%s: %s element %d is %v, the whole-batch reference has %v", where, m.name, i, m.got.At(i/m.got.C, i%m.got.C), m.want.At(i/m.want.C, i%m.want.C))
 		}
-		wantDW := tensor.New(dW.R, dW.C)
-		wantDW.Add(dW) // the master gradient a step accumulates into
-		c.Weight.Grad.Zero()
-		c.Bias.Grad.Zero()
-		out := c.Forward(x, true)
-		dx := c.Backward(grad)
-		where := fmt.Sprintf("%v k=%d s=%d p=%d in %dx%dx%d out %dx%dx%d n=%d", dt, c.K, c.Stride, c.Pad, c.InC, c.InH, c.InW, c.OutC, c.OutH, c.OutW, n)
-		for _, m := range []struct {
-			name      string
-			got, want *tensor.Mat
-		}{
-			{"output", out, wantOut},
-			{"dx", dx, wantDx},
-			{"dW", c.Weight.Grad, wantDW},
-			{"db", c.Bias.Grad, tensor.FromVec(db)},
-		} {
-			if i := sameBits(m.got, m.want); i >= 0 {
-				t.Fatalf("%s: %s element %d is %v, the whole-batch reference has %v", where, m.name, i, m.got.At(i/m.got.C, i%m.got.C), m.want.At(i/m.want.C, i%m.want.C))
-			}
-		}
-		Recycle(out, dx)
 	}
+	Recycle(out, dx)
 }
 
 // TestConvTrainParity runs a training step — forward into the retained
@@ -137,7 +124,6 @@ func TestConvBackwardChecksGradient(t *testing.T) {
 		{"no training forward", newConv(), tensor.New(4, trained.OutSize()), "without a training forward"},
 		{"rows", trained, tensor.New(3, trained.OutSize()), "3 rows"},
 		{"width", trained, tensor.New(4, trained.OutSize()-1), "width"},
-		{"dtype", trained, tensor.NewOf(tensor.F32, 4, trained.OutSize()), "float32 gradient"},
 	} {
 		func() {
 			defer func() {

@@ -29,8 +29,7 @@ import (
 // final compaction copy the first OutW columns of each row and nothing else,
 // so no junk value reaches a result; lanes do not interact, so it cannot
 // disturb a real column's sum either. A stride-1 unpadded layer's single
-// plane is its input as it lies (the 1×1 head: one tap, no border, no copy
-// when its sample is a batch row of the compute dtype).
+// plane is its input as it lies (the 1×1 head: one tap, no border, no copy).
 
 // planLayout fixes the layout from the geometry.
 func (c *Conv2D) planLayout() {
@@ -76,17 +75,15 @@ func (c *Conv2D) phaseRect(py, px int) (y0, y1, x0, x1 int) {
 
 // splitPlanes rewrites one sample into c's phase planes. src is
 // channel-major with rows srcW and channels srcC apart: a sample where it
-// lies — a batch row, or a float64 frame, and then narrowing to the compute
-// dtype is this same pass — or the wide output of the layer before, whose
-// junk columns lie past every InW and are not read. Only a plane's covered
-// rectangle is written, all of it: planes come from c.planes or
+// lies — a batch row or a frame — or the wide output of the layer before,
+// whose junk columns lie past every InW and are not read. Only a plane's
+// covered rectangle is written, all of it: planes come from c.planes or
 // c.trainPlanes, which hand out zeroed memory or what an earlier splitPlanes
 // left, so the border is zero for as long as the layer lives and is never
 // cleared again. Within the rectangle each row is one strided run of an
 // input row: copied at stride 1, de-interleaved by the vector gather at
 // stride 2.
-func splitPlanes[S, T float](kern tensor.Kernels[T], c *Conv2D, src []S, srcW, srcC int, planes []T) {
-	same, _ := any(src).([]T) // S is T: copy and gather apply
+func splitPlanes(c *Conv2D, src []float64, srcW, srcC int, planes []float64) {
 	size := c.planeH * c.planeW
 	for py := 0; py < c.phases; py++ {
 		for px := 0; px < c.phases; px++ {
@@ -98,19 +95,19 @@ func splitPlanes[S, T float](kern tensor.Kernels[T], c *Conv2D, src []S, srcW, s
 			d0 := (py*c.phases+px)*size + y0*c.planeW + x0
 			s0 := (y0*c.Stride+py-c.Pad)*srcW + x0*c.Stride + px - c.Pad
 			for ch := 0; ch < c.InC; ch, d0, s0 = ch+1, d0+c.phases*c.phases*size, s0+srcC {
-				if same != nil && c.Stride == 2 {
-					kern.Gather2(planes[d0:], same[s0:], n, y1-y0, c.planeW, 2*srcW)
+				if c.Stride == 2 {
+					tensor.Kernels{}.Gather2(planes[d0:], src[s0:], n, y1-y0, c.planeW, 2*srcW)
 					continue
 				}
 				for y, di, si := y0, d0, s0; y < y1; y, di, si = y+1, di+c.planeW, si+c.Stride*srcW {
 					d := planes[di : di+n]
-					if same != nil && c.Stride == 1 {
-						copy(d, same[si:si+n])
+					if c.Stride == 1 {
+						copy(d, src[si:si+n])
 						continue
 					}
 					run := src[si : si+(n-1)*c.Stride+1]
 					for i := range d {
-						d[i] = T(run[i*c.Stride])
+						d[i] = run[i*c.Stride]
 					}
 				}
 			}
@@ -160,10 +157,10 @@ func convRun(layers []Layer, i int) ([]convStage, int) {
 }
 
 // forwardConvs takes every sample of a batch — the rows of x or, with x nil,
-// float64 frames where they lie, computed in dt — through a whole run of
-// convolutions, the batch split across the workers: one output matrix, and
-// between the layers nothing but a worker's scratch.
-func forwardConvs(stages []convStage, x *tensor.Mat, frames [][]float64, dt tensor.DType) *tensor.Mat {
+// frames where they lie — through a whole run of convolutions, the batch
+// split across the workers: one output matrix, and between the layers
+// nothing but a worker's scratch.
+func forwardConvs(stages []convStage, x *tensor.Mat, frames [][]float64) *tensor.Mat {
 	first, last := stages[0].c, stages[len(stages)-1].c
 	r := len(frames)
 	if x != nil {
@@ -182,35 +179,9 @@ func forwardConvs(stages []convStage, x *tensor.Mat, frames [][]float64, dt tens
 	for _, st := range stages {
 		work += 2 * r * st.c.OutC * st.c.patchRows() * st.c.OutH * st.c.OutW
 	}
-	out := ws.GetRawOf(dt, r, last.OutSize())
-	tensor.Parallel(r, work, func(n0, n1 int) {
-		switch {
-		case dt == tensor.F32 && x == nil:
-			convRange[float64, float32](stages, nil, frames, out, n0, n1)
-		case dt == tensor.F32:
-			convRange[float32, float32](stages, x, nil, out, n0, n1)
-		default:
-			convRange[float64, float64](stages, x, frames, out, n0, n1)
-		}
-	})
+	out := ws.GetRaw(r, last.OutSize())
+	tensor.Parallel(r, work, func(n0, n1 int) { convRange(stages, x, frames, out, n0, n1) })
 	return out
-}
-
-// storage returns m's elements as the []T they are.
-func storage[T float](m *tensor.Mat) []T {
-	if v, ok := any(m.V).([]T); ok {
-		return v
-	}
-	v, _ := any(m.V32).([]T)
-	return v
-}
-
-// weightsOf returns p's values in T: the masters or their float32 shadow.
-func weightsOf[T float](p *Param) []T {
-	if v, ok := any(p.W.V).([]T); ok {
-		return v
-	}
-	return storage[T](p.W32())
 }
 
 // convRange is one worker's share of forwardConvs, samples [n0, n1) — rows of
@@ -219,14 +190,11 @@ func weightsOf[T float](p *Param) []T {
 // output between layers is workspace scratch, which each layer writes only
 // after the next one's planes — or the compaction — have been read out of
 // the previous.
-func convRange[S, T float](stages []convStage, x *tensor.Mat, frames [][]S, out *tensor.Mat, n0, n1 int) {
-	kern := tensor.KernelsOf[T]()
-	dt := out.DType()
-	_, inT := any(frames).([][]T)
-	sample := func(n int) []S { return frames[n] }
+func convRange(stages []convStage, x *tensor.Mat, frames [][]float64, out *tensor.Mat, n0, n1 int) {
+	var kern tensor.Kernels
+	sample := func(n int) []float64 { return frames[n] }
 	if x != nil {
-		xV := storage[S](x)
-		sample = func(n int) []S { return xV[n*x.C : (n+1)*x.C] }
+		sample = func(n int) []float64 { return x.Row(n) }
 	}
 	// held[i] is stage i's planes; held[len(stages)] the wide output.
 	var held [maxConvRun + 1]*tensor.Mat
@@ -236,50 +204,49 @@ func convRange[S, T float](stages []convStage, x *tensor.Mat, frames [][]S, out 
 		}
 		ws.Put(held[len(stages)])
 	}()
-	var planes [maxConvRun][]T
+	var planes [maxConvRun][]float64
 	wideLen := 0
 	for i, st := range stages {
 		c := st.c
-		// A stride-1 unpadded first layer reads a batch row where it lies,
+		// A stride-1 unpadded first layer reads a sample where it lies,
 		// unless it keeps its planes.
-		if st.keep == nil && (i > 0 || !inT || !c.inPlace()) {
-			held[i] = c.planes.GetRawOf(dt, 1, c.planesLen())
-			planes[i] = storage[T](held[i])
+		if st.keep == nil && (i > 0 || !c.inPlace()) {
+			held[i] = c.planes.GetRaw(1, c.planesLen())
+			planes[i] = held[i].V
 		}
 		if i < len(stages)-1 || c.planeW != c.OutW {
 			wideLen = max(wideLen, c.wideLen())
 		}
 	}
-	var wideBuf []T
+	var wideBuf []float64
 	if wideLen > 0 {
-		held[len(stages)] = ws.GetRawOf(dt, 1, wideLen)
-		wideBuf = storage[T](held[len(stages)])
+		held[len(stages)] = ws.GetRaw(1, wideLen)
+		wideBuf = held[len(stages)].V
 	}
-	outV := storage[T](out)
 	for n := n0; n < n1; n++ {
-		orow := outV[n*out.C : (n+1)*out.C]
-		var wide []T     // the layer before's output, rows prev.planeW apart
-		var prev *Conv2D // and that layer
+		orow := out.Row(n)
+		var wide []float64 // the layer before's output, rows prev.planeW apart
+		var prev *Conv2D   // and that layer
 		for i, st := range stages {
 			c := st.c
 			b := planes[i]
 			if st.keep != nil {
-				b = storage[T](st.keep)[n*st.keep.C : (n+1)*st.keep.C]
+				b = st.keep.Row(n)
 			}
 			switch {
 			case b == nil:
-				b = any(sample(n)).([]T)
+				b = sample(n)
 			case i == 0:
-				splitPlanes(kern, c, sample(n), c.InW, c.InH*c.InW, b)
+				splitPlanes(c, sample(n), c.InW, c.InH*c.InW, b)
 			default:
-				splitPlanes(kern, c, wide, prev.planeW, prev.OutH*prev.planeW, b)
+				splitPlanes(c, wide, prev.planeW, prev.OutH*prev.planeW, b)
 			}
 			final := i == len(stages)-1
 			dst, dn := wideBuf, c.OutH*c.planeW
 			if final && c.planeW == c.OutW {
 				dst, dn = orow, c.OutH*c.OutW // no junk columns: straight into the output row
 			}
-			kern.MatMulTaps(dst, dn, weightsOf[T](c.Weight), c.OutC, b, c.taps, c.wideCols(), weightsOf[T](c.Bias), st.act)
+			kern.MatMulTaps(dst, dn, c.Weight.W.V, c.OutC, b, c.taps, c.wideCols(), c.Bias.W.V, st.act)
 			if final && dn != c.OutH*c.OutW {
 				for ro, o := 0, 0; ro < c.OutC*c.OutH; ro, o = ro+1, o+c.OutW {
 					copy(orow[o:o+c.OutW], dst[ro*c.planeW:])
@@ -293,12 +260,11 @@ func convRange[S, T float](stages []convStage, x *tensor.Mat, frames [][]S, out 
 	}
 }
 
-// mergePlanes is splitPlanes' transpose in one dtype: it copies the covered
-// rectangle of each of c's phase planes back to where it lies in the compact
-// sample dst. Border elements are padding and are dropped; the dst elements
+// mergePlanes is splitPlanes' transpose: it copies the covered rectangle of
+// each of c's phase planes back to where it lies in the compact sample dst. Border elements are padding and are dropped; the dst elements
 // no plane covers, input rows and columns past the last tap, are left as
 // they are.
-func mergePlanes[T float](c *Conv2D, planes, dst []T) {
+func mergePlanes(c *Conv2D, planes, dst []float64) {
 	size := c.planeH * c.planeW
 	for py := 0; py < c.phases; py++ {
 		for px := 0; px < c.phases; px++ {
@@ -320,25 +286,24 @@ func mergePlanes[T float](c *Conv2D, planes, dst []T) {
 	}
 }
 
-// convGrads is Conv2D.Backward in T: dW (OutC × taps) and dx (zeroed, a row
-// per sample) take their sums, the bias master gradient its own. Every
-// element sums in the order of the whole-batch products over the patch
-// window it replaces (DESIGN §4). db[oc] is Σ over (n, position) ascending,
-// in float64.
-func convGrads[T float](c *Conv2D, grad, dW, dx *tensor.Mat) {
-	g, planes := storage[T](grad), storage[T](c.trainPlanes)
+// convGrads is Conv2D.Backward: dW (OutC × taps) and dx (zeroed, a row per
+// sample) take their sums, the bias gradient its own. Every element sums in
+// the order of the whole-batch products over the patch window it replaces
+// (DESIGN §4). db[oc] is Σ over (n, position) ascending.
+func convGrads(c *Conv2D, grad, dW, dx *tensor.Mat) {
+	g, planes := grad.V, c.trainPlanes.V
 	r, spatial, taps := grad.R, c.OutH*c.OutW, c.patchRows()
 	for oc := 0; oc < c.OutC; oc++ {
 		var s float64
 		for n := 0; n < r; n++ {
 			for _, v := range g[n*grad.C+oc*spatial : n*grad.C+(oc+1)*spatial] {
-				s += float64(v)
+				s += v
 			}
 		}
 		c.Bias.Grad.V[oc] += s
 	}
 	work := 2 * r * c.OutC * taps * spatial
-	convWeightGrad(c, grad, planes, storage[T](dW), work)
+	convWeightGrad(c, grad, planes, dW.V, work)
 	tensor.Parallel(r, work, func(n0, n1 int) { convInputGrad(c, g, dx, n0, n1) })
 }
 
@@ -353,16 +318,16 @@ func convGrads[T float](c *Conv2D, grad, dW, dx *tensor.Mat) {
 // continues into the next — takes up to four channels' chains through it;
 // the first call starts them from +0 and the rest carry them on. Workers
 // split the (tap, block of four channels) units; a last pass transposes.
-func convWeightGrad[T float](c *Conv2D, grad *tensor.Mat, planes, dW []T, work int) {
-	kern := tensor.KernelsOf[T]()
-	g, r, spatial, kk := storage[T](grad), grad.R, c.OutH*c.OutW, c.K*c.K
+func convWeightGrad(c *Conv2D, grad *tensor.Mat, planes, dW []float64, work int) {
+	var kern tensor.Kernels
+	g, r, spatial, kk := grad.V, grad.R, c.OutH*c.OutW, c.K*c.K
 	seg, stride := c.OutW, c.planeW
 	if stride == seg {
 		seg, stride = spatial, spatial
 	}
-	bufs := ws.GetRawOf(grad.DType(), 1, r*spatial*c.OutC+c.patchRows()*c.OutC)
+	bufs := ws.GetRaw(1, r*spatial*c.OutC+c.patchRows()*c.OutC)
 	defer ws.Put(bufs)
-	gT, dWT := storage[T](bufs)[:r*spatial*c.OutC], storage[T](bufs)[r*spatial*c.OutC:]
+	gT, dWT := bufs.V[:r*spatial*c.OutC], bufs.V[r*spatial*c.OutC:]
 	for n := 0; n < r; n++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			for s, v := range g[(n*c.OutC+oc)*spatial:][:spatial] {
@@ -397,13 +362,13 @@ func convWeightGrad[T float](c *Conv2D, grad *tensor.Mat, planes, dW []T, work i
 // columns of the sample bit for bit (Kernels.MatMulAT); dcol's rows added
 // into zeroed phase planes tap by tap, k ascending — col2im's order at every
 // input element; the covered rectangles merged back into the sample's row.
-func convInputGrad[T float](c *Conv2D, g []T, dx *tensor.Mat, n0, n1 int) {
-	kern := tensor.KernelsOf[T]()
+func convInputGrad(c *Conv2D, g []float64, dx *tensor.Mat, n0, n1 int) {
+	var kern tensor.Kernels
 	spatial, taps := c.OutH*c.OutW, c.patchRows()
-	buf := ws.GetRawOf(dx.DType(), 1, taps*spatial+c.planesLen())
+	buf := ws.GetRaw(1, taps*spatial+c.planesLen())
 	defer ws.Put(buf)
-	dcol, planes := storage[T](buf)[:taps*spatial], storage[T](buf)[taps*spatial:]
-	w, dxV := weightsOf[T](c.Weight), storage[T](dx)
+	dcol, planes := buf.V[:taps*spatial], buf.V[taps*spatial:]
+	w := c.Weight.W.V
 	for n := n0; n < n1; n++ {
 		kern.MatMulAT(dcol, w, taps, c.OutC, g[n*c.OutSize():(n+1)*c.OutSize()], spatial)
 		clear(planes)
@@ -415,6 +380,6 @@ func convInputGrad[T float](c *Conv2D, g []T, dx *tensor.Mat, n0, n1 int) {
 				}
 			}
 		}
-		mergePlanes(c, planes, dxV[n*dx.C:(n+1)*dx.C])
+		mergePlanes(c, planes, dx.Row(n))
 	}
 }

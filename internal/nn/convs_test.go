@@ -26,34 +26,34 @@ var convSpecials = []float64{hwNaN, math.Inf(1), math.Inf(-1), math.Copysign(0, 
 // act(Σk w[oc][k]·window[k][s] + bias[oc]), terms in ascending k, a
 // k-aligned group of four zero weights skipped whole and a zero weight among
 // the trailing k mod 4 (DESIGN §8).
-func refConvSample[T float](c *Conv2D, x, w, bias []T, act tensor.Act) []T {
+func refConvSample(c *Conv2D, x, w, bias []float64, act tensor.Act) []float64 {
 	spatial, kk := c.OutH*c.OutW, c.patchRows()
-	win := make([]T, kk*spatial)
+	win := make([]float64, kk*spatial)
 	im2colRef(c, x, win, spatial, 0)
-	out := make([]T, c.OutC*spatial)
+	out := make([]float64, c.OutC*spatial)
 	for oc := 0; oc < c.OutC; oc++ {
 		a := w[oc*kk : (oc+1)*kk]
 		for s := 0; s < spatial; s++ {
-			var sum T
+			var sum float64
 			for k := 0; k+4 <= kk; k += 4 {
 				if a[k] == 0 && a[k+1] == 0 && a[k+2] == 0 && a[k+3] == 0 {
 					continue
 				}
 				for q := k; q < k+4; q++ {
-					sum = T(sum + T(a[q]*win[q*spatial+s]))
+					sum = float64(sum + float64(a[q]*win[q*spatial+s]))
 				}
 			}
 			for k := kk &^ 3; k < kk; k++ {
 				if a[k] != 0 {
-					sum = T(sum + T(a[k]*win[k*spatial+s]))
+					sum = float64(sum + float64(a[k]*win[k*spatial+s]))
 				}
 			}
-			sum = T(sum + bias[oc])
+			sum = float64(sum + bias[oc])
 			switch {
 			case act.Kind == tensor.ActReLU && sum < 0:
 				sum = 0
 			case act.Kind == tensor.ActLeakyReLU && sum < 0:
-				sum = T(sum * T(act.Alpha))
+				sum = float64(sum * act.Alpha)
 			}
 			out[oc*spatial+s] = sum
 		}
@@ -61,16 +61,12 @@ func refConvSample[T float](c *Conv2D, x, w, bias []T, act tensor.Act) []T {
 	return out
 }
 
-// guardedMat returns an r×c matrix of dt whose storage ends flush against a
-// guard page (on linux), filled from rng with a few specials planted.
-func guardedMat(dt tensor.DType, r, c int, rng *tensor.RNG, frees *[]func()) *tensor.Mat {
+// guardedMat returns an r×c matrix whose storage ends flush against a guard
+// page (on linux), filled from rng with a few specials planted.
+func guardedMat(r, c int, rng *tensor.RNG, frees *[]func()) *tensor.Mat {
 	m := &tensor.Mat{R: r, C: c}
 	var free func()
-	if dt == tensor.F32 {
-		m.V32, free = guardpage.Alloc[float32](r * c)
-	} else {
-		m.V, free = guardpage.Alloc[float64](r * c)
-	}
+	m.V, free = guardpage.Alloc(r * c)
 	*frees = append(*frees, free)
 	rng.FillNormal(m, 1)
 	for s := 0; s < 3 && r*c > 0; s++ {
@@ -85,8 +81,8 @@ func guardedMat(dt tensor.DType, r, c int, rng *tensor.RNG, frees *[]func()) *te
 // the register tile must leave to the row path.
 func plantWeights(c *Conv2D, rng *tensor.RNG, frees *[]func()) {
 	kk := c.patchRows()
-	c.Weight.W = guardedMat(tensor.F64, c.OutC, kk, rng, frees)
-	c.Bias.W = guardedMat(tensor.F64, 1, c.OutC, rng, frees)
+	c.Weight.W = guardedMat(c.OutC, kk, rng, frees)
+	c.Bias.W = guardedMat(1, c.OutC, rng, frees)
 	for oc := 1; oc < c.OutC; oc += 3 {
 		if kk >= 4 {
 			k0 := 4 * int(rng.Uint64()%uint64(kk/4))
@@ -96,8 +92,6 @@ func plantWeights(c *Conv2D, rng *tensor.RNG, frees *[]func()) {
 		}
 		c.Weight.W.Set(oc, kk-1, 0)
 	}
-	c.Weight.Invalidate()
-	c.Bias.Invalidate()
 }
 
 // seedPools lays guarded memory where a one-layer inference run will draw
@@ -105,15 +99,11 @@ func plantWeights(c *Conv2D, rng *tensor.RNG, frees *[]func()) {
 // that a kernel reading or writing past any of them faults. It returns the
 // function that takes the scratch back out of the pools before it is
 // unmapped. Parallelism must be 1: a second worker would draw plain memory.
-func seedPools(c *Conv2D, dt tensor.DType, n int, frees *[]func()) (unseed func()) {
+func seedPools(c *Conv2D, n int, frees *[]func()) (unseed func()) {
 	raw := func(len int) *tensor.Mat {
 		m := &tensor.Mat{R: 1, C: len}
 		var free func()
-		if dt == tensor.F32 {
-			m.V32, free = guardpage.Alloc[float32](len) // zeroed: the planes' border
-		} else {
-			m.V, free = guardpage.Alloc[float64](len)
-		}
+		m.V, free = guardpage.Alloc(len) // zeroed: the planes' border
 		*frees = append(*frees, free)
 		return m
 	}
@@ -127,7 +117,7 @@ func seedPools(c *Conv2D, dt tensor.DType, n int, frees *[]func()) (unseed func(
 	return func() {
 		c.planes = tensor.NewPool()
 		if wide {
-			ws.GetRawOf(dt, 1, c.wideLen())
+			ws.GetRaw(1, c.wideLen())
 		}
 	}
 }
@@ -154,31 +144,23 @@ func convParityCase(t *testing.T, c *Conv2D, n int, act tensor.Act, seed uint64)
 		layers = append(layers, actLayer)
 	}
 	net := NewNetwork("parity", layers...)
-	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-		x := guardedMat(dt, n, c.InSize(), rng, &frees)
-		unseed := seedPools(c, dt, n, &frees)
-		got := net.Forward(x, false)
-		unseed()
-		for s := 0; s < n; s++ {
-			var diff int
-			if dt == tensor.F32 {
-				diff = firstDiff(got.Row32(s), refConvSample(c, x.Row32(s), c.Weight.W32().V32, c.Bias.W32().V32, act))
-			} else {
-				diff = firstDiff(got.Row(s), refConvSample(c, x.Row(s), c.Weight.W.V, c.Bias.W.V, act))
-			}
-			if diff >= 0 {
-				t.Fatalf("%v k=%d s=%d p=%d in %dx%dx%d out %dx%dx%d n=%d act=%v: sample %d output %d differs from the definition",
-					dt, c.K, c.Stride, c.Pad, c.InC, c.InH, c.InW, c.OutC, c.OutH, c.OutW, n, act.Kind, s, diff)
-			}
+	x := guardedMat(n, c.InSize(), rng, &frees)
+	unseed := seedPools(c, n, &frees)
+	got := net.Forward(x, false)
+	unseed()
+	for s := 0; s < n; s++ {
+		if diff := firstDiff(got.Row(s), refConvSample(c, x.Row(s), c.Weight.W.V, c.Bias.W.V, act)); diff >= 0 {
+			t.Fatalf("k=%d s=%d p=%d in %dx%dx%d out %dx%dx%d n=%d act=%v: sample %d output %d differs from the definition",
+				c.K, c.Stride, c.Pad, c.InC, c.InH, c.InW, c.OutC, c.OutH, c.OutW, n, act.Kind, s, diff)
 		}
 	}
 }
 
 // firstDiff returns the first index at which got and want differ bit for
 // bit, or -1.
-func firstDiff[T float](got, want []T) int {
+func firstDiff(got, want []float64) int {
 	for i, v := range want {
-		if math.Float64bits(float64(got[i])) != math.Float64bits(float64(v)) {
+		if math.Float64bits(got[i]) != math.Float64bits(v) {
 			return i
 		}
 	}
@@ -187,7 +169,7 @@ func firstDiff[T float](got, want []T) int {
 
 // convGrid calls fn with a fresh two-channel, five-filter layer for every
 // geometry of kernel 1/3/5 × stride 1/2/3 × padding 0/1/2 × every output
-// width through two vector groups of either dtype × odd and even input
+// width through two AVX-512F column groups × odd and even input
 // widths × input heights 6 and 7, numbering them from 1, and returns how
 // many there were.
 func convGrid(t *testing.T, rng *tensor.RNG, fn func(c *Conv2D, i int)) int {
@@ -261,40 +243,29 @@ func TestConvRunParity(t *testing.T) {
 			t.Fatalf("%+v: the run has %d stages and ends at layer %d", g, len(stages), next)
 		}
 		for _, n := range []int{1, 3, 8} {
-			x64 := randomBatch(n, c1.InSize(), uint64(300+n))
-			x64.V[5], x64.V[len(x64.V)-1] = math.Inf(1), hwNaN
-			for _, x := range []*tensor.Mat{x64, x64.ToDType(tensor.F32)} {
-				got := net.Forward(x, false)
-				for s := 0; s < n; s++ {
-					var diff int
-					if x.V32 != nil {
-						h := refConvSample(c1, x.Row32(s), c1.Weight.W32().V32, c1.Bias.W32().V32, leaky)
-						h = refConvSample(c2, h, c2.Weight.W32().V32, c2.Bias.W32().V32, leaky)
-						diff = firstDiff(got.Row32(s), refConvSample(head, h, head.Weight.W32().V32, head.Bias.W32().V32, tensor.Act{}))
-					} else {
-						h := refConvSample(c1, x.Row(s), c1.Weight.W.V, c1.Bias.W.V, leaky)
-						h = refConvSample(c2, h, c2.Weight.W.V, c2.Bias.W.V, leaky)
-						diff = firstDiff(got.Row(s), refConvSample(head, h, head.Weight.W.V, head.Bias.W.V, tensor.Act{}))
-					}
-					if diff >= 0 {
-						t.Fatalf("%+v n=%d %v: sample %d output %d differs from the layers' definition", g, n, x.DType(), s, diff)
-					}
+			x := randomBatch(n, c1.InSize(), uint64(300+n))
+			x.V[5], x.V[len(x.V)-1] = math.Inf(1), hwNaN
+			got := net.Forward(x, false)
+			for s := 0; s < n; s++ {
+				h := refConvSample(c1, x.Row(s), c1.Weight.W.V, c1.Bias.W.V, leaky)
+				h = refConvSample(c2, h, c2.Weight.W.V, c2.Bias.W.V, leaky)
+				if diff := firstDiff(got.Row(s), refConvSample(head, h, head.Weight.W.V, head.Bias.W.V, tensor.Act{})); diff >= 0 {
+					t.Fatalf("%+v n=%d: sample %d output %d differs from the layers' definition", g, n, s, diff)
 				}
-				Recycle(got)
 			}
+			Recycle(got)
 		}
 	}
 }
 
-// TestPredictRowsParity: frames read where they lie — separate float64
-// slices, narrowed by the first split on float32 — give the bits of the same
-// frames stacked into a batch first, for a network that opens with a
+// TestPredictRowsParity: frames read where they lie — separate slices —
+// give the bits of the same frames stacked into a batch first, for a network that opens with a
 // convolution and for one that does not.
 func TestPredictRowsParity(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	c1 := NewConv2D(3, 27, 48, 10, 3, 2, 1, rng)
 	conv := NewNetwork("conv", c1, NewLeakyReLU(0.1), NewConv2D(10, 14, 24, 4, 1, 1, 0, rng))
-	head := NewNetwork("head", NewConv2D(3, 27, 48, 4, 1, 1, 0, rng)) // reads float64 frames in place
+	head := NewNetwork("head", NewConv2D(3, 27, 48, 4, 1, 1, 0, rng)) // reads frames in place
 	dense := NewNetwork("dense", NewDense(3*27*48, 16, rng), NewReLU(), NewDense(16, 4, rng))
 	for _, net := range []*Network{conv, head, dense} {
 		for _, n := range []int{1, 5} {
@@ -303,15 +274,13 @@ func TestPredictRowsParity(t *testing.T) {
 			for i := range rows {
 				rows[i] = append([]float64(nil), x.Row(i)...)
 			}
-			for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-				want := net.Predict(x.ToDType(dt))
-				got := net.PredictRows(dt, rows)
-				if got.DType() != dt || got.R != n {
-					t.Fatalf("%s n=%d %v: PredictRows returned %dx%d %v", net.Name, n, dt, got.R, got.C, got.DType())
-				}
-				if i := sameBits(got, want); i >= 0 {
-					t.Fatalf("%s n=%d %v: PredictRows differs from Predict on the stacked batch at element %d", net.Name, n, dt, i)
-				}
+			want := net.Predict(x)
+			got := net.PredictRows(rows)
+			if got.R != n {
+				t.Fatalf("%s n=%d: PredictRows returned %dx%d", net.Name, n, got.R, got.C)
+			}
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("%s n=%d: PredictRows differs from Predict on the stacked batch at element %d", net.Name, n, i)
 			}
 		}
 	}
@@ -324,19 +293,15 @@ func TestPredictRowsShortFramePanics(t *testing.T) {
 	rng := tensor.NewRNG(37)
 	net := NewNetwork("det", NewConv2D(3, 27, 48, 10, 3, 2, 1, rng), NewLeakyReLU(0.1))
 	good := make([]float64, 3*27*48)
-	short, free := guardpage.Alloc[float64](3*27*48 - 1)
+	short, free := guardpage.Alloc(3*27*48 - 1)
 	defer free()
-	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-		func() {
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, "width") {
-					t.Fatalf("%v: short frame: recovered %q, want the input-width panic", dt, msg)
-				}
-			}()
-			net.PredictRows(dt, [][]float64{good, short})
-		}()
-	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "width") {
+			t.Fatalf("short frame: recovered %q, want the input-width panic", msg)
+		}
+	}()
+	net.PredictRows([][]float64{good, short})
 }
 
 // TestConvUnevenGeometry pins what NewConv2D's comment says: a geometry

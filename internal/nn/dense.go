@@ -28,22 +28,11 @@ func NewDense(in, out int, rng *tensor.RNG) *Dense {
 	return d
 }
 
-// weights returns the weight and bias matrices in the requested dtype: the
-// float64 masters, or their lazily packed float32 shadows.
-func (d *Dense) weights(dt tensor.DType) (w, b *tensor.Mat) {
-	if dt == tensor.F32 {
-		return d.Weight.W32(), d.Bias.W32()
-	}
-	return d.Weight.W, d.Bias.W
-}
-
 // Forward computes xW + b for a batch x (rows are examples), with the bias
-// folded into the matmul as the start of every sum. The compute dtype
-// follows the input: a float32 batch runs entirely through the float32
-// backend against shadow weights. The backward cache is only written on
-// training passes; inference passes touch no layer state at all, so any
-// number of goroutines may run inference Forwards concurrently (Backward
-// must follow a Forward with train=true).
+// folded into the matmul as the start of every sum. The backward cache is
+// only written on training passes; inference passes touch no layer state at
+// all, so any number of goroutines may run inference Forwards concurrently
+// (Backward must follow a Forward with train=true).
 func (d *Dense) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if train {
 		d.lastIn = x
@@ -58,38 +47,24 @@ func (d *Dense) forwardAct(x *tensor.Mat, act tensor.Act) *tensor.Mat {
 	if x.C != d.In {
 		panic("nn: dense input width mismatch")
 	}
-	w, b := d.weights(x.DType())
-	out := ws.GetRawOf(x.DType(), x.R, d.Out)
-	tensor.MatMulBiasActInto(out, x, w, b, act)
+	out := ws.GetRaw(x.R, d.Out)
+	tensor.MatMulBiasActInto(out, x, d.Weight.W, d.Bias.W, act)
 	return out
 }
 
 // Backward accumulates dW = xᵀg, db = Σ rows of g and returns dx = gWᵀ.
-// The matmuls run in the gradient's dtype; the per-layer results then
-// accumulate into the float64 master gradients.
 func (d *Dense) Backward(grad *tensor.Mat) *tensor.Mat {
-	x := d.lastIn
-	dt := grad.DType()
-	dW := ws.GetRawOf(dt, d.In, d.Out)
-	tensor.MatMulATInto(dW, x, grad)
+	dW := ws.GetRaw(d.In, d.Out)
+	tensor.MatMulATInto(dW, d.lastIn, grad)
 	d.Weight.Grad.Add(dW)
 	ws.Put(dW)
-	if grad.V32 != nil {
-		for i := 0; i < grad.R; i++ {
-			for j, g := range grad.Row32(i) {
-				d.Bias.Grad.V[j] += float64(g)
-			}
-		}
-	} else {
-		for i := 0; i < grad.R; i++ {
-			for j, g := range grad.Row(i) {
-				d.Bias.Grad.V[j] += g
-			}
+	for i := 0; i < grad.R; i++ {
+		for j, g := range grad.Row(i) {
+			d.Bias.Grad.V[j] += g
 		}
 	}
-	w, _ := d.weights(dt)
-	dx := ws.GetRawOf(dt, grad.R, d.In)
-	tensor.MatMulBTInto(dx, grad, w)
+	dx := ws.GetRaw(grad.R, d.In)
+	tensor.MatMulBTInto(dx, grad, d.Weight.W)
 	return dx
 }
 

@@ -12,48 +12,21 @@ package nn
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"odin/internal/tensor"
 )
 
 // Param is one trainable parameter tensor together with its gradient
 // accumulator. Optimizers update W in place using Grad.
-//
-// The master weights and gradients are always float64, whatever compute
-// backend the layer runs on: gradients from float32 activations accumulate
-// into float64, so tiny updates are never lost to 24-bit rounding. Layers
-// running on the float32 backend read weights through W32, a lazily packed
-// float32 shadow that anyone mutating W must drop via Invalidate.
 type Param struct {
 	Name string
 	W    *tensor.Mat
 	Grad *tensor.Mat
-
-	w32 atomic.Pointer[tensor.Mat]
 }
 
 func newParam(name string, r, c int) *Param {
 	return &Param{Name: name, W: tensor.New(r, c), Grad: tensor.New(r, c)}
 }
-
-// W32 returns the float32 shadow of W, packing it on first use after an
-// Invalidate. Concurrent inference goroutines may race to pack; both produce
-// identical bytes, so the last store winning is harmless.
-func (p *Param) W32() *tensor.Mat {
-	if m := p.w32.Load(); m != nil {
-		return m
-	}
-	m := tensor.NewOf(tensor.F32, p.W.R, p.W.C)
-	tensor.ConvertInto(m, p.W)
-	p.w32.Store(m)
-	return m
-}
-
-// Invalidate drops the float32 shadow. Every W mutation — optimizer steps,
-// weight loading, manual perturbation in tests — must call it, or float32
-// forwards keep reading stale weights.
-func (p *Param) Invalidate() { p.w32.Store(nil) }
 
 // Layer is a differentiable network stage. Forward consumes a batch and
 // produces a batch; Backward consumes the gradient of the loss with respect
@@ -134,19 +107,18 @@ func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return n.infer(x, 0, false)
 }
 
-// PredictRows is Predict for a batch whose rows lie apart as float64 slices
-// — frames still in their images — computed in dt. A network that opens
-// with a convolution reads them where they lie (on float32, narrowing as it
-// does); any other has them stacked into a batch first. A row of the wrong
-// width panics before any kernel sees it.
-func (n *Network) PredictRows(dt tensor.DType, rows [][]float64) *tensor.Mat {
+// PredictRows is Predict for a batch whose rows lie apart — frames still in
+// their images. A network that opens with a convolution reads them where
+// they lie; any other has them stacked into a batch first. A row of the
+// wrong width panics before any kernel sees it.
+func (n *Network) PredictRows(rows [][]float64) *tensor.Mat {
 	if len(n.Layers) > 0 {
 		if _, ok := n.Layers[0].(*Conv2D); ok {
 			stages, next := convRun(n.Layers, 0)
-			return n.infer(forwardConvs(stages, nil, rows, dt), next, true)
+			return n.infer(forwardConvs(stages, nil, rows), next, true)
 		}
 	}
-	x := ws.GetRawOf(dt, len(rows), len(rows[0]))
+	x := ws.GetRaw(len(rows), len(rows[0]))
 	for i, r := range rows {
 		x.SetRow(i, r)
 	}
@@ -165,7 +137,7 @@ func (n *Network) infer(cur *tensor.Mat, i int, owned bool) *tensor.Mat {
 		case *Conv2D:
 			var stages []convStage
 			stages, i = convRun(n.Layers, i)
-			next = forwardConvs(stages, cur, nil, cur.DType())
+			next = forwardConvs(stages, cur, nil)
 		case *Dense:
 			act, rows, fused := fusedAfter(n.Layers, i)
 			next = l.forwardAct(cur, act)

@@ -8,22 +8,15 @@ import (
 
 const lossEps = 1e-7
 
-// Losses dispatch on the prediction's dtype: the loss value and its
-// internal math are always float64 (logs and exps need the headroom), while
-// the returned gradient matrix is produced in the prediction's dtype so it
-// flows straight back through the same backend.
+func lossGradFor(pred *tensor.Mat) *tensor.Mat { return ws.GetRaw(pred.R, pred.C) }
 
-func lossGradFor(pred *tensor.Mat) *tensor.Mat {
-	return ws.GetRawOf(pred.DType(), pred.R, pred.C)
-}
-
-func mseImpl[T float](pred, target, grad []T) float64 {
+func mseImpl(pred, target, grad []float64) float64 {
 	n := float64(len(pred))
 	var loss float64
 	for i, p := range pred {
-		d := float64(p) - float64(target[i])
+		d := p - target[i]
 		loss += d * d
-		grad[i] = T(2 * d / n)
+		grad[i] = 2 * d / n
 	}
 	return loss / n
 }
@@ -31,24 +24,21 @@ func mseImpl[T float](pred, target, grad []T) float64 {
 // MSE returns the mean squared error over all elements and its gradient
 // with respect to pred.
 func MSE(pred, target *tensor.Mat) (float64, *tensor.Mat) {
-	if pred.R != target.R || pred.C != target.C || pred.DType() != target.DType() {
+	if pred.R != target.R || pred.C != target.C {
 		panic("nn: mse shape mismatch")
 	}
 	grad := lossGradFor(pred)
-	if pred.V32 != nil {
-		return mseImpl(pred.V32, target.V32, grad.V32), grad
-	}
 	return mseImpl(pred.V, target.V, grad.V), grad
 }
 
-func bceImpl[T float](pred, target, grad []T) float64 {
+func bceImpl(pred, target, grad []float64) float64 {
 	n := float64(len(pred))
 	var loss float64
 	for i, pv := range pred {
-		p := clamp(float64(pv), lossEps, 1-lossEps)
-		t := float64(target[i])
+		p := clamp(pv, lossEps, 1-lossEps)
+		t := target[i]
 		loss += -(t*math.Log(p) + (1-t)*math.Log(1-p))
-		grad[i] = T((p - t) / (p * (1 - p)) / n)
+		grad[i] = (p - t) / (p * (1 - p)) / n
 	}
 	return loss / n
 }
@@ -58,23 +48,20 @@ func bceImpl[T float](pred, target, grad []T) float64 {
 // This is the reconstruction loss of Equation 5 and the discriminator loss
 // of Equations 3–4 when the network ends in a Sigmoid.
 func BCE(pred, target *tensor.Mat) (float64, *tensor.Mat) {
-	if pred.R != target.R || pred.C != target.C || pred.DType() != target.DType() {
+	if pred.R != target.R || pred.C != target.C {
 		panic("nn: bce shape mismatch")
 	}
 	grad := lossGradFor(pred)
-	if pred.V32 != nil {
-		return bceImpl(pred.V32, target.V32, grad.V32), grad
-	}
 	return bceImpl(pred.V, target.V, grad.V), grad
 }
 
-func bceScalarImpl[T float](pred []T, target float64, grad []T) float64 {
+func bceScalarImpl(pred []float64, target float64, grad []float64) float64 {
 	n := float64(len(pred))
 	var loss float64
 	for i, pv := range pred {
-		p := clamp(float64(pv), lossEps, 1-lossEps)
+		p := clamp(pv, lossEps, 1-lossEps)
 		loss += -(target*math.Log(p) + (1-target)*math.Log(1-p))
-		grad[i] = T((p - target) / (p * (1 - p)) / n)
+		grad[i] = (p - target) / (p * (1 - p)) / n
 	}
 	return loss / n
 }
@@ -83,20 +70,16 @@ func bceScalarImpl[T float](pred []T, target float64, grad []T) float64 {
 // the common case for GAN discriminator updates.
 func BCEScalarTarget(pred *tensor.Mat, target float64) (float64, *tensor.Mat) {
 	grad := lossGradFor(pred)
-	if pred.V32 != nil {
-		return bceScalarImpl(pred.V32, target, grad.V32), grad
-	}
 	return bceScalarImpl(pred.V, target, grad.V), grad
 }
 
-func bceLogitsImpl[T float](logits []T, target float64, grad []T) float64 {
+func bceLogitsImpl(logits []float64, target float64, grad []float64) float64 {
 	n := float64(len(logits))
 	var loss float64
-	for i, zv := range logits {
-		z := float64(zv)
+	for i, z := range logits {
 		// loss = max(z,0) − z*t + log(1+exp(−|z|))
 		loss += math.Max(z, 0) - z*target + math.Log1p(math.Exp(-math.Abs(z)))
-		grad[i] = T((sigmoid(z) - target) / n)
+		grad[i] = (sigmoid(z) - target) / n
 	}
 	return loss / n
 }
@@ -105,46 +88,28 @@ func bceLogitsImpl[T float](logits []T, target float64, grad []T) float64 {
 // logits against a constant target, returning the gradient w.r.t. logits.
 func BCEWithLogits(logits *tensor.Mat, target float64) (float64, *tensor.Mat) {
 	grad := lossGradFor(logits)
-	if logits.V32 != nil {
-		return bceLogitsImpl(logits.V32, target, grad.V32), grad
-	}
 	return bceLogitsImpl(logits.V, target, grad.V), grad
 }
 
 // SoftmaxCE computes mean softmax cross-entropy for a batch of logit rows
 // against integer class labels, returning the gradient w.r.t. logits.
-// Float32 logit rows are widened into a float64 scratch row so the softmax
-// op order (and hence the probabilities) matches the float64 path exactly.
 func SoftmaxCE(logits *tensor.Mat, labels []int) (float64, *tensor.Mat) {
 	if logits.R != len(labels) {
 		panic("nn: softmax-ce batch mismatch")
 	}
 	grad := lossGradFor(logits)
 	probs := make([]float64, logits.C)
-	var row64 []float64
-	if logits.V32 != nil {
-		row64 = make([]float64, logits.C)
-	}
 	var loss float64
 	inv := 1 / float64(logits.R)
 	for i := 0; i < logits.R; i++ {
-		row := logits.Row64(i, row64)
-		softmaxInto(probs, row)
+		softmaxInto(probs, logits.Row(i))
 		t := labels[i]
 		loss += -math.Log(clamp(probs[t], lossEps, 1))
-		if grad.V32 != nil {
-			grow := grad.Row32(i)
-			for j, p := range probs {
-				grow[j] = float32(p * inv)
-			}
-			grow[t] -= float32(inv)
-		} else {
-			grow := grad.Row(i)
-			for j, p := range probs {
-				grow[j] = p * inv
-			}
-			grow[t] -= inv
+		grow := grad.Row(i)
+		for j, p := range probs {
+			grow[j] = p * inv
 		}
+		grow[t] -= inv
 	}
 	return loss * inv, grad
 }

@@ -364,7 +364,7 @@ func TestConvOutputGeometry(t *testing.T) {
 // im2colRef unrolls one sample into the column block [off, off+OutH*OutW)
 // of a patch window (row stride colsC), one padding test per element: the
 // definition of the window the convolution multiplies by and never builds.
-func im2colRef[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
+func im2colRef(c *Conv2D, row, colsV []float64, colsC, off int) {
 	for ch := 0; ch < c.InC; ch++ {
 		for ky := 0; ky < c.K; ky++ {
 			for kx := 0; kx < c.K; kx++ {
@@ -373,7 +373,7 @@ func im2colRef[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
 					iy := oy*c.Stride + ky - c.Pad
 					for ox := 0; ox < c.OutW; ox++ {
 						ix := ox*c.Stride + kx - c.Pad
-						var v T
+						var v float64
 						if iy >= 0 && iy < c.InH && ix >= 0 && ix < c.InW {
 							v = row[(ch*c.InH+iy)*c.InW+ix]
 						}
@@ -392,48 +392,29 @@ func im2colRef[T float](c *Conv2D, row []T, colsV []T, colsC, off int) {
 // per-sample rows while adding the bias. It returns the patch matrix too,
 // the backward cache of those days.
 func convForwardWholeBatch(c *Conv2D, x *tensor.Mat) (out, cols *tensor.Mat) {
-	dt := x.DType()
 	spatial := c.OutH * c.OutW
-	cols = tensor.NewOf(dt, c.patchRows(), x.R*spatial)
-	wt, bias := c.Weight.W, c.Bias.W
-	if dt == tensor.F32 {
-		wt, bias = c.Weight.W32(), c.Bias.W32()
-	}
+	cols = tensor.New(c.patchRows(), x.R*spatial)
 	for n := 0; n < x.R; n++ {
-		if dt == tensor.F32 {
-			im2colRef(c, x.Row32(n), cols.V32, cols.C, n*spatial)
-		} else {
-			im2colRef(c, x.Row(n), cols.V, cols.C, n*spatial)
-		}
+		im2colRef(c, x.Row(n), cols.V, cols.C, n*spatial)
 	}
-	y := tensor.NewOf(dt, c.OutC, x.R*spatial)
-	tensor.MatMulInto(y, wt, cols)
-	out = tensor.NewOf(dt, x.R, c.OutSize())
+	y := tensor.New(c.OutC, x.R*spatial)
+	tensor.MatMulInto(y, c.Weight.W, cols)
+	out = tensor.New(x.R, c.OutSize())
 	for n := 0; n < x.R; n++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			for s := 0; s < spatial; s++ {
-				src, dst := oc*y.C+n*spatial+s, n*out.C+oc*spatial+s
-				if dt == tensor.F32 {
-					out.V32[dst] = y.V32[src] + bias.V32[oc]
-				} else {
-					out.V[dst] = y.V[src] + bias.V[oc]
-				}
+				out.V[n*out.C+oc*spatial+s] = y.V[oc*y.C+n*spatial+s] + c.Bias.W.V[oc]
 			}
 		}
 	}
 	return out, cols
 }
 
-// sameBits reports the first element at which two matrices of one dtype
-// differ bit for bit, or -1.
+// sameBits reports the first element at which two matrices differ bit for
+// bit, or -1.
 func sameBits(a, b *tensor.Mat) int {
 	for i := range a.V {
 		if math.Float64bits(a.V[i]) != math.Float64bits(b.V[i]) {
-			return i
-		}
-	}
-	for i := range a.V32 {
-		if math.Float32bits(a.V32[i]) != math.Float32bits(b.V32[i]) {
 			return i
 		}
 	}
@@ -445,7 +426,7 @@ func sameBits(a, b *tensor.Mat) int {
 // oy·OutW + ox of row k is planes_n[taps[k] + oy·planeW + ox].
 func windowOfPlanes(c *Conv2D, planes *tensor.Mat) *tensor.Mat {
 	spatial := c.OutH * c.OutW
-	win := tensor.NewOf(planes.DType(), c.patchRows(), planes.R*spatial)
+	win := tensor.New(c.patchRows(), planes.R*spatial)
 	for k := 0; k < win.R; k++ {
 		for n := 0; n < planes.R; n++ {
 			for oy := 0; oy < c.OutH; oy++ {
@@ -459,7 +440,7 @@ func windowOfPlanes(c *Conv2D, planes *tensor.Mat) *tensor.Mat {
 }
 
 // TestConvForwardBlockedBitIdentity pins the sample-blocked forward to the
-// whole-batch one it replaced: same output bits in both dtypes, at one
+// whole-batch one it replaced: same output bits, at one
 // sample, a few and a serving window, in inference and in training — where
 // the retained planes, the backward cache, must hold the patch matrix too.
 func TestConvForwardBlockedBitIdentity(t *testing.T) {
@@ -476,19 +457,17 @@ func TestConvForwardBlockedBitIdentity(t *testing.T) {
 		c := NewConv2D(g.inC, g.h, g.w, g.outC, g.k, g.stride, g.pad, rng)
 		rng.FillNormal(c.Bias.W, 1) // a zero bias would hide a missing add
 		for _, n := range []int{1, 3, 64} {
-			x64 := randomBatch(n, c.InSize(), uint64(100+n))
-			for _, x := range []*tensor.Mat{x64, x64.ToDType(tensor.F32)} {
-				want, wantCols := convForwardWholeBatch(c, x)
-				for _, train := range []bool{false, true} {
-					got := c.Forward(x, train)
-					if i := sameBits(got, want); i >= 0 {
-						t.Fatalf("%+v n=%d %v train=%v: output element %d differs from the whole-batch forward", g, n, x.DType(), train, i)
-					}
-					Recycle(got)
+			x := randomBatch(n, c.InSize(), uint64(100+n))
+			want, wantCols := convForwardWholeBatch(c, x)
+			for _, train := range []bool{false, true} {
+				got := c.Forward(x, train)
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("%+v n=%d train=%v: output element %d differs from the whole-batch forward", g, n, train, i)
 				}
-				if i := sameBits(windowOfPlanes(c, c.trainPlanes), wantCols); i >= 0 {
-					t.Fatalf("%+v n=%d %v: the retained planes' patch matrix differs at %d", g, n, x.DType(), i)
-				}
+				Recycle(got)
+			}
+			if i := sameBits(windowOfPlanes(c, c.trainPlanes), wantCols); i >= 0 {
+				t.Fatalf("%+v n=%d: the retained planes' patch matrix differs at %d", g, n, i)
 			}
 		}
 	}

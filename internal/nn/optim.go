@@ -47,7 +47,6 @@ func (s *SGD) Step(params []*Param) {
 		} else {
 			p.W.AddScaled(-s.LR, g)
 		}
-		p.Invalidate()
 	}
 }
 
@@ -93,7 +92,6 @@ func (a *Adam) Step(params []*Param) {
 			vh := v.V[i] / bc2
 			p.W.V[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
-		p.Invalidate()
 	}
 }
 

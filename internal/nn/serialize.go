@@ -45,7 +45,6 @@ func LoadWeights(net *Network, r io.Reader) error {
 			return fmt.Errorf("nn: tensor %d shape mismatch: net %dx%d, blob %dx%d", i, p.W.R, p.W.C, sh[0], sh[1])
 		}
 		copy(p.W.V, blob.Values[i])
-		p.Invalidate()
 	}
 	return nil
 }

@@ -59,8 +59,7 @@ func CaptureState(net *Network) NetState {
 // RestoreState loads a snapshot captured by CaptureState into net. The
 // network must have been built with the same architecture: parameter count,
 // shapes and BatchNorm layout are checked and a descriptive error returned on
-// mismatch. Float32 shadows are invalidated so both backends observe the
-// restored weights.
+// mismatch.
 func RestoreState(net *Network, st NetState) error {
 	params := net.Params()
 	if len(params) != len(st.Params) {
@@ -87,7 +86,6 @@ func RestoreState(net *Network, st NetState) error {
 	// All shapes verified; now mutate.
 	for i, p := range params {
 		copy(p.W.V, st.Params[i].W)
-		p.Invalidate()
 	}
 	for i, bn := range bns {
 		copy(bn.RunMean, st.BatchNorms[i].RunMean)

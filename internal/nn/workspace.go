@@ -15,13 +15,6 @@ func GetMat(r, c int) *tensor.Mat { return ws.Get(r, c) }
 // callers that overwrite every element before reading.
 func GetMatRaw(r, c int) *tensor.Mat { return ws.GetRaw(r, c) }
 
-// GetMatOf returns an all-zero r×c matrix in the requested dtype.
-func GetMatOf(dt tensor.DType, r, c int) *tensor.Mat { return ws.GetOf(dt, r, c) }
-
-// GetMatRawOf returns an r×c matrix in the requested dtype with unspecified
-// contents, for callers that overwrite every element before reading.
-func GetMatRawOf(dt tensor.DType, r, c int) *tensor.Mat { return ws.GetRawOf(dt, r, c) }
-
 // Recycle hands matrices back to the shared workspace pool. Training loops
 // call this on batch matrices, loss gradients and final backward outputs
 // once a step is done; a recycled matrix must not be used again.

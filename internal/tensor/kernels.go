@@ -1,12 +1,9 @@
 package tensor
 
-import "unsafe"
-
-// Matmul kernels, written once over the element type. Two loop nests serve
-// every product: product.run (a×b, aᵀ×b and the window-free convolution,
-// which differ only in how the a-coefficients and the rows of b are
-// addressed) and mmBT (a×bᵀ). Each backend instantiates them over its
-// storage slices and hands product.run its dtype's rowOps: AVX2
+// Matmul kernels. Two loop nests serve every product: product.run (a×b, aᵀ×b
+// and the window-free convolution, which differ only in how the
+// a-coefficients and the rows of b are addressed) and mmBT (a×bᵀ).
+// product.run does its arithmetic through the installed rowOps: AVX2
 // (simd_amd64.s) with the AVX-512F tile where the CPU has it
 // (simd512_amd64.s), AVX2 alone, or pure Go.
 //
@@ -28,7 +25,7 @@ import "unsafe"
 // The other two remainders stay in the tile, masked rather than handed to
 // the rows: the m mod 4 rows under the last whole block run as a shorter
 // block, and the last columns short of a whole column group (AVX2: 8
-// float64 or 16 float32, AVX-512F: 16 or 32) as a group with its dead lanes
+// elements, AVX-512F: 16) as a group with its dead lanes
 // masked off — lanes and rows are independent, so neither changes what a
 // live element sees. Where b's k-th row lies — k row strides into b, or at
 // the k-th entry of a tap-offset table — decides which memory a term's
@@ -38,7 +35,7 @@ import "unsafe"
 // worker counts, across the row and column partitions, and across the tile,
 // the vectorized rows and the scalar rows.
 
-// rowOps is one dtype's vector primitives, every b slice as long as dst:
+// rowOps is a set of vector primitives, every b slice as long as dst:
 //
 //	axpy4: dst[j] = (((dst[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
 //	axpy1: dst[j] += a*b[j]
@@ -58,15 +55,15 @@ import "unsafe"
 //	dst[r*dn+j] = acc[r][j]
 //
 // so dst is loaded at most once and stored once, and a row of b is read
-// once for the nr dst rows. rows64 and rows32 (simd_*.go) hold the set of
-// the host's isa: the AVX2 set, its tile swapped for the AVX-512F one where
+// once for the nr dst rows. ops (simd_*.go) holds the set of the installed
+// isa: the AVX2 set, its tile swapped for the AVX-512F one where
 // the CPU has that, or goRowOps; tile and gather2 are nil there, and the
 // loop nests then run rows, and plain loops, only.
-type rowOps[T number] struct {
-	axpy4   func(dst, b0, b1, b2, b3 []T, a0, a1, a2, a3 T)
-	axpy1   func(dst, b []T, a T)
-	tile    func(dst []T, dn int, a []T, ai, ak int, b []T, bn int, boff []int, kn, w, nr int, cb, rb []T, mode int, alpha T)
-	gather2 func(dst, src []T, n, rows, dn, sn int)
+type rowOps struct {
+	axpy4   func(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
+	axpy1   func(dst, b []float64, a float64)
+	tile    func(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn int, boff []int, kn, w, nr int, cb, rb []float64, mode int, alpha float64)
+	gather2 func(dst, src []float64, n, rows, dn, sn int)
 }
 
 // isa is an instruction-set level of the kernels, each a superset of the one
@@ -86,9 +83,9 @@ const (
 
 // goRowOps is the pure-Go set: the reference the assembly reproduces bit
 // for bit, and all a host without AVX2 has.
-func goRowOps[T number]() rowOps[T] { return rowOps[T]{axpy4: axpy4Go[T], axpy1: axpy1Go[T]} }
+func goRowOps() rowOps { return rowOps{axpy4: axpy4Go, axpy1: axpy1Go} }
 
-func axpy4Go[T number](dst, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) {
+func axpy4Go(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	// Reslicing is the bounds-check hint, and unlike indexing the last
 	// element it is legal on an empty row.
 	b0, b1, b2, b3 = b0[:len(dst)], b1[:len(dst)], b2[:len(dst)], b3[:len(dst)]
@@ -97,7 +94,7 @@ func axpy4Go[T number](dst, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) {
 	}
 }
 
-func axpy1Go[T number](dst, b []T, a T) {
+func axpy1Go(dst, b []float64, a float64) {
 	b = b[:len(dst)]
 	for j, bv := range b {
 		dst[j] += a * bv
@@ -123,8 +120,8 @@ const (
 	mmTileRows = 4
 )
 
-// tileCols is the column-tile width in elements of T.
-func tileCols[T number]() int { return mmTileBytes / int(unsafe.Sizeof(T(0))) }
+// tileCols is the column-tile width in elements.
+const tileCols = mmTileBytes / 8
 
 // ActKind names an activation the kernels apply to an element as its
 // finished sum is stored, so the product's output needs no second pass.
@@ -141,7 +138,7 @@ const (
 // Act is an ActKind with its parameter.
 type Act struct {
 	Kind  ActKind
-	Alpha float64 // ActLeakyReLU's slope, rounded to the product's dtype
+	Alpha float64 // ActLeakyReLU's slope
 }
 
 // product is one pass's operands: dst = A×B for an m×kk coefficient matrix
@@ -153,19 +150,19 @@ type Act struct {
 // an element's sum ride in the pass that computes it: the sum of column j
 // starts from start[j] (Dense's bias) instead of zero, and the finished sum
 // of row i takes bias[i] (a convolution's channel bias) and then act.
-type product[T number] struct {
-	dst    []T
+type product struct {
+	dst    []float64
 	dn     int // row stride of dst
-	a      []T
+	a      []float64
 	ai, ak int
-	b      []T
+	b      []float64
 	bn     int
 	taps   Taps // the zero Taps: B's rows are bn apart
 	kk     int
-	start  []T // nil: zero
-	bias   []T // nil: none
+	start  []float64 // nil: zero
+	bias   []float64 // nil: none
 	act    ActKind
-	alpha  T
+	alpha  float64
 }
 
 // mmAxpy computes dst = A×b, m×n (+ bias broadcast over rows, then act),
@@ -174,21 +171,20 @@ type product[T number] struct {
 // short product, a dozen rows by thousands of columns — workers split the
 // columns, so each b tile is fetched once and reused by every dst row;
 // otherwise they split the rows, in whole register-tile blocks.
-func mmAxpy[T number](ops rowOps[T], dst, a, b, bias []T, m, kk, n, ai, ak int, act Act) {
-	p := product[T]{dst: dst, dn: n, a: a, ai: ai, ak: ak, b: b, bn: n, kk: kk, start: bias, act: act.Kind, alpha: T(act.Alpha)}
+func mmAxpy(dst, a, b, bias []float64, m, kk, n, ai, ak int, act Act) {
+	p := product{dst: dst, dn: n, a: a, ai: ai, ak: ak, b: b, bn: n, kk: kk, start: bias, act: act.Kind, alpha: act.Alpha}
 	work := 2 * m * kk * n
-	tile := tileCols[T]()
-	tiles := (n + tile - 1) / tile
+	tiles := (n + tileCols - 1) / tileCols
 	blocks := (m + mmTileRows - 1) / mmTileRows
 	switch {
 	case tiles >= 2*Parallelism() && !runsInline(tiles, work):
 		q := p // the closure's own: p stays on the stack for the inline case
-		Parallel(tiles, work, func(t0, t1 int) { q.run(ops, 0, m, t0*tile, min(t1*tile, n)) })
+		Parallel(tiles, work, func(t0, t1 int) { q.run(0, m, t0*tileCols, min(t1*tileCols, n)) })
 	case !runsInline(blocks, work):
 		q := p
-		Parallel(blocks, work, func(b0, b1 int) { q.run(ops, b0*mmTileRows, min(b1*mmTileRows, m), 0, n) })
+		Parallel(blocks, work, func(b0, b1 int) { q.run(b0*mmTileRows, min(b1*mmTileRows, m), 0, n) })
 	default:
-		p.run(ops, 0, m, 0, n)
+		p.run(0, m, 0, n)
 	}
 }
 
@@ -197,7 +193,7 @@ func mmAxpy[T number](ops rowOps[T], dst, a, b, bias []T, m, kk, n, ai, ak int, 
 // at a time (the last block may be shorter) — unless the row path would skip
 // one of the block's terms, and then through the row updates. Either way a
 // row's first k-block starts its sums and its last one finishes them.
-func (p *product[T]) run(ops rowOps[T], i0, i1, j0, j1 int) {
+func (p *product) run(i0, i1, j0, j1 int) {
 	if i0 >= i1 || j0 >= j1 {
 		return
 	}
@@ -224,16 +220,15 @@ func (p *product[T]) run(ops rowOps[T], i0, i1, j0, j1 int) {
 	} else {
 		_ = p.b[(p.kk-1)*p.bn+j1-1]
 	}
-	tile := tileCols[T]()
-	for jt := j0; jt < j1; jt += tile {
-		je := min(jt+tile, j1)
+	for jt := j0; jt < j1; jt += tileCols {
+		je := min(jt+tileCols, j1)
 		for k0 := 0; k0 < p.kk; k0 += mmKBlock {
 			k1 := min(k0+mmKBlock, p.kk)
 			first, last := k0 == 0, k1 == p.kk
 			for i := i0; i < i1; i += mmTileRows {
 				nr := min(mmTileRows, i1-i)
 				if ops.tile != nil && !rowsSkipTerm(p.a, i*p.ai, p.ai, p.ak, nr, k0, k1) {
-					p.tile(ops, i, nr, jt, je, k0, k1)
+					p.tile(i, nr, jt, je, k0, k1)
 					continue
 				}
 				for r := i; r < i+nr; r++ {
@@ -241,7 +236,7 @@ func (p *product[T]) run(ops rowOps[T], i0, i1, j0, j1 int) {
 					if first {
 						p.begin(drow, jt)
 					}
-					p.row(ops, drow, r*p.ai, jt, k0, k1)
+					p.row(drow, r*p.ai, jt, k0, k1)
 					if last {
 						p.finish(drow, r)
 					}
@@ -253,14 +248,14 @@ func (p *product[T]) run(ops rowOps[T], i0, i1, j0, j1 int) {
 
 // tile hands the register tile the k-block [k0, k1) of rows [i, i+nr),
 // columns [jt, je), with the edges that fall in it.
-func (p *product[T]) tile(ops rowOps[T], i, nr, jt, je, k0, k1 int) {
+func (p *product) tile(i, nr, jt, je, k0, k1 int) {
 	b, boff := p.b[jt:], p.taps.off
 	if boff != nil {
 		boff = boff[k0:k1]
 	} else {
 		b = p.b[k0*p.bn+jt:]
 	}
-	var cb, rb []T
+	var cb, rb []float64
 	mode := 0
 	if k0 == 0 {
 		mode = tileFirst
@@ -278,7 +273,7 @@ func (p *product[T]) tile(ops rowOps[T], i, nr, jt, je, k0, k1 int) {
 }
 
 // begin starts the sums of drow, columns [j, j+len(drow)) of a dst row.
-func (p *product[T]) begin(drow []T, j int) {
+func (p *product) begin(drow []float64, j int) {
 	if p.start == nil {
 		clear(drow)
 	} else {
@@ -288,7 +283,7 @@ func (p *product[T]) begin(drow []T, j int) {
 
 // finish is the pure-Go form of the tile's store: the finished sums of drow,
 // part of dst row i, take the row's bias and then the activation.
-func (p *product[T]) finish(drow []T, i int) {
+func (p *product) finish(drow []float64, i int) {
 	if p.bias != nil {
 		bv := p.bias[i]
 		for j := range drow {
@@ -312,7 +307,7 @@ func (p *product[T]) finish(drow []T, i int) {
 }
 
 // brow is columns [j, je) of B's k-th row.
-func (p *product[T]) brow(k, j, je int) []T {
+func (p *product) brow(k, j, je int) []float64 {
 	o := k * p.bn
 	if p.taps.off != nil {
 		o = p.taps.off[k]
@@ -324,7 +319,7 @@ func (p *product[T]) brow(k, j, je int) []T {
 // its k-block [k0, k1) terms four coefficients per pass — a quarter of the
 // dst traffic of a plain axpy loop — then one at a time. ap is the index of
 // the row's first coefficient.
-func (p *product[T]) row(ops rowOps[T], drow []T, ap, j, k0, k1 int) {
+func (p *product) row(drow []float64, ap, j, k0, k1 int) {
 	a, ak := p.a, p.ak
 	je := j + len(drow)
 	kEnd := k0 + (k1-k0)&^3 // end of the last full group of four
@@ -347,7 +342,7 @@ func (p *product[T]) row(ops rowOps[T], drow []T, ap, j, k0, k1 int) {
 
 // zeroGroup reports whether the four coefficients a[p], a[p+ak], … are all
 // zero: the group the row path skips and rowsSkipTerm looks for.
-func zeroGroup[T number](a []T, p, ak int) bool {
+func zeroGroup(a []float64, p, ak int) bool {
 	return a[p] == 0 && a[p+ak] == 0 && a[p+2*ak] == 0 && a[p+3*ak] == 0
 }
 
@@ -355,7 +350,7 @@ func zeroGroup[T number](a []T, p, ak int) bool {
 // [k0, k1) in any of the nr rows whose coefficients start at a[ap],
 // a[ap+ai], …: the register tile applies every term, so it may only stand
 // in for the rows where they skip none.
-func rowsSkipTerm[T number](a []T, ap, ai, ak, nr, k0, k1 int) bool {
+func rowsSkipTerm(a []float64, ap, ai, ak, nr, k0, k1 int) bool {
 	kEnd := k0 + (k1-k0)&^3
 	for r := 0; r < nr; r, ap = r+1, ap+ai {
 		for k := k0; k < kEnd; k += 4 {
@@ -397,26 +392,12 @@ func (t Taps) Len() int { return len(t.off) }
 // At returns where B's row k begins.
 func (t Taps) At(k int) int { return t.off[k] }
 
-// Kernels is one dtype's kernels on raw slices, for a caller that is already
-// one shard of a parallel loop and works out of its own scratch (convolution,
-// a sample at a time): every method stays on the calling goroutine.
-type Kernels[T number] struct{ ops *rowOps[T] }
-
-// KernelsOf returns T's kernel set. The dtype is resolved here, once, so
-// the methods dispatch through the set like the Mat entry points do through
-// their backend.
-func KernelsOf[T number]() Kernels[T] {
-	var k Kernels[T]
-	switch ops := any(&k.ops).(type) {
-	case **rowOps[float64]:
-		*ops = &rows64
-	case **rowOps[float32]:
-		*ops = &rows32
-	default:
-		panic("tensor: no kernels for this element type")
-	}
-	return k
-}
+// Kernels is the kernels on raw slices, for a caller that is already one
+// shard of a parallel loop and works out of its own scratch (convolution, a
+// sample at a time): every method stays on the calling goroutine. The zero
+// value is ready to use; its methods run the primitives of the installed isa
+// like the Mat entry points do.
+type Kernels struct{}
 
 // MatMulTaps is the window-free convolution product: for i < m and j < w,
 //
@@ -425,25 +406,25 @@ func KernelsOf[T number]() Kernels[T] {
 // — the terms a×window would give element (i, j), in its ascending k, when
 // row k of the window is the run of b that starts at tap k. The sum starts
 // from zero, so dst is written without being read; bias may be nil.
-func (k Kernels[T]) MatMulTaps(dst []T, dn int, a []T, m int, b []T, taps Taps, w int, bias []T, act Act) {
+func (Kernels) MatMulTaps(dst []float64, dn int, a []float64, m int, b []float64, taps Taps, w int, bias []float64, act Act) {
 	kk := taps.Len()
 	if len(a) < m*kk || (bias != nil && len(bias) < m) {
 		panic("tensor: matmul-taps shape mismatch")
 	}
-	p := product[T]{dst: dst, dn: dn, a: a, ai: kk, ak: 1, b: b, taps: taps, kk: kk, bias: bias, act: act.Kind, alpha: T(act.Alpha)}
-	p.run(*k.ops, 0, m, 0, w)
+	p := product{dst: dst, dn: dn, a: a, ai: kk, ak: 1, b: b, taps: taps, kk: kk, bias: bias, act: act.Kind, alpha: act.Alpha}
+	p.run(0, m, 0, w)
 }
 
 // MatMulAT is MatMulATInto on raw slices: dst = aᵀ×b for a kk×m and b kk×n,
 // both row-major, dst m×n. It is the same loop nest, whose skip and tile
 // choices depend on a alone, so a product over some of b's columns gives
 // each element the bits the whole product's column has.
-func (k Kernels[T]) MatMulAT(dst, a []T, m, kk int, b []T, n int) {
+func (Kernels) MatMulAT(dst, a []float64, m, kk int, b []float64, n int) {
 	if len(a) < kk*m || len(b) < kk*n || len(dst) < m*n {
 		panic("tensor: matmul-aT shape mismatch")
 	}
-	p := product[T]{dst: dst, dn: n, a: a, ai: 1, ak: m, b: b, bn: n, kk: kk}
-	p.run(*k.ops, 0, m, 0, n)
+	p := product{dst: dst, dn: n, a: a, ai: 1, ak: m, b: b, bn: n, kk: kk}
+	p.run(0, m, 0, n)
 }
 
 // MatMulAcc is a product that may run over several calls: for i < m and
@@ -457,7 +438,7 @@ func (k Kernels[T]) MatMulAT(dst, a []T, m, kk int, b []T, n int) {
 // of calls, the first with first set, is therefore one chain from +0 over
 // every term in call order: the register tile where the host has it, rows
 // one term at a time where not.
-func (k Kernels[T]) MatMulAcc(dst []T, dn int, a []T, m, ai, ak int, b []T, bn, kk, w int, first bool) {
+func (Kernels) MatMulAcc(dst []float64, dn int, a []float64, m, ai, ak int, b []float64, bn, kk, w int, first bool) {
 	if m <= 0 || w <= 0 {
 		return
 	}
@@ -472,8 +453,8 @@ func (k Kernels[T]) MatMulAcc(dst []T, dn int, a []T, m, ai, ak int, b []T, bn, 
 	}
 	for i := 0; i < m; i += mmTileRows {
 		nr := min(mmTileRows, m-i)
-		if k.ops.tile != nil && kk > 0 {
-			k.ops.tile(dst[i*dn:], dn, a[i*ai:], ai, ak, b, bn, nil, kk, w, nr, nil, nil, mode, 0)
+		if ops.tile != nil && kk > 0 {
+			ops.tile(dst[i*dn:], dn, a[i*ai:], ai, ak, b, bn, nil, kk, w, nr, nil, nil, mode, 0)
 			continue
 		}
 		for r := i; r < i+nr; r++ {
@@ -482,7 +463,7 @@ func (k Kernels[T]) MatMulAcc(dst []T, dn int, a []T, m, ai, ak int, b []T, bn, 
 				clear(drow)
 			}
 			for q := 0; q < kk; q++ {
-				k.ops.axpy1(drow, b[q*bn:], a[r*ai+q*ak])
+				ops.axpy1(drow, b[q*bn:], a[r*ai+q*ak])
 			}
 		}
 	}
@@ -493,14 +474,14 @@ func (k Kernels[T]) MatMulAcc(dst []T, dn int, a []T, m, ai, ak int, b []T, bn, 
 // of a convolution tap or phase, AVX2 where the CPU has it. Nothing past a
 // run's last source element src[r*sn+2*(n-1)] is read, so a run may end
 // flush against the end of its array.
-func (k Kernels[T]) Gather2(dst, src []T, n, rows, dn, sn int) {
+func (Kernels) Gather2(dst, src []float64, n, rows, dn, sn int) {
 	if n <= 0 || rows <= 0 {
 		return
 	}
 	// The bounds the assembly relies on, checked once for the rectangle.
 	_, _ = dst[(rows-1)*dn+n-1], src[(rows-1)*sn+2*(n-1)]
-	if k.ops.gather2 != nil {
-		k.ops.gather2(dst, src, n, rows, dn, sn)
+	if ops.gather2 != nil {
+		ops.gather2(dst, src, n, rows, dn, sn)
 		return
 	}
 	for r := 0; r < rows; r++ {
@@ -516,7 +497,7 @@ func (k Kernels[T]) Gather2(dst, src []T, n, rows, dn, sn int) {
 // independent accumulation chains. The dot shapes this kernel serves
 // (gradient reductions over long k) have no row-major b panel to stream,
 // so it stays scalar.
-func mmBT[T number](dst, a, b []T, m, kk, n int) {
+func mmBT(dst, a, b []float64, m, kk, n int) {
 	work := 2 * m * kk * n
 	if runsInline(m, work) {
 		mmBTRange(dst, a, b, kk, n, 0, m)
@@ -528,7 +509,7 @@ func mmBT[T number](dst, a, b []T, m, kk, n int) {
 }
 
 // mmBTRange applies the a×bᵀ kernel to dst rows [i0, i1).
-func mmBTRange[T number](dst, a, b []T, kk, n, i0, i1 int) {
+func mmBTRange(dst, a, b []float64, kk, n, i0, i1 int) {
 	i := i0
 	for ; i+1 < i1; i += 2 {
 		ar0 := a[i*kk : i*kk+kk]
@@ -539,7 +520,7 @@ func mmBTRange[T number](dst, a, b []T, kk, n, i0, i1 int) {
 		for ; j+1 < n; j += 2 {
 			br0 := b[j*kk : j*kk+kk]
 			br1 := b[(j+1)*kk : (j+1)*kk+kk]
-			var s00, s01, s10, s11 T
+			var s00, s01, s10, s11 float64
 			for k, a0 := range ar0 {
 				a1 := ar1[k]
 				b0 := br0[k]
@@ -573,8 +554,8 @@ func mmBTRange[T number](dst, a, b []T, kk, n, i0, i1 int) {
 // 2×2 tile use it so every dst element is accumulated in the same k-order
 // no matter how the worker pool partitions the rows — results must be
 // bit-identical across parallelism levels.
-func dotSeq[T number](a, b []T) T {
-	var s T
+func dotSeq(a, b []float64) float64 {
+	var s float64
 	for k, av := range a {
 		s += av * b[k]
 	}

@@ -8,8 +8,7 @@ import (
 // Kernel benchmarks: square GEMMs for dense stacks, and the wide-and-short
 // GEMMs of a convolution over a batch (weights OutC×(K²·InC) against a patch
 // window with one column per output pixel of every sample). Every benchmark
-// runs once per registered backend and reports GFLOP/s so the float32 and
-// float64 kernels can be compared directly from one `go test -bench` run.
+// reports GFLOP/s.
 func benchShapes() []struct{ m, k, n int } {
 	return []struct{ m, k, n int }{
 		{128, 128, 128},
@@ -46,10 +45,8 @@ func denseShapes() []struct{ m, k, n int } {
 	return []struct{ m, k, n int }{{8, 936, 128}, {8, 128, 48}}
 }
 
-func randMat(r, c int, seed uint64) *Mat { return randMatOf(F64, r, c, seed) }
-
-func randMatOf(dt DType, r, c int, seed uint64) *Mat {
-	m := NewOf(dt, r, c)
+func randMat(r, c int, seed uint64) *Mat {
+	m := New(r, c)
 	NewRNG(seed).FillNormal(m, 1)
 	return m
 }
@@ -61,23 +58,21 @@ func reportGFLOPS(b *testing.B, m, k, n int) {
 	b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-func benchBackends(b *testing.B, shapes []struct{ m, k, n int }, run func(b *testing.B, bk Backend, m, k, n int)) {
-	for _, bk := range Backends() {
-		for _, s := range shapes {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", bk.Name(), s.m, s.k, s.n), func(b *testing.B) {
-				run(b, bk, s.m, s.k, s.n)
-			})
-		}
+func benchShapesRun(b *testing.B, shapes []struct{ m, k, n int }, run func(b *testing.B, m, k, n int)) {
+	for _, s := range shapes {
+		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+			run(b, s.m, s.k, s.n)
+		})
 	}
 }
 
 func BenchmarkMatMul(b *testing.B) {
 	shapes := append(append(benchShapes(), convShapes()...), denseShapes()...)
-	benchBackends(b, shapes, func(b *testing.B, bk Backend, m, k, n int) {
-		a := randMatOf(bk.DType(), m, k, 1)
-		bb := randMatOf(bk.DType(), k, n, 2)
-		dst := NewOf(bk.DType(), m, n)
-		b.SetBytes(int64(bk.DType().Size() * m * k * n))
+	benchShapesRun(b, shapes, func(b *testing.B, m, k, n int) {
+		a := randMat(m, k, 1)
+		bb := randMat(k, n, 2)
+		dst := New(m, n)
+		b.SetBytes(int64(8 * m * k * n))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -88,11 +83,11 @@ func BenchmarkMatMul(b *testing.B) {
 }
 
 func BenchmarkMatMulAT(b *testing.B) {
-	benchBackends(b, benchShapes(), func(b *testing.B, bk Backend, m, k, n int) {
-		a := randMatOf(bk.DType(), k, m, 1) // aᵀ is m×k
-		bb := randMatOf(bk.DType(), k, n, 2)
-		dst := NewOf(bk.DType(), m, n)
-		b.SetBytes(int64(bk.DType().Size() * m * k * n))
+	benchShapesRun(b, benchShapes(), func(b *testing.B, m, k, n int) {
+		a := randMat(k, m, 1) // aᵀ is m×k
+		bb := randMat(k, n, 2)
+		dst := New(m, n)
+		b.SetBytes(int64(8 * m * k * n))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -103,11 +98,11 @@ func BenchmarkMatMulAT(b *testing.B) {
 }
 
 func BenchmarkMatMulBT(b *testing.B) {
-	benchBackends(b, benchShapes(), func(b *testing.B, bk Backend, m, k, n int) {
-		a := randMatOf(bk.DType(), m, k, 1)
-		bb := randMatOf(bk.DType(), n, k, 2) // bᵀ is k×n
-		dst := NewOf(bk.DType(), m, n)
-		b.SetBytes(int64(bk.DType().Size() * m * k * n))
+	benchShapesRun(b, benchShapes(), func(b *testing.B, m, k, n int) {
+		a := randMat(m, k, 1)
+		bb := randMat(n, k, 2) // bᵀ is k×n
+		dst := New(m, n)
+		b.SetBytes(int64(8 * m * k * n))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -117,34 +112,30 @@ func BenchmarkMatMulBT(b *testing.B) {
 	})
 }
 
-// TestMatMulKernelAllocs pins the pool discipline for the float32 kernel
-// paths: with operands and destination pre-allocated, the kernels must run
-// alloc-free in steady state, exactly like the float64 reference. The loop
-// runs inline (parallelism 1) so the assertion isolates the kernels — the
-// parallel dispatch path's range closure per fan-out is accounted for
-// separately and predates the backend seam.
+// TestMatMulKernelAllocs pins the pool discipline for the kernels: with
+// operands and destination pre-allocated, they must run alloc-free in steady
+// state. The loop runs inline (parallelism 1) so the assertion isolates the
+// kernels — the parallel dispatch path's range closure per fan-out is
+// accounted for separately.
 func TestMatMulKernelAllocs(t *testing.T) {
 	SetParallelism(1)
 	defer SetParallelism(0)
-	for _, bk := range Backends() {
-		dt := bk.DType()
-		a := randMatOf(dt, 64, 48, 1)
-		bm := randMatOf(dt, 48, 32, 2)
-		bias := randMatOf(dt, 1, 32, 5)
-		at := randMatOf(dt, 48, 64, 3) // aᵀ operand for MatMulATInto
-		bt := randMatOf(dt, 32, 48, 4) // bᵀ operand for MatMulBTInto
-		dst := NewOf(dt, 64, 32)
-		kernels := map[string]func(){
-			"matmul":     func() { MatMulInto(dst, a, bm) },
-			"matmulBias": func() { MatMulBiasInto(dst, a, bm, bias) },
-			"matmulAT":   func() { MatMulATInto(dst, at, bm) },
-			"matmulBT":   func() { MatMulBTInto(dst, a, bt) },
-		}
-		for name, fn := range kernels {
-			fn() // warm up worker pool
-			if allocs := testing.AllocsPerRun(10, fn); allocs > 0 {
-				t.Errorf("%s/%s: %v allocs/op in steady state, want 0", bk.Name(), name, allocs)
-			}
+	a := randMat(64, 48, 1)
+	bm := randMat(48, 32, 2)
+	bias := randMat(1, 32, 5)
+	at := randMat(48, 64, 3) // aᵀ operand for MatMulATInto
+	bt := randMat(32, 48, 4) // bᵀ operand for MatMulBTInto
+	dst := New(64, 32)
+	kernels := map[string]func(){
+		"matmul":     func() { MatMulInto(dst, a, bm) },
+		"matmulBias": func() { MatMulBiasInto(dst, a, bm, bias) },
+		"matmulAT":   func() { MatMulATInto(dst, at, bm) },
+		"matmulBT":   func() { MatMulBTInto(dst, a, bt) },
+	}
+	for name, fn := range kernels {
+		fn() // warm up worker pool
+		if allocs := testing.AllocsPerRun(10, fn); allocs > 0 {
+			t.Errorf("%s: %v allocs/op in steady state, want 0", name, allocs)
 		}
 	}
 }

@@ -5,52 +5,39 @@ import "sync"
 // Pool recycles matrices across calls so steady-state training and
 // inference allocate (almost) nothing: the NN stack draws every scratch
 // and output matrix from a shared Pool and hands dead ones back. Buckets
-// are keyed by (dtype, element count) — network shapes repeat exactly step
-// to step, so an exact-size free list hits nearly always after warm-up,
-// and float32 workspaces never bleed into float64 callers or vice versa.
+// are keyed by element count — network shapes repeat exactly step to step,
+// so an exact-size free list hits nearly always after warm-up.
 type Pool struct {
 	mu   sync.Mutex
-	free map[poolKey][]*Mat
-}
-
-type poolKey struct {
-	dt DType
-	n  int
+	free map[int][]*Mat
 }
 
 // NewPool returns an empty workspace pool.
-func NewPool() *Pool { return &Pool{free: make(map[poolKey][]*Mat)} }
+func NewPool() *Pool { return &Pool{free: make(map[int][]*Mat)} }
 
-// GetRawOf returns an r×c matrix of dtype dt with unspecified contents.
-// Use it when every element will be written before being read; use GetOf
-// otherwise.
-func (p *Pool) GetRawOf(dt DType, r, c int) *Mat {
-	key := poolKey{dt, r * c}
+// GetRaw returns an r×c matrix with unspecified contents. Use it when every
+// element will be written before being read; use Get otherwise.
+func (p *Pool) GetRaw(r, c int) *Mat {
+	n := r * c
 	p.mu.Lock()
-	if bucket := p.free[key]; len(bucket) > 0 {
+	if bucket := p.free[n]; len(bucket) > 0 {
 		m := bucket[len(bucket)-1]
 		bucket[len(bucket)-1] = nil
-		p.free[key] = bucket[:len(bucket)-1]
+		p.free[n] = bucket[:len(bucket)-1]
 		p.mu.Unlock()
 		m.R, m.C = r, c
 		return m
 	}
 	p.mu.Unlock()
-	return NewOf(dt, r, c)
+	return New(r, c)
 }
 
-// GetOf returns an all-zero r×c matrix of dtype dt.
-func (p *Pool) GetOf(dt DType, r, c int) *Mat {
-	m := p.GetRawOf(dt, r, c)
+// Get returns an all-zero r×c matrix.
+func (p *Pool) Get(r, c int) *Mat {
+	m := p.GetRaw(r, c)
 	m.Zero()
 	return m
 }
-
-// GetRaw returns a float64 r×c matrix with unspecified contents.
-func (p *Pool) GetRaw(r, c int) *Mat { return p.GetRawOf(F64, r, c) }
-
-// Get returns an all-zero float64 r×c matrix.
-func (p *Pool) Get(r, c int) *Mat { return p.GetOf(F64, r, c) }
 
 // Put hands matrices back to the pool. A matrix must not be used — or put
 // again — after being put; nil and empty matrices are ignored.
@@ -60,8 +47,7 @@ func (p *Pool) Put(ms ...*Mat) {
 		if m == nil || m.Len() == 0 {
 			continue
 		}
-		key := poolKey{m.DType(), m.Len()}
-		p.free[key] = append(p.free[key], m)
+		p.free[m.Len()] = append(p.free[m.Len()], m)
 	}
 	p.mu.Unlock()
 }

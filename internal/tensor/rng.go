@@ -100,16 +100,10 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64() ^ 0xa0761d6478bd642f)
 }
 
-// FillNormal fills m with sigma-scaled normal samples. The draw count per
-// element is dtype-independent, so a float32 fill consumes exactly the
-// stream a float64 fill of the same shape would — seeds stay aligned
-// across backends.
+// FillNormal fills m with sigma-scaled normal samples.
 func (r *RNG) FillNormal(m *Mat, sigma float64) {
 	for i := range m.V {
 		m.V[i] = r.Norm() * sigma
-	}
-	for i := range m.V32 {
-		m.V32[i] = float32(r.Norm() * sigma)
 	}
 }
 
@@ -117,8 +111,5 @@ func (r *RNG) FillNormal(m *Mat, sigma float64) {
 func (r *RNG) FillUniform(m *Mat, lo, hi float64) {
 	for i := range m.V {
 		m.V[i] = r.Range(lo, hi)
-	}
-	for i := range m.V32 {
-		m.V32[i] = float32(r.Range(lo, hi))
 	}
 }

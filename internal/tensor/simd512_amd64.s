@@ -1,10 +1,9 @@
-// The AVX-512F register tile for both backends: tile4x64z and tile4x32z do
-// what tile4x64 and tile4x32 (simd_amd64.s) do — same arguments, same k
-// loop and table loop, each dtype's multiply-operand order, VMULPx+VADDPx
-// and never FMA, bias then activation at the one store — on two zmm vectors
-// a row: a column group is 16 float64 or 32 float32. Every element takes
-// the same operations in the same order as in the AVX2 tile, so the two are
-// bit-identical; only AVX-512F instructions are used.
+// The AVX-512F register tile: tile4x64z does what tile4x64 (simd_amd64.s)
+// does — same arguments, same k loop and table loop, same multiply-operand
+// order, VMULPD+VADDPD and never FMA, bias then activation at the one store
+// — on two zmm vectors a row: a column group is 16 float64. Every element
+// takes the same operations in the same order as in the AVX2 tile, so the
+// two are bit-identical; only AVX-512F instructions are used.
 //
 // The lane masks live in K1 and K2 for every group: all ones until the last
 // group, the live lanes only when that group is partial. Every load and store
@@ -12,7 +11,7 @@
 // plain ones do — so the partial group runs the same loops as a full one.
 // Dead lanes load as zero, fault on nothing and are not stored.
 //
-// The activation is a masked op under an ordered x < 0 in K3 (VCMPPx
+// The activation is a masked op under an ordered x < 0 in K3 (VCMPPD
 // predicate LT_OQ, false for NaN and −0): ReLU xors those lanes to +0,
 // LeakyReLU multiplies them by alpha.
 //
@@ -284,267 +283,6 @@ put:
 	LEAQ    (AX)(R8*1), AX
 	VMOVUPD Z6, K1, (AX)
 	VMOVUPD Z7, K2, 64(AX)
-
-stored:
-	ADDQ $128, DI
-	ADDQ $128, R13
-	DECQ DX
-	JNZ  cols
-
-done:
-	VZEROUPPER
-	RET
-
-#define ZROW32(acoef, acc0, acc1) \
-	VBROADCASTSS acoef, Z10; \
-	VMULPS Z10, Z8, Z11;     \
-	VMULPS Z10, Z9, Z12;     \
-	VADDPS Z11, acc0, acc0;  \
-	VADDPS Z12, acc1, acc1
-
-// ZK32 is ZK64 for float32.
-#define ZK32(next, bstep) \
-	ZROW32((AX), Z0, Z1);        \
-	CMPQ R14, $2;                \
-	JB   next;                   \
-	ZROW32((AX)(R9*1), Z2, Z3);  \
-	JE   next;                   \
-	ZROW32((AX)(R9*2), Z4, Z5);  \
-	CMPQ R14, $4;                \
-	JB   next;                   \
-	ZROW32((AX)(R11*1), Z6, Z7); \
-next:                            \
-	ADDQ R10, AX;                \
-	bstep;                       \
-	DECQ CX
-
-#define ZBIAS32(rbias, acc0, acc1) \
-	VBROADCASTSS rbias, Z10; \
-	VADDPS Z10, acc0, acc0;  \
-	VADDPS Z10, acc1, acc1
-
-#define ZRELU32(acc) \
-	VCMPPS $0x11, Z12, acc, K3; \
-	VPXORD acc, acc, K3, acc
-
-#define ZLEAKY32(acc) \
-	VCMPPS $0x11, Z12, acc, K3; \
-	VMULPS Z15, acc, K3, acc
-
-// func tile4x32z(dst []float32, dn int, a []float32, ai, ak int, b []float32, bn int, boff []int, kn, w, nr int, cb, rb []float32, mode int, alpha float32)
-// one k-block of rows r < nr ≤ 4, columns j < w (rowOps.tile in kernels.go); kn, w, nr > 0
-TEXT ·tile4x32z(SB), NOSPLIT, $0-212
-	MOVQ   dst_base+0(FP), DI
-	MOVQ   dn+24(FP), R8
-	SHLQ   $2, R8
-	MOVQ   a_base+32(FP), SI
-	MOVQ   ai+56(FP), R9
-	SHLQ   $2, R9
-	MOVQ   ak+64(FP), R10
-	SHLQ   $2, R10
-	LEAQ   (R9)(R9*2), R11
-	MOVQ   b_base+72(FP), R13
-	MOVQ   nr+144(FP), R14
-	MOVQ   w+136(FP), DX
-	ADDQ   $31, DX
-	SHRQ   $5, DX
-	JZ     done
-	KXNORW K1, K1, K1
-	KXNORW K2, K2, K2
-
-cols:
-	// The last group, if partial, keeps its first w mod 32 lanes: the low
-	// sixteen bits of the run in K1, the rest in K2.
-	CMPQ  DX, $1
-	JNE   load
-	MOVQ  w+136(FP), CX
-	ANDQ  $31, CX
-	JZ    load
-	MOVL  $1, AX
-	SHLL  CX, AX
-	DECL  AX
-	KMOVW AX, K1
-	SHRL  $16, AX
-	KMOVW AX, K2
-
-load:
-	TESTQ     $1, mode+200(FP)
-	JZ        loaddst
-	MOVQ      cb_len+160(FP), AX
-	TESTQ     AX, AX
-	JZ        zero
-	MOVQ      cb_base+152(FP), AX // cb keeps step with the dst tile
-	ADDQ      DI, AX
-	SUBQ      dst_base+0(FP), AX
-	VMOVUPS.Z (AX), K1, Z0
-	VMOVUPS.Z 64(AX), K2, Z1
-	VMOVAPS   Z0, Z2
-	VMOVAPS   Z1, Z3
-	VMOVAPS   Z0, Z4
-	VMOVAPS   Z1, Z5
-	VMOVAPS   Z0, Z6
-	VMOVAPS   Z1, Z7
-	JMP       loaded
-
-zero:
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	VPXORD Z2, Z2, Z2
-	VPXORD Z3, Z3, Z3
-	VPXORD Z4, Z4, Z4
-	VPXORD Z5, Z5, Z5
-	VPXORD Z6, Z6, Z6
-	VPXORD Z7, Z7, Z7
-	JMP    loaded
-
-loaddst:
-	MOVQ      DI, AX
-	VMOVUPS.Z (AX), K1, Z0
-	VMOVUPS.Z 64(AX), K2, Z1
-	CMPQ      R14, $2
-	JB        loaded
-	LEAQ      (AX)(R8*1), AX
-	VMOVUPS.Z (AX), K1, Z2
-	VMOVUPS.Z 64(AX), K2, Z3
-	JE        loaded
-	LEAQ      (AX)(R8*1), AX
-	VMOVUPS.Z (AX), K1, Z4
-	VMOVUPS.Z 64(AX), K2, Z5
-	CMPQ      R14, $4
-	JB        loaded
-	LEAQ      (AX)(R8*1), AX
-	VMOVUPS.Z (AX), K1, Z6
-	VMOVUPS.Z 64(AX), K2, Z7
-
-loaded:
-	MOVQ  kn+128(FP), CX
-	MOVQ  SI, AX
-	MOVQ  boff_len+112(FP), R12
-	TESTQ R12, R12
-	JNZ   table
-	MOVQ  bn+96(FP), R12
-	SHLQ  $2, R12
-	MOVQ  R13, BX
-	CMPQ  R14, $4
-	JNE   kloop
-
-	PCALIGN $32
-kloop4:
-	VMOVUPS.Z  (BX), K1, Z8
-	VMOVUPS.Z  64(BX), K2, Z9
-	PREFETCHT0 128(BX)
-	PREFETCHT0 192(BX)
-	ZROW32((AX), Z0, Z1)
-	ZROW32((AX)(R9*1), Z2, Z3)
-	ZROW32((AX)(R9*2), Z4, Z5)
-	ZROW32((AX)(R11*1), Z6, Z7)
-	ADDQ       R10, AX
-	ADDQ       R12, BX
-	DECQ       CX
-	JNZ        kloop4
-	JMP        store
-
-	PCALIGN $32
-kloop:
-	VMOVUPS.Z  (BX), K1, Z8
-	VMOVUPS.Z  64(BX), K2, Z9
-	PREFETCHT0 128(BX)
-	PREFETCHT0 192(BX)
-	ZK32(knext, BSTRIDE)
-	JNZ        kloop
-	JMP        store
-
-table:
-	MOVQ boff_base+104(FP), R12
-	CMPQ R14, $4
-	JNE  tloop
-
-	PCALIGN $32
-tloop4:
-	MOVQ      (R12), BX
-	LEAQ      (R13)(BX*4), BX
-	VMOVUPS.Z (BX), K1, Z8
-	VMOVUPS.Z 64(BX), K2, Z9
-	ZROW32((AX), Z0, Z1)
-	ZROW32((AX)(R9*1), Z2, Z3)
-	ZROW32((AX)(R9*2), Z4, Z5)
-	ZROW32((AX)(R11*1), Z6, Z7)
-	ADDQ      R10, AX
-	ADDQ      $8, R12
-	DECQ      CX
-	JNZ       tloop4
-	JMP       store
-
-	PCALIGN $32
-tloop:
-	MOVQ      (R12), BX
-	LEAQ      (R13)(BX*4), BX
-	VMOVUPS.Z (BX), K1, Z8
-	VMOVUPS.Z 64(BX), K2, Z9
-	ZK32(tnext, BTABLE)
-	JNZ       tloop
-
-store:
-	MOVQ  rb_len+184(FP), AX
-	TESTQ AX, AX
-	JZ    activate
-	MOVQ  rb_base+176(FP), AX
-	ZBIAS32((AX), Z0, Z1)
-	CMPQ  R14, $2
-	JB    activate
-	ZBIAS32(4(AX), Z2, Z3)
-	JE    activate
-	ZBIAS32(8(AX), Z4, Z5)
-	CMPQ  R14, $4
-	JB    activate
-	ZBIAS32(12(AX), Z6, Z7)
-
-activate:
-	MOVQ   mode+200(FP), AX
-	SHRQ   $1, AX
-	JZ     put
-	VPXORD Z12, Z12, Z12
-	CMPQ   AX, $1
-	JE     relu
-	VBROADCASTSS alpha+208(FP), Z15
-	ZLEAKY32(Z0)
-	ZLEAKY32(Z1)
-	ZLEAKY32(Z2)
-	ZLEAKY32(Z3)
-	ZLEAKY32(Z4)
-	ZLEAKY32(Z5)
-	ZLEAKY32(Z6)
-	ZLEAKY32(Z7)
-	JMP    put
-
-relu:
-	ZRELU32(Z0)
-	ZRELU32(Z1)
-	ZRELU32(Z2)
-	ZRELU32(Z3)
-	ZRELU32(Z4)
-	ZRELU32(Z5)
-	ZRELU32(Z6)
-	ZRELU32(Z7)
-
-put:
-	MOVQ    DI, AX
-	VMOVUPS Z0, K1, (AX)
-	VMOVUPS Z1, K2, 64(AX)
-	CMPQ    R14, $2
-	JB      stored
-	LEAQ    (AX)(R8*1), AX
-	VMOVUPS Z2, K1, (AX)
-	VMOVUPS Z3, K2, 64(AX)
-	JE      stored
-	LEAQ    (AX)(R8*1), AX
-	VMOVUPS Z4, K1, (AX)
-	VMOVUPS Z5, K2, 64(AX)
-	CMPQ    R14, $4
-	JB      stored
-	LEAQ    (AX)(R8*1), AX
-	VMOVUPS Z6, K1, (AX)
-	VMOVUPS Z7, K2, 64(AX)
 
 stored:
 	ADDQ $128, DI

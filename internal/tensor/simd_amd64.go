@@ -2,8 +2,8 @@
 
 package tensor
 
-// Both backends' row updates, register tile and stride-2 gather dispatch to
-// AVX2 when the CPU supports it, and the register tile to AVX-512F when the
+// The row updates, register tile and stride-2 gather dispatch to AVX2 when
+// the CPU supports it, and the register tile to AVX-512F when the
 // CPU has that too (simd512_amd64.s). The assembly mirrors the scalar
 // accumulation order exactly (see simd_amd64.s), so the instruction-set
 // level never changes a single output bit — it only changes how many
@@ -16,42 +16,25 @@ func axpy4x64(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
 func axpy1x64(dst, b []float64, a float64)
 
 //go:noescape
-func axpy4x32(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
-
-//go:noescape
-func axpy1x32(dst, b []float32, a float32)
-
-//go:noescape
 func tile4x64(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn int, boff []int, kn, w, nr int, cb, rb []float64, mode int, alpha float64)
-
-//go:noescape
-func tile4x32(dst []float32, dn int, a []float32, ai, ak int, b []float32, bn int, boff []int, kn, w, nr int, cb, rb []float32, mode int, alpha float32)
 
 //go:noescape
 func tile4x64z(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn int, boff []int, kn, w, nr int, cb, rb []float64, mode int, alpha float64)
 
 //go:noescape
-func tile4x32z(dst []float32, dn int, a []float32, ai, ak int, b []float32, bn int, boff []int, kn, w, nr int, cb, rb []float32, mode int, alpha float32)
-
-//go:noescape
 func gather2x64(dst, src []float64, n, rows, dn, sn int)
-
-//go:noescape
-func gather2x32(dst, src []float32, n, rows, dn, sn int)
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
 // hostISA is the highest level this CPU and OS support; level is the one
-// installed, and rows64/rows32 hold the primitives it selects. They are set
-// once at init (and changed only by tests, before any kernels run
-// concurrently).
+// installed, and ops holds the primitives it selects. They are set once at
+// init (and changed only by tests, before any kernels run concurrently).
 var (
 	hostISA = detectISA()
 	level   isa
-	rows64  rowOps[float64]
-	rows32  rowOps[float32]
+	ops     rowOps
 )
 
 func init() { setISA(hostISA) }
@@ -93,20 +76,19 @@ func Vectorized() bool { return level > isaGo }
 
 // setISA installs the primitives of level l and reports whether it could:
 // not above what the host supports. Besides init it is a test hook: the
-// conformance suite runs the kernels of both dtypes at every level and
-// asserts bit-equal output.
+// conformance suite runs the kernels at every level and asserts bit-equal
+// output.
 func setISA(l isa) bool {
 	if l > hostISA {
 		return false
 	}
 	level = l
-	rows64, rows32 = goRowOps[float64](), goRowOps[float32]()
+	ops = goRowOps()
 	if l >= isaAVX2 {
-		rows64 = rowOps[float64]{axpy4x64, axpy1x64, tile4x64, gather2x64}
-		rows32 = rowOps[float32]{axpy4x32, axpy1x32, tile4x32, gather2x32}
+		ops = rowOps{axpy4x64, axpy1x64, tile4x64, gather2x64}
 	}
 	if l >= isaAVX512 {
-		rows64.tile, rows32.tile = tile4x64z, tile4x32z
+		ops.tile = tile4x64z
 	}
 	return true
 }

@@ -1,150 +1,14 @@
-// AVX2 primitives for both backends: the row updates, the register tile and
-// the stride-2 gather. Each dst element is accumulated in the exact
-// left-associated order of the pure-Go fallback expression (VMULPx+VADDPx,
-// never FMA), so the vector paths, the scalar tails, and the non-amd64
-// fallback all produce bit-identical results. On an AVX-512F host the
+// AVX2 primitives: the row updates, the register tile and the stride-2
+// gather. Each dst element is accumulated in the exact left-associated order
+// of the pure-Go fallback expression (VMULPD+VADDPD, never FMA), so the
+// vector paths, the scalar tails, and the non-amd64 fallback all produce
+// bit-identical results. On an AVX-512F host the
 // register tile here gives way to its zmm twin (simd512_amd64.s), which
 // keeps the same order; the rest of this file runs on every AVX2 host.
 
 //go:build amd64
 
 #include "textflag.h"
-
-// func axpy4x32(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
-// dst[j] = ((((dst[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j])
-TEXT ·axpy4x32(SB), NOSPLIT, $0-136
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ b0_base+24(FP), R8
-	MOVQ b1_base+48(FP), R9
-	MOVQ b2_base+72(FP), R10
-	MOVQ b3_base+96(FP), R11
-	VBROADCASTSS a0+120(FP), Y0
-	VBROADCASTSS a1+124(FP), Y1
-	VBROADCASTSS a2+128(FP), Y2
-	VBROADCASTSS a3+132(FP), Y3
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-16, DX
-
-loop16:
-	CMPQ AX, DX
-	JGE  loop8start
-	VMOVUPS (DI)(AX*4), Y4
-	VMOVUPS 32(DI)(AX*4), Y6
-	VMOVUPS (R8)(AX*4), Y5
-	VMOVUPS 32(R8)(AX*4), Y7
-	VMULPS  Y0, Y5, Y5
-	VMULPS  Y0, Y7, Y7
-	VADDPS  Y5, Y4, Y4
-	VADDPS  Y7, Y6, Y6
-	VMOVUPS (R9)(AX*4), Y5
-	VMOVUPS 32(R9)(AX*4), Y7
-	VMULPS  Y1, Y5, Y5
-	VMULPS  Y1, Y7, Y7
-	VADDPS  Y5, Y4, Y4
-	VADDPS  Y7, Y6, Y6
-	VMOVUPS (R10)(AX*4), Y5
-	VMOVUPS 32(R10)(AX*4), Y7
-	VMULPS  Y2, Y5, Y5
-	VMULPS  Y2, Y7, Y7
-	VADDPS  Y5, Y4, Y4
-	VADDPS  Y7, Y6, Y6
-	VMOVUPS (R11)(AX*4), Y5
-	VMOVUPS 32(R11)(AX*4), Y7
-	VMULPS  Y3, Y5, Y5
-	VMULPS  Y3, Y7, Y7
-	VADDPS  Y5, Y4, Y4
-	VADDPS  Y7, Y6, Y6
-	VMOVUPS Y4, (DI)(AX*4)
-	VMOVUPS Y6, 32(DI)(AX*4)
-	ADDQ    $16, AX
-	JMP     loop16
-
-loop8start:
-	MOVQ CX, DX
-	ANDQ $-8, DX
-
-loop8:
-	CMPQ AX, DX
-	JGE  tail
-	VMOVUPS (DI)(AX*4), Y4
-	VMOVUPS (R8)(AX*4), Y5
-	VMULPS  Y0, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R9)(AX*4), Y5
-	VMULPS  Y1, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R10)(AX*4), Y5
-	VMULPS  Y2, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R11)(AX*4), Y5
-	VMULPS  Y3, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS Y4, (DI)(AX*4)
-	ADDQ    $8, AX
-	JMP     loop8
-
-tail:
-	CMPQ AX, CX
-	JGE  done
-	VMOVSS (DI)(AX*4), X4
-	VMOVSS (R8)(AX*4), X5
-	VMULSS X0, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R9)(AX*4), X5
-	VMULSS X1, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R10)(AX*4), X5
-	VMULSS X2, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R11)(AX*4), X5
-	VMULSS X3, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS X4, (DI)(AX*4)
-	INCQ   AX
-	JMP    tail
-
-done:
-	VZEROUPPER
-	RET
-
-// func axpy1x32(dst, b []float32, a float32)
-// dst[j] += a * b[j]
-TEXT ·axpy1x32(SB), NOSPLIT, $0-52
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ b_base+24(FP), R8
-	VBROADCASTSS a+48(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-
-loop8:
-	CMPQ AX, DX
-	JGE  tail
-	VMOVUPS (DI)(AX*4), Y4
-	VMOVUPS (R8)(AX*4), Y5
-	VMULPS  Y0, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS Y4, (DI)(AX*4)
-	ADDQ    $8, AX
-	JMP     loop8
-
-tail:
-	CMPQ AX, CX
-	JGE  done
-	VMOVSS (DI)(AX*4), X4
-	VMOVSS (R8)(AX*4), X5
-	VMULSS X0, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS X4, (DI)(AX*4)
-	INCQ   AX
-	JMP    tail
-
-done:
-	VZEROUPPER
-	RET
 
 // func axpy4x64(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
 // dst[j] = ((((dst[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j])
@@ -301,8 +165,8 @@ done:
 // CX k left, AX and BX the running a and b.
 
 // tilemask is 64 bytes of ones, then 64 of zeros: the 64 bytes that start
-// 8r (4r) bytes before its middle mask all but the first r float64
-// (float32) lanes of a column group.
+// 8r bytes before its middle mask all but the first r lanes of a column
+// group.
 DATA tilemask<>+0(SB)/8, $0xffffffffffffffff
 DATA tilemask<>+8(SB)/8, $0xffffffffffffffff
 DATA tilemask<>+16(SB)/8, $0xffffffffffffffff
@@ -611,300 +475,6 @@ done:
 	VZEROUPPER
 	RET
 
-#define TILE_ROW32(acoef, acc0, acc1) \
-	VBROADCASTSS acoef, Y10; \
-	VMULPS Y10, Y8, Y11;     \
-	VMULPS Y10, Y9, Y12;     \
-	VADDPS Y11, acc0, acc0;  \
-	VADDPS Y12, acc1, acc1
-
-// TILE_K32 is one k step after its b loads: every live row, then on to
-// the next k, bstep moving b's row pointer or the table's. It leaves DECQ's
-// flags for the loop branch.
-#define TILE_K32(next, bstep) \
-	TILE_ROW32((AX), Y0, Y1);        \
-	CMPQ R14, $2;                    \
-	JB   next;                       \
-	TILE_ROW32((AX)(R9*1), Y2, Y3);  \
-	JE   next;                       \
-	TILE_ROW32((AX)(R9*2), Y4, Y5);  \
-	CMPQ R14, $4;                    \
-	JB   next;                       \
-	TILE_ROW32((AX)(R11*1), Y6, Y7); \
-next:                                \
-	ADDQ R10, AX;                    \
-	bstep;                           \
-	DECQ CX
-
-// TILE_BIAS32 adds one row's bias to its two accumulators.
-#define TILE_BIAS32(rbias, acc0, acc1) \
-	VBROADCASTSS rbias, Y10;  \
-	VADDPS Y10, acc0, acc0;   \
-	VADDPS Y10, acc1, acc1
-
-// TILE_RELU32 and TILE_LEAKY32 blend one accumulator's lanes below zero
-// (Y12) to +0, or to themselves times alpha (Y15).
-#define TILE_RELU32(acc) \
-	VCMPPS  $0x11, Y12, acc, Y10; \
-	VANDNPS acc, Y10, acc
-
-#define TILE_LEAKY32(acc) \
-	VCMPPS    $0x11, Y12, acc, Y10; \
-	VMULPS    Y15, acc, Y11;        \
-	VBLENDVPS Y10, Y11, acc, acc
-
-// func tile4x32(dst []float32, dn int, a []float32, ai, ak int, b []float32, bn int, boff []int, kn, w, nr int, cb, rb []float32, mode int, alpha float32)
-// one k-block of rows r < nr ≤ 4, columns j < w (rowOps.tile in kernels.go); kn, w, nr > 0
-TEXT ·tile4x32(SB), NOSPLIT, $0-212
-	MOVQ     dst_base+0(FP), DI
-	MOVQ     dn+24(FP), R8
-	SHLQ     $2, R8
-	MOVQ     a_base+32(FP), SI
-	MOVQ     ai+56(FP), R9
-	SHLQ     $2, R9
-	MOVQ     ak+64(FP), R10
-	SHLQ     $2, R10
-	LEAQ     (R9)(R9*2), R11
-	MOVQ     b_base+72(FP), R13
-	MOVQ     nr+144(FP), R14
-	MOVQ     w+136(FP), DX
-	ADDQ     $15, DX
-	SHRQ     $4, DX
-	JZ       done
-	VPCMPEQD Y13, Y13, Y13
-	VPCMPEQD Y14, Y14, Y14
-
-cols:
-	// The last group, if partial, masks its dead lanes: they load as zero,
-	// fault on nothing and are not stored.
-	CMPQ    DX, $1
-	JNE     load
-	MOVQ    w+136(FP), CX
-	ANDQ    $15, CX
-	JZ      load
-	LEAQ    tilemask<>+64(SB), AX
-	SHLQ    $2, CX
-	SUBQ    CX, AX
-	VMOVDQU (AX), Y13
-	VMOVDQU 32(AX), Y14
-
-load:
-	TESTQ      $1, mode+200(FP)
-	JZ         loaddst
-	MOVQ       cb_len+160(FP), AX
-	TESTQ      AX, AX
-	JZ         zero
-	MOVQ       cb_base+152(FP), AX // cb keeps step with the dst tile
-	ADDQ       DI, AX
-	SUBQ       dst_base+0(FP), AX
-	VMASKMOVPS (AX), Y13, Y0
-	VMASKMOVPS 32(AX), Y14, Y1
-	VMOVAPS    Y0, Y2
-	VMOVAPS    Y1, Y3
-	VMOVAPS    Y0, Y4
-	VMOVAPS    Y1, Y5
-	VMOVAPS    Y0, Y6
-	VMOVAPS    Y1, Y7
-	JMP        loaded
-
-zero:
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	JMP    loaded
-
-loaddst:
-	MOVQ       DI, AX
-	VMASKMOVPS (AX), Y13, Y0
-	VMASKMOVPS 32(AX), Y14, Y1
-	CMPQ       R14, $2
-	JB         loaded
-	LEAQ       (AX)(R8*1), AX
-	VMASKMOVPS (AX), Y13, Y2
-	VMASKMOVPS 32(AX), Y14, Y3
-	JE         loaded
-	LEAQ       (AX)(R8*1), AX
-	VMASKMOVPS (AX), Y13, Y4
-	VMASKMOVPS 32(AX), Y14, Y5
-	CMPQ       R14, $4
-	JB         loaded
-	LEAQ       (AX)(R8*1), AX
-	VMASKMOVPS (AX), Y13, Y6
-	VMASKMOVPS 32(AX), Y14, Y7
-
-loaded:
-	MOVQ  kn+128(FP), CX
-	MOVQ  SI, AX
-	MOVQ  boff_len+112(FP), R12
-	TESTQ R12, R12
-	JNZ   table
-	MOVQ  bn+96(FP), R12
-	SHLQ  $2, R12
-	MOVQ  R13, BX
-	CMPQ  DX, $1
-	JNE   kfull
-	TESTQ $15, w+136(FP)
-	JNZ   kloopm
-
-kfull:
-	CMPQ R14, $4
-	JNE  kloop
-
-	PCALIGN $32
-kloop4:
-	VMOVUPS (BX), Y8
-	VMOVUPS 32(BX), Y9
-	PREFETCHT0 64(BX)
-	TILE_ROW32((AX), Y0, Y1)
-	TILE_ROW32((AX)(R9*1), Y2, Y3)
-	TILE_ROW32((AX)(R9*2), Y4, Y5)
-	TILE_ROW32((AX)(R11*1), Y6, Y7)
-	ADDQ    R10, AX
-	ADDQ    R12, BX
-	DECQ    CX
-	JNZ     kloop4
-	JMP     store
-
-	PCALIGN $32
-kloop:
-	VMOVUPS (BX), Y8
-	VMOVUPS 32(BX), Y9
-	PREFETCHT0 64(BX)
-	TILE_K32(knext, BSTRIDE)
-	JNZ     kloop
-	JMP     store
-
-	PCALIGN $32
-kloopm:
-	VMASKMOVPS (BX), Y13, Y8
-	VMASKMOVPS 32(BX), Y14, Y9
-	TILE_K32(knextm, BSTRIDE)
-	JNZ        kloopm
-	JMP        store
-
-table:
-	MOVQ  boff_base+104(FP), R12
-	CMPQ  DX, $1
-	JNE   tfull
-	TESTQ $15, w+136(FP)
-	JNZ   tloopm
-
-tfull:
-	CMPQ R14, $4
-	JNE  tloop
-
-	PCALIGN $32
-tloop4:
-	MOVQ    (R12), BX
-	LEAQ    (R13)(BX*4), BX
-	VMOVUPS (BX), Y8
-	VMOVUPS 32(BX), Y9
-	TILE_ROW32((AX), Y0, Y1)
-	TILE_ROW32((AX)(R9*1), Y2, Y3)
-	TILE_ROW32((AX)(R9*2), Y4, Y5)
-	TILE_ROW32((AX)(R11*1), Y6, Y7)
-	ADDQ    R10, AX
-	ADDQ    $8, R12
-	DECQ    CX
-	JNZ     tloop4
-	JMP     store
-
-	PCALIGN $32
-tloop:
-	MOVQ    (R12), BX
-	LEAQ    (R13)(BX*4), BX
-	VMOVUPS (BX), Y8
-	VMOVUPS 32(BX), Y9
-	TILE_K32(tnext, BTABLE)
-	JNZ     tloop
-	JMP     store
-
-	PCALIGN $32
-tloopm:
-	MOVQ       (R12), BX
-	LEAQ       (R13)(BX*4), BX
-	VMASKMOVPS (BX), Y13, Y8
-	VMASKMOVPS 32(BX), Y14, Y9
-	TILE_K32(tnextm, BTABLE)
-	JNZ        tloopm
-
-store:
-	MOVQ  rb_len+184(FP), AX
-	TESTQ AX, AX
-	JZ    activate
-	MOVQ  rb_base+176(FP), AX
-	TILE_BIAS32((AX), Y0, Y1)
-	CMPQ  R14, $2
-	JB    activate
-	TILE_BIAS32(4(AX), Y2, Y3)
-	JE    activate
-	TILE_BIAS32(8(AX), Y4, Y5)
-	CMPQ  R14, $4
-	JB    activate
-	TILE_BIAS32(12(AX), Y6, Y7)
-
-activate:
-	MOVQ   mode+200(FP), AX
-	SHRQ   $1, AX
-	JZ     put
-	VXORPS Y12, Y12, Y12
-	CMPQ   AX, $1
-	JE     relu
-	VBROADCASTSS alpha+208(FP), Y15
-	TILE_LEAKY32(Y0)
-	TILE_LEAKY32(Y1)
-	TILE_LEAKY32(Y2)
-	TILE_LEAKY32(Y3)
-	TILE_LEAKY32(Y4)
-	TILE_LEAKY32(Y5)
-	TILE_LEAKY32(Y6)
-	TILE_LEAKY32(Y7)
-	JMP    put
-
-relu:
-	TILE_RELU32(Y0)
-	TILE_RELU32(Y1)
-	TILE_RELU32(Y2)
-	TILE_RELU32(Y3)
-	TILE_RELU32(Y4)
-	TILE_RELU32(Y5)
-	TILE_RELU32(Y6)
-	TILE_RELU32(Y7)
-
-put:
-	MOVQ       DI, AX
-	VMASKMOVPS Y0, Y13, (AX)
-	VMASKMOVPS Y1, Y14, 32(AX)
-	CMPQ       R14, $2
-	JB         stored
-	LEAQ       (AX)(R8*1), AX
-	VMASKMOVPS Y2, Y13, (AX)
-	VMASKMOVPS Y3, Y14, 32(AX)
-	JE         stored
-	LEAQ       (AX)(R8*1), AX
-	VMASKMOVPS Y4, Y13, (AX)
-	VMASKMOVPS Y5, Y14, 32(AX)
-	CMPQ       R14, $4
-	JB         stored
-	LEAQ       (AX)(R8*1), AX
-	VMASKMOVPS Y6, Y13, (AX)
-	VMASKMOVPS Y7, Y14, 32(AX)
-
-stored:
-	ADDQ $64, DI
-	ADDQ $64, R13
-	DECQ DX
-	JNZ  cols
-
-done:
-	VZEROUPPER
-	RET
-
 // The stride-2 gather de-interleaves: two loads, a shuffle that keeps each
 // 128-bit lane's even elements and a cross-lane permute that puts them in
 // order, one store. A vector step needs its second load's last element to be
@@ -949,54 +519,6 @@ tail:
 	MOVQ (BX), R11
 	MOVQ R11, (DI)(AX*8)
 	ADDQ $16, BX
-	INCQ AX
-	JMP  tail
-
-next:
-	ADDQ R8, DI
-	ADDQ R9, SI
-	DECQ DX
-	JNZ  row
-	VZEROUPPER
-	RET
-
-// func gather2x32(dst, src []float32, n, rows, dn, sn int)
-// dst[r*dn+i] = src[r*sn+2*i], i < n, r < rows; n, rows > 0
-TEXT ·gather2x32(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ n+48(FP), CX
-	MOVQ rows+56(FP), DX
-	MOVQ dn+64(FP), R8
-	SHLQ $2, R8
-	MOVQ sn+72(FP), R9
-	SHLQ $2, R9
-	LEAQ -1(CX)(CX*1), R10 // 2n-1 source elements in a run,
-	SHRQ $4, R10           // sixteen to a vector step,
-	SHLQ $3, R10           // eight outputs each
-
-row:
-	MOVQ SI, BX
-	XORQ AX, AX
-
-vec:
-	CMPQ AX, R10
-	JGE  tail
-	VMOVUPS (BX), Y0
-	VMOVUPS 32(BX), Y1
-	VSHUFPS $0x88, Y1, Y0, Y0 // s0 s2 s8 s10 | s4 s6 s12 s14
-	VPERMPD $0xD8, Y0, Y0     // s0 s2 s4 s6 s8 s10 s12 s14
-	VMOVUPS Y0, (DI)(AX*4)
-	ADDQ    $64, BX
-	ADDQ    $8, AX
-	JMP     vec
-
-tail:
-	CMPQ AX, CX
-	JGE  next
-	MOVL (BX), R11
-	MOVL R11, (DI)(AX*4)
-	ADDQ $8, BX
 	INCQ AX
 	JMP  tail
 

@@ -6,22 +6,18 @@ import (
 	"testing"
 )
 
-// slotsHold fails t for every slot of both dtypes' row sets that does not
-// hold the AVX2 set's entry, with tile64 and tile32 in the tile slots.
-func slotsHold(t *testing.T, tile64, tile32 any) {
+// slotsHold fails t for every slot of the installed row set that does not
+// hold the AVX2 set's entry, with tile in the tile slot.
+func slotsHold(t *testing.T, tile any) {
 	t.Helper()
 	for _, c := range []struct {
 		slot      string
 		got, want any
 	}{
-		{"rows64.axpy4", rows64.axpy4, axpy4x64},
-		{"rows64.axpy1", rows64.axpy1, axpy1x64},
-		{"rows64.tile", rows64.tile, tile64},
-		{"rows64.gather2", rows64.gather2, gather2x64},
-		{"rows32.axpy4", rows32.axpy4, axpy4x32},
-		{"rows32.axpy1", rows32.axpy1, axpy1x32},
-		{"rows32.tile", rows32.tile, tile32},
-		{"rows32.gather2", rows32.gather2, gather2x32},
+		{"ops.axpy4", ops.axpy4, axpy4x64},
+		{"ops.axpy1", ops.axpy1, axpy1x64},
+		{"ops.tile", ops.tile, tile},
+		{"ops.gather2", ops.gather2, gather2x64},
 	} {
 		if reflect.ValueOf(c.got).Pointer() != reflect.ValueOf(c.want).Pointer() {
 			t.Errorf("%s does not hold %s", c.slot, funcName(c.want))
@@ -32,8 +28,8 @@ func slotsHold(t *testing.T, tile64, tile32 any) {
 func funcName(f any) string { return runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name() }
 
 // TestVectorPathLive: on an AVX2 host init turns the vector path on, and
-// every slot of both dtypes' row sets holds its assembly entry — the tile
-// slots the AVX-512F tile where the CPU has it, the AVX2 tile where it has
+// every slot of the row set holds its assembly entry — the tile slot the
+// AVX-512F tile where the CPU has it, the AVX2 tile where it has
 // only AVX2. Forced down to AVX2, the set is the AVX2 one exactly. The log
 // names the tile that is live.
 func TestVectorPathLive(t *testing.T) {
@@ -44,17 +40,17 @@ func TestVectorPathLive(t *testing.T) {
 		t.Fatal("AVX2 detected, but init left the vector path off")
 	}
 	if hostISA == isaAVX512 {
-		slotsHold(t, tile4x64z, tile4x32z)
+		slotsHold(t, tile4x64z)
 	} else {
-		slotsHold(t, tile4x64, tile4x32)
+		slotsHold(t, tile4x64)
 	}
-	t.Logf("live register tile: %s, %s", funcName(rows64.tile), funcName(rows32.tile))
+	t.Logf("live register tile: %s", funcName(ops.tile))
 
 	defer setISA(hostISA)
 	if !setISA(isaAVX2) {
 		t.Fatal("an AVX2 host refused the AVX2 level")
 	}
-	slotsHold(t, tile4x64, tile4x32)
+	slotsHold(t, tile4x64)
 }
 
 // TestAVX512Usable: the AVX-512F tile needs the F bit of CPUID.(7,0).EBX

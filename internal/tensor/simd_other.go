@@ -9,8 +9,7 @@ package tensor
 
 var (
 	hostISA = isaGo
-	rows64  = goRowOps[float64]()
-	rows32  = goRowOps[float32]()
+	ops     = goRowOps()
 )
 
 // Vectorized reports whether the matmul kernels are using SIMD row updates.

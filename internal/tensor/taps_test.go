@@ -26,7 +26,7 @@ var kernelSpecials = []float64{math.Float64frombits(0xFFF8000000000000), math.In
 // once; a k-aligned group of four zero coefficients skipped whole, and a
 // zero coefficient among the kk mod 4 trailing ones; then the row bias; then
 // the activation. brow(k) is the element's factor in b's k-th row.
-func refProduct[T number](start T, a []T, brow func(k int) T, bias *T, act Act) T {
+func refProduct(start float64, a []float64, brow func(k int) float64, bias *float64, act Act) float64 {
 	s := start
 	kk := len(a)
 	for k := 0; k+4 <= kk; k += 4 {
@@ -34,33 +34,31 @@ func refProduct[T number](start T, a []T, brow func(k int) T, bias *T, act Act) 
 			continue
 		}
 		for q := k; q < k+4; q++ {
-			s = T(s + T(a[q]*brow(q)))
+			s = float64(s + float64(a[q]*brow(q)))
 		}
 	}
 	for k := kk &^ 3; k < kk; k++ {
 		if a[k] != 0 {
-			s = T(s + T(a[k]*brow(k)))
+			s = float64(s + float64(a[k]*brow(k)))
 		}
 	}
 	if bias != nil {
-		s = T(s + *bias)
+		s = float64(s + *bias)
 	}
 	switch {
 	case act.Kind == ActReLU && s < 0:
 		s = 0
 	case act.Kind == ActLeakyReLU && s < 0:
-		s = T(s * T(act.Alpha))
+		s = float64(s * act.Alpha)
 	}
 	return s
 }
 
-func sameBitsT[T number](a, b T) bool {
-	return math.Float64bits(float64(a)) == math.Float64bits(float64(b)) // widening is exact, NaN payloads included
-}
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // plantZeroGroups zeroes runs of a's coefficients — whole groups of four in
 // some rows, single ones in others — and puts specials into a few more.
-func plantZeroGroups[T number](a []T, m, kk int, rng *RNG) {
+func plantZeroGroups(a []float64, m, kk int, rng *RNG) {
 	for i := 0; i < m; i++ {
 		switch i % 3 {
 		case 1: // a zero group and a zero in the tail: the tile must leave this block to the rows
@@ -71,12 +69,12 @@ func plantZeroGroups[T number](a []T, m, kk int, rng *RNG) {
 			a[i*kk+kk-1] = 0
 		case 2: // zeros inside live groups are applied like any coefficient
 			for k := 0; k < kk; k += 3 {
-				a[i*kk+k] = T(math.Copysign(0, -1))
+				a[i*kk+k] = math.Copysign(0, -1)
 			}
 		}
 	}
 	for s := 0; s < 3; s++ {
-		a[int(rng.Uint64()%uint64(len(a)))] = T(kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
+		a[int(rng.Uint64()%uint64(len(a)))] = kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))]
 	}
 }
 
@@ -84,7 +82,7 @@ func plantZeroGroups[T number](a []T, m, kk int, rng *RNG) {
 // element against refProduct. The taps overlap the way a convolution's do:
 // neighbouring rows of b start an element or a short row apart, and the
 // last one ends flush against the guard page.
-func tapsCase[T number](t *testing.T, m, kk, w int, withBias bool, act Act, seed uint64) {
+func tapsCase(t *testing.T, m, kk, w int, withBias bool, act Act, seed uint64) {
 	t.Helper()
 	rng := NewRNG(seed)
 	off := make([]int, kk)
@@ -95,11 +93,11 @@ func tapsCase[T number](t *testing.T, m, kk, w int, withBias bool, act Act, seed
 	taps := NewTaps(off)
 	dn := w + int(seed%4) // dst rows may be wider than the product
 	var frees []func()
-	alloc := func(n int) []T {
-		s, free := guardpage.Alloc[T](n)
+	alloc := func(n int) []float64 {
+		s, free := guardpage.Alloc(n)
 		frees = append(frees, free)
 		for i := range s {
-			s[i] = T(rng.Norm())
+			s[i] = rng.Norm()
 		}
 		return s
 	}
@@ -111,30 +109,30 @@ func tapsCase[T number](t *testing.T, m, kk, w int, withBias bool, act Act, seed
 	a, b := alloc(m*kk), alloc(3*w+kk+w)
 	plantZeroGroups(a, m, kk, rng)
 	for s := 0; s < 4; s++ {
-		b[int(rng.Uint64()%uint64(len(b)))] = T(kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
+		b[int(rng.Uint64()%uint64(len(b)))] = kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))]
 	}
-	var bias []T
+	var bias []float64
 	if withBias {
 		bias = alloc(m)
-		bias[int(rng.Uint64()%uint64(m))] = T(kernelSpecials[int(seed%uint64(len(kernelSpecials)))])
+		bias[int(rng.Uint64()%uint64(m))] = kernelSpecials[int(seed%uint64(len(kernelSpecials)))]
 	}
-	var outs [][]T
+	var outs [][]float64
 	names, _ := kernelPaths(t, func() []*Mat {
 		dst := alloc((m-1)*dn + w)
-		KernelsOf[T]().MatMulTaps(dst, dn, a, m, b, taps, w, bias, act)
+		Kernels{}.MatMulTaps(dst, dn, a, m, b, taps, w, bias, act)
 		outs = append(outs, dst)
 		return nil
 	})
 	for i := 0; i < m; i++ {
 		for j := 0; j < w; j++ {
-			var bp *T
+			var bp *float64
 			if withBias {
 				bp = &bias[i]
 			}
-			want := refProduct(0, a[i*kk:(i+1)*kk], func(k int) T { return b[off[k]+j] }, bp, act)
+			want := refProduct(0, a[i*kk:(i+1)*kk], func(k int) float64 { return b[off[k]+j] }, bp, act)
 			for p, dst := range outs {
-				if got := dst[i*dn+j]; !sameBitsT(got, want) {
-					t.Fatalf("%dx%dx%d bias=%v act=%v seed %d: %s path has %v (%x) at (%d,%d), the definition gives %v (%x)", m, kk, w, withBias, act.Kind, seed, names[p], got, math.Float64bits(float64(got)), i, j, want, math.Float64bits(float64(want)))
+				if got := dst[i*dn+j]; !sameBits(got, want) {
+					t.Fatalf("%dx%dx%d bias=%v act=%v seed %d: %s path has %v (%x) at (%d,%d), the definition gives %v (%x)", m, kk, w, withBias, act.Kind, seed, names[p], got, math.Float64bits(got), i, j, want, math.Float64bits(want))
 				}
 			}
 		}
@@ -153,8 +151,7 @@ func TestVectorizedScalarBitIdentityTaps(t *testing.T) {
 			for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33, 90} {
 				seed++
 				withBias, act := seed%2 == 0, acts[seed%3]
-				tapsCase[float64](t, m, kk, w, withBias, act, seed)
-				tapsCase[float32](t, m, kk, w, withBias, act, seed)
+				tapsCase(t, m, kk, w, withBias, act, seed)
 			}
 		}
 	}
@@ -162,37 +159,30 @@ func TestVectorizedScalarBitIdentityTaps(t *testing.T) {
 
 // edgesCase runs the Dense product — a sum that starts from its column's
 // bias and ends in the activation — every way and against the definition.
-func edgesCase(t *testing.T, dt DType, m, kk, n int, act Act, seed uint64) {
+func edgesCase(t *testing.T, m, kk, n int, act Act, seed uint64) {
 	t.Helper()
 	rng := NewRNG(seed)
 	var g guarded
 	defer g.free()
-	a, b, bias := g.mat(dt, m, kk, rng), g.mat(dt, kk, n, rng), g.mat(dt, 1, n, rng)
-	if dt == F32 {
-		plantZeroGroups(a.V32, m, kk, rng)
-	} else {
-		plantZeroGroups(a.V, m, kk, rng)
-	}
+	a, b, bias := g.mat(m, kk, rng), g.mat(kk, n, rng), g.mat(1, n, rng)
+	plantZeroGroups(a.V, m, kk, rng)
 	for s := 0; s < 3; s++ {
-		b.set(int(rng.Uint64()%uint64(b.Len())), kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
-		bias.set(int(rng.Uint64()%uint64(n)), kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
+		i := rng.Uint64() % uint64(b.Len())
+		b.V[i] = kernelSpecials[rng.Uint64()%uint64(len(kernelSpecials))]
+		i = rng.Uint64() % uint64(n)
+		bias.V[i] = kernelSpecials[rng.Uint64()%uint64(len(kernelSpecials))]
 	}
 	names, outs := kernelPaths(t, func() []*Mat {
-		dst := g.mat(dt, m, n, rng)
+		dst := g.mat(m, n, rng)
 		MatMulBiasActInto(dst, a, b, bias, act)
 		return []*Mat{dst}
 	})
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			var want float64
-			if dt == F32 {
-				want = float64(refProduct(bias.V32[j], a.V32[i*kk:(i+1)*kk], func(k int) float32 { return b.V32[k*n+j] }, nil, act))
-			} else {
-				want = refProduct(bias.V[j], a.V[i*kk:(i+1)*kk], func(k int) float64 { return b.V[k*n+j] }, nil, act)
-			}
+			want := refProduct(bias.V[j], a.V[i*kk:(i+1)*kk], func(k int) float64 { return b.V[k*n+j] }, nil, act)
 			for p := range outs {
 				if got := outs[p][0].At(i, j); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%v %dx%dx%d act=%v seed %d: %s path has %v at (%d,%d), the definition gives %v", dt, m, kk, n, act.Kind, seed, names[p], got, i, j, want)
+					t.Fatalf("%dx%dx%d act=%v seed %d: %s path has %v at (%d,%d), the definition gives %v", m, kk, n, act.Kind, seed, names[p], got, i, j, want)
 				}
 			}
 		}
@@ -207,13 +197,11 @@ func edgesCase(t *testing.T, dt DType, m, kk, n int, act Act, seed uint64) {
 func TestVectorizedScalarBitIdentityEdges(t *testing.T) {
 	acts := []Act{{}, {Kind: ActReLU}, {Kind: ActLeakyReLU, Alpha: 0.2}}
 	seed := uint64(1000)
-	for _, bk := range Backends() {
-		for _, m := range []int{1, 2, 3, 4, 5, 8} {
-			for _, kk := range []int{7, mmKBlock - 1, mmKBlock, mmKBlock + 1, 936} {
-				for n := 1; n <= 17; n++ {
-					seed++
-					edgesCase(t, bk.DType(), m, kk, n, acts[seed%3], seed)
-				}
+	for _, m := range []int{1, 2, 3, 4, 5, 8} {
+		for _, kk := range []int{7, mmKBlock - 1, mmKBlock, mmKBlock + 1, 936} {
+			for n := 1; n <= 17; n++ {
+				seed++
+				edgesCase(t, m, kk, n, acts[seed%3], seed)
 			}
 		}
 	}
@@ -221,15 +209,14 @@ func TestVectorizedScalarBitIdentityEdges(t *testing.T) {
 
 // TestVectorizedScalarBitIdentityWidths sweeps the width through the column
 // groups' edges: w = 1…40 gives a last group of every size on each side of
-// the 16-lane float64 and 32-lane float32 zmm groups (and of the AVX2
-// groups, 8 and 16), for every activation — see widthCase.
+// the 16-lane zmm groups (and of the 8-lane AVX2 groups), for every
+// activation — see widthCase.
 func TestVectorizedScalarBitIdentityWidths(t *testing.T) {
 	acts := []Act{{}, {Kind: ActReLU}, {Kind: ActLeakyReLU, Alpha: 0.1}}
 	for w := 1; w <= 40; w++ {
 		for i, act := range acts {
 			seed := uint64(100*w + i)
-			widthCase[float64](t, w, act, seed)
-			widthCase[float32](t, w, act, seed)
+			widthCase(t, w, act, seed)
 		}
 	}
 }
@@ -246,8 +233,8 @@ func TestVectorizedScalarBitIdentityWidths(t *testing.T) {
 // differ. Then distinct NaN payloads meet in a multiply and in both adds.
 // Which payload survives is the first operand's, and which operand is first
 // in the pure-Go path is the compiler's choice, so that stage compares the
-// assembly paths with each other only: each keeps its dtype's operand order.
-func widthCase[T number](t *testing.T, w int, act Act, seed uint64) {
+// assembly paths with each other only.
+func widthCase(t *testing.T, w int, act Act, seed uint64) {
 	t.Helper()
 	const m, kk = 7, 12 // a block of four rows and one of three; whole k-groups, no tail
 	rng := NewRNG(seed)
@@ -257,20 +244,20 @@ func widthCase[T number](t *testing.T, w int, act Act, seed uint64) {
 			f()
 		}
 	}()
-	alloc := func(n int) []T {
-		s, free := guardpage.Alloc[T](n)
+	alloc := func(n int) []float64 {
+		s, free := guardpage.Alloc(n)
 		frees = append(frees, free)
 		for i := range s {
-			s[i] = T(rng.Norm())
+			s[i] = rng.Norm()
 		}
 		return s
 	}
-	special := func() T { return T(kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))]) }
-	negZero := T(math.Copysign(0, -1))
+	special := func() float64 { return kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))] }
+	negZero := math.Copysign(0, -1)
 
 	a := alloc(m * kk)
 	for k := range kk {
-		a[k] = T(math.Abs(float64(a[k])) + 0.25)
+		a[k] = math.Abs(a[k]) + 0.25
 	}
 	for s := 0; s < 4; s++ { // a lone zero in a group is applied, not skipped
 		a[kk*(2+s)+int(rng.Uint64()%kk)] = special()
@@ -296,12 +283,12 @@ func widthCase[T number](t *testing.T, w int, act Act, seed uint64) {
 	}
 	rb[int(rng.Uint64()%m)] = special()
 
-	run := func() (names []string, dense, tapped [][]T) {
+	run := func() (names []string, dense, tapped [][]float64) {
 		names, _ = kernelPaths(t, func() []*Mat {
 			d := alloc(m * w)
-			MatMulBiasActInto(wrapMat(m, w, d), wrapMat(m, kk, a), wrapMat(kk, w, b), wrapMat(1, w, start), act)
+			MatMulBiasActInto(FromSlice(m, w, d), FromSlice(m, kk, a), FromSlice(kk, w, b), FromSlice(1, w, start), act)
 			p := alloc(m * w)
-			KernelsOf[T]().MatMulTaps(p, w, a, m, planes, taps, w, rb, act)
+			Kernels{}.MatMulTaps(p, w, a, m, planes, taps, w, rb, act)
 			dense, tapped = append(dense, d), append(tapped, p)
 			return nil
 		})
@@ -311,41 +298,40 @@ func widthCase[T number](t *testing.T, w int, act Act, seed uint64) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < w; j++ {
 			row := a[i*kk : (i+1)*kk]
-			wantD := refProduct(start[j], row, func(k int) T { return b[k*w+j] }, nil, act)
-			wantT := refProduct(0, row, func(k int) T { return planes[off[k]+j] }, &rb[i], act)
+			wantD := refProduct(start[j], row, func(k int) float64 { return b[k*w+j] }, nil, act)
+			wantT := refProduct(0, row, func(k int) float64 { return planes[off[k]+j] }, &rb[i], act)
 			for p := range names {
-				if got := dense[p][i*w+j]; !sameBitsT(got, wantD) {
-					t.Fatalf("%T w=%d act=%v seed %d: dense (%d,%d) on the %s path is %v (%x), the definition gives %v (%x)", T(0), w, act.Kind, seed, i, j, names[p], got, math.Float64bits(float64(got)), wantD, math.Float64bits(float64(wantD)))
+				if got := dense[p][i*w+j]; !sameBits(got, wantD) {
+					t.Fatalf("w=%d act=%v seed %d: dense (%d,%d) on the %s path is %v (%x), the definition gives %v (%x)", w, act.Kind, seed, i, j, names[p], got, math.Float64bits(got), wantD, math.Float64bits(wantD))
 				}
-				if got := tapped[p][i*w+j]; !sameBitsT(got, wantT) {
-					t.Fatalf("%T w=%d act=%v seed %d: taps (%d,%d) on the %s path is %v (%x), the definition gives %v (%x)", T(0), w, act.Kind, seed, i, j, names[p], got, math.Float64bits(float64(got)), wantT, math.Float64bits(float64(wantT)))
+				if got := tapped[p][i*w+j]; !sameBits(got, wantT) {
+					t.Fatalf("w=%d act=%v seed %d: taps (%d,%d) on the %s path is %v (%x), the definition gives %v (%x)", w, act.Kind, seed, i, j, names[p], got, math.Float64bits(got), wantT, math.Float64bits(wantT))
 				}
 			}
 		}
 	}
 
 	// Row 1 against column 0 of the Dense b, both finite but for a NaN apiece
-	// at k = 3: the multiply keeps the float64 coefficient's payload and the
-	// float32 b's.
+	// at k = 3: the multiply keeps the coefficient's payload.
 	for k := range kk {
 		a[kk+k], b[k*w] = 1, 1
 	}
 	start[0] = 0.5
-	a[kk+3], b[3*w] = nanPayload[T](0x1a1), nanPayload[T](0x2b2)
+	a[kk+3], b[3*w] = nanPayload(0x1a1), nanPayload(0x2b2)
 	// The last column's start against a NaN product at k = 7, and the tap
 	// product's NaN sum in row 2 against its row bias: adds keep the sum's.
 	if w > 1 {
-		start[w-1], b[7*w+w-1] = nanPayload[T](0x3c3), nanPayload[T](0x4d4)
+		start[w-1], b[7*w+w-1] = nanPayload(0x3c3), nanPayload(0x4d4)
 	}
-	planes[off[0]], rb[2] = nanPayload[T](0x5e5), nanPayload[T](0x6f6)
+	planes[off[0]], rb[2] = nanPayload(0x5e5), nanPayload(0x6f6)
 	names, dense, tapped = run()
 	asm := len(names) - 1 // every path but the pure-Go one, which is last
 	for p := 1; p < asm; p++ {
 		for e := range dense[0] {
-			if !sameBitsT(dense[p][e], dense[0][e]) || !sameBitsT(tapped[p][e], tapped[0][e]) {
-				t.Fatalf("%T w=%d act=%v seed %d, NaN payloads: element %d is dense %x / taps %x on the %s path, %x / %x on the %s path", T(0), w, act.Kind, seed, e,
-					math.Float64bits(float64(dense[p][e])), math.Float64bits(float64(tapped[p][e])), names[p],
-					math.Float64bits(float64(dense[0][e])), math.Float64bits(float64(tapped[0][e])), names[0])
+			if !sameBits(dense[p][e], dense[0][e]) || !sameBits(tapped[p][e], tapped[0][e]) {
+				t.Fatalf("w=%d act=%v seed %d, NaN payloads: element %d is dense %x / taps %x on the %s path, %x / %x on the %s path", w, act.Kind, seed, e,
+					math.Float64bits(dense[p][e]), math.Float64bits(tapped[p][e]), names[p],
+					math.Float64bits(dense[0][e]), math.Float64bits(tapped[0][e]), names[0])
 			}
 		}
 	}
@@ -353,7 +339,7 @@ func widthCase[T number](t *testing.T, w int, act Act, seed uint64) {
 
 // TestMatMulAccParity holds the every-term product to a plain triple loop,
 // bit for bit on every kernel path: one and two register blocks (m 1–6), every
-// width through the column groups' edges of both dtypes (w 1–33), strided
+// width through the column groups' edges (w 1–33), strided
 // coefficients both ways, sums that start from zero or carry on from dst.
 // See accCase.
 func TestMatMulAccParity(t *testing.T) {
@@ -362,8 +348,7 @@ func TestMatMulAccParity(t *testing.T) {
 		for _, kk := range []int{1, 3, 8, 13} {
 			for w := 1; w <= 33; w++ {
 				seed++
-				accCase[float64](t, m, kk, w, seed%2 == 0, seed)
-				accCase[float32](t, m, kk, w, seed%2 == 0, seed)
+				accCase(t, m, kk, w, seed%2 == 0, seed)
 			}
 		}
 	}
@@ -377,7 +362,7 @@ func TestMatMulAccParity(t *testing.T) {
 // (the carried dst, a NaN product), and the assembly paths must agree with
 // each other: as in widthCase, the pure-Go path's operand order is the
 // compiler's.
-func accCase[T number](t *testing.T, m, kk, w int, first bool, seed uint64) {
+func accCase(t *testing.T, m, kk, w int, first bool, seed uint64) {
 	t.Helper()
 	rng := NewRNG(seed)
 	var frees []func()
@@ -386,11 +371,11 @@ func accCase[T number](t *testing.T, m, kk, w int, first bool, seed uint64) {
 			f()
 		}
 	}()
-	alloc := func(n int) []T {
-		s, free := guardpage.Alloc[T](n)
+	alloc := func(n int) []float64 {
+		s, free := guardpage.Alloc(n)
 		frees = append(frees, free)
 		for i := range s {
-			s[i] = T(rng.Norm())
+			s[i] = rng.Norm()
 		}
 		return s
 	}
@@ -405,19 +390,19 @@ func accCase[T number](t *testing.T, m, kk, w int, first bool, seed uint64) {
 			a[i*ai+k*ak] = 0
 		}
 	}
-	b[(min(4, kk)-1)*bn+int(seed%uint64(w))] = T(math.Inf(1))
-	b[int(seed/3%uint64(w))] = T(kernelSpecials[0])
+	b[(min(4, kk)-1)*bn+int(seed%uint64(w))] = math.Inf(1)
+	b[int(seed/3%uint64(w))] = kernelSpecials[0]
 	for s := 0; s < 3; s++ {
-		b[int(rng.Uint64()%uint64(len(b)))] = T(kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))])
+		b[int(rng.Uint64()%uint64(len(b)))] = kernelSpecials[int(rng.Uint64()%uint64(len(kernelSpecials)))]
 	}
 	dst0 := alloc((m-1)*dn + w)
-	dst0[int(rng.Uint64()%uint64(len(dst0)))] = T(kernelSpecials[int(seed%uint64(len(kernelSpecials)))])
+	dst0[int(rng.Uint64()%uint64(len(dst0)))] = kernelSpecials[int(seed%uint64(len(kernelSpecials)))]
 
-	run := func() (names []string, outs [][]T) {
+	run := func() (names []string, outs [][]float64) {
 		names, _ = kernelPaths(t, func() []*Mat {
 			dst := alloc(len(dst0))
 			copy(dst, dst0)
-			KernelsOf[T]().MatMulAcc(dst, dn, a, m, ai, ak, b, bn, kk, w, first)
+			Kernels{}.MatMulAcc(dst, dn, a, m, ai, ak, b, bn, kk, w, first)
 			outs = append(outs, dst)
 			return nil
 		})
@@ -426,54 +411,41 @@ func accCase[T number](t *testing.T, m, kk, w int, first bool, seed uint64) {
 	names, outs := run()
 	for i := 0; i < m; i++ {
 		for j := 0; j < w; j++ {
-			var want T
+			var want float64
 			if !first {
 				want = dst0[i*dn+j]
 			}
 			for k := 0; k < kk; k++ {
-				want = T(want + T(a[i*ai+k*ak]*b[k*bn+j]))
+				want = float64(want + float64(a[i*ai+k*ak]*b[k*bn+j]))
 			}
 			for p, dst := range outs {
-				if got := dst[i*dn+j]; !sameBitsT(got, want) {
-					t.Fatalf("%T %dx%dx%d first=%v seed %d: %s path has %v (%x) at (%d,%d), the triple loop gives %v (%x)", T(0), m, kk, w, first, seed, names[p], got, math.Float64bits(float64(got)), i, j, want, math.Float64bits(float64(want)))
+				if got := dst[i*dn+j]; !sameBits(got, want) {
+					t.Fatalf("%dx%dx%d first=%v seed %d: %s path has %v (%x) at (%d,%d), the triple loop gives %v (%x)", m, kk, w, first, seed, names[p], got, math.Float64bits(got), i, j, want, math.Float64bits(want))
 				}
 			}
 		}
 	}
 
-	a[(m-1)*ai+(kk-1)*ak], b[(kk-1)*bn] = nanPayload[T](0x1a1), nanPayload[T](0x2b2)
-	dst0[(m-1)*dn+w-1], b[(kk-1)*bn+w-1] = nanPayload[T](0x3c3), nanPayload[T](0x4d4)
+	a[(m-1)*ai+(kk-1)*ak], b[(kk-1)*bn] = nanPayload(0x1a1), nanPayload(0x2b2)
+	dst0[(m-1)*dn+w-1], b[(kk-1)*bn+w-1] = nanPayload(0x3c3), nanPayload(0x4d4)
 	names, outs = run()
 	for p := 1; p < len(names)-1; p++ { // every path but the pure-Go one, which is last
 		for e := range outs[0] {
-			if !sameBitsT(outs[p][e], outs[0][e]) {
-				t.Fatalf("%T %dx%dx%d first=%v seed %d, NaN payloads: element %d is %x on the %s path, %x on the %s path", T(0), m, kk, w, first, seed, e,
-					math.Float64bits(float64(outs[p][e])), names[p], math.Float64bits(float64(outs[0][e])), names[0])
+			if !sameBits(outs[p][e], outs[0][e]) {
+				t.Fatalf("%dx%dx%d first=%v seed %d, NaN payloads: element %d is %x on the %s path, %x on the %s path", m, kk, w, first, seed, e,
+					math.Float64bits(outs[p][e]), names[p], math.Float64bits(outs[0][e]), names[0])
 			}
 		}
 	}
 }
 
-// wrapMat returns s as an r×c matrix of its element type.
-func wrapMat[T number](r, c int, s []T) *Mat {
-	if s, ok := any(s).([]float32); ok {
-		return FromSlice32(r, c, s)
-	}
-	return FromSlice(r, c, any(s).([]float64))
-}
-
-// nanPayload returns the quiet NaN of T with payload p (p < 2²²).
-func nanPayload[T number](p uint32) T {
-	if _, ok := any(T(0)).(float32); ok {
-		return T(math.Float32frombits(0x7fc00000 | p))
-	}
-	return T(math.Float64frombits(0x7ff8000000000000 | uint64(p)))
-}
+// nanPayload returns the quiet NaN with payload p.
+func nanPayload(p uint32) float64 { return math.Float64frombits(0x7ff8000000000000 | uint64(p)) }
 
 // TestMatMulTapsBounds: a table that reaches past b, and operands too short
 // for the shape, must panic in Go before the assembly runs.
 func TestMatMulTapsBounds(t *testing.T) {
-	kern := KernelsOf[float64]()
+	var kern Kernels
 	taps := NewTaps([]int{0, 5, 9})
 	cases := map[string]func(){
 		"b short": func() {

@@ -1,8 +1,8 @@
 // Package tensor provides the dense matrix and vector primitives that the
 // neural-network substrate and the drift-detection algorithms are built on.
-// It is deliberately small: row-major matrices, a handful of BLAS-like
-// kernels behind a per-dtype Backend seam (one tiled loop nest per product,
-// instantiated for float64 and float32, with AVX2 row updates on amd64), and
+// It is deliberately small: row-major float64 matrices, a handful of
+// BLAS-like kernels (one tiled loop nest per product, with AVX2 and AVX-512F
+// paths on amd64 that reproduce the pure-Go sums bit for bit), and
 // deterministic random initialisation helpers.
 package tensor
 
@@ -11,13 +11,11 @@ import (
 	"math"
 )
 
-// Mat is a dense, row-major matrix with R rows and C columns. A Mat with
-// R==1 doubles as a vector. Exactly one of V (float64) or V32 (float32) is
-// non-nil; DType reports which. The zero value is an empty float64 matrix.
+// Mat is a dense, row-major float64 matrix with R rows and C columns. A Mat
+// with R==1 doubles as a vector. The zero value is an empty matrix.
 type Mat struct {
 	R, C int
 	V    []float64
-	V32  []float32
 }
 
 // New returns an all-zero matrix with r rows and c columns.
@@ -39,48 +37,46 @@ func FromSlice(r, c int, v []float64) *Mat {
 // FromVec wraps v (not copied) as a 1-by-len(v) row vector.
 func FromVec(v []float64) *Mat { return &Mat{R: 1, C: len(v), V: v} }
 
-// At returns the element at row i, column j, widened to float64.
-func (m *Mat) At(i, j int) float64 { return m.at(i*m.C + j) }
+// Len returns the element count.
+func (m *Mat) Len() int { return len(m.V) }
 
-// Set assigns the element at row i, column j, narrowing if m is float32.
-func (m *Mat) Set(i, j int, v float64) { m.set(i*m.C+j, v) }
+// At returns the element at row i, column j.
+func (m *Mat) At(i, j int) float64 { return m.V[i*m.C+j] }
 
-// Row returns row i of a float64 matrix as a slice aliasing the storage.
-// See Row32 / Row64 for float32 matrices.
+// Set assigns the element at row i, column j.
+func (m *Mat) Set(i, j int, v float64) { m.V[i*m.C+j] = v }
+
+// Row returns row i as a slice aliasing the storage.
 func (m *Mat) Row(i int) []float64 { return m.V[i*m.C : (i+1)*m.C] }
 
-// Clone returns a deep copy of m, preserving its dtype.
+// SetRow copies src into row i.
+func (m *Mat) SetRow(i int, src []float64) {
+	if len(src) != m.C {
+		panic("tensor: SetRow length mismatch")
+	}
+	copy(m.Row(i), src)
+}
+
+// Clone returns a deep copy of m.
 func (m *Mat) Clone() *Mat {
-	out := NewOf(m.DType(), m.R, m.C)
+	out := New(m.R, m.C)
 	copy(out.V, m.V)
-	copy(out.V32, m.V32)
 	return out
 }
 
-// CopyFrom copies src's contents into m, converting if the dtypes differ.
-// Shapes must match.
+// CopyFrom copies src's contents into m. Shapes must match.
 func (m *Mat) CopyFrom(src *Mat) {
-	ConvertInto(m, src)
+	m.mustSameShape(src)
+	copy(m.V, src.V)
 }
 
 // Zero sets every element to 0.
-func (m *Mat) Zero() {
-	for i := range m.V {
-		m.V[i] = 0
-	}
-	for i := range m.V32 {
-		m.V32[i] = 0
-	}
-}
+func (m *Mat) Zero() { clear(m.V) }
 
 // Fill sets every element to v.
 func (m *Mat) Fill(v float64) {
 	for i := range m.V {
 		m.V[i] = v
-	}
-	v32 := float32(v)
-	for i := range m.V32 {
-		m.V32[i] = v32
 	}
 }
 
@@ -90,40 +86,19 @@ func (m *Mat) mustSameShape(o *Mat) {
 	}
 }
 
-// Add adds o element-wise into m (m += o). Mixed dtypes are supported —
-// the mixed-precision training path accumulates float32 gradients into
-// float64 master parameters through exactly this entry point.
+// Add adds o element-wise into m (m += o).
 func (m *Mat) Add(o *Mat) {
 	m.mustSameShape(o)
-	switch {
-	case m.V32 == nil && o.V32 == nil:
-		for i, v := range o.V {
-			m.V[i] += v
-		}
-	case m.V32 != nil && o.V32 != nil:
-		addSlices(m.V32, o.V32)
-	case m.V32 == nil:
-		addSlices(m.V, o.V32)
-	default:
-		addSlices(m.V32, o.V)
+	for i, v := range o.V {
+		m.V[i] += v
 	}
 }
 
-// Sub subtracts o element-wise from m (m -= o). Mixed dtypes convert
-// element-wise like Add.
+// Sub subtracts o element-wise from m (m -= o).
 func (m *Mat) Sub(o *Mat) {
 	m.mustSameShape(o)
-	switch {
-	case m.V32 == nil && o.V32 == nil:
-		for i, v := range o.V {
-			m.V[i] -= v
-		}
-	case m.V32 != nil && o.V32 != nil:
-		subSlices(m.V32, o.V32)
-	case m.V32 == nil:
-		subSlices(m.V, o.V32)
-	default:
-		subSlices(m.V32, o.V)
+	for i, v := range o.V {
+		m.V[i] -= v
 	}
 }
 
@@ -132,75 +107,47 @@ func (m *Mat) Scale(s float64) {
 	for i := range m.V {
 		m.V[i] *= s
 	}
-	if m.V32 != nil {
-		s32 := float32(s)
-		for i := range m.V32 {
-			m.V32[i] *= s32
-		}
-	}
 }
 
-// AddScaled performs m += s*o. Mixed dtypes convert element-wise like Add;
-// when m is float32 the scale itself rounds to float32 first.
+// AddScaled performs m += s*o.
 func (m *Mat) AddScaled(s float64, o *Mat) {
 	m.mustSameShape(o)
-	switch {
-	case m.V32 == nil && o.V32 == nil:
-		for i, v := range o.V {
-			m.V[i] += s * v
-		}
-	case m.V32 != nil && o.V32 != nil:
-		addScaledSlices(m.V32, float32(s), o.V32)
-	case m.V32 == nil:
-		addScaledSlices(m.V, s, o.V32)
-	default:
-		addScaledSlices(m.V32, float32(s), o.V)
+	for i, v := range o.V {
+		m.V[i] += s * v
 	}
 }
 
 // Hadamard multiplies m element-wise by o (m ⊙= o).
 func (m *Mat) Hadamard(o *Mat) {
 	m.mustSameShape(o)
-	switch {
-	case m.V32 == nil && o.V32 == nil:
-		for i, v := range o.V {
-			m.V[i] *= v
-		}
-	case m.V32 != nil && o.V32 != nil:
-		mulSlices(m.V32, o.V32)
-	case m.V32 == nil:
-		mulSlices(m.V, o.V32)
-	default:
-		mulSlices(m.V32, o.V)
+	for i, v := range o.V {
+		m.V[i] *= v
 	}
 }
 
-// MatMul returns a new matrix holding m×o, in the operands' dtype.
+// MatMul returns a new matrix holding m×o.
 func MatMul(a, b *Mat) *Mat {
 	if a.C != b.R {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d × %dx%d", a.R, a.C, b.R, b.C))
 	}
-	out := NewOf(a.DType(), a.R, b.C)
+	out := New(a.R, b.C)
 	MatMulInto(out, a, b)
 	return out
 }
 
-// MatMulInto computes dst = a×b, reusing dst's storage. All operands must
-// share a dtype — the matching backend's kernel runs. dst must not alias a
-// or b.
+// MatMulInto computes dst = a×b, reusing dst's storage. dst must not alias
+// a or b.
 func MatMulInto(dst, a, b *Mat) {
 	if a.C != b.R || dst.R != a.R || dst.C != b.C {
 		panic("tensor: matmul-into shape mismatch")
 	}
-	dt := dst.DType()
-	mustSameDType(dt, a, b)
-	For(dt).MatMulBias(dst, a, b, nil, Act{})
+	mmAxpy(dst.V, a.V, b.V, nil, a.R, a.C, b.C, a.C, 1, Act{})
 }
 
 // MatMulBiasInto computes dst = a×b + bias, with the row-vector bias
 // broadcast over dst's rows and folded into the accumulation so the result
-// needs no second pass. bias must hold dst.C elements in the operands'
-// dtype. dst must not alias a or b.
+// needs no second pass. bias must hold dst.C elements. dst must not alias a
+// or b.
 func MatMulBiasInto(dst, a, b, bias *Mat) { MatMulBiasActInto(dst, a, b, bias, Act{}) }
 
 // MatMulBiasActInto computes dst = act(a×b + bias): MatMulBiasInto with the
@@ -212,36 +159,28 @@ func MatMulBiasActInto(dst, a, b, bias *Mat, act Act) {
 	if bias.Len() != dst.C {
 		panic("tensor: matmul bias length mismatch")
 	}
-	dt := dst.DType()
-	mustSameDType(dt, a, b, bias)
-	For(dt).MatMulBias(dst, a, b, bias, act)
+	mmAxpy(dst.V, a.V, b.V, bias.V, a.R, a.C, b.C, a.C, 1, act)
 }
 
-// MatMulATInto computes dst = aᵀ×b. All operands must share a dtype. dst
-// must not alias a or b.
+// MatMulATInto computes dst = aᵀ×b. dst must not alias a or b.
 func MatMulATInto(dst, a, b *Mat) {
 	if a.R != b.R || dst.R != a.C || dst.C != b.C {
 		panic("tensor: matmul-aT shape mismatch")
 	}
-	dt := dst.DType()
-	mustSameDType(dt, a, b)
-	For(dt).MatMulAT(dst, a, b)
+	mmAxpy(dst.V, a.V, b.V, nil, a.C, a.R, b.C, 1, a.C, Act{})
 }
 
-// MatMulBTInto computes dst = a×bᵀ. All operands must share a dtype. dst
-// must not alias a or b.
+// MatMulBTInto computes dst = a×bᵀ. dst must not alias a or b.
 func MatMulBTInto(dst, a, b *Mat) {
 	if a.C != b.C || dst.R != a.R || dst.C != b.R {
 		panic("tensor: matmul-bT shape mismatch")
 	}
-	dt := dst.DType()
-	mustSameDType(dt, a, b)
-	For(dt).MatMulBT(dst, a, b)
+	mmBT(dst.V, a.V, b.V, a.R, a.C, b.R)
 }
 
-// Transpose returns a new matrix holding mᵀ, preserving the dtype.
+// Transpose returns a new matrix holding mᵀ.
 func (m *Mat) Transpose() *Mat {
-	out := NewOf(m.DType(), m.C, m.R)
+	out := New(m.C, m.R)
 	for i := 0; i < m.R; i++ {
 		for j := 0; j < m.C; j++ {
 			out.Set(j, i, m.At(i, j))
@@ -250,15 +189,11 @@ func (m *Mat) Transpose() *Mat {
 	return out
 }
 
-// Sum returns the sum of all elements, accumulated in float64 regardless
-// of storage dtype.
+// Sum returns the sum of all elements.
 func (m *Mat) Sum() float64 {
 	var s float64
 	for _, v := range m.V {
 		s += v
-	}
-	for _, v := range m.V32 {
-		s += float64(v)
 	}
 	return s
 }
@@ -279,23 +214,14 @@ func (m *Mat) MaxAbs() float64 {
 			s = a
 		}
 	}
-	for _, v := range m.V32 {
-		if a := math.Abs(float64(v)); a > s {
-			s = a
-		}
-	}
 	return s
 }
 
-// Norm2 returns the Euclidean norm of all elements, accumulated in float64.
+// Norm2 returns the Euclidean norm of all elements.
 func (m *Mat) Norm2() float64 {
 	var s float64
 	for _, v := range m.V {
 		s += v * v
-	}
-	for _, v := range m.V32 {
-		f := float64(v)
-		s += f * f
 	}
 	return math.Sqrt(s)
 }

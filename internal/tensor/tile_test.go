@@ -39,7 +39,7 @@ func kernelPaths(t *testing.T, fn func() []*Mat) (names []string, outs [][]*Mat)
 			continue
 		}
 		if !p.tile {
-			rows64.tile, rows32.tile = nil, nil
+			ops.tile = nil
 		}
 		names = append(names, p.name)
 		outs = append(outs, fn())
@@ -52,17 +52,11 @@ func kernelPaths(t *testing.T, fn func() []*Mat) (names []string, outs [][]*Mat)
 // apiece adds up to the kernel's limit over a whole table.
 type guarded struct{ frees []func() }
 
-// mat returns an r×c matrix of dt filled from rng.
-func (g *guarded) mat(dt DType, r, c int, rng *RNG) *Mat {
-	var out *Mat
+// mat returns an r×c matrix filled from rng.
+func (g *guarded) mat(r, c int, rng *RNG) *Mat {
+	out := &Mat{R: r, C: c}
 	var free func()
-	if dt == F32 {
-		out = &Mat{R: r, C: c}
-		out.V32, free = guardpage.Alloc[float32](r * c)
-	} else {
-		out = &Mat{R: r, C: c}
-		out.V, free = guardpage.Alloc[float64](r * c)
-	}
+	out.V, free = guardpage.Alloc(r * c)
 	g.frees = append(g.frees, free)
 	rng.FillNormal(out, 1)
 	return out
@@ -81,21 +75,17 @@ func (g *guarded) free() {
 // raw form matches the matrix one. Every operand and result ends at a guard
 // page, so a tile that reads or writes past a row's last column faults.
 func tileProducts(t *testing.T, g *guarded, a, b, bias *Mat, seed uint64) []*Mat {
-	dt, m, n := a.DType(), a.R, b.C
+	m, n := a.R, b.C
 	rng := NewRNG(seed)
-	out := []*Mat{g.mat(dt, m, n, rng), g.mat(dt, m, n, rng), g.mat(dt, m, n, rng), g.mat(dt, m, n, rng)}
+	out := []*Mat{g.mat(m, n, rng), g.mat(m, n, rng), g.mat(m, n, rng), g.mat(m, n, rng)}
 	MatMulInto(out[0], a, b)
 	MatMulBiasInto(out[1], a, b, bias)
-	at := g.mat(dt, a.C, m, rng)
+	at := g.mat(a.C, m, rng)
 	at.CopyFrom(a.Transpose())
 	MatMulATInto(out[2], at, b)
-	if dt == F32 {
-		KernelsOf[float32]().MatMulAT(out[3].V32, at.V32, m, a.C, b.V32, n)
-	} else {
-		KernelsOf[float64]().MatMulAT(out[3].V, at.V, m, a.C, b.V, n)
-	}
+	Kernels{}.MatMulAT(out[3].V, at.V, m, a.C, b.V, n)
 	if !bitsEqual(out[3], out[2]) {
-		t.Fatalf("%v %dx%dx%d: Kernels.MatMulAT differs from MatMulATInto", dt, m, a.C, n)
+		t.Fatalf("%dx%dx%d: Kernels.MatMulAT differs from MatMulATInto", m, a.C, n)
 	}
 	return out
 }
@@ -121,31 +111,28 @@ func requireSameBits(t *testing.T, names []string, outs [][]*Mat, format string,
 // the b rows behind it: a tile that ran over a block it should have left to
 // the rows turns those into NaNs the rows never see.
 func TestVectorizedScalarBitIdentityShapes(t *testing.T) {
-	for _, bk := range Backends() {
-		dt := bk.DType()
-		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14} {
-			for _, kk := range []int{11, mmKBlock - 1, mmKBlock, mmKBlock + 1, mmKBlock + 4} {
-				for _, n := range []int{1, 7, 8, 9, 16, 17, 33, 84} {
-					for zpos := -1; zpos < mmTileRows; zpos++ { // -1: no skipped term anywhere
-						rng := NewRNG(uint64(m*1000 + kk*10 + n))
-						var g guarded
-						a, b, bias := g.mat(dt, m, kk, rng), g.mat(dt, kk, n, rng), g.mat(dt, 1, n, rng)
-						for i := zpos; zpos >= 0 && i < m; i += mmTileRows {
-							k0 := 4 * ((i / mmTileRows) % (kk / 4)) // a different group per block
-							for k := k0; k < k0+4; k++ {
-								a.Set(i, k, 0)
-							}
-							b.Set(k0+1, (i*5)%n, math.Inf(1))
-							b.Set(k0+2, (i*3+1)%n, math.NaN())
-							if kk%4 != 0 {
-								a.Set(i, kk-1, 0) // and one in the tail
-								b.Set(kk-1, (i*7+2)%n, math.Inf(-1))
-							}
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14} {
+		for _, kk := range []int{11, mmKBlock - 1, mmKBlock, mmKBlock + 1, mmKBlock + 4} {
+			for _, n := range []int{1, 7, 8, 9, 16, 17, 33, 84} {
+				for zpos := -1; zpos < mmTileRows; zpos++ { // -1: no skipped term anywhere
+					rng := NewRNG(uint64(m*1000 + kk*10 + n))
+					var g guarded
+					a, b, bias := g.mat(m, kk, rng), g.mat(kk, n, rng), g.mat(1, n, rng)
+					for i := zpos; zpos >= 0 && i < m; i += mmTileRows {
+						k0 := 4 * ((i / mmTileRows) % (kk / 4)) // a different group per block
+						for k := k0; k < k0+4; k++ {
+							a.Set(i, k, 0)
 						}
-						names, outs := kernelPaths(t, func() []*Mat { return tileProducts(t, &g, a, b, bias, 99) })
-						requireSameBits(t, names, outs, "%v %dx%dx%d zero group in row %d of each block:", dt, m, kk, n, zpos)
-						g.free()
+						b.Set(k0+1, (i*5)%n, math.Inf(1))
+						b.Set(k0+2, (i*3+1)%n, math.NaN())
+						if kk%4 != 0 {
+							a.Set(i, kk-1, 0) // and one in the tail
+							b.Set(kk-1, (i*7+2)%n, math.Inf(-1))
+						}
 					}
+					names, outs := kernelPaths(t, func() []*Mat { return tileProducts(t, &g, a, b, bias, 99) })
+					requireSameBits(t, names, outs, "%dx%dx%d zero group in row %d of each block:", m, kk, n, zpos)
+					g.free()
 				}
 			}
 		}
@@ -153,58 +140,56 @@ func TestVectorizedScalarBitIdentityShapes(t *testing.T) {
 }
 
 // TestVectorizedScalarBitIdentityRandom is the seeded differential test:
-// a few hundred random shapes and sparsities per dtype, specials sprinkled
+// a few hundred random shapes and sparsities, specials sprinkled
 // into b so that a term applied where the rows skip it cannot hide.
 func TestVectorizedScalarBitIdentityRandom(t *testing.T) {
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, 1e-42}
-	for _, bk := range Backends() {
-		dt := bk.DType()
-		rng := NewRNG(2024)
-		for c := 0; c < 300; c++ {
-			m := 1 + int(rng.Uint64()%19)
-			kk := 1 + int(rng.Uint64()%40)
-			if c%5 == 0 {
-				kk = mmKBlock - 8 + int(rng.Uint64()%40) // straddle the seam
-			}
-			n := 1 + int(rng.Uint64()%70)
-			var g guarded
-			a, b, bias := g.mat(dt, m, kk, rng), g.mat(dt, kk, n, rng), g.mat(dt, 1, n, rng)
-			// Zeros by the run, so whole groups vanish: none, a third, most.
-			density := []float64{0, 0.3, 0.9}[c%3]
-			for i := 0; i < a.Len(); {
-				run := 1 + int(rng.Uint64()%6)
-				if rng.Float64() < density {
-					for j := i; j < min(i+run, a.Len()); j++ {
-						a.set(j, 0)
-					}
-				}
-				i += run
-			}
-			for s := 0; s < c%4; s++ {
-				b.set(int(rng.Uint64()%uint64(b.Len())), specials[int(rng.Uint64()%uint64(len(specials)))])
-			}
-			names, outs := kernelPaths(t, func() []*Mat { return tileProducts(t, &g, a, b, bias, uint64(c)) })
-			requireSameBits(t, names, outs, "case %d %v %dx%dx%d density %.1f:", c, dt, m, kk, n, density)
-			g.free()
+	rng := NewRNG(2024)
+	for c := 0; c < 300; c++ {
+		m := 1 + int(rng.Uint64()%19)
+		kk := 1 + int(rng.Uint64()%40)
+		if c%5 == 0 {
+			kk = mmKBlock - 8 + int(rng.Uint64()%40) // straddle the seam
 		}
+		n := 1 + int(rng.Uint64()%70)
+		var g guarded
+		a, b, bias := g.mat(m, kk, rng), g.mat(kk, n, rng), g.mat(1, n, rng)
+		// Zeros by the run, so whole groups vanish: none, a third, most.
+		density := []float64{0, 0.3, 0.9}[c%3]
+		for i := 0; i < a.Len(); {
+			run := 1 + int(rng.Uint64()%6)
+			if rng.Float64() < density {
+				for j := i; j < min(i+run, a.Len()); j++ {
+					a.V[j] = 0
+				}
+			}
+			i += run
+		}
+		for s := 0; s < c%4; s++ {
+			i := rng.Uint64() % uint64(b.Len())
+			b.V[i] = specials[rng.Uint64()%uint64(len(specials))]
+		}
+		names, outs := kernelPaths(t, func() []*Mat { return tileProducts(t, &g, a, b, bias, uint64(c)) })
+		requireSameBits(t, names, outs, "case %d %dx%dx%d density %.1f:", c, m, kk, n, density)
+		g.free()
 	}
 }
 
 // gather2Guarded gathers rows runs of n outputs from a source whose last tap
 // is the last element before a guard page, with row strides wider than the
 // runs, and reports the first output that is not the plain loop's (-1: none).
-func gather2Guarded[T number](n, rows int) int {
+func gather2Guarded(n, rows int) int {
 	dn, sn := n+3, 2*n+5
-	src, free := guardpage.Alloc[T]((rows-1)*sn + 2*n - 1)
+	src, free := guardpage.Alloc((rows-1)*sn + 2*n - 1)
 	defer free()
 	for i := range src {
-		src[i] = T(i + 1)
+		src[i] = float64(i + 1)
 	}
-	dst := make([]T, rows*dn)
-	KernelsOf[T]().Gather2(dst, src, n, rows, dn, sn)
+	dst := make([]float64, rows*dn)
+	Kernels{}.Gather2(dst, src, n, rows, dn, sn)
 	for r := 0; r < rows; r++ {
 		for i := 0; i < dn; i++ {
-			var want T // past the run dst stays untouched
+			var want float64 // past the run dst stays untouched
 			if i < n {
 				want = src[r*sn+2*i]
 			}
@@ -217,15 +202,12 @@ func gather2Guarded[T number](n, rows int) int {
 }
 
 // TestGather2 pins the stride-2 gather to the plain loop it replaces: every
-// run length through two vector steps of either dtype, one row and several.
+// run length through four vector steps, one row and several.
 func TestGather2(t *testing.T) {
 	for n := 1; n <= 33; n++ {
 		for _, rows := range []int{1, 2, 5} {
-			if i := gather2Guarded[float64](n, rows); i >= 0 {
-				t.Fatalf("float64 n=%d rows=%d: element %d differs from the plain loop", n, rows, i)
-			}
-			if i := gather2Guarded[float32](n, rows); i >= 0 {
-				t.Fatalf("float32 n=%d rows=%d: element %d differs from the plain loop", n, rows, i)
+			if i := gather2Guarded(n, rows); i >= 0 {
+				t.Fatalf("n=%d rows=%d: element %d differs from the plain loop", n, rows, i)
 			}
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"odin/internal/detect"
 	"odin/internal/gan"
 	"odin/internal/nn"
+	"odin/internal/synth"
 	"odin/internal/tensor"
 )
 
@@ -209,6 +210,63 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestProcessRejectsBadFrame: a frame the models cannot run — nil, without
+// an image, of another C, H or W, or with the wrong pixel count — is
+// ErrFrameShape from Process, not a panic, and leaves the stream as it was:
+// its next good frame has the fingerprint a fresh server gives that frame.
+func TestProcessRejectsBadFrame(t *testing.T) {
+	ctx := context.Background()
+	boot := func() (*Server, *Stream) {
+		srv, err := New(fastServerOptions(8)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Bootstrap(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.OpenStream(ctx, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, st
+	}
+	srv, st := boot()
+	good := srv.GenerateFrames(NightData, 1)[0]
+	c, h, w := srv.FrameShape()
+	image := func(c, h, w, pix int) *Frame {
+		return &Frame{Image: &synth.Image{C: c, H: h, W: w, Pix: make([]float64, pix)}}
+	}
+	for _, tc := range []struct {
+		name string
+		f    *Frame
+	}{
+		{"nil frame", nil},
+		{"nil image", &Frame{}},
+		{"1x1x3", image(3, 1, 1, 3)},
+		{"channels", image(c+1, h, w, (c+1)*h*w)},
+		{"height", image(c, h-1, w, c*(h-1)*w)},
+		{"width", image(c, h, w+1, c*h*(w+1))},
+		{"pixels short", image(c, h, w, c*h*w-1)},
+		{"pixels long", image(c, h, w, c*h*w+1)},
+	} {
+		if _, err := st.Process(ctx, tc.f); !errors.Is(err, ErrFrameShape) {
+			t.Errorf("%s: Process returned %v, want ErrFrameShape", tc.name, err)
+		}
+	}
+	got, err := st.Process(ctx, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := boot()
+	want, err := fresh.Process(ctx, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("the first good frame after the rejected ones:\n got  %s\n want %s", got.Fingerprint(), want.Fingerprint())
+	}
+}
+
 func TestBootstrapHonoursCancelledContext(t *testing.T) {
 	srv, err := New(fastServerOptions(6)...)
 	if err != nil {
@@ -370,6 +428,83 @@ func TestRunMatchesSequentialProcess(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBackendDeterminismAcrossWorkers is TestRunMatchesSequentialProcess
+// on a second seed and stream length, run by itself under -race in CI:
+// sharded Run at 1, 4 and 8 workers must reproduce sequential Process bit
+// for bit — detections, drift events and stats. The kernels guarantee exact
+// reproducibility regardless of partitioning (DESIGN.md §8). The "float64"
+// level names the precision everything computes in.
+func TestBackendDeterminismAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow; CI's race job runs it by itself under -race")
+	}
+	const seed, perPhase = 17, 40
+	t.Run("float64", func(t *testing.T) {
+		opts := fastServerOptions(seed)
+		ref, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Bootstrap(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		frames := driftStream(ref, perPhase)
+		st, err := ref.OpenStream(context.Background(), StreamOptions{Name: "seq"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, len(frames))
+		for i, f := range frames {
+			r, err := st.Process(context.Background(), f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = r.Fingerprint()
+		}
+		wantStats := ref.Stats()
+		if wantStats.DriftEvents == 0 {
+			t.Fatal("drift stream produced no drift events; the determinism test would be vacuous")
+		}
+
+		for _, workers := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				srv, err := New(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.Bootstrap(context.Background(), nil); err != nil {
+					t.Fatal(err)
+				}
+				frames := driftStream(srv, perPhase)
+				stream, err := srv.OpenStream(context.Background(), StreamOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := make(chan *Frame)
+				go func() {
+					defer close(in)
+					for _, f := range frames {
+						in <- f
+					}
+				}()
+				got := 0
+				for res := range stream.Run(context.Background(), in) {
+					if key := res.Fingerprint(); key != want[got] {
+						t.Fatalf("frame %d diverged from sequential:\n got %s\nwant %s", got, key, want[got])
+					}
+					got++
+				}
+				if got != len(frames) {
+					t.Fatalf("received %d/%d results", got, len(frames))
+				}
+				if stats := srv.Stats(); !reflect.DeepEqual(stats, wantStats) {
+					t.Fatalf("stats diverged: got %+v want %+v", stats, wantStats)
+				}
+			})
+		}
+	})
 }
 
 func TestRunContextCancellation(t *testing.T) {

@@ -7,40 +7,7 @@ import (
 
 	"odin/internal/qos"
 	"odin/internal/query"
-	"odin/internal/tensor"
 )
-
-// Backend selects the numeric compute backend the server's models run on.
-type Backend int
-
-const (
-	// Float64 is the reference backend: float64 storage and kernels, its
-	// results bit-identical to the original scalar implementation (the row
-	// updates are vectorized on AVX2 hosts, in the same order). The default.
-	Float64 Backend = iota
-	// Float32 stores activations and frame batches in float32 and runs the
-	// same kernels at twice the lanes per vector and half the memory
-	// traffic — 1.5–2× the float64 matmul throughput — at float32
-	// precision. Master weights and gradient accumulation stay float64; see
-	// DESIGN.md §8 for the determinism contract and tolerance audit.
-	Float32
-)
-
-// dtype maps the public Backend to the internal tensor dtype.
-func (b Backend) dtype() tensor.DType {
-	if b == Float32 {
-		return tensor.F32
-	}
-	return tensor.F64
-}
-
-// String names the backend as it appears in benchmark reports.
-func (b Backend) String() string {
-	if b == Float32 {
-		return "float32"
-	}
-	return "float64"
-}
 
 // config is the resolved Server configuration. Options validate eagerly so
 // New can reject a bad configuration before any training happens.
@@ -60,7 +27,6 @@ type config struct {
 	dispatchLinger   time.Duration
 	trainAsync       bool
 	labelDelay       int // 0: keep the specializer default
-	backend          Backend
 	fleet            *FleetRecovery
 
 	maxQueue      int // 0: no admission queue (Run reads its input channel directly)
@@ -327,21 +293,6 @@ func WithFleetRecovery(fr FleetRecovery) Option {
 		}
 		c.fleet = &fr
 		c.trainAsync = true
-		return nil
-	}
-}
-
-// WithBackend selects the numeric compute backend (default Float64). The
-// choice applies to every model the server trains and serves — the DA-GAN
-// projector, the baseline detector and all recovery models. Within either
-// backend, results are bit-identical across worker counts; across backends
-// they agree to float32 precision (DESIGN.md §8).
-func WithBackend(b Backend) Option {
-	return func(c *config) error {
-		if b != Float64 && b != Float32 {
-			return fmt.Errorf("odin: unknown backend %d", int(b))
-		}
-		c.backend = b
 		return nil
 	}
 }

@@ -3,9 +3,10 @@ package odin
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -274,89 +275,45 @@ func TestCheckpointAfterClose(t *testing.T) {
 	}
 }
 
-// TestRestoreCrossBackend audits the cross-dtype restore contract: a
-// checkpoint written under Float64 restores under Float32 (same float64
-// master weights served by float32 kernels) and replays the drift tail
-// within the DESIGN.md §8 tolerance envelope — identical drift behaviour,
-// detection scores within 1e-2 — while the f32 replica itself stays
-// bit-identical across worker counts.
-func TestRestoreCrossBackend(t *testing.T) {
+// TestRestoreLegacyDTypeByte: header byte 12 is reserved, and older
+// writers stored their compute dtype there (1: float32). A checkpoint whose
+// byte says float32 — its CRC trailer recomputed, so only that byte differs
+// — must restore and replay the drift tail with the fingerprints of the
+// unmodified checkpoint, frame for frame.
+func TestRestoreLegacyDTypeByte(t *testing.T) {
 	const seed, perPhase = 11, 60
-	ckpt, frames, _, cutAt, wantStats := checkpointedRun(t, seed, perPhase)
-	tail := frames[cutAt:]
+	ckpt, frames, _, cutAt, _ := checkpointedRun(t, seed, perPhase)
+	legacy := append([]byte(nil), ckpt...)
+	legacy[12] = 1
+	n := len(legacy) - 4
+	binary.LittleEndian.PutUint32(legacy[n:], crc32.ChecksumIEEE(legacy[:n]))
+	if _, b, err := checkpoint.Read(bytes.NewReader(legacy)); err != nil || b != 1 {
+		t.Fatalf("the edited envelope does not read back with byte 12 = 1: byte %d, %v", b, err)
+	}
 
-	replay := func(backend Backend, workers int) (*Server, []Result) {
-		srv, err := Restore(bytes.NewReader(ckpt), append(fastServerOptions(seed), WithBackend(backend))...)
+	replay := func(data []byte) []string {
+		srv, err := Restore(bytes.NewReader(data), fastServerOptions(seed)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := srv.OpenStream(context.Background(), StreamOptions{Workers: workers})
+		st, err := srv.OpenStream(context.Background(), StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var results []Result
-		for _, f := range tail {
+		var fps []string
+		for _, f := range frames[cutAt:] {
 			r, err := st.Process(context.Background(), f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			results = append(results, r)
+			fps = append(fps, r.Fingerprint())
 		}
-		return srv, results
+		return fps
 	}
-
-	srv64, res64 := replay(Float64, 1)
-	srv32, res32 := replay(Float32, 1)
-
-	// Aggregate drift behaviour must agree exactly.
-	if srv64.NumClusters() != srv32.NumClusters() {
-		t.Errorf("cluster counts diverged: f64=%d f32=%d", srv64.NumClusters(), srv32.NumClusters())
-	}
-	if a, b := srv64.Stats(), srv32.Stats(); a.DriftEvents != b.DriftEvents || a.Frames != b.Frames {
-		t.Errorf("stats diverged: f64=%+v f32=%+v", a, b)
-	}
-	if got := srv64.Stats(); !reflect.DeepEqual(got, wantStats) {
-		t.Fatalf("f64 replay stats diverged from uninterrupted run: got %+v want %+v", got, wantStats)
-	}
-
-	// Detection-level agreement within the §8 envelope.
-	mismatched := 0
-	var maxScoreDelta float64
-	for i := range res64 {
-		d64, d32 := res64[i].Detections, res32[i].Detections
-		if len(d64) != len(d32) {
-			mismatched++
-			continue
-		}
-		for j := range d64 {
-			if d64[j].Box.Class != d32[j].Box.Class {
-				mismatched++
-				break
-			}
-			if d := math.Abs(d64[j].Score - d32[j].Score); d > maxScoreDelta {
-				maxScoreDelta = d
-			}
-		}
-	}
-	if mismatched > len(res64)/10 {
-		t.Errorf("%d/%d frames disagree across backends (allow ≤10%%)", mismatched, len(res64))
-	}
-	if maxScoreDelta > 1e-2 {
-		t.Errorf("max detection score delta %g across backends exceeds 1e-2", maxScoreDelta)
-	}
-
-	// Within the f32 backend, the restored replica is bit-identical across
-	// worker counts.
-	want32 := make([]string, len(res32))
-	for i, r := range res32 {
-		want32[i] = r.Fingerprint()
-	}
-	for _, workers := range []int{4, 8} {
-		_, res := replay(Float32, workers)
-		for i, r := range res {
-			if got := r.Fingerprint(); got != want32[i] {
-				t.Fatalf("f32 frame %d diverged at workers=%d:\n got  %s\n want %s", i, workers, got, want32[i])
-			}
+	want, got := replay(ckpt), replay(legacy)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("frame %d diverged under the float32 byte:\n got  %s\n want %s", cutAt+i, got[i], want[i])
 		}
 	}
 }

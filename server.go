@@ -38,6 +38,10 @@ var (
 	// admission queue to offer into — the server was built without
 	// WithMaxQueue, or the stream has no active Run session.
 	ErrNoAdmission = errors.New("odin: no admission queue (WithMaxQueue unset or no active Run session)")
+	// ErrFrameShape is returned by Stream.Process for a frame the models
+	// cannot run: nil, without an image, or not of Server.FrameShape() — a
+	// different C, H or W, or len(Pix) ≠ C·H·W. The frame is not processed.
+	ErrFrameShape = errors.New("odin: frame does not have the server's shape")
 )
 
 // Server is a running ODIN service instance. It owns the bootstrapped
@@ -117,6 +121,20 @@ func (s *Server) FrameShape() (c, h, w int) {
 	return 3, s.scene.H, s.scene.W
 }
 
+// checkFrame returns ErrFrameShape, wrapped with what is wrong, unless f is
+// a frame of the server's shape.
+func (s *Server) checkFrame(f *Frame) error {
+	if f == nil || f.Image == nil {
+		return fmt.Errorf("%w: nil frame or image", ErrFrameShape)
+	}
+	c, h, w := s.FrameShape()
+	if im := f.Image; im.C != c || im.H != h || im.W != w || len(im.Pix) != c*h*w {
+		return fmt.Errorf("%w: %dx%dx%d with %d pixels, the server's frames are %dx%dx%d",
+			ErrFrameShape, im.C, im.H, im.W, len(im.Pix), c, h, w)
+	}
+	return nil
+}
+
 // Bootstrap trains the DA-GAN projection and the heavyweight baseline
 // detector side by side, then assembles the drift pipeline. When boot is
 // nil, bootstrap frames are generated from the full domain distribution
@@ -161,11 +179,9 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 		Hidden:   []int{128, 48},
 		LR:       0.001,
 		Seed:     s.cfg.seed + 7,
-		DType:    s.cfg.backend.dtype(),
 	}
 	baseCfg := detect.YOLOConfig(s.scene.H, s.scene.W)
 	baseCfg.Seed = s.cfg.seed + 9
-	baseCfg.DType = s.cfg.backend.dtype()
 	baseline := detect.NewGridDetector(baseCfg)
 	// The two trainings share only the boot frames, which both read, and
 	// each draws from its own seeded RNG: side by side, each ends with the
@@ -217,7 +233,6 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, restored *core.PipelineState, regState *registry.State) (*core.Odin, *dispatch.Trainer, *registry.Registry, *dispatch.Batcher, error) {
 	cfg := core.DefaultConfig(s.scene)
 	cfg.Cluster.MaxClusters = s.cfg.maxModels
-	cfg.Spec.DType = s.cfg.backend.dtype()
 	cfg.DriftRecovery = s.cfg.driftRecovery
 	cfg.AsyncTrain = s.cfg.trainAsync
 	if s.cfg.labelDelay > 0 {

@@ -200,7 +200,9 @@ func (st *Stream) closedNow() bool {
 func (st *Stream) Name() string { return st.name }
 
 // Process runs one frame through the drift-aware pipeline synchronously
-// and returns its result. It honours ctx before starting (not mid-frame).
+// and returns its result. It honours ctx before starting (not mid-frame). A
+// frame not of Server.FrameShape() is rejected with ErrFrameShape and leaves
+// the stream as it was.
 func (st *Stream) Process(ctx context.Context, f *Frame) (Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -212,6 +214,9 @@ func (st *Stream) Process(ctx context.Context, f *Frame) (Result, error) {
 	}
 	p, err := st.srv.pipe()
 	if err != nil {
+		return Result{}, err
+	}
+	if err := st.srv.checkFrame(f); err != nil {
 		return Result{}, err
 	}
 	return p.Process(f), nil
