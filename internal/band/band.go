@@ -1,7 +1,7 @@
 // Package band implements the ∆-band machinery of paper §4.1: histograms
-// of normalised centroid distances, high-density bands (Equation 1), the KL
-// divergence drift signal (Equation 2) and an online stability tracker that
-// decides when a temporary cluster has stabilised into a new concept.
+// of normalised centroid distances, high-density bands (Equation 1) and the
+// KL divergence drift signal (Equation 2). The stability decision built on
+// that signal lives in cluster.Set.
 package band
 
 import (
@@ -23,9 +23,6 @@ func NewHistogram(bins int) *Histogram {
 	return &Histogram{Counts: make([]float64, bins)}
 }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.Counts) }
-
 // binOf maps a distance in [0,1] to its bin, clamping out-of-range values.
 func (h *Histogram) binOf(d float64) int {
 	b := int(d * float64(len(h.Counts)))
@@ -44,30 +41,12 @@ func (h *Histogram) Add(d float64) {
 	h.N++
 }
 
-// Remove deletes one previously added observation (used by the sliding-
-// window temporary cluster).
-func (h *Histogram) Remove(d float64) {
-	b := h.binOf(d)
-	if h.Counts[b] > 0 {
-		h.Counts[b]--
-		h.N--
-	}
-}
-
 // Reset clears all counts.
 func (h *Histogram) Reset() {
 	for i := range h.Counts {
 		h.Counts[i] = 0
 	}
 	h.N = 0
-}
-
-// Clone returns a deep copy.
-func (h *Histogram) Clone() *Histogram {
-	out := NewHistogram(len(h.Counts))
-	copy(out.Counts, h.Counts)
-	out.N = h.N
-	return out
 }
 
 // Probs returns the Laplace-smoothed probability mass function, the PA/PB
@@ -172,10 +151,7 @@ type Tracker struct {
 	Hist  *Histogram
 	Delta float64
 
-	band     Band
-	lastKL   float64
-	stable   int // consecutive observations with KL < eps and steady band
-	prevBand Band
+	band Band
 }
 
 // NewTracker returns a tracker with the given histogram resolution and ∆.
@@ -188,44 +164,13 @@ func NewTracker(bins int, delta float64) *Tracker {
 func (t *Tracker) Observe(d float64) float64 {
 	prior := t.Hist.Probs()
 	t.Hist.Add(d)
-	posterior := t.Hist.Probs()
-	t.lastKL = KL(prior, posterior)
-	t.prevBand = t.band
+	kl := KL(prior, t.Hist.Probs())
 	t.band = Compute(t.Hist, t.Delta)
-	return t.lastKL
-}
-
-// Forget removes a distance from the distribution (sliding-window use).
-func (t *Tracker) Forget(d float64) {
-	t.Hist.Remove(d)
-	t.band = Compute(t.Hist, t.Delta)
+	return kl
 }
 
 // Band returns the current ∆-band.
 func (t *Tracker) Band() Band { return t.band }
-
-// LastKL returns the KL divergence of the most recent observation.
-func (t *Tracker) LastKL() float64 { return t.lastKL }
-
-// UpdateStability advances the consecutive-stable counter: an observation
-// is stable when its KL divergence is below eps and the band bounds moved
-// less than tol. It returns the current consecutive count.
-func (t *Tracker) UpdateStability(eps, tol float64) int {
-	if t.lastKL < eps &&
-		math.Abs(t.band.Lo-t.prevBand.Lo) <= tol &&
-		math.Abs(t.band.Hi-t.prevBand.Hi) <= tol {
-		t.stable++
-	} else {
-		t.stable = 0
-	}
-	return t.stable
-}
-
-// ResetStability clears the consecutive-stable counter.
-func (t *Tracker) ResetStability() { t.stable = 0 }
-
-// StableRun returns the current consecutive-stable count.
-func (t *Tracker) StableRun() int { return t.stable }
 
 // Rebuild recomputes the histogram from scratch over a set of distances.
 func (t *Tracker) Rebuild(dists []float64) {

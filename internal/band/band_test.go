@@ -8,22 +8,13 @@ import (
 	"odin/internal/tensor"
 )
 
-func TestHistogramAddRemove(t *testing.T) {
+func TestHistogramAdd(t *testing.T) {
 	h := NewHistogram(10)
 	h.Add(0.05)
 	h.Add(0.15)
 	h.Add(0.15)
 	if h.N != 3 || h.Counts[0] != 1 || h.Counts[1] != 2 {
 		t.Fatalf("histogram state: %+v", h)
-	}
-	h.Remove(0.15)
-	if h.N != 2 || h.Counts[1] != 1 {
-		t.Fatalf("after remove: %+v", h)
-	}
-	// Removing from an empty bin is a no-op.
-	h.Remove(0.95)
-	if h.N != 2 {
-		t.Fatal("remove from empty bin changed N")
 	}
 }
 
@@ -200,42 +191,6 @@ func TestTrackerKLConvergesOnStationaryStream(t *testing.T) {
 	}
 }
 
-func TestTrackerStabilityCounter(t *testing.T) {
-	rng := tensor.NewRNG(10)
-	tr := NewTracker(24, 0.75)
-	// Feed a stationary stream; stability must accumulate.
-	run := 0
-	for i := 0; i < 1500; i++ {
-		tr.Observe(0.5 + 0.05*rng.Norm())
-		run = tr.UpdateStability(1e-3, 0.05)
-	}
-	if run < 10 {
-		t.Fatalf("stationary stream should yield a long stable run, got %d", run)
-	}
-	// A distribution shift must reset the counter.
-	for i := 0; i < 50; i++ {
-		tr.Observe(0.95)
-	}
-	tr.Observe(0.95)
-	if tr.UpdateStability(1e-9, 0.0001) != 0 && tr.StableRun() > run {
-		t.Fatal("distribution shift should reset stability")
-	}
-	tr.ResetStability()
-	if tr.StableRun() != 0 {
-		t.Fatal("ResetStability failed")
-	}
-}
-
-func TestTrackerForget(t *testing.T) {
-	tr := NewTracker(10, 0.5)
-	tr.Observe(0.3)
-	tr.Observe(0.3)
-	tr.Forget(0.3)
-	if tr.Hist.N != 1 {
-		t.Fatalf("forget failed: N=%d", tr.Hist.N)
-	}
-}
-
 func TestTrackerRebuild(t *testing.T) {
 	tr := NewTracker(10, 0.5)
 	tr.Observe(0.9)
@@ -245,15 +200,5 @@ func TestTrackerRebuild(t *testing.T) {
 	}
 	if !tr.Band().Contains(0.1) {
 		t.Fatalf("rebuilt band %v should contain the new mass", tr.Band())
-	}
-}
-
-func TestHistogramCloneIndependent(t *testing.T) {
-	h := NewHistogram(5)
-	h.Add(0.5)
-	c := h.Clone()
-	c.Add(0.5)
-	if h.N != 1 || c.N != 2 {
-		t.Fatal("clone shares state")
 	}
 }

@@ -39,9 +39,6 @@ func NewDirStore(dir string, retain int) (*DirStore, error) {
 	return &DirStore{dir: dir, retain: retain}, nil
 }
 
-// Dir returns the store directory.
-func (s *DirStore) Dir() string { return s.dir }
-
 // Save writes one checkpoint through fn (which receives the staged file)
 // and atomically publishes it, returning the final path.
 func (s *DirStore) Save(fn func(w *os.File) error) (string, error) {
@@ -73,13 +70,6 @@ func (s *DirStore) Save(fn func(w *os.File) error) (string, error) {
 	}
 	s.pruneLocked()
 	return final, nil
-}
-
-// List returns the stored checkpoint paths, oldest first.
-func (s *DirStore) List() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.listLocked()
 }
 
 // Latest returns the newest checkpoint path, or ErrNoCheckpoint.

@@ -20,6 +20,17 @@ func save(t *testing.T, s *DirStore, content string) string {
 	return path
 }
 
+// list returns the stored checkpoint paths, oldest first, as Latest and the
+// pruner see them. The tests are single-goroutine, so no lock is needed.
+func list(t *testing.T, s *DirStore) []string {
+	t.Helper()
+	paths, err := s.listLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
 func TestDirStoreSaveLatestList(t *testing.T) {
 	s, err := NewDirStore(filepath.Join(t.TempDir(), "ckpt"), 10)
 	if err != nil {
@@ -40,10 +51,7 @@ func TestDirStoreSaveLatestList(t *testing.T) {
 	if latest != p3 {
 		t.Fatalf("Latest = %s, want %s", latest, p3)
 	}
-	paths, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := list(t, s)
 	want := []string{p1, p2, p3}
 	if len(paths) != len(want) {
 		t.Fatalf("List = %v, want %v", paths, want)
@@ -70,10 +78,7 @@ func TestDirStoreRetention(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		save(t, s, "x")
 	}
-	paths, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := list(t, s)
 	if len(paths) != 2 {
 		t.Fatalf("retained %d checkpoints, want 2", len(paths))
 	}
@@ -94,14 +99,11 @@ func TestDirStoreFailedSaveLeavesNoTrace(t *testing.T) {
 	if _, err := s.Save(func(w *os.File) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Save error = %v, want boom", err)
 	}
-	paths, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := list(t, s)
 	if len(paths) != 1 {
 		t.Fatalf("store holds %d checkpoints after failed save, want 1", len(paths))
 	}
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +124,7 @@ func TestDirStoreIgnoresForeignFiles(t *testing.T) {
 		}
 	}
 	p := save(t, s, "real")
-	paths, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := list(t, s)
 	if len(paths) != 1 || paths[0] != p {
 		t.Fatalf("List = %v, want just %s", paths, p)
 	}

@@ -93,12 +93,6 @@ func newCluster(id, bins int, delta float64) *Cluster {
 	}
 }
 
-// Size returns the number of points absorbed by the cluster.
-func (c *Cluster) Size() int { return c.n }
-
-// Centroid returns the cluster centroid (aliased; callers must not mutate).
-func (c *Cluster) Centroid() []float64 { return c.centroid }
-
 // Band returns the cluster's current ∆-band.
 func (c *Cluster) Band() band.Band { return c.Tracker.Band() }
 
@@ -247,12 +241,6 @@ func (s *Set) Config() Config { return s.cfg }
 
 // Events returns all drift events so far.
 func (s *Set) Events() []DriftEvent { return s.events }
-
-// Seen returns the number of points observed.
-func (s *Set) Seen() int { return s.seen }
-
-// TempSize returns the current temporary-cluster window fill.
-func (s *Set) TempSize() int { return len(s.tempPoints) }
 
 // Observe routes one latent point through the DETECTOR's clustering logic
 // and returns the assignment.
@@ -440,35 +428,6 @@ func (s *Set) evictSmallest(keep *Cluster) *Cluster {
 	victim := s.Permanent[idx]
 	s.Permanent = append(s.Permanent[:idx], s.Permanent[idx+1:]...)
 	return victim
-}
-
-// Nearest returns the k permanent clusters closest to z by normalised
-// distance, nearest first, together with their distances.
-func (s *Set) Nearest(z []float64, k int) ([]*Cluster, []float64) {
-	type cd struct {
-		c *Cluster
-		d float64
-	}
-	all := make([]cd, 0, len(s.Permanent))
-	for _, c := range s.Permanent {
-		all = append(all, cd{c, c.Distance(z)})
-	}
-	// Insertion sort: cluster counts are tiny.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j].d < all[j-1].d; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	if k > len(all) {
-		k = len(all)
-	}
-	cs := make([]*Cluster, k)
-	ds := make([]float64, k)
-	for i := 0; i < k; i++ {
-		cs[i] = all[i].c
-		ds[i] = all[i].d
-	}
-	return cs, ds
 }
 
 // NearestRaw is Nearest with unnormalised Euclidean centroid distances —

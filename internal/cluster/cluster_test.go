@@ -54,8 +54,8 @@ func TestFirstConceptFormsCluster(t *testing.T) {
 	}
 	c := s.Permanent[0]
 	for i, want := range centre {
-		if math.Abs(c.Centroid()[i]-want) > 0.2 {
-			t.Fatalf("centroid dim %d = %v, want ~%v", i, c.Centroid()[i], want)
+		if math.Abs(c.centroid[i]-want) > 0.2 {
+			t.Fatalf("centroid dim %d = %v, want ~%v", i, c.centroid[i], want)
 		}
 	}
 }
@@ -111,7 +111,7 @@ func TestOutlierRouting(t *testing.T) {
 	if !a.Outlier || a.Primary != nil {
 		t.Fatalf("far point must be an outlier: %+v", a)
 	}
-	if s.TempSize() == 0 {
+	if len(s.tempPoints) == 0 {
 		t.Fatal("outlier should land in the temporary cluster")
 	}
 }
@@ -137,34 +137,6 @@ func TestMaxClustersEviction(t *testing.T) {
 	}
 	if evs[len(evs)-1].Evicted == nil {
 		t.Fatal("third promotion should have evicted a cluster")
-	}
-}
-
-func TestNearestOrdering(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	s := NewSet(quickConfig())
-	for _, c := range [][]float64{{0, 0}, {10, 0}} {
-		for i := 0; i < 400; i++ {
-			s.Observe(gaussianBlob(rng, c, 0.3))
-		}
-	}
-	if len(s.Permanent) != 2 {
-		t.Skipf("clustering produced %d clusters; need 2", len(s.Permanent))
-	}
-	cs, ds := s.Nearest([]float64{1, 0}, 2)
-	if len(cs) != 2 {
-		t.Fatalf("Nearest returned %d clusters", len(cs))
-	}
-	if ds[0] > ds[1] {
-		t.Fatal("Nearest must sort by distance")
-	}
-	if tensor.L2(cs[0].Centroid(), []float64{0, 0}) > tensor.L2(cs[0].Centroid(), []float64{10, 0}) {
-		t.Fatal("nearest cluster should be the one at the origin")
-	}
-	// k larger than cluster count.
-	cs, _ = s.Nearest([]float64{0, 0}, 10)
-	if len(cs) != 2 {
-		t.Fatalf("k overflow should clamp: %d", len(cs))
 	}
 }
 
@@ -240,8 +212,8 @@ func TestSeenCounter(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		s.Observe(gaussianBlob(rng, []float64{0}, 1))
 	}
-	if s.Seen() != 25 {
-		t.Fatalf("Seen=%d, want 25", s.Seen())
+	if s.seen != 25 {
+		t.Fatalf("seen=%d, want 25", s.seen)
 	}
 }
 

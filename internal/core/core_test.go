@@ -308,8 +308,8 @@ func TestOdinEndToEndDriftRecovery(t *testing.T) {
 	}
 	// Specialized models must have replaced lites after the label delay.
 	specs := 0
-	for _, ev := range o.Manager.TrainLog() {
-		if ev.Kind == detect.KindSpecialized {
+	for _, m := range o.Manager.Models() {
+		if m.Kind == detect.KindSpecialized {
 			specs++
 		}
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"odin/internal/cluster"
 	"odin/internal/detect"
 	"odin/internal/synth"
@@ -54,16 +52,6 @@ func DefaultSpecializerConfig() SpecializerConfig {
 	}
 }
 
-// TrainEvent records one model-training action for diagnostics and the
-// model-generation-time comparisons of §6.3.
-type TrainEvent struct {
-	Kind      detect.Kind
-	ClusterID int
-	AtFrame   int
-	NumFrames int
-	Duration  time.Duration
-}
-
 // pendingSpec tracks a cluster awaiting oracle labels.
 type pendingSpec struct {
 	clusterID int
@@ -104,7 +92,6 @@ type ModelManager struct {
 	mostRecent *Model
 	buffers    map[int][]*synth.Frame
 	pending    []pendingSpec
-	trainLog   []TrainEvent
 	seq        uint64
 
 	// async defers training: OnDrift/MaturePending return TrainJobs instead
@@ -172,13 +159,6 @@ func (mm *ModelManager) pendingFor(id int) bool {
 
 // Models returns the live cluster→model map (not to be mutated).
 func (mm *ModelManager) Models() map[int]*Model { return mm.byCluster }
-
-// MostRecent returns the most recently created model (the −SELECTOR
-// ablation policy).
-func (mm *ModelManager) MostRecent() *Model { return mm.mostRecent }
-
-// TrainLog returns all training events so far.
-func (mm *ModelManager) TrainLog() []TrainEvent { return mm.trainLog }
 
 // NumModels returns the number of resident specialized/lite models.
 func (mm *ModelManager) NumModels() int { return len(mm.byCluster) }
@@ -284,8 +264,7 @@ func (mm *ModelManager) dispatch(jobs []TrainJob, job TrainJob) []TrainJob {
 		mm.outstanding[job.ClusterID]++
 		return append(jobs, job)
 	}
-	start := time.Now()
-	mm.install(job, mm.BuildModel(job), time.Since(start))
+	mm.install(job, mm.BuildModel(job))
 	return jobs
 }
 
@@ -347,23 +326,19 @@ func (mm *ModelManager) buildModel(job TrainJob, warm *Model) *Model {
 }
 
 // install swaps a trained model in and stamps the bookkeeping: the
-// cluster→model pointer, the most-recent pointer, the generation counter
-// and the train log. Caller holds the pipeline lock.
-func (mm *ModelManager) install(job TrainJob, m *Model, dur time.Duration) {
+// cluster→model pointer, the most-recent pointer and the generation
+// counter. Caller holds the pipeline lock.
+func (mm *ModelManager) install(job TrainJob, m *Model) {
 	mm.byCluster[job.ClusterID] = m
 	mm.mostRecent = m
 	mm.gen++
-	mm.trainLog = append(mm.trainLog, TrainEvent{
-		Kind: job.Kind, ClusterID: job.ClusterID, AtFrame: job.AtFrame,
-		NumFrames: len(job.Frames), Duration: dur,
-	})
 }
 
 // finishJob lands (or rolls back) a deferred job under the pipeline lock:
 // the outstanding count always drops, and the swap is skipped — leaving the
 // prior model serving — when training failed, the cluster was evicted
 // mid-training, or a specialized model already superseded a late lite.
-func (mm *ModelManager) finishJob(job TrainJob, m *Model, dur time.Duration, failed bool) bool {
+func (mm *ModelManager) finishJob(job TrainJob, m *Model, failed bool) bool {
 	if n := mm.outstanding[job.ClusterID]; n <= 1 {
 		delete(mm.outstanding, job.ClusterID)
 	} else {
@@ -379,7 +354,7 @@ func (mm *ModelManager) finishJob(job TrainJob, m *Model, dur time.Duration, fai
 		cur.Kind == detect.KindSpecialized && job.Kind == detect.KindLite {
 		return false // never downgrade a landed specialized model
 	}
-	mm.install(job, m, dur)
+	mm.install(job, m)
 	return true
 }
 

@@ -218,7 +218,7 @@ func (o *Odin) observer() *obs.Observer {
 // Returns whether the model was installed.
 func (o *Odin) FinishJob(job TrainJob, m *Model, dur time.Duration, trainErr error) bool {
 	o.mu.Lock()
-	installed := o.Manager.finishJob(job, m, dur, trainErr != nil)
+	installed := o.Manager.finishJob(job, m, trainErr != nil)
 	gen := int(o.Manager.Gen())
 	o.mu.Unlock()
 	if ob := o.observer(); ob != nil {
@@ -276,20 +276,6 @@ func (o *Odin) NumModels() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.Manager.NumModels()
-}
-
-// RegimeSignature returns the current drift-regime signature of a
-// permanent cluster, or false when no such cluster exists. Training jobs
-// carry the signature taken at schedule time (TrainJob.Sig); this accessor
-// exposes the live one for introspection and fleet tooling.
-func (o *Odin) RegimeSignature(clusterID int) (cluster.Signature, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	c := o.Detector.Clusters.ByID(clusterID)
-	if c == nil {
-		return cluster.Signature{}, false
-	}
-	return c.Signature(), true
 }
 
 // Plan is the frozen outcome of Advance for one frame: the partial result

@@ -68,9 +68,6 @@ func (a Arch) FLOPs() int64 {
 	return total
 }
 
-// NumConvLayers returns the conv-layer count (the pruning unit of §5.2).
-func (a Arch) NumConvLayers() int { return len(a.Layers) }
-
 // String summarises the architecture.
 func (a Arch) String() string {
 	return fmt.Sprintf("%s(%d conv layers, %.1fM params, %.1f GFLOPs)",

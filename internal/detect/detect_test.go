@@ -19,7 +19,7 @@ func TestGridGeometry(t *testing.T) {
 	if d.GH != 7 || d.GW != 12 {
 		t.Fatalf("grid %dx%d, want 7x12", d.GH, d.GW)
 	}
-	if d.NumParams() <= 0 {
+	if d.Net.NumParams() <= 0 {
 		t.Fatal("no parameters")
 	}
 }
@@ -315,7 +315,7 @@ func TestCostModelMatchesPaperTable4(t *testing.T) {
 }
 
 func TestPrunedArchHas9Layers(t *testing.T) {
-	if n := PrunedTinyArch().NumConvLayers(); n != 9 {
+	if n := len(PrunedTinyArch().Layers); n != 9 {
 		t.Fatalf("pruned arch has %d conv layers, paper says 9", n)
 	}
 }

@@ -127,7 +127,7 @@ type GridDetector struct {
 	ScoreThreshold float64
 	NMSIoU         float64
 
-	opt nn.Optimizer
+	opt *nn.Adam
 	rng *tensor.RNG
 }
 
@@ -165,9 +165,6 @@ func NewGridDetector(cfg GridConfig) *GridDetector {
 		rng:            rng,
 	}
 }
-
-// NumParams returns the number of trainable scalars in the miniature net.
-func (g *GridDetector) NumParams() int { return g.Net.NumParams() }
 
 // cellIndex returns the flattened output index of channel ch at grid cell
 // (gy, gx). The head output is channel-major: ch × GH × GW.

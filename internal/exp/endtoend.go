@@ -90,12 +90,14 @@ func RunFig9(c *Context, w io.Writer) Fig9Result {
 	return res
 }
 
-// runPipeline executes one configuration over the stream, reporting
-// windowed mAP, drift positions and final FPS/memory.
-func (c *Context) runPipeline(stream []*synth.Frame, cf Fig9Config) (series []float64, drifts []int, fps, mem float64) {
+// endToEndPipeline builds the drift pipeline the Figure 9 and Table 7 runs
+// share: recovery on or off, the model-selection policy and the cluster
+// cap (0: none).
+func (c *Context) endToEndPipeline(recovery bool, policy core.Policy, maxClusters int) *core.Odin {
 	cfg := core.DefaultConfig(c.Scene)
-	cfg.DriftRecovery = cf.Recovery
-	cfg.Cluster.MaxClusters = cf.MaxClusters
+	cfg.DriftRecovery = recovery
+	cfg.Selector.Policy = policy
+	cfg.Cluster.MaxClusters = maxClusters
 	// Interleaved arrival (new concept mixed ~1:2 with known concepts)
 	// keeps the temp window's KL churn above the sequential-stream level;
 	// the stability threshold is loosened accordingly. Training seeds are
@@ -106,18 +108,32 @@ func (c *Context) runPipeline(stream []*synth.Frame, cf Fig9Config) (series []fl
 	cfg.Spec.LiteEpochs = c.P.LiteEpochs
 	cfg.Spec.MaxTrainFrames = c.P.TrainFrames
 	cfg.Spec.LabelDelay = c.P.Fig9PhaseLen / 2
-	o := core.New(cfg, c.DAGAN(), c.Baseline())
+	return core.New(cfg, c.DAGAN(), c.Baseline())
+}
 
-	win := c.P.Fig9Window
-	var dets [][]detect.Detection
-	var truth [][]synth.Box
+// replay processes the stream through o in order and returns every frame's
+// result.
+func replay(o *core.Odin, stream []*synth.Frame) []core.Result {
+	out := make([]core.Result, len(stream))
 	for i, f := range stream {
-		r := o.Process(f)
+		out[i] = o.Process(f)
+	}
+	return out
+}
+
+// runPipeline executes one configuration over the stream, reporting
+// windowed mAP, drift positions and final FPS/memory.
+func (c *Context) runPipeline(stream []*synth.Frame, cf Fig9Config) (series []float64, drifts []int, fps, mem float64) {
+	o := c.endToEndPipeline(cf.Recovery, core.PolicyDeltaBM, cf.MaxClusters)
+	results := replay(o, stream)
+	win := c.P.Fig9Window
+	dets := make([][]detect.Detection, len(stream))
+	truth := make([][]synth.Box, len(stream))
+	for i, r := range results {
 		if r.Drift != nil {
 			drifts = append(drifts, i)
 		}
-		dets = append(dets, r.Detections)
-		truth = append(truth, f.Boxes)
+		dets[i], truth[i] = r.Detections, stream[i].Boxes
 		if (i+1)%win == 0 {
 			lo := i + 1 - win
 			series = append(series, detect.MeanAveragePrecision(dets[lo:i+1], truth[lo:i+1], 0.5).MAP)
@@ -152,15 +168,8 @@ func RunTable7(c *Context, w io.Writer) Table7Result {
 	}
 	var res Table7Result
 	for _, cf := range configs {
-		cfg := core.DefaultConfig(c.Scene)
-		cfg.DriftRecovery = cf.recovery
-		cfg.Selector.Policy = cf.policy
-		cfg.Cluster.StabilityEps = 0.025 // see runPipeline
-		cfg.Spec.SpecEpochs = c.P.TrainEpochs
-		cfg.Spec.LiteEpochs = c.P.LiteEpochs
-		cfg.Spec.MaxTrainFrames = c.P.TrainFrames
-		cfg.Spec.LabelDelay = c.P.Fig9PhaseLen / 2
-		o := core.New(cfg, c.DAGAN(), c.Baseline())
+		o := c.endToEndPipeline(cf.recovery, cf.policy, 0)
+		results := replay(o, stream)
 
 		var dets [][]detect.Detection
 		var truth [][]synth.Box
@@ -168,11 +177,8 @@ func RunTable7(c *Context, w io.Writer) Table7Result {
 		gt := make([]int, 0, len(stream))
 		// Score the second half of the stream (after recovery warm-up).
 		half := len(stream) / 2
-		for i, f := range stream {
-			r := o.Process(f)
-			if i < half {
-				continue
-			}
+		for i, r := range results[half:] {
+			f := stream[half+i]
 			dets = append(dets, r.Detections)
 			truth = append(truth, f.Boxes)
 			pred = append(pred, detect.CountClass(r.Detections, synth.ClassCar, 0.3))

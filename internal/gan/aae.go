@@ -14,9 +14,9 @@ type AAE struct {
 	Dec *nn.Network
 	DZ  *nn.Network
 
-	optAE nn.Optimizer
-	optDZ nn.Optimizer
-	optE  nn.Optimizer
+	optAE *nn.Adam
+	optDZ *nn.Adam
+	optE  *nn.Adam
 	rng   *tensor.RNG
 }
 

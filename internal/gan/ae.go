@@ -14,7 +14,7 @@ type Autoencoder struct {
 	Enc *nn.Network
 	Dec *nn.Network
 
-	opt nn.Optimizer
+	opt *nn.Adam
 	rng *tensor.RNG
 }
 

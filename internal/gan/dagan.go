@@ -31,11 +31,11 @@ type DAGAN struct {
 	// LambdaR is the reconstruction weight (default 0.5 per the paper).
 	LambdaR float64
 
-	optE  nn.Optimizer
-	optG  nn.Optimizer
-	optDZ nn.Optimizer
-	optDI nn.Optimizer
-	optAE nn.Optimizer
+	optE  *nn.Adam
+	optG  *nn.Adam
+	optDZ *nn.Adam
+	optDI *nn.Adam
+	optAE *nn.Adam
 	rng   *tensor.RNG
 }
 
@@ -222,13 +222,6 @@ func (d *DAGAN) Decode(z []float64) []float64 {
 func (d *DAGAN) LatentRealism(x []float64) float64 {
 	z := d.Enc.Predict(tensor.FromVec(x))
 	return d.DZ.Predict(z).At(0, 0)
-}
-
-// ImageRealism returns DI(G(E(x))) — the image discriminator's judgement
-// of x's reconstruction. Outliers reconstruct poorly, so DI rejects them.
-func (d *DAGAN) ImageRealism(x []float64) float64 {
-	rec := d.Dec.Predict(d.Enc.Predict(tensor.FromVec(x)))
-	return d.DI.Predict(rec).At(0, 0)
 }
 
 var _ Projector = (*DAGAN)(nil)

@@ -85,19 +85,6 @@ type Config struct {
 	Seed     uint64
 }
 
-// DefaultConfig returns a compact architecture for inputDim-sized images,
-// mirroring the paper's Dense-512 / Dense-128 / Latent-64 shape at reduced
-// scale.
-func DefaultConfig(inputDim int) Config {
-	return Config{
-		InputDim: inputDim,
-		Latent:   32,
-		Hidden:   []int{256, 64},
-		LR:       0.001,
-		Seed:     1,
-	}
-}
-
 func (c Config) validate() error {
 	if c.InputDim <= 0 || c.Latent <= 0 {
 		return fmt.Errorf("gan: invalid config: input=%d latent=%d", c.InputDim, c.Latent)

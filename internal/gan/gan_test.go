@@ -66,9 +66,6 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("config %d should be invalid", i)
 		}
 	}
-	if DefaultConfig(100).validate() != nil {
-		t.Fatal("default config should be valid")
-	}
 }
 
 func TestAutoencoderLearnsDigits(t *testing.T) {
@@ -128,9 +125,18 @@ func TestAAETrainsAndRegularisesLatent(t *testing.T) {
 
 	// The AAE latent distribution should sit near N(0,1): mean norm within
 	// a loose band around 1. An unregularised AE has no such constraint.
-	stats := ComputeLatentStats(aae, rows)
-	if stats.MeanNorm < 0.3 || stats.MeanNorm > 3 {
-		t.Fatalf("AAE latent norm %v too far from N(0,1)", stats.MeanNorm)
+	// Mean of ‖z‖/√dim over the data: ≈1 under N(0,1).
+	var meanNorm float64
+	for _, x := range rows {
+		var s float64
+		for _, v := range aae.Project(x) {
+			s += v * v
+		}
+		meanNorm += math.Sqrt(s / float64(cfg.Latent))
+	}
+	meanNorm /= float64(len(rows))
+	if meanNorm < 0.3 || meanNorm > 3 {
+		t.Fatalf("AAE latent norm %v too far from N(0,1)", meanNorm)
 	}
 	z := aae.Project(rows[0])
 	if len(z) != cfg.Latent {
@@ -205,23 +211,6 @@ func TestDAGANProjectBatchMatchesProject(t *testing.T) {
 	}
 }
 
-func TestPlainGANTrains(t *testing.T) {
-	rows := digitRows(11, []int{0}, 40)
-	g := NewGAN(smallConfig(len(rows[0]), 11))
-	loss := g.TrainEpoch(rows, 20)
-	if math.IsNaN(loss) || loss <= 0 {
-		t.Fatalf("GAN discriminator loss invalid: %v", loss)
-	}
-	img := g.Generate(tensor.NewRNG(1).NormVec(g.Cfg.Latent))
-	if len(img) != len(rows[0]) {
-		t.Fatal("generated image shape")
-	}
-	p := g.Discriminate(rows[0])
-	if p < 0 || p > 1 {
-		t.Fatalf("discriminator output %v not a probability", p)
-	}
-}
-
 func TestCycleErrorAAEBelowAE(t *testing.T) {
 	rows := digitRows(12, []int{0, 1, 2}, 120)
 	cfg := smallConfig(len(rows[0]), 12)
@@ -247,14 +236,5 @@ func TestMeanReconErrorEmptyData(t *testing.T) {
 	}
 	if MeanReconError(ae, rows) <= 0 {
 		t.Fatal("untrained recon error should be positive")
-	}
-}
-
-func TestComputeLatentStatsEmpty(t *testing.T) {
-	rows := digitRows(14, []int{0}, 2)
-	ae := NewAutoencoder(smallConfig(len(rows[0]), 14))
-	s := ComputeLatentStats(ae, nil)
-	if s.MeanNorm != 0 || s.Std != 0 {
-		t.Fatal("empty stats should be zero")
 	}
 }

@@ -52,34 +52,3 @@ func MeanReconError(r Reconstructor, data [][]float64) float64 {
 	}
 	return total / float64(len(data))
 }
-
-// LatentStats summarises where a dataset lands in latent space: per-
-// dimension mean magnitude and overall standard deviation. An adversarially
-// regularised encoder should land near N(0,1).
-type LatentStats struct {
-	MeanNorm float64 // mean ‖z‖/√dim: ≈1 under N(0,1)
-	Std      float64 // pooled per-dimension standard deviation
-}
-
-// ComputeLatentStats projects a dataset and summarises its latent geometry.
-func ComputeLatentStats(p Projector, data [][]float64) LatentStats {
-	if len(data) == 0 {
-		return LatentStats{}
-	}
-	dim := p.LatentDim()
-	var normSum float64
-	all := make([]float64, 0, len(data)*dim)
-	for _, x := range data {
-		z := p.Project(x)
-		var s float64
-		for _, v := range z {
-			s += v * v
-		}
-		normSum += math.Sqrt(s / float64(dim))
-		all = append(all, z...)
-	}
-	return LatentStats{
-		MeanNorm: normSum / float64(len(data)),
-		Std:      math.Sqrt(tensor.Variance(all)),
-	}
-}

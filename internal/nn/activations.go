@@ -37,12 +37,6 @@ func sigmoidInto(dst, src []float64) {
 	}
 }
 
-func tanhInto(dst, src []float64) {
-	for i, x := range src {
-		dst[i] = math.Tanh(x)
-	}
-}
-
 // ReLU is the rectified linear activation max(0, x).
 type ReLU struct {
 	lastIn *tensor.Mat
@@ -167,103 +161,3 @@ func (s *Sigmoid) Backward(grad *tensor.Mat) *tensor.Mat {
 
 // Params returns nil: Sigmoid has no trainable parameters.
 func (s *Sigmoid) Params() []*Param { return nil }
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	lastOut *tensor.Mat
-}
-
-// NewTanh returns a tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward applies tanh element-wise.
-func (t *Tanh) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	out := ws.GetRaw(x.R, x.C)
-	tanhInto(out.V, x.V)
-	if train {
-		t.lastOut = out
-	}
-	return out
-}
-
-func (t *Tanh) applyRows(m *tensor.Mat, r0, r1 int) {
-	v := m.V[r0*m.C : r1*m.C]
-	tanhInto(v, v)
-}
-
-func tanhBack(dst, y, g []float64) {
-	for i, v := range y {
-		dst[i] = g[i] * (1 - v*v)
-	}
-}
-
-// Backward multiplies the gradient by 1−tanh²(x).
-func (t *Tanh) Backward(grad *tensor.Mat) *tensor.Mat {
-	out := ws.GetRaw(grad.R, grad.C)
-	tanhBack(out.V, t.lastOut.V, grad.V)
-	return out
-}
-
-// Params returns nil: Tanh has no trainable parameters.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Dropout randomly zeroes activations during training with probability P,
-// scaling survivors by 1/(1−P) (inverted dropout). At inference it is the
-// identity.
-type Dropout struct {
-	P    float64
-	rng  *tensor.RNG
-	mask []float64
-}
-
-// NewDropout returns a dropout layer with drop probability p.
-func NewDropout(p float64, rng *tensor.RNG) *Dropout {
-	return &Dropout{P: p, rng: rng}
-}
-
-func dropoutApply(dst, src, mask []float64, rng *tensor.RNG, keep, inv float64) {
-	for i, v := range src {
-		if rng.Float64() < keep {
-			mask[i] = inv
-			dst[i] = v * inv
-		} else {
-			mask[i] = 0
-			dst[i] = 0
-		}
-	}
-}
-
-// Forward applies the dropout mask when train is true. Inference is the
-// identity and touches no layer state (re-entrant).
-func (d *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if !train {
-		return x
-	}
-	if d.P <= 0 {
-		d.mask = nil
-		return x
-	}
-	out := ws.GetRaw(x.R, x.C)
-	if len(d.mask) != x.Len() {
-		d.mask = make([]float64, x.Len())
-	}
-	keep := 1 - d.P
-	inv := 1 / keep
-	dropoutApply(out.V, x.V, d.mask, d.rng, keep, inv)
-	return out
-}
-
-// Backward applies the same mask to the gradient.
-func (d *Dropout) Backward(grad *tensor.Mat) *tensor.Mat {
-	if d.mask == nil {
-		return grad
-	}
-	out := ws.GetRaw(grad.R, grad.C)
-	for i, m := range d.mask {
-		out.V[i] = grad.V[i] * m
-	}
-	return out
-}
-
-// Params returns nil: Dropout has no trainable parameters.
-func (d *Dropout) Params() []*Param { return nil }

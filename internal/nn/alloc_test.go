@@ -60,7 +60,7 @@ func TestNetworkTrainingStepAllocs(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	net := NewNetwork("mlp",
 		NewDense(64, 48, rng),
-		NewTanh(),
+		NewSigmoid(),
 		NewDense(48, 16, rng),
 		NewSigmoid(),
 	)

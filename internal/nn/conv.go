@@ -124,76 +124,3 @@ func (c *Conv2D) Backward(grad *tensor.Mat) *tensor.Mat {
 
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
-
-// Upsample2D performs nearest-neighbour spatial upsampling by an integer
-// factor, used by decoders instead of transposed convolutions.
-type Upsample2D struct {
-	InC, InH, InW int
-	Scale         int
-	OutH, OutW    int
-}
-
-// NewUpsample2D builds a nearest-neighbour upsampler.
-func NewUpsample2D(inC, inH, inW, scale int) *Upsample2D {
-	return &Upsample2D{
-		InC: inC, InH: inH, InW: inW, Scale: scale,
-		OutH: inH * scale, OutW: inW * scale,
-	}
-}
-
-// OutSize returns the flattened output width.
-func (u *Upsample2D) OutSize() int { return u.InC * u.OutH * u.OutW }
-
-func upsampleRow(u *Upsample2D, src, dst []float64) {
-	for ch := 0; ch < u.InC; ch++ {
-		sOff := ch * u.InH * u.InW
-		dOff := ch * u.OutH * u.OutW
-		for y := 0; y < u.OutH; y++ {
-			sy := y / u.Scale
-			for xx := 0; xx < u.OutW; xx++ {
-				dst[dOff+y*u.OutW+xx] = src[sOff+sy*u.InW+xx/u.Scale]
-			}
-		}
-	}
-}
-
-// Forward replicates each input pixel into a Scale×Scale block.
-func (u *Upsample2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if x.C != u.InC*u.InH*u.InW {
-		panic("nn: upsample input width mismatch")
-	}
-	out := ws.GetRaw(x.R, u.OutSize())
-	tensor.Parallel(x.R, x.R*u.OutSize(), func(n0, n1 int) {
-		for n := n0; n < n1; n++ {
-			upsampleRow(u, x.Row(n), out.Row(n))
-		}
-	})
-	return out
-}
-
-func upsampleBackRow(u *Upsample2D, src, dst []float64) {
-	for ch := 0; ch < u.InC; ch++ {
-		sOff := ch * u.OutH * u.OutW
-		dOff := ch * u.InH * u.InW
-		for y := 0; y < u.OutH; y++ {
-			sy := y / u.Scale
-			for xx := 0; xx < u.OutW; xx++ {
-				dst[dOff+sy*u.InW+xx/u.Scale] += src[sOff+y*u.OutW+xx]
-			}
-		}
-	}
-}
-
-// Backward sums gradients over each Scale×Scale block.
-func (u *Upsample2D) Backward(grad *tensor.Mat) *tensor.Mat {
-	dx := ws.Get(grad.R, u.InC*u.InH*u.InW)
-	tensor.Parallel(grad.R, grad.R*u.OutSize(), func(n0, n1 int) {
-		for n := n0; n < n1; n++ {
-			upsampleBackRow(u, grad.Row(n), dx.Row(n))
-		}
-	})
-	return dx
-}
-
-// Params returns nil: upsampling has no trainable parameters.
-func (u *Upsample2D) Params() []*Param { return nil }

@@ -26,7 +26,6 @@ func TestConvFusedEpilogueBitIdentity(t *testing.T) {
 		"leaky":   func() Layer { return NewLeakyReLU(0.1) },
 		"relu":    func() Layer { return NewReLU() },
 		"sigmoid": func() Layer { return NewSigmoid() },
-		"tanh":    func() Layer { return NewTanh() },
 	} {
 		net := build(act)
 		for _, n := range []int{1, 3, 8} {

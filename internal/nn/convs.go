@@ -116,7 +116,7 @@ func splitPlanes(c *Conv2D, src []float64, srcW, srcC int, planes []float64) {
 }
 
 // convStage is one convolution of a run and what rides on its output: act
-// in the product's store; rows — a Sigmoid or Tanh, which are no blends — on
+// in the product's store; rows — a Sigmoid, which is no blend — on
 // the sample's finished output row, so only after the run's last
 // convolution. A training forward's stage keeps its planes: sample n's go
 // to row n of keep, not to scratch, for Backward to read.

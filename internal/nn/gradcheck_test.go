@@ -101,10 +101,6 @@ func TestSigmoidGradient(t *testing.T) {
 	checkLayerGradient(t, NewSigmoid(), randomBatch(2, 5, 5), 1e-4)
 }
 
-func TestTanhGradient(t *testing.T) {
-	checkLayerGradient(t, NewTanh(), randomBatch(2, 5, 6), 1e-4)
-}
-
 func TestConv2DGradient(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	layer := NewConv2D(2, 5, 5, 3, 3, 1, 1, rng)
@@ -117,11 +113,6 @@ func TestConv2DStridedGradient(t *testing.T) {
 	checkLayerGradient(t, layer, randomBatch(2, 36, 10), 1e-4)
 }
 
-func TestUpsampleGradient(t *testing.T) {
-	layer := NewUpsample2D(2, 3, 3, 2)
-	checkLayerGradient(t, layer, randomBatch(2, 18, 11), 1e-4)
-}
-
 func TestBatchNormGradient(t *testing.T) {
 	layer := NewBatchNorm(4)
 	checkLayerGradient(t, layer, randomBatch(6, 4, 12), 1e-3)
@@ -131,7 +122,7 @@ func TestSequentialNetworkGradient(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	net := NewNetwork("mlp",
 		NewDense(6, 8, rng),
-		NewTanh(),
+		NewSigmoid(),
 		NewDense(8, 3, rng),
 		NewSigmoid(),
 	)
@@ -145,7 +136,7 @@ func TestConvNetworkGradient(t *testing.T) {
 		conv,
 		NewLeakyReLU(0.1),
 		NewDense(conv.OutSize(), 4, rng),
-		NewTanh(),
+		NewSigmoid(),
 	)
 	in := randomBatch(2, 36, 16)
 	for i := range in.V {

@@ -2,11 +2,11 @@
 // the training substrate for every model in the repository: autoencoders,
 // adversarial autoencoders, the DA-GAN, the YOLO-style grid detectors and
 // the lightweight query filters. It supports dense and convolutional layers,
-// batch normalisation, dropout, the standard activation functions, BCE /
-// MSE / softmax cross-entropy losses and SGD / Adam optimizers.
+// batch normalisation, the ReLU, LeakyReLU and Sigmoid activations, BCE and
+// MSE losses and the Adam optimizer.
 //
 // Data layout: a batch is a tensor.Mat whose rows are flattened examples.
-// Spatial layers (Conv2D, Upsample2D) carry their own (C, H, W) input shape
+// Spatial layers (Conv2D) carry their own (C, H, W) input shape
 // and interpret each row as channel-major C×H×W.
 package nn
 
@@ -67,7 +67,7 @@ func NewNetwork(name string, layers ...Layer) *Network {
 // layer at inference, which needs no backward caches: kernelAct is one the
 // kernels apply as they store each finished sum (ReLU, LeakyReLU — blends),
 // rowAct one applied in place to rows [r0, r1) of the layer's output before
-// they leave the cache (Sigmoid, Tanh).
+// they leave the cache (Sigmoid).
 type kernelAct interface {
 	kernelAct() tensor.Act
 }
@@ -186,7 +186,7 @@ func (n *Network) Backward(grad *tensor.Mat) *tensor.Mat {
 		grad = next
 		if outs != nil && i < len(n.Layers)-1 {
 			// The output of layer i was consumed by layer i+1's backward and
-			// (for Sigmoid/Tanh) by layer i's own; both are done now. Skip
+			// (for Sigmoid) by layer i's own; both are done now. Skip
 			// passthrough aliases and anything the caller can still see.
 			out := outs[i]
 			in := n.fwdIn

@@ -73,47 +73,6 @@ func BCEScalarTarget(pred *tensor.Mat, target float64) (float64, *tensor.Mat) {
 	return bceScalarImpl(pred.V, target, grad.V), grad
 }
 
-func bceLogitsImpl(logits []float64, target float64, grad []float64) float64 {
-	n := float64(len(logits))
-	var loss float64
-	for i, z := range logits {
-		// loss = max(z,0) − z*t + log(1+exp(−|z|))
-		loss += math.Max(z, 0) - z*target + math.Log1p(math.Exp(-math.Abs(z)))
-		grad[i] = (sigmoid(z) - target) / n
-	}
-	return loss / n
-}
-
-// BCEWithLogits computes the numerically stable binary cross-entropy on raw
-// logits against a constant target, returning the gradient w.r.t. logits.
-func BCEWithLogits(logits *tensor.Mat, target float64) (float64, *tensor.Mat) {
-	grad := lossGradFor(logits)
-	return bceLogitsImpl(logits.V, target, grad.V), grad
-}
-
-// SoftmaxCE computes mean softmax cross-entropy for a batch of logit rows
-// against integer class labels, returning the gradient w.r.t. logits.
-func SoftmaxCE(logits *tensor.Mat, labels []int) (float64, *tensor.Mat) {
-	if logits.R != len(labels) {
-		panic("nn: softmax-ce batch mismatch")
-	}
-	grad := lossGradFor(logits)
-	probs := make([]float64, logits.C)
-	var loss float64
-	inv := 1 / float64(logits.R)
-	for i := 0; i < logits.R; i++ {
-		softmaxInto(probs, logits.Row(i))
-		t := labels[i]
-		loss += -math.Log(clamp(probs[t], lossEps, 1))
-		grow := grad.Row(i)
-		for j, p := range probs {
-			grow[j] = p * inv
-		}
-		grow[t] -= inv
-	}
-	return loss * inv, grad
-}
-
 // Softmax returns the softmax of a logit row.
 func Softmax(row []float64) []float64 { return softmax(row) }
 

@@ -6,50 +6,6 @@ import (
 	"odin/internal/tensor"
 )
 
-// Optimizer updates parameters in place from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum and weight
-// decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*Param]*tensor.Mat
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step applies one SGD update to every parameter.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		g := p.Grad
-		if s.WeightDecay > 0 {
-			g = g.Clone()
-			g.AddScaled(s.WeightDecay, p.W)
-		}
-		if s.Momentum > 0 {
-			if s.velocity == nil {
-				s.velocity = make(map[*Param]*tensor.Mat)
-			}
-			v, ok := s.velocity[p]
-			if !ok {
-				v = tensor.New(p.W.R, p.W.C)
-				s.velocity[p] = v
-			}
-			v.Scale(s.Momentum)
-			v.AddScaled(-s.LR, g)
-			p.W.Add(v)
-		} else {
-			p.W.AddScaled(-s.LR, g)
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

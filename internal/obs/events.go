@@ -111,13 +111,3 @@ func (l *EventLog) Recent(n int) []Event {
 	}
 	return out
 }
-
-// Len returns the number of retained events.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}

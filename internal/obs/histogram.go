@@ -8,8 +8,8 @@ import (
 // Histogram is a fixed-bucket histogram safe for concurrent Observe. The
 // bucket layout is frozen at construction, so the hot path is one linear
 // scan over ~30 float compares plus three atomic adds — no allocation, no
-// locking. Quantiles come from the bucket counts (Quantile, resolution =
-// bucket width); for exact quantiles over raw samples use Percentile.
+// locking. Scrapes export the cumulative bucket counts, from which the
+// scraper estimates quantiles.
 //
 // The zero value is unusable; obtain one from NewHistogram or
 // Registry.Histogram.
@@ -100,57 +100,4 @@ func (h *Histogram) snapshot() []uint64 {
 		counts[i] = h.buckets[i].Load()
 	}
 	return counts
-}
-
-// Quantile returns the p-quantile (0..1) estimated from the bucket counts
-// by nearest rank: the upper bound of the bucket containing the ranked
-// sample (the largest finite bound for overflow samples). Returns 0 for an
-// empty histogram.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts := h.snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1] // overflow bucket: clamp
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Percentile returns the exact p-quantile (0..1) of sorted samples by
-// nearest rank — the shared implementation of the quantile math the bench
-// harnesses previously hand-rolled. The input must be sorted ascending.
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -1,16 +1,16 @@
 // Package obs is ODIN's unified observability layer: a low-overhead
-// metrics registry (atomic counters, gauges and fixed-bucket latency
-// histograms with exact quantile extraction), a per-frame pipeline tracer
-// that times every serving stage, and a bounded ring of structured
-// lifecycle events (drift, recovery, fidelity transitions, checkpoints).
+// metrics registry (atomic counters, scrape-time gauge callbacks and
+// fixed-bucket latency histograms), a per-frame pipeline tracer that times
+// every serving stage, and a bounded ring of structured lifecycle events
+// (drift, recovery, fidelity transitions, checkpoints).
 //
 // The package is designed around two constraints from DESIGN.md §12:
 //
-//   - Allocation-free hot path. Counter.Add, Gauge.Set and
-//     Histogram.Observe touch only pre-allocated atomics; label rendering
-//     and map lookups happen once, at registration time. The per-frame
-//     cost of an enabled observer is a handful of atomic adds plus two
-//     monotonic clock reads per stage.
+//   - Allocation-free hot path. Counter.Add and Histogram.Observe touch
+//     only pre-allocated atomics; label rendering and map lookups happen
+//     once, at registration time. The per-frame cost of an enabled
+//     observer is a handful of atomic adds plus two monotonic clock reads
+//     per stage.
 //
 //   - Strictly observational. Nothing in this package feeds back into the
 //     pipeline: instrumentation reads timestamps and increments counters
@@ -21,7 +21,6 @@
 package obs
 
 import (
-	"math"
 	"sync/atomic"
 )
 
@@ -53,26 +52,4 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a metric that can go up and down. The zero value is unusable;
-// obtain one from Registry.Gauge.
-type Gauge struct {
-	bits atomic.Uint64 // math.Float64bits
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }

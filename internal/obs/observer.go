@@ -64,14 +64,6 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// Tracer returns the per-stage tracer (nil on a nil observer).
-func (o *Observer) Tracer() *Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.trace
-}
-
 // Events returns the lifecycle event ring (nil on a nil observer).
 func (o *Observer) Events() *EventLog {
 	if o == nil {

@@ -27,7 +27,6 @@ type child struct {
 	labels  []Label
 	key     string // rendered label set, for dedup + sorted output
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64 // scrape-time callback (counter or gauge family)
 }
@@ -63,15 +62,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		c.counter = &Counter{}
 	}
 	return c.counter
-}
-
-// Gauge registers (or returns the existing) gauge series name{labels}.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	c := r.series(name, help, typeGauge, labels)
-	if c.gauge == nil {
-		c.gauge = &Gauge{}
-	}
-	return c.gauge
 }
 
 // Histogram registers (or returns the existing) histogram series
@@ -125,18 +115,6 @@ func (r *Registry) series(name, help, typ string, labels []Label) *child {
 	return c
 }
 
-// Families returns the registered family names, sorted.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // WritePrometheus renders every family in the Prometheus text exposition
 // format (families and series in sorted order, so output is stable for
 // golden tests).
@@ -167,8 +145,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(&b, f.name, c.key, c.fn())
 			case c.counter != nil:
 				writeSample(&b, f.name, c.key, float64(c.counter.Value()))
-			case c.gauge != nil:
-				writeSample(&b, f.name, c.key, c.gauge.Value())
 			}
 		}
 	}

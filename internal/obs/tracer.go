@@ -43,15 +43,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Stages lists every stage in pipeline order.
-func Stages() []Stage {
-	out := make([]Stage, numStages)
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
-}
-
 // Tracer records per-stage latencies and frame counts. All methods are
 // nil-receiver-safe and allocation-free, so instrumented code calls them
 // unconditionally and a disabled observer costs one nil check.
@@ -80,20 +71,4 @@ func (t *Tracer) Observe(s Stage, d time.Duration, frames int) {
 	}
 	t.seconds[s].Observe(d.Seconds())
 	t.frames[s].Add(frames)
-}
-
-// StageSeconds returns the stage's latency histogram (nil on a nil tracer).
-func (t *Tracer) StageSeconds(s Stage) *Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.seconds[s]
-}
-
-// StageFrames returns the cumulative frame count for a stage.
-func (t *Tracer) StageFrames(s Stage) uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.frames[s].Value()
 }

@@ -6,10 +6,10 @@ import (
 
 // DRAE is the discriminative reconstruction autoencoder baseline (Xia et
 // al., ICCV 2015): an autoencoder whose reconstruction error is used as the
-// outlier score, with an unsupervised two-mode threshold (here Otsu, which
-// maximises the same between-mode separation DRAE's alternating objective
-// optimises). The paper's critique — that reconstruction error on the raw
-// output space inherits the AE's latent holes — is what Table 1 measures.
+// outlier score. Table 1 thresholds it like every other detector, at the
+// training scores' 99th percentile. The paper's critique — that
+// reconstruction error on the raw output space inherits the AE's latent
+// holes — is what Table 1 measures.
 type DRAE struct {
 	Cfg    gan.Config
 	Epochs int

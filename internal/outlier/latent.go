@@ -61,9 +61,6 @@ func (l *LatentKNN) Score(x []float64) float64 {
 	return s / float64(k)
 }
 
-// Projector exposes the trained projector (nil before Fit).
-func (l *LatentKNN) Projector() gan.Projector { return l.proj }
-
 var _ Detector = (*LatentKNN)(nil)
 
 // NewAEDetector returns the "AE" Table 1 detector: k-NN in a plain
@@ -165,21 +162,8 @@ func (d *DAGANDetector) Score(x []float64) float64 {
 	return s
 }
 
-// Projector exposes the trained DA-GAN (nil before Fit).
-func (d *DAGANDetector) Projector() gan.Projector { return d.dg }
-
 func stddev(v []float64) float64 {
 	return math.Sqrt(tensor.Variance(v))
 }
 
 var _ Detector = (*DAGANDetector)(nil)
-
-// NewPCADetectorKNN returns a k-NN detector over PCA coordinates (used in
-// ablations; Table 1's PCA column uses reconstruction error via PCA.Score).
-func NewPCADetectorKNN(components, k int) *LatentKNN {
-	return NewLatentKNN(k, func(data [][]float64) gan.Projector {
-		p := NewPCA(components)
-		p.Fit(data)
-		return p
-	})
-}

@@ -101,9 +101,6 @@ func (p *PCA) Score(x []float64) float64 {
 	return s / float64(dim)
 }
 
-// Components returns the fitted principal directions.
-func (p *PCA) Components() [][]float64 { return p.components }
-
 // Project maps x to its K-dimensional principal-component coordinates.
 func (p *PCA) Project(x []float64) []float64 {
 	c := make([]float64, len(x))

@@ -1,14 +1,11 @@
 // Package outlier implements the drift/outlier-detection baselines the
 // paper compares DA-GAN against in Table 1 — LOF (Breunig et al.), DRAE
 // (Xia et al.), PCA reconstruction error — plus latent-space k-NN detectors
-// over any gan.Projector (AE, AAE, DA-GAN), unsupervised Otsu thresholding
-// and F1 evaluation.
+// over any gan.Projector (AE, AAE, DA-GAN), quantile thresholds and F1
+// evaluation.
 package outlier
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Detector is an unsupervised outlier scorer: Fit consumes in-distribution
 // (or contaminated) training data; Score returns a value that is higher for
@@ -16,58 +13,6 @@ import (
 type Detector interface {
 	Fit(train [][]float64)
 	Score(x []float64) float64
-}
-
-// OtsuThreshold picks the score threshold that maximises between-class
-// variance of the score histogram — the unsupervised two-mode separation
-// that DRAE's discriminative reconstruction objective converges to.
-func OtsuThreshold(scores []float64) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, s := range scores {
-		lo = math.Min(lo, s)
-		hi = math.Max(hi, s)
-	}
-	if hi <= lo {
-		return lo
-	}
-	const bins = 64
-	hist := make([]float64, bins)
-	for _, s := range scores {
-		b := int((s - lo) / (hi - lo) * bins)
-		if b >= bins {
-			b = bins - 1
-		}
-		hist[b]++
-	}
-	total := float64(len(scores))
-	var sumAll float64
-	for i, c := range hist {
-		sumAll += float64(i) * c
-	}
-	var wB, sumB, bestVar float64
-	best := 0
-	for i := 0; i < bins; i++ {
-		wB += hist[i]
-		if wB == 0 {
-			continue
-		}
-		wF := total - wB
-		if wF == 0 {
-			break
-		}
-		sumB += float64(i) * hist[i]
-		mB := sumB / wB
-		mF := (sumAll - sumB) / wF
-		v := wB * wF * (mB - mF) * (mB - mF)
-		if v > bestVar {
-			bestVar = v
-			best = i
-		}
-	}
-	return lo + (float64(best)+0.5)/bins*(hi-lo)
 }
 
 // Confusion counts binary classification outcomes for the outlier class.
@@ -100,15 +45,6 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Accuracy is overall classification accuracy.
-func (c Confusion) Accuracy() float64 {
-	n := c.TP + c.FP + c.TN + c.FN
-	if n == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(n)
-}
-
 // Evaluate thresholds scores and compares against ground truth (true =
 // outlier).
 func Evaluate(scores []float64, isOutlier []bool, thr float64) Confusion {
@@ -127,54 +63,6 @@ func Evaluate(scores []float64, isOutlier []bool, thr float64) Confusion {
 		}
 	}
 	return c
-}
-
-// F1Score runs the full unsupervised protocol: Otsu threshold on the score
-// distribution, then outlier-class F1. When the test set contains no
-// outliers (the paper's 0% row), it returns the fraction of inliers
-// correctly retained below threshold — the analogous "nothing falsely
-// flagged" quality measure — using a high quantile of the scores as the
-// operating threshold, since a two-mode threshold does not exist.
-func F1Score(scores []float64, isOutlier []bool) float64 {
-	any := false
-	for _, o := range isOutlier {
-		if o {
-			any = true
-			break
-		}
-	}
-	if !any {
-		thr := Quantile(scores, 0.99)
-		kept := 0
-		for _, s := range scores {
-			if s <= thr {
-				kept++
-			}
-		}
-		return float64(kept) / float64(len(scores))
-	}
-	thr := OtsuThreshold(scores)
-	return Evaluate(scores, isOutlier, thr).F1()
-}
-
-// BestF1 sweeps all score thresholds and returns the maximum achievable F1
-// (the oracle upper bound, used in tests and diagnostics).
-func BestF1(scores []float64, isOutlier []bool) (float64, float64) {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	best, bestThr := 0.0, 0.0
-	for k := 0; k < len(idx); k++ {
-		thr := scores[idx[k]]
-		c := Evaluate(scores, isOutlier, thr)
-		if f := c.F1(); f > best {
-			best = f
-			bestThr = thr
-		}
-	}
-	return best, bestThr
 }
 
 // Quantile returns the q-quantile (0..1) of values.

@@ -47,7 +47,6 @@ type Controller struct {
 	level       int
 	hot, cold   int
 	transitions int
-	decisions   []int
 }
 
 // NewController returns a controller at level 0 (full fidelity).
@@ -78,7 +77,6 @@ func (c *Controller) Observe(occupancy float64) int {
 		c.cold = 0
 		c.transitions++
 	}
-	c.decisions = append(c.decisions, c.level)
 	return c.level
 }
 
@@ -87,12 +85,3 @@ func (c *Controller) Level() int { return c.level }
 
 // Transitions returns how many level changes have occurred.
 func (c *Controller) Transitions() int { return c.transitions }
-
-// Decisions returns a copy of every level Observe has returned, in
-// order. A recorded run can be replayed deterministically by applying
-// the same sequence as a script.
-func (c *Controller) Decisions() []int {
-	out := make([]int, len(c.decisions))
-	copy(out, c.decisions)
-	return out
-}

@@ -17,7 +17,7 @@ type FilterNet struct {
 	Net       *nn.Network
 
 	h, w int
-	opt  nn.Optimizer
+	opt  *nn.Adam
 	rng  *tensor.RNG
 }
 
@@ -94,28 +94,4 @@ func (f *FilterNet) Fit(frames []*synth.Frame, epochs, batch int) float64 {
 func (f *FilterNet) Pass(fr *synth.Frame) bool {
 	out := f.Net.Predict(tensor.FromVec(fr.Image.Flat()))
 	return out.V[0] >= f.Threshold
-}
-
-// Func adapts the filter to the engine's FilterFunc signature.
-func (f *FilterNet) Func() FilterFunc { return f.Pass }
-
-// Accuracy measures presence-classification accuracy on labelled frames.
-func (f *FilterNet) Accuracy(frames []*synth.Frame) float64 {
-	if len(frames) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, fr := range frames {
-		truth := false
-		for _, b := range fr.Boxes {
-			if b.Class == f.Class {
-				truth = true
-				break
-			}
-		}
-		if f.Pass(fr) == truth {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(frames))
 }

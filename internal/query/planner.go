@@ -133,12 +133,6 @@ func (e *Engine) Prepare(q *Query, opts ...PrepareOption) (*Plan, error) {
 // ModelName returns the plan's bound model name ("" for filter-only plans).
 func (p *Plan) ModelName() string { return p.model }
 
-// Batched reports whether the plan's model binding is batch-capable.
-func (p *Plan) Batched() bool { return p.batch != nil }
-
-// MinScore returns the detection-confidence floor frozen into the plan.
-func (p *Plan) MinScore() float64 { return p.minScore }
-
 // Explain renders the plan as a one-line stage pipeline, e.g.
 //
 //	scan(stream) -> filter(truck_filter) -> model(odin, batched) -> where(class='car') -> min_score(0.30) -> count

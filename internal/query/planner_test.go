@@ -203,7 +203,7 @@ func TestPlanMinScoreOption(t *testing.T) {
 	if sres.Count != 0 {
 		t.Fatalf("strict plan counted %d detections above 0.9", sres.Count)
 	}
-	if loose.MinScore() != 0.3 || strict.MinScore() != 0.9 {
+	if loose.minScore != 0.3 || strict.minScore != 0.9 {
 		t.Fatal("plans should freeze their thresholds")
 	}
 }

@@ -277,19 +277,19 @@ func TestFilterNetLearnsPresence(t *testing.T) {
 	if last >= first {
 		t.Fatalf("filter loss did not decrease: %v -> %v", first, last)
 	}
-	acc := f.Accuracy(test)
-	if acc < 0.6 {
-		t.Fatalf("filter accuracy too low: %v", acc)
+	// Presence-classification accuracy on held-out frames.
+	correct := 0
+	for _, fr := range test {
+		truth := false
+		for _, b := range fr.Boxes {
+			truth = truth || b.Class == synth.ClassTruck
+		}
+		if f.Pass(fr) == truth {
+			correct++
+		}
 	}
-}
-
-func TestFilterNetFuncAdapters(t *testing.T) {
-	gen := synth.NewSceneGen(8, synth.DefaultSceneConfig())
-	f := NewFilterNet(synth.ClassCar, 27, 48, 2)
-	fr := gen.GenerateSubset(synth.DayData)
-	fn := f.Func()
-	if fn(fr) != f.Pass(fr) {
-		t.Fatal("Func adapter disagrees with Pass")
+	if acc := float64(correct) / float64(len(test)); acc < 0.6 {
+		t.Fatalf("filter accuracy too low: %v", acc)
 	}
 }
 

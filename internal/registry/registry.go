@@ -65,11 +65,6 @@ type Policy struct {
 	WarmDistance float64
 }
 
-// DefaultPolicy returns the default adoption gates.
-func DefaultPolicy() Policy {
-	return Policy{AdoptDistance: DefaultAdoptDistance, WarmDistance: DefaultWarmDistance}
-}
-
 // Stats is a snapshot of registry telemetry.
 type Stats struct {
 	// Size and Capacity describe the resident entry set.
@@ -91,15 +86,6 @@ type Stats struct {
 	Published int
 	// Evicted counts entries displaced by the LRU capacity bound.
 	Evicted int
-}
-
-// EntryInfo describes one resident entry for introspection.
-type EntryInfo struct {
-	Key       string
-	Kind      detect.Kind
-	Source    string
-	SourceGen uint64
-	Hits      int
 }
 
 // entry is one resident model.
@@ -369,20 +355,6 @@ func (r *Registry) Stats() Stats {
 	st.Size = len(r.entries)
 	st.Capacity = r.capacity
 	return st
-}
-
-// Entries lists the resident entries (most recently published last).
-func (r *Registry) Entries() []EntryInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]EntryInfo, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = EntryInfo{
-			Key: e.sig.Key, Kind: e.kind,
-			Source: e.source, SourceGen: e.sourceGen, Hits: e.hits,
-		}
-	}
-	return out
 }
 
 // String renders a one-line summary for logs.

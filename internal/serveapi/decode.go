@@ -30,7 +30,7 @@ const maxSkipDepth = 32
 
 // DecodeRequest parses the body of a frame-bearing request —
 // {"sql"?, "frames":[{index,c,h,w,pix,boxes?,time,weather,location}]}, the
-// shared shape of FramesRequest, ExecuteRequest and QueryRequest — in one
+// shared shape of FramesRequest, QueryRequest and the execute body — in one
 // pass, without reflection. Keys may come in any order, unknown keys are
 // skipped (their values still have to be valid JSON), and nothing in the
 // result aliases body.

@@ -11,7 +11,7 @@
 //
 // Who parses what: clients, responses and the small control-plane bodies
 // use encoding/json on the structs below. The frame-bearing request bodies
-// (FramesRequest, ExecuteRequest, QueryRequest — ~70 KB of numbers per
+// (FramesRequest, QueryRequest and the execute body — ~70 KB of numbers per
 // frame) go through DecodeRequest in the server instead: one pass, no
 // reflection, and each number token scanned once — the JSON grammar
 // checked, the significant digits counted and accumulated eight bytes at a
@@ -198,10 +198,6 @@ type (
 	PrepareResponse struct {
 		ID      string `json:"id"`
 		Explain string `json:"explain"`
-	}
-	// ExecuteRequest executes a prepared query over frames.
-	ExecuteRequest struct {
-		Frames []Frame `json:"frames"`
 	}
 	// GenerateResponse returns server-generated synthetic frames.
 	GenerateResponse struct {

@@ -39,11 +39,6 @@ func (im *Image) Set(ch, y, x int, v float64) {
 	im.Pix[ch*im.H*im.W+y*im.W+x] = clamp01(v)
 }
 
-// Add accumulates v into the pixel, clamping to [0, 1].
-func (im *Image) Add(ch, y, x int, v float64) {
-	im.Set(ch, y, x, im.At(ch, y, x)+v)
-}
-
 // SetRGB writes an RGB triple at (x, y). For grayscale images only channel
 // 0 is written.
 func (im *Image) SetRGB(y, x int, r, g, b float64) {
@@ -69,28 +64,12 @@ func (im *Image) FillRect(y0, x0, y1, x1 int, r, g, b float64) {
 // Fill paints the entire image with an RGB colour.
 func (im *Image) Fill(r, g, b float64) { im.FillRect(0, 0, im.H, im.W, r, g, b) }
 
-// Clone returns a deep copy.
-func (im *Image) Clone() *Image {
-	out := NewImage(im.C, im.H, im.W)
-	copy(out.Pix, im.Pix)
-	return out
-}
-
 // Flat returns the raw pixel slice (aliased, channel-major), the row format
 // expected by the nn package.
 func (im *Image) Flat() []float64 { return im.Pix }
 
 // Dim returns the flattened dimensionality C*H*W.
 func (im *Image) Dim() int { return im.C * im.H * im.W }
-
-// Mean returns the average pixel intensity across all channels.
-func (im *Image) Mean() float64 {
-	var s float64
-	for _, v := range im.Pix {
-		s += v
-	}
-	return s / float64(len(im.Pix))
-}
 
 // Scale multiplies every pixel by f, clamping to [0,1]. f<1 darkens (night),
 // f>1 brightens.
@@ -186,57 +165,6 @@ func (im *Image) DownsampleInto(dst []float64, factor int) {
 			}
 		}
 	}
-}
-
-// Grayscale collapses an RGB image to a single luminance channel.
-func (im *Image) Grayscale() *Image {
-	if im.C == 1 {
-		return im.Clone()
-	}
-	out := NewImage(1, im.H, im.W)
-	hw := im.H * im.W
-	for p := 0; p < hw; p++ {
-		out.Pix[p] = clamp01(0.299*im.Pix[p] + 0.587*im.Pix[hw+p] + 0.114*im.Pix[2*hw+p])
-	}
-	return out
-}
-
-// DrawLine draws a 1px line from (x0,y0) to (x1,y1) with an RGB colour
-// (Bresenham).
-func (im *Image) DrawLine(y0, x0, y1, x1 int, r, g, b float64) {
-	dx := abs(x1 - x0)
-	dy := -abs(y1 - y0)
-	sx := 1
-	if x0 > x1 {
-		sx = -1
-	}
-	sy := 1
-	if y0 > y1 {
-		sy = -1
-	}
-	e := dx + dy
-	for {
-		im.SetRGB(y0, x0, r, g, b)
-		if x0 == x1 && y0 == y1 {
-			return
-		}
-		e2 := 2 * e
-		if e2 >= dy {
-			e += dy
-			x0 += sx
-		}
-		if e2 <= dx {
-			e += dx
-			y0 += sy
-		}
-	}
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // DrawDisc paints a filled circle of radius rad centred at (cx, cy).

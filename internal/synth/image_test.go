@@ -34,13 +34,13 @@ func TestImageSetClamps(t *testing.T) {
 func TestFillRectAndMean(t *testing.T) {
 	im := NewImage(3, 4, 4)
 	im.Fill(1, 1, 1)
-	if math.Abs(im.Mean()-1) > 1e-12 {
-		t.Fatalf("mean=%v", im.Mean())
+	if math.Abs(tensor.Mean(im.Pix)-1) > 1e-12 {
+		t.Fatalf("mean=%v", tensor.Mean(im.Pix))
 	}
 	im2 := NewImage(3, 4, 4)
 	im2.FillRect(0, 0, 2, 4, 1, 1, 1) // top half
-	if math.Abs(im2.Mean()-0.5) > 1e-12 {
-		t.Fatalf("half-fill mean=%v", im2.Mean())
+	if math.Abs(tensor.Mean(im2.Pix)-0.5) > 1e-12 {
+		t.Fatalf("half-fill mean=%v", tensor.Mean(im2.Pix))
 	}
 }
 
@@ -186,18 +186,6 @@ func BenchmarkDownsample(b *testing.B) {
 	})
 }
 
-func TestGrayscaleRange(t *testing.T) {
-	im := NewImage(3, 2, 2)
-	im.SetRGB(0, 0, 1, 1, 1)
-	g := im.Grayscale()
-	if g.C != 1 {
-		t.Fatal("grayscale channels")
-	}
-	if math.Abs(g.At(0, 0, 0)-1) > 1e-9 {
-		t.Fatalf("white should stay white: %v", g.At(0, 0, 0))
-	}
-}
-
 func TestBoxIoU(t *testing.T) {
 	a := Box{X: 0, Y: 0, W: 10, H: 10}
 	b := Box{X: 0, Y: 0, W: 10, H: 10}
@@ -227,14 +215,6 @@ func TestBoxIoUProperties(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDrawLineEndpoints(t *testing.T) {
-	im := NewImage(1, 10, 10)
-	im.DrawLine(1, 1, 8, 8, 1, 1, 1)
-	if im.At(0, 1, 1) != 1 || im.At(0, 8, 8) != 1 {
-		t.Fatal("line endpoints not drawn")
 	}
 }
 

@@ -105,9 +105,6 @@ func NewSceneGen(seed uint64, cfg SceneConfig) *SceneGen {
 	return &SceneGen{cfg: cfg, rng: tensor.NewRNG(seed)}
 }
 
-// Config returns the generator's scene configuration.
-func (s *SceneGen) Config() SceneConfig { return s.cfg }
-
 // horizon returns the y coordinate separating sky from ground.
 func (s *SceneGen) horizon() int { return s.cfg.H * 2 / 5 }
 
@@ -137,15 +134,6 @@ func (s *SceneGen) Dataset(sub Subset, n int) []*Frame {
 	out := make([]*Frame, n)
 	for i := range out {
 		out[i] = s.GenerateSubset(sub)
-	}
-	return out
-}
-
-// DatasetDomain renders n frames from a single fixed domain.
-func (s *SceneGen) DatasetDomain(d Domain, n int) []*Frame {
-	out := make([]*Frame, n)
-	for i := range out {
-		out[i] = s.Generate(d)
 	}
 	return out
 }

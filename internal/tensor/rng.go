@@ -86,20 +86,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes idx in place.
-func (r *RNG) Shuffle(idx []int) {
-	for i := len(idx) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-}
-
-// Split returns a new generator whose stream is decorrelated from r's,
-// suitable for handing to a sub-component.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa0761d6478bd642f)
-}
-
 // FillNormal fills m with sigma-scaled normal samples.
 func (r *RNG) FillNormal(m *Mat, sigma float64) {
 	for i := range m.V {

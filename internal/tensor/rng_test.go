@@ -102,14 +102,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitDecorrelates(t *testing.T) {
-	r := NewRNG(5)
-	s := r.Split()
-	if r.Uint64() == s.Uint64() {
-		t.Fatal("split stream equals parent stream")
-	}
-}
-
 func TestFillUniformBounds(t *testing.T) {
 	r := NewRNG(3)
 	m := New(10, 10)

@@ -28,12 +28,11 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
-// hostISA is the highest level this CPU and OS support; level is the one
-// installed, and ops holds the primitives it selects. They are set once at
-// init (and changed only by tests, before any kernels run concurrently).
+// hostISA is the highest level this CPU and OS support; ops holds the
+// primitives of the installed level. They are set once at init (and changed
+// only by tests, before any kernels run concurrently).
 var (
 	hostISA = detectISA()
-	level   isa
 	ops     rowOps
 )
 
@@ -70,10 +69,6 @@ func avx512Usable(ebx7, xcr0 uint32) bool {
 	return ebx7&avx512f != 0 && xcr0&0xe6 == 0xe6
 }
 
-// Vectorized reports whether the matmul kernels are using the assembly
-// primitives: AVX2, with the AVX-512F register tile where the CPU has it.
-func Vectorized() bool { return level > isaGo }
-
 // setISA installs the primitives of level l and reports whether it could:
 // not above what the host supports. Besides init it is a test hook: the
 // conformance suite runs the kernels at every level and asserts bit-equal
@@ -82,7 +77,6 @@ func setISA(l isa) bool {
 	if l > hostISA {
 		return false
 	}
-	level = l
 	ops = goRowOps()
 	if l >= isaAVX2 {
 		ops = rowOps{axpy4x64, axpy1x64, tile4x64, gather2x64}

@@ -12,7 +12,4 @@ var (
 	ops     = goRowOps()
 )
 
-// Vectorized reports whether the matmul kernels are using SIMD row updates.
-func Vectorized() bool { return false }
-
 func setISA(l isa) bool { return l == isaGo }

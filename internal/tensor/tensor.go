@@ -57,19 +57,6 @@ func (m *Mat) SetRow(i int, src []float64) {
 	copy(m.Row(i), src)
 }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	out := New(m.R, m.C)
-	copy(out.V, m.V)
-	return out
-}
-
-// CopyFrom copies src's contents into m. Shapes must match.
-func (m *Mat) CopyFrom(src *Mat) {
-	m.mustSameShape(src)
-	copy(m.V, src.V)
-}
-
 // Zero sets every element to 0.
 func (m *Mat) Zero() { clear(m.V) }
 
@@ -94,34 +81,10 @@ func (m *Mat) Add(o *Mat) {
 	}
 }
 
-// Sub subtracts o element-wise from m (m -= o).
-func (m *Mat) Sub(o *Mat) {
-	m.mustSameShape(o)
-	for i, v := range o.V {
-		m.V[i] -= v
-	}
-}
-
 // Scale multiplies every element of m by s.
 func (m *Mat) Scale(s float64) {
 	for i := range m.V {
 		m.V[i] *= s
-	}
-}
-
-// AddScaled performs m += s*o.
-func (m *Mat) AddScaled(s float64, o *Mat) {
-	m.mustSameShape(o)
-	for i, v := range o.V {
-		m.V[i] += s * v
-	}
-}
-
-// Hadamard multiplies m element-wise by o (m ⊙= o).
-func (m *Mat) Hadamard(o *Mat) {
-	m.mustSameShape(o)
-	for i, v := range o.V {
-		m.V[i] *= v
 	}
 }
 
@@ -187,43 +150,6 @@ func (m *Mat) Transpose() *Mat {
 		}
 	}
 	return out
-}
-
-// Sum returns the sum of all elements.
-func (m *Mat) Sum() float64 {
-	var s float64
-	for _, v := range m.V {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty matrices).
-func (m *Mat) Mean() float64 {
-	if m.Len() == 0 {
-		return 0
-	}
-	return m.Sum() / float64(m.Len())
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty matrices).
-func (m *Mat) MaxAbs() float64 {
-	var s float64
-	for _, v := range m.V {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of all elements.
-func (m *Mat) Norm2() float64 {
-	var s float64
-	for _, v := range m.V {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Dot returns the inner product of two equal-length vectors.

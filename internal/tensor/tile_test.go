@@ -81,7 +81,7 @@ func tileProducts(t *testing.T, g *guarded, a, b, bias *Mat, seed uint64) []*Mat
 	MatMulInto(out[0], a, b)
 	MatMulBiasInto(out[1], a, b, bias)
 	at := g.mat(a.C, m, rng)
-	at.CopyFrom(a.Transpose())
+	copy(at.V, a.Transpose().V)
 	MatMulATInto(out[2], at, b)
 	Kernels{}.MatMulAT(out[3].V, at.V, m, a.C, b.V, n)
 	if !bitsEqual(out[3], out[2]) {

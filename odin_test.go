@@ -212,8 +212,9 @@ func TestLifecycleErrors(t *testing.T) {
 
 // TestProcessRejectsBadFrame: a frame the models cannot run — nil, without
 // an image, of another C, H or W, or with the wrong pixel count — is
-// ErrFrameShape from Process, not a panic, and leaves the stream as it was:
-// its next good frame has the fingerprint a fresh server gives that frame.
+// ErrFrameShape from Process, and from a query over a built-in model (naming
+// the frame's index), not a panic, and leaves the stream as it was: its next
+// good frame has the fingerprint a fresh server gives that frame.
 func TestProcessRejectsBadFrame(t *testing.T) {
 	ctx := context.Background()
 	boot := func() (*Server, *Stream) {
@@ -252,6 +253,12 @@ func TestProcessRejectsBadFrame(t *testing.T) {
 		if _, err := st.Process(ctx, tc.f); !errors.Is(err, ErrFrameShape) {
 			t.Errorf("%s: Process returned %v, want ErrFrameShape", tc.name, err)
 		}
+		for _, model := range []string{"odin", "yolo"} {
+			_, err := srv.Query(ctx, "SELECT COUNT(detections) FROM stream USING MODEL "+model, []*Frame{good, tc.f})
+			if !errors.Is(err, ErrFrameShape) || !strings.Contains(err.Error(), "frame 1") {
+				t.Errorf("%s: query over %s returned %v, want ErrFrameShape naming frame 1", tc.name, model, err)
+			}
+		}
 	}
 	got, err := st.Process(ctx, good)
 	if err != nil {
@@ -264,6 +271,70 @@ func TestProcessRejectsBadFrame(t *testing.T) {
 	}
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("the first good frame after the rejected ones:\n got  %s\n want %s", got.Fingerprint(), want.Fingerprint())
+	}
+}
+
+// TestRunRejectsBadFrame: on a Run channel a misshapen frame yields a
+// StreamResult at its Seq carrying ErrFrameShape and is not processed, so
+// the good frames around it fingerprint as sequential Process gives them
+// without it — through either window source.
+func TestRunRejectsBadFrame(t *testing.T) {
+	ctx := context.Background()
+	boot := func(opts ...Option) *Stream {
+		srv, err := New(append(fastServerOptions(8), opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Bootstrap(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.OpenStream(ctx, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	ref := boot()
+	frames := ref.srv.GenerateFrames(NightData, 12)
+	want := make([]string, len(frames))
+	for i, f := range frames {
+		r, err := ref.Process(ctx, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r.Fingerprint()
+	}
+	bad := &Frame{Image: &synth.Image{C: 3, H: 1, W: 1, Pix: make([]float64, 3)}}
+	for _, src := range windowSources {
+		t.Run(src.name, func(t *testing.T) {
+			st := boot(src.opts...)
+			in := make(chan *Frame, len(frames)+2)
+			for i, f := range frames {
+				if i == 5 {
+					in <- bad
+				}
+				in <- f
+			}
+			in <- nil
+			close(in)
+			var good, rejected []int
+			for res := range st.Run(ctx, in) {
+				if res.Err != nil {
+					if !errors.Is(res.Err, ErrFrameShape) {
+						t.Fatalf("seq %d: Err = %v, want ErrFrameShape", res.Seq, res.Err)
+					}
+					rejected = append(rejected, res.Seq)
+					continue
+				}
+				if fp := res.Fingerprint(); fp != want[len(good)] {
+					t.Fatalf("seq %d diverged from the run without the bad frames:\n got  %s\n want %s", res.Seq, fp, want[len(good)])
+				}
+				good = append(good, res.Seq)
+			}
+			if len(good) != len(frames) || !reflect.DeepEqual(rejected, []int{5, len(frames) + 1}) {
+				t.Fatalf("good seqs %v, rejected seqs %v; want %d good and rejected [5 %d]", good, rejected, len(frames), len(frames)+1)
+			}
+		})
 	}
 }
 
@@ -356,10 +427,28 @@ func driftStream(srv *Server, perPhase int) []*Frame {
 // TestRunMatchesSequentialProcess is the facade-level determinism
 // guarantee: sharded Run at 1, 4 and 8 workers yields results identical to
 // sequential Process on an identically seeded server — detections, cluster
-// assignments, drift events and stats. Run under -race in CI.
+// assignments, drift events and stats. The kernels guarantee exact
+// reproducibility regardless of partitioning (DESIGN.md §8). The second
+// seed, with a shorter stream, is the case CI's race job runs by itself.
 func TestRunMatchesSequentialProcess(t *testing.T) {
-	const seed, perPhase = 11, 60
+	for _, c := range []struct {
+		seed     uint64
+		perPhase int
+		slow     bool
+	}{
+		{seed: 11, perPhase: 60},
+		{seed: 17, perPhase: 40, slow: true},
+	} {
+		t.Run(fmt.Sprintf("seed=%d", c.seed), func(t *testing.T) {
+			if c.slow && testing.Short() {
+				t.Skip("slow; CI's race job runs it by itself under -race")
+			}
+			runMatchesSequential(t, c.seed, c.perPhase)
+		})
+	}
+}
 
+func runMatchesSequential(t *testing.T, seed uint64, perPhase int) {
 	// Reference: sequential Process on its own server.
 	ref, err := New(fastServerOptions(seed)...)
 	if err != nil {
@@ -428,83 +517,6 @@ func TestRunMatchesSequentialProcess(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestBackendDeterminismAcrossWorkers is TestRunMatchesSequentialProcess
-// on a second seed and stream length, run by itself under -race in CI:
-// sharded Run at 1, 4 and 8 workers must reproduce sequential Process bit
-// for bit — detections, drift events and stats. The kernels guarantee exact
-// reproducibility regardless of partitioning (DESIGN.md §8). The "float64"
-// level names the precision everything computes in.
-func TestBackendDeterminismAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow; CI's race job runs it by itself under -race")
-	}
-	const seed, perPhase = 17, 40
-	t.Run("float64", func(t *testing.T) {
-		opts := fastServerOptions(seed)
-		ref, err := New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Bootstrap(context.Background(), nil); err != nil {
-			t.Fatal(err)
-		}
-		frames := driftStream(ref, perPhase)
-		st, err := ref.OpenStream(context.Background(), StreamOptions{Name: "seq"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]string, len(frames))
-		for i, f := range frames {
-			r, err := st.Process(context.Background(), f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = r.Fingerprint()
-		}
-		wantStats := ref.Stats()
-		if wantStats.DriftEvents == 0 {
-			t.Fatal("drift stream produced no drift events; the determinism test would be vacuous")
-		}
-
-		for _, workers := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-				srv, err := New(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := srv.Bootstrap(context.Background(), nil); err != nil {
-					t.Fatal(err)
-				}
-				frames := driftStream(srv, perPhase)
-				stream, err := srv.OpenStream(context.Background(), StreamOptions{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				in := make(chan *Frame)
-				go func() {
-					defer close(in)
-					for _, f := range frames {
-						in <- f
-					}
-				}()
-				got := 0
-				for res := range stream.Run(context.Background(), in) {
-					if key := res.Fingerprint(); key != want[got] {
-						t.Fatalf("frame %d diverged from sequential:\n got %s\nwant %s", got, key, want[got])
-					}
-					got++
-				}
-				if got != len(frames) {
-					t.Fatalf("received %d/%d results", got, len(frames))
-				}
-				if stats := srv.Stats(); !reflect.DeepEqual(stats, wantStats) {
-					t.Fatalf("stats diverged: got %+v want %+v", stats, wantStats)
-				}
-			})
-		}
-	})
 }
 
 func TestRunContextCancellation(t *testing.T) {

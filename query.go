@@ -316,10 +316,19 @@ func modelOf(ast *query.Query) string {
 
 // Execute runs the prepared plan over a frame set. Re-execution performs
 // zero parse/plan work. The context cancels execution between model
-// invocations.
+// invocations. A plan bound to "odin" or "yolo" runs only over frames of
+// Server.FrameShape(): any other frame fails the whole call with
+// ErrFrameShape, naming its index, before a model runs.
 func (pq *PreparedQuery) Execute(ctx context.Context, frames []*Frame) (*QueryResult, error) {
 	if err := pq.srv.alive(); err != nil {
 		return nil, err
+	}
+	if builtinModel(pq.plan.ModelName()) {
+		for i, f := range frames {
+			if err := pq.srv.checkFrame(f); err != nil {
+				return nil, fmt.Errorf("odin: frame %d: %w", i, err)
+			}
+		}
 	}
 	return pq.plan.Execute(ctx, frames)
 }

@@ -38,9 +38,11 @@ var (
 	// admission queue to offer into — the server was built without
 	// WithMaxQueue, or the stream has no active Run session.
 	ErrNoAdmission = errors.New("odin: no admission queue (WithMaxQueue unset or no active Run session)")
-	// ErrFrameShape is returned by Stream.Process for a frame the models
-	// cannot run: nil, without an image, or not of Server.FrameShape() — a
-	// different C, H or W, or len(Pix) ≠ C·H·W. The frame is not processed.
+	// ErrFrameShape is returned by Stream.Process and by a built-in
+	// model's PreparedQuery.Execute, and carried by StreamResult.Err, for a
+	// frame the models cannot run: nil, without an image, or not of
+	// Server.FrameShape() — a different C, H or W, or len(Pix) ≠ C·H·W.
+	// The frame is not processed.
 	ErrFrameShape = errors.New("odin: frame does not have the server's shape")
 )
 

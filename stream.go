@@ -55,6 +55,10 @@ type StreamResult struct {
 	// result, every shed frame yields a marker, nothing vanishes — but
 	// carries no Frame and a zero Result.
 	Dropped bool
+	// Err, wrapping ErrFrameShape, marks a frame not of
+	// Server.FrameShape(). It was not processed: the Result is zero and the
+	// stream is as it would be had the frame never arrived.
+	Err error
 	Result
 }
 
@@ -409,7 +413,8 @@ func (st *Stream) finishSubs(ctx context.Context, clean bool) {
 // processed with the project and detect stages sharded across the
 // stream's worker budget; results are bit-identical to sequential Process
 // calls on the same frames. Cancellation closes the result channel
-// without draining in.
+// without draining in. A frame not of Server.FrameShape() is not
+// processed: its StreamResult carries Err (ErrFrameShape) in its place.
 //
 // Run pins the server's pipeline for its whole lifetime: every frame it
 // consumes from in is processed, even if the server is closed mid-run
@@ -522,6 +527,7 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 		frames := make([]*Frame, 0, st.maxBatch)
 		fids := make([]qos.Fidelity, 0, st.maxBatch)
 		seqs := make([]int, 0, st.maxBatch)
+		bad := make([]error, 0, st.maxBatch) // per entry: the frame's shape error
 		prevLevel := 0
 		for {
 			entries, err := next()
@@ -562,14 +568,20 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 				}
 				prevLevel = level
 			}
-			frames, fids, seqs = frames[:0], fids[:0], seqs[:0]
+			frames, fids, seqs, bad = frames[:0], fids[:0], seqs[:0], bad[:0]
 			degraded := false
 			for _, e := range entries {
 				if e.DropN > 0 {
+					bad = append(bad, nil)
 					continue
 				}
 				if !e.At.IsZero() {
 					ob.StageDur(obs.StageQueueWait, time.Since(e.At), 1)
+				}
+				shapeErr := st.srv.checkFrame(e.Frame)
+				bad = append(bad, shapeErr)
+				if shapeErr != nil {
+					continue
 				}
 				lv := level
 				if script != nil {
@@ -612,13 +624,16 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 			ri := 0
 			tE := ob.Now()
 			emitted := 0
-			for _, e := range entries {
+			for i, e := range entries {
 				sr, n := StreamResult{Seq: e.Seq, Frame: e.Frame}, 1
-				if e.DropN > 0 {
+				switch {
+				case e.DropN > 0:
 					sr.Dropped, n = true, e.DropN
 					p.AddDropped(n)
 					ob.DroppedFrames(n)
-				} else {
+				case bad[i] != nil:
+					sr.Err = bad[i]
+				default:
 					sr.Result = results[ri]
 					ri++
 				}
@@ -767,10 +782,6 @@ type StreamQoS struct {
 	// and its bound.
 	QueueFrames int
 	QueueCap    int
-	// Decisions is the controller's level trace, one entry per drained
-	// batch, in order — the raw record of how the session walked the
-	// ladder.
-	Decisions []int
 }
 
 // QoS returns a snapshot of the stream's QoS state. Queue and controller
@@ -789,7 +800,6 @@ func (st *Stream) QoS() StreamQoS {
 	if st.ctrl != nil {
 		s.Level = st.ctrl.Level()
 		s.Transitions = st.ctrl.Transitions()
-		s.Decisions = st.ctrl.Decisions()
 	}
 	return s
 }
