@@ -428,26 +428,25 @@ func driftStream(srv *Server, perPhase int) []*Frame {
 // guarantee: sharded Run at 1, 4 and 8 workers yields results identical to
 // sequential Process on an identically seeded server — detections, cluster
 // assignments, drift events and stats. The kernels guarantee exact
-// reproducibility regardless of partitioning (DESIGN.md §8). The second
-// seed, with a shorter stream, is the case CI's race job runs by itself.
+// reproducibility regardless of partitioning (DESIGN.md §8).
 func TestRunMatchesSequentialProcess(t *testing.T) {
-	for _, c := range []struct {
-		seed     uint64
-		perPhase int
-		slow     bool
-	}{
-		{seed: 11, perPhase: 60},
-		{seed: 17, perPhase: 40, slow: true},
-	} {
-		t.Run(fmt.Sprintf("seed=%d", c.seed), func(t *testing.T) {
-			if c.slow && testing.Short() {
-				t.Skip("slow; CI's race job runs it by itself under -race")
-			}
-			runMatchesSequential(t, c.seed, c.perPhase)
-		})
-	}
+	runMatchesSequential(t, 11, 60)
 }
 
+// TestBackendDeterminismAcrossWorkers is the same check on a second seed and
+// a shorter stream, the case CI's race job runs by itself. The "float64"
+// level names the precision everything computes in.
+func TestBackendDeterminismAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow; CI's race job runs it by itself under -race")
+	}
+	t.Run("float64", func(t *testing.T) { runMatchesSequential(t, 17, 40) })
+}
+
+// runMatchesSequential runs a drift stream through sequential Process on
+// one server built from seed, then through sharded Run at 1, 4 and 8
+// workers on fresh servers, each a "workers=N" subtest, and fails on any
+// fingerprint or stats difference.
 func runMatchesSequential(t *testing.T, seed uint64, perPhase int) {
 	// Reference: sequential Process on its own server.
 	ref, err := New(fastServerOptions(seed)...)
