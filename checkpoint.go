@@ -23,8 +23,8 @@ var (
 	ErrCheckpointVersion = checkpoint.ErrVersionMismatch
 	// ErrCheckpointTruncated marks a checkpoint stream that ends early.
 	ErrCheckpointTruncated = checkpoint.ErrTruncated
-	// ErrCheckpointCorrupt marks a checkpoint whose bytes fail the CRC or
-	// whose payload fails to decode.
+	// ErrCheckpointCorrupt marks a checkpoint whose bytes fail the CRC,
+	// whose payload fails to decode, or whose scene no Server renders.
 	ErrCheckpointCorrupt = checkpoint.ErrCorrupt
 )
 
@@ -126,6 +126,12 @@ func Restore(r io.Reader, opts ...Option) (*Server, error) {
 	// The stored seed governs every derived seed (specializer sequence);
 	// it must survive restart for post-restore training to match.
 	cfg.seed = payload.Seed
+	// A Server renders one scene geometry; any other did not come from
+	// Checkpoint, and the renderer cannot draw every geometry.
+	if want := synth.DefaultSceneConfig(); payload.Scene != want || payload.Gen.Cfg != want {
+		return nil, fmt.Errorf("odin: restore: %w: scene %+v, generator scene %+v, want %+v",
+			ErrCheckpointCorrupt, payload.Scene, payload.Gen.Cfg, want)
+	}
 
 	engine := query.NewEngine()
 	engine.SetMinScore(cfg.minScore)

@@ -50,6 +50,7 @@ func (g *TextureGen) classPalette(class int) (r, gg, b float64) {
 // Generate renders one image of the given texture class (0–9).
 func (g *TextureGen) Generate(class int) *Image {
 	if class < 0 || class >= CIFARClasses {
+		// Invariant: classes come from the experiments' fixed lists, never from input.
 		panic("synth: texture class out of range")
 	}
 	im := NewImage(3, CIFARSize, CIFARSize)

@@ -58,6 +58,7 @@ var classStyle = [10]struct {
 // Generate renders one image of the given digit (0–9).
 func (g *DigitGen) Generate(digit int) *Image {
 	if digit < 0 || digit > 9 {
+		// Invariant: digits come from the experiments' fixed lists, never from input.
 		panic("synth: digit out of range")
 	}
 	im := NewImage(1, DigitSize, DigitSize)

@@ -131,6 +131,7 @@ func (im *Image) DownsampleInto(dst []float64, factor int) {
 	oh := im.H / factor
 	ow := im.W / factor
 	if len(dst) != im.C*oh*ow {
+		// Invariant: the one caller, Downsample, sizes dst from im itself.
 		panic(fmt.Sprintf("synth: downsample of %v by %d into %d values, want %d", im, factor, len(dst), im.C*oh*ow))
 	}
 	inv := 1 / float64(factor*factor)

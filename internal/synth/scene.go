@@ -110,18 +110,24 @@ func (s *SceneGen) horizon() int { return s.cfg.H * 2 / 5 }
 
 // Generate renders one frame under the given domain.
 func (s *SceneGen) Generate(d Domain) *Frame {
+	f, sigma := s.scene(d)
+	addNoise(f.Image.Pix, s.rng, sigma)
+	return f
+}
+
+// scene renders one frame under the given domain up to its sensor noise,
+// the frame's last draws, and returns the noise's standard deviation.
+func (s *SceneGen) scene(d Domain) (*Frame, float64) {
 	im := NewImage(3, s.cfg.H, s.cfg.W)
-	rng := s.rng
 	hz := s.horizon()
 
 	s.paintBackground(im, d, hz)
 	boxes := s.placeObjects(im, d, hz)
-	s.applyDomain(im, d, boxes)
+	sigma := s.applyDomain(im, d, boxes)
 
 	f := &Frame{Index: s.n, Image: im, Boxes: boxes, Domain: d}
 	s.n++
-	_ = rng
-	return f
+	return f, sigma
 }
 
 // GenerateSubset renders one frame from a domain sampled out of the subset.
@@ -129,13 +135,47 @@ func (s *SceneGen) GenerateSubset(sub Subset) *Frame {
 	return s.Generate(sub.SampleDomain(s.rng))
 }
 
-// Dataset renders n frames from the subset's domain distribution.
+// Dataset renders n frames from the subset's domain distribution, exactly
+// the frames and generator state n GenerateSubset calls would give; n <= 0
+// renders none. Scenes are drawn in order on the calling goroutine, each
+// frame's noise generator recorded and the shared one skipped past it; the
+// noise, most of a frame's cost, then runs on the worker pool, each frame
+// writing only its own image.
 func (s *SceneGen) Dataset(sub Subset, n int) []*Frame {
-	out := make([]*Frame, n)
-	for i := range out {
-		out[i] = s.GenerateSubset(sub)
+	type noise struct {
+		rng   tensor.RNG
+		sigma float64
 	}
+	n = max(n, 0)
+	out := make([]*Frame, n)
+	jobs := make([]noise, n)
+	for i := range out {
+		f, sigma := s.scene(sub.SampleDomain(s.rng))
+		out[i], jobs[i] = f, noise{*s.rng, sigma}
+		s.rng.SkipNorms(len(f.Image.Pix))
+	}
+	tensor.ParallelWorkers(n, tensor.Parallelism(), func(start, end int) {
+		for i := start; i < end; i++ {
+			addNoise(out[i].Image.Pix, &jobs[i].rng, jobs[i].sigma)
+		}
+	})
 	return out
+}
+
+// addNoise adds sigma-scaled sensor noise to every pixel, in order, and
+// clamps the result to [0, 1] as clamp01 does. A noisy dark pixel drops
+// below zero at random, so the lower clamp clears a negative value's bits
+// instead of branching. That matches clamp01 because the sum is never −0
+// or NaN: the pixel is finite and a Norm sample never zero.
+func addNoise(pix []float64, rng *tensor.RNG, sigma float64) {
+	for i := range pix {
+		b := math.Float64bits(pix[i] + rng.Norm()*sigma)
+		v := math.Float64frombits(b &^ uint64(int64(b)>>63))
+		if v > 1 {
+			v = 1
+		}
+		pix[i] = v
+	}
 }
 
 func (s *SceneGen) paintBackground(im *Image, d Domain, hz int) {
@@ -403,8 +443,9 @@ func (s *SceneGen) drawSign(im *Image, d Domain, hz int) Box {
 }
 
 // applyDomain applies the global appearance transforms that make domains
-// separable in latent space, then repaints emissive elements.
-func (s *SceneGen) applyDomain(im *Image, d Domain, boxes []Box) {
+// separable in latent space, then repaints emissive elements. It returns
+// the standard deviation of the frame's sensor noise.
+func (s *SceneGen) applyDomain(im *Image, d Domain, boxes []Box) float64 {
 	rng := s.rng
 	switch d.Time {
 	case Night:
@@ -477,11 +518,8 @@ func (s *SceneGen) applyDomain(im *Image, d Domain, boxes []Box) {
 		}
 	}
 	// Sensor noise: slightly stronger at night (high ISO).
-	sigma := 0.015
 	if d.Time == Night {
-		sigma = 0.03
+		return 0.03
 	}
-	for i := range im.Pix {
-		im.Pix[i] = clamp01(im.Pix[i] + rng.Norm()*sigma)
-	}
+	return 0.015
 }

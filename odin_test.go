@@ -143,6 +143,16 @@ func TestGenerateFrames(t *testing.T) {
 			t.Fatal("frame missing image or boxes")
 		}
 	}
+	// No frames, not a panic, for a count below one; the sequence goes on
+	// where it was.
+	for _, n := range []int{0, -1} {
+		if got := srv.GenerateFrames(DayData, n); len(got) != 0 {
+			t.Fatalf("GenerateFrames(%d) returned %d frames", n, len(got))
+		}
+	}
+	if next := srv.GenerateFrames(DayData, 1)[0]; next.Index != 5 {
+		t.Fatalf("frame after the empty requests has index %d, want 5", next.Index)
+	}
 }
 
 func TestLifecycleErrors(t *testing.T) {

@@ -216,6 +216,22 @@ func TestCheckpointErrorPaths(t *testing.T) {
 			t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
 		}
 	})
+	t.Run("scene geometry", func(t *testing.T) {
+		// A well-formed checkpoint whose scene the renderer cannot draw is
+		// refused, not restored into a generator that panics on first use.
+		p, _, err := checkpoint.Read(bytes.NewReader(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Scene.H, p.Gen.Cfg.H = 4, 4
+		var b bytes.Buffer
+		if err := checkpoint.Write(&b, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := restore(b.Bytes()); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
+		}
+	})
 	t.Run("sentinels exported", func(t *testing.T) {
 		// The facade sentinels alias the internal ones so both layers'
 		// wrapping stays errors.Is-able.

@@ -106,8 +106,9 @@ func New(opts ...Option) (*Server, error) {
 }
 
 // GenerateFrames renders frames from a subset's domain distribution — the
-// synthetic stand-in for reading dash-cam video (see DESIGN.md §1). Safe
-// for concurrent use; concurrent callers draw from one seeded sequence.
+// synthetic stand-in for reading dash-cam video (see DESIGN.md §1). n <= 0
+// renders none. Safe for concurrent use; concurrent callers draw from one
+// seeded sequence.
 func (s *Server) GenerateFrames(sub Subset, n int) []*Frame {
 	s.genMu.Lock()
 	defer s.genMu.Unlock()
