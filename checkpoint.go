@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
 
 	"odin/internal/checkpoint"
+	"odin/internal/core"
 	"odin/internal/detect"
 	"odin/internal/gan"
 	"odin/internal/obs"
@@ -24,7 +26,8 @@ var (
 	// ErrCheckpointTruncated marks a checkpoint stream that ends early.
 	ErrCheckpointTruncated = checkpoint.ErrTruncated
 	// ErrCheckpointCorrupt marks a checkpoint whose bytes fail the CRC,
-	// whose payload fails to decode, or whose scene no Server renders.
+	// whose payload fails to decode, or whose scene or model architectures
+	// no Server builds.
 	ErrCheckpointCorrupt = checkpoint.ErrCorrupt
 )
 
@@ -132,6 +135,9 @@ func Restore(r io.Reader, opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("odin: restore: %w: scene %+v, generator scene %+v, want %+v",
 			ErrCheckpointCorrupt, payload.Scene, payload.Gen.Cfg, want)
 	}
+	if err := checkArchitectures(payload); err != nil {
+		return nil, fmt.Errorf("odin: restore: %w", err)
+	}
 
 	engine := query.NewEngine()
 	engine.SetMinScore(cfg.minScore)
@@ -171,4 +177,37 @@ func Restore(r io.Reader, opts ...Option) (*Server, error) {
 	s.obs.Event(obs.EvCheckpointRestore, "", -1, int(pipeline.ModelGen()),
 		fmt.Sprintf("%d models", len(payload.Pipeline.Manager.Models)))
 	return s, nil
+}
+
+// checkArchitectures refuses a payload whose projector or any detector
+// differs, seeds aside, from the one architecture per kind a Server builds:
+// daganConfig, and the scene's YOLO, lite and specialized detectors. Such
+// a payload did not come from Checkpoint, and building what it describes
+// can divide by zero, panic on an empty convolution or allocate whatever
+// widths it declares, so Restore builds nothing before this passes.
+func checkArchitectures(p *checkpoint.Payload) error {
+	if got, want := p.DAGAN.Cfg, daganConfig(p.Scene, p.DAGAN.Cfg.Seed); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("%w: projector %+v, want %+v", ErrCheckpointCorrupt, got, want)
+	}
+	h, w := p.Scene.H, p.Scene.W
+	grids := map[detect.Kind]detect.GridConfig{detect.KindYOLO: detect.YOLOConfig(h, w),
+		detect.KindLite: detect.LiteConfig(h, w), detect.KindSpecialized: detect.SpecializedConfig(h, w)}
+	// The baseline rides along as cluster -1.
+	models := append([]core.ModelState{{Kind: detect.KindYOLO, ClusterID: -1, Det: p.Baseline}}, p.Pipeline.Manager.Models...)
+	if own := p.Pipeline.Manager.MostRecentOwn; own != nil {
+		models = append(models, *own)
+	}
+	if p.Registry != nil {
+		for _, e := range p.Registry.Entries {
+			models = append(models, e.Model)
+		}
+	}
+	for _, m := range models {
+		want, ok := grids[m.Kind]
+		want.Seed = m.Det.Cfg.Seed
+		if !ok || !reflect.DeepEqual(m.Det.Cfg, want) {
+			return fmt.Errorf("%w: cluster %d detector %+v, want %+v", ErrCheckpointCorrupt, m.ClusterID, m.Det.Cfg, want)
+		}
+	}
+	return nil
 }

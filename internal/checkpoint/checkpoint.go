@@ -128,8 +128,8 @@ func Read(r io.Reader) (*Payload, byte, error) {
 		return nil, 0, fmt.Errorf("%w: declared payload of %d bytes", ErrCorrupt, plen)
 	}
 
-	body := make([]byte, plen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readPayload(r, plen)
+	if err != nil {
 		return nil, 0, fmt.Errorf("%w: reading %d-byte payload: %v", ErrTruncated, plen, err)
 	}
 	var trailer [4]byte
@@ -149,4 +149,31 @@ func Read(r io.Reader) (*Payload, byte, error) {
 		return nil, 0, fmt.Errorf("%w: decode payload: %v", ErrCorrupt, err)
 	}
 	return &p, header[12], nil
+}
+
+// presizeCap bounds what a payload length allocates up front: a served
+// scene's checkpoint (tens of MB) still reads into one buffer.
+const presizeCap = 64 << 20
+
+// readPayload reads an n-byte payload. It allocates nothing before the
+// first byte arrives, then min(n, presizeCap), and doubles the buffer only
+// once it is full, so a length the stream does not back costs at most
+// presizeCap or a small multiple of what arrived.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	var first [1]byte
+	if _, err := io.ReadFull(r, first[:min(n, 1)]); err != nil {
+		return nil, err
+	}
+	body := make([]byte, min(n, presizeCap))
+	have := copy(body, first[:min(n, 1)])
+	for {
+		if _, err := io.ReadFull(r, body[have:]); err != nil {
+			return nil, err
+		}
+		if uint64(len(body)) == n {
+			return body, nil
+		}
+		have = len(body)
+		body = append(body, make([]byte, min(n-uint64(have), uint64(have)))...)
+	}
 }

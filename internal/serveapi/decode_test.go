@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,6 +73,13 @@ func numbersBody(tokens ...string) string {
 	return fmt.Sprintf(`{"frames":[{"c":1,"h":1,"w":%d,"pix":[%s]}]}`, len(tokens), strings.Join(tokens, ","))
 }
 
+// fusedBody spells tokens as pixels in the middle of an array, where pix
+// tries its fused step on each: one pixel before them (the first never
+// takes it) and more than pixRoom bytes after them.
+func fusedBody(tokens ...string) string {
+	return numbersBody(slices.Concat([]string{"0"}, tokens, slices.Repeat([]string{"1"}, 16))...)
+}
+
 // accepted is the table of bodies the decoder takes; the differential test
 // and the fuzz seeds share it.
 var accepted = map[string]string{
@@ -89,6 +97,23 @@ var accepted = map[string]string{
 	"sql escapes":  `{"sql":"a\"b\\c\/d\b\f\n\r\téé😀 \ud800 \udc00\ud83d \ud83dx é 😀"}`,
 	"sql bad utf8": "{\"sql\":\"a\xffb\xc3\"}",
 	"int edges":    `{"frames":[{"index":-0,"c":1,"h":1,"w":1,"pix":[0],"time":9223372036854775807,"weather":-9223372036854775808}]}`,
+	// The fused pixel step's edges: fraction lengths on both sides of each
+	// word and of 19 digits, leading zeros that push a short significand
+	// past 19 fraction digits, every shape near the one it takes,
+	// whitespace, exponents, and 0.5-like tokens Eisel–Lemire leaves
+	// half-way undecided.
+	"fused lengths": fusedBody("0.7", "0.12345678", "0.1234567890123456", "0.12345678901234567",
+		"0.1234567890123456789", "0.12345678901234567891", "0.123456789012345678901234", "0.9999999999999999999"),
+	"fused leading zeros": fusedBody("0.0000000000000000001", "0.000000000000000000012", "0.00000123456789012345678",
+		"0.000000000000000000000001", "0.0024711858062433315", "0.0000000000000000000"),
+	"fused zeros":       fusedBody("0", "-0", "0.0", "1", "0", "0.000"),
+	"fused whitespace":  fusedBody("0.25 ", "0 ", " 0.125", "0.1234567890123456\n", "\t0"),
+	"fused exponents":   fusedBody("0e0", "0.5e1", "0.123E-2", "0.1e+1", "0.30000000000000004e0", "0E5"),
+	"fused half-way":    fusedBody("0.5", "0.25", "0.375", "0.0625", "0.5000000000000000277", "0.9999999999999999444888487687421729788184165954589843750"),
+	"fused near end 26": numbersBody("0", "0.12345678901234567", "1"),
+	"fused near end 27": numbersBody("0", "0.123456789012345678", "1"),
+	"fused near end 28": numbersBody("0", "0.1234567890123456789", "1"),
+	"fused last pixel":  numbersBody("0", "0.1", "0", "0.12345678901234567"),
 }
 
 // rejected is the table of bodies the decoder refuses. encoding/json
@@ -124,6 +149,9 @@ var rejected = map[string]string{
 	"truncated array":      `{"frames":[{"c":1,"h":1,"w":3,"pix":[1,2`,
 	"truncated, pix first": `{"frames":[{"pix":[1,2`,
 	"truncated object":     `{"frames":[{"c":1,"h":1,"w":1,"pix":[1]}`,
+	"point, no digits":     fusedBody("0."),
+	"two leading zeros":    fusedBody("00.5"),
+	"letter after digits":  fusedBody("0.1x"),
 	"trailing comma":       `{"frames":[{"c":1,"h":1,"w":2,"pix":[1,2,]}]}`,
 	"missing comma":        `{"frames":[{"c":1,"h":1,"w":2,"pix":[1 2]}]}`,
 	"trailing bytes":       `{"frames":[]}x`,
@@ -329,7 +357,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, body := range rejected {
 		f.Add([]byte(body))
 	}
-	f.Add(synthBody(f, synth.NightData, 1, ""))
+	f.Add(synthBody(f, synth.NightData, 4, ""))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var got QueryRequest
 		var err error

@@ -196,10 +196,11 @@ func TestPowersOfTen(t *testing.T) {
 	}
 }
 
-// FuzzDecodeNumber: any bytes as the one pixel of a body. What the decoder
-// accepts, encoding/json decodes to the same bits — and when the bytes are
-// one JSON number, so does strconv; what encoding/json and strconv both
-// accept in range, the decoder accepts.
+// FuzzDecodeNumber: any bytes as a pixel of a body, first in its array and
+// after another pixel (pix's two ways in). What the decoder accepts,
+// encoding/json decodes to the same bits — and when the bytes are one JSON
+// number, so does strconv; what encoding/json and strconv both accept in
+// range, the decoder accepts.
 func FuzzDecodeNumber(f *testing.F) {
 	// The boundary tokens are the committed corpus, testdata/fuzz/FuzzDecodeNumber;
 	// these are what clients send.
@@ -209,27 +210,30 @@ func FuzzDecodeNumber(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, tok []byte) {
-		body := []byte(numbersBody(string(tok)))
-		got, err := DecodeRequest(body)
 		trimmed := strings.Trim(string(tok), " \t\n\r")
 		want, serr := strconv.ParseFloat(trimmed, 64)
 		single := json.Valid(tok) && serr == nil
-		if err != nil {
-			if single {
-				t.Fatalf("%q: rejected (%v), but encoding/json and strconv accept it", tok, err)
+		// As the first pixel the token goes through float; after one,
+		// through pix's fused step whenever it has that step's shape.
+		for at, body := range [][]byte{[]byte(numbersBody(string(tok))), []byte(fusedBody(string(tok)))} {
+			got, err := DecodeRequest(body)
+			if err != nil {
+				if single {
+					t.Fatalf("%q at %d: rejected (%v), but encoding/json and strconv accept it", tok, at, err)
+				}
+				continue
 			}
-			return
-		}
-		var ref QueryRequest
-		if err := json.Unmarshal(body, &ref); err != nil {
-			t.Fatalf("%q: accepted, but encoding/json says %v", tok, err)
-		}
-		if err := sameRequest(got, ref); err != nil {
-			t.Fatalf("%q: %v", tok, err)
-		}
-		if single {
-			if g := got.Frames[0].Pix[0]; math.Float64bits(g) != math.Float64bits(want) {
-				t.Fatalf("%q: %v (%#x), strconv says %v (%#x)", tok, g, math.Float64bits(g), want, math.Float64bits(want))
+			var ref QueryRequest
+			if err := json.Unmarshal(body, &ref); err != nil {
+				t.Fatalf("%q at %d: accepted, but encoding/json says %v", tok, at, err)
+			}
+			if err := sameRequest(got, ref); err != nil {
+				t.Fatalf("%q at %d: %v", tok, at, err)
+			}
+			if single {
+				if g := got.Frames[0].Pix[at]; math.Float64bits(g) != math.Float64bits(want) {
+					t.Fatalf("%q at %d: %v (%#x), strconv says %v (%#x)", tok, at, g, math.Float64bits(g), want, math.Float64bits(want))
+				}
 			}
 		}
 	})

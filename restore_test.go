@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"odin/internal/checkpoint"
+	"odin/internal/core"
+	"odin/internal/detect"
 )
 
 // checkpointedRun bootstraps a server, processes the first half of a drift
@@ -216,22 +218,36 @@ func TestCheckpointErrorPaths(t *testing.T) {
 			t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
 		}
 	})
-	t.Run("scene geometry", func(t *testing.T) {
-		// A well-formed checkpoint whose scene the renderer cannot draw is
-		// refused, not restored into a generator that panics on first use.
-		p, _, err := checkpoint.Read(bytes.NewReader(ckpt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Scene.H, p.Gen.Cfg.H = 4, 4
-		var b bytes.Buffer
-		if err := checkpoint.Write(&b, p); err != nil {
-			t.Fatal(err)
-		}
-		if err := restore(b.Bytes()); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
-		}
-	})
+	// A CRC-valid checkpoint whose scene the renderer cannot draw, or
+	// whose projector or a detector is not the architecture a Server
+	// builds, is refused before anything is built; each of these used to
+	// reach a panic: in the generator on first use, or out of Restore.
+	for name, edit := range map[string]func(p *checkpoint.Payload){
+		"scene geometry":  func(p *checkpoint.Payload) { p.Scene.H, p.Gen.Cfg.H = 4, 4 },
+		"detector stride": func(p *checkpoint.Payload) { p.Baseline.Cfg.Strides[0] = 0 },
+		"detector height": func(p *checkpoint.Payload) { p.Baseline.Cfg.H = -5 },
+		"projector width": func(p *checkpoint.Payload) { p.DAGAN.Cfg.Hidden[0] = -1 },
+		"cluster model": func(p *checkpoint.Payload) {
+			cfg := detect.SpecializedConfig(p.Scene.H, p.Scene.W)
+			cfg.Strides = []int{2, 0}
+			p.Pipeline.Manager.MostRecentOwn = &core.ModelState{Kind: detect.KindSpecialized, Det: detect.State{Cfg: cfg}}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p, _, err := checkpoint.Read(bytes.NewReader(ckpt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(p)
+			var b bytes.Buffer
+			if err := checkpoint.Write(&b, p); err != nil {
+				t.Fatal(err)
+			}
+			if err := restore(b.Bytes()); !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
+			}
+		})
+	}
 	t.Run("sentinels exported", func(t *testing.T) {
 		// The facade sentinels alias the internal ones so both layers'
 		// wrapping stays errors.Is-able.

@@ -176,13 +176,7 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 	}
 
 	enc := core.DownsampleEncoder(2)
-	dgCfg := gan.Config{
-		InputDim: core.EncodedDim(s.scene, 2),
-		Latent:   16,
-		Hidden:   []int{128, 48},
-		LR:       0.001,
-		Seed:     s.cfg.seed + 7,
-	}
+	dgCfg := daganConfig(s.scene, s.cfg.seed+7)
 	baseCfg := detect.YOLOConfig(s.scene.H, s.scene.W)
 	baseCfg.Seed = s.cfg.seed + 9
 	baseline := detect.NewGridDetector(baseCfg)
@@ -224,6 +218,13 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 	s.booted = true
 	s.mu.Unlock()
 	return nil
+}
+
+// daganConfig is the one projector architecture a Server builds: a DA-GAN
+// with latent 16 and hidden widths 128 and 48 over the frame halved on
+// each side, the encoding Bootstrap trains it on.
+func daganConfig(scene synth.SceneConfig, seed uint64) gan.Config {
+	return gan.Config{InputDim: core.EncodedDim(scene, 2), Latent: 16, Hidden: []int{128, 48}, LR: 0.001, Seed: seed}
 }
 
 // assemble builds the drift pipeline, the fleet subsystem (trainer,
