@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -200,7 +199,7 @@ func TestFleetRegistryParity(t *testing.T) {
 // regimes adopt their own earlier recoveries.
 func TestFleetRecoveryPrivateRegistry(t *testing.T) {
 	srv, err := New(append(fastServerOptions(29),
-		WithFleetRecovery(FleetRecovery{Capacity: 4, Source: "solo"}),
+		WithFleetRecovery(FleetRecovery{Source: "solo"}),
 	)...)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +215,7 @@ func TestFleetRecoveryPrivateRegistry(t *testing.T) {
 		t.Fatalf("no recovery landed: %+v", st)
 	}
 	rst := srv.RegistryStats()
-	if rst.Capacity != 4 || rst.Lookups == 0 || rst.Published == 0 {
+	if rst.Capacity != 32 || rst.Lookups == 0 || rst.Published == 0 {
 		t.Fatalf("private registry not consulted: %+v", rst)
 	}
 }
@@ -252,34 +251,5 @@ func TestTrainerStatsFacade(t *testing.T) {
 	// Without a registry every install is a scratch build.
 	if st.Scratch != st.Trained {
 		t.Fatalf("registry-less trainer reported non-scratch installs: %+v", st)
-	}
-}
-
-// TestFleetRecoveryOptionValidation: bad adoption gates are rejected at
-// construction.
-func TestFleetRecoveryOptionValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		fr   FleetRecovery
-	}{
-		{"adopt > 1", FleetRecovery{AdoptDistance: 1.5}},
-		{"negative warm", FleetRecovery{WarmDistance: -0.1}},
-		{"warm < adopt", FleetRecovery{AdoptDistance: 0.5, WarmDistance: 0.2}},
-		{"negative capacity", FleetRecovery{Capacity: -1}},
-	}
-	for _, c := range cases {
-		if _, err := New(WithFleetRecovery(c.fr)); err == nil {
-			t.Errorf("%s: expected error", c.name)
-		} else if !strings.Contains(err.Error(), "odin:") {
-			t.Errorf("%s: error %q misses the odin: prefix", c.name, err)
-		}
-	}
-	// WithFleetRecovery implies async training.
-	srv, err := New(WithFleetRecovery(FleetRecovery{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !srv.cfg.trainAsync {
-		t.Fatal("WithFleetRecovery must imply WithTrainAsync")
 	}
 }

@@ -27,6 +27,16 @@ func fleetFrames(srv *Server, streams, perStream int) [][]*Frame {
 	return out
 }
 
+// withDispatchBounds overrides the dispatcher's flush threshold and linger
+// so a test can hold windows in the assembler until the fleet is ready.
+func withDispatchBounds(maxBatch int, linger time.Duration) Option {
+	return func(c *config) error {
+		c.dispatchMaxBatch = maxBatch
+		c.dispatchLinger = linger
+		return nil
+	}
+}
+
 // TestDispatchedMatchesPerStream is the fleet determinism contract: with
 // async training off, N streams routed through the dispatcher produce
 // results bit-identical to per-stream Stream.Run sessions advancing the
@@ -90,8 +100,7 @@ func TestDispatchedMatchesPerStream(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			srv, err := New(append(fastServerOptions(seed),
 				WithDispatcher(true),
-				WithMaxBatch(streams*win*rounds),
-				WithMaxLinger(time.Minute),
+				withDispatchBounds(streams*win*rounds, time.Minute),
 				WithWorkers(workers),
 			)...)
 			if err != nil {
@@ -102,9 +111,16 @@ func TestDispatchedMatchesPerStream(t *testing.T) {
 			}
 			frames := fleetFrames(srv, streams, perStream)
 
-			// Start the Runs in stream order (join order = merge order),
-			// THEN let the frames flow.
-			dins := make([]chan *Frame, streams)
+			// Each input is full before its Run starts, so no window is cut
+			// short by a producer descheduled mid-push. Runs start in stream
+			// order (join order = merge order) behind a gate session that
+			// submits nothing: until it leaves, cam-0 cannot flush alone.
+			gate, err := srv.OpenStream(context.Background(), StreamOptions{Name: "gate"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gateIn := make(chan *Frame)
+			gateOut := gate.Run(context.Background(), gateIn)
 			douts := make([]<-chan StreamResult, streams)
 			for s := 0; s < streams; s++ {
 				st, err := srv.OpenStream(context.Background(), StreamOptions{
@@ -113,14 +129,15 @@ func TestDispatchedMatchesPerStream(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dins[s] = make(chan *Frame, perStream)
-				douts[s] = st.Run(context.Background(), dins[s])
-			}
-			for s := 0; s < streams; s++ {
+				din := make(chan *Frame, perStream)
 				for _, f := range frames[s] {
-					dins[s] <- f
+					din <- f
 				}
-				close(dins[s])
+				close(din)
+				douts[s] = st.Run(context.Background(), din)
+			}
+			close(gateIn)
+			for range gateOut {
 			}
 			var wg sync.WaitGroup
 			for s := 0; s < streams; s++ {
@@ -381,8 +398,7 @@ func TestDispatchStreamJoinsAndLeavesMidBatch(t *testing.T) {
 func TestDispatchCancelWithFramesInAssembler(t *testing.T) {
 	srv, err := New(append(fastServerOptions(41),
 		WithDispatcher(true),
-		WithMaxBatch(1024),
-		WithMaxLinger(time.Minute),
+		withDispatchBounds(1024, time.Minute),
 	)...)
 	if err != nil {
 		t.Fatal(err)
@@ -427,27 +443,6 @@ func TestDispatchCancelWithFramesInAssembler(t *testing.T) {
 	}
 	close(inB)
 	for range outB {
-	}
-}
-
-// TestDispatchOptionValidation pins the new options' eager validation.
-func TestDispatchOptionValidation(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		opt  Option
-	}{
-		{"zero max batch", WithMaxBatch(0)},
-		{"negative max batch", WithMaxBatch(-3)},
-		{"zero linger", WithMaxLinger(0)},
-		{"negative linger", WithMaxLinger(-time.Second)},
-		{"zero label delay", WithLabelDelay(0)},
-	} {
-		if _, err := New(c.opt); err == nil {
-			t.Errorf("%s: New should reject the option", c.name)
-		}
-	}
-	if _, err := New(WithDispatcher(true), WithMaxBatch(16), WithMaxLinger(time.Millisecond), WithTrainAsync(true)); err != nil {
-		t.Fatalf("valid fleet options rejected: %v", err)
 	}
 }
 

@@ -26,16 +26,22 @@ type Pipeline interface {
 	ProcessBatchFid(frames []*synth.Frame, workers int, fids []qos.Fidelity) []core.Result
 }
 
+// The flush bounds a zero Config field picks.
+const (
+	DefaultMaxBatch  = 64
+	DefaultMaxLinger = 2 * time.Millisecond
+)
+
 // Config tunes the batcher's flush policy.
 type Config struct {
 	// MaxBatch flushes the assembler as soon as the pending windows hold at
 	// least this many frames, bounding the merged batch (a single window
-	// larger than MaxBatch still flushes whole). 0 picks 64.
+	// larger than MaxBatch still flushes whole). 0 picks DefaultMaxBatch.
 	MaxBatch int
 	// MaxLinger bounds how long a submitted window waits to be co-batched
 	// with other sessions' windows. It is the batcher's no-starvation
 	// guarantee: every submitted window is processed within MaxLinger even
-	// if no other session ever submits. 0 picks 2ms.
+	// if no other session ever submits. 0 picks DefaultMaxLinger.
 	MaxLinger time.Duration
 	// Workers is the ProcessBatch fan-out for merged batches. 0 picks 1.
 	Workers int
@@ -43,10 +49,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
+		c.MaxBatch = DefaultMaxBatch
 	}
 	if c.MaxLinger <= 0 {
-		c.MaxLinger = 2 * time.Millisecond
+		c.MaxLinger = DefaultMaxLinger
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1

@@ -115,7 +115,6 @@ type Trainer struct {
 
 	reg    *registry.Registry
 	source string
-	pol    registry.Policy
 
 	wake    chan struct{}
 	done    chan struct{}
@@ -148,13 +147,11 @@ func NewTrainer(pipe *core.Odin) *Trainer {
 
 // AttachRegistry connects the trainer to a fleet model registry: every
 // subsequent job carrying a regime signature is resolved against it. source
-// names this pipeline in registry provenance; pol sets the adoption gates
-// (zero fields fall back to registry defaults). Call before serving frames.
-func (t *Trainer) AttachRegistry(reg *registry.Registry, source string, pol registry.Policy) {
+// names this pipeline in registry provenance. Call before serving frames.
+func (t *Trainer) AttachRegistry(reg *registry.Registry, source string) {
 	t.mu.Lock()
 	t.reg = reg
 	t.source = source
-	t.pol = pol
 	t.mu.Unlock()
 }
 
@@ -221,7 +218,7 @@ func (t *Trainer) Enqueue(jobs []core.TrainJob) {
 	for _, job := range jobs {
 		q := queuedJob{job: job}
 		if t.reg != nil && job.Sig != nil {
-			q.res = t.reg.Resolve(job.Sig, job.Kind, t.source, t.pol)
+			q.res = t.reg.Resolve(job.Sig, job.Kind, t.source)
 		}
 		t.queue = append(t.queue, q)
 	}

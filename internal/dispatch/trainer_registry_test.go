@@ -26,12 +26,10 @@ func regSig(x float64) *cluster.Signature {
 	}
 }
 
-var regTestPol = registry.Policy{AdoptDistance: 0.25, WarmDistance: 0.6}
-
 // seedRegistry publishes a model for the regime at x and returns it.
 func seedRegistry(t *testing.T, reg *registry.Registry, x float64, kind detect.Kind, m *core.Model) *core.Model {
 	t.Helper()
-	res := reg.Resolve(regSig(x), kind, "seed", regTestPol)
+	res := reg.Resolve(regSig(x), kind, "seed")
 	if res.Outcome != registry.OutcomeMiss {
 		t.Fatalf("seeding expected miss, got %v", res.Outcome)
 	}
@@ -64,7 +62,7 @@ func TestTrainerAdoptsFromRegistry(t *testing.T) {
 	tr := NewTrainer(pipe)
 	defer tr.Close()
 	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1", regTestPol)
+	tr.AttachRegistry(reg, "cam1")
 	tr.SetBuild(func(core.TrainJob) (*core.Model, error) {
 		t.Error("adopt path must not build")
 		return nil, errors.New("unexpected build")
@@ -103,7 +101,7 @@ func TestTrainerWarmStartsFromRegistry(t *testing.T) {
 	tr := NewTrainer(pipe)
 	defer tr.Close()
 	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1", regTestPol)
+	tr.AttachRegistry(reg, "cam1")
 
 	published := seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
 	var mu sync.Mutex
@@ -142,8 +140,8 @@ func TestTrainerMissPublishesForFleet(t *testing.T) {
 	defer trA.Close()
 	defer trB.Close()
 	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA", regTestPol)
-	trB.AttachRegistry(reg, "camB", regTestPol)
+	trA.AttachRegistry(reg, "camA")
+	trB.AttachRegistry(reg, "camB")
 
 	trA.Enqueue([]core.TrainJob{liveJob(pipeA, genA, detect.KindLite, 5, 0)})
 	waitTrainer(t, trA)
@@ -174,8 +172,8 @@ func TestTrainerCoalescesConcurrentBuilds(t *testing.T) {
 	defer trA.Close()
 	defer trB.Close()
 	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA", regTestPol)
-	trB.AttachRegistry(reg, "camB", regTestPol)
+	trA.AttachRegistry(reg, "camA")
+	trB.AttachRegistry(reg, "camB")
 
 	release := make(chan struct{})
 	built := &core.Model{Kind: detect.KindLite, Det: detect.NewGridDetector(detect.LiteConfig(8, 8))}
@@ -218,8 +216,8 @@ func TestTrainerCoalesceFallsBackOnAbort(t *testing.T) {
 	defer trA.Close()
 	defer trB.Close()
 	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA", regTestPol)
-	trB.AttachRegistry(reg, "camB", regTestPol)
+	trA.AttachRegistry(reg, "camA")
+	trB.AttachRegistry(reg, "camB")
 
 	release := make(chan struct{})
 	trA.SetBuild(func(core.TrainJob) (*core.Model, error) {
@@ -256,8 +254,8 @@ func TestTrainerCloseDropsCoalescedWaiters(t *testing.T) {
 	trA, trB := NewTrainer(pipeA), NewTrainer(pipeB)
 	defer trA.Close()
 	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA", regTestPol)
-	trB.AttachRegistry(reg, "camB", regTestPol)
+	trA.AttachRegistry(reg, "camA")
+	trB.AttachRegistry(reg, "camB")
 
 	release := make(chan struct{})
 	trA.SetBuild(func(core.TrainJob) (*core.Model, error) {
@@ -304,7 +302,7 @@ func TestTrainerAdoptSupersededRollback(t *testing.T) {
 	tr := NewTrainer(pipe)
 	defer tr.Close()
 	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1", regTestPol)
+	tr.AttachRegistry(reg, "cam1")
 	seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
 
 	// Land a specialized model for cluster 5 first.
@@ -340,7 +338,7 @@ func TestTrainerEvictedClusterRejectsAdopted(t *testing.T) {
 	tr := NewTrainer(pipe)
 	defer tr.Close()
 	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1", regTestPol)
+	tr.AttachRegistry(reg, "cam1")
 	seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
 
 	job := liveJob(pipe, gen, detect.KindLite, 5, 0)

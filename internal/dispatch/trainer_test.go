@@ -143,8 +143,8 @@ func TestTrainerBuildPanicRollsBack(t *testing.T) {
 	defer trA.Close()
 	defer trB.Close()
 	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA", regTestPol)
-	trB.AttachRegistry(reg, "camB", regTestPol)
+	trA.AttachRegistry(reg, "camA")
+	trB.AttachRegistry(reg, "camB")
 	ob := obs.New(16)
 	pipeA.SetObserver(ob)
 
@@ -191,7 +191,7 @@ func TestTrainerWarmBuildPanicRollsBack(t *testing.T) {
 	tr := NewTrainer(pipe)
 	defer tr.Close()
 	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1", regTestPol)
+	tr.AttachRegistry(reg, "cam1")
 	ob := obs.New(16)
 	pipe.SetObserver(ob)
 	seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})

@@ -63,12 +63,16 @@ func (f Fidelity) Degraded() bool { return f != Full }
 // Skip subsampling.
 const MaxLevel = 3
 
+// SubsampleEvery is the level-3 sampling stride: one frame in every
+// SubsampleEvery is counted, the rest are skipped.
+const SubsampleEvery = 4
+
 // ForLevel maps a degradation level to the fidelity of the frame with
 // sequence number seq. Levels 0–2 are uniform; at level 3 only one frame
-// in every subsampleEvery is processed (as Count) and the rest are
+// in every SubsampleEvery is processed (as Count) and the rest are
 // skipped, so the stream keeps a sparse signal while shedding almost all
-// work. subsampleEvery ≤ 1 degenerates to uniform Count.
-func ForLevel(level int, seq int, subsampleEvery int) Fidelity {
+// work.
+func ForLevel(level int, seq int) Fidelity {
 	switch {
 	case level <= 0:
 		return Full
@@ -77,7 +81,7 @@ func ForLevel(level int, seq int, subsampleEvery int) Fidelity {
 	case level == 2:
 		return Count
 	default:
-		if subsampleEvery <= 1 || seq%subsampleEvery == 0 {
+		if seq%SubsampleEvery == 0 {
 			return Count
 		}
 		return Skip

@@ -13,23 +13,20 @@ import (
 func frame(i int) *synth.Frame { return &synth.Frame{Index: i} }
 
 func TestForLevelLadder(t *testing.T) {
-	if got := ForLevel(0, 7, 2); got != Full {
+	if got := ForLevel(0, 7); got != Full {
 		t.Fatalf("level 0 = %v, want full", got)
 	}
-	if got := ForLevel(1, 7, 2); got != Lite {
+	if got := ForLevel(1, 7); got != Lite {
 		t.Fatalf("level 1 = %v, want lite", got)
 	}
-	if got := ForLevel(2, 7, 2); got != Count {
+	if got := ForLevel(2, 7); got != Count {
 		t.Fatalf("level 2 = %v, want count", got)
 	}
-	if got := ForLevel(3, 4, 2); got != Count {
-		t.Fatalf("level 3 even seq = %v, want count", got)
+	if got := ForLevel(3, 2*SubsampleEvery); got != Count {
+		t.Fatalf("level 3 on-stride seq = %v, want count", got)
 	}
-	if got := ForLevel(3, 5, 2); got != Skip {
-		t.Fatalf("level 3 odd seq = %v, want skip", got)
-	}
-	if got := ForLevel(3, 5, 1); got != Count {
-		t.Fatalf("level 3 subsample<=1 = %v, want count", got)
+	if got := ForLevel(3, 2*SubsampleEvery+1); got != Skip {
+		t.Fatalf("level 3 off-stride seq = %v, want skip", got)
 	}
 	if Full.Degraded() || !Skip.Degraded() {
 		t.Fatalf("Degraded: full=%v skip=%v", Full.Degraded(), Skip.Degraded())
@@ -49,7 +46,7 @@ func TestDropPolicyRoundTrip(t *testing.T) {
 }
 
 func TestControllerHysteresis(t *testing.T) {
-	c := NewController(ControllerConfig{Patience: 2})
+	c := NewController()
 	// One hot sample is not enough (patience 2).
 	if lvl := c.Observe(0.9); lvl != 0 {
 		t.Fatalf("after 1 hot sample level=%d, want 0", lvl)

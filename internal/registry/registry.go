@@ -34,11 +34,20 @@ import (
 	"odin/internal/detect"
 )
 
-// Defaults for capacity and the adoption gates.
+// DefaultCapacity bounds a registry built with a non-positive capacity.
+const DefaultCapacity = 32
+
+// The adoption gates, in cluster.Signature.DistanceTo units ([0, 1]): how
+// close a stored (or in-flight) regime must be before its model is reused.
 const (
-	DefaultCapacity      = 32
-	DefaultAdoptDistance = 0.25
-	DefaultWarmDistance  = 0.6
+	// AdoptDistance is the distance at or under which a stored model is
+	// adopted outright and an in-flight build is coalesced onto. Keeping it
+	// tight is the guard against transient accuracy fluctuations pulling in
+	// a foreign model.
+	AdoptDistance = 0.25
+	// WarmDistance is the distance at or under which a stored model's
+	// weights warm-start a new build.
+	WarmDistance = 0.6
 )
 
 // Sentinel errors returned by Ticket.Wait.
@@ -50,20 +59,6 @@ var (
 	// shutting down.
 	ErrCanceled = errors.New("registry: wait canceled")
 )
-
-// Policy is the per-pipeline adoption gate: how close a stored (or
-// in-flight) regime must be before its model is reused. Distances are
-// cluster.Signature.DistanceTo values in [0, 1].
-type Policy struct {
-	// AdoptDistance is the threshold at or under which a stored model is
-	// adopted outright and an in-flight build is coalesced onto. Keeping it
-	// tight is the guard against transient accuracy fluctuations pulling in
-	// a foreign model.
-	AdoptDistance float64
-	// WarmDistance is the threshold at or under which a stored model's
-	// weights warm-start a new build. Must be ≥ AdoptDistance.
-	WarmDistance float64
-}
 
 // Stats is a snapshot of registry telemetry.
 type Stats struct {
@@ -210,16 +205,10 @@ type Claim struct {
 }
 
 // Resolve decides how a training job for regime sig should proceed, under
-// the given adoption policy. sig must be non-nil; jobs without a signature
-// should bypass the registry entirely. source names the resolving pipeline
-// for provenance.
-func (r *Registry) Resolve(sig *cluster.Signature, kind detect.Kind, source string, pol Policy) Resolution {
-	if pol.AdoptDistance <= 0 {
-		pol.AdoptDistance = DefaultAdoptDistance
-	}
-	if pol.WarmDistance <= 0 {
-		pol.WarmDistance = DefaultWarmDistance
-	}
+// the AdoptDistance and WarmDistance gates. sig must be non-nil; jobs
+// without a signature should bypass the registry entirely. source names the
+// resolving pipeline for provenance.
+func (r *Registry) Resolve(sig *cluster.Signature, kind detect.Kind, source string) Resolution {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tick++
@@ -235,7 +224,7 @@ func (r *Registry) Resolve(sig *cluster.Signature, kind detect.Kind, source stri
 			best, bestD = e, d
 		}
 	}
-	if best != nil && bestD <= pol.AdoptDistance {
+	if best != nil && bestD <= AdoptDistance {
 		best.hits++
 		best.lastUse = r.tick
 		r.stats.AdoptHits++
@@ -250,14 +239,14 @@ func (r *Registry) Resolve(sig *cluster.Signature, kind detect.Kind, source stri
 		if b.kind != kind {
 			continue
 		}
-		if d := sig.DistanceTo(b.sig); d <= pol.AdoptDistance {
+		if d := sig.DistanceTo(b.sig); d <= AdoptDistance {
 			t := &Ticket{done: make(chan struct{})}
 			b.tickets = append(b.tickets, t) // FIFO: publish order = registration order
 			r.stats.Coalesced++
 			return Resolution{Outcome: OutcomeCoalesce, Ticket: t, Source: b.source, Dist: d}
 		}
 	}
-	if best != nil && bestD <= pol.WarmDistance {
+	if best != nil && bestD <= WarmDistance {
 		best.hits++
 		best.lastUse = r.tick
 		r.stats.WarmHits++

@@ -25,12 +25,10 @@ func testModel(kind detect.Kind) *core.Model {
 	return &core.Model{Kind: kind, ClusterID: 1}
 }
 
-var testPol = Policy{AdoptDistance: 0.25, WarmDistance: 0.6}
-
 // publishAt resolves a miss at x and publishes a model for it.
 func publishAt(t *testing.T, r *Registry, x float64, kind detect.Kind, src string) *core.Model {
 	t.Helper()
-	res := r.Resolve(sigAt(x), kind, src, testPol)
+	res := r.Resolve(sigAt(x), kind, src)
 	if res.Outcome != OutcomeMiss {
 		t.Fatalf("expected miss at %v, got %v", x, res.Outcome)
 	}
@@ -43,7 +41,7 @@ func TestResolveMissThenAdopt(t *testing.T) {
 	r := New(4)
 	m := publishAt(t, r, 0, detect.KindSpecialized, "cam0")
 
-	res := r.Resolve(sigAt(0.01), detect.KindSpecialized, "cam1", testPol)
+	res := r.Resolve(sigAt(0.01), detect.KindSpecialized, "cam1")
 	if res.Outcome != OutcomeAdopt {
 		t.Fatalf("expected adopt, got %v", res.Outcome)
 	}
@@ -62,7 +60,7 @@ func TestResolveWarmAtMediumDistance(t *testing.T) {
 
 	// Centroid distance 1 with unit scales → dc = 1/(1+1) = 0.5, identical
 	// PMFs → total 0.75·0.5 = 0.375: outside adopt (0.25), inside warm (0.6).
-	res := r.Resolve(sigAt(1), detect.KindSpecialized, "cam1", testPol)
+	res := r.Resolve(sigAt(1), detect.KindSpecialized, "cam1")
 	if res.Outcome != OutcomeWarm {
 		t.Fatalf("expected warm at distance 0.375, got %v (d=%v)", res.Outcome, res.Dist)
 	}
@@ -74,7 +72,7 @@ func TestResolveWarmAtMediumDistance(t *testing.T) {
 func TestResolveFarIsMiss(t *testing.T) {
 	r := New(4)
 	publishAt(t, r, 0, detect.KindSpecialized, "cam0")
-	res := r.Resolve(sigAt(100), detect.KindSpecialized, "cam1", testPol)
+	res := r.Resolve(sigAt(100), detect.KindSpecialized, "cam1")
 	if res.Outcome != OutcomeMiss {
 		t.Fatalf("expected miss far away, got %v", res.Outcome)
 	}
@@ -84,7 +82,7 @@ func TestResolveFarIsMiss(t *testing.T) {
 func TestResolveKindMismatchNeverMatches(t *testing.T) {
 	r := New(4)
 	publishAt(t, r, 0, detect.KindSpecialized, "cam0")
-	res := r.Resolve(sigAt(0), detect.KindLite, "cam1", testPol)
+	res := r.Resolve(sigAt(0), detect.KindLite, "cam1")
 	if res.Outcome != OutcomeMiss {
 		t.Fatalf("lite lookup must not match specialized entry, got %v", res.Outcome)
 	}
@@ -93,7 +91,7 @@ func TestResolveKindMismatchNeverMatches(t *testing.T) {
 
 func TestCoalesceFIFOFulfillment(t *testing.T) {
 	r := New(4)
-	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0", testPol)
+	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0")
 	if res.Outcome != OutcomeMiss {
 		t.Fatalf("expected miss, got %v", res.Outcome)
 	}
@@ -101,7 +99,7 @@ func TestCoalesceFIFOFulfillment(t *testing.T) {
 	const waiters = 3
 	tickets := make([]*Ticket, waiters)
 	for i := 0; i < waiters; i++ {
-		w := r.Resolve(sigAt(0.01), detect.KindSpecialized, "cam1", testPol)
+		w := r.Resolve(sigAt(0.01), detect.KindSpecialized, "cam1")
 		if w.Outcome != OutcomeCoalesce {
 			t.Fatalf("waiter %d: expected coalesce, got %v", i, w.Outcome)
 		}
@@ -136,8 +134,8 @@ func TestCoalesceFIFOFulfillment(t *testing.T) {
 
 func TestAbortFailsWaiters(t *testing.T) {
 	r := New(4)
-	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0", testPol)
-	w := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1", testPol)
+	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0")
+	w := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1")
 	if w.Outcome != OutcomeCoalesce {
 		t.Fatalf("expected coalesce, got %v", w.Outcome)
 	}
@@ -146,7 +144,7 @@ func TestAbortFailsWaiters(t *testing.T) {
 		t.Fatalf("wait after abort = %v, want ErrBuildAborted", err)
 	}
 	// After the abort the regime is unclaimed again: a new lookup misses.
-	res2 := r.Resolve(sigAt(0), detect.KindSpecialized, "cam2", testPol)
+	res2 := r.Resolve(sigAt(0), detect.KindSpecialized, "cam2")
 	if res2.Outcome != OutcomeMiss {
 		t.Fatalf("expected fresh miss after abort, got %v", res2.Outcome)
 	}
@@ -155,8 +153,8 @@ func TestAbortFailsWaiters(t *testing.T) {
 
 func TestWaitCancel(t *testing.T) {
 	r := New(4)
-	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0", testPol)
-	w := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1", testPol)
+	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0")
+	w := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1")
 	cancel := make(chan struct{})
 	close(cancel)
 	if _, _, _, err := w.Ticket.Wait(cancel); !errors.Is(err, ErrCanceled) {
@@ -167,8 +165,8 @@ func TestWaitCancel(t *testing.T) {
 
 func TestPublishBeatsCancel(t *testing.T) {
 	r := New(4)
-	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0", testPol)
-	w := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1", testPol)
+	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0")
+	w := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1")
 	m := testModel(detect.KindSpecialized)
 	res.Claim.Publish(m, 1)
 	cancel := make(chan struct{})
@@ -181,7 +179,7 @@ func TestPublishBeatsCancel(t *testing.T) {
 
 func TestPublishNilAborts(t *testing.T) {
 	r := New(4)
-	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0", testPol)
+	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0")
 	res.Claim.Publish(nil, 1)
 	if st := r.Stats(); st.Published != 0 || st.Size != 0 {
 		t.Fatalf("nil publish must abort: %+v", st)
@@ -193,7 +191,7 @@ func TestLRUEviction(t *testing.T) {
 	publishAt(t, r, 0, detect.KindSpecialized, "cam0")
 	publishAt(t, r, 100, detect.KindSpecialized, "cam0")
 	// Touch the first entry so the second becomes LRU.
-	if res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1", testPol); res.Outcome != OutcomeAdopt {
+	if res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1"); res.Outcome != OutcomeAdopt {
 		t.Fatalf("expected adopt, got %v", res.Outcome)
 	}
 	publishAt(t, r, 200, detect.KindSpecialized, "cam0")
@@ -203,10 +201,10 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("expected eviction at capacity 2: %+v", st)
 	}
 	// The touched entry survived; the untouched one is gone.
-	if res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1", testPol); res.Outcome != OutcomeAdopt {
+	if res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam1"); res.Outcome != OutcomeAdopt {
 		t.Fatalf("recently used entry was evicted")
 	}
-	res := r.Resolve(sigAt(100), detect.KindSpecialized, "cam1", testPol)
+	res := r.Resolve(sigAt(100), detect.KindSpecialized, "cam1")
 	if res.Outcome == OutcomeAdopt {
 		t.Fatalf("LRU entry should have been evicted")
 	}
@@ -217,7 +215,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestPublishAbortIdempotent(t *testing.T) {
 	r := New(4)
-	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0", testPol)
+	res := r.Resolve(sigAt(0), detect.KindSpecialized, "cam0")
 	m := testModel(detect.KindSpecialized)
 	res.Claim.Publish(m, 1)
 	res.Claim.Publish(m, 2) // no double insert
@@ -235,7 +233,7 @@ func TestConcurrentResolvePublish(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				res := r.Resolve(sigAt(float64(i%4)*100), detect.KindSpecialized, "cam", testPol)
+				res := r.Resolve(sigAt(float64(i%4)*100), detect.KindSpecialized, "cam")
 				switch res.Outcome {
 				case OutcomeMiss:
 					res.Claim.Publish(testModel(detect.KindSpecialized), 1)

@@ -5,10 +5,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"hash/fnv"
+	"io/fs"
 	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +106,10 @@ func TestOptionValidation(t *testing.T) {
 		{"neg models", WithMaxModels(-1)},
 		{"neg workers", WithWorkers(-4)},
 		{"bad policy", WithPolicy(Policy(99))},
+		{"zero label delay", WithLabelDelay(0)},
+		{"neg queue", WithMaxQueue(-1)},
+		{"bad drop policy", WithDropPolicy(DropPolicy(9))},
+		{"script level out of range", WithAdaptiveFidelity(AdaptiveFidelity{Script: []int{0, 9}})},
 	}
 	for _, c := range cases {
 		if _, err := New(c.opt); err == nil {
@@ -108,6 +118,72 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := New(fastServerOptions(1)...); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
+	}
+	if _, err := New(WithDispatcher(true), WithTrainAsync(true), WithLabelDelay(100)); err != nil {
+		t.Fatalf("valid fleet options rejected: %v", err)
+	}
+}
+
+// TestOptionSurface pins every value a caller can set on a Server or a
+// Stream: the package's With* options, read from the non-test sources, and
+// the exported fields of the option structs. Adding a setting fails here,
+// so it shows up as a one-line diff to this list.
+func TestOptionSurface(t *testing.T) {
+	want := []string{
+		"AdaptiveFidelity.Script",
+		"FleetRecovery.Registry",
+		"FleetRecovery.Source",
+		"StreamOptions.Buffer",
+		"StreamOptions.MaxBatch",
+		"StreamOptions.Name",
+		"StreamOptions.Weight",
+		"StreamOptions.Workers",
+		"WithAdaptiveFidelity",
+		"WithBaselineEpochs",
+		"WithBootstrapEpochs",
+		"WithBootstrapFrames",
+		"WithDispatcher",
+		"WithDropPolicy",
+		"WithFleetRecovery",
+		"WithLabelDelay",
+		"WithMaxModels",
+		"WithMaxQueue",
+		"WithMinScore",
+		"WithObservability",
+		"WithPolicy",
+		"WithSeed",
+		"WithTrainAsync",
+		"WithWorkers",
+	}
+	var got []string
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range pkgs["odin"].Files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() &&
+				strings.HasPrefix(fn.Name.Name, "With") && fn.Type.Results.NumFields() == 1 &&
+				types.ExprString(fn.Type.Results.List[0].Type) == "Option" {
+				got = append(got, fn.Name.Name)
+			}
+		}
+	}
+	for _, v := range []any{AdaptiveFidelity{}, FleetRecovery{}, StreamOptions{}} {
+		typ := reflect.TypeOf(v)
+		for _, f := range reflect.VisibleFields(typ) {
+			if f.IsExported() {
+				got = append(got, typ.Name()+"."+f.Name)
+			}
+		}
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the settable surface changed:\n got %v\nwant %v\n"+
+			"a new setting needs two non-test callers that want different values, "+
+			"else it is a constant (simplicity-review guide, Options rule)", got, want)
 	}
 }
 
@@ -675,31 +751,5 @@ func TestConcurrentStreamsShareServer(t *testing.T) {
 	wg.Wait()
 	if got := srv.Stats().Frames; got != cams*perCam {
 		t.Fatalf("server saw %d frames, want %d", got, cams*perCam)
-	}
-}
-
-func TestStaticMode(t *testing.T) {
-	srv, err := New(append(fastServerOptions(7), WithDriftRecovery(false))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Bootstrap(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	st, err := srv.OpenStream(context.Background(), StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range srv.GenerateFrames(NightData, 5) {
-		r, err := st.Process(context.Background(), f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Join(r.ModelsUsed, ",") != "YOLO" {
-			t.Fatalf("static mode used %v", r.ModelsUsed)
-		}
-	}
-	if srv.NumClusters() != 0 || srv.NumModels() != 0 {
-		t.Fatal("static mode must not build clusters or models")
 	}
 }

@@ -17,14 +17,13 @@ type config struct {
 	bootstrapEpochs int
 	baselineEpochs  int
 	maxModels       int
-	driftRecovery   bool
 	policy          Policy
 	workers         int
 	minScore        float64
 
 	dispatcher       bool
-	dispatchMaxBatch int
-	dispatchLinger   time.Duration
+	dispatchMaxBatch int           // 0: dispatch.DefaultMaxBatch
+	dispatchLinger   time.Duration // 0: dispatch.DefaultMaxLinger
 	trainAsync       bool
 	labelDelay       int // 0: keep the specializer default
 	fleet            *FleetRecovery
@@ -39,17 +38,14 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		seed:             1,
-		bootstrapFrames:  600,
-		bootstrapEpochs:  8,
-		baselineEpochs:   40,
-		maxModels:        0,
-		driftRecovery:    true,
-		policy:           PolicyDeltaBM,
-		workers:          runtime.GOMAXPROCS(0),
-		minScore:         query.DefaultMinScore,
-		dispatchMaxBatch: 64,
-		dispatchLinger:   2 * time.Millisecond,
+		seed:            1,
+		bootstrapFrames: 600,
+		bootstrapEpochs: 8,
+		baselineEpochs:  40,
+		maxModels:       0,
+		policy:          PolicyDeltaBM,
+		workers:         runtime.GOMAXPROCS(0),
+		minScore:        query.DefaultMinScore,
 	}
 }
 
@@ -136,16 +132,6 @@ func WithMaxModels(n int) Option {
 	}
 }
 
-// WithDriftRecovery toggles the DETECTOR/SPECIALIZER/SELECTOR stack.
-// Disabled, the heavyweight baseline serves every frame — the paper's
-// "static system" comparison point.
-func WithDriftRecovery(on bool) Option {
-	return func(c *config) error {
-		c.driftRecovery = on
-		return nil
-	}
-}
-
 // WithPolicy selects the SELECTOR policy (default PolicyDeltaBM).
 func WithPolicy(p Policy) Option {
 	return func(c *config) error {
@@ -178,39 +164,13 @@ func WithMinScore(s float64) Option {
 // inline training the dispatched fleet reproduces per-stream results
 // bit for bit (see DESIGN.md §7). Merged batches run at the server-wide
 // worker budget (WithWorkers); a StreamOptions.Workers override then
-// applies only to synchronous Process calls. Default off — each Run
-// session batches only its own frames.
+// applies only to synchronous Process calls. The assembler flushes once
+// the pending windows hold 64 frames, and no window waits longer than 2ms
+// to be co-batched even if every other camera goes idle. Default off —
+// each Run session batches only its own frames.
 func WithDispatcher(on bool) Option {
 	return func(c *config) error {
 		c.dispatcher = on
-		return nil
-	}
-}
-
-// WithMaxBatch sets the dispatcher's merged-batch flush threshold: the
-// assembler flushes as soon as the pending windows hold at least n frames
-// (default 64). Only meaningful with WithDispatcher.
-func WithMaxBatch(n int) Option {
-	return func(c *config) error {
-		if n <= 0 {
-			return fmt.Errorf("odin: dispatcher max batch must be positive, got %d", n)
-		}
-		c.dispatchMaxBatch = n
-		return nil
-	}
-}
-
-// WithMaxLinger bounds how long a submitted window waits in the
-// dispatcher's assembler to be co-batched with other cameras' windows
-// (default 2ms). It is the no-starvation guarantee: every window is
-// processed within this bound even if every other camera goes idle. Only
-// meaningful with WithDispatcher.
-func WithMaxLinger(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("odin: dispatcher max linger must be positive, got %v", d)
-		}
-		c.dispatchLinger = d
 		return nil
 	}
 }
@@ -247,26 +207,17 @@ func WithLabelDelay(frames int) Option {
 }
 
 // FleetRecovery configures cross-camera correlated recovery
-// (WithFleetRecovery).
+// (WithFleetRecovery). The zero value is a working configuration: a
+// private registry of 32 models, named "server" in provenance. A stored
+// model is adopted outright at regime-signature distance 0.25 or less and
+// warm-starts training at 0.6 or less (registry.AdoptDistance,
+// registry.WarmDistance; DESIGN.md §9).
 type FleetRecovery struct {
 	// Registry is the fleet-shared model registry. Pass the same
 	// NewModelRegistry value to every server in the fleet; nil gives this
 	// server a private registry (still useful: recurring regimes on one
 	// camera adopt their own earlier recoveries).
 	Registry *ModelRegistry
-	// Capacity bounds a private registry (ignored when Registry is set);
-	// ≤ 0 selects the default (32).
-	Capacity int
-	// AdoptDistance is the regime-signature distance in [0,1] at or under
-	// which a stored model is adopted outright (and an in-flight build is
-	// coalesced onto). 0 selects the default (0.25). Keep it tight: it is
-	// the guard against transient accuracy fluctuations pulling in a
-	// foreign model.
-	AdoptDistance float64
-	// WarmDistance is the distance at or under which a stored model
-	// warm-starts training instead of scratch initialisation. 0 selects the
-	// default (0.6). Must be ≥ AdoptDistance when both are set.
-	WarmDistance float64
 	// Source names this server in registry provenance and stats (e.g. a
 	// camera ID). Empty defaults to "server".
 	Source string
@@ -279,18 +230,6 @@ type FleetRecovery struct {
 // warm-start / coalesce decision table and the determinism contract.
 func WithFleetRecovery(fr FleetRecovery) Option {
 	return func(c *config) error {
-		if fr.AdoptDistance < 0 || fr.AdoptDistance > 1 {
-			return fmt.Errorf("odin: fleet adopt distance must be in [0,1], got %v", fr.AdoptDistance)
-		}
-		if fr.WarmDistance < 0 || fr.WarmDistance > 1 {
-			return fmt.Errorf("odin: fleet warm distance must be in [0,1], got %v", fr.WarmDistance)
-		}
-		if fr.AdoptDistance > 0 && fr.WarmDistance > 0 && fr.WarmDistance < fr.AdoptDistance {
-			return fmt.Errorf("odin: fleet warm distance %v must be ≥ adopt distance %v", fr.WarmDistance, fr.AdoptDistance)
-		}
-		if fr.Capacity < 0 {
-			return fmt.Errorf("odin: fleet registry capacity must be non-negative, got %d", fr.Capacity)
-		}
 		c.fleet = &fr
 		c.trainAsync = true
 		return nil
@@ -350,27 +289,13 @@ func WithDropPolicy(p DropPolicy) Option {
 }
 
 // AdaptiveFidelity configures the load-adaptive degradation controller
-// (WithAdaptiveFidelity). Zero values take the documented defaults, so an
-// empty struct is a working configuration.
+// (WithAdaptiveFidelity). The zero value runs the live controller: an
+// observation at or above 75% queue occupancy counts toward degrading one
+// level, one at or below 25% toward restoring one, and the level steps
+// after two consecutive such observations. The ladder runs from full
+// fidelity (0) through lite model only (1) and count pushdown (2) to count
+// on one frame in four with the rest skipped (3).
 type AdaptiveFidelity struct {
-	// HighWater is the admission-queue occupancy in (0,1] at or above
-	// which an observation counts toward degrading one level. Default
-	// 0.75. Must exceed LowWater.
-	HighWater float64
-	// LowWater is the occupancy at or below which an observation counts
-	// toward restoring one level. Default 0.25.
-	LowWater float64
-	// Patience is how many consecutive observations past a watermark are
-	// required before the level steps once — the hysteresis that keeps a
-	// single burst from flapping the ladder. Default 2.
-	Patience int
-	// MaxLevel caps how deep the ladder degrades: 1 = lite model only,
-	// 2 = count pushdown, 3 = count with frame subsampling. Default 3.
-	MaxLevel int
-	// SubsampleEvery is the level-3 sampling stride: one frame in every
-	// SubsampleEvery is counted, the rest are skipped outright (still
-	// yielding stamped results). Default 4.
-	SubsampleEvery int
 	// Script replays a recorded degradation schedule instead of running
 	// the live controller: entry w is the level applied to the logical
 	// window of frames [w*MaxBatch, (w+1)*MaxBatch); sessions past the end
@@ -411,24 +336,6 @@ func WithObservability(on bool) Option {
 // full fidelity and results are bit-identical to a non-adaptive server.
 func WithAdaptiveFidelity(af AdaptiveFidelity) Option {
 	return func(c *config) error {
-		if af.HighWater < 0 || af.HighWater > 1 {
-			return fmt.Errorf("odin: adaptive high water must be in [0,1], got %v", af.HighWater)
-		}
-		if af.LowWater < 0 || af.LowWater > 1 {
-			return fmt.Errorf("odin: adaptive low water must be in [0,1], got %v", af.LowWater)
-		}
-		if af.HighWater > 0 && af.LowWater > 0 && af.HighWater <= af.LowWater {
-			return fmt.Errorf("odin: adaptive high water %v must exceed low water %v", af.HighWater, af.LowWater)
-		}
-		if af.Patience < 0 {
-			return fmt.Errorf("odin: adaptive patience must be non-negative, got %d", af.Patience)
-		}
-		if af.MaxLevel < 0 || af.MaxLevel > qos.MaxLevel {
-			return fmt.Errorf("odin: adaptive max level must be in [0,%d], got %d", qos.MaxLevel, af.MaxLevel)
-		}
-		if af.SubsampleEvery < 0 {
-			return fmt.Errorf("odin: adaptive subsample stride must be non-negative, got %d", af.SubsampleEvery)
-		}
 		for i, lv := range af.Script {
 			if lv < 0 || lv > qos.MaxLevel {
 				return fmt.Errorf("odin: adaptive script[%d] level %d out of range [0,%d]", i, lv, qos.MaxLevel)

@@ -237,7 +237,6 @@ func daganConfig(scene synth.SceneConfig, seed uint64) gan.Config {
 func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, restored *core.PipelineState, regState *registry.State) (*core.Odin, *dispatch.Trainer, *registry.Registry, *dispatch.Batcher, error) {
 	cfg := core.DefaultConfig(s.scene)
 	cfg.Cluster.MaxClusters = s.cfg.maxModels
-	cfg.DriftRecovery = s.cfg.driftRecovery
 	cfg.AsyncTrain = s.cfg.trainAsync
 	if s.cfg.labelDelay > 0 {
 		cfg.Spec.LabelDelay = s.cfg.labelDelay
@@ -274,14 +273,13 @@ func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, resto
 					return nil, nil, nil, nil, err
 				}
 			default:
-				reg = registry.New(fr.Capacity)
+				reg = registry.New(registry.DefaultCapacity)
 			}
-			pol := registry.Policy{AdoptDistance: fr.AdoptDistance, WarmDistance: fr.WarmDistance}
 			source := fr.Source
 			if source == "" {
 				source = "server"
 			}
-			trainer.AttachRegistry(reg, source, pol)
+			trainer.AttachRegistry(reg, source)
 		}
 	}
 	var batcher *dispatch.Batcher

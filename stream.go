@@ -487,19 +487,11 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 	// frame. Neither exists without adaptive fidelity — every frame is full.
 	var ctrl *qos.Controller
 	var script []int
-	subsample := 0
 	if af := st.adaptive; af != nil {
-		subsample = af.SubsampleEvery
-		if subsample == 0 {
-			subsample = 4
-		}
 		if af.Script != nil {
 			script = af.Script
 		} else {
-			ctrl = qos.NewController(qos.ControllerConfig{
-				HighWater: af.HighWater, LowWater: af.LowWater,
-				Patience: af.Patience, MaxLevel: af.MaxLevel,
-			})
+			ctrl = qos.NewController()
 		}
 	}
 	st.qosMu.Lock()
@@ -591,7 +583,7 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 					}
 					lv = script[w]
 				}
-				fid := qos.ForLevel(lv, e.Seq, subsample)
+				fid := qos.ForLevel(lv, e.Seq)
 				degraded = degraded || fid.Degraded()
 				frames = append(frames, e.Frame)
 				fids = append(fids, fid)
