@@ -446,6 +446,24 @@ func TestDispatchCancelWithFramesInAssembler(t *testing.T) {
 	}
 }
 
+// TestDispatchOptionValidation pins the fleet options' eager validation.
+func TestDispatchOptionValidation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  Option
+	}{
+		{"zero label delay", WithLabelDelay(0)},
+		{"negative label delay", WithLabelDelay(-5)},
+	} {
+		if _, err := New(c.opt); err == nil {
+			t.Errorf("%s: New should reject the option", c.name)
+		}
+	}
+	if _, err := New(WithDispatcher(true), WithTrainAsync(true), WithLabelDelay(100)); err != nil {
+		t.Fatalf("valid fleet options rejected: %v", err)
+	}
+}
+
 // TestWaitRecoveriesInlineNoop: with inline training, WaitRecoveries is an
 // immediate no-op and PendingRecoveries stays 0.
 func TestWaitRecoveriesInlineNoop(t *testing.T) {

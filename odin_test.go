@@ -106,7 +106,6 @@ func TestOptionValidation(t *testing.T) {
 		{"neg models", WithMaxModels(-1)},
 		{"neg workers", WithWorkers(-4)},
 		{"bad policy", WithPolicy(Policy(99))},
-		{"zero label delay", WithLabelDelay(0)},
 		{"neg queue", WithMaxQueue(-1)},
 		{"bad drop policy", WithDropPolicy(DropPolicy(9))},
 		{"script level out of range", WithAdaptiveFidelity(AdaptiveFidelity{Script: []int{0, 9}})},
@@ -118,9 +117,6 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := New(fastServerOptions(1)...); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
-	}
-	if _, err := New(WithDispatcher(true), WithTrainAsync(true), WithLabelDelay(100)); err != nil {
-		t.Fatalf("valid fleet options rejected: %v", err)
 	}
 }
 
@@ -183,7 +179,7 @@ func TestOptionSurface(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("the settable surface changed:\n got %v\nwant %v\n"+
 			"a new setting needs two non-test callers that want different values, "+
-			"else it is a constant (simplicity-review guide, Options rule)", got, want)
+			"else it is a constant", got, want)
 	}
 }
 
