@@ -49,6 +49,15 @@ type app struct {
 // about 450 frames — far beyond what a Run window can use at once.
 const maxBodyBytes = 32 << 20
 
+// maxGenerate is the largest n /v1/generate serves for frames of c×h×w:
+// its response must fit in maxBodyBytes, so a client can post the frames
+// back in one body. A frame's JSON is at most 25 bytes a pixel — the
+// longest float64 encoding/json writes, "-1.2345678901234567e-308", and a
+// comma — plus under 2 KB of header and boxes (a scene draws at most nine).
+func maxGenerate(c, h, w int) int {
+	return maxBodyBytes / (25*c*h*w + 2<<10)
+}
+
 // sessionBuffer is the capacity of a session's input channel. A frame
 // batch up to this long is queued in full before the Run loop wakes, so
 // the loop assembles whole MaxBatch windows instead of whatever a feeder
@@ -291,15 +300,16 @@ func (a *app) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	srv := a.server()
 	n := 10
 	if s := r.URL.Query().Get("n"); s != "" {
 		n, err = strconv.Atoi(s)
-		if err != nil || n <= 0 || n > 10000 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", s))
+		if most := maxGenerate(srv.FrameShape()); err != nil || n <= 0 || n > most {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid n %q (want 1..%d)", s, most))
 			return
 		}
 	}
-	frames := a.server().GenerateFrames(sub, n)
+	frames := srv.GenerateFrames(sub, n)
 	resp := serveapi.GenerateResponse{Frames: make([]serveapi.Frame, len(frames))}
 	for i, f := range frames {
 		resp.Frames[i] = serveapi.FromFrame(f)

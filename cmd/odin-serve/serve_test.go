@@ -344,6 +344,8 @@ func TestServeEndpointErrors(t *testing.T) {
 		{"POST", "/v1/restore", `{}`, http.StatusServiceUnavailable},  // no store, no path
 		{"GET", "/v1/generate?subset=fog", "", http.StatusBadRequest},
 		{"GET", "/v1/generate?subset=day&n=-1", "", http.StatusBadRequest},
+		// One past the most frames whose JSON fits in one request body.
+		{"GET", fmt.Sprintf("/v1/generate?subset=day&n=%d", maxGenerate(srv.FrameShape())+1), "", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
@@ -370,6 +372,14 @@ func TestServeEndpointErrors(t *testing.T) {
 	getJSON(t, client, ts.URL+"/v1/generate?subset=day&n=3", &gen)
 	if len(gen.Frames) != 3 {
 		t.Fatalf("generate returned %d frames, want 3", len(gen.Frames))
+	}
+	// maxGenerate's per-frame bound holds for a real frame.
+	raw, err := json.Marshal(gen.Frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if most := maxGenerate(srv.FrameShape()); len(raw) > maxBodyBytes/most {
+		t.Fatalf("a frame encodes to %d bytes; %d of them overrun maxBodyBytes", len(raw), most)
 	}
 }
 

@@ -2,8 +2,6 @@ package odin
 
 import (
 	"context"
-	"fmt"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -101,96 +99,6 @@ func TestFleetRegistryAdoptAcrossServers(t *testing.T) {
 	// regime change.
 	if srvA.Stats().DriftEvents == 0 || srvB.Stats().DriftEvents == 0 {
 		t.Fatal("drift events missing")
-	}
-}
-
-// fleetCamera is what one camera of a fleet run detected: its drift-event
-// and cluster counts and every result's fingerprint.
-type fleetCamera struct {
-	drifts, clusters int
-	fps              []string
-}
-
-// runFleetCameras drives two cameras sharing a night-bootstrapped substrate
-// through night→day in 20-frame windows, round-robin, landing every
-// recovery before the next round so model swaps hit window boundaries.
-// fleet shares one registry between them; without it each camera trains
-// async on its own.
-func runFleetCameras(t *testing.T, fleet bool, workers int) []fleetCamera {
-	t.Helper()
-	const window = 20
-	reg := NewModelRegistry(8)
-	srvs := make([]*Server, 2)
-	for c := range srvs {
-		opt := WithTrainAsync(true)
-		if fleet {
-			opt = WithFleetRecovery(FleetRecovery{Registry: reg, Source: fmt.Sprintf("cam%d", c)})
-		}
-		srv, err := New(append(fastServerOptions(29), opt)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		srvs[c] = srv
-	}
-	boot := srvs[0].GenerateFrames(NightData, 80)
-	frames := make([][]*Frame, len(srvs))
-	for c, srv := range srvs {
-		if err := srv.Bootstrap(context.Background(), boot); err != nil {
-			t.Fatal(err)
-		}
-		frames[c] = append(srvs[0].GenerateFrames(NightData, 2*window), srvs[0].GenerateFrames(DayData, 8*window)...)
-	}
-
-	cams := make([]fleetCamera, len(srvs))
-	for start := 0; start < len(frames[0]); start += window {
-		for c, srv := range srvs {
-			for _, r := range collectRun(t, srv, frames[c][start:start+window], StreamOptions{Workers: workers, MaxBatch: window}) {
-				cams[c].fps = append(cams[c].fps, r.Fingerprint())
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-		for _, srv := range srvs {
-			if err := srv.WaitRecoveries(ctx); err != nil {
-				t.Fatalf("recoveries did not converge: %v", err)
-			}
-		}
-		cancel()
-	}
-	for c, srv := range srvs {
-		cams[c].drifts, cams[c].clusters = srv.Stats().DriftEvents, srv.NumClusters()
-	}
-	if fleet {
-		if rst := reg.Stats(); rst.AdoptHits+rst.Coalesced == 0 {
-			t.Fatalf("no camera reused a recovery; the parity check is vacuous: %+v", rst)
-		}
-	}
-	return cams
-}
-
-// TestFleetRegistryParity: the registry changes what a recovery costs,
-// never what a camera detects. With it on and off every camera counts the
-// same drift events and clusters, and with it on the per-camera
-// fingerprints are bit-identical at 1 and 4 workers.
-func TestFleetRegistryParity(t *testing.T) {
-	off := runFleetCameras(t, false, 1)
-	on := runFleetCameras(t, true, 1)
-	for c := range off {
-		if off[c].drifts == 0 {
-			t.Fatalf("camera %d saw no drift; the parity check is vacuous", c)
-		}
-		if on[c].drifts != off[c].drifts || on[c].clusters != off[c].clusters {
-			t.Fatalf("camera %d: registry on %d drifts / %d clusters, off %d / %d",
-				c, on[c].drifts, on[c].clusters, off[c].drifts, off[c].clusters)
-		}
-	}
-	if testing.Short() {
-		return // the worker sweep repeats a determinism check
-	}
-	for c, cam := range runFleetCameras(t, true, 4) {
-		if !reflect.DeepEqual(cam.fps, on[c].fps) {
-			t.Fatalf("camera %d: registry-on fingerprints differ between 1 and 4 workers", c)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package odin
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,21 +11,6 @@ import (
 	"odin/internal/qos"
 )
 
-// fleetSubsets gives each camera its own domain so the shared cluster set
-// sees genuinely different concepts arriving interleaved.
-var fleetSubsets = []Subset{NightData, DayData, SnowData}
-
-// fleetFrames generates each stream's frame sequence up front, in stream
-// order, so identically seeded servers produce identical frame sets
-// regardless of how the streams are later driven.
-func fleetFrames(srv *Server, streams, perStream int) [][]*Frame {
-	out := make([][]*Frame, streams)
-	for s := range out {
-		out[s] = srv.GenerateFrames(fleetSubsets[s%len(fleetSubsets)], perStream)
-	}
-	return out
-}
-
 // withDispatchBounds overrides the dispatcher's flush threshold and linger
 // so a test can hold windows in the assembler until the fleet is ready.
 func withDispatchBounds(maxBatch int, linger time.Duration) Option {
@@ -34,139 +18,6 @@ func withDispatchBounds(maxBatch int, linger time.Duration) Option {
 		c.dispatchMaxBatch = maxBatch
 		c.dispatchLinger = linger
 		return nil
-	}
-}
-
-// TestDispatchedMatchesPerStream is the fleet determinism contract: with
-// async training off, N streams routed through the dispatcher produce
-// results bit-identical to per-stream Stream.Run sessions advancing the
-// same frames in the same global order (round-robin by session join
-// order), at every worker count. Run under -race in CI.
-func TestDispatchedMatchesPerStream(t *testing.T) {
-	const seed, streams, win, rounds = 17, 3, 8, 8
-	const perStream = win * rounds
-
-	// Reference: per-stream Run sessions on one shared server, driven in
-	// lock-step — stream 0's window, stream 1's, stream 2's, next round —
-	// which is exactly the merge order the dispatcher guarantees.
-	ref, err := New(fastServerOptions(seed)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Bootstrap(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	frames := fleetFrames(ref, streams, perStream)
-	ins := make([]chan *Frame, streams)
-	outs := make([]<-chan StreamResult, streams)
-	for s := 0; s < streams; s++ {
-		st, err := ref.OpenStream(context.Background(), StreamOptions{
-			Name: fmt.Sprintf("cam-%d", s), Workers: 2, MaxBatch: win,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ins[s] = make(chan *Frame)
-		outs[s] = st.Run(context.Background(), ins[s])
-	}
-	want := make([][]string, streams)
-	for r := 0; r < rounds; r++ {
-		for s := 0; s < streams; s++ {
-			for i := 0; i < win; i++ {
-				ins[s] <- frames[s][r*win+i]
-			}
-			for i := 0; i < win; i++ {
-				res, ok := <-outs[s]
-				if !ok {
-					t.Fatalf("stream %d ended early at round %d", s, r)
-				}
-				want[s] = append(want[s], res.Fingerprint())
-			}
-		}
-	}
-	for s := range ins {
-		close(ins[s])
-	}
-	for s := range outs {
-		for range outs[s] {
-		}
-	}
-	wantStats := ref.Stats()
-	if wantStats.DriftEvents == 0 {
-		t.Fatal("fleet stream produced no drift events; the determinism test would be vacuous")
-	}
-
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv, err := New(append(fastServerOptions(seed),
-				WithDispatcher(true),
-				withDispatchBounds(streams*win*rounds, time.Minute),
-				WithWorkers(workers),
-			)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Bootstrap(context.Background(), nil); err != nil {
-				t.Fatal(err)
-			}
-			frames := fleetFrames(srv, streams, perStream)
-
-			// Each input is full before its Run starts, so no window is cut
-			// short by a producer descheduled mid-push. Runs start in stream
-			// order (join order = merge order) behind a gate session that
-			// submits nothing: until it leaves, cam-0 cannot flush alone.
-			gate, err := srv.OpenStream(context.Background(), StreamOptions{Name: "gate"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gateIn := make(chan *Frame)
-			gateOut := gate.Run(context.Background(), gateIn)
-			douts := make([]<-chan StreamResult, streams)
-			for s := 0; s < streams; s++ {
-				st, err := srv.OpenStream(context.Background(), StreamOptions{
-					Name: fmt.Sprintf("cam-%d", s), Workers: workers, MaxBatch: win,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				din := make(chan *Frame, perStream)
-				for _, f := range frames[s] {
-					din <- f
-				}
-				close(din)
-				douts[s] = st.Run(context.Background(), din)
-			}
-			close(gateIn)
-			for range gateOut {
-			}
-			var wg sync.WaitGroup
-			for s := 0; s < streams; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					n := 0
-					for res := range douts[s] {
-						if res.Seq != n {
-							t.Errorf("stream %d: out-of-order seq %d at %d", s, res.Seq, n)
-							return
-						}
-						if key := res.Fingerprint(); key != want[s][n] {
-							t.Errorf("stream %d frame %d diverged from per-stream run:\n got %s\nwant %s",
-								s, n, key, want[s][n])
-							return
-						}
-						n++
-					}
-					if n != perStream {
-						t.Errorf("stream %d delivered %d/%d results", s, n, perStream)
-					}
-				}(s)
-			}
-			wg.Wait()
-			if stats := srv.Stats(); !reflect.DeepEqual(stats, wantStats) {
-				t.Fatalf("stats diverged: got %+v want %+v", stats, wantStats)
-			}
-		})
 	}
 }
 

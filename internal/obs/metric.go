@@ -17,7 +17,7 @@
 //     but never influences batching, scheduling, fidelity or model state.
 //     Every hook in the serving stack is nil-receiver-safe, so a disabled
 //     observer is a nil pointer and the instrumented binary executes the
-//     same computation bit-for-bit (gated by TestObsFingerprintParityWorkers).
+//     same computation bit-for-bit (the determinism matrix, DESIGN.md §8).
 package obs
 
 import (

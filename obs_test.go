@@ -21,14 +21,6 @@ func obsServer(t *testing.T, seed uint64, extra ...Option) *Server {
 	return qosServer(t, seed, append([]Option{WithObservability(true)}, extra...)...)
 }
 
-// obsDriftFrames generates a two-phase Night→Day stream; the day phase
-// drifts away from the night-bootstrapped models, so drift events and
-// recoveries fire.
-func obsDriftFrames(srv *Server, perPhase int) []*Frame {
-	fs := srv.GenerateFrames(NightData, perPhase)
-	return append(fs, srv.GenerateFrames(DayData, perPhase)...)
-}
-
 // goldenFamilies is every metric family the facade registers, with its
 // exposition type. registerServerMetrics registers all of them up front
 // (subsystem absent → reads zero), so the set is identical on every server
@@ -99,16 +91,7 @@ func metricValue(t *testing.T, page, name string) float64 {
 // at least one sample, and no family outside the golden set appears.
 func TestObsMetricsGoldenFamilies(t *testing.T) {
 	srv := obsServer(t, 7)
-	st, err := srv.OpenStream(context.Background(), StreamOptions{Name: "golden"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for _, f := range obsDriftFrames(srv, 40) {
-		if _, err := st.Process(context.Background(), f); err != nil {
-			t.Fatal(err)
-		}
-	}
+	processAll(t, srv, driftStream(srv, 40), nil)
 
 	page := scrape(t, srv)
 	types := map[string]string{}
@@ -197,16 +180,7 @@ func TestObsDisabledFacade(t *testing.T) {
 // and RecentEvents(n) returns the tail.
 func TestObsRecentEventsSeq(t *testing.T) {
 	srv := obsServer(t, 17)
-	st, err := srv.OpenStream(context.Background(), StreamOptions{Name: "ev"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for _, f := range obsDriftFrames(srv, 40) {
-		if _, err := st.Process(context.Background(), f); err != nil {
-			t.Fatal(err)
-		}
-	}
+	processAll(t, srv, driftStream(srv, 40), nil)
 	evs := srv.RecentEvents(0)
 	if len(evs) == 0 {
 		t.Fatal("drift stream produced no lifecycle events")
@@ -226,31 +200,6 @@ func TestObsRecentEventsSeq(t *testing.T) {
 	if tail := srv.RecentEvents(2); len(evs) >= 2 {
 		if len(tail) != 2 || tail[1].Seq != evs[len(evs)-1].Seq {
 			t.Fatalf("RecentEvents(2) = %v, want the last two of %d", tail, len(evs))
-		}
-	}
-}
-
-// TestObsFingerprintParityWorkers is the determinism contract:
-// instrumentation is strictly observational, so the drift stream's
-// fingerprints are bit-identical with observability on and off at 1, 4
-// and 8 workers.
-func TestObsFingerprintParityWorkers(t *testing.T) {
-	const seed, perPhase = 21, 45
-	off := qosServer(t, seed)
-	offFrames := obsDriftFrames(off, perPhase)
-	on := obsServer(t, seed)
-	onFrames := obsDriftFrames(on, perPhase)
-
-	for _, workers := range []int{1, 4, 8} {
-		want := collectRun(t, off, offFrames, StreamOptions{Workers: workers, MaxBatch: 16})
-		got := collectRun(t, on, onFrames, StreamOptions{Workers: workers, MaxBatch: 16})
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results with obs, %d without", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Fingerprint() != want[i].Fingerprint() {
-				t.Fatalf("workers=%d: result %d diverged with observability on", workers, i)
-			}
 		}
 	}
 }
@@ -353,7 +302,7 @@ func TestObsScrapeRace(t *testing.T) {
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	for _, name := range []string{"a", "b"} {
-		frames := obsDriftFrames(srv, 30)
+		frames := driftStream(srv, 30)
 		st, err := srv.OpenStream(context.Background(),
 			StreamOptions{Name: name, Workers: 4, MaxBatch: 8})
 		if err != nil {

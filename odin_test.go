@@ -506,100 +506,6 @@ func driftStream(srv *Server, perPhase int) []*Frame {
 	return out
 }
 
-// TestRunMatchesSequentialProcess is the facade-level determinism
-// guarantee: sharded Run at 1, 4 and 8 workers yields results identical to
-// sequential Process on an identically seeded server — detections, cluster
-// assignments, drift events and stats. The kernels guarantee exact
-// reproducibility regardless of partitioning (DESIGN.md §8).
-func TestRunMatchesSequentialProcess(t *testing.T) {
-	runMatchesSequential(t, 11, 60)
-}
-
-// TestBackendDeterminismAcrossWorkers is the same check on a second seed and
-// a shorter stream, the case CI's race job runs by itself. The "float64"
-// level names the precision everything computes in.
-func TestBackendDeterminismAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow; CI's race job runs it by itself under -race")
-	}
-	t.Run("float64", func(t *testing.T) { runMatchesSequential(t, 17, 40) })
-}
-
-// runMatchesSequential runs a drift stream through sequential Process on
-// one server built from seed, then through sharded Run at 1, 4 and 8
-// workers on fresh servers, each a "workers=N" subtest, and fails on any
-// fingerprint or stats difference.
-func runMatchesSequential(t *testing.T, seed uint64, perPhase int) {
-	// Reference: sequential Process on its own server.
-	ref, err := New(fastServerOptions(seed)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Bootstrap(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	frames := driftStream(ref, perPhase)
-	st, err := ref.OpenStream(context.Background(), StreamOptions{Name: "seq"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, len(frames))
-	for i, f := range frames {
-		r, err := st.Process(context.Background(), f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r.Fingerprint()
-	}
-	wantStats := ref.Stats()
-	if wantStats.DriftEvents == 0 {
-		t.Fatal("drift stream produced no drift events; the determinism test would be vacuous")
-	}
-
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv, err := New(fastServerOptions(seed)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Bootstrap(context.Background(), nil); err != nil {
-				t.Fatal(err)
-			}
-			frames := driftStream(srv, perPhase)
-			stream, err := srv.OpenStream(context.Background(), StreamOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := make(chan *Frame)
-			go func() {
-				defer close(in)
-				for _, f := range frames {
-					in <- f
-				}
-			}()
-			got := 0
-			for res := range stream.Run(context.Background(), in) {
-				if res.Seq != got {
-					t.Fatalf("out-of-order result: seq %d at position %d", res.Seq, got)
-				}
-				if res.Frame != frames[got] {
-					t.Fatalf("result %d carries the wrong frame", got)
-				}
-				if key := res.Fingerprint(); key != want[got] {
-					t.Fatalf("frame %d diverged from sequential:\n got %s\nwant %s", got, key, want[got])
-				}
-				got++
-			}
-			if got != len(frames) {
-				t.Fatalf("received %d/%d results", got, len(frames))
-			}
-			if stats := srv.Stats(); !reflect.DeepEqual(stats, wantStats) {
-				t.Fatalf("stats diverged: got %+v want %+v", stats, wantStats)
-			}
-		})
-	}
-}
-
 func TestRunContextCancellation(t *testing.T) {
 	eachWindowSource(t, testRunContextCancellation)
 }

@@ -33,110 +33,6 @@ func feedAll(frames []*Frame) chan *Frame {
 	return in
 }
 
-// collectRun drives one Run session to completion and returns every
-// StreamResult (drop markers included).
-func collectRun(t *testing.T, srv *Server, frames []*Frame, o StreamOptions) []StreamResult {
-	t.Helper()
-	st, err := srv.OpenStream(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var rs []StreamResult
-	for r := range st.Run(context.Background(), feedAll(frames)) {
-		rs = append(rs, r)
-	}
-	return rs
-}
-
-// TestQoSAtCapacityBitIdentical is the determinism contract's first half:
-// a QoS-enabled server held at full fidelity (all-zero script, blocking
-// admission) produces results bit-identical to a server without QoS, at
-// 1, 4 and 8 workers — including on a dispatched fleet.
-func TestQoSAtCapacityBitIdentical(t *testing.T) {
-	const n = 90
-	base := qosServer(t, 11)
-	baseFrames := base.GenerateFrames(NightData, n)
-	want := collectRun(t, base, baseFrames, StreamOptions{MaxBatch: 10, Workers: 1})
-	wantStats := base.Stats()
-	if len(want) != n {
-		t.Fatalf("baseline produced %d results for %d frames", len(want), n)
-	}
-
-	arms := []struct {
-		name    string
-		workers int
-		extra   []Option
-	}{
-		{"w1", 1, nil},
-		{"w4", 4, nil},
-		{"w8", 8, nil},
-		{"dispatched", 4, []Option{WithDispatcher(true)}},
-	}
-	for _, arm := range arms {
-		opts := append([]Option{
-			WithMaxQueue(8),
-			WithAdaptiveFidelity(AdaptiveFidelity{Script: []int{0}}),
-		}, arm.extra...)
-		srv := qosServer(t, 11, opts...)
-		frames := srv.GenerateFrames(NightData, n)
-		got := collectRun(t, srv, frames, StreamOptions{MaxBatch: 10, Workers: arm.workers})
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d results, want %d", arm.name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Dropped {
-				t.Fatalf("%s: frame %d dropped at capacity", arm.name, i)
-			}
-			if got[i].Seq != want[i].Seq || got[i].Fingerprint() != want[i].Fingerprint() {
-				t.Fatalf("%s: frame %d diverged:\n got %s\nwant %s",
-					arm.name, i, got[i].Fingerprint(), want[i].Fingerprint())
-			}
-		}
-		if st := srv.Stats(); st != wantStats {
-			t.Fatalf("%s: stats %+v, want %+v", arm.name, st, wantStats)
-		}
-	}
-}
-
-// TestQoSScriptedReplayDeterministic is the contract's second half: given
-// the same admission decisions (a fidelity script over pinned MaxBatch
-// windows), degraded results are bit-identical at any worker count.
-func TestQoSScriptedReplayDeterministic(t *testing.T) {
-	const n = 80
-	script := []int{0, 1, 2, 3, 2, 1, 0}
-	mk := func(workers int) []StreamResult {
-		srv := qosServer(t, 7,
-			WithMaxQueue(16),
-			WithAdaptiveFidelity(AdaptiveFidelity{Script: script}),
-		)
-		frames := srv.GenerateFrames(NightData, n)
-		return collectRun(t, srv, frames, StreamOptions{MaxBatch: 10, Workers: workers})
-	}
-	want := mk(1)
-	if len(want) != n {
-		t.Fatalf("%d results for %d frames", len(want), n)
-	}
-	seen := map[Fidelity]int{}
-	for _, r := range want {
-		seen[r.Fidelity]++
-	}
-	for _, f := range []Fidelity{FidelityFull, FidelityLite, FidelityCount, FidelitySkip} {
-		if seen[f] == 0 {
-			t.Fatalf("script never exercised fidelity %v: %v", f, seen)
-		}
-	}
-	for _, workers := range []int{4, 8} {
-		got := mk(workers)
-		for i := range want {
-			if got[i].Fingerprint() != want[i].Fingerprint() {
-				t.Fatalf("workers=%d frame %d:\n got %s\nwant %s",
-					workers, i, got[i].Fingerprint(), want[i].Fingerprint())
-			}
-		}
-	}
-}
-
 // TestQoSDropAccounting pins the zero-silent-loss ledger under both
 // shedding policies: with a stalled consumer, offered = delivered results +
 // drop markers, sequence numbers stay contiguous, and the marker count

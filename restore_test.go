@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -15,126 +14,13 @@ import (
 	"odin/internal/detect"
 )
 
-// checkpointedRun bootstraps a server, processes the first half of a drift
-// stream sequentially, checkpoints, then finishes the stream, returning the
-// checkpoint bytes, the full frame sequence, the per-frame fingerprints and
-// the final stats. The midpoint is chosen inside the second phase so the
-// checkpoint carries non-trivial state: clusters, a specialized model, a
-// partially filled temp window and outlier ring.
-func checkpointedRun(t *testing.T, seed uint64, perPhase int, opts ...Option) (ckpt []byte, frames []*Frame, fps []string, cutAt int, final Stats) {
-	t.Helper()
-	options := append(fastServerOptions(seed), opts...)
-	ref, err := New(options...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Bootstrap(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	frames = driftStream(ref, perPhase)
-	cutAt = perPhase + perPhase/2 // mid second phase
-	st, err := ref.OpenStream(context.Background(), StreamOptions{Name: "ref"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps = make([]string, len(frames))
-	for i, f := range frames {
-		if i == cutAt {
-			var buf bytes.Buffer
-			if err := ref.Checkpoint(&buf); err != nil {
-				t.Fatalf("checkpoint at frame %d: %v", i, err)
-			}
-			ckpt = buf.Bytes()
-		}
-		r, err := st.Process(context.Background(), f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps[i] = r.Fingerprint()
-	}
-	if ref.Stats().DriftEvents == 0 {
-		t.Fatal("drift stream produced no drift events; the round-trip test would be vacuous")
-	}
-	return ckpt, frames, fps, cutAt, ref.Stats()
-}
-
-// TestCheckpointRestoreBitIdentical is the acceptance gate of the
-// checkpoint subsystem: Checkpoint → Restore → replay of the rest of a
-// drift scenario is bit-identical to the uninterrupted run, sequentially
-// and at 1/4/8 workers (run under -race in CI).
-func TestCheckpointRestoreBitIdentical(t *testing.T) {
-	const seed, perPhase = 11, 60
-	ckpt, frames, want, cutAt, wantStats := checkpointedRun(t, seed, perPhase)
-	tail := frames[cutAt:]
-
-	// Sequential replay on a restored server.
-	t.Run("sequential", func(t *testing.T) {
-		srv, err := Restore(bytes.NewReader(ckpt), fastServerOptions(seed)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := srv.OpenStream(context.Background(), StreamOptions{Name: "restored"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, f := range tail {
-			r, err := st.Process(context.Background(), f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := r.Fingerprint(); got != want[cutAt+i] {
-				t.Fatalf("frame %d diverged after restore:\n got  %s\n want %s", cutAt+i, got, want[cutAt+i])
-			}
-		}
-		if got := srv.Stats(); !reflect.DeepEqual(got, wantStats) {
-			t.Fatalf("stats diverged: got %+v want %+v", got, wantStats)
-		}
-	})
-
-	// Sharded replay: restore once per worker count, drive via Run.
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv, err := Restore(bytes.NewReader(ckpt), fastServerOptions(seed)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := srv.OpenStream(context.Background(), StreamOptions{Name: "restored", Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			in := make(chan *Frame)
-			out := st.Run(ctx, in)
-			go func() {
-				for _, f := range tail {
-					in <- f
-				}
-				close(in)
-			}()
-			i := 0
-			for r := range out {
-				if got := r.Fingerprint(); got != want[cutAt+i] {
-					t.Fatalf("frame %d diverged (workers=%d):\n got  %s\n want %s", cutAt+i, workers, got, want[cutAt+i])
-				}
-				i++
-			}
-			if i != len(tail) {
-				t.Fatalf("got %d results, want %d", i, len(tail))
-			}
-			if got := srv.Stats(); !reflect.DeepEqual(got, wantStats) {
-				t.Fatalf("stats diverged: got %+v want %+v", got, wantStats)
-			}
-		})
-	}
-}
-
 // TestRestoreContinuesFrameGenerator asserts the generator's RNG position
 // survives the round trip: frames generated after restore are identical to
 // the ones the original server would have generated.
 func TestRestoreContinuesFrameGenerator(t *testing.T) {
 	const seed, perPhase = 11, 40
-	ckpt, _, _, _, _ := checkpointedRun(t, seed, perPhase)
+	sc := parityScript{seed, perPhase}
+	ckpt := sequential(t, sc).ckpts[sc.mid()]
 
 	orig, err := New(fastServerOptions(seed)...)
 	if err != nil {
@@ -165,7 +51,9 @@ func TestRestoreContinuesFrameGenerator(t *testing.T) {
 // Bootstrap and reports the checkpointed model state.
 func TestRestoreIsBootstrapped(t *testing.T) {
 	const seed, perPhase = 11, 40
-	ckpt, _, _, cutAt, _ := checkpointedRun(t, seed, perPhase)
+	sc := parityScript{seed, perPhase}
+	cutAt := sc.mid()
+	ckpt := sequential(t, sc).ckpts[cutAt]
 	srv, err := Restore(bytes.NewReader(ckpt), fastServerOptions(seed)...)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +71,8 @@ func TestRestoreIsBootstrapped(t *testing.T) {
 // version, truncation and corruption are distinguishable via errors.Is.
 func TestCheckpointErrorPaths(t *testing.T) {
 	const seed, perPhase = 11, 40
-	ckpt, _, _, _, _ := checkpointedRun(t, seed, perPhase)
+	sc := parityScript{seed, perPhase}
+	ckpt := sequential(t, sc).ckpts[sc.mid()]
 
 	restore := func(b []byte) error {
 		_, err := Restore(bytes.NewReader(b), fastServerOptions(seed)...)
@@ -311,41 +200,24 @@ func TestCheckpointAfterClose(t *testing.T) {
 // writers stored their compute dtype there (1: float32). A checkpoint whose
 // byte says float32 — its CRC trailer recomputed, so only that byte differs
 // — must restore and replay the drift tail with the fingerprints of the
-// unmodified checkpoint, frame for frame.
+// uninterrupted run, frame for frame, as the unmodified checkpoint does
+// (TestCheckpointRestoreBitIdentical).
 func TestRestoreLegacyDTypeByte(t *testing.T) {
-	const seed, perPhase = 11, 60
-	ckpt, frames, _, cutAt, _ := checkpointedRun(t, seed, perPhase)
-	legacy := append([]byte(nil), ckpt...)
+	ref, cutAt := sequential(t, mainScript), mainScript.mid()
+	legacy := append([]byte(nil), ref.ckpts[cutAt]...)
 	legacy[12] = 1
 	n := len(legacy) - 4
 	binary.LittleEndian.PutUint32(legacy[n:], crc32.ChecksumIEEE(legacy[:n]))
 	if _, b, err := checkpoint.Read(bytes.NewReader(legacy)); err != nil || b != 1 {
 		t.Fatalf("the edited envelope does not read back with byte 12 = 1: byte %d, %v", b, err)
 	}
-
-	replay := func(data []byte) []string {
-		srv, err := Restore(bytes.NewReader(data), fastServerOptions(seed)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := srv.OpenStream(context.Background(), StreamOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fps []string
-		for _, f := range frames[cutAt:] {
-			r, err := st.Process(context.Background(), f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fps = append(fps, r.Fingerprint())
-		}
-		return fps
+	srv, err := Restore(bytes.NewReader(legacy), fastServerOptions(mainScript.seed)...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, got := replay(ckpt), replay(legacy)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("frame %d diverged under the float32 byte:\n got  %s\n want %s", cutAt+i, got[i], want[i])
+	for i, r := range processAll(t, srv, ref.frames[0][cutAt:], nil) {
+		if got, want := r.Fingerprint(), ref.results[0][cutAt+i].Fingerprint(); got != want {
+			t.Fatalf("frame %d diverged under the float32 byte:\n got  %s\n want %s", cutAt+i, got, want)
 		}
 	}
 }
