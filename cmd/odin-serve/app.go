@@ -713,11 +713,12 @@ func (a *app) handleRestore(w http.ResponseWriter, r *http.Request) {
 }
 
 // freeRestoreGarbage collects what odin.Restore leaves behind and hands the
-// memory back to the OS. The gob decoder's garbage is ~90 MB beside a few
-// MB of live state; left alone it doubles the heap goal of the first
-// serving-time collection, and that transient — not anything serving
-// needs — becomes the process's peak RSS. Called once per restore, never
-// on the request path.
+// memory back to the OS. A restore leaves ~40 MB of garbage (the payload
+// buffer and the parameters' gob) beside its live state; left alone it
+// raises the heap goal of the first serving-time collection, and that
+// transient — not anything serving needs — becomes the process's peak
+// RSS. Called once per restore and after bootstrap, never on the request
+// path.
 func freeRestoreGarbage() { debug.FreeOSMemory() }
 
 // shutdown closes every session and the server, then — per the Close →

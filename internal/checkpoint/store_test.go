@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,5 +129,77 @@ func TestDirStoreIgnoresForeignFiles(t *testing.T) {
 	paths := list(t, s)
 	if len(paths) != 1 || paths[0] != p {
 		t.Fatalf("List = %v, want just %s", paths, p)
+	}
+}
+
+// tornWriter passes on the first left bytes written to it, then fails, as
+// a full disk or a dying process tears a write.
+type tornWriter struct {
+	w    io.Writer
+	left int
+}
+
+var errTorn = errors.New("torn write")
+
+func (t *tornWriter) Write(b []byte) (int, error) {
+	n, err := t.w.Write(b[:min(len(b), t.left)])
+	t.left -= n
+	if err == nil && n < len(b) {
+		err = errTorn
+	}
+	return n, err
+}
+
+// TestDirStoreTornWrite: a checkpoint write torn in the header, the gob
+// part, the pixel section or the trailer fails its Save, publishes
+// nothing, leaves no staging file and keeps the previous checkpoint the
+// latest; the torn bytes read as ErrTruncated.
+func TestDirStoreTornWrite(t *testing.T) {
+	p := framesPayload(30, 3, 27, 48)
+	full := write(t, p)
+	gobPart, _ := split(full)
+	gobEnd := headerSize + 8 + len(gobPart)
+	s, err := NewDirStore(t.TempDir(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := s.Save(func(w *os.File) error { return Write(w, p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, k := range map[string]int{
+		"header":        headerSize / 2,
+		"gob length":    headerSize + 3,
+		"gob part":      (headerSize + gobEnd) / 2,
+		"pixel section": (gobEnd + len(full)) / 2,
+		"trailer":       len(full) - 2,
+	} {
+		var torn bytes.Buffer
+		_, err := s.Save(func(w *os.File) error {
+			return Write(&tornWriter{w: io.MultiWriter(w, &torn), left: k}, p)
+		})
+		if !errors.Is(err, errTorn) {
+			t.Fatalf("%s: Save = %v, want the torn write's error", name, err)
+		}
+		if entries, err := os.ReadDir(s.dir); err != nil || len(entries) != 1 {
+			t.Fatalf("%s: the store holds %v (%v), want the previous checkpoint alone", name, entries, err)
+		}
+		if latest, err := s.Latest(); err != nil || latest != prev {
+			t.Fatalf("%s: Latest = %s, %v; want %s", name, latest, err, prev)
+		}
+		if torn.Len() != k {
+			t.Fatalf("%s: %d bytes passed the torn writer, want %d", name, torn.Len(), k)
+		}
+		if _, _, err := Read(&torn); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: reading the %d torn bytes gave %v, want ErrTruncated", name, k, err)
+		}
+	}
+	f, err := os.Open(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, _, err := Read(f); err != nil {
+		t.Fatalf("the previous checkpoint no longer reads: %v", err)
 	}
 }

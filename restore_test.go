@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"hash/crc32"
 	"reflect"
@@ -219,5 +220,51 @@ func TestRestoreLegacyDTypeByte(t *testing.T) {
 		if got, want := r.Fingerprint(), ref.results[0][cutAt+i].Fingerprint(); got != want {
 			t.Fatalf("frame %d diverged under the float32 byte:\n got  %s\n want %s", cutAt+i, got, want)
 		}
+	}
+}
+
+// TestRestoreVersion1Envelope: a checkpoint in the version 1 layout —
+// one gob payload with every frame's pixels inline, as writers before
+// version 2 made it — restores and replays the drift tail with the
+// fingerprints of the uninterrupted run, frame for frame, as the version
+// 2 checkpoint of the same state does. Version 3 is ErrCheckpointVersion.
+func TestRestoreVersion1Envelope(t *testing.T) {
+	ref, cutAt := sequential(t, mainScript), mainScript.mid()
+	v2 := ref.ckpts[cutAt]
+	p, _, err := checkpoint.Read(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Pipeline.Manager.Buffers)+len(p.Pipeline.Outliers) == 0 {
+		t.Fatal("the cut holds no buffered frames, so no pixels cross the envelope")
+	}
+	envelope := func(version uint32) []byte {
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		b := make([]byte, 24, 24+body.Len()+4)
+		copy(b, checkpoint.Magic)
+		binary.LittleEndian.PutUint32(b[8:], version)
+		binary.LittleEndian.PutUint64(b[16:], uint64(body.Len()))
+		b = append(b, body.Bytes()...)
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	}
+	if binary.LittleEndian.Uint32(v2[8:]) != 2 {
+		t.Fatalf("Checkpoint wrote version %d, want 2", binary.LittleEndian.Uint32(v2[8:]))
+	}
+	for name, ckpt := range map[string][]byte{"v1": envelope(1), "v2": v2} {
+		srv, err := Restore(bytes.NewReader(ckpt), fastServerOptions(mainScript.seed)...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, r := range processAll(t, srv, ref.frames[0][cutAt:], nil) {
+			if got, want := r.Fingerprint(), ref.results[0][cutAt+i].Fingerprint(); got != want {
+				t.Fatalf("%s: frame %d diverged:\n got  %s\n want %s", name, cutAt+i, got, want)
+			}
+		}
+	}
+	if _, err := Restore(bytes.NewReader(envelope(3)), fastServerOptions(mainScript.seed)...); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("version 3: got %v, want ErrCheckpointVersion", err)
 	}
 }
