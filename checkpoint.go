@@ -44,7 +44,7 @@ var (
 // swap. Callers must pause frame submission for the duration of the call —
 // frames processed concurrently with Checkpoint land nondeterministically
 // on one side of the cut. Checkpoint also works after Close (the one
-// post-Close operation that does): Close drains the trainer
+// post-Close operation besides the telemetry reads): Close drains the trainer
 // deterministically first, which is what makes checkpoint-on-shutdown
 // well-defined. Servers sharing a fleet registry checkpoint their own
 // state only; the shared registry belongs to the fleet, not to any one
@@ -91,7 +91,7 @@ func (s *Server) Checkpoint(w io.Writer) error {
 	if err := checkpoint.Write(w, payload); err != nil {
 		return err
 	}
-	s.obs.Event(obs.EvCheckpointSave, "", -1, int(pipeline.ModelGen()),
+	s.obs.Event(obs.EvCheckpointSave, "", -1, int(pipeline.Stats().ModelGen),
 		fmt.Sprintf("%d models", len(payload.Pipeline.Manager.Models)))
 	return nil
 }
@@ -174,7 +174,7 @@ func Restore(r io.Reader, opts ...Option) (*Server, error) {
 	s.registry = reg
 	s.booted = true
 	s.mu.Unlock()
-	s.obs.Event(obs.EvCheckpointRestore, "", -1, int(pipeline.ModelGen()),
+	s.obs.Event(obs.EvCheckpointRestore, "", -1, int(pipeline.Stats().ModelGen),
 		fmt.Sprintf("%d models", len(payload.Pipeline.Manager.Models)))
 	return s, nil
 }

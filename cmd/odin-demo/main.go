@@ -68,9 +68,9 @@ func main() {
 			fmt.Printf("\n--- phase: %v ---\n", phases[r.Seq / *frames])
 		}
 		if r.Drift != nil {
+			st := srv.Stats()
 			fmt.Printf("frame %5d: DRIFT — new cluster %s (clusters=%d, models=%d, mem=%.0fMB)\n",
-				r.Seq+1, r.Drift.Cluster.Label,
-				srv.NumClusters(), srv.NumModels(), srv.MemoryMB())
+				r.Seq+1, r.Drift.Cluster.Label, st.NumClusters, st.NumModels, st.MemoryMB)
 		}
 		dets = append(dets, r.Detections)
 		truth = append(truth, r.Frame.Boxes)
@@ -88,5 +88,5 @@ func main() {
 
 	st := srv.Stats()
 	fmt.Printf("\nsummary: %d frames, %d outliers, %d drift events, %d clusters, %d models, %.0f FPS, %.0f MB\n",
-		st.Frames, st.Outliers, st.DriftEvents, srv.NumClusters(), srv.NumModels(), st.FPS(), srv.MemoryMB())
+		st.Frames, st.Outliers, st.DriftEvents, st.NumClusters, st.NumModels, st.FPS(), st.MemoryMB)
 }

@@ -238,43 +238,10 @@ func (a *app) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (a *app) handleStats(w http.ResponseWriter, r *http.Request) {
 	srv := a.server()
-	st := srv.Stats()
-	tr := srv.TrainerStats()
-	reg := srv.RegistryStats()
-	disp := srv.DispatchStats()
-	resp := serveapi.StatsResponse{
-		Frames:            st.Frames,
-		Outliers:          st.Outliers,
-		DriftEvents:       st.DriftEvents,
-		SimTime:           st.SimTime,
-		NumClusters:       srv.NumClusters(),
-		NumModels:         srv.NumModels(),
-		ModelGen:          srv.ModelGen(),
-		PendingRecoveries: srv.PendingRecoveries(),
-		MemoryMB:          srv.MemoryMB(),
-		FullFrames:        st.FullFrames,
-		LiteFrames:        st.LiteFrames,
-		CountFrames:       st.CountFrames,
-		SkipFrames:        st.SkipFrames,
-		Dropped:           st.Dropped,
-		Trainer: &serveapi.TrainerStats{
-			Trained: tr.Trained, Scratch: tr.Scratch, Warm: tr.Warm,
-			Adopted: tr.Adopted, Coalesced: tr.Coalesced,
-			Dropped: tr.Dropped, Failed: tr.Failed,
-		},
-		Registry: &serveapi.RegistryStats{
-			Size: reg.Size, Capacity: reg.Capacity, Lookups: reg.Lookups,
-			AdoptHits: reg.AdoptHits, WarmHits: reg.WarmHits,
-			Coalesced: reg.Coalesced, Misses: reg.Misses,
-			Published: reg.Published, Evicted: reg.Evicted,
-		},
-		Dispatch: &serveapi.DispatchStats{
-			Batches: disp.Batches, Windows: disp.Windows, Frames: disp.Frames,
-			MaxMerge: disp.MaxMerge, PartialFlushes: disp.PartialFlushes,
-			QueuedWindows: disp.QueuedWindows, QueuedFrames: disp.QueuedFrames,
-		},
-	}
-	writeJSON(w, http.StatusOK, resp)
+	tr, reg, disp := srv.TrainerStats(), srv.RegistryStats(), srv.DispatchStats()
+	writeJSON(w, http.StatusOK, serveapi.StatsResponse{
+		Telemetry: srv.Stats(), Trainer: &tr, Registry: &reg, Dispatch: &disp,
+	})
 }
 
 // subsetOf parses a subset name ("full", "day", "night", "rain", "snow").

@@ -56,13 +56,13 @@ func main() {
 	retain := flag.Int("retain", 3, "checkpoints to retain in the store")
 	restoreFrom := flag.String("restore", "", "warm-start source: a checkpoint path, or 'latest' for the store's newest")
 	seed := flag.Uint64("seed", 42, "bootstrap seed (ignored when restoring)")
-	policyFlag := flag.String("policy", "delta-bm", "selector policy: delta-bm, knn-u, knn-w, random-k, all")
+	policyFlag := flag.String("policy", "delta-bm", "selector policy: delta-bm, knn-u, knn-w, most-recent")
 	trainAsync := flag.Bool("train-async", true, "recover from drift asynchronously")
 	dispatcher := flag.Bool("dispatcher", false, "enable the cross-stream batch dispatcher")
 	maxQueue := flag.Int("max-queue", 0, "per-stream admission queue bound (0: no queue; sessions read their input directly, back-pressured by it)")
 	dropPolicy := flag.String("drop-policy", "block", "full-queue policy: block, drop-newest, drop-oldest")
 	adaptive := flag.Bool("adaptive", false, "enable load-adaptive fidelity degradation under overload")
-	labelDelay := flag.Int("label-delay", 0, "frames of label latency before recovery starts")
+	labelDelay := flag.Int("label-delay", 0, "frames from a drift until oracle labels arrive and the specialized model replaces the lite one, which trains at the drift (0: the default, 600)")
 	maxModels := flag.Int("max-models", 8, "maximum concurrent specialized models (ignored when restoring)")
 	minScore := flag.Float64("min-score", 0, "query score threshold override (0: engine default)")
 	bootFrames := flag.Int("bootstrap-frames", 200, "frames in the bootstrap set (ignored when restoring)")
@@ -199,8 +199,9 @@ func boot(store *checkpoint.DirStore, restoreFrom string, seed uint64,
 		if err != nil {
 			return nil, err
 		}
+		st := srv.Stats()
 		logger.Printf("warm-started from %s in %v (%d frames seen, gen %d)",
-			path, time.Since(start).Round(time.Millisecond), srv.Stats().Frames, srv.ModelGen())
+			path, time.Since(start).Round(time.Millisecond), st.Frames, st.ModelGen)
 		return srv, nil
 	}
 

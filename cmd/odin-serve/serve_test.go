@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -184,6 +186,35 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) {
 	}
 	if err := json.Unmarshal(raw, out); err != nil {
 		t.Fatalf("GET %s: decode %q: %v", url, raw, err)
+	}
+}
+
+// TestServeStatsKeys pins the /v1/stats key set: the top level and the
+// trainer, registry and dispatch objects, which the benchmark harness
+// reads. lite_frames, count_frames, skip_frames and dropped are omitted
+// while zero, as they are here.
+func TestServeStatsKeys(t *testing.T) {
+	srv, err := odin.New(quickOptions(3)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newApp(srv, nil, func() []odin.Option { return nil }, quietLogger()).handler())
+	defer ts.Close()
+	var doc map[string]any
+	getJSON(t, ts.Client(), ts.URL+"/v1/stats", &doc)
+	for obj, want := range map[string]string{
+		"":         "dispatch drift_events frames full_frames memory_mb model_gen num_clusters num_models outliers pending_recoveries registry sim_time trainer",
+		"trainer":  "adopted coalesced dropped failed scratch trained warm",
+		"registry": "adopt_hits capacity coalesced evicted lookups misses published size warm_hits",
+		"dispatch": "batches frames max_merge partial_flushes queued_frames queued_windows windows",
+	} {
+		m := doc
+		if obj != "" {
+			m, _ = doc[obj].(map[string]any)
+		}
+		if got := strings.Join(slices.Sorted(maps.Keys(m)), " "); got != want {
+			t.Errorf("/v1/stats %q keys:\n got %s\nwant %s", obj, got, want)
+		}
 	}
 }
 

@@ -45,7 +45,8 @@ func main() {
 	for range warm.Run(ctx, in) {
 	}
 	warm.Close()
-	fmt.Printf("clusters: %d, specialist models: %d\n\n", srv.NumClusters(), srv.NumModels())
+	st := srv.Stats()
+	fmt.Printf("clusters: %d, specialist models: %d\n\n", st.NumClusters, st.NumModels)
 
 	// The query target: a fresh mixed-condition stream.
 	frames := srv.GenerateFrames(odin.FullData, 120)

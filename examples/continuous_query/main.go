@@ -84,6 +84,7 @@ func main() {
 		fmt.Printf("  %3d  [%3d-%3d]  %5d  %10.2f\n",
 			wr.Window, wr.StartSeq, wr.EndSeq, wr.Count, float64(wr.Count)/float64(n))
 	}
+	st := srv.Stats()
 	fmt.Printf("\ntotal: %d cars in %d frames, %d drift events, %d clusters, %d specialist models\n",
-		total, frames, <-drift, srv.NumClusters(), srv.NumModels())
+		total, frames, <-drift, st.NumClusters, st.NumModels)
 }

@@ -93,5 +93,5 @@ func main() {
 	fmt.Printf("\nframes: %d, outliers: %d, drift events: %d\n",
 		stats.Frames, stats.Outliers, stats.DriftEvents)
 	fmt.Printf("permanent clusters: %d, specialized models resident: %d (%.1f MB simulated)\n",
-		srv.NumClusters(), srv.NumModels(), srv.MemoryMB())
+		stats.NumClusters, stats.NumModels, stats.MemoryMB)
 }

@@ -105,10 +105,10 @@ func main() {
 
 	fmt.Println("\nper-camera trainer breakdown (trained = scratch + adopted + coalesced + warm):")
 	for c, srv := range srvs {
-		ts := srv.TrainerStats()
+		ts, st := srv.TrainerStats(), srv.Stats()
 		fmt.Printf("  cam-%d: %d trained = %d scratch + %d adopted + %d coalesced + %d warm   (gen %d, %d drift events)\n",
 			c, ts.Trained, ts.Scratch, ts.Adopted, ts.Coalesced, ts.Warm,
-			srv.ModelGen(), srv.Stats().DriftEvents)
+			st.ModelGen, st.DriftEvents)
 	}
 	rst := reg.Stats()
 	fmt.Printf("shared registry: %d lookups -> %d miss (built), %d adopt + %d coalesce + %d warm (reused); %d models published\n",

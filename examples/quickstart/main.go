@@ -63,8 +63,8 @@ func main() {
 	fmt.Println()
 	fmt.Printf("frames processed:   %d\n", st.Frames)
 	fmt.Printf("drift events:       %d\n", st.DriftEvents)
-	fmt.Printf("clusters found:     %d\n", srv.NumClusters())
-	fmt.Printf("specialist models:  %d\n", srv.NumModels())
+	fmt.Printf("clusters found:     %d\n", st.NumClusters)
+	fmt.Printf("specialist models:  %d\n", st.NumModels)
 	fmt.Printf("simulated FPS:      %.0f\n", st.FPS())
-	fmt.Printf("model memory:       %.0f MB\n", srv.MemoryMB())
+	fmt.Printf("model memory:       %.0f MB\n", st.MemoryMB)
 }

@@ -82,7 +82,7 @@ func TestFleetRegistryAdoptAcrossServers(t *testing.T) {
 	if stB.Adopted+stB.Coalesced == 0 {
 		t.Fatalf("camera B neither adopted nor coalesced: %+v", stB)
 	}
-	if srvB.NumModels() == 0 || srvB.ModelGen() == 0 {
+	if st := srvB.Stats(); st.NumModels == 0 || st.ModelGen == 0 {
 		t.Fatal("adoption did not install a model on camera B")
 	}
 

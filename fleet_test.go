@@ -69,13 +69,14 @@ func TestDispatchAsyncRecoveryConverges(t *testing.T) {
 	if err := srv.WaitRecoveries(ctx); err != nil {
 		t.Fatalf("recovery did not converge: %v", err)
 	}
-	if srv.PendingRecoveries() != 0 {
+	stats := srv.Stats()
+	if stats.PendingRecoveries != 0 {
 		t.Fatal("recoveries still pending after WaitRecoveries")
 	}
-	if srv.NumModels() == 0 {
+	if stats.NumModels == 0 {
 		t.Fatal("no specialized model resident after recovery")
 	}
-	if srv.ModelGen() == 0 {
+	if stats.ModelGen == 0 {
 		t.Fatal("model generation never advanced")
 	}
 	res, err := st.Process(context.Background(), srv.GenerateFrames(DayData, 1)[0])
@@ -85,8 +86,8 @@ func TestDispatchAsyncRecoveryConverges(t *testing.T) {
 	if res.RecoveryPending {
 		t.Fatal("frame still flagged pending after convergence")
 	}
-	if res.ModelGen != srv.ModelGen() {
-		t.Fatalf("frame generation %d, server generation %d", res.ModelGen, srv.ModelGen())
+	if gen := srv.Stats().ModelGen; res.ModelGen != gen {
+		t.Fatalf("frame generation %d, server generation %d", res.ModelGen, gen)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -322,7 +323,7 @@ func TestWaitRecoveriesInlineNoop(t *testing.T) {
 	if err := srv.WaitRecoveries(context.Background()); err != nil {
 		t.Fatalf("inline WaitRecoveries: %v", err)
 	}
-	if srv.PendingRecoveries() != 0 {
+	if srv.Stats().PendingRecoveries != 0 {
 		t.Fatal("inline training reports pending recoveries")
 	}
 }

@@ -60,8 +60,8 @@ func TestAsyncAdvanceSchedulesInsteadOfTraining(t *testing.T) {
 	if n := o.Manager.NumModels(); n != 0 {
 		t.Fatalf("async drift trained %d models inline", n)
 	}
-	if o.PendingRecoveries() != 1 {
-		t.Fatalf("pending recoveries %d, want 1", o.PendingRecoveries())
+	if o.Stats().PendingRecoveries != 1 {
+		t.Fatalf("pending recoveries %d, want 1", o.Stats().PendingRecoveries)
 	}
 	if len(jobs[0].Frames) == 0 {
 		t.Fatal("job carries no seed-frame snapshot")
@@ -91,14 +91,14 @@ func TestAsyncAdvanceSchedulesInsteadOfTraining(t *testing.T) {
 	if !o.FinishJob(jobs[0], m, time.Millisecond, nil) {
 		t.Fatal("FinishJob rejected a healthy job")
 	}
-	if o.PendingRecoveries() != 0 {
-		t.Fatalf("pending recoveries %d after swap", o.PendingRecoveries())
+	if o.Stats().PendingRecoveries != 0 {
+		t.Fatalf("pending recoveries %d after swap", o.Stats().PendingRecoveries)
 	}
 	if o.Manager.NumModels() != 1 {
 		t.Fatalf("models resident %d after swap", o.Manager.NumModels())
 	}
-	if o.ModelGen() != 1 {
-		t.Fatalf("model generation %d after first swap", o.ModelGen())
+	if o.Stats().ModelGen != 1 {
+		t.Fatalf("model generation %d after first swap", o.Stats().ModelGen)
 	}
 	r := o.Process(gen.GenerateSubset(synth.DayData))
 	if r.RecoveryPending {
@@ -120,10 +120,10 @@ func TestAsyncTrainerFailureRollsBack(t *testing.T) {
 	if o.FinishJob(jobs[0], nil, 0, errors.New("trainer crashed")) {
 		t.Fatal("a failed job must not install")
 	}
-	if o.Manager.NumModels() != 0 || o.ModelGen() != 0 {
-		t.Fatalf("failed job mutated the model set: models=%d gen=%d", o.Manager.NumModels(), o.ModelGen())
+	if o.Manager.NumModels() != 0 || o.Stats().ModelGen != 0 {
+		t.Fatalf("failed job mutated the model set: models=%d gen=%d", o.Manager.NumModels(), o.Stats().ModelGen)
 	}
-	if o.PendingRecoveries() != 0 {
+	if o.Stats().PendingRecoveries != 0 {
 		t.Fatal("failed job left the recovery pending")
 	}
 	r := o.Process(gen.GenerateSubset(synth.DayData))
@@ -185,7 +185,7 @@ func TestAsyncWithoutSinkTrainsSynchronously(t *testing.T) {
 	if o.Manager.NumModels() != 1 {
 		t.Fatalf("sinkless async scheduled %d models, want 1 (synchronous fallback)", o.Manager.NumModels())
 	}
-	if o.PendingRecoveries() != 0 {
+	if o.Stats().PendingRecoveries != 0 {
 		t.Fatal("sinkless async left recoveries pending")
 	}
 }

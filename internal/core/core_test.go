@@ -250,6 +250,33 @@ func TestModelManagerBuffersAndMemory(t *testing.T) {
 	}
 }
 
+// TestMemoryMBOrderIndependent: float addition does not associate — a 1 MB
+// model added after a 1e16 MB one is rounded away, before it is not — so
+// the sum must not follow map order. Two managers holding the same models,
+// inserted in opposite orders, report the same bits on every call.
+func TestMemoryMBOrderIndependent(t *testing.T) {
+	const n = 16
+	a := NewModelManager(DefaultSpecializerConfig(), synth.DefaultSceneConfig(), nil)
+	b := NewModelManager(DefaultSpecializerConfig(), synth.DefaultSceneConfig(), nil)
+	model := func(id int) *Model {
+		size := 1.0
+		if id == n/2 {
+			size = 1e16
+		}
+		return &Model{ClusterID: id, Cost: detect.Cost{SizeMB: size}}
+	}
+	for i := 0; i < n; i++ {
+		a.byCluster[i] = model(i)
+		b.byCluster[n-1-i] = model(n - 1 - i)
+	}
+	want := math.Float64bits(a.MemoryMB())
+	for call := 0; call < 50; call++ {
+		if ga, gb := math.Float64bits(a.MemoryMB()), math.Float64bits(b.MemoryMB()); ga != want || gb != want {
+			t.Fatalf("call %d: %#x and %#x, want %#x", call, ga, gb, want)
+		}
+	}
+}
+
 func TestModelName(t *testing.T) {
 	var m *Model
 	if m.Name() != "none" {
@@ -323,8 +350,8 @@ func TestOdinEndToEndDriftRecovery(t *testing.T) {
 		t.Fatal("simulated FPS should be positive")
 	}
 	// Memory: resident specialized/lite models, far below the baseline.
-	if o.MemoryMB() >= detect.CostOf(detect.KindYOLO).SizeMB*float64(o.Manager.NumModels()) {
-		t.Fatalf("memory %v not reduced vs heavyweight models", o.MemoryMB())
+	if o.Stats().MemoryMB >= detect.CostOf(detect.KindYOLO).SizeMB*float64(o.Manager.NumModels()) {
+		t.Fatalf("memory %v not reduced vs heavyweight models", o.Stats().MemoryMB)
 	}
 }
 

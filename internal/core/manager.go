@@ -164,7 +164,8 @@ func (mm *ModelManager) Models() map[int]*Model { return mm.byCluster }
 func (mm *ModelManager) NumModels() int { return len(mm.byCluster) }
 
 // MemoryMB returns the simulated resident memory: the per-cluster models
-// once they exist, otherwise the heavyweight baseline.
+// once they exist, otherwise the heavyweight baseline. It sums in ascending
+// cluster ID, so equal model sets give equal bits whatever the map order.
 func (mm *ModelManager) MemoryMB() float64 {
 	if len(mm.byCluster) == 0 {
 		if mm.Baseline == nil {
@@ -173,8 +174,8 @@ func (mm *ModelManager) MemoryMB() float64 {
 		return mm.Baseline.Cost.SizeMB
 	}
 	var total float64
-	for _, m := range mm.byCluster {
-		total += m.Cost.SizeMB
+	for _, id := range sortedKeys(mm.byCluster) {
+		total += mm.byCluster[id].Cost.SizeMB
 	}
 	return total
 }

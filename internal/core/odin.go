@@ -93,22 +93,36 @@ func (r Result) Fingerprint() string {
 		r.ClusterID, r.ModelsUsed, drift, r.ModelGen, r.RecoveryPending, r.Fidelity, r.Count, r.SimLatency, r.Detections)
 }
 
-// Stats aggregates pipeline telemetry. The per-fidelity counters split
-// Frames by the QoS treatment level each frame was advanced at; on paths
-// that never degrade, every frame counts as full fidelity. Dropped counts
-// frames shed by admission control before reaching the pipeline (they are
-// not part of Frames).
+// Stats is the pipeline's ledger: the counters the serving path moves under
+// the pipeline lock, persisted in PipelineState (so its gob layout, type
+// name included, is part of the checkpoint format). The per-fidelity
+// counters split Frames by the QoS treatment level each frame was advanced
+// at; on paths that never degrade, every frame counts as full fidelity.
+// Dropped counts frames shed by admission control before reaching the
+// pipeline (they are not part of Frames). The json tags are the /v1/stats
+// keys.
 type Stats struct {
-	Frames      int
-	Outliers    int
-	DriftEvents int
-	SimTime     float64 // total simulated GPU seconds
+	Frames      int     `json:"frames"`
+	Outliers    int     `json:"outliers"`
+	DriftEvents int     `json:"drift_events"`
+	SimTime     float64 `json:"sim_time"` // total simulated GPU seconds
 
-	FullFrames  int
-	LiteFrames  int
-	CountFrames int
-	SkipFrames  int
-	Dropped     int
+	FullFrames  int `json:"full_frames"`
+	LiteFrames  int `json:"lite_frames,omitempty"`
+	CountFrames int `json:"count_frames,omitempty"`
+	SkipFrames  int `json:"skip_frames,omitempty"`
+	Dropped     int `json:"dropped,omitempty"`
+}
+
+// Telemetry is what Odin.Stats reads under one acquisition of the pipeline
+// lock: the ledger plus the model-set gauges, all from the same instant.
+type Telemetry struct {
+	Stats
+	NumClusters       int     `json:"num_clusters"`       // permanent concept clusters
+	NumModels         int     `json:"num_models"`         // resident specialized/lite models
+	ModelGen          uint64  `json:"model_gen"`          // bumps on every trained-model swap
+	PendingRecoveries int     `json:"pending_recoveries"` // scheduled jobs not swapped in yet (0 inline)
+	MemoryMB          float64 `json:"memory_mb"`          // simulated resident model memory
 }
 
 // FPS returns the simulated end-to-end throughput so far.
@@ -235,47 +249,18 @@ func (o *Odin) FinishJob(job TrainJob, m *Model, dur time.Duration, trainErr err
 	return installed
 }
 
-// PendingRecoveries returns the number of scheduled training jobs whose
-// models have not been swapped in yet (always 0 with inline training).
-func (o *Odin) PendingRecoveries() int {
+// Stats returns the ledger and the model-set gauges, read at one instant.
+func (o *Odin) Stats() Telemetry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.Manager.Outstanding()
-}
-
-// ModelGen returns the current model-set generation.
-func (o *Odin) ModelGen() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.Manager.Gen()
-}
-
-// Stats returns aggregate telemetry.
-func (o *Odin) Stats() Stats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats
-}
-
-// MemoryMB returns the simulated resident model memory.
-func (o *Odin) MemoryMB() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.Manager.MemoryMB()
-}
-
-// NumClusters returns the number of permanent concept clusters.
-func (o *Odin) NumClusters() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.Detector.Clusters.Permanent)
-}
-
-// NumModels returns the number of resident specialized/lite models.
-func (o *Odin) NumModels() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.Manager.NumModels()
+	return Telemetry{
+		Stats:             o.stats,
+		NumClusters:       len(o.Detector.Clusters.Permanent),
+		NumModels:         o.Manager.NumModels(),
+		ModelGen:          o.Manager.Gen(),
+		PendingRecoveries: o.Manager.Outstanding(),
+		MemoryMB:          o.Manager.MemoryMB(),
+	}
 }
 
 // Plan is the frozen outcome of Advance for one frame: the partial result

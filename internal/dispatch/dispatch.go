@@ -70,25 +70,26 @@ type window struct {
 	at     time.Time          // submit time; zero unless an observer is attached
 }
 
-// Stats is batcher telemetry.
+// Stats is batcher telemetry; the json tags are the keys of /v1/stats's
+// "dispatch" object.
 type Stats struct {
 	// Batches is the number of ProcessBatch calls issued.
-	Batches int
+	Batches int `json:"batches"`
 	// Windows is the number of session windows flushed.
-	Windows int
+	Windows int `json:"windows"`
 	// Frames is the total frames processed.
-	Frames int
+	Frames int `json:"frames"`
 	// MaxMerge is the largest number of windows merged into one batch.
-	MaxMerge int
+	MaxMerge int `json:"max_merge"`
 	// PartialFlushes counts flushes that hit the weighted-round-robin
 	// frame budget and left windows in the assembler — each one is a
 	// flush where take-all would have let one session's backlog inflate
 	// another camera's latency.
-	PartialFlushes int
+	PartialFlushes int `json:"partial_flushes"`
 	// QueuedWindows and QueuedFrames snapshot the assembler backlog at
 	// the moment Stats was called.
-	QueuedWindows int
-	QueuedFrames  int
+	QueuedWindows int `json:"queued_windows"`
+	QueuedFrames  int `json:"queued_frames"`
 }
 
 // Batcher assembles cross-stream batches: sessions submit in-order frame

@@ -40,30 +40,31 @@ func guardBuild(build func() (*core.Model, error)) (m *core.Model, err error) {
 	return build()
 }
 
-// TrainerStats is trainer telemetry.
+// TrainerStats is trainer telemetry; the json tags are the keys of
+// /v1/stats's "trainer" object.
 type TrainerStats struct {
 	// Trained counts jobs whose model was built and swapped in. It always
 	// equals Scratch + Warm + Adopted + Coalesced.
-	Trained int
+	Trained int `json:"trained"`
 	// Failed counts jobs whose build errored or panicked, or whose swap was
 	// rejected (cluster evicted mid-training, superseded model) — the
 	// pipeline kept the prior model.
-	Failed int
+	Failed int `json:"failed"`
 	// Dropped counts jobs discarded by Close before they ran.
-	Dropped int
+	Dropped int `json:"dropped"`
 
 	// Scratch counts installed models trained from scratch initialisation
 	// (registry miss, no registry, or fallback after an aborted coalesce).
-	Scratch int
+	Scratch int `json:"scratch"`
 	// Warm counts installed models trained warm-started from a
 	// regime-adjacent registry model.
-	Warm int
+	Warm int `json:"warm"`
 	// Adopted counts installed models taken directly from the registry —
 	// zero training.
-	Adopted int
+	Adopted int `json:"adopted"`
 	// Coalesced counts installed models received from another pipeline's
 	// concurrent build of the same regime — this pipeline trained nothing.
-	Coalesced int
+	Coalesced int `json:"coalesced"`
 }
 
 // queuedJob pairs a training job with its registry resolution, taken at
@@ -312,7 +313,7 @@ func (t *Trainer) runScratch(job core.TrainJob, claim *registry.Claim) {
 		if err != nil || m == nil {
 			claim.Abort()
 		} else {
-			defer func() { claim.Publish(m, t.pipe.ModelGen()) }()
+			defer func() { claim.Publish(m, t.pipe.Stats().ModelGen) }()
 		}
 	}
 	ob, src := t.observer()
@@ -371,7 +372,7 @@ func (t *Trainer) Wait(ctx context.Context) error {
 		}
 		t.mu.Unlock()
 		if idle {
-			if t.pipe.PendingRecoveries() == 0 {
+			if t.pipe.Stats().PendingRecoveries == 0 {
 				return nil
 			}
 			// A job is scheduled but not yet enqueued (the scheduling

@@ -283,7 +283,7 @@ func TestTrainerCloseDropsCoalescedWaiters(t *testing.T) {
 	if st := trB.Stats(); st.Dropped != 2 || st.Trained != 0 {
 		t.Fatalf("B stats %+v, want both waiters dropped", st)
 	}
-	if pipeB.PendingRecoveries() != 0 {
+	if pipeB.Stats().PendingRecoveries != 0 {
 		t.Fatal("dropped coalesced waiters left recoveries pending")
 	}
 	// A's build is unaffected by B's shutdown.
@@ -313,7 +313,7 @@ func TestTrainerAdoptSupersededRollback(t *testing.T) {
 	})
 	tr.Enqueue([]core.TrainJob{spec})
 	waitTrainer(t, tr)
-	genBefore := pipe.ModelGen()
+	genBefore := pipe.Stats().ModelGen
 
 	// A late lite adoption for the same cluster must roll back.
 	tr.Enqueue([]core.TrainJob{liveJob(pipe, gen, detect.KindLite, 5, 0)})
@@ -326,7 +326,7 @@ func TestTrainerAdoptSupersededRollback(t *testing.T) {
 	if m := pipe.Manager.Models()[5]; m.Kind != detect.KindSpecialized {
 		t.Fatalf("specialized model displaced by adopted lite: %v", m.Kind)
 	}
-	if pipe.ModelGen() != genBefore {
+	if pipe.Stats().ModelGen != genBefore {
 		t.Fatal("rejected adoption bumped the model generation")
 	}
 }

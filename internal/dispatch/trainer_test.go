@@ -89,14 +89,14 @@ func TestTrainerLandsRecovery(t *testing.T) {
 	if pipe.Manager.NumModels() != 1 {
 		t.Fatalf("models resident %d after recovery", pipe.Manager.NumModels())
 	}
-	if pipe.PendingRecoveries() != 0 {
+	if pipe.Stats().PendingRecoveries != 0 {
 		t.Fatal("recovery still pending after Wait")
 	}
 	if st := tr.Stats(); st.Trained != 1 || st.Failed != 0 {
 		t.Fatalf("trainer stats %+v", st)
 	}
-	if pipe.ModelGen() != 1 {
-		t.Fatalf("model generation %d", pipe.ModelGen())
+	if pipe.Stats().ModelGen != 1 {
+		t.Fatalf("model generation %d", pipe.Stats().ModelGen)
 	}
 }
 
@@ -170,8 +170,8 @@ func TestTrainerBuildPanicRollsBack(t *testing.T) {
 	if st := trA.Stats(); st.Failed != 1 || st.Trained != 0 {
 		t.Fatalf("A stats %+v, want the panicked build failed", st)
 	}
-	if pipeA.PendingRecoveries() != 0 || pipeA.Manager.NumModels() != 0 {
-		t.Fatalf("after the panic: %d recoveries pending, %d models", pipeA.PendingRecoveries(), pipeA.Manager.NumModels())
+	if pipeA.Stats().PendingRecoveries != 0 || pipeA.Manager.NumModels() != 0 {
+		t.Fatalf("after the panic: %d recoveries pending, %d models", pipeA.Stats().PendingRecoveries, pipeA.Manager.NumModels())
 	}
 	requireFailedEvent(t, ob, "index out of range [7] with length 7")
 	if st := trB.Stats(); st.Scratch != 1 || st.Coalesced != 0 {
@@ -204,7 +204,7 @@ func TestTrainerWarmBuildPanicRollsBack(t *testing.T) {
 	if st := tr.Stats(); st.Failed != 1 || st.Warm != 0 {
 		t.Fatalf("stats %+v, want the panicked warm build failed", st)
 	}
-	if pipe.PendingRecoveries() != 0 {
+	if pipe.Stats().PendingRecoveries != 0 {
 		t.Fatal("the panicked warm build left its recovery pending")
 	}
 	requireFailedEvent(t, ob, "weights shape mismatch")
@@ -246,8 +246,8 @@ func TestTrainerKernelPanicRollsBack(t *testing.T) {
 	if st := tr.Stats(); st.Failed != 1 || st.Trained != 0 {
 		t.Fatalf("stats %+v, want the panicked build failed", st)
 	}
-	if pipe.PendingRecoveries() != 0 || pipe.Manager.NumModels() != 0 {
-		t.Fatalf("after the panic: %d recoveries pending, %d models", pipe.PendingRecoveries(), pipe.Manager.NumModels())
+	if pipe.Stats().PendingRecoveries != 0 || pipe.Manager.NumModels() != 0 {
+		t.Fatalf("after the panic: %d recoveries pending, %d models", pipe.Stats().PendingRecoveries, pipe.Manager.NumModels())
 	}
 	requireFailedEvent(t, ob, "kernel chunk")
 }
@@ -322,7 +322,7 @@ func TestTrainerCloseDropsQueue(t *testing.T) {
 	if st := tr.Stats(); st.Dropped != 2 {
 		t.Fatalf("post-close enqueue not dropped: %+v", st)
 	}
-	if pipe.PendingRecoveries() != 0 {
+	if pipe.Stats().PendingRecoveries != 0 {
 		t.Fatal("dropped jobs left recoveries pending")
 	}
 }

@@ -139,7 +139,8 @@ func (c *Context) runPipeline(stream []*synth.Frame, cf Fig9Config) (series []fl
 			series = append(series, detect.MeanAveragePrecision(dets[lo:i+1], truth[lo:i+1], 0.5).MAP)
 		}
 	}
-	return series, drifts, o.Stats().FPS(), o.MemoryMB()
+	st := o.Stats()
+	return series, drifts, st.FPS(), st.MemoryMB
 }
 
 // Table7Result is the component ablation.
@@ -193,9 +194,10 @@ func RunTable7(c *Context, w io.Writer) Table7Result {
 		res.Rows = append(res.Rows, cf.name)
 		res.MAP = append(res.MAP, detect.MeanAveragePrecision(dets, truth, 0.5).MAP)
 		res.QAcc = append(res.QAcc, query.QueryAccuracy(pred, gt))
-		res.FPS = append(res.FPS, o.Stats().FPS())
-		res.MemMB = append(res.MemMB, o.MemoryMB())
-		res.Drifts = append(res.Drifts, o.Stats().DriftEvents)
+		st := o.Stats()
+		res.FPS = append(res.FPS, st.FPS())
+		res.MemMB = append(res.MemMB, st.MemoryMB)
+		res.Drifts = append(res.Drifts, st.DriftEvents)
 	}
 	t := NewTable("Table 7: Ablation study",
 		"Experiment", "mAP", "Query acc", "Throughput (FPS)", "Memory (MB)")

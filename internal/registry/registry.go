@@ -60,27 +60,29 @@ var (
 	ErrCanceled = errors.New("registry: wait canceled")
 )
 
-// Stats is a snapshot of registry telemetry.
+// Stats is a snapshot of registry telemetry; the json tags are the keys of
+// /v1/stats's "registry" object.
 type Stats struct {
 	// Size and Capacity describe the resident entry set.
-	Size, Capacity int
+	Size     int `json:"size"`
+	Capacity int `json:"capacity"`
 	// Lookups counts Resolve calls; every lookup ends as exactly one of
 	// AdoptHits, Coalesced, WarmHits or Misses.
-	Lookups int
+	Lookups int `json:"lookups"`
 	// AdoptHits counts resolutions that returned a stored model for direct
 	// installation.
-	AdoptHits int
+	AdoptHits int `json:"adopt_hits"`
 	// WarmHits counts resolutions that returned a stored model as a
 	// warm-start source.
-	WarmHits int
+	WarmHits int `json:"warm_hits"`
 	// Coalesced counts resolutions attached to an in-flight build.
-	Coalesced int
+	Coalesced int `json:"coalesced"`
 	// Misses counts resolutions that claimed a fresh build.
-	Misses int
+	Misses int `json:"misses"`
 	// Published counts models stored via Claim.Publish.
-	Published int
+	Published int `json:"published"`
 	// Evicted counts entries displaced by the LRU capacity bound.
-	Evicted int
+	Evicted int `json:"evicted"`
 }
 
 // entry is one resident model.

@@ -23,16 +23,22 @@
 // conversion encoding/json itself ends in, takes the rest (exponents, longer
 // tokens, refusals). All three are correctly rounded, so there is exactly
 // one float64 a token can become and the argument above does not depend on
-// which decoder or tier ran. Real frames split 58/42 (night), 55/45 (day)
-// and 74/26 (snow) between the first two tiers; none of their pixels reach
-// strconv. The differential test, TestParseNumberMatchesStrconv,
-// FuzzDecodeRequest and FuzzDecodeNumber hold DecodeRequest to
-// encoding/json's and strconv's results bit for bit. DecodeRequest is
-// stricter than encoding/json and never looser; its doc comment lists how.
+// which decoder or tier ran. Every pixel after a frame's first tries a
+// fused step that scans and converts it in one pass through the first two
+// tiers; it takes 99.97 % of the pixels of a day, snow, rain or full body
+// and 99.67 % of a night body (tokens of 20 or more digits are the rest),
+// and none of their pixels reach strconv. The differential test,
+// TestParseNumberMatchesStrconv, FuzzDecodeRequest and FuzzDecodeNumber
+// hold DecodeRequest to encoding/json's and strconv's results bit for bit.
+// DecodeRequest is stricter than encoding/json and never looser; its doc
+// comment lists how.
 package serveapi
 
 import (
+	"odin/internal/core"
 	"odin/internal/detect"
+	"odin/internal/dispatch"
+	"odin/internal/registry"
 	"odin/internal/synth"
 )
 
@@ -212,63 +218,19 @@ type (
 		// Path selects a checkpoint file; empty means the store's latest.
 		Path string `json:"path,omitempty"`
 	}
-	// StatsResponse is the /v1/stats document.
+	// StatsResponse is the /v1/stats document: the pipeline snapshot's
+	// fields at the top level, then one object per fleet subsystem.
 	StatsResponse struct {
-		Frames            int     `json:"frames"`
-		Outliers          int     `json:"outliers"`
-		DriftEvents       int     `json:"drift_events"`
-		SimTime           float64 `json:"sim_time"`
-		NumClusters       int     `json:"num_clusters"`
-		NumModels         int     `json:"num_models"`
-		ModelGen          uint64  `json:"model_gen"`
-		PendingRecoveries int     `json:"pending_recoveries"`
-		MemoryMB          float64 `json:"memory_mb"`
-
-		// QoS accounting: per-fidelity frame counters and the
-		// admission-drop total across every stream of the server.
-		FullFrames  int `json:"full_frames"`
-		LiteFrames  int `json:"lite_frames,omitempty"`
-		CountFrames int `json:"count_frames,omitempty"`
-		SkipFrames  int `json:"skip_frames,omitempty"`
-		Dropped     int `json:"dropped,omitempty"`
-
+		core.Telemetry
 		Trainer  *TrainerStats  `json:"trainer,omitempty"`
 		Registry *RegistryStats `json:"registry,omitempty"`
 		Dispatch *DispatchStats `json:"dispatch,omitempty"`
 	}
-	// DispatchStats mirrors odin.DispatchStats on the wire: merged-batch
-	// counters plus the weighted-flush queue depth.
-	DispatchStats struct {
-		Batches        int `json:"batches"`
-		Windows        int `json:"windows"`
-		Frames         int `json:"frames"`
-		MaxMerge       int `json:"max_merge"`
-		PartialFlushes int `json:"partial_flushes"`
-		QueuedWindows  int `json:"queued_windows"`
-		QueuedFrames   int `json:"queued_frames"`
-	}
-	// TrainerStats mirrors odin.TrainerStats on the wire.
-	TrainerStats struct {
-		Trained   int `json:"trained"`
-		Scratch   int `json:"scratch"`
-		Warm      int `json:"warm"`
-		Adopted   int `json:"adopted"`
-		Coalesced int `json:"coalesced"`
-		Dropped   int `json:"dropped"`
-		Failed    int `json:"failed"`
-	}
-	// RegistryStats mirrors odin.RegistryStats on the wire.
-	RegistryStats struct {
-		Size      int `json:"size"`
-		Capacity  int `json:"capacity"`
-		Lookups   int `json:"lookups"`
-		AdoptHits int `json:"adopt_hits"`
-		WarmHits  int `json:"warm_hits"`
-		Coalesced int `json:"coalesced"`
-		Misses    int `json:"misses"`
-		Published int `json:"published"`
-		Evicted   int `json:"evicted"`
-	}
+	// TrainerStats, RegistryStats and DispatchStats are the subsystems'
+	// own telemetry structs, whose json tags name the wire keys.
+	TrainerStats  = dispatch.TrainerStats
+	RegistryStats = registry.Stats
+	DispatchStats = dispatch.Stats
 	// ErrorResponse is the body of every non-2xx response.
 	ErrorResponse struct {
 		Error string `json:"error"`

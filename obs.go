@@ -73,11 +73,12 @@ func (s *Server) RecentEvents(n int) []Event {
 }
 
 // registerServerMetrics exports the counters the serving stack already
-// maintains under its own locks (pipeline Stats, trainer/registry/dispatch
-// telemetry) as scrape-time callbacks — no double bookkeeping on the hot
-// path. Every family is registered up front, reading zero while its
-// subsystem is absent, so the exposition's family set is stable from the
-// first scrape (and golden-testable).
+// maintains under its own locks (the pipeline's Stats snapshot,
+// trainer/registry/dispatch telemetry) as scrape-time callbacks, one table
+// row per series — no double bookkeeping on the hot path. Every family is
+// registered up front, reading zero while its subsystem is absent, so the
+// exposition's family set is stable from the first scrape (and
+// golden-testable).
 //
 // Lock order: a scrape holds the metric registry lock while the callbacks
 // take s.mu (and the pipeline lock) — safe because no code path acquires
@@ -85,125 +86,97 @@ func (s *Server) RecentEvents(n int) []Event {
 // atomics).
 func (s *Server) registerServerMetrics() {
 	reg := s.obs.Registry()
-	stat := func(f func(Stats) float64) func() float64 {
-		return func() float64 { return f(s.Stats()) }
-	}
-
-	// Pipeline ledger (core Stats).
-	reg.CounterFunc("odin_frames_total",
-		"Frames processed by the drift-aware pipeline.",
-		stat(func(st Stats) float64 { return float64(st.Frames) }))
-	reg.CounterFunc("odin_outliers_total",
-		"Frames flagged as outliers by the drift detector.",
-		stat(func(st Stats) float64 { return float64(st.Outliers) }))
-	reg.CounterFunc("odin_drift_events_total",
-		"Drift events raised (outlier clusters crossing the drift threshold).",
-		stat(func(st Stats) float64 { return float64(st.DriftEvents) }))
-	reg.CounterFunc("odin_dropped_frames_total",
-		"Frames shed by admission-queue drop policies, as ledgered by the pipeline.",
-		stat(func(st Stats) float64 { return float64(st.Dropped) }))
-	reg.CounterFunc("odin_sim_gpu_seconds_total",
-		"Simulated GPU seconds consumed by detection.",
-		stat(func(st Stats) float64 { return st.SimTime }))
-	for _, f := range []struct {
-		fid string
-		get func(Stats) float64
+	counter, gauge := reg.CounterFunc, reg.GaugeFunc
+	label := func(key, value string) []obs.Label { return []obs.Label{{Key: key, Value: value}} }
+	const (
+		fidelityHelp = "Frames served, by the fidelity that served them."
+		trainerHelp  = "Async recovery-trainer jobs by outcome."
+		lookupHelp   = "Fleet registry resolutions by outcome."
+	)
+	for _, m := range []struct {
+		register   func(name, help string, fn func() float64, labels ...obs.Label)
+		name, help string
+		labels     []obs.Label
+		get        func() float64
 	}{
-		{"full", func(st Stats) float64 { return float64(st.FullFrames) }},
-		{"lite", func(st Stats) float64 { return float64(st.LiteFrames) }},
-		{"count", func(st Stats) float64 { return float64(st.CountFrames) }},
-		{"skip", func(st Stats) float64 { return float64(st.SkipFrames) }},
+		// Pipeline ledger and model-set gauges, each read from a Stats snapshot.
+		{counter, "odin_frames_total", "Frames processed by the drift-aware pipeline.", nil,
+			func() float64 { return float64(s.Stats().Frames) }},
+		{counter, "odin_outliers_total", "Frames flagged as outliers by the drift detector.", nil,
+			func() float64 { return float64(s.Stats().Outliers) }},
+		{counter, "odin_drift_events_total", "Drift events raised (outlier clusters crossing the drift threshold).", nil,
+			func() float64 { return float64(s.Stats().DriftEvents) }},
+		{counter, "odin_dropped_frames_total", "Frames shed by admission-queue drop policies, as ledgered by the pipeline.", nil,
+			func() float64 { return float64(s.Stats().Dropped) }},
+		{counter, "odin_sim_gpu_seconds_total", "Simulated GPU seconds consumed by detection.", nil,
+			func() float64 { return s.Stats().SimTime }},
+		{counter, "odin_fidelity_frames_total", fidelityHelp, label("fidelity", "full"),
+			func() float64 { return float64(s.Stats().FullFrames) }},
+		{counter, "odin_fidelity_frames_total", fidelityHelp, label("fidelity", "lite"),
+			func() float64 { return float64(s.Stats().LiteFrames) }},
+		{counter, "odin_fidelity_frames_total", fidelityHelp, label("fidelity", "count"),
+			func() float64 { return float64(s.Stats().CountFrames) }},
+		{counter, "odin_fidelity_frames_total", fidelityHelp, label("fidelity", "skip"),
+			func() float64 { return float64(s.Stats().SkipFrames) }},
+		{gauge, "odin_model_generation", "Model-set generation (increments on every trained-model swap).", nil,
+			func() float64 { return float64(s.Stats().ModelGen) }},
+		{gauge, "odin_resident_models", "Resident specialized models.", nil,
+			func() float64 { return float64(s.Stats().NumModels) }},
+		{gauge, "odin_clusters", "Discovered concept clusters.", nil,
+			func() float64 { return float64(s.Stats().NumClusters) }},
+		{gauge, "odin_pending_recoveries", "Drift recoveries scheduled but not yet swapped in (async training).", nil,
+			func() float64 { return float64(s.Stats().PendingRecoveries) }},
+		{gauge, "odin_model_memory_mb", "Simulated resident model memory in MB.", nil,
+			func() float64 { return s.Stats().MemoryMB }},
+
+		// Async trainer outcomes.
+		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "scratch"),
+			func() float64 { return float64(s.TrainerStats().Scratch) }},
+		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "warm"),
+			func() float64 { return float64(s.TrainerStats().Warm) }},
+		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "adopted"),
+			func() float64 { return float64(s.TrainerStats().Adopted) }},
+		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "coalesced"),
+			func() float64 { return float64(s.TrainerStats().Coalesced) }},
+		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "failed"),
+			func() float64 { return float64(s.TrainerStats().Failed) }},
+		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "dropped"),
+			func() float64 { return float64(s.TrainerStats().Dropped) }},
+
+		// Fleet model registry.
+		{gauge, "odin_registry_models", "Models resident in the fleet registry.", nil,
+			func() float64 { return float64(s.RegistryStats().Size) }},
+		{gauge, "odin_registry_capacity", "Fleet registry capacity bound.", nil,
+			func() float64 { return float64(s.RegistryStats().Capacity) }},
+		{counter, "odin_registry_lookups_total", lookupHelp, label("outcome", "adopt"),
+			func() float64 { return float64(s.RegistryStats().AdoptHits) }},
+		{counter, "odin_registry_lookups_total", lookupHelp, label("outcome", "warm"),
+			func() float64 { return float64(s.RegistryStats().WarmHits) }},
+		{counter, "odin_registry_lookups_total", lookupHelp, label("outcome", "coalesce"),
+			func() float64 { return float64(s.RegistryStats().Coalesced) }},
+		{counter, "odin_registry_lookups_total", lookupHelp, label("outcome", "miss"),
+			func() float64 { return float64(s.RegistryStats().Misses) }},
+		{counter, "odin_registry_published_total", "Models published to the fleet registry.", nil,
+			func() float64 { return float64(s.RegistryStats().Published) }},
+		{counter, "odin_registry_evicted_total", "Fleet registry entries evicted by the LRU capacity bound.", nil,
+			func() float64 { return float64(s.RegistryStats().Evicted) }},
+
+		// Fleet dispatcher.
+		{counter, "odin_dispatch_batches_total", "Merged ProcessBatch calls issued by the fleet dispatcher.", nil,
+			func() float64 { return float64(s.DispatchStats().Batches) }},
+		{counter, "odin_dispatch_windows_total", "Session windows flushed through the fleet dispatcher.", nil,
+			func() float64 { return float64(s.DispatchStats().Windows) }},
+		{counter, "odin_dispatch_frames_total", "Frames processed through the fleet dispatcher.", nil,
+			func() float64 { return float64(s.DispatchStats().Frames) }},
+		{counter, "odin_dispatch_partial_flushes_total", "Dispatcher flushes cut by the weighted round-robin frame budget.", nil,
+			func() float64 { return float64(s.DispatchStats().PartialFlushes) }},
+		{gauge, "odin_dispatch_max_merge", "Largest number of windows merged into one dispatcher batch.", nil,
+			func() float64 { return float64(s.DispatchStats().MaxMerge) }},
+		{gauge, "odin_dispatch_queued_windows", "Windows waiting in the dispatcher assembler.", nil,
+			func() float64 { return float64(s.DispatchStats().QueuedWindows) }},
+		{gauge, "odin_dispatch_queued_frames", "Frames waiting in the dispatcher assembler.", nil,
+			func() float64 { return float64(s.DispatchStats().QueuedFrames) }},
 	} {
-		reg.CounterFunc("odin_fidelity_frames_total",
-			"Frames served, by the fidelity that served them.",
-			stat(f.get), obs.Label{Key: "fidelity", Value: f.fid})
+		m.register(m.name, m.help, m.get, m.labels...)
 	}
-
-	// Model-set gauges.
-	reg.GaugeFunc("odin_model_generation",
-		"Model-set generation (increments on every trained-model swap).",
-		func() float64 { return float64(s.ModelGen()) })
-	reg.GaugeFunc("odin_resident_models",
-		"Resident specialized models.",
-		func() float64 { return float64(s.NumModels()) })
-	reg.GaugeFunc("odin_clusters",
-		"Discovered concept clusters.",
-		func() float64 { return float64(s.NumClusters()) })
-	reg.GaugeFunc("odin_pending_recoveries",
-		"Drift recoveries scheduled but not yet swapped in (async training).",
-		func() float64 { return float64(s.PendingRecoveries()) })
-	reg.GaugeFunc("odin_model_memory_mb",
-		"Simulated resident model memory in MB.",
-		s.MemoryMB)
-
-	// Async trainer outcomes.
-	for _, o := range []struct {
-		outcome string
-		get     func(TrainerStats) float64
-	}{
-		{"scratch", func(ts TrainerStats) float64 { return float64(ts.Scratch) }},
-		{"warm", func(ts TrainerStats) float64 { return float64(ts.Warm) }},
-		{"adopted", func(ts TrainerStats) float64 { return float64(ts.Adopted) }},
-		{"coalesced", func(ts TrainerStats) float64 { return float64(ts.Coalesced) }},
-		{"failed", func(ts TrainerStats) float64 { return float64(ts.Failed) }},
-		{"dropped", func(ts TrainerStats) float64 { return float64(ts.Dropped) }},
-	} {
-		get := o.get
-		reg.CounterFunc("odin_trainer_jobs_total",
-			"Async recovery-trainer jobs by outcome.",
-			func() float64 { return get(s.TrainerStats()) },
-			obs.Label{Key: "outcome", Value: o.outcome})
-	}
-
-	// Fleet model registry.
-	reg.GaugeFunc("odin_registry_models",
-		"Models resident in the fleet registry.",
-		func() float64 { return float64(s.RegistryStats().Size) })
-	reg.GaugeFunc("odin_registry_capacity",
-		"Fleet registry capacity bound.",
-		func() float64 { return float64(s.RegistryStats().Capacity) })
-	for _, o := range []struct {
-		outcome string
-		get     func(RegistryStats) float64
-	}{
-		{"adopt", func(rs RegistryStats) float64 { return float64(rs.AdoptHits) }},
-		{"warm", func(rs RegistryStats) float64 { return float64(rs.WarmHits) }},
-		{"coalesce", func(rs RegistryStats) float64 { return float64(rs.Coalesced) }},
-		{"miss", func(rs RegistryStats) float64 { return float64(rs.Misses) }},
-	} {
-		get := o.get
-		reg.CounterFunc("odin_registry_lookups_total",
-			"Fleet registry resolutions by outcome.",
-			func() float64 { return get(s.RegistryStats()) },
-			obs.Label{Key: "outcome", Value: o.outcome})
-	}
-	reg.CounterFunc("odin_registry_published_total",
-		"Models published to the fleet registry.",
-		func() float64 { return float64(s.RegistryStats().Published) })
-	reg.CounterFunc("odin_registry_evicted_total",
-		"Fleet registry entries evicted by the LRU capacity bound.",
-		func() float64 { return float64(s.RegistryStats().Evicted) })
-
-	// Fleet dispatcher.
-	reg.CounterFunc("odin_dispatch_batches_total",
-		"Merged ProcessBatch calls issued by the fleet dispatcher.",
-		func() float64 { return float64(s.DispatchStats().Batches) })
-	reg.CounterFunc("odin_dispatch_windows_total",
-		"Session windows flushed through the fleet dispatcher.",
-		func() float64 { return float64(s.DispatchStats().Windows) })
-	reg.CounterFunc("odin_dispatch_frames_total",
-		"Frames processed through the fleet dispatcher.",
-		func() float64 { return float64(s.DispatchStats().Frames) })
-	reg.CounterFunc("odin_dispatch_partial_flushes_total",
-		"Dispatcher flushes cut by the weighted round-robin frame budget.",
-		func() float64 { return float64(s.DispatchStats().PartialFlushes) })
-	reg.GaugeFunc("odin_dispatch_max_merge",
-		"Largest number of windows merged into one dispatcher batch.",
-		func() float64 { return float64(s.DispatchStats().MaxMerge) })
-	reg.GaugeFunc("odin_dispatch_queued_windows",
-		"Windows waiting in the dispatcher assembler.",
-		func() float64 { return float64(s.DispatchStats().QueuedWindows) })
-	reg.GaugeFunc("odin_dispatch_queued_frames",
-		"Frames waiting in the dispatcher assembler.",
-		func() float64 { return float64(s.DispatchStats().QueuedFrames) })
 }

@@ -49,9 +49,11 @@ type (
 	Detection = detect.Detection
 	// Result is the outcome of processing one frame.
 	Result = core.Result
-	// Stats is pipeline telemetry (frames, outliers, drift events,
-	// simulated throughput).
-	Stats = core.Stats
+	// Stats is one snapshot of the pipeline: its ledger (frames, outliers,
+	// drift events, simulated GPU time, per-fidelity counts, drops) and
+	// the model-set gauges (clusters, models, generation, pending
+	// recoveries, memory), read at one instant.
+	Stats = core.Telemetry
 	// Subset identifies one of the paper's five evaluation data subsets.
 	Subset = synth.Subset
 	// Domain is a (time-of-day, weather, location) environment condition.

@@ -241,7 +241,7 @@ func TestLifecycleErrors(t *testing.T) {
 	if _, err := srv.Query(ctx, "SELECT COUNT(detections) FROM s USING MODEL yolo WHERE class='car'", nil); !errors.Is(err, ErrNotBootstrapped) {
 		t.Fatalf("Query before Bootstrap: %v", err)
 	}
-	if srv.Stats() != (Stats{}) || srv.MemoryMB() != 0 || srv.NumClusters() != 0 || srv.NumModels() != 0 {
+	if srv.Stats() != (Stats{}) || srv.NumClusters() != 0 || srv.NumModels() != 0 {
 		t.Fatal("telemetry should be zero before Bootstrap")
 	}
 
@@ -274,8 +274,16 @@ func TestLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := srv.Stats()
+	if before.Frames != 1 || before.NumModels != 0 || before.MemoryMB == 0 {
+		t.Fatalf("stats after one frame: %+v", before)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Close ends serving, not the record of it: Stats keeps the final snapshot.
+	if after := srv.Stats(); after != before {
+		t.Fatalf("Stats after Close %+v, want the final snapshot %+v", after, before)
 	}
 	if _, err := srv.OpenStream(ctx, StreamOptions{}); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("OpenStream after Close: %v", err)

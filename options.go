@@ -180,9 +180,9 @@ func WithDispatcher(on bool) Option {
 // training jobs, frames are served by the previous-best model in the
 // interim (surfaced as StreamResult.RecoveryPending), and the trained
 // model is swapped in atomically when ready — eliminating the per-fleet
-// latency spike of inline training. Track swaps with Server.ModelGen /
-// PendingRecoveries / WaitRecoveries. Default off: training runs inline,
-// which keeps results deterministic.
+// latency spike of inline training. Track swaps with Stats().ModelGen and
+// Stats().PendingRecoveries, or block on WaitRecoveries. Default off:
+// training runs inline, which keeps results deterministic.
 func WithTrainAsync(on bool) Option {
 	return func(c *config) error {
 		c.trainAsync = on

@@ -182,7 +182,7 @@ func TestCheckpointAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := restored.PendingRecoveries(); n != 0 {
+	if n := restored.Stats().PendingRecoveries; n != 0 {
 		t.Fatalf("restored server has %d pending recoveries, want 0", n)
 	}
 	// The restored replica serves: process a few fresh frames.

@@ -442,13 +442,17 @@ func (s *Server) RegisterFilter(name string, fn func(*Frame) bool) {
 	s.engine.RegisterFilter(name, fn)
 }
 
-// Stats returns pipeline telemetry. Before Bootstrap it is zero.
+// Stats returns one snapshot of the pipeline: the ledger and the model-set
+// gauges (NumClusters, NumModels, ModelGen — which every StreamResult also
+// carries — PendingRecoveries, always 0 without WithTrainAsync, and
+// MemoryMB). It is zero before Bootstrap; after Close it keeps returning
+// the final state.
 //
 // Snapshot semantics: the snapshot is taken under the pipeline's single
 // serialization lock, so it is internally consistent — the fidelity
 // breakdown (FullFrames + LiteFrames + CountFrames + SkipFrames) always
-// sums to Frames, and Outliers/DriftEvents/SimTime belong to the same
-// instant. Every field is monotonically non-decreasing over the life of a
+// sums to Frames, and every field belongs to the same instant. Every
+// ledger field is monotonically non-decreasing over the life of a
 // bootstrapped server. While Run sessions are active a snapshot can lag
 // the stream-side view (frames advance the pipeline before their results
 // are emitted, and drop markers are ledgered as their batch drains); at
@@ -457,61 +461,22 @@ func (s *Server) RegisterFilter(name string, fn func(*Frame) bool) {
 // particular Stats().Dropped equals the sum of Stream.QoS().Dropped over
 // the streams that ever ran.
 func (s *Server) Stats() Stats {
-	p, err := s.pipe()
-	if err != nil {
+	s.mu.Lock()
+	p := s.pipeline
+	s.mu.Unlock()
+	if p == nil {
 		return Stats{}
 	}
 	return p.Stats()
 }
 
-// MemoryMB returns the simulated resident model memory (0 before
-// Bootstrap).
-func (s *Server) MemoryMB() float64 {
-	p, err := s.pipe()
-	if err != nil {
-		return 0
-	}
-	return p.MemoryMB()
-}
+// NumClusters is Stats().NumClusters, kept as a method because the
+// benchmark harness (bench/) calls it.
+func (s *Server) NumClusters() int { return s.Stats().NumClusters }
 
-// NumClusters returns the number of discovered concept clusters.
-func (s *Server) NumClusters() int {
-	p, err := s.pipe()
-	if err != nil {
-		return 0
-	}
-	return p.NumClusters()
-}
-
-// NumModels returns the number of resident specialized models.
-func (s *Server) NumModels() int {
-	p, err := s.pipe()
-	if err != nil {
-		return 0
-	}
-	return p.NumModels()
-}
-
-// ModelGen returns the model-set generation: it increments every time a
-// trained model is swapped in (inline or async), and every StreamResult
-// carries the generation that served it. 0 before Bootstrap.
-func (s *Server) ModelGen() uint64 {
-	p, err := s.pipe()
-	if err != nil {
-		return 0
-	}
-	return p.ModelGen()
-}
-
-// PendingRecoveries returns the number of drift recoveries scheduled but
-// not yet swapped in. Always 0 with inline training (WithTrainAsync off).
-func (s *Server) PendingRecoveries() int {
-	p, err := s.pipe()
-	if err != nil {
-		return 0
-	}
-	return p.PendingRecoveries()
-}
+// NumModels is Stats().NumModels, kept as a method because the benchmark
+// harness (bench/) calls it.
+func (s *Server) NumModels() int { return s.Stats().NumModels }
 
 // WaitRecoveries blocks until every scheduled drift recovery has been
 // swapped in or rolled back, or ctx is done. With inline training (or
@@ -543,9 +508,10 @@ func (s *Server) dispatcher() *dispatch.Batcher {
 // recoveries are dropped and roll back to the prior model, a job
 // mid-training finishes and lands, and Close blocks until that drain is
 // complete. Close → Checkpoint is therefore a valid shutdown sequence:
-// Checkpoint is the one post-Close operation that still works, and a
-// checkpoint taken after Close captures the final quiescent model set (no
-// in-flight trainer jobs, PendingRecoveries == 0). See DESIGN.md §10.
+// Checkpoint still works after Close (as do the telemetry reads: Stats,
+// TrainerStats, RegistryStats, DispatchStats), and a checkpoint taken
+// after Close captures the final quiescent model set (no in-flight trainer
+// jobs, Stats().PendingRecoveries == 0). See DESIGN.md §10.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
