@@ -49,19 +49,26 @@ func TestDownsampleEncoderDims(t *testing.T) {
 	f := gen.GenerateSubset(synth.DayData)
 	enc := DownsampleEncoder(2)
 	v := enc(f.Image)
-	if len(v) != EncodedDim(scene, 2) {
-		t.Fatalf("encoded dim %d, want %d", len(v), EncodedDim(scene, 2))
+	if len(v) != EncodedDim(scene) {
+		t.Fatalf("encoded dim %d, want %d", len(v), EncodedDim(scene))
 	}
-	enc1 := DownsampleEncoder(1)
-	if len(enc1(f.Image)) != f.Image.Dim() {
-		t.Fatal("factor 1 must be identity")
+	// The projector's input is the frame halved: no other factor exists.
+	for _, factor := range []int{1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DownsampleEncoder(%d) was accepted", factor)
+				}
+			}()
+			DownsampleEncoder(factor)
+		}()
 	}
 }
 
 func TestDetectorObserveFormsClusters(t *testing.T) {
 	scene := synth.DefaultSceneConfig()
 	gen := synth.NewSceneGen(2, scene)
-	d := NewDetector(statsProjector{}, testClusterConfig(), DownsampleEncoder(2))
+	d := NewDetector(statsProjector{}, testClusterConfig())
 
 	var drift bool
 	for i := 0; i < 300; i++ {

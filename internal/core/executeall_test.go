@@ -91,12 +91,26 @@ func TestExecuteAllMatchesExecute(t *testing.T) {
 	}
 }
 
-// latentStub projects an encoded frame to its first two values, so a test
-// can place a frame anywhere in latent space by writing two pixels.
+// latentStub projects a halved frame to its first two values, stretched
+// from [0, 1] to [−10, 10] about the middle, so a test can place a frame
+// anywhere near the origin by writing the two 2×2 blocks under them
+// (plantLatent).
 type latentStub struct{}
 
-func (latentStub) LatentDim() int                { return 2 }
-func (latentStub) Project(x []float64) []float64 { return []float64{x[0], x[1]} }
+func (latentStub) LatentDim() int { return 2 }
+func (latentStub) Project(x []float64) []float64 {
+	return []float64{20 * (x[0] - 0.5), 20 * (x[1] - 0.5)}
+}
+
+// plantLatent writes the frame pixels latentStub reads back as z (to within
+// the halving's rounding): both 2×2 blocks under its two values.
+func plantLatent(im *synth.Image, z0, z1 float64) {
+	for j, v := range []float64{0.5 + z0/20, 0.5 + z1/20} {
+		for _, p := range []int{2 * j, 2*j + 1, im.W + 2*j, im.W + 2*j + 1} {
+			im.Pix[p] = v
+		}
+	}
+}
 
 // TestProcessBatchHeapStaysFlat drives windows of every width from 1 to 64,
 // with a share of ensemble frames that changes from window to window,
@@ -109,8 +123,7 @@ func TestProcessBatchHeapStaysFlat(t *testing.T) {
 	scene := synth.DefaultSceneConfig()
 	base, spec, lite := executeTestModels()
 	cfg := DefaultConfig(scene)
-	cfg.DownsampleFactor = 1 // the stub reads raw pixels
-	cfg.AsyncTrain = true    // with the sink below: clusters may form, nothing trains
+	cfg.AsyncTrain = true // with the sink below: clusters may form, nothing trains
 	o := New(cfg, latentStub{}, base.Det)
 	o.SetTrainSink(func([]TrainJob) {})
 	o.Detector.Clusters = buildClusterAt(t, [][]float64{{0, 0}, {10, 0}})
@@ -124,10 +137,10 @@ func TestProcessBatchHeapStaysFlat(t *testing.T) {
 	pool := synth.NewSceneGen(32, scene).Dataset(synth.FullData, 64)
 	near, far := pool[:32], pool[32:]
 	for _, f := range near {
-		f.Image.Pix[0], f.Image.Pix[1] = 0.3*rng.Norm(), 0.3*rng.Norm()
+		plantLatent(f.Image, 0.3*rng.Norm(), 0.3*rng.Norm())
 	}
 	for _, f := range far {
-		f.Image.Pix[0], f.Image.Pix[1] = 5+0.3*rng.Norm(), 0.3*rng.Norm()
+		plantLatent(f.Image, 5+0.3*rng.Norm(), 0.3*rng.Norm())
 	}
 
 	heapInUse := func() uint64 {

@@ -16,11 +16,10 @@ import (
 
 // Config assembles a full ODIN pipeline.
 type Config struct {
-	Scene            synth.SceneConfig
-	DownsampleFactor int // frame → projector input reduction (default 2)
-	Cluster          cluster.Config
-	Selector         Selector
-	Spec             SpecializerConfig
+	Scene    synth.SceneConfig
+	Cluster  cluster.Config
+	Selector Selector
+	Spec     SpecializerConfig
 
 	// DriftRecovery disables the DETECTOR/SPECIALIZER/SELECTOR stack when
 	// false, leaving the static heavyweight baseline — the paper's
@@ -39,12 +38,11 @@ type Config struct {
 // DefaultConfig returns the experiment configuration.
 func DefaultConfig(scene synth.SceneConfig) Config {
 	return Config{
-		Scene:            scene,
-		DownsampleFactor: 2,
-		Cluster:          cluster.DefaultConfig(),
-		Selector:         Selector{Policy: PolicyDeltaBM, K: 4},
-		Spec:             DefaultSpecializerConfig(),
-		DriftRecovery:    true,
+		Scene:         scene,
+		Cluster:       cluster.DefaultConfig(),
+		Selector:      Selector{Policy: PolicyDeltaBM, K: 4},
+		Spec:          DefaultSpecializerConfig(),
+		DriftRecovery: true,
 	}
 }
 
@@ -188,12 +186,11 @@ type Odin struct {
 // detector. The projector is the DA-GAN encoder trained on bootstrap data
 // (§4.4); the baseline plays the role of the pre-trained YOLO teacher.
 func New(cfg Config, proj gan.Projector, baseline *detect.GridDetector) *Odin {
-	enc := DownsampleEncoder(cfg.DownsampleFactor)
 	mm := NewModelManager(cfg.Spec, cfg.Scene, baseline)
 	mm.SetAsync(cfg.AsyncTrain)
 	return &Odin{
 		Cfg:      cfg,
-		Detector: NewDetector(proj, cfg.Cluster, enc),
+		Detector: NewDetector(proj, cfg.Cluster),
 		Manager:  mm,
 	}
 }

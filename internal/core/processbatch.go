@@ -3,6 +3,7 @@ package core
 import (
 	"odin/internal/detect"
 	"odin/internal/gan"
+	"odin/internal/nn"
 	"odin/internal/obs"
 	"odin/internal/qos"
 	"odin/internal/synth"
@@ -149,9 +150,10 @@ func blockSize(n, workers int) int {
 
 // projectAll computes the latent of every frame that is not skipped (a
 // Skip frame's latent stays nil: shed frames never reach the projector),
-// a block per worker at a time: encode the block's frames, then project
-// them in one forward pass when the projector batches (the DA-GAN does)
-// and frame by frame otherwise.
+// a block per worker at a time: each of the block's frames halved straight
+// into its row of one pooled batch, projected in one forward pass when the
+// projector batches (the DA-GAN does, and the block's latents then share one
+// slab) and row by row otherwise — no per-frame image, row or latent copy.
 func (o *Odin) projectAll(frames []*synth.Frame, workers int, fids []qos.Fidelity) [][]float64 {
 	latents := make([][]float64, len(frames))
 	if !o.Cfg.DriftRecovery {
@@ -167,13 +169,14 @@ func (o *Odin) projectAll(frames []*synth.Frame, workers int, fids []qos.Fidelit
 	tensor.ParallelWorkers((len(idx)+size-1)/size, workers, func(b0, b1 int) {
 		for b := b0; b < b1; b++ {
 			blk := idx[b*size : min((b+1)*size, len(idx))]
-			rows := make([][]float64, len(blk))
+			x := nn.GetMatRaw(len(blk), frames[blk[0]].Image.DownsampledLen())
 			for k, i := range blk {
-				rows[k] = o.Detector.Encode(frames[i].Image)
+				frames[i].Image.DownsampleInto(x.Row(k))
 			}
-			for k, z := range gan.ProjectAll(o.Detector.Proj, rows) {
+			for k, z := range gan.ProjectMat(o.Detector.Proj, x) {
 				latents[blk[k]] = z
 			}
+			nn.Recycle(x)
 		}
 	})
 	return latents

@@ -139,7 +139,7 @@ func (c *Context) Encoder() core.FrameEncoder { return core.DownsampleEncoder(2)
 // DAGANConfig returns the scene DA-GAN architecture.
 func (c *Context) DAGANConfig() gan.Config {
 	return gan.Config{
-		InputDim: core.EncodedDim(c.Scene, 2),
+		InputDim: core.EncodedDim(c.Scene),
 		Latent:   16,
 		Hidden:   []int{128, 48},
 		LR:       0.001,
@@ -154,7 +154,7 @@ func (c *Context) DAGAN() *gan.DAGAN {
 		start := time.Now()
 		gen := synth.NewSceneGen(1, c.Scene)
 		boot := gen.Dataset(synth.FullData, c.P.BootFrames)
-		c.dagan = core.TrainDAGAN(boot, c.Encoder(), c.DAGANConfig(), c.P.DAGANEpochs, 32)
+		c.dagan = core.TrainDAGAN(boot, c.DAGANConfig(), c.P.DAGANEpochs, 32)
 		c.logf("trained DA-GAN on %d frames in %s", c.P.BootFrames, time.Since(start).Round(time.Second))
 	}
 	return c.dagan

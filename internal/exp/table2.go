@@ -30,7 +30,7 @@ type Table2Result struct {
 func RunTable2(c *Context, w io.Writer) Table2Result {
 	dg := c.DAGAN()
 	ccfg := cluster.DefaultConfig()
-	det := core.NewDetector(dg, ccfg, c.Encoder())
+	det := core.NewDetector(dg, ccfg)
 
 	// Gradual-drift workload: the four major environments are introduced
 	// one after another, mirroring §6.2's "workload that exhibits gradual

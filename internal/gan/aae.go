@@ -113,6 +113,9 @@ func (a *AAE) ProjectBatch(rows [][]float64) [][]float64 {
 	return projectBatch(a.Enc, rows)
 }
 
+// ProjectMat encodes the rows of x in one forward pass.
+func (a *AAE) ProjectMat(x *tensor.Mat) [][]float64 { return projectMat(a.Enc, x) }
+
 // Reconstruct encodes then decodes one image.
 func (a *AAE) Reconstruct(x []float64) []float64 {
 	out := a.Dec.Predict(a.Enc.Predict(tensor.FromVec(x)))

@@ -80,6 +80,9 @@ func (a *Autoencoder) ProjectBatch(rows [][]float64) [][]float64 {
 	return projectBatch(a.Enc, rows)
 }
 
+// ProjectMat encodes the rows of x in one forward pass.
+func (a *Autoencoder) ProjectMat(x *tensor.Mat) [][]float64 { return projectMat(a.Enc, x) }
+
 // Reconstruct encodes then decodes one image.
 func (a *Autoencoder) Reconstruct(x []float64) []float64 {
 	z := a.Enc.Predict(tensor.FromVec(x))

@@ -192,6 +192,9 @@ func (d *DAGAN) ProjectBatch(rows [][]float64) [][]float64 {
 	return projectBatch(d.Enc, rows)
 }
 
+// ProjectMat encodes the rows of x in one forward pass.
+func (d *DAGAN) ProjectMat(x *tensor.Mat) [][]float64 { return projectMat(d.Enc, x) }
+
 // Reconstruct encodes then decodes one image.
 func (d *DAGAN) Reconstruct(x []float64) []float64 {
 	out := d.Dec.Predict(d.Enc.Predict(tensor.FromVec(x)))

@@ -23,10 +23,13 @@ type Projector interface {
 
 // BatchProjector is implemented by projectors that can encode many images
 // in one network pass; callers with whole datasets in hand (detector
-// calibration, cluster embedding) prefer it when available.
+// calibration, cluster embedding) prefer it when available, and the
+// serving path hands it a batch it filled in place (ProjectMat).
 type BatchProjector interface {
 	Projector
 	ProjectBatch(rows [][]float64) [][]float64
+	// ProjectMat encodes the rows of x in one pass.
+	ProjectMat(x *tensor.Mat) [][]float64
 }
 
 // ProjectAll encodes every row, in one pass when proj supports batching.
@@ -41,30 +44,50 @@ func ProjectAll(proj Projector, rows [][]float64) [][]float64 {
 	return out
 }
 
+// ProjectMat encodes the rows of x, a batch the caller filled, in one pass
+// when proj batches and row by row otherwise.
+func ProjectMat(proj Projector, x *tensor.Mat) [][]float64 {
+	if bp, ok := proj.(BatchProjector); ok {
+		return bp.ProjectMat(x)
+	}
+	out := make([][]float64, x.R)
+	for i := range out {
+		out[i] = proj.Project(x.Row(i))
+	}
+	return out
+}
+
 // projBatch bounds the encoder batch so one-shot dataset projections do
 // not park dataset-sized buffers in the workspace pool (which never
 // shrinks) — the pooled working set stays at a few hundred rows.
 const projBatch = 256
 
 // projectBatch runs the shared encoder-batch path behind the ProjectBatch
-// methods: stack a chunk, one forward pass, unstack, recycle.
+// methods: stack a chunk, project it (projectMat), recycle the stack.
 func projectBatch(enc *nn.Network, rows [][]float64) [][]float64 {
 	if len(rows) == 0 {
 		return nil
 	}
-	zs := make([][]float64, len(rows))
+	zs := make([][]float64, 0, len(rows))
 	for start := 0; start < len(rows); start += projBatch {
-		end := start + projBatch
-		if end > len(rows) {
-			end = len(rows)
-		}
-		x := ToBatch(rows[start:end])
-		out := enc.Predict(x)
-		for i := 0; i < out.R; i++ {
-			zs[start+i] = rowCopy(out, i)
-		}
-		nn.Recycle(x, out)
+		x := ToBatch(rows[start:min(start+projBatch, len(rows))])
+		zs = append(zs, projectMat(enc, x)...)
+		nn.Recycle(x)
 	}
+	return zs
+}
+
+// projectMat runs the ProjectMat methods: one forward pass over x, its
+// output copied into one slab and cut into latents, each capped at its own
+// end.
+func projectMat(enc *nn.Network, x *tensor.Mat) [][]float64 {
+	out := enc.Predict(x)
+	slab := append([]float64(nil), out.V[:out.R*out.C]...)
+	zs := make([][]float64, out.R)
+	for i := range zs {
+		zs[i] = slab[i*out.C : (i+1)*out.C : (i+1)*out.C]
+	}
+	nn.Recycle(out)
 	return zs
 }
 

@@ -22,7 +22,9 @@ type BatchNorm struct {
 	RunVar  []float64
 
 	// Caches for backward, plus per-call statistics scratch retained across
-	// steps so a training step allocates nothing.
+	// steps so a training step allocates nothing. The scratch is made by the
+	// layer's first training forward or backward (scratch): a layer that
+	// only infers carries none.
 	lastXHat *tensor.Mat
 	lastStd  []float64
 	lastN    int
@@ -42,17 +44,21 @@ func NewBatchNorm(dim int) *BatchNorm {
 		Beta:     newParam("bn.beta", 1, dim),
 		RunMean:  make([]float64, dim),
 		RunVar:   make([]float64, dim),
-		lastStd:  make([]float64, dim),
-		mean:     make([]float64, dim),
-		variance: make([]float64, dim),
-		sumG:     make([]float64, dim),
-		sumGX:    make([]float64, dim),
 	}
 	b.Gamma.W.Fill(1)
 	for i := range b.RunVar {
 		b.RunVar[i] = 1
 	}
 	return b
+}
+
+// scratch allocates the training statistics and gradients on first use.
+func (b *BatchNorm) scratch() {
+	allocGrads(b.Gamma, b.Beta)
+	if b.sumG == nil {
+		b.lastStd, b.mean, b.variance = make([]float64, b.Dim), make([]float64, b.Dim), make([]float64, b.Dim)
+		b.sumG, b.sumGX = make([]float64, b.Dim), make([]float64, b.Dim)
+	}
 }
 
 // bnAffine applies the precomputed y = scale*x + shift rows (the inference
@@ -113,6 +119,9 @@ func bnNormalize(xV, xhV, outV, mean, std, gamma, beta []float64, dim, rows int)
 func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != b.Dim {
 		panic("nn: batchnorm width mismatch")
+	}
+	if train {
+		b.scratch()
 	}
 	out := ws.GetRaw(x.R, x.C)
 	if !train || x.R == 1 {
@@ -197,6 +206,7 @@ func bnInputGrad(gV, xhV, dxV, gamma, std, sumG, sumGX []float64, n float64, dim
 
 // Backward implements the standard batch-norm gradient.
 func (b *BatchNorm) Backward(grad *tensor.Mat) *tensor.Mat {
+	b.scratch()
 	dx := ws.GetRaw(grad.R, grad.C)
 	if b.lastXHat == nil {
 		// Inference-mode backward (running stats are constants).

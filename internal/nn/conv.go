@@ -96,6 +96,7 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 			c.trainPlanes = tensor.New(x.R, c.planesLen())
 		}
 		st.keep = c.trainPlanes
+		allocGrads(c.Weight, c.Bias)
 	}
 	return forwardConvs([]convStage{st}, x, nil)
 }

@@ -71,9 +71,10 @@ func convTrainCase(t *testing.T, c *Conv2D, n int, seed uint64) {
 	wantDx, dW, db := convBackwardRef(c, cols, grad)
 	wantDW := tensor.New(dW.R, dW.C)
 	wantDW.Add(dW) // the master gradient a step accumulates into
+	// A layer's first training forward allocates its gradients.
+	out := c.Forward(x, true)
 	c.Weight.Grad.Zero()
 	c.Bias.Grad.Zero()
-	out := c.Forward(x, true)
 	dx := c.Backward(grad)
 	where := fmt.Sprintf("k=%d s=%d p=%d in %dx%dx%d out %dx%dx%d n=%d", c.K, c.Stride, c.Pad, c.InC, c.InH, c.InW, c.OutC, c.OutH, c.OutW, n)
 	for _, m := range []struct {

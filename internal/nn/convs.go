@@ -81,11 +81,15 @@ func (c *Conv2D) phaseRect(py, px int) (y0, y1, x0, x1 int) {
 // c.trainPlanes, which hand out zeroed memory or what an earlier splitPlanes
 // left, so the border is zero for as long as the layer lives and is never
 // cleared again. Within the rectangle each row is one strided run of an
-// input row: copied at stride 1, de-interleaved by the vector gather at
-// stride 2.
+// input row: copied at stride 1, and at stride 2 both column phases of an
+// input row come from one pass over it (splitPair).
 func splitPlanes(c *Conv2D, src []float64, srcW, srcC int, planes []float64) {
 	size := c.planeH * c.planeW
 	for py := 0; py < c.phases; py++ {
+		if c.Stride == 2 && c.phases == 2 {
+			splitPair(c, src, srcW, srcC, planes, py)
+			continue
+		}
 		for px := 0; px < c.phases; px++ {
 			y0, y1, x0, x1 := c.phaseRect(py, px)
 			if y0 == y1 {
@@ -95,10 +99,6 @@ func splitPlanes(c *Conv2D, src []float64, srcW, srcC int, planes []float64) {
 			d0 := (py*c.phases+px)*size + y0*c.planeW + x0
 			s0 := (y0*c.Stride+py-c.Pad)*srcW + x0*c.Stride + px - c.Pad
 			for ch := 0; ch < c.InC; ch, d0, s0 = ch+1, d0+c.phases*c.phases*size, s0+srcC {
-				if c.Stride == 2 {
-					tensor.Kernels{}.Gather2(planes[d0:], src[s0:], n, y1-y0, c.planeW, 2*srcW)
-					continue
-				}
 				for y, di, si := y0, d0, s0; y < y1; y, di, si = y+1, di+c.planeW, si+c.Stride*srcW {
 					d := planes[di : di+n]
 					if c.Stride == 1 {
@@ -112,6 +112,28 @@ func splitPlanes(c *Conv2D, src []float64, srcW, srcC int, planes []float64) {
 				}
 			}
 		}
+	}
+}
+
+// splitPair writes row phase py of both column phases of a stride-2
+// layer. The two phases' covered columns interleave into one run of each
+// input row from its column 0: phase Pad mod 2 takes the run's even
+// elements and the other phase its odd ones, of which there are as many or
+// one fewer — so one tensor.Kernels.SplitPhases call per channel reads each
+// input row once for both planes.
+func splitPair(c *Conv2D, src []float64, srcW, srcC int, planes []float64, py int) {
+	pe := c.Pad % 2 // the phase whose first covered column is input column 0
+	y0, y1, x0, x1 := c.phaseRect(py, pe)
+	if y0 == y1 {
+		return
+	}
+	_, _, z0, z1 := c.phaseRect(py, 1-pe) // empty for a one-column input
+	size := c.planeH * c.planeW
+	de := (py*2+pe)*size + y0*c.planeW + x0
+	do := (py*2+1-pe)*size + y0*c.planeW + z0
+	s0 := (y0*2 + py - c.Pad) * srcW
+	for ch := 0; ch < c.InC; ch, de, do, s0 = ch+1, de+4*size, do+4*size, s0+srcC {
+		tensor.Kernels{}.SplitPhases(planes[de:], planes[do:], src[s0:], x1-x0, z1-z0, y1-y0, c.planeW, 2*srcW)
 	}
 }
 

@@ -36,6 +36,7 @@ func NewDense(in, out int, rng *tensor.RNG) *Dense {
 func (d *Dense) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if train {
 		d.lastIn = x
+		allocGrads(d.Weight, d.Bias)
 	}
 	return d.forwardAct(x, tensor.Act{})
 }

@@ -17,7 +17,9 @@ import (
 )
 
 // Param is one trainable parameter tensor together with its gradient
-// accumulator. Optimizers update W in place using Grad.
+// accumulator. Optimizers update W in place using Grad. Grad is nil until
+// its layer's first training forward (a nil gradient is zero): a network
+// that only infers — every restored or serving one — carries none.
 type Param struct {
 	Name string
 	W    *tensor.Mat
@@ -25,7 +27,22 @@ type Param struct {
 }
 
 func newParam(name string, r, c int) *Param {
-	return &Param{Name: name, W: tensor.New(r, c), Grad: tensor.New(r, c)}
+	return &Param{Name: name, W: tensor.New(r, c)}
+}
+
+// grad returns p's gradient, allocating it zeroed on first use.
+func (p *Param) grad() *tensor.Mat {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.W.R, p.W.C)
+	}
+	return p.Grad
+}
+
+// allocGrads gives every parameter of a layer about to train its gradient.
+func allocGrads(ps ...*Param) {
+	for _, p := range ps {
+		p.grad()
+	}
 }
 
 // Layer is a differentiable network stage. Forward consumes a batch and
@@ -213,10 +230,12 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// ZeroGrad clears every parameter gradient.
+// ZeroGrad clears every parameter gradient (a nil one is zero already).
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
-		p.Grad.Zero()
+		if p.Grad != nil {
+			p.Grad.Zero()
+		}
 	}
 }
 

@@ -86,6 +86,54 @@ func TestClipGrads(t *testing.T) {
 	}
 }
 
+// TestGradsOnlyForTraining: a layer carries no gradient until its first
+// training forward, inference leaves it so, and every reader of a gradient
+// treats the missing one as zero — Adam moves the weights exactly as a zero
+// gradient would, ClipGrads and ZeroGrad pass over it.
+func TestGradsOnlyForTraining(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	x := tensor.New(2, 4)
+	rng.FillNormal(x, 1)
+	for _, l := range []Layer{NewDense(4, 3, rng), NewConv2D(1, 2, 2, 2, 1, 1, 0, rng), NewBatchNorm(4)} {
+		Recycle(l.Forward(x, false))
+		for _, p := range l.Params() {
+			if p.Grad != nil {
+				t.Fatalf("%s: inference allocated a gradient", p.Name)
+			}
+		}
+		Recycle(l.Forward(x, true))
+		for _, p := range l.Params() {
+			if p.Grad == nil || p.Grad.R != p.W.R || p.Grad.C != p.W.C {
+				t.Fatalf("%s: a training forward left gradient %v, want one shaped like W", p.Name, p.Grad)
+			}
+			for _, g := range p.Grad.V {
+				if g != 0 {
+					t.Fatalf("%s: a fresh gradient holds %v", p.Name, g)
+				}
+			}
+		}
+	}
+
+	lazy := &Param{W: tensor.FromSlice(1, 2, []float64{1, -2})}
+	zero := &Param{W: tensor.FromSlice(1, 2, []float64{1, -2}), Grad: tensor.New(1, 2)}
+	moved := &Param{W: tensor.FromSlice(1, 1, []float64{4}), Grad: tensor.FromSlice(1, 1, []float64{3})}
+	ClipGrads([]*Param{lazy, moved}, 1)
+	NewNetwork("fresh", NewDense(2, 2, rng)).ZeroGrad()
+	optLazy, optZero := NewAdam(0.1), NewAdam(0.1)
+	for i := 0; i < 3; i++ {
+		optLazy.Step([]*Param{lazy})
+		optZero.Step([]*Param{zero})
+	}
+	for i, w := range zero.W.V {
+		if math.Float64bits(lazy.W.V[i]) != math.Float64bits(w) {
+			t.Fatalf("Adam on a missing gradient moved weight %d to %v, on a zero one to %v", i, lazy.W.V[i], w)
+		}
+	}
+	if moved.Grad.V[0] != 1 {
+		t.Fatalf("ClipGrads beside a missing gradient left %v, want 1", moved.Grad.V[0])
+	}
+}
+
 // TestMLPLearnsXOR is the classic end-to-end sanity check: a 2-layer MLP
 // must drive XOR loss near zero.
 func TestMLPLearnsXOR(t *testing.T) {

@@ -38,7 +38,7 @@ func (a *Adam) Step(params []*Param) {
 			a.v[p] = tensor.New(p.W.R, p.W.C)
 		}
 		v := a.v[p]
-		for i, g := range p.Grad.V {
+		for i, g := range p.grad().V {
 			if a.WeightDecay > 0 {
 				g += a.WeightDecay * p.W.V[i]
 			}
@@ -56,6 +56,9 @@ func (a *Adam) Step(params []*Param) {
 func ClipGrads(params []*Param, maxNorm float64) {
 	var sq float64
 	for _, p := range params {
+		if p.Grad == nil {
+			continue // zero
+		}
 		for _, g := range p.Grad.V {
 			sq += g * g
 		}
@@ -66,6 +69,8 @@ func ClipGrads(params []*Param, maxNorm float64) {
 	}
 	scale := maxNorm / norm
 	for _, p := range params {
-		p.Grad.Scale(scale)
+		if p.Grad != nil {
+			p.Grad.Scale(scale)
+		}
 	}
 }

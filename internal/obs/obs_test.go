@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -83,6 +84,32 @@ odin_test_total{kind="b"} 3
 `
 	if got := b.String(); got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestOnScrapeRunsOncePerScrape: a hook runs once at the top of every
+// scrape, before the callbacks that read what it filled, and not at all
+// between scrapes.
+func TestOnScrapeRunsOncePerScrape(t *testing.T) {
+	r := NewRegistry()
+	var hooks, snap int
+	r.OnScrape(func() { hooks++; snap = 10 * hooks })
+	for _, name := range []string{"odin_test_a", "odin_test_b"} {
+		r.GaugeFunc(name, "Reads the snapshot.", func() float64 { return float64(snap) })
+	}
+	for scrape := 1; scrape <= 2; scrape++ {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if hooks != scrape {
+			t.Fatalf("after %d scrapes the hook ran %d times", scrape, hooks)
+		}
+		for _, name := range []string{"odin_test_a", "odin_test_b"} {
+			if want := fmt.Sprintf("%s %d\n", name, 10*scrape); !strings.Contains(b.String(), want) {
+				t.Errorf("scrape %d: no line %q in\n%s", scrape, want, b.String())
+			}
+		}
 	}
 }
 

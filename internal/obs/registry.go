@@ -43,11 +43,13 @@ type family struct {
 // exposition format. Registration takes the registry lock; reading and
 // updating registered metrics does not (they are plain atomics), so the
 // serving hot path never contends with scrapes. Scrape-time callbacks
-// (CounterFunc/GaugeFunc) run under the registry lock during
-// WritePrometheus — they must not call back into the registry.
+// (CounterFunc/GaugeFunc, and the OnScrape hooks before them) run under the
+// registry lock during WritePrometheus — they must not call back into the
+// registry.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	onScrape []func()
 }
 
 // NewRegistry creates an empty registry.
@@ -91,6 +93,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	c.fn = fn
 }
 
+// OnScrape registers fn to run once at the top of every WritePrometheus,
+// before any scrape-time callback: a subsystem whose series all read one
+// snapshot takes it there, so a scrape reads the subsystem once and every
+// series shows the same instant. fn runs under the registry lock, which
+// also guards what it fills for the callbacks.
+func (r *Registry) OnScrape(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.onScrape = append(r.onScrape, fn)
+}
+
 // series finds or creates the child for name{labels}, panicking on a TYPE
 // conflict (programmer error: one name, one type).
 func (r *Registry) series(name, help, typ string, labels []Label) *child {
@@ -124,6 +137,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for _, fn := range r.onScrape {
+		fn()
+	}
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)

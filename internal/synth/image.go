@@ -8,6 +8,8 @@ package synth
 import (
 	"fmt"
 	"math"
+
+	"odin/internal/tensor"
 )
 
 // Image is a channel-major C×H×W image with float64 pixels in [0, 1].
@@ -115,56 +117,22 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Downsample averages blocks to produce an image 1/factor the size in each
-// spatial dimension; used to feed the DA-GAN a lower-resolution manifold.
-func (im *Image) Downsample(factor int) *Image {
-	out := NewImage(im.C, im.H/factor, im.W/factor)
-	im.DownsampleInto(out.Pix, factor)
-	return out
-}
+// DownsampledLen is the number of values DownsampleInto writes:
+// C·⌊H/2⌋·⌊W/2⌋.
+func (im *Image) DownsampledLen() int { return im.C * (im.H / 2) * (im.W / 2) }
 
-// DownsampleInto writes the pixels of Downsample(factor), channel-major,
-// into dst — a row of the projector's input batch, say — which must hold
-// exactly C·(H/factor)·(W/factor) values. A block is summed row by row, left
-// to right, from zero.
-func (im *Image) DownsampleInto(dst []float64, factor int) {
-	oh := im.H / factor
-	ow := im.W / factor
-	if len(dst) != im.C*oh*ow {
-		// Invariant: the one caller, Downsample, sizes dst from im itself.
-		panic(fmt.Sprintf("synth: downsample of %v by %d into %d values, want %d", im, factor, len(dst), im.C*oh*ow))
+// DownsampleInto writes the image halved on each side, channel-major, into
+// dst — a row of the projector's input batch — which must hold exactly
+// DownsampledLen values: each is the clamped mean of a 2×2 block, summed
+// row by row, left to right, from +0 (tensor.Kernels.Halve). An odd last
+// row or column is dropped.
+func (im *Image) DownsampleInto(dst []float64) {
+	oh, ow := im.H/2, im.W/2
+	if len(dst) != im.DownsampledLen() {
+		panic(fmt.Sprintf("synth: downsample of %v into %d values, want %d", im, len(dst), im.DownsampledLen()))
 	}
-	inv := 1 / float64(factor*factor)
 	for c := 0; c < im.C; c++ {
-		plane := im.Pix[c*im.H*im.W : (c+1)*im.H*im.W]
-		for y := 0; y < oh; y++ {
-			orow := dst[(c*oh+y)*ow : (c*oh+y+1)*ow]
-			// band is the factor source rows under this output row.
-			band := plane[y*factor*im.W : (y+1)*factor*im.W]
-			if factor == 2 {
-				// Every served frame is halved (core.DownsampleEncoder(2)):
-				// the same sum, unrolled.
-				r0, r1 := band[:2*ow], band[im.W:im.W+2*ow]
-				for x := range orow {
-					var s float64
-					s += r0[2*x]
-					s += r0[2*x+1]
-					s += r1[2*x]
-					s += r1[2*x+1]
-					orow[x] = clamp01(s * inv)
-				}
-				continue
-			}
-			for x := range orow {
-				var s float64
-				for dy := 0; dy < factor; dy++ {
-					for _, v := range band[dy*im.W+x*factor:][:factor] {
-						s += v
-					}
-				}
-				orow[x] = clamp01(s * inv)
-			}
-		}
+		tensor.Kernels{}.Halve(dst[c*oh*ow:], im.Pix[c*im.H*im.W:], ow, oh, ow, im.W)
 	}
 }
 

@@ -78,33 +78,33 @@ func TestDesaturateMovesTowardLuma(t *testing.T) {
 func TestDownsample(t *testing.T) {
 	im := NewImage(1, 4, 4)
 	im.FillRect(0, 0, 2, 2, 1, 1, 1) // top-left quadrant white
-	d := im.Downsample(2)
-	if d.H != 2 || d.W != 2 {
-		t.Fatalf("downsample shape %dx%d", d.H, d.W)
+	if im.DownsampledLen() != 4 {
+		t.Fatalf("downsampled length %d, want 4", im.DownsampledLen())
 	}
-	if d.At(0, 0, 0) != 1 || d.At(0, 1, 1) != 0 {
-		t.Fatalf("downsample values wrong: %v", d.Pix)
+	d := make([]float64, 4)
+	im.DownsampleInto(d)
+	if d[0] != 1 || d[3] != 0 {
+		t.Fatalf("downsample values wrong: %v", d)
 	}
 }
 
-// downsampleRef is Downsample as it was first written, one bounds-tested
-// At and one clamping Set per pixel. The row-sliced version must reproduce
-// it bit for bit: frames reach the DA-GAN through it, so one changed bit
-// moves every latent and every fingerprint downstream.
-func downsampleRef(im *Image, factor int) *Image {
-	oh, ow := im.H/factor, im.W/factor
+// downsampleRef is the halving as it was first written, one bounds-tested
+// At and one clamping Set per pixel. DownsampleInto must reproduce it bit
+// for bit: frames reach the DA-GAN through it, so one changed bit moves
+// every latent and every fingerprint downstream.
+func downsampleRef(im *Image) *Image {
+	oh, ow := im.H/2, im.W/2
 	out := NewImage(im.C, oh, ow)
-	inv := 1 / float64(factor*factor)
 	for c := 0; c < im.C; c++ {
 		for y := 0; y < oh; y++ {
 			for x := 0; x < ow; x++ {
 				var s float64
-				for dy := 0; dy < factor; dy++ {
-					for dx := 0; dx < factor; dx++ {
-						s += im.At(c, y*factor+dy, x*factor+dx)
+				for dy := 0; dy < 2; dy++ {
+					for dx := 0; dx < 2; dx++ {
+						s += im.At(c, y*2+dy, x*2+dx)
 					}
 				}
-				out.Set(c, y, x, s*inv)
+				out.Set(c, y, x, s*0.25)
 			}
 		}
 	}
@@ -114,7 +114,7 @@ func downsampleRef(im *Image, factor int) *Image {
 func TestDownsampleMatchesPerPixelReference(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	for _, sz := range []struct{ c, h, w int }{
-		{3, 27, 48}, {1, 7, 5}, {3, 9, 9}, {2, 2, 3}, {1, 1, 1}, {3, 3, 2},
+		{3, 27, 48}, {1, 7, 5}, {3, 9, 9}, {2, 2, 3}, {1, 1, 1}, {3, 3, 2}, {3, 4, 18},
 	} {
 		im := NewImage(sz.c, sz.h, sz.w)
 		for i := range im.Pix {
@@ -125,24 +125,24 @@ func TestDownsampleMatchesPerPixelReference(t *testing.T) {
 		im.Pix[0] = math.Copysign(0, -1)
 		im.Pix[len(im.Pix)-1] = 1.5
 		im.Pix[len(im.Pix)/2] = math.NaN()
-		for factor := 1; factor <= 3; factor++ {
-			got, want := im.Downsample(factor), downsampleRef(im, factor)
-			if got.C != want.C || got.H != want.H || got.W != want.W {
-				t.Fatalf("%v /%d: shape %v, want %v", im, factor, got, want)
+		if sz.h >= 2 && sz.w >= 4 { // a whole block of −0, which halves to +0
+			for _, i := range []int{2, 3, sz.w + 2, sz.w + 3} {
+				im.Pix[i] = math.Copysign(0, -1)
 			}
-			// The into-form writes every element of a stale destination.
-			into := make([]float64, len(want.Pix))
-			for i := range into {
-				into[i] = -7
-			}
-			im.DownsampleInto(into, factor)
-			for i, v := range want.Pix {
-				if math.Float64bits(got.Pix[i]) != math.Float64bits(v) {
-					t.Fatalf("%v /%d: pixel %d = %v, reference %v", im, factor, i, got.Pix[i], v)
-				}
-				if math.Float64bits(into[i]) != math.Float64bits(v) {
-					t.Fatalf("%v /%d: DownsampleInto pixel %d = %v, reference %v", im, factor, i, into[i], v)
-				}
+		}
+		want := downsampleRef(im)
+		// The kernel writes every element of a stale destination.
+		got := make([]float64, im.DownsampledLen())
+		for i := range got {
+			got[i] = -7
+		}
+		im.DownsampleInto(got)
+		if len(got) != len(want.Pix) {
+			t.Fatalf("%v: %d values, reference %d", im, len(got), len(want.Pix))
+		}
+		for i, v := range want.Pix {
+			if math.Float64bits(got[i]) != math.Float64bits(v) {
+				t.Fatalf("%v: pixel %d = %v, reference %v", im, i, got[i], v)
 			}
 		}
 	}
@@ -159,29 +159,21 @@ func TestDownsampleIntoWrongLength(t *testing.T) {
 					t.Fatalf("DownsampleInto accepted %d values for a 3x4x4 result", n)
 				}
 			}()
-			im.DownsampleInto(make([]float64, n), 2)
+			im.DownsampleInto(make([]float64, n))
 		}()
 	}
 }
 
 // BenchmarkDownsample is the frame encoder of the serving path: every
-// frame is halved before the DA-GAN projects it.
+// frame is halved into a row of the projector's batch before it projects.
 func BenchmarkDownsample(b *testing.B) {
 	cfg := DefaultSceneConfig()
 	im := NewSceneGen(1, cfg).GenerateSubset(NightData).Image
-	for _, factor := range []int{2, 3} {
-		b.Run(map[int]string{2: "half", 3: "third"}[factor], func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				im.Downsample(factor)
-			}
-		})
-	}
 	b.Run("half-into", func(b *testing.B) {
-		dst := make([]float64, im.C*(im.H/2)*(im.W/2))
+		dst := make([]float64, im.DownsampledLen())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			im.DownsampleInto(dst, 2)
+			im.DownsampleInto(dst)
 		}
 	})
 }

@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // Matmul kernels. Two loop nests serve every product: product.run (a×b, aᵀ×b
 // and the window-free convolution, which differ only in how the
 // a-coefficients and the rows of b are addressed) and mmBT (a×bᵀ).
@@ -41,7 +43,9 @@ package tensor
 //	axpy1: dst[j] += a*b[j]
 //	tile:  one k-block of a product, for the rows r < nr ≤ mmTileRows and the
 //	       columns j < w (below)
-//	gather2: dst[r*dn+i] = src[r*sn+2*i] for i < n, r < rows (see Gather2)
+//	split2: even[r*dn+i] = src[r*sn+2*i] for i < ne and odd[r*dn+i] =
+//	       src[r*sn+2*i+1] for i < no, r < rows (see SplitPhases)
+//	halve: dst[r*dn+i] = the clamped mean of a 2×2 block (see Halve)
 //
 // The tile works through its columns a group of two vectors at a time, the
 // group's nr × 2 accumulators in registers for the whole k run:
@@ -57,13 +61,14 @@ package tensor
 // so dst is loaded at most once and stored once, and a row of b is read
 // once for the nr dst rows. ops (simd_*.go) holds the set of the installed
 // isa: the AVX2 set, its tile swapped for the AVX-512F one where
-// the CPU has that, or goRowOps; tile and gather2 are nil there, and the
-// loop nests then run rows, and plain loops, only.
+// the CPU has that, or goRowOps; tile, split2 and halve are nil there, and
+// the loop nests then run rows, and plain loops, only.
 type rowOps struct {
-	axpy4   func(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
-	axpy1   func(dst, b []float64, a float64)
-	tile    func(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn int, boff []int, kn, w, nr int, cb, rb []float64, mode int, alpha float64)
-	gather2 func(dst, src []float64, n, rows, dn, sn int)
+	axpy4  func(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
+	axpy1  func(dst, b []float64, a float64)
+	tile   func(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn int, boff []int, kn, w, nr int, cb, rb []float64, mode int, alpha float64)
+	split2 func(even, odd, src []float64, ne, no, rows, dn, sn int)
+	halve  func(dst, src []float64, n, rows, dn, sn int)
 }
 
 // isa is an instruction-set level of the kernels, each a superset of the one
@@ -72,7 +77,7 @@ type isa int
 
 const (
 	isaGo     isa = iota // pure Go
-	isaAVX2              // AVX2 row updates, tile and gather
+	isaAVX2              // AVX2 row updates, tile, split and halving
 	isaAVX512            // the AVX2 set with the AVX-512F register tile
 )
 
@@ -469,27 +474,86 @@ func (Kernels) MatMulAcc(dst []float64, dn int, a []float64, m, ai, ak int, b []
 	}
 }
 
-// Gather2 copies every second element of each of rows strided runs:
-// dst[r*dn+i] = src[r*sn+2*i] for i < n and r < rows — the stride-2 unroll
-// of a convolution tap or phase, AVX2 where the CPU has it. Nothing past a
-// run's last source element src[r*sn+2*(n-1)] is read, so a run may end
-// flush against the end of its array.
-func (Kernels) Gather2(dst, src []float64, n, rows, dn, sn int) {
+// SplitPhases de-interleaves rows strided runs into two phase planes: for
+// r < rows,
+//
+//	even[r*dn+i] = src[r*sn+2*i]    for i < ne
+//	odd[r*dn+i]  = src[r*sn+2*i+1]  for i < no, no = ne or ne−1
+//
+// — both column phases of a stride-2 convolution's input row, from one pass
+// over the row, AVX2 where the CPU has it. A run is the ne+no elements from
+// src[r*sn]; nothing past its last is read, so a run may end flush against
+// the end of its array. With no = 0 odd is not touched.
+func (Kernels) SplitPhases(even, odd, src []float64, ne, no, rows, dn, sn int) {
+	if ne <= 0 || rows <= 0 {
+		return
+	}
+	if no != ne && no != ne-1 {
+		panic(fmt.Sprintf("tensor: split of %d even and %d odd elements", ne, no))
+	}
+	// The bounds the assembly relies on, checked once for the rectangle.
+	_, _ = even[(rows-1)*dn+ne-1], src[(rows-1)*sn+ne+no-1]
+	if no > 0 {
+		_ = odd[(rows-1)*dn+no-1]
+	}
+	if ops.split2 != nil {
+		ops.split2(even, odd, src, ne, no, rows, dn, sn)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		run := src[r*sn : r*sn+ne+no]
+		for i := 0; i < ne; i++ {
+			even[r*dn+i] = run[2*i]
+		}
+		for i := 0; i < no; i++ {
+			odd[r*dn+i] = run[2*i+1]
+		}
+	}
+}
+
+// Halve is the 2×2 halving of rows pairs of strided source rows: for
+// r < rows and i < n, with a, b = src[2r·sn + 2i], src[2r·sn + 2i + 1] and
+// c, d the same two of the row below, src[(2r+1)·sn + …],
+//
+//	dst[r*dn+i] = clamp01(((((+0 + a) + b) + c) + d) · ¼)
+//
+// AVX2 where the CPU has it. The sum starts from +0, so a block of four −0
+// halves to +0; clamp01 sends a value below 0 to +0 and one above 1 to 1
+// and passes everything else through, NaN and −0 included. Nothing past a
+// row's last element src[…+2n−1] is read.
+func (Kernels) Halve(dst, src []float64, n, rows, dn, sn int) {
 	if n <= 0 || rows <= 0 {
 		return
 	}
 	// The bounds the assembly relies on, checked once for the rectangle.
-	_, _ = dst[(rows-1)*dn+n-1], src[(rows-1)*sn+2*(n-1)]
-	if ops.gather2 != nil {
-		ops.gather2(dst, src, n, rows, dn, sn)
+	_, _ = dst[(rows-1)*dn+n-1], src[(2*rows-1)*sn+2*n-1]
+	if ops.halve != nil {
+		ops.halve(dst, src, n, rows, dn, sn)
 		return
 	}
 	for r := 0; r < rows; r++ {
-		in, run := dst[r*dn:r*dn+n], src[r*sn:r*sn+2*n-1]
-		for i := range in {
-			in[i] = run[2*i]
+		r0, r1 := src[2*r*sn:2*r*sn+2*n], src[(2*r+1)*sn:(2*r+1)*sn+2*n]
+		for i := range dst[r*dn : r*dn+n] {
+			var s float64
+			s += r0[2*i]
+			s += r0[2*i+1]
+			s += r1[2*i]
+			s += r1[2*i+1]
+			dst[r*dn+i] = clamp01(s * 0.25)
 		}
 	}
+}
+
+// clamp01 is the halving's clamp: below 0 to +0, above 1 to 1, anything
+// else — NaN and −0 among it — unchanged.
+func clamp01(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v > 1 {
+		return 1
+	}
+	return v
 }
 
 // mmBT computes dst = a×bᵀ for a m×kk, b n×kk with a 2×2 register tile:

@@ -2,8 +2,8 @@
 
 package tensor
 
-// The row updates, register tile and stride-2 gather dispatch to AVX2 when
-// the CPU supports it, and the register tile to AVX-512F when the
+// The row updates, register tile, two-phase split and 2×2 halving dispatch
+// to AVX2 when the CPU supports it, and the register tile to AVX-512F when the
 // CPU has that too (simd512_amd64.s). The assembly mirrors the scalar
 // accumulation order exactly (see simd_amd64.s), so the instruction-set
 // level never changes a single output bit — it only changes how many
@@ -22,7 +22,10 @@ func tile4x64(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn in
 func tile4x64z(dst []float64, dn int, a []float64, ai, ak int, b []float64, bn int, boff []int, kn, w, nr int, cb, rb []float64, mode int, alpha float64)
 
 //go:noescape
-func gather2x64(dst, src []float64, n, rows, dn, sn int)
+func split2x64(even, odd, src []float64, ne, no, rows, dn, sn int)
+
+//go:noescape
+func halve2x64(dst, src []float64, n, rows, dn, sn int)
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -79,7 +82,7 @@ func setISA(l isa) bool {
 	}
 	ops = goRowOps()
 	if l >= isaAVX2 {
-		ops = rowOps{axpy4x64, axpy1x64, tile4x64, gather2x64}
+		ops = rowOps{axpy4x64, axpy1x64, tile4x64, split2x64, halve2x64}
 	}
 	if l >= isaAVX512 {
 		ops.tile = tile4x64z

@@ -1,8 +1,8 @@
-// AVX2 primitives: the row updates, the register tile and the stride-2
-// gather. Each dst element is accumulated in the exact left-associated order
-// of the pure-Go fallback expression (VMULPD+VADDPD, never FMA), so the
-// vector paths, the scalar tails, and the non-amd64 fallback all produce
-// bit-identical results. On an AVX-512F host the
+// AVX2 primitives: the row updates, the register tile, the two-phase
+// stride-2 split and the 2×2 halving. Each dst element is accumulated in
+// the exact left-associated order of the pure-Go fallback expression
+// (VMULPD+VADDPD, never FMA), so the vector paths, the scalar tails, and
+// the non-amd64 fallback all produce bit-identical results. On an AVX-512F host the
 // register tile here gives way to its zmm twin (simd512_amd64.s), which
 // keeps the same order; the rest of this file runs on every AVX2 host.
 
@@ -475,58 +475,164 @@ done:
 	VZEROUPPER
 	RET
 
-// The stride-2 gather de-interleaves: two loads, a shuffle that keeps each
-// 128-bit lane's even elements and a cross-lane permute that puts them in
-// order, one store. A vector step needs its second load's last element to be
-// one the scalar loop would read too, so it runs while two whole vectors of
-// the source run remain and the scalar tail takes the rest: no load reaches
-// past the run's last tap.
+// The two-phase split de-interleaves a stride-2 run eight source elements
+// at a time. The loads do the cross-lane work: each vector is two 16-byte
+// loads (VMOVUPD into the low lane, VINSERTF128 from memory into the high
+// one), elements 0 1 4 5 and 2 3 6 7, so one shuffle that keeps each lane's
+// even elements and one that keeps its odd ones leave both phases in order,
+// ready for a store to each plane — two shuffle µops where a whole-vector
+// load pair needs four. A vector step runs while eight whole elements of
+// the run remain and the scalar tail takes the rest, so no load reaches
+// past the run's last element.
 
-// func gather2x64(dst, src []float64, n, rows, dn, sn int)
-// dst[r*dn+i] = src[r*sn+2*i], i < n, r < rows; n, rows > 0
-TEXT ·gather2x64(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ n+48(FP), CX
-	MOVQ rows+56(FP), DX
-	MOVQ dn+64(FP), R8
+// func split2x64(even, odd, src []float64, ne, no, rows, dn, sn int)
+// even[r*dn+i] = src[r*sn+2*i], i < ne; odd[r*dn+i] = src[r*sn+2*i+1],
+// i < no; r < rows; ne, rows > 0 and no = ne or ne-1
+TEXT ·split2x64(SB), NOSPLIT, $0-112
+	MOVQ even_base+0(FP), DI
+	MOVQ odd_base+24(FP), R11
+	MOVQ src_base+48(FP), SI
+	MOVQ ne+72(FP), CX
+	MOVQ no+80(FP), R12
+	MOVQ rows+88(FP), DX
+	MOVQ dn+96(FP), R8
 	SHLQ $3, R8
-	MOVQ sn+72(FP), R9
+	MOVQ sn+104(FP), R9
 	SHLQ $3, R9
-	LEAQ -1(CX)(CX*1), R10 // 2n-1 source elements in a run,
-	SHRQ $3, R10           // eight to a vector step,
-	SHLQ $2, R10           // four outputs each
+	LEAQ (CX)(R12*1), R10 // ne+no source elements in a run,
+	SHRQ $3, R10          // eight to a vector step,
+	SHLQ $2, R10          // four outputs of each phase
 
 row:
 	MOVQ SI, BX
 	XORQ AX, AX
 
 vec:
-	CMPQ AX, R10
-	JGE  tail
-	VMOVUPD   (BX), Y0
-	VMOVUPD   32(BX), Y1
-	VUNPCKLPD Y1, Y0, Y0    // s0 s4 s2 s6
-	VPERMPD   $0xD8, Y0, Y0 // s0 s2 s4 s6
-	VMOVUPD   Y0, (DI)(AX*8)
-	ADDQ      $64, BX
-	ADDQ      $4, AX
-	JMP       vec
+	CMPQ        AX, R10
+	JGE         tail
+	VMOVUPD     (BX), X0
+	VINSERTF128 $1, 32(BX), Y0, Y0 // s0 s1 s4 s5
+	VMOVUPD     16(BX), X1
+	VINSERTF128 $1, 48(BX), Y1, Y1 // s2 s3 s6 s7
+	VUNPCKLPD   Y1, Y0, Y2         // s0 s2 s4 s6
+	VUNPCKHPD   Y1, Y0, Y3         // s1 s3 s5 s7
+	VMOVUPD     Y2, (DI)(AX*8)
+	VMOVUPD     Y3, (R11)(AX*8)
+	ADDQ        $64, BX
+	ADDQ        $4, AX
+	JMP         vec
 
 tail:
 	CMPQ AX, CX
 	JGE  next
-	MOVQ (BX), R11
-	MOVQ R11, (DI)(AX*8)
+	MOVQ (BX), R13
+	MOVQ R13, (DI)(AX*8)
+	CMPQ AX, R12 // an odd element follows only while i < no
+	JGE  next
+	MOVQ 8(BX), R13
+	MOVQ R13, (R11)(AX*8)
 	ADDQ $16, BX
 	INCQ AX
 	JMP  tail
 
 next:
 	ADDQ R8, DI
+	ADDQ R8, R11
 	ADDQ R9, SI
 	DECQ DX
 	JNZ  row
+	VZEROUPPER
+	RET
+
+// The 2×2 halving: per output row, the two source rows under it. A vector
+// step loads eight elements of each the way the split above does and
+// splits each row's pairs into their left (a, c) and right (b, d) elements,
+// in output order, with the same two shuffles; then it sums
+// ((((+0 + a) + b) + c) + d) — the accumulator always the first operand,
+// as in Go's s += v — takes a quarter and clamps: VMAXPD with +0 first
+// returns the second operand unless +0 is greater, so a NaN and a −0 pass
+// through and only a value below zero becomes +0, and VMINPD with 1 first
+// likewise lets through all but a value above 1. That is clamp01 exactly.
+// The last n mod 4 outputs take the same steps on scalars.
+
+// func halve2x64(dst, src []float64, n, rows, dn, sn int)
+// dst[r*dn+i] = clamp01(((((0 + a) + b) + c) + d) * 0.25) with a, b =
+// src[2r*sn+2i+0, 1] and c, d = src[(2r+1)*sn+2i+0, 1], i < n, r < rows;
+// n, rows > 0
+TEXT ·halve2x64(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         src_base+24(FP), SI
+	MOVQ         n+48(FP), CX
+	MOVQ         rows+56(FP), DX
+	MOVQ         dn+64(FP), R8
+	SHLQ         $3, R8
+	MOVQ         sn+72(FP), R9
+	SHLQ         $3, R9
+	MOVQ         CX, R10
+	ANDQ         $-4, R10 // outputs in whole vector steps
+	VXORPD       Y12, Y12, Y12
+	MOVQ         $0x3FD0000000000000, AX // 0.25
+	VMOVQ        AX, X13
+	VBROADCASTSD X13, Y13
+	MOVQ         $0x3FF0000000000000, AX // 1
+	VMOVQ        AX, X14
+	VBROADCASTSD X14, Y14
+
+hrow:
+	MOVQ SI, BX
+	LEAQ (SI)(R9*1), R11
+	XORQ AX, AX
+
+hvec:
+	CMPQ        AX, R10
+	JGE         htail
+	VMOVUPD     (BX), X0
+	VINSERTF128 $1, 32(BX), Y0, Y0  // a0 b0 a2 b2
+	VMOVUPD     16(BX), X1
+	VINSERTF128 $1, 48(BX), Y1, Y1  // a1 b1 a3 b3
+	VMOVUPD     (R11), X2
+	VINSERTF128 $1, 32(R11), Y2, Y2 // c0 d0 c2 d2
+	VMOVUPD     16(R11), X3
+	VINSERTF128 $1, 48(R11), Y3, Y3 // c1 d1 c3 d3
+	VUNPCKLPD   Y1, Y0, Y4          // a0 a1 a2 a3
+	VUNPCKHPD   Y1, Y0, Y5          // b0 b1 b2 b3
+	VUNPCKLPD   Y3, Y2, Y6          // c0 c1 c2 c3
+	VUNPCKHPD   Y3, Y2, Y7          // d0 d1 d2 d3
+	VADDPD      Y4, Y12, Y4
+	VADDPD      Y5, Y4, Y4
+	VADDPD      Y6, Y4, Y4
+	VADDPD      Y7, Y4, Y4
+	VMULPD      Y13, Y4, Y4
+	VMAXPD      Y4, Y12, Y4
+	VMINPD      Y4, Y14, Y4
+	VMOVUPD     Y4, (DI)(AX*8)
+	ADDQ        $64, BX
+	ADDQ        $64, R11
+	ADDQ        $4, AX
+	JMP         hvec
+
+htail:
+	CMPQ   AX, CX
+	JGE    hnext
+	VMOVSD (BX), X4
+	VADDSD X4, X12, X4
+	VADDSD 8(BX), X4, X4
+	VADDSD (R11), X4, X4
+	VADDSD 8(R11), X4, X4
+	VMULSD X13, X4, X4
+	VMAXSD X4, X12, X4
+	VMINSD X4, X14, X4
+	VMOVSD X4, (DI)(AX*8)
+	ADDQ   $16, BX
+	ADDQ   $16, R11
+	INCQ   AX
+	JMP    htail
+
+hnext:
+	ADDQ R8, DI
+	LEAQ (SI)(R9*2), SI
+	DECQ DX
+	JNZ  hrow
 	VZEROUPPER
 	RET
 

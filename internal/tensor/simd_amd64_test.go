@@ -17,7 +17,8 @@ func slotsHold(t *testing.T, tile any) {
 		{"ops.axpy4", ops.axpy4, axpy4x64},
 		{"ops.axpy1", ops.axpy1, axpy1x64},
 		{"ops.tile", ops.tile, tile},
-		{"ops.gather2", ops.gather2, gather2x64},
+		{"ops.split2", ops.split2, split2x64},
+		{"ops.halve", ops.halve, halve2x64},
 	} {
 		if reflect.ValueOf(c.got).Pointer() != reflect.ValueOf(c.want).Pointer() {
 			t.Errorf("%s does not hold %s", c.slot, funcName(c.want))

@@ -174,41 +174,3 @@ func TestVectorizedScalarBitIdentityRandom(t *testing.T) {
 		g.free()
 	}
 }
-
-// gather2Guarded gathers rows runs of n outputs from a source whose last tap
-// is the last element before a guard page, with row strides wider than the
-// runs, and reports the first output that is not the plain loop's (-1: none).
-func gather2Guarded(n, rows int) int {
-	dn, sn := n+3, 2*n+5
-	src, free := guardpage.Alloc((rows-1)*sn + 2*n - 1)
-	defer free()
-	for i := range src {
-		src[i] = float64(i + 1)
-	}
-	dst := make([]float64, rows*dn)
-	Kernels{}.Gather2(dst, src, n, rows, dn, sn)
-	for r := 0; r < rows; r++ {
-		for i := 0; i < dn; i++ {
-			var want float64 // past the run dst stays untouched
-			if i < n {
-				want = src[r*sn+2*i]
-			}
-			if dst[r*dn+i] != want {
-				return r*dn + i
-			}
-		}
-	}
-	return -1
-}
-
-// TestGather2 pins the stride-2 gather to the plain loop it replaces: every
-// run length through four vector steps, one row and several.
-func TestGather2(t *testing.T) {
-	for n := 1; n <= 33; n++ {
-		for _, rows := range []int{1, 2, 5} {
-			if i := gather2Guarded(n, rows); i >= 0 {
-				t.Fatalf("n=%d rows=%d: element %d differs from the plain loop", n, rows, i)
-			}
-		}
-	}
-}

@@ -75,17 +75,29 @@ func (s *Server) RecentEvents(n int) []Event {
 // registerServerMetrics exports the counters the serving stack already
 // maintains under its own locks (the pipeline's Stats snapshot,
 // trainer/registry/dispatch telemetry) as scrape-time callbacks, one table
-// row per series — no double bookkeeping on the hot path. Every family is
-// registered up front, reading zero while its subsystem is absent, so the
-// exposition's family set is stable from the first scrape (and
+// row per series — no double bookkeeping on the hot path. A scrape reads
+// each subsystem once: the registry's OnScrape hook fills one snapshot at
+// the top of the scrape, and every row reads from it, so the pipeline lock
+// is taken once a scrape and its series agree with each other. Every family
+// is registered up front, reading zero while its subsystem is absent, so
+// the exposition's family set is stable from the first scrape (and
 // golden-testable).
 //
-// Lock order: a scrape holds the metric registry lock while the callbacks
-// take s.mu (and the pipeline lock) — safe because no code path acquires
+// Lock order: a scrape holds the metric registry lock while the hook
+// takes s.mu (and the pipeline lock) — safe because no code path acquires
 // them in the opposite order (hot-path metric updates are lock-free
 // atomics).
 func (s *Server) registerServerMetrics() {
 	reg := s.obs.Registry()
+	var snap struct { // filled once a scrape, guarded by the registry lock
+		pipe     Stats
+		trainer  TrainerStats
+		registry RegistryStats
+		dispatch DispatchStats
+	}
+	reg.OnScrape(func() {
+		snap.pipe, snap.trainer, snap.registry, snap.dispatch = s.Stats(), s.TrainerStats(), s.RegistryStats(), s.DispatchStats()
+	})
 	counter, gauge := reg.CounterFunc, reg.GaugeFunc
 	label := func(key, value string) []obs.Label { return []obs.Label{{Key: key, Value: value}} }
 	const (
@@ -99,83 +111,83 @@ func (s *Server) registerServerMetrics() {
 		labels     []obs.Label
 		get        func() float64
 	}{
-		// Pipeline ledger and model-set gauges, each read from a Stats snapshot.
+		// Pipeline ledger and model-set gauges.
 		{counter, "odin_frames_total", "Frames processed by the drift-aware pipeline.", nil,
-			func() float64 { return float64(s.Stats().Frames) }},
+			func() float64 { return float64(snap.pipe.Frames) }},
 		{counter, "odin_outliers_total", "Frames flagged as outliers by the drift detector.", nil,
-			func() float64 { return float64(s.Stats().Outliers) }},
+			func() float64 { return float64(snap.pipe.Outliers) }},
 		{counter, "odin_drift_events_total", "Drift events raised (outlier clusters crossing the drift threshold).", nil,
-			func() float64 { return float64(s.Stats().DriftEvents) }},
+			func() float64 { return float64(snap.pipe.DriftEvents) }},
 		{counter, "odin_dropped_frames_total", "Frames shed by admission-queue drop policies, as ledgered by the pipeline.", nil,
-			func() float64 { return float64(s.Stats().Dropped) }},
+			func() float64 { return float64(snap.pipe.Dropped) }},
 		{counter, "odin_sim_gpu_seconds_total", "Simulated GPU seconds consumed by detection.", nil,
-			func() float64 { return s.Stats().SimTime }},
+			func() float64 { return snap.pipe.SimTime }},
 		{counter, "odin_fidelity_frames_total", fidelityHelp, label("fidelity", "full"),
-			func() float64 { return float64(s.Stats().FullFrames) }},
+			func() float64 { return float64(snap.pipe.FullFrames) }},
 		{counter, "odin_fidelity_frames_total", fidelityHelp, label("fidelity", "lite"),
-			func() float64 { return float64(s.Stats().LiteFrames) }},
+			func() float64 { return float64(snap.pipe.LiteFrames) }},
 		{counter, "odin_fidelity_frames_total", fidelityHelp, label("fidelity", "count"),
-			func() float64 { return float64(s.Stats().CountFrames) }},
+			func() float64 { return float64(snap.pipe.CountFrames) }},
 		{counter, "odin_fidelity_frames_total", fidelityHelp, label("fidelity", "skip"),
-			func() float64 { return float64(s.Stats().SkipFrames) }},
+			func() float64 { return float64(snap.pipe.SkipFrames) }},
 		{gauge, "odin_model_generation", "Model-set generation (increments on every trained-model swap).", nil,
-			func() float64 { return float64(s.Stats().ModelGen) }},
+			func() float64 { return float64(snap.pipe.ModelGen) }},
 		{gauge, "odin_resident_models", "Resident specialized models.", nil,
-			func() float64 { return float64(s.Stats().NumModels) }},
+			func() float64 { return float64(snap.pipe.NumModels) }},
 		{gauge, "odin_clusters", "Discovered concept clusters.", nil,
-			func() float64 { return float64(s.Stats().NumClusters) }},
+			func() float64 { return float64(snap.pipe.NumClusters) }},
 		{gauge, "odin_pending_recoveries", "Drift recoveries scheduled but not yet swapped in (async training).", nil,
-			func() float64 { return float64(s.Stats().PendingRecoveries) }},
+			func() float64 { return float64(snap.pipe.PendingRecoveries) }},
 		{gauge, "odin_model_memory_mb", "Simulated resident model memory in MB.", nil,
-			func() float64 { return s.Stats().MemoryMB }},
+			func() float64 { return snap.pipe.MemoryMB }},
 
 		// Async trainer outcomes.
 		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "scratch"),
-			func() float64 { return float64(s.TrainerStats().Scratch) }},
+			func() float64 { return float64(snap.trainer.Scratch) }},
 		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "warm"),
-			func() float64 { return float64(s.TrainerStats().Warm) }},
+			func() float64 { return float64(snap.trainer.Warm) }},
 		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "adopted"),
-			func() float64 { return float64(s.TrainerStats().Adopted) }},
+			func() float64 { return float64(snap.trainer.Adopted) }},
 		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "coalesced"),
-			func() float64 { return float64(s.TrainerStats().Coalesced) }},
+			func() float64 { return float64(snap.trainer.Coalesced) }},
 		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "failed"),
-			func() float64 { return float64(s.TrainerStats().Failed) }},
+			func() float64 { return float64(snap.trainer.Failed) }},
 		{counter, "odin_trainer_jobs_total", trainerHelp, label("outcome", "dropped"),
-			func() float64 { return float64(s.TrainerStats().Dropped) }},
+			func() float64 { return float64(snap.trainer.Dropped) }},
 
 		// Fleet model registry.
 		{gauge, "odin_registry_models", "Models resident in the fleet registry.", nil,
-			func() float64 { return float64(s.RegistryStats().Size) }},
+			func() float64 { return float64(snap.registry.Size) }},
 		{gauge, "odin_registry_capacity", "Fleet registry capacity bound.", nil,
-			func() float64 { return float64(s.RegistryStats().Capacity) }},
+			func() float64 { return float64(snap.registry.Capacity) }},
 		{counter, "odin_registry_lookups_total", lookupHelp, label("outcome", "adopt"),
-			func() float64 { return float64(s.RegistryStats().AdoptHits) }},
+			func() float64 { return float64(snap.registry.AdoptHits) }},
 		{counter, "odin_registry_lookups_total", lookupHelp, label("outcome", "warm"),
-			func() float64 { return float64(s.RegistryStats().WarmHits) }},
+			func() float64 { return float64(snap.registry.WarmHits) }},
 		{counter, "odin_registry_lookups_total", lookupHelp, label("outcome", "coalesce"),
-			func() float64 { return float64(s.RegistryStats().Coalesced) }},
+			func() float64 { return float64(snap.registry.Coalesced) }},
 		{counter, "odin_registry_lookups_total", lookupHelp, label("outcome", "miss"),
-			func() float64 { return float64(s.RegistryStats().Misses) }},
+			func() float64 { return float64(snap.registry.Misses) }},
 		{counter, "odin_registry_published_total", "Models published to the fleet registry.", nil,
-			func() float64 { return float64(s.RegistryStats().Published) }},
+			func() float64 { return float64(snap.registry.Published) }},
 		{counter, "odin_registry_evicted_total", "Fleet registry entries evicted by the LRU capacity bound.", nil,
-			func() float64 { return float64(s.RegistryStats().Evicted) }},
+			func() float64 { return float64(snap.registry.Evicted) }},
 
 		// Fleet dispatcher.
 		{counter, "odin_dispatch_batches_total", "Merged ProcessBatch calls issued by the fleet dispatcher.", nil,
-			func() float64 { return float64(s.DispatchStats().Batches) }},
+			func() float64 { return float64(snap.dispatch.Batches) }},
 		{counter, "odin_dispatch_windows_total", "Session windows flushed through the fleet dispatcher.", nil,
-			func() float64 { return float64(s.DispatchStats().Windows) }},
+			func() float64 { return float64(snap.dispatch.Windows) }},
 		{counter, "odin_dispatch_frames_total", "Frames processed through the fleet dispatcher.", nil,
-			func() float64 { return float64(s.DispatchStats().Frames) }},
+			func() float64 { return float64(snap.dispatch.Frames) }},
 		{counter, "odin_dispatch_partial_flushes_total", "Dispatcher flushes cut by the weighted round-robin frame budget.", nil,
-			func() float64 { return float64(s.DispatchStats().PartialFlushes) }},
+			func() float64 { return float64(snap.dispatch.PartialFlushes) }},
 		{gauge, "odin_dispatch_max_merge", "Largest number of windows merged into one dispatcher batch.", nil,
-			func() float64 { return float64(s.DispatchStats().MaxMerge) }},
+			func() float64 { return float64(snap.dispatch.MaxMerge) }},
 		{gauge, "odin_dispatch_queued_windows", "Windows waiting in the dispatcher assembler.", nil,
-			func() float64 { return float64(s.DispatchStats().QueuedWindows) }},
+			func() float64 { return float64(snap.dispatch.QueuedWindows) }},
 		{gauge, "odin_dispatch_queued_frames", "Frames waiting in the dispatcher assembler.", nil,
-			func() float64 { return float64(s.DispatchStats().QueuedFrames) }},
+			func() float64 { return float64(snap.dispatch.QueuedFrames) }},
 	} {
 		m.register(m.name, m.help, m.get, m.labels...)
 	}

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"odin/internal/core"
 )
 
 // obsServer builds a bootstrapped server with the observability layer on,
@@ -153,6 +155,38 @@ func TestObsMetricsGoldenFamilies(t *testing.T) {
 	}
 	if got := metricValue(t, page, "odin_drift_events_total"); got != float64(stats.DriftEvents) {
 		t.Errorf("odin_drift_events_total %v, want %d", got, stats.DriftEvents)
+	}
+}
+
+// TestObsScrapeReadsOneSnapshot: one scrape takes the pipeline lock once,
+// however many series show the pipeline's telemetry, and the series it
+// shows are that one snapshot.
+func TestObsScrapeReadsOneSnapshot(t *testing.T) {
+	srv := obsServer(t, 7)
+	processAll(t, srv, driftStream(srv, 20), nil)
+	reads := 0
+	defer func(read func(*core.Odin) core.Telemetry) { pipelineStats = read }(pipelineStats)
+	pipelineStats = func(o *core.Odin) core.Telemetry {
+		if o == srv.pipeline {
+			reads++
+		}
+		return o.Stats()
+	}
+	page := scrape(t, srv)
+	if reads != 1 {
+		t.Fatalf("one scrape read the pipeline's telemetry %d times, want 1", reads)
+	}
+	stats := srv.Stats()
+	for name, want := range map[string]float64{
+		"odin_frames_total":     float64(stats.Frames),
+		"odin_outliers_total":   float64(stats.Outliers),
+		"odin_clusters":         float64(stats.NumClusters),
+		"odin_model_memory_mb":  stats.MemoryMB,
+		"odin_model_generation": float64(stats.ModelGen),
+	} {
+		if got := metricValue(t, page, name); got != want {
+			t.Errorf("%s %v, want %v", name, got, want)
+		}
 	}
 }
 

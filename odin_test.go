@@ -465,8 +465,8 @@ func TestBootstrapSideBySideParity(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			dagan := core.TrainDAGAN(boot, core.DownsampleEncoder(2), gan.Config{
-				InputDim: core.EncodedDim(srv.scene, 2), Latent: 16, Hidden: []int{128, 48}, LR: 0.001, Seed: seed + 7,
+			dagan := core.TrainDAGAN(boot, gan.Config{
+				InputDim: core.EncodedDim(srv.scene), Latent: 16, Hidden: []int{128, 48}, LR: 0.001, Seed: seed + 7,
 			}, 1, 32)
 			baseCfg := detect.YOLOConfig(srv.scene.H, srv.scene.W)
 			baseCfg.Seed = seed + 9

@@ -175,7 +175,6 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 		s.genMu.Unlock()
 	}
 
-	enc := core.DownsampleEncoder(2)
 	dgCfg := daganConfig(s.scene, s.cfg.seed+7)
 	baseCfg := detect.YOLOConfig(s.scene.H, s.scene.W)
 	baseCfg.Seed = s.cfg.seed + 9
@@ -188,7 +187,7 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 		defer func() { fitted <- recover() }()
 		baseline.Fit(detect.SamplesFromFrames(boot), s.cfg.baselineEpochs, 16)
 	}()
-	dagan := core.TrainDAGAN(boot, enc, dgCfg, s.cfg.bootstrapEpochs, 32)
+	dagan := core.TrainDAGAN(boot, dgCfg, s.cfg.bootstrapEpochs, 32)
 	if p := <-fitted; p != nil {
 		panic(p)
 	}
@@ -224,7 +223,7 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 // with latent 16 and hidden widths 128 and 48 over the frame halved on
 // each side, the encoding Bootstrap trains it on.
 func daganConfig(scene synth.SceneConfig, seed uint64) gan.Config {
-	return gan.Config{InputDim: core.EncodedDim(scene, 2), Latent: 16, Hidden: []int{128, 48}, LR: 0.001, Seed: seed}
+	return gan.Config{InputDim: core.EncodedDim(scene), Latent: 16, Hidden: []int{128, 48}, LR: 0.001, Seed: seed}
 }
 
 // assemble builds the drift pipeline, the fleet subsystem (trainer,
@@ -467,8 +466,12 @@ func (s *Server) Stats() Stats {
 	if p == nil {
 		return Stats{}
 	}
-	return p.Stats()
+	return pipelineStats(p)
 }
+
+// pipelineStats reads a pipeline's telemetry under its lock. A variable so
+// that a test can count the acquisitions a caller makes.
+var pipelineStats = (*core.Odin).Stats
 
 // NumClusters is Stats().NumClusters, kept as a method because the
 // benchmark harness (bench/) calls it.
