@@ -9,8 +9,8 @@ import (
 	"odin/internal/synth"
 )
 
-// asyncTestPipeline builds a deterministic pipeline with deferred training:
-// scheduled jobs land in the returned slice instead of training inline.
+// asyncTestPipeline builds a deterministic pipeline with AsyncTrain on. With
+// a sink, scheduled jobs go to it instead of landing inline.
 func asyncTestPipeline(t *testing.T, sink func([]TrainJob)) (*Odin, *synth.SceneGen) {
 	t.Helper()
 	scene := synth.DefaultSceneConfig()
@@ -176,17 +176,38 @@ func TestAsyncLiteNeverDowngradesSpecialized(t *testing.T) {
 	}
 }
 
-// TestAsyncWithoutSinkTrainsSynchronously: async mode with no sink
-// installed must still converge — jobs train on the scheduling goroutine
-// (off the lock) rather than being dropped.
+// TestAsyncWithoutSinkTrainsSynchronously: the sink is the only timing
+// input. With no sink installed, an async pipeline builds and lands every
+// job under the lock before its frame's selection, exactly as an inline
+// one does, so over the same drifting stream — a lite and a specialized
+// recovery — the two agree bit for bit: every result's fingerprint and the
+// final stats.
 func TestAsyncWithoutSinkTrainsSynchronously(t *testing.T) {
-	o, gen := asyncTestPipeline(t, nil)
-	driveToDrift(t, o, gen, synth.DayData)
-	if o.Manager.NumModels() != 1 {
-		t.Fatalf("sinkless async scheduled %d models, want 1 (synchronous fallback)", o.Manager.NumModels())
+	async, genA := asyncTestPipeline(t, nil)
+	inline, genI := asyncTestPipeline(t, nil)
+	inline.Cfg.AsyncTrain = false
+	for _, o := range []*Odin{async, inline} {
+		o.Manager.Cfg.LabelDelay = 40 // the specialized job lands in the stream too
 	}
-	if o.Stats().PendingRecoveries != 0 {
-		t.Fatal("sinkless async left recoveries pending")
+	frame := 0
+	for _, sub := range []synth.Subset{synth.DayData, synth.NightData} {
+		for i := 0; i < 200; i++ {
+			ra, ri := async.Process(genA.GenerateSubset(sub)), inline.Process(genI.GenerateSubset(sub))
+			if fa, fi := ra.Fingerprint(), ri.Fingerprint(); fa != fi {
+				t.Fatalf("frame %d: sinkless async %s, inline %s", frame, fa, fi)
+			}
+			if ra.RecoveryPending {
+				t.Fatalf("frame %d served pending: its jobs should have landed first", frame)
+			}
+			frame++
+		}
+	}
+	sa, si := async.Stats(), inline.Stats()
+	if sa != si {
+		t.Fatalf("stats diverged: sinkless async %+v, inline %+v", sa, si)
+	}
+	if sa.ModelGen < 2 || sa.PendingRecoveries != 0 {
+		t.Fatalf("stats %+v: want a lite and a specialized landing, none pending", sa)
 	}
 }
 

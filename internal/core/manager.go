@@ -58,11 +58,11 @@ type pendingSpec struct {
 	readyAt   int
 }
 
-// TrainJob is one deferred specializer-training task: everything needed to
-// build a model off the serving path. Frames is a snapshot taken when the
-// job was scheduled (under the pipeline lock), so an async trainer never
-// races the live per-cluster buffer; Seed is drawn at schedule time, so the
-// seed sequence is identical whether training runs inline or deferred.
+// TrainJob is one specializer-training task: everything needed to build a
+// model off the serving path. Frames is a snapshot taken when the job was
+// scheduled (under the pipeline lock), so a background trainer never races
+// the live per-cluster buffer; Seed is drawn at schedule time, so the seed
+// sequence is the same whenever the job lands.
 type TrainJob struct {
 	Kind      detect.Kind
 	ClusterID int
@@ -79,9 +79,10 @@ type TrainJob struct {
 
 // ModelManager owns the baseline model and the per-cluster specialized
 // models, and implements the SPECIALIZER (Algorithm 2's model-generation
-// half): on drift it immediately distills a YOLO-Lite from the baseline's
-// outputs, then swaps in an oracle-trained YOLO-Specialized once labels
-// arrive.
+// half): on drift it schedules a YOLO-Lite distilled from the baseline's
+// outputs, then an oracle-trained YOLO-Specialized once labels arrive.
+// Scheduled jobs land through Odin.FinishJob (DESIGN.md §7, "Recovery
+// lifecycle").
 type ModelManager struct {
 	Cfg   SpecializerConfig
 	Scene synth.SceneConfig
@@ -94,12 +95,8 @@ type ModelManager struct {
 	pending    []pendingSpec
 	seq        uint64
 
-	// async defers training: OnDrift/MaturePending return TrainJobs instead
-	// of training inline, and a background trainer lands them via install.
-	async bool
-	// gen is the model-set generation: it increments on every model swap
-	// (inline or async), so results can be attributed to the exact model
-	// set that served them.
+	// gen is the model-set generation: it increments on every model swap,
+	// so results can be attributed to the exact model set that served them.
 	gen uint64
 	// outstanding counts scheduled-but-unlanded jobs per cluster — the
 	// "recovery pending" signal surfaced on results while the interim
@@ -127,12 +124,6 @@ func NewModelManager(cfg SpecializerConfig, scene synth.SceneConfig, baseline *d
 		outstanding: make(map[int]int),
 	}
 }
-
-// SetAsync switches the manager between inline training (the default:
-// OnDrift/MaturePending train and swap before returning) and deferred
-// training (they return TrainJobs for a background trainer). Call before
-// serving frames.
-func (mm *ModelManager) SetAsync(on bool) { mm.async = on }
 
 // Gen returns the current model-set generation.
 func (mm *ModelManager) Gen() uint64 { return mm.gen }
@@ -193,12 +184,11 @@ func (mm *ModelManager) AddFrame(clusterID int, f *synth.Frame) {
 	mm.buffers[clusterID] = append(buf, f)
 }
 
-// OnDrift reacts to a cluster promotion: seeds the new cluster's buffer,
-// arranges an immediate YOLO-Lite student from the baseline's outputs, and
-// schedules the oracle-labelled specialized model. Inline mode trains and
-// swaps before returning (nil result); async mode returns the training
-// jobs for a background trainer and keeps serving with the previous-best
-// model in the interim.
+// OnDrift reacts to a cluster promotion: seeds the new cluster's buffer and
+// schedules an immediate YOLO-Lite student from the baseline's outputs plus
+// the oracle-labelled specialized model, whose label delay starts now. It
+// returns the jobs due at atFrame; the previous-best model serves until
+// they land.
 func (mm *ModelManager) OnDrift(ev *cluster.DriftEvent, seeds []*synth.Frame, atFrame int) []TrainJob {
 	id := ev.Cluster.ID
 	buf := append([]*synth.Frame(nil), seeds...)
@@ -214,9 +204,8 @@ func (mm *ModelManager) OnDrift(ev *cluster.DriftEvent, seeds []*synth.Frame, at
 	var jobs []TrainJob
 	// Immediate lite model from teacher outputs — no labels needed.
 	if mm.Baseline != nil && len(buf) > 0 && mm.Cfg.LiteEpochs > 0 {
-		jobs = mm.dispatch(jobs, TrainJob{
-			Kind: detect.KindLite, ClusterID: id, AtFrame: atFrame,
-			Seed: mm.nextSeed(), Frames: mm.snapshot(buf),
+		jobs = mm.schedule(jobs, TrainJob{
+			Kind: detect.KindLite, ClusterID: id, AtFrame: atFrame, Frames: buf,
 		})
 	}
 
@@ -224,9 +213,8 @@ func (mm *ModelManager) OnDrift(ev *cluster.DriftEvent, seeds []*synth.Frame, at
 	return append(jobs, mm.MaturePending(atFrame)...)
 }
 
-// MaturePending arranges oracle-labelled specialized models for clusters
-// whose label delay has elapsed (§5.2: specialized replaces lite) — inline
-// or as returned jobs, matching OnDrift.
+// MaturePending schedules oracle-labelled specialized models for clusters
+// whose label delay has elapsed (§5.2: specialized replaces lite).
 func (mm *ModelManager) MaturePending(atFrame int) []TrainJob {
 	var jobs []TrainJob
 	var remaining []pendingSpec
@@ -239,107 +227,76 @@ func (mm *ModelManager) MaturePending(atFrame int) []TrainJob {
 		if len(buf) == 0 {
 			continue // cluster evicted or empty; drop silently
 		}
-		jobs = mm.dispatch(jobs, TrainJob{
-			Kind: detect.KindSpecialized, ClusterID: p.clusterID, AtFrame: atFrame,
-			Seed: mm.nextSeed(), Frames: mm.snapshot(buf),
+		jobs = mm.schedule(jobs, TrainJob{
+			Kind: detect.KindSpecialized, ClusterID: p.clusterID, AtFrame: atFrame, Frames: buf,
 		})
 	}
 	mm.pending = remaining
 	return jobs
 }
 
-// snapshot freezes a training buffer for a deferred job. Inline training
-// consumes the buffer before the lock is released, so only async mode pays
-// for the copy (the live buffer slides in place under AddFrame).
-func (mm *ModelManager) snapshot(buf []*synth.Frame) []*synth.Frame {
-	if !mm.async {
-		return buf
-	}
-	return append([]*synth.Frame(nil), buf...)
-}
-
-// dispatch either trains a job inline (swap before returning) or queues it
-// for the background trainer, bumping the cluster's outstanding count.
-func (mm *ModelManager) dispatch(jobs []TrainJob, job TrainJob) []TrainJob {
-	if mm.async {
-		mm.outstanding[job.ClusterID]++
-		return append(jobs, job)
-	}
-	mm.install(job, mm.BuildModel(job))
-	return jobs
+// schedule draws the job's seed, freezes its training buffer (the live one
+// slides in place under AddFrame) and counts the job as outstanding until
+// it lands.
+func (mm *ModelManager) schedule(jobs []TrainJob, job TrainJob) []TrainJob {
+	job.Seed = mm.nextSeed()
+	job.Frames = append([]*synth.Frame(nil), job.Frames...)
+	mm.outstanding[job.ClusterID]++
+	return append(jobs, job)
 }
 
 // BuildModel trains the job's model from scratch. It reads only immutable
 // manager state (config, scene, the frozen baseline detector) and the job's
-// frame snapshot, so it is safe to run outside the pipeline lock — the
-// async trainer's whole point. The swap happens separately via
-// Odin.FinishJob.
+// frame snapshot, so it is safe to run outside the pipeline lock. The swap
+// happens separately, through Odin.FinishJob.
 func (mm *ModelManager) BuildModel(job TrainJob) *Model {
-	return mm.buildModel(job, nil)
+	return mm.BuildModelFrom(job, nil)
 }
 
 // BuildModelFrom trains the job's model warm-started from another model's
 // weights — the fleet-recovery path where a regime-adjacent model from a
-// correlated camera seeds training. The warm model must be the same kind;
-// on kind or architecture mismatch training silently falls back to scratch
-// (the warm start is an optimisation, never a correctness requirement). A
-// successful weight copy halves the epoch budget: the borrowed weights are
-// already near a regime optimum, and the shortened fit is where the fleet's
-// aggregate recovery cost drops. Like BuildModel, safe outside the lock.
+// correlated camera seeds training. A nil model, or one of another kind or
+// architecture, trains from scratch (the warm start is an optimisation,
+// never a correctness requirement). A successful weight copy halves the
+// epoch budget: the borrowed weights are already near a regime optimum, and
+// the shortened fit is where the fleet's aggregate recovery cost drops.
+// Like BuildModel, safe outside the lock.
 func (mm *ModelManager) BuildModelFrom(job TrainJob, from *Model) *Model {
-	if from == nil || from.Det == nil || from.Kind != job.Kind {
-		from = nil
-	}
-	return mm.buildModel(job, from)
-}
-
-func (mm *ModelManager) buildModel(job TrainJob, warm *Model) *Model {
+	var cfg detect.GridConfig
+	var epochs int
 	switch job.Kind {
 	case detect.KindLite:
-		cfg := detect.LiteConfig(mm.Scene.H, mm.Scene.W)
-		cfg.Seed = job.Seed
-		lite := detect.NewGridDetector(cfg)
-		epochs := mm.Cfg.LiteEpochs
-		if warm != nil && lite.CopyWeightsFrom(warm.Det) == nil {
-			epochs = (epochs + 1) / 2
-		}
-		samples := detect.DistillSamples(mm.Baseline.Det, job.Frames, mm.Cfg.DistillMinScore)
-		lite.Fit(samples, epochs, mm.Cfg.Batch)
-		return &Model{
-			Kind: detect.KindLite, Det: lite, ClusterID: job.ClusterID,
-			Cost: detect.CostOf(detect.KindLite), CreatedAt: job.AtFrame, TrainedOn: len(job.Frames),
-		}
+		cfg, epochs = detect.LiteConfig(mm.Scene.H, mm.Scene.W), mm.Cfg.LiteEpochs
 	case detect.KindSpecialized:
-		cfg := detect.SpecializedConfig(mm.Scene.H, mm.Scene.W)
-		cfg.Seed = job.Seed
-		spec := detect.NewGridDetector(cfg)
-		epochs := mm.Cfg.SpecEpochs
-		if warm != nil && spec.CopyWeightsFrom(warm.Det) == nil {
-			epochs = (epochs + 1) / 2
-		}
-		spec.Fit(detect.SamplesFromFrames(job.Frames), epochs, mm.Cfg.Batch)
-		return &Model{
-			Kind: detect.KindSpecialized, Det: spec, ClusterID: job.ClusterID,
-			Cost: detect.CostOf(detect.KindSpecialized), CreatedAt: job.AtFrame, TrainedOn: len(job.Frames),
-		}
+		cfg, epochs = detect.SpecializedConfig(mm.Scene.H, mm.Scene.W), mm.Cfg.SpecEpochs
+	default:
+		return nil
 	}
-	return nil
+	cfg.Seed = job.Seed
+	det := detect.NewGridDetector(cfg)
+	if from != nil && from.Det != nil && from.Kind == job.Kind && det.CopyWeightsFrom(from.Det) == nil {
+		epochs = (epochs + 1) / 2
+	}
+	var samples []detect.Sample
+	if job.Kind == detect.KindLite {
+		samples = detect.DistillSamples(mm.Baseline.Det, job.Frames, mm.Cfg.DistillMinScore)
+	} else {
+		samples = detect.SamplesFromFrames(job.Frames)
+	}
+	det.Fit(samples, epochs, mm.Cfg.Batch)
+	return &Model{
+		Kind: job.Kind, Det: det, ClusterID: job.ClusterID,
+		Cost: detect.CostOf(job.Kind), CreatedAt: job.AtFrame, TrainedOn: len(job.Frames),
+	}
 }
 
-// install swaps a trained model in and stamps the bookkeeping: the
-// cluster→model pointer, the most-recent pointer and the generation
-// counter. Caller holds the pipeline lock.
-func (mm *ModelManager) install(job TrainJob, m *Model) {
-	mm.byCluster[job.ClusterID] = m
-	mm.mostRecent = m
-	mm.gen++
-}
-
-// finishJob lands (or rolls back) a deferred job under the pipeline lock:
-// the outstanding count always drops, and the swap is skipped — leaving the
-// prior model serving — when training failed, the cluster was evicted
-// mid-training, or a specialized model already superseded a late lite.
-func (mm *ModelManager) finishJob(job TrainJob, m *Model, failed bool) bool {
+// land installs (or rolls back) a job under the pipeline lock: the
+// outstanding count always drops, and the swap is skipped — leaving the
+// prior model serving — when the build failed, the cluster was evicted
+// while the job waited, or a specialized model already superseded a late
+// lite. A landed model becomes the cluster's and the most recent, and bumps
+// the generation.
+func (mm *ModelManager) land(job TrainJob, m *Model, failed bool) bool {
 	if n := mm.outstanding[job.ClusterID]; n <= 1 {
 		delete(mm.outstanding, job.ClusterID)
 	} else {
@@ -349,13 +306,15 @@ func (mm *ModelManager) finishJob(job TrainJob, m *Model, failed bool) bool {
 		return false
 	}
 	if _, live := mm.buffers[job.ClusterID]; !live {
-		return false // cluster evicted while the job trained
+		return false // cluster evicted while the job waited
 	}
 	if cur := mm.byCluster[job.ClusterID]; cur != nil &&
 		cur.Kind == detect.KindSpecialized && job.Kind == detect.KindLite {
 		return false // never downgrade a landed specialized model
 	}
-	mm.install(job, m)
+	mm.byCluster[job.ClusterID] = m
+	mm.mostRecent = m
+	mm.gen++
 	return true
 }
 

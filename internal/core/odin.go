@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,12 +27,12 @@ type Config struct {
 	// "static system" comparison point.
 	DriftRecovery bool
 
-	// AsyncTrain defers drift-triggered specializer training off the
-	// serving path: Advance schedules TrainJobs (handed to the sink set
-	// with SetTrainSink) instead of training under the lock, and frames
-	// are served by the previous-best model until the trained model is
-	// swapped in via FinishJob. False keeps the deterministic inline
-	// behaviour.
+	// AsyncTrain decides when a drift recovery's training jobs land. With
+	// it on and a sink installed (SetTrainSink), the jobs a window scheduled
+	// go to the sink after the window, and frames are served by the
+	// previous-best model until the sink lands them through FinishJob.
+	// Otherwise each frame builds and lands its own jobs before its
+	// selection, under the pipeline lock — the deterministic inline timing.
 	AsyncTrain bool
 }
 
@@ -64,9 +65,10 @@ type Result struct {
 	// accuracy sample can be attributed to the exact model set behind it.
 	ModelGen uint64
 	// RecoveryPending marks a frame served while a drift recovery was
-	// still training (async mode): its cluster had a scheduled-but-unlanded
-	// training job, so the previous-best model served it in the interim.
-	// Always false with inline training.
+	// still training: its cluster had a scheduled-but-unlanded training
+	// job, so the previous-best model served it in the interim. Always false
+	// with inline timing, where every job lands before its frame's
+	// selection.
 	RecoveryPending bool
 	// Fidelity is the treatment level the QoS layer chose for this frame
 	// (qos.Full unless load-adaptive degradation was active).
@@ -170,9 +172,9 @@ type Odin struct {
 	outlierRing []bufferedOutlier
 	stats       Stats
 
-	// pendingJobs collects training jobs scheduled by the drift stage
-	// (async mode); they are drained after the lock is released and handed
-	// to sink, so training never runs under mu.
+	// pendingJobs collects the training jobs a window scheduled while a sink
+	// is installed; they are drained after the lock is released and handed
+	// to sink, so their training never runs under mu.
 	pendingJobs []TrainJob
 	sink        func([]TrainJob)
 
@@ -186,22 +188,20 @@ type Odin struct {
 // detector. The projector is the DA-GAN encoder trained on bootstrap data
 // (§4.4); the baseline plays the role of the pre-trained YOLO teacher.
 func New(cfg Config, proj gan.Projector, baseline *detect.GridDetector) *Odin {
-	mm := NewModelManager(cfg.Spec, cfg.Scene, baseline)
-	mm.SetAsync(cfg.AsyncTrain)
 	return &Odin{
 		Cfg:      cfg,
 		Detector: NewDetector(proj, cfg.Cluster),
-		Manager:  mm,
+		Manager:  NewModelManager(cfg.Spec, cfg.Scene, baseline),
 	}
 }
 
-// SetTrainSink installs the consumer of async training jobs (typically a
-// dispatch.Trainer). The sink is invoked outside the pipeline lock, on the
-// goroutine whose Advance scheduled the jobs, and must not block for long —
-// queue and return. Install it before serving frames. Without a sink,
-// async-scheduled jobs are trained synchronously on the scheduling
-// goroutine (off the lock, but on the serving path), so recoveries are
-// never silently dropped.
+// SetTrainSink installs the consumer of training jobs (typically a
+// dispatch.Trainer); it takes effect only with Config.AsyncTrain. The sink
+// is invoked outside the pipeline lock, on the goroutine whose Advance
+// scheduled the jobs, and must not block for long — queue and return. It
+// must land every job it takes through FinishJob. Install it before serving
+// frames. Without a sink, each frame builds and lands its jobs under the
+// lock before its selection, exactly as with AsyncTrain off.
 func (o *Odin) SetTrainSink(fn func([]TrainJob)) {
 	o.mu.Lock()
 	o.sink = fn
@@ -221,29 +221,56 @@ func (o *Odin) observer() *obs.Observer {
 	return o.obsv.Load()
 }
 
-// FinishJob lands a deferred training job: the trained model is swapped in
-// atomically under the pipeline lock (bumping the model generation), or —
-// when training failed, the model is nil, or the cluster was evicted while
-// the job trained — the swap is skipped and the prior model keeps serving
-// (rollback). The cluster's pending-recovery count drops either way.
-// Returns whether the model was installed.
-func (o *Odin) FinishJob(job TrainJob, m *Model, dur time.Duration, trainErr error) bool {
+// ErrJobDropped marks a job discarded before it was built (its trainer shut
+// down). FinishJob rolls it back like a failed build, but reports it as
+// dropped rather than failed.
+var ErrJobDropped = errors.New("training job dropped")
+
+// FinishJob lands a job built outside the pipeline lock. The trained model
+// is swapped in (bumping the model generation), or — when the build failed
+// or was dropped, the model is nil, the cluster was evicted while the job
+// waited, or a specialized model already superseded a late lite — the swap
+// is skipped and the prior model keeps serving (rollback). The cluster's
+// pending-recovery count drops either way, and the job's one outcome event
+// is emitted: recovery_swapped, _dropped, _failed or _rollback. Returns
+// whether the model was installed.
+func (o *Odin) FinishJob(job TrainJob, m *Model, dur time.Duration, err error) bool {
 	o.mu.Lock()
-	installed := o.Manager.finishJob(job, m, trainErr != nil)
-	gen := int(o.Manager.Gen())
-	o.mu.Unlock()
+	defer o.mu.Unlock()
+	return o.landLocked(job, m, dur, err)
+}
+
+// landLocked is FinishJob with o.mu held: the one place a recovery lands,
+// whichever timing built it.
+func (o *Odin) landLocked(job TrainJob, m *Model, dur time.Duration, err error) bool {
+	installed := o.Manager.land(job, m, err != nil)
 	if ob := o.observer(); ob != nil {
+		gen := int(o.Manager.Gen())
 		switch {
 		case installed:
 			ob.Event(obs.EvRecoverySwapped, "", job.ClusterID, gen,
 				fmt.Sprintf("build %.1fms", dur.Seconds()*1e3))
-		case trainErr != nil:
-			ob.Event(obs.EvRecoveryFailed, "", job.ClusterID, gen, trainErr.Error())
+		case errors.Is(err, ErrJobDropped):
+			ob.Event(obs.EvRecoveryDropped, "", job.ClusterID, gen, err.Error())
+		case err != nil:
+			ob.Event(obs.EvRecoveryFailed, "", job.ClusterID, gen, err.Error())
 		default:
 			ob.Event(obs.EvRecoveryRollback, "", job.ClusterID, gen, "")
 		}
 	}
 	return installed
+}
+
+// buildAndLandLocked is the inline timing: it builds the job on this
+// goroutine, under the pipeline lock, and lands it at once.
+func (o *Odin) buildAndLandLocked(job TrainJob) {
+	ob := o.observer()
+	start := time.Now()
+	m := o.Manager.BuildModel(job)
+	dur := time.Since(start)
+	ob.Event(obs.EvRecoveryScratch, "", job.ClusterID, -1, "inline")
+	ob.BuildSeconds("scratch", dur)
+	o.landLocked(job, m, dur, nil)
 }
 
 // Stats returns the ledger and the model-set gauges, read at one instant.
@@ -292,39 +319,46 @@ func (o *Odin) Project(f *synth.Frame) []float64 {
 func (o *Odin) Advance(f *synth.Frame, z []float64) Plan {
 	o.mu.Lock()
 	p := o.advanceLocked(f, z, qos.Full)
-	jobs := o.pendingJobs
-	o.pendingJobs = nil
+	jobs, sink := o.takeJobsLocked()
 	o.mu.Unlock()
-	o.submitJobs(jobs)
+	if len(jobs) > 0 {
+		sink(jobs)
+	}
 	return p
 }
 
-// submitJobs hands freshly scheduled training jobs to the sink, outside
-// the pipeline lock. With no sink installed the jobs train synchronously
-// here — still off the lock, so concurrent streams keep serving, but on
-// this goroutine's serving path.
-func (o *Odin) submitJobs(jobs []TrainJob) {
-	if len(jobs) == 0 {
-		return
-	}
+// takeJobsLocked drains the jobs a window scheduled for the sink, together
+// with the sink, for the caller to hand over once it releases the lock.
+// Read under the lock hold that scheduled them, the sink is non-nil
+// whenever the jobs are not empty. Caller holds o.mu.
+func (o *Odin) takeJobsLocked() ([]TrainJob, func([]TrainJob)) {
+	jobs := o.pendingJobs
+	o.pendingJobs = nil
+	return jobs, o.sink
+}
+
+// scheduleLocked takes the jobs one frame scheduled and emits their
+// recovery_enqueued events. It stamps each with its cluster's regime
+// signature while the lock still freezes the cluster set — the snapshot a
+// fleet registry matches against, deterministic under deterministic
+// driving. Then, with AsyncTrain on and a sink installed, it queues them
+// for the sink after the window; otherwise it builds and lands them here,
+// before the frame's selection. Caller holds o.mu.
+func (o *Odin) scheduleLocked(jobs []TrainJob) {
 	ob := o.observer()
 	for i := range jobs {
+		if c := o.Detector.Clusters.ByID(jobs[i].ClusterID); c != nil {
+			sig := c.Signature()
+			jobs[i].Sig = &sig
+		}
 		ob.Event(obs.EvRecoveryEnqueued, "", jobs[i].ClusterID, -1, "")
 	}
-	o.mu.Lock()
-	sink := o.sink
-	o.mu.Unlock()
-	if sink != nil {
-		sink(jobs)
+	if o.Cfg.AsyncTrain && o.sink != nil {
+		o.pendingJobs = append(o.pendingJobs, jobs...)
 		return
 	}
 	for _, job := range jobs {
-		start := time.Now()
-		m := o.Manager.BuildModel(job)
-		dur := time.Since(start)
-		ob.Event(obs.EvRecoveryScratch, "", job.ClusterID, -1, "inline")
-		ob.BuildSeconds("scratch", dur)
-		o.FinishJob(job, m, dur, nil)
+		o.buildAndLandLocked(job)
 	}
 }
 
@@ -372,34 +406,24 @@ func (o *Odin) advanceLocked(f *synth.Frame, z []float64, fid qos.Fidelity) Plan
 		res.ClusterID = a.Primary.ID
 		o.Manager.AddFrame(a.Primary.ID, f)
 	}
+	var jobs []TrainJob
 	if a.Drift != nil {
 		o.stats.DriftEvents++
 		res.Drift = a.Drift
 		seeds := o.takeOutliers(a.Drift.Cluster)
-		o.pendingJobs = append(o.pendingJobs, o.Manager.OnDrift(a.Drift, seeds, o.stats.Frames)...)
+		jobs = o.Manager.OnDrift(a.Drift, seeds, o.stats.Frames)
 		if ob := o.observer(); ob != nil {
 			ob.Event(obs.EvDrift, "", a.Drift.Cluster.ID, int(o.Manager.Gen()),
 				fmt.Sprintf("%s/%d seeds", a.Drift.Cluster.Label, a.Drift.NumSeeds))
 		}
 	}
-	o.pendingJobs = append(o.pendingJobs, o.Manager.MaturePending(o.stats.Frames)...)
-	// Stamp each freshly scheduled job with its cluster's regime signature
-	// while the lock still freezes the cluster set — the snapshot a fleet
-	// registry matches against. Stamping at schedule time keeps the
-	// signature deterministic under deterministic driving.
-	for i := range o.pendingJobs {
-		j := &o.pendingJobs[i]
-		if j.Sig == nil {
-			if c := o.Detector.Clusters.ByID(j.ClusterID); c != nil {
-				sig := c.Signature()
-				j.Sig = &sig
-			}
-		}
+	if jobs = append(jobs, o.Manager.MaturePending(o.stats.Frames)...); len(jobs) > 0 {
+		o.scheduleLocked(jobs)
 	}
 
 	// SELECTOR: pick the ensemble, fall back to the baseline when no
-	// specialized model exists yet. With async training the fallback IS the
-	// interim policy: a drifted cluster has no model until its job lands,
+	// specialized model exists yet. While a job waits for its sink the
+	// fallback IS the interim policy: a drifted cluster has no model until its job lands,
 	// so the previous-best selection (neighbouring cluster models or the
 	// baseline) keeps serving, flagged via RecoveryPending.
 	selection := o.Manager.selectFor(z, o.Detector.Clusters, o.Cfg.Selector)

@@ -107,8 +107,8 @@ func fidelityAt(fids []qos.Fidelity, i int) qos.Fidelity {
 
 // advanceAll runs the batched front half: every frame's latent (sharded),
 // then the serialized drift stage in frame order under one lock
-// acquisition. Training jobs the window scheduled (async mode) are handed
-// off outside the lock. Every batch entry point comes through here, which
+// acquisition. Training jobs the window scheduled for a sink are handed off
+// outside the lock. Every batch entry point comes through here, which
 // is what guarantees the count paths advance cluster evolution, drift
 // events, stats and training jobs identically to full detection. Skip
 // frames are excluded from projection and short-circuit inside
@@ -124,14 +124,15 @@ func (o *Odin) advanceAll(frames []*synth.Frame, workers int, fids []qos.Fidelit
 	for i, f := range frames {
 		plans[i] = o.advanceLocked(f, latents[i], fidelityAt(fids, i))
 	}
-	jobs := o.pendingJobs
-	o.pendingJobs = nil
+	jobs, sink := o.takeJobsLocked()
 	o.mu.Unlock()
 	// The advance sample includes lock wait by design: this is the
 	// pipeline's single serialization point, and queueing behind it is
 	// exactly what the stage metric should surface.
 	ob.Stage(obs.StageAdvance, t0, len(frames))
-	o.submitJobs(jobs)
+	if len(jobs) > 0 {
+		sink(jobs)
+	}
 	return plans
 }
 

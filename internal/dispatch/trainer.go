@@ -14,8 +14,9 @@ import (
 )
 
 // ErrTrainerClosed marks training jobs dropped because the trainer shut
-// down before they ran; their recoveries roll back to the prior model.
-var ErrTrainerClosed = errors.New("dispatch: trainer closed")
+// down before they ran; their recoveries roll back to the prior model. It
+// matches core.ErrJobDropped, so the pipeline reports them as dropped.
+var ErrTrainerClosed = fmt.Errorf("dispatch: trainer closed: %w", core.ErrJobDropped)
 
 // ErrBuildPanicked marks a model build that panicked. The trainer recovers
 // the panic into an error matching it (and naming the panic value), and the
@@ -50,7 +51,8 @@ type TrainerStats struct {
 	// rejected (cluster evicted mid-training, superseded model) — the
 	// pipeline kept the prior model.
 	Failed int `json:"failed"`
-	// Dropped counts jobs discarded by Close before they ran.
+	// Dropped counts jobs discarded by Close before they ran, or enqueued
+	// after it. They are not Failed.
 	Dropped int `json:"dropped"`
 
 	// Scratch counts installed models trained from scratch initialisation
@@ -82,7 +84,7 @@ type queuedJob struct {
 
 // Trainer drains drift-recovery training jobs on a single background
 // goroutine: each job's model is built from its frame snapshot outside the
-// pipeline lock (core.ModelManager.BuildModel), then swapped in atomically
+// pipeline lock (core.ModelManager.BuildModelFrom), then swapped in atomically
 // via core.Odin.FinishJob. While a job trains, the pipeline keeps serving
 // every stream with the previous-best model — training is entirely off the
 // real-time path, which is what flattens the recovery-stall latency spike
@@ -92,7 +94,7 @@ type queuedJob struct {
 // Jobs run in FIFO order, so a cluster's lite model always lands before
 // its specialized upgrade; overlapping drift events on different streams
 // simply queue. A failed build — one that errors or panics — rolls back:
-// FinishJob drops the job and the prior model keeps serving.
+// FinishJob skips the swap and the prior model keeps serving.
 //
 // With a fleet registry attached (AttachRegistry), each job is resolved
 // against the fleet's recovered models before building: adopt installs a
@@ -103,9 +105,10 @@ type queuedJob struct {
 // FinishJob atomic swap, so rollback semantics (evicted cluster, superseded
 // lite) are identical with and without the registry.
 type Trainer struct {
-	pipe      *core.Odin
-	build     func(core.TrainJob) (*core.Model, error)
-	buildFrom func(core.TrainJob, *core.Model) (*core.Model, error)
+	pipe *core.Odin
+	// build trains a job's model, warm-started from the given model or,
+	// when it is nil, from scratch.
+	build func(core.TrainJob, *core.Model) (*core.Model, error)
 
 	mu      sync.Mutex
 	queue   []queuedJob
@@ -131,10 +134,7 @@ type Trainer struct {
 func NewTrainer(pipe *core.Odin) *Trainer {
 	t := &Trainer{
 		pipe: pipe,
-		build: func(job core.TrainJob) (*core.Model, error) {
-			return pipe.Manager.BuildModel(job), nil
-		},
-		buildFrom: func(job core.TrainJob, from *core.Model) (*core.Model, error) {
+		build: func(job core.TrainJob, from *core.Model) (*core.Model, error) {
 			return pipe.Manager.BuildModelFrom(job, from), nil
 		},
 		wake:    make(chan struct{}, 1),
@@ -156,19 +156,12 @@ func (t *Trainer) AttachRegistry(reg *registry.Registry, source string) {
 	t.mu.Unlock()
 }
 
-// SetBuild replaces the scratch model-build function (tests inject failures
-// with it). Call before any job is scheduled.
-func (t *Trainer) SetBuild(fn func(core.TrainJob) (*core.Model, error)) {
+// SetBuild replaces the model-build function (tests inject failures with
+// it). It is called with the registry model a warm start borrows from, or
+// nil for a scratch build. Call before any job is scheduled.
+func (t *Trainer) SetBuild(fn func(core.TrainJob, *core.Model) (*core.Model, error)) {
 	t.mu.Lock()
 	t.build = fn
-	t.mu.Unlock()
-}
-
-// SetBuildFrom replaces the warm-start build function (tests). Call before
-// any job is scheduled.
-func (t *Trainer) SetBuildFrom(fn func(core.TrainJob, *core.Model) (*core.Model, error)) {
-	t.mu.Lock()
-	t.buildFrom = fn
 	t.mu.Unlock()
 }
 
@@ -207,12 +200,9 @@ func (t *Trainer) Enqueue(jobs []core.TrainJob) {
 	}
 	t.mu.Lock()
 	if t.closed {
-		t.stats.Dropped += len(jobs)
 		t.mu.Unlock()
-		ob, src := t.observer()
 		for _, job := range jobs {
-			ob.Event(obs.EvRecoveryDropped, src, job.ClusterID, -1, "trainer closed")
-			t.pipe.FinishJob(job, nil, 0, ErrTrainerClosed)
+			t.drop(queuedJob{job: job}, ErrTrainerClosed)
 		}
 		return
 	}
@@ -271,11 +261,7 @@ func (t *Trainer) runJob(q queuedJob) {
 		switch {
 		case errors.Is(err, registry.ErrCanceled):
 			// Trainer is closing: drop the job like Close drops queued ones.
-			ob.Event(obs.EvRecoveryDropped, src, job.ClusterID, -1, "coalesce canceled on close")
-			t.pipe.FinishJob(job, nil, 0, ErrTrainerClosed)
-			t.mu.Lock()
-			t.stats.Dropped++
-			t.mu.Unlock()
+			t.drop(q, fmt.Errorf("coalesce canceled: %w", ErrTrainerClosed))
 		case err != nil:
 			// Builder aborted; fall back to our own scratch build.
 			t.runScratch(job, nil)
@@ -286,7 +272,7 @@ func (t *Trainer) runJob(q queuedJob) {
 
 	case registry.OutcomeWarm:
 		start := time.Now()
-		m, err := guardBuild(func() (*core.Model, error) { return t.buildFrom(job, q.res.Model) })
+		m, err := guardBuild(func() (*core.Model, error) { return t.build(job, q.res.Model) })
 		dur := time.Since(start)
 		ob.Event(obs.EvRecoveryWarm, src, job.ClusterID, -1, "warm-started from fleet model")
 		ob.BuildSeconds("warm", dur)
@@ -307,7 +293,7 @@ func (t *Trainer) runJob(q queuedJob) {
 // mid-build): the weights are still a valid recovery for the regime.
 func (t *Trainer) runScratch(job core.TrainJob, claim *registry.Claim) {
 	start := time.Now()
-	m, err := guardBuild(func() (*core.Model, error) { return t.build(job) })
+	m, err := guardBuild(func() (*core.Model, error) { return t.build(job, nil) })
 	dur := time.Since(start)
 	if claim != nil {
 		if err != nil || m == nil {
@@ -334,6 +320,20 @@ func (t *Trainer) finish(job core.TrainJob, m *core.Model, dur time.Duration, er
 		t.stats.Failed++
 	}
 	t.mu.Unlock()
+}
+
+// drop discards a job that will never build: its registry claim aborts (so
+// coalesced waiters on other trainers fall back), it counts as Dropped, and
+// it lands as dropped — the prior model keeps serving. err matches
+// core.ErrJobDropped.
+func (t *Trainer) drop(q queuedJob, err error) {
+	if q.res.Claim != nil {
+		q.res.Claim.Abort()
+	}
+	t.mu.Lock()
+	t.stats.Dropped++
+	t.mu.Unlock()
+	t.pipe.FinishJob(q.job, nil, 0, err)
 }
 
 // adoptModel clones a registry model for installation into this pipeline:
@@ -408,16 +408,10 @@ func (t *Trainer) Close() {
 	t.closed = true
 	dropped := t.queue
 	t.queue = nil
-	t.stats.Dropped += len(dropped)
 	t.mu.Unlock()
 	close(t.closing) // unblocks a coalesce wait in flight
-	ob, src := t.observer()
 	for _, q := range dropped {
-		if q.res.Claim != nil {
-			q.res.Claim.Abort()
-		}
-		ob.Event(obs.EvRecoveryDropped, src, q.job.ClusterID, -1, "trainer closed")
-		t.pipe.FinishJob(q.job, nil, 0, ErrTrainerClosed)
+		t.drop(q, ErrTrainerClosed)
 	}
 	select {
 	case t.wake <- struct{}{}:

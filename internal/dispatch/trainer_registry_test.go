@@ -63,7 +63,7 @@ func TestTrainerAdoptsFromRegistry(t *testing.T) {
 	defer tr.Close()
 	reg := registry.New(4)
 	tr.AttachRegistry(reg, "cam1")
-	tr.SetBuild(func(core.TrainJob) (*core.Model, error) {
+	tr.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
 		t.Error("adopt path must not build")
 		return nil, errors.New("unexpected build")
 	})
@@ -106,15 +106,15 @@ func TestTrainerWarmStartsFromRegistry(t *testing.T) {
 	published := seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
 	var mu sync.Mutex
 	var warmFrom *core.Model
-	tr.SetBuildFrom(func(job core.TrainJob, from *core.Model) (*core.Model, error) {
+	tr.SetBuild(func(job core.TrainJob, from *core.Model) (*core.Model, error) {
+		if from == nil {
+			t.Error("warm path must not scratch-build")
+			return nil, errors.New("unexpected build")
+		}
 		mu.Lock()
 		warmFrom = from
 		mu.Unlock()
 		return &core.Model{Kind: job.Kind, ClusterID: job.ClusterID}, nil
-	})
-	tr.SetBuild(func(core.TrainJob) (*core.Model, error) {
-		t.Error("warm path must not scratch-build")
-		return nil, errors.New("unexpected build")
 	})
 
 	// |∆x| = 1 with unit scales → distance 0.375: warm band.
@@ -177,11 +177,11 @@ func TestTrainerCoalescesConcurrentBuilds(t *testing.T) {
 
 	release := make(chan struct{})
 	built := &core.Model{Kind: detect.KindLite, Det: detect.NewGridDetector(detect.LiteConfig(8, 8))}
-	trA.SetBuild(func(core.TrainJob) (*core.Model, error) {
+	trA.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
 		<-release
 		return built, nil
 	})
-	trB.SetBuild(func(core.TrainJob) (*core.Model, error) {
+	trB.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
 		t.Error("B must coalesce, not build")
 		return nil, errors.New("unexpected build")
 	})
@@ -220,11 +220,11 @@ func TestTrainerCoalesceFallsBackOnAbort(t *testing.T) {
 	trB.AttachRegistry(reg, "camB")
 
 	release := make(chan struct{})
-	trA.SetBuild(func(core.TrainJob) (*core.Model, error) {
+	trA.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
 		<-release
 		return nil, errors.New("builder crash")
 	})
-	trB.SetBuild(func(job core.TrainJob) (*core.Model, error) {
+	trB.SetBuild(func(job core.TrainJob, _ *core.Model) (*core.Model, error) {
 		return &core.Model{Kind: job.Kind, ClusterID: job.ClusterID}, nil
 	})
 
@@ -258,7 +258,7 @@ func TestTrainerCloseDropsCoalescedWaiters(t *testing.T) {
 	trB.AttachRegistry(reg, "camB")
 
 	release := make(chan struct{})
-	trA.SetBuild(func(core.TrainJob) (*core.Model, error) {
+	trA.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
 		<-release
 		return &core.Model{Kind: detect.KindLite}, nil
 	})
@@ -308,7 +308,7 @@ func TestTrainerAdoptSupersededRollback(t *testing.T) {
 	// Land a specialized model for cluster 5 first.
 	spec := liveJob(pipe, gen, detect.KindSpecialized, 5, 100)
 	spec.Sig = nil // bypass the registry: plain scratch install
-	tr.SetBuild(func(job core.TrainJob) (*core.Model, error) {
+	tr.SetBuild(func(job core.TrainJob, _ *core.Model) (*core.Model, error) {
 		return &core.Model{Kind: job.Kind, ClusterID: job.ClusterID}, nil
 	})
 	tr.Enqueue([]core.TrainJob{spec})

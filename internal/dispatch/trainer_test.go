@@ -101,13 +101,16 @@ func TestTrainerLandsRecovery(t *testing.T) {
 }
 
 // TestTrainerFailureRollsBack: a failing build leaves the prior model
-// serving and counts as Failed — the satellite's rollback contract.
+// serving and counts as Failed, and every Failed job has one failed or
+// rollback event.
 func TestTrainerFailureRollsBack(t *testing.T) {
 	pipe, gen := trainerTestPipe(t)
+	ob := obs.New(16)
+	pipe.SetObserver(ob)
 	tr := NewTrainer(pipe)
 	defer tr.Close()
 	boom := errors.New("synthetic trainer crash")
-	tr.SetBuild(func(core.TrainJob) (*core.Model, error) { return nil, boom })
+	tr.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) { return nil, boom })
 
 	driftOnce(t, pipe, gen)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -118,8 +121,12 @@ func TestTrainerFailureRollsBack(t *testing.T) {
 	if pipe.Manager.NumModels() != 0 {
 		t.Fatal("failed build must not install a model")
 	}
-	if st := tr.Stats(); st.Failed != 1 || st.Trained != 0 {
+	st := tr.Stats()
+	if st.Failed != 1 || st.Trained != 0 {
 		t.Fatalf("trainer stats %+v", st)
+	}
+	if n := eventCounts(ob); n[obs.EvRecoveryFailed]+n[obs.EvRecoveryRollback] != st.Failed || n[obs.EvRecoveryDropped] != 0 {
+		t.Fatalf("events %v for trainer stats %+v", n, st)
 	}
 	// The pipeline keeps serving on the previous-best model (the baseline).
 	r := pipe.Process(gen.GenerateSubset(synth.DayData))
@@ -150,14 +157,14 @@ func TestTrainerBuildPanicRollsBack(t *testing.T) {
 
 	release := make(chan struct{})
 	var builds atomic.Int32
-	trA.SetBuild(func(job core.TrainJob) (*core.Model, error) {
+	trA.SetBuild(func(job core.TrainJob, _ *core.Model) (*core.Model, error) {
 		if builds.Add(1) == 1 {
 			<-release
 			panic("index out of range [7] with length 7")
 		}
 		return &core.Model{Kind: job.Kind, ClusterID: job.ClusterID}, nil
 	})
-	trB.SetBuild(func(job core.TrainJob) (*core.Model, error) {
+	trB.SetBuild(func(job core.TrainJob, _ *core.Model) (*core.Model, error) {
 		return &core.Model{Kind: job.Kind, ClusterID: job.ClusterID}, nil
 	})
 
@@ -195,8 +202,11 @@ func TestTrainerWarmBuildPanicRollsBack(t *testing.T) {
 	ob := obs.New(16)
 	pipe.SetObserver(ob)
 	seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
-	tr.SetBuildFrom(func(core.TrainJob, *core.Model) (*core.Model, error) {
-		panic(errors.New("weights shape mismatch"))
+	tr.SetBuild(func(job core.TrainJob, from *core.Model) (*core.Model, error) {
+		if from != nil {
+			panic(errors.New("weights shape mismatch"))
+		}
+		return pipe.Manager.BuildModel(job), nil
 	})
 
 	tr.Enqueue([]core.TrainJob{liveJob(pipe, gen, detect.KindLite, 5, 1)}) // warm band
@@ -229,7 +239,7 @@ func TestTrainerKernelPanicRollsBack(t *testing.T) {
 	prev := tensor.Parallelism()
 	tensor.SetParallelism(2)
 	defer tensor.SetParallelism(prev)
-	tr.SetBuild(func(core.TrainJob) (*core.Model, error) {
+	tr.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
 		var running atomic.Int32
 		tensor.Parallel(2, 1<<20, func(int, int) {
 			running.Add(1)
@@ -250,6 +260,15 @@ func TestTrainerKernelPanicRollsBack(t *testing.T) {
 		t.Fatalf("after the panic: %d recoveries pending, %d models", pipe.Stats().PendingRecoveries, pipe.Manager.NumModels())
 	}
 	requireFailedEvent(t, ob, "kernel chunk")
+}
+
+// eventCounts counts the observer's events by kind.
+func eventCounts(ob *obs.Observer) map[string]int {
+	n := make(map[string]int)
+	for _, e := range ob.Events().Recent(0) {
+		n[e.Kind]++
+	}
+	return n
 }
 
 // requireFailedEvent finds the recovery_failed event of a panicked build
@@ -284,7 +303,7 @@ func TestTrainerCloseDropsQueue(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	tr.SetBuild(func(core.TrainJob) (*core.Model, error) {
+	tr.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
 		once.Do(func() { close(started) })
 		<-release
 		return nil, errors.New("aborted")
@@ -321,6 +340,32 @@ func TestTrainerCloseDropsQueue(t *testing.T) {
 	tr.Enqueue([]core.TrainJob{{Kind: detect.KindLite, ClusterID: 997}})
 	if st := tr.Stats(); st.Dropped != 2 {
 		t.Fatalf("post-close enqueue not dropped: %+v", st)
+	}
+	if pipe.Stats().PendingRecoveries != 0 {
+		t.Fatal("dropped jobs left recoveries pending")
+	}
+}
+
+// TestTrainerDroppedJobsAreNotFailed: jobs given to a closed trainer are
+// dropped — one recovery_dropped event each, none failed, counted Dropped
+// and not Failed — and their recoveries stop pending.
+func TestTrainerDroppedJobsAreNotFailed(t *testing.T) {
+	pipe, _ := trainerTestPipe(t)
+	ob := obs.New(16)
+	pipe.SetObserver(ob)
+	tr := NewTrainer(pipe)
+	tr.Close()
+	const n = 3
+	jobs := make([]core.TrainJob, n)
+	for i := range jobs {
+		jobs[i] = core.TrainJob{Kind: detect.KindLite, ClusterID: 900 + i}
+	}
+	tr.Enqueue(jobs)
+	if got := eventCounts(ob); got[obs.EvRecoveryDropped] != n || got[obs.EvRecoveryFailed] != 0 || got[obs.EvRecoveryRollback] != 0 {
+		t.Fatalf("events %v, want %d dropped and nothing failed", got, n)
+	}
+	if st := tr.Stats(); st.Dropped != n || st.Failed != 0 {
+		t.Fatalf("trainer stats %+v, want %d dropped, 0 failed", st, n)
 	}
 	if pipe.Stats().PendingRecoveries != 0 {
 		t.Fatal("dropped jobs left recoveries pending")

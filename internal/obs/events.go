@@ -16,9 +16,9 @@ const (
 	EvRecoveryAdopted   = "recovery_adopted"   // fleet model adopted without training
 	EvRecoveryCoalesced = "recovery_coalesced" // job coalesced onto an in-flight build
 	EvRecoverySwapped   = "recovery_swapped"   // recovered model installed (atomic swap)
-	EvRecoveryRollback  = "recovery_rollback"  // recovery discarded (stale gen or no win)
+	EvRecoveryRollback  = "recovery_rollback"  // built model not installed (evicted cluster, superseded lite)
 	EvRecoveryFailed    = "recovery_failed"    // training errored
-	EvRecoveryDropped   = "recovery_dropped"   // job dropped (canceled coalesce target)
+	EvRecoveryDropped   = "recovery_dropped"   // job dropped unbuilt (trainer closed)
 	EvFidelityDegrade   = "fidelity_degrade"   // QoS controller stepped a stream down
 	EvFidelityRestore   = "fidelity_restore"   // QoS controller stepped a stream up
 	EvCheckpointSave    = "checkpoint_save"    // Checkpoint wrote a snapshot

@@ -238,6 +238,31 @@ func TestObsRecentEventsSeq(t *testing.T) {
 	}
 }
 
+// TestObsInlineRecoveryEvents: an inline server's recoveries take the same
+// lifecycle as a trainer's. Each ModelGen step is one enqueued, one scratch
+// and one recovery_swapped event, and one scratch build in
+// odin_train_build_seconds.
+func TestObsInlineRecoveryEvents(t *testing.T) {
+	srv := obsServer(t, 17)
+	processAll(t, srv, driftStream(srv, 40), nil)
+	gen := float64(srv.Stats().ModelGen)
+	if gen == 0 {
+		t.Fatal("the drift stream landed no recovery; the test would be vacuous")
+	}
+	n := make(map[string]float64)
+	for _, e := range srv.RecentEvents(0) {
+		n[e.Kind]++
+	}
+	for _, kind := range []string{EvRecoveryEnqueued, EvRecoveryScratch, EvRecoverySwapped} {
+		if n[kind] != gen {
+			t.Errorf("%d %s events for model generation %v", int(n[kind]), kind, gen)
+		}
+	}
+	if got := metricValue(t, scrape(t, srv), `odin_train_build_seconds_count{mode="scratch"}`); got != gen {
+		t.Errorf("%v scratch builds observed for model generation %v", got, gen)
+	}
+}
+
 // TestObsStreamAllocFree is the stream-level half of TestHotPathAllocFree:
 // a steady night stream through Stream.Process adds under one allocation a
 // frame with observability on. It counts Mallocs deltas because
