@@ -261,18 +261,6 @@ func (o *Odin) landLocked(job TrainJob, m *Model, dur time.Duration, err error) 
 	return installed
 }
 
-// buildAndLandLocked is the inline timing: it builds the job on this
-// goroutine, under the pipeline lock, and lands it at once.
-func (o *Odin) buildAndLandLocked(job TrainJob) {
-	ob := o.observer()
-	start := time.Now()
-	m := o.Manager.BuildModel(job)
-	dur := time.Since(start)
-	ob.Event(obs.EvRecoveryScratch, "", job.ClusterID, -1, "inline")
-	ob.BuildSeconds("scratch", dur)
-	o.landLocked(job, m, dur, nil)
-}
-
 // Stats returns the ledger and the model-set gauges, read at one instant.
 func (o *Odin) Stats() Telemetry {
 	o.mu.Lock()
@@ -358,7 +346,12 @@ func (o *Odin) scheduleLocked(jobs []TrainJob) {
 		return
 	}
 	for _, job := range jobs {
-		o.buildAndLandLocked(job)
+		start := time.Now()
+		m := o.Manager.BuildModel(job)
+		dur := time.Since(start)
+		ob.Event(obs.EvRecoveryScratch, "", job.ClusterID, -1, "inline")
+		ob.BuildSeconds("scratch", dur)
+		o.landLocked(job, m, dur, nil)
 	}
 }
 
@@ -417,9 +410,7 @@ func (o *Odin) advanceLocked(f *synth.Frame, z []float64, fid qos.Fidelity) Plan
 				fmt.Sprintf("%s/%d seeds", a.Drift.Cluster.Label, a.Drift.NumSeeds))
 		}
 	}
-	if jobs = append(jobs, o.Manager.MaturePending(o.stats.Frames)...); len(jobs) > 0 {
-		o.scheduleLocked(jobs)
-	}
+	o.scheduleLocked(append(jobs, o.Manager.MaturePending(o.stats.Frames)...))
 
 	// SELECTOR: pick the ensemble, fall back to the baseline when no
 	// specialized model exists yet. While a job waits for its sink the
