@@ -1,4 +1,4 @@
-package odin
+package odin_test
 
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§6). Each benchmark runs the corresponding experiment at
@@ -97,7 +97,7 @@ func BenchmarkFigure8Specialization(b *testing.B) {
 		// NIGHT-DATA is index 2: the paper's 2x specialization headline.
 		b.ReportMetric(r.YOLO[2]*1000, "yolo-night-mAPx1000")
 		b.ReportMetric(r.Specialized[2]*1000, "spec-night-mAPx1000")
-		b.ReportMetric(r.Specialized[2]/maxf(r.YOLO[2], 1e-9), "night-gain")
+		b.ReportMetric(r.Specialized[2]/max(r.YOLO[2], 1e-9), "night-gain")
 	}
 }
 
@@ -175,11 +175,4 @@ func BenchmarkTable7Ablation(b *testing.B) {
 		b.ReportMetric(r.MAP[2]*1000, "baseline-mAPx1000")
 		b.ReportMetric(r.FPS[0], "endtoend-fps")
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

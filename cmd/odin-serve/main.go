@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -60,7 +61,7 @@ func main() {
 	trainAsync := flag.Bool("train-async", true, "recover from drift asynchronously")
 	dispatcher := flag.Bool("dispatcher", false, "enable the cross-stream batch dispatcher")
 	maxQueue := flag.Int("max-queue", 0, "per-stream admission queue bound (0: no queue; sessions read their input directly, back-pressured by it)")
-	dropPolicy := flag.String("drop-policy", "block", "full-queue policy: block, drop-newest, drop-oldest")
+	dropPolicy := flag.String("drop-policy", "block", "full-queue policy: block, drop-newest, drop-oldest (the last two need -max-queue or -adaptive)")
 	adaptive := flag.Bool("adaptive", false, "enable load-adaptive fidelity degradation under overload")
 	labelDelay := flag.Int("label-delay", 0, "frames from a drift until oracle labels arrive and the specialized model replaces the lite one, which trains at the drift (0: the default, 600)")
 	maxModels := flag.Int("max-models", 8, "maximum concurrent specialized models (ignored when restoring)")
@@ -94,6 +95,9 @@ func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
 	dropPol, err := odin.ParseDropPolicy(dropPolicyFlag)
 	if err != nil {
 		return err
+	}
+	if dropPol != odin.DropBlock && maxQueue <= 0 && !adaptive {
+		return fmt.Errorf("-drop-policy %s needs -max-queue or -adaptive: without a queue nothing is dropped", dropPolicyFlag)
 	}
 
 	// Serving-topology options, shared by the fresh-boot and every restore

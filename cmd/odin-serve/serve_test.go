@@ -173,6 +173,43 @@ func TestServeHTTPConformance(t *testing.T) {
 	}
 }
 
+// TestServeRejectsIgnoredDropPolicy: a drop policy other than block needs a
+// queue to act on, so without -max-queue or -adaptive run refuses it before
+// it boots or listens. Every case asks for -restore latest without -store,
+// which boot refuses, so a run that gets past the flag check returns that
+// error instead of serving: block, the default, gets there everywhere.
+func TestServeRejectsIgnoredDropPolicy(t *testing.T) {
+	const restoreErr = "-restore latest requires -store"
+	for _, c := range []struct {
+		pol      string
+		maxQueue int
+		adaptive bool
+		refused  bool
+	}{
+		{"drop-newest", 0, false, true},
+		{"drop-oldest", 0, false, true},
+		{"block", 0, false, false},
+		{"drop-newest", 8, false, false},
+		{"drop-oldest", 0, true, false},
+	} {
+		err := run("127.0.0.1:0", "", 1, "latest", 1, "delta-bm", false, false,
+			0, 8, 0, 80, 1, 2, c.maxQueue, c.pol, c.adaptive, false, false, quietLogger())
+		name := fmt.Sprintf("-drop-policy %s -max-queue %d -adaptive=%v", c.pol, c.maxQueue, c.adaptive)
+		switch {
+		case err == nil:
+			t.Errorf("%s: run returned nil", name)
+		case c.refused:
+			for _, flag := range []string{"-drop-policy", "-max-queue", "-adaptive"} {
+				if !strings.Contains(err.Error(), flag) {
+					t.Errorf("%s: got %q, want an error naming %s", name, err, flag)
+				}
+			}
+		case err.Error() != restoreErr:
+			t.Errorf("%s: got %q, want it past the flag check (%q)", name, err, restoreErr)
+		}
+	}
+}
+
 func getJSON(t *testing.T, client *http.Client, url string, out any) {
 	t.Helper()
 	resp, err := client.Get(url)
