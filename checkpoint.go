@@ -11,7 +11,6 @@ import (
 	"odin/internal/detect"
 	"odin/internal/gan"
 	"odin/internal/obs"
-	"odin/internal/query"
 	"odin/internal/synth"
 )
 
@@ -139,19 +138,6 @@ func Restore(r io.Reader, opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("odin: restore: %w", err)
 	}
 
-	engine := query.NewEngine()
-	engine.SetMinScore(cfg.minScore)
-	s := &Server{
-		cfg:    cfg,
-		scene:  payload.Scene,
-		gen:    synth.GenFromState(payload.Gen),
-		engine: engine,
-	}
-	if cfg.obs {
-		s.obs = obs.New(0)
-		s.registerServerMetrics()
-	}
-
 	dagan, err := gan.FromState(payload.DAGAN)
 	if err != nil {
 		return nil, fmt.Errorf("odin: restore projector: %w", err)
@@ -160,33 +146,23 @@ func Restore(r io.Reader, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("odin: restore baseline: %w", err)
 	}
-	pipeline, trainer, reg, batcher, err := s.assemble(dagan, baseline, &payload.Pipeline, payload.Registry)
-	if err != nil {
+	s := newServer(cfg, synth.GenFromState(payload.Gen))
+	if err := s.assemble(dagan, baseline, &payload.Pipeline, payload.Registry); err != nil {
 		return nil, fmt.Errorf("odin: restore: %w", err)
 	}
-
-	s.mu.Lock()
-	s.pipeline = pipeline
-	s.dagan = dagan
-	s.baseline = baseline
-	s.batcher = batcher
-	s.trainer = trainer
-	s.registry = reg
-	s.booted = true
-	s.mu.Unlock()
-	s.obs.Event(obs.EvCheckpointRestore, "", -1, int(pipeline.Stats().ModelGen),
+	s.obs.Event(obs.EvCheckpointRestore, "", -1, int(s.pipeline.Stats().ModelGen),
 		fmt.Sprintf("%d models", len(payload.Pipeline.Manager.Models)))
 	return s, nil
 }
 
 // checkArchitectures refuses a payload whose projector or any detector
 // differs, seeds aside, from the one architecture per kind a Server builds:
-// daganConfig, and the scene's YOLO, lite and specialized detectors. Such
+// core.DAGANConfig, and the scene's YOLO, lite and specialized detectors. Such
 // a payload did not come from Checkpoint, and building what it describes
 // can divide by zero, panic on an empty convolution or allocate whatever
 // widths it declares, so Restore builds nothing before this passes.
 func checkArchitectures(p *checkpoint.Payload) error {
-	if got, want := p.DAGAN.Cfg, daganConfig(p.Scene, p.DAGAN.Cfg.Seed); !reflect.DeepEqual(got, want) {
+	if got, want := p.DAGAN.Cfg, core.DAGANConfig(p.Scene, p.DAGAN.Cfg.Seed); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("%w: projector %+v, want %+v", ErrCheckpointCorrupt, got, want)
 	}
 	h, w := p.Scene.H, p.Scene.W

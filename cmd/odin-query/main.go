@@ -34,11 +34,11 @@ func main() {
 		os.Exit(2)
 	}
 	sql := flag.Arg(0)
-
-	sub := map[string]odin.Subset{
-		"full": odin.FullData, "day": odin.DayData, "night": odin.NightData,
-		"rain": odin.RainData, "snow": odin.SnowData,
-	}[*subset]
+	sub, err := odin.ParseSubset(*subset)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "odin-query: -subset: %v\n", err)
+		os.Exit(2)
+	}
 
 	srv, err := odin.New(
 		odin.WithSeed(*seed),

@@ -27,7 +27,7 @@ import (
 // batch boundary (never mid-batch). mu guards the server pointer and the
 // session/prepared maps and is always acquired after ckptMu.
 type app struct {
-	opts  func() []odin.Option
+	opts  []odin.Option        // serving topology, for every restore
 	store *checkpoint.DirStore // nil: no durable checkpoints
 	// pprofOn mounts net/http/pprof under /debug/pprof/ (the -pprof flag).
 	// Opt-in: profiling endpoints expose heap contents and should not ride
@@ -81,10 +81,7 @@ type session struct {
 	closed bool
 }
 
-func newApp(srv *odin.Server, store *checkpoint.DirStore, opts func() []odin.Option, logger *log.Logger) *app {
-	if logger == nil {
-		logger = log.New(os.Stderr, "odin-serve: ", log.LstdFlags)
-	}
+func newApp(srv *odin.Server, store *checkpoint.DirStore, opts []odin.Option, logger *log.Logger) *app {
 	return &app{
 		opts:     opts,
 		store:    store,
@@ -244,25 +241,8 @@ func (a *app) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// subsetOf parses a subset name ("full", "day", "night", "rain", "snow").
-func subsetOf(s string) (odin.Subset, error) {
-	switch s {
-	case "", "full":
-		return odin.FullData, nil
-	case "day":
-		return odin.DayData, nil
-	case "night":
-		return odin.NightData, nil
-	case "rain":
-		return odin.RainData, nil
-	case "snow":
-		return odin.SnowData, nil
-	}
-	return 0, fmt.Errorf("unknown subset %q (want full|day|night|rain|snow)", s)
-}
-
 func (a *app) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	sub, err := subsetOf(r.URL.Query().Get("subset"))
+	sub, err := odin.ParseSubset(r.URL.Query().Get("subset"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -591,19 +571,18 @@ func (a *app) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// checkpointLocked serializes the current server. Callers hold ckptMu
-// exclusively (or have otherwise quiesced frame traffic).
-func (a *app) checkpointLocked() (string, error) {
+// checkpointLocked writes srv's checkpoint to the store. Callers hold
+// ckptMu exclusively (or have otherwise quiesced frame traffic).
+func (a *app) checkpointLocked(srv *odin.Server) (string, error) {
 	if a.store == nil {
 		return "", errors.New("no checkpoint store configured (start with -store)")
 	}
-	srv := a.server()
 	return a.store.Save(func(f *os.File) error { return srv.Checkpoint(f) })
 }
 
 func (a *app) handleCheckpointSave(w http.ResponseWriter, r *http.Request) {
 	a.ckptMu.Lock()
-	path, err := a.checkpointLocked()
+	path, err := a.checkpointLocked(a.server())
 	a.ckptMu.Unlock()
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, err)
@@ -625,24 +604,16 @@ func (a *app) handleCheckpointDownload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleRestore swaps in a server restored from req.Path, or from the
+// store's newest checkpoint when the path is empty or "latest": 409 while
+// stream sessions are open, 503 without a store to take the newest from,
+// 404 when the checkpoint cannot be found or opened, 422 when it does not
+// restore.
 func (a *app) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var req serveapi.RestoreRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		badBody(w, fmt.Errorf("decode request: %w", err))
 		return
-	}
-	path := req.Path
-	if path == "" {
-		if a.store == nil {
-			writeErr(w, http.StatusServiceUnavailable,
-				errors.New("no checkpoint store configured and no path given"))
-			return
-		}
-		var err error
-		if path, err = a.store.Latest(); err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
 	}
 
 	a.ckptMu.Lock()
@@ -656,14 +627,15 @@ func (a *app) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	a.mu.Unlock()
 
-	f, err := os.Open(path)
-	if err != nil {
+	restored, path, err := restoreServer(a.store, req.Path, a.opts)
+	switch {
+	case errors.Is(err, errNoStore):
+		writeErr(w, http.StatusServiceUnavailable, errors.New("no checkpoint store configured and no path given"))
+		return
+	case errors.As(err, new(notFound)):
 		writeErr(w, http.StatusNotFound, err)
 		return
-	}
-	defer f.Close()
-	restored, err := odin.Restore(f, a.opts()...)
-	if err != nil {
+	case err != nil:
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -710,7 +682,7 @@ func (a *app) shutdown() {
 	}
 	srv.Close()
 	if a.store != nil {
-		path, err := a.store.Save(func(f *os.File) error { return srv.Checkpoint(f) })
+		path, err := a.checkpointLocked(srv)
 		if err != nil {
 			a.logger.Printf("shutdown checkpoint failed: %v", err)
 		} else {

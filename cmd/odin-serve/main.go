@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -51,92 +52,99 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
+// config holds odin-serve's flags, one field a flag, in the order main
+// declares them.
+type config struct {
+	addr                               string
+	storeDir, restore                  string
+	retain                             int
+	seed                               uint64
+	policy                             string
+	trainAsync, dispatcher             bool
+	maxQueue                           int
+	dropPolicy                         string
+	adaptive                           bool
+	labelDelay, maxModels              int
+	minScore                           float64
+	bootFrames, bootEpochs, baseEpochs int
+	obs, pprof                         bool
+}
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8780", "listen address")
-	storeDir := flag.String("store", "", "checkpoint store directory (empty: no durable checkpoints)")
-	retain := flag.Int("retain", 3, "checkpoints to retain in the store")
-	restoreFrom := flag.String("restore", "", "warm-start source: a checkpoint path, or 'latest' for the store's newest")
-	seed := flag.Uint64("seed", 42, "bootstrap seed (ignored when restoring)")
-	policyFlag := flag.String("policy", "delta-bm", "selector policy: delta-bm, knn-u, knn-w, most-recent")
-	trainAsync := flag.Bool("train-async", true, "recover from drift asynchronously")
-	dispatcher := flag.Bool("dispatcher", false, "enable the cross-stream batch dispatcher")
-	maxQueue := flag.Int("max-queue", 0, "per-stream admission queue bound (0: no queue; sessions read their input directly, back-pressured by it)")
-	dropPolicy := flag.String("drop-policy", "block", "full-queue policy: block, drop-newest, drop-oldest (the last two need -max-queue or -adaptive)")
-	adaptive := flag.Bool("adaptive", false, "enable load-adaptive fidelity degradation under overload")
-	labelDelay := flag.Int("label-delay", 0, "frames from a drift until oracle labels arrive and the specialized model replaces the lite one, which trains at the drift (0: the default, 600)")
-	maxModels := flag.Int("max-models", 8, "maximum concurrent specialized models (ignored when restoring)")
-	minScore := flag.Float64("min-score", 0, "query score threshold override (0: engine default)")
-	bootFrames := flag.Int("bootstrap-frames", 200, "frames in the bootstrap set (ignored when restoring)")
-	bootEpochs := flag.Int("bootstrap-epochs", 3, "DA-GAN bootstrap epochs (ignored when restoring)")
-	baseEpochs := flag.Int("baseline-epochs", 4, "baseline detector epochs (ignored when restoring)")
-	obsOn := flag.Bool("obs", true, "enable the observability layer (/metrics and /v1/events)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	var cfg config
+	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8780", "listen address")
+	flag.StringVar(&cfg.storeDir, "store", "", "checkpoint store directory (empty: no durable checkpoints)")
+	flag.IntVar(&cfg.retain, "retain", 3, "checkpoints to retain in the store")
+	flag.StringVar(&cfg.restore, "restore", "", "warm-start source: a checkpoint path, or 'latest' for the store's newest")
+	flag.Uint64Var(&cfg.seed, "seed", 42, "bootstrap seed (ignored when restoring)")
+	flag.StringVar(&cfg.policy, "policy", "delta-bm", "selector policy: delta-bm, knn-u, knn-w, most-recent")
+	flag.BoolVar(&cfg.trainAsync, "train-async", true, "recover from drift asynchronously")
+	flag.BoolVar(&cfg.dispatcher, "dispatcher", false, "enable the cross-stream batch dispatcher")
+	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "per-stream admission queue bound (0: no queue; sessions read their input directly, back-pressured by it)")
+	flag.StringVar(&cfg.dropPolicy, "drop-policy", "block", "full-queue policy: block, drop-newest, drop-oldest (the last two need -max-queue or -adaptive)")
+	flag.BoolVar(&cfg.adaptive, "adaptive", false, "enable load-adaptive fidelity degradation under overload")
+	flag.IntVar(&cfg.labelDelay, "label-delay", 0, "frames from a drift until oracle labels arrive and the specialized model replaces the lite one, which trains at the drift (0: the default, 600)")
+	flag.IntVar(&cfg.maxModels, "max-models", 8, "maximum concurrent specialized models (ignored when restoring)")
+	flag.Float64Var(&cfg.minScore, "min-score", 0, "query score threshold override (0: engine default)")
+	flag.IntVar(&cfg.bootFrames, "bootstrap-frames", 200, "frames in the bootstrap set (ignored when restoring)")
+	flag.IntVar(&cfg.bootEpochs, "bootstrap-epochs", 3, "DA-GAN bootstrap epochs (ignored when restoring)")
+	flag.IntVar(&cfg.baseEpochs, "baseline-epochs", 4, "baseline detector epochs (ignored when restoring)")
+	flag.BoolVar(&cfg.obs, "obs", true, "enable the observability layer (/metrics and /v1/events)")
+	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "odin-serve: ", log.LstdFlags)
-	if err := run(*addr, *storeDir, *retain, *restoreFrom, *seed, *policyFlag,
-		*trainAsync, *dispatcher, *labelDelay, *maxModels,
-		*minScore, *bootFrames, *bootEpochs, *baseEpochs,
-		*maxQueue, *dropPolicy, *adaptive, *obsOn, *pprofOn, logger); err != nil {
+	if err := run(cfg, logger); err != nil {
 		logger.Fatal(err)
 	}
 }
 
-func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
-	policyFlag string, trainAsync, dispatcher bool,
-	labelDelay, maxModels int, minScore float64,
-	bootFrames, bootEpochs, baseEpochs int,
-	maxQueue int, dropPolicyFlag string, adaptive, obsOn, pprofOn bool, logger *log.Logger) error {
-
-	policy, err := odin.ParsePolicy(policyFlag)
+func run(cfg config, logger *log.Logger) error {
+	policy, err := odin.ParsePolicy(cfg.policy)
 	if err != nil {
 		return err
 	}
-	dropPol, err := odin.ParseDropPolicy(dropPolicyFlag)
+	dropPol, err := odin.ParseDropPolicy(cfg.dropPolicy)
 	if err != nil {
 		return err
 	}
-	if dropPol != odin.DropBlock && maxQueue <= 0 && !adaptive {
-		return fmt.Errorf("-drop-policy %s needs -max-queue or -adaptive: without a queue nothing is dropped", dropPolicyFlag)
+	if dropPol != odin.DropBlock && cfg.maxQueue <= 0 && !cfg.adaptive {
+		return fmt.Errorf("-drop-policy %s needs -max-queue or -adaptive: without a queue nothing is dropped", cfg.dropPolicy)
 	}
 
 	// Serving-topology options, shared by the fresh-boot and every restore
 	// path (including POST /v1/restore): the checkpoint carries learned
 	// state, these flags carry how to serve it.
-	opts := func() []odin.Option {
-		o := []odin.Option{
-			odin.WithPolicy(policy),
-			odin.WithTrainAsync(trainAsync),
-			odin.WithDispatcher(dispatcher),
-			odin.WithObservability(obsOn),
-		}
-		if labelDelay > 0 {
-			o = append(o, odin.WithLabelDelay(labelDelay))
-		}
-		if minScore > 0 {
-			o = append(o, odin.WithMinScore(minScore))
-		}
-		if maxQueue > 0 {
-			o = append(o, odin.WithMaxQueue(maxQueue))
-		}
-		if adaptive {
-			o = append(o, odin.WithAdaptiveFidelity(odin.AdaptiveFidelity{}))
-		}
-		if maxQueue > 0 || adaptive { // -adaptive implies a queue for the policy to act on
-			o = append(o, odin.WithDropPolicy(dropPol))
-		}
-		return o
+	opts := []odin.Option{
+		odin.WithPolicy(policy),
+		odin.WithTrainAsync(cfg.trainAsync),
+		odin.WithDispatcher(cfg.dispatcher),
+		odin.WithObservability(cfg.obs),
+	}
+	if cfg.labelDelay > 0 {
+		opts = append(opts, odin.WithLabelDelay(cfg.labelDelay))
+	}
+	if cfg.minScore > 0 {
+		opts = append(opts, odin.WithMinScore(cfg.minScore))
+	}
+	if cfg.maxQueue > 0 {
+		opts = append(opts, odin.WithMaxQueue(cfg.maxQueue))
+	}
+	if cfg.adaptive {
+		opts = append(opts, odin.WithAdaptiveFidelity(odin.AdaptiveFidelity{}))
+	}
+	if cfg.maxQueue > 0 || cfg.adaptive { // -adaptive implies a queue for the policy to act on
+		opts = append(opts, odin.WithDropPolicy(dropPol))
 	}
 
 	var store *checkpoint.DirStore
-	if storeDir != "" {
-		if store, err = checkpoint.NewDirStore(storeDir, retain); err != nil {
+	if cfg.storeDir != "" {
+		if store, err = checkpoint.NewDirStore(cfg.storeDir, cfg.retain); err != nil {
 			return err
 		}
 	}
 
-	srv, err := boot(store, restoreFrom, seed, maxModels,
-		bootFrames, bootEpochs, baseEpochs, opts, logger)
+	srv, err := boot(cfg, store, opts, logger)
 	if err != nil {
 		return err
 	}
@@ -144,9 +152,9 @@ func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
 	freeRestoreGarbage() // bootstrap leaves its training garbage the same way
 
 	a := newApp(srv, store, opts, logger)
-	a.pprofOn = pprofOn
+	a.pprofOn = cfg.pprof
 	httpSrv := &http.Server{
-		Addr:              addr,
+		Addr:              cfg.addr,
 		Handler:           a.handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
@@ -154,7 +162,7 @@ func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s", addr)
+		logger.Printf("listening on %s", cfg.addr)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -178,28 +186,10 @@ func run(addr, storeDir string, retain int, restoreFrom string, seed uint64,
 
 // boot builds the server: warm-started from a checkpoint when -restore is
 // given, cold-bootstrapped otherwise.
-func boot(store *checkpoint.DirStore, restoreFrom string, seed uint64,
-	maxModels, bootFrames, bootEpochs, baseEpochs int,
-	opts func() []odin.Option, logger *log.Logger) (*odin.Server, error) {
-
-	if restoreFrom != "" {
-		path := restoreFrom
-		if path == "latest" {
-			if store == nil {
-				return nil, errors.New("-restore latest requires -store")
-			}
-			var err error
-			if path, err = store.Latest(); err != nil {
-				return nil, err
-			}
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
+func boot(cfg config, store *checkpoint.DirStore, opts []odin.Option, logger *log.Logger) (*odin.Server, error) {
+	if cfg.restore != "" {
 		start := time.Now()
-		srv, err := odin.Restore(f, opts()...)
+		srv, path, err := restoreServer(store, cfg.restore, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -209,22 +199,54 @@ func boot(store *checkpoint.DirStore, restoreFrom string, seed uint64,
 		return srv, nil
 	}
 
-	all := append(opts(),
-		odin.WithSeed(seed),
-		odin.WithMaxModels(maxModels),
-		odin.WithBootstrapFrames(bootFrames),
-		odin.WithBootstrapEpochs(bootEpochs),
-		odin.WithBaselineEpochs(baseEpochs),
-	)
-	srv, err := odin.New(all...)
+	srv, err := odin.New(slices.Concat(opts, []odin.Option{
+		odin.WithSeed(cfg.seed),
+		odin.WithMaxModels(cfg.maxModels),
+		odin.WithBootstrapFrames(cfg.bootFrames),
+		odin.WithBootstrapEpochs(cfg.bootEpochs),
+		odin.WithBaselineEpochs(cfg.baseEpochs),
+	})...)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	logger.Printf("bootstrapping (seed %d, %d frames, %d epochs)", seed, bootFrames, bootEpochs)
+	logger.Printf("bootstrapping (seed %d, %d frames, %d epochs)", cfg.seed, cfg.bootFrames, cfg.bootEpochs)
 	if err := srv.Bootstrap(context.Background(), nil); err != nil {
 		return nil, err
 	}
 	logger.Printf("bootstrapped in %v", time.Since(start).Round(time.Millisecond))
 	return srv, nil
+}
+
+// errNoStore refuses a restore from the store's newest checkpoint when no
+// store is configured.
+var errNoStore = errors.New("-restore latest requires -store")
+
+// notFound marks a checkpoint restoreServer could not resolve or open.
+type notFound struct{ error }
+
+func (e notFound) Unwrap() error { return e.error }
+
+// restoreServer is the one restore path, -restore's and POST /v1/restore's.
+// It resolves path — "latest", or empty, names the store's newest
+// checkpoint — opens the file and warm-starts a server from it with opts,
+// and returns the path it read. It fails with errNoStore, with notFound
+// when it cannot resolve or open the file, or with odin.Restore's error.
+func restoreServer(store *checkpoint.DirStore, path string, opts []odin.Option) (*odin.Server, string, error) {
+	if path == "" || path == "latest" {
+		if store == nil {
+			return nil, "", errNoStore
+		}
+		var err error
+		if path, err = store.Latest(); err != nil {
+			return nil, "", notFound{err}
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, "", notFound{err}
+	}
+	defer f.Close()
+	srv, err := odin.Restore(f, opts...)
+	return srv, path, err
 }

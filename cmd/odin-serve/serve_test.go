@@ -143,7 +143,7 @@ func TestServeHTTPConformance(t *testing.T) {
 	// HTTP replica: same seed and options, frames over the wire, sharded
 	// session (workers=4) — ProcessBatch determinism extends over HTTP.
 	replica := quickServer(t, seed)
-	a := newApp(replica, nil, func() []odin.Option { return nil }, quietLogger())
+	a := newApp(replica, nil, nil, quietLogger())
 	ts := httptest.NewServer(a.handler())
 	defer ts.Close()
 
@@ -192,8 +192,11 @@ func TestServeRejectsIgnoredDropPolicy(t *testing.T) {
 		{"drop-newest", 8, false, false},
 		{"drop-oldest", 0, true, false},
 	} {
-		err := run("127.0.0.1:0", "", 1, "latest", 1, "delta-bm", false, false,
-			0, 8, 0, 80, 1, 2, c.maxQueue, c.pol, c.adaptive, false, false, quietLogger())
+		err := run(config{
+			addr: "127.0.0.1:0", retain: 1, restore: "latest", seed: 1, policy: "delta-bm",
+			maxModels: 8, bootFrames: 80, bootEpochs: 1, baseEpochs: 2,
+			maxQueue: c.maxQueue, dropPolicy: c.pol, adaptive: c.adaptive,
+		}, quietLogger())
 		name := fmt.Sprintf("-drop-policy %s -max-queue %d -adaptive=%v", c.pol, c.maxQueue, c.adaptive)
 		switch {
 		case err == nil:
@@ -235,7 +238,7 @@ func TestServeStatsKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newApp(srv, nil, func() []odin.Option { return nil }, quietLogger()).handler())
+	ts := httptest.NewServer(newApp(srv, nil, nil, quietLogger()).handler())
 	defer ts.Close()
 	var doc map[string]any
 	getJSON(t, ts.Client(), ts.URL+"/v1/stats", &doc)
@@ -270,7 +273,7 @@ func TestServeCheckpointRestoreEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newApp(srv, store, func() []odin.Option { return quickOptions(seed) }, quietLogger())
+	a := newApp(srv, store, quickOptions(seed), quietLogger())
 	ts := httptest.NewServer(a.handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -324,7 +327,7 @@ func TestServeSubscribeSSE(t *testing.T) {
 	srv := quickServer(t, seed)
 	frames := srv.GenerateFrames(odin.NightData, n)
 
-	a := newApp(srv, nil, func() []odin.Option { return nil }, quietLogger())
+	a := newApp(srv, nil, nil, quietLogger())
 	ts := httptest.NewServer(a.handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -389,7 +392,7 @@ func TestServeSubscribeSSE(t *testing.T) {
 // TestServeEndpointErrors covers the non-happy paths.
 func TestServeEndpointErrors(t *testing.T) {
 	srv := quickServer(t, 5)
-	a := newApp(srv, nil, func() []odin.Option { return nil }, quietLogger())
+	a := newApp(srv, nil, nil, quietLogger())
 	ts := httptest.NewServer(a.handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -458,7 +461,7 @@ func TestServeEndpointErrors(t *testing.T) {
 // the session that saw it still serves the next valid batch, in order.
 func TestServeRejectsBadFrames(t *testing.T) {
 	srv := quickServer(t, 5)
-	a := newApp(srv, nil, func() []odin.Option { return nil }, quietLogger())
+	a := newApp(srv, nil, nil, quietLogger())
 	ts := httptest.NewServer(a.handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -591,7 +594,7 @@ func stageMetric(t *testing.T, page, name, stage string) float64 {
 func TestServeWholeRequestWindows(t *testing.T) {
 	const batch, posts = 4, 50
 	srv := quickServer(t, 7, odin.WithObservability(true))
-	a := newApp(srv, nil, func() []odin.Option { return nil }, quietLogger())
+	a := newApp(srv, nil, nil, quietLogger())
 	ts := httptest.NewServer(a.handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -630,7 +633,7 @@ func TestServeShutdownCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newApp(srv, store, func() []odin.Option { return quickOptions(seed) }, quietLogger())
+	a := newApp(srv, store, quickOptions(seed), quietLogger())
 	ts := httptest.NewServer(a.handler())
 	defer ts.Close()
 
@@ -666,7 +669,7 @@ func TestServeObservabilityEndpoints(t *testing.T) {
 	const seed, perPhase = 7, 50
 
 	srv := quickServer(t, seed, odin.WithObservability(true))
-	a := newApp(srv, nil, func() []odin.Option { return nil }, quietLogger())
+	a := newApp(srv, nil, nil, quietLogger())
 	ts := httptest.NewServer(a.handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -768,7 +771,7 @@ func TestServeObservabilityEndpoints(t *testing.T) {
 // 404s both observability endpoints.
 func TestServeObservabilityDisabled(t *testing.T) {
 	srv := quickServer(t, 11)
-	a := newApp(srv, nil, func() []odin.Option { return nil }, quietLogger())
+	a := newApp(srv, nil, nil, quietLogger())
 	ts := httptest.NewServer(a.handler())
 	defer ts.Close()
 	for _, path := range []string{"/metrics", "/v1/events"} {

@@ -73,6 +73,14 @@ func (d *Detector) Project(img *synth.Image) []float64 {
 	return d.Proj.Project(encode(img))
 }
 
+// DAGANConfig is the one projector architecture ODIN builds: a DA-GAN with
+// latent 16 and hidden widths 128 and 48 over the frame halved on each side,
+// the encoding TrainDAGAN trains it on. Restore refuses a checkpoint whose
+// projector differs from it, seeds aside.
+func DAGANConfig(scene synth.SceneConfig, seed uint64) gan.Config {
+	return gan.Config{InputDim: EncodedDim(scene), Latent: 16, Hidden: []int{128, 48}, LR: 0.001, Seed: seed}
+}
+
 // TrainDAGAN is a convenience that trains a DA-GAN on held-out frames (the
 // paper's ~20K unlabeled bootstrap images, §6.2), each encoded as the
 // projector will see it, and returns it.

@@ -136,17 +136,6 @@ func (c *Context) logf(format string, args ...interface{}) {
 // Encoder returns the frame→projector-input encoder (downsample by 2).
 func (c *Context) Encoder() core.FrameEncoder { return core.DownsampleEncoder(2) }
 
-// DAGANConfig returns the scene DA-GAN architecture.
-func (c *Context) DAGANConfig() gan.Config {
-	return gan.Config{
-		InputDim: core.EncodedDim(c.Scene),
-		Latent:   16,
-		Hidden:   []int{128, 48},
-		LR:       0.001,
-		Seed:     7,
-	}
-}
-
 // DAGAN lazily trains the scene DA-GAN on bootstrap frames (§6.2: trained
 // on a held-out unlabeled subset).
 func (c *Context) DAGAN() *gan.DAGAN {
@@ -154,7 +143,7 @@ func (c *Context) DAGAN() *gan.DAGAN {
 		start := time.Now()
 		gen := synth.NewSceneGen(1, c.Scene)
 		boot := gen.Dataset(synth.FullData, c.P.BootFrames)
-		c.dagan = core.TrainDAGAN(boot, c.DAGANConfig(), c.P.DAGANEpochs, 32)
+		c.dagan = core.TrainDAGAN(boot, core.DAGANConfig(c.Scene, 7), c.P.DAGANEpochs, 32)
 		c.logf("trained DA-GAN on %d frames in %s", c.P.BootFrames, time.Since(start).Round(time.Second))
 	}
 	return c.dagan

@@ -1,6 +1,10 @@
 package synth
 
-import "odin/internal/tensor"
+import (
+	"fmt"
+
+	"odin/internal/tensor"
+)
 
 // TimeOfDay enumerates the BDD time-of-day attribute.
 type TimeOfDay int
@@ -143,6 +147,24 @@ func (s Subset) String() string {
 		return "SNOW-DATA"
 	}
 	return "UNKNOWN"
+}
+
+// ParseSubset maps a CLI name ("full", "day", "night", "rain", "snow";
+// empty means full) to its Subset.
+func ParseSubset(s string) (Subset, error) {
+	switch s {
+	case "", "full":
+		return FullData, nil
+	case "day":
+		return DayData, nil
+	case "night":
+		return NightData, nil
+	case "rain":
+		return RainData, nil
+	case "snow":
+		return SnowData, nil
+	}
+	return FullData, fmt.Errorf("synth: unknown subset %q (want full, day, night, rain or snow)", s)
 }
 
 // AllSubsets lists the five evaluation subsets in paper order.

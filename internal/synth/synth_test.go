@@ -1,7 +1,9 @@
 package synth
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"odin/internal/tensor"
@@ -229,6 +231,24 @@ func TestSubsetContains(t *testing.T) {
 	for _, c := range cases {
 		if got := c.s.Contains(c.d); got != c.want {
 			t.Fatalf("%v.Contains(%v) = %v, want %v", c.s, c.d, got, c.want)
+		}
+	}
+}
+
+// TestParseSubset: every CLI name maps to its subset, the empty name to
+// FULL-DATA, and any other name is an error that names it.
+func TestParseSubset(t *testing.T) {
+	for name, want := range map[string]Subset{
+		"": FullData, "full": FullData, "day": DayData,
+		"night": NightData, "rain": RainData, "snow": SnowData,
+	} {
+		if got, err := ParseSubset(name); err != nil || got != want {
+			t.Errorf("ParseSubset(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"fog", "FULL", "Day", "night "} {
+		if _, err := ParseSubset(name); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Errorf("ParseSubset(%q): err %v, want one naming it", name, err)
 		}
 	}
 }

@@ -91,6 +91,12 @@ func ParseDropPolicy(s string) (DropPolicy, error) {
 	return qos.ParseDropPolicy(s)
 }
 
+// ParseSubset maps a CLI string ("full", "day", "night", "rain", "snow";
+// empty means full) to a Subset.
+func ParseSubset(s string) (Subset, error) {
+	return synth.ParseSubset(s)
+}
+
 // Evaluation subsets, re-exported.
 const (
 	FullData  = synth.FullData

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"odin/internal/core"
 	"odin/internal/detect"
@@ -225,6 +226,47 @@ func TestGenerateFrames(t *testing.T) {
 	if next := srv.GenerateFrames(DayData, 1)[0]; next.Index != 5 {
 		t.Fatalf("frame after the empty requests has index %d, want 5", next.Index)
 	}
+}
+
+// TestCloseDuringBootstrap: a Close that lands while Bootstrap trains wins.
+// Bootstrap installs nothing, closes the async trainer it built and returns
+// ErrServerClosed; Stats reads zero, and no goroutine outlives the call.
+func TestCloseDuringBootstrap(t *testing.T) {
+	// The kernels' worker pool starts lazily and stays: start it first, so
+	// that the count below holds only what this server starts.
+	w := max(tensor.Parallelism(), runtime.GOMAXPROCS(0))
+	tensor.ParallelWorkers(w, w, func(int, int) {})
+
+	srv, err := New(append(fastServerOptions(13), WithTrainAsync(true))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := srv.GenerateFrames(FullData, 40)
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() { done <- srv.Bootstrap(context.Background(), boot) }()
+	for booting := false; !booting; {
+		runtime.Gosched()
+		srv.mu.Lock()
+		booting = srv.booting
+		srv.mu.Unlock()
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Bootstrap with Close landing mid-training: %v, want ErrServerClosed", err)
+	}
+	if st := srv.Stats(); st != (Stats{}) {
+		t.Fatalf("Stats after a closed Bootstrap = %+v, want zero", st)
+	}
+	var n int
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if n = runtime.NumGoroutine(); n <= before {
+			return
+		}
+	}
+	t.Fatalf("%d goroutines after Bootstrap returned, %d before it started", n, before)
 }
 
 func TestLifecycleErrors(t *testing.T) {

@@ -21,7 +21,9 @@ type config struct {
 	workers         int
 	minScore        float64
 
-	dispatcher       bool
+	dispatcher bool
+	// The dispatcher's flush bounds have no Option: only tests set them, to
+	// hold windows in the assembler until every camera has one.
 	dispatchMaxBatch int           // 0: dispatch.DefaultMaxBatch
 	dispatchLinger   time.Duration // 0: dispatch.DefaultMaxLinger
 	trainAsync       bool

@@ -89,20 +89,27 @@ func New(opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	scene := synth.DefaultSceneConfig()
+	return newServer(cfg, synth.NewSceneGen(cfg.seed, synth.DefaultSceneConfig())), nil
+}
+
+// newServer is the one Server constructor, New's and Restore's. It builds
+// the query engine with its score floor and, with WithObservability, the
+// observer with its metrics. The server holds no models until assemble
+// installs them.
+func newServer(cfg config, gen *synth.SceneGen) *Server {
 	engine := query.NewEngine()
 	engine.SetMinScore(cfg.minScore)
 	s := &Server{
 		cfg:    cfg,
-		scene:  scene,
-		gen:    synth.NewSceneGen(cfg.seed, scene),
+		scene:  synth.DefaultSceneConfig(),
+		gen:    gen,
 		engine: engine,
 	}
 	if cfg.obs {
 		s.obs = obs.New(0)
 		s.registerServerMetrics()
 	}
-	return s, nil
+	return s
 }
 
 // GenerateFrames renders frames from a subset's domain distribution — the
@@ -175,7 +182,6 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 		s.genMu.Unlock()
 	}
 
-	dgCfg := daganConfig(s.scene, s.cfg.seed+7)
 	baseCfg := detect.YOLOConfig(s.scene.H, s.scene.W)
 	baseCfg.Seed = s.cfg.seed + 9
 	baseline := detect.NewGridDetector(baseCfg)
@@ -187,53 +193,26 @@ func (s *Server) Bootstrap(ctx context.Context, boot []*Frame) error {
 		defer func() { fitted <- recover() }()
 		baseline.Fit(detect.SamplesFromFrames(boot), s.cfg.baselineEpochs, 16)
 	}()
-	dagan := core.TrainDAGAN(boot, dgCfg, s.cfg.bootstrapEpochs, 32)
+	dagan := core.TrainDAGAN(boot, core.DAGANConfig(s.scene, s.cfg.seed+7), s.cfg.bootstrapEpochs, 32)
 	if p := <-fitted; p != nil {
 		panic(p)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-
-	pipeline, trainer, reg, batcher, err := s.assemble(dagan, baseline, nil, nil)
-	if err != nil {
-		return err
-	}
-
-	s.mu.Lock()
-	if s.closed { // Close landed while training
-		s.mu.Unlock()
-		if trainer != nil {
-			trainer.Close()
-		}
-		return ErrServerClosed
-	}
-	s.pipeline = pipeline
-	s.dagan = dagan
-	s.baseline = baseline
-	s.batcher = batcher
-	s.trainer = trainer
-	s.registry = reg
-	s.booted = true
-	s.mu.Unlock()
-	return nil
-}
-
-// daganConfig is the one projector architecture a Server builds: a DA-GAN
-// with latent 16 and hidden widths 128 and 48 over the frame halved on
-// each side, the encoding Bootstrap trains it on.
-func daganConfig(scene synth.SceneConfig, seed uint64) gan.Config {
-	return gan.Config{InputDim: core.EncodedDim(scene), Latent: 16, Hidden: []int{128, 48}, LR: 0.001, Seed: seed}
+	return s.assemble(dagan, baseline, nil, nil)
 }
 
 // assemble builds the drift pipeline, the fleet subsystem (trainer,
 // registry, batcher) and the built-in query bindings around a trained
-// substrate. When restored is non-nil the pipeline continues from that
-// checkpoint snapshot instead of starting empty; regState, when non-nil,
-// seeds a private fleet registry with checkpointed entries (ignored when
-// the fleet shares a registry — that one is owned by the fleet, not this
-// server's checkpoint).
-func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, restored *core.PipelineState, regState *registry.State) (*core.Odin, *dispatch.Trainer, *registry.Registry, *dispatch.Batcher, error) {
+// substrate, and installs them: from then on the server is bootstrapped.
+// When restored is non-nil the pipeline continues from that checkpoint
+// snapshot instead of starting empty; regState, when non-nil, seeds a
+// private fleet registry with checkpointed entries (ignored when the fleet
+// shares a registry — that one is owned by the fleet, not this server's
+// checkpoint). If Close landed first — while Bootstrap trained — it closes
+// the trainer it built and returns ErrServerClosed.
+func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, restored *core.PipelineState, regState *registry.State) error {
 	cfg := core.DefaultConfig(s.scene)
 	cfg.Cluster.MaxClusters = s.cfg.maxModels
 	cfg.AsyncTrain = s.cfg.trainAsync
@@ -247,7 +226,7 @@ func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, resto
 		var err error
 		pipeline, err = core.FromSnapshot(cfg, dagan, baseline, *restored)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return err
 		}
 	} else {
 		pipeline = core.New(cfg, dagan, baseline)
@@ -269,7 +248,7 @@ func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, resto
 				reg, err = registry.FromState(*regState)
 				if err != nil {
 					trainer.Close()
-					return nil, nil, nil, nil, err
+					return err
 				}
 			default:
 				reg = registry.New(registry.DefaultCapacity)
@@ -322,7 +301,24 @@ func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, resto
 		}
 		return baseline.CountBatch(imgs, class, minScore)
 	})
-	return pipeline, trainer, reg, batcher, nil
+
+	s.mu.Lock()
+	if s.closed { // Close landed while Bootstrap trained
+		s.mu.Unlock()
+		if trainer != nil {
+			trainer.Close()
+		}
+		return ErrServerClosed
+	}
+	s.pipeline = pipeline
+	s.dagan = dagan
+	s.baseline = baseline
+	s.batcher = batcher
+	s.trainer = trainer
+	s.registry = reg
+	s.booted = true
+	s.mu.Unlock()
+	return nil
 }
 
 // alive returns ErrServerClosed after Close, nil otherwise.
