@@ -27,39 +27,51 @@ import (
 	"odin/internal/serveapi"
 )
 
+// config is one value per flag.
+type config struct {
+	addr       string
+	seed       uint64
+	perPhase   int
+	workers    int
+	batch      int
+	bootFrames int
+	bootEpochs int
+	baseEpochs int
+	wait       time.Duration
+}
+
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8780", "base URL of the odin-serve replica")
-	seed := flag.Uint64("seed", 7, "bootstrap seed (must match the replica's)")
-	perPhase := flag.Int("frames", 50, "frames per drift phase (night, day)")
-	workers := flag.Int("workers", 4, "replica stream session workers")
-	batch := flag.Int("batch", 16, "frames per HTTP batch")
-	bootFrames := flag.Int("bootstrap-frames", 80, "bootstrap frames (must match the replica's)")
-	bootEpochs := flag.Int("bootstrap-epochs", 1, "bootstrap epochs (must match the replica's)")
-	baseEpochs := flag.Int("baseline-epochs", 2, "baseline epochs (must match the replica's)")
-	wait := flag.Duration("wait", 2*time.Minute, "how long to wait for the replica to report booted")
+	var cfg config
+	flag.StringVar(&cfg.addr, "addr", "http://127.0.0.1:8780", "base URL of the odin-serve replica")
+	flag.Uint64Var(&cfg.seed, "seed", 7, "bootstrap seed (must match the replica's)")
+	flag.IntVar(&cfg.perPhase, "frames", 50, "frames per drift phase (night, day)")
+	flag.IntVar(&cfg.workers, "workers", 4, "replica stream session workers")
+	flag.IntVar(&cfg.batch, "batch", 16, "frames per HTTP batch")
+	flag.IntVar(&cfg.bootFrames, "bootstrap-frames", 80, "bootstrap frames (must match the replica's)")
+	flag.IntVar(&cfg.bootEpochs, "bootstrap-epochs", 1, "bootstrap epochs (must match the replica's)")
+	flag.IntVar(&cfg.baseEpochs, "baseline-epochs", 2, "baseline epochs (must match the replica's)")
+	flag.DurationVar(&cfg.wait, "wait", 2*time.Minute, "how long to wait for the replica to report booted")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "odin-conform: ", log.LstdFlags)
-	if err := run(*addr, *seed, *perPhase, *workers, *batch,
-		*bootFrames, *bootEpochs, *baseEpochs, *wait, logger); err != nil {
+	if err := run(cfg, logger); err != nil {
 		logger.Fatal(err)
 	}
 	logger.Print("PASS: replica fingerprints are bit-identical to in-process")
 }
 
-func run(addr string, seed uint64, perPhase, workers, batch,
-	bootFrames, bootEpochs, baseEpochs int, wait time.Duration, logger *log.Logger) error {
-
-	if err := waitBooted(addr, wait); err != nil {
+func run(cfg config, logger *log.Logger) error {
+	addr := cfg.addr
+	if err := waitBooted(addr, cfg.wait); err != nil {
 		return err
 	}
 
-	logger.Printf("bootstrapping in-process reference (seed %d)", seed)
+	logger.Printf("bootstrapping in-process reference (seed %d)", cfg.seed)
 	ref, err := odin.New(
-		odin.WithSeed(seed),
-		odin.WithBootstrapFrames(bootFrames),
-		odin.WithBootstrapEpochs(bootEpochs),
-		odin.WithBaselineEpochs(baseEpochs),
+		odin.WithSeed(cfg.seed),
+		odin.WithBootstrapFrames(cfg.bootFrames),
+		odin.WithBootstrapEpochs(cfg.bootEpochs),
+		odin.WithBaselineEpochs(cfg.baseEpochs),
 	)
 	if err != nil {
 		return err
@@ -69,8 +81,8 @@ func run(addr string, seed uint64, perPhase, workers, batch,
 		return err
 	}
 
-	frames := ref.GenerateFrames(odin.NightData, perPhase)
-	frames = append(frames, ref.GenerateFrames(odin.DayData, perPhase)...)
+	frames := ref.GenerateFrames(odin.NightData, cfg.perPhase)
+	frames = append(frames, ref.GenerateFrames(odin.DayData, cfg.perPhase)...)
 
 	st, err := ref.OpenStream(context.Background(), odin.StreamOptions{Name: "ref"})
 	if err != nil {
@@ -86,15 +98,15 @@ func run(addr string, seed uint64, perPhase, workers, batch,
 	}
 	st.Close()
 
-	logger.Printf("replaying %d frames over HTTP (%d workers, batches of %d)", len(frames), workers, batch)
+	logger.Printf("replaying %d frames over HTTP (%d workers, batches of %d)", len(frames), cfg.workers, cfg.batch)
 	var create serveapi.CreateStreamResponse
 	if err := postJSON(addr+"/v1/streams",
-		serveapi.CreateStreamRequest{Name: "conform", Workers: workers}, &create); err != nil {
+		serveapi.CreateStreamRequest{Name: "conform", Workers: cfg.workers}, &create); err != nil {
 		return err
 	}
 	mismatches := 0
-	for i := 0; i < len(frames); i += batch {
-		j := min(i+batch, len(frames))
+	for i := 0; i < len(frames); i += cfg.batch {
+		j := min(i+cfg.batch, len(frames))
 		req := serveapi.FramesRequest{}
 		for _, f := range frames[i:j] {
 			req.Frames = append(req.Frames, serveapi.FromFrame(f))

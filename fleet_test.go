@@ -243,58 +243,76 @@ func TestDispatchStreamJoinsAndLeavesMidBatch(t *testing.T) {
 	}
 }
 
-// TestDispatchCancelWithFramesInAssembler: cancelling a Run whose window
-// sits in the dispatcher's assembler (the fleet is not ready — another
-// joined camera is idle) withdraws the window: the session ends cleanly
-// and the withdrawn frames are never advanced through the pipeline.
+// TestDispatchCancelWithFramesInAssembler: ending a Run whose window sits
+// in the dispatcher's assembler (the fleet is not ready — another joined
+// camera is idle, and the linger is a minute) withdraws the window, whether
+// the session's context is cancelled or its Stream is closed: the session
+// ends within seconds, the withdrawn frames are never advanced through the
+// pipeline, and the idle camera keeps serving.
 func TestDispatchCancelWithFramesInAssembler(t *testing.T) {
-	srv, err := New(append(fastServerOptions(41),
-		WithDispatcher(true),
-		withDispatchBounds(1024, time.Minute),
-	)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Bootstrap(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	stA, err := srv.OpenStream(context.Background(), StreamOptions{Name: "cam-a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB, err := srv.OpenStream(context.Background(), StreamOptions{Name: "cam-b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxA, cancelA := context.WithCancel(context.Background())
-	inA := make(chan *Frame, 4)
-	outA := stA.Run(ctxA, inA)
-	inB := make(chan *Frame)
-	outB := stB.Run(context.Background(), inB) // joined but idle: blocks fleet-ready
+	for _, row := range []struct {
+		name string
+		end  func(cancel context.CancelFunc, st *Stream)
+	}{
+		{"cancel", func(cancel context.CancelFunc, _ *Stream) { cancel() }},
+		{"close", func(_ context.CancelFunc, st *Stream) { st.Close() }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			srv := qosServer(t, 41, WithDispatcher(true), withDispatchBounds(1024, time.Minute))
+			stA, err := srv.OpenStream(context.Background(), StreamOptions{Name: "cam-a"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stB, err := srv.OpenStream(context.Background(), StreamOptions{Name: "cam-b"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctxA, cancelA := context.WithCancel(context.Background())
+			defer cancelA()
+			inA := make(chan *Frame, 4)
+			outA := stA.Run(ctxA, inA)
+			inB := make(chan *Frame)
+			outB := stB.Run(context.Background(), inB) // joined but idle: blocks fleet-ready
 
-	for _, f := range srv.GenerateFrames(DayData, 3) {
-		inA <- f
-	}
-	// cam-a's window is now (or will shortly be) parked in the assembler;
-	// cancel while it waits for the idle fleet.
-	time.Sleep(20 * time.Millisecond)
-	cancelA()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range outA {
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled session did not end; its window was not withdrawn")
-	}
-	if got := srv.Stats().Frames; got != 0 {
-		t.Fatalf("withdrawn frames were advanced: server saw %d frames", got)
-	}
-	close(inB)
-	for range outB {
+			for _, f := range srv.GenerateFrames(DayData, 3) {
+				inA <- f
+			}
+			// cam-a's window is now (or will shortly be) parked in the
+			// assembler; end the session while it waits for the idle fleet.
+			time.Sleep(20 * time.Millisecond)
+			row.end(cancelA, stA)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for range outA {
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("ended session did not end; its window was not withdrawn")
+			}
+			if got := srv.Stats().Frames; got != 0 {
+				t.Fatalf("withdrawn frames were advanced: server saw %d frames", got)
+			}
+
+			// cam-b is the fleet now: its window flushes at once.
+			inB <- srv.GenerateFrames(DayData, 1)[0]
+			select {
+			case r := <-outB:
+				if r.Seq != 0 || r.Err != nil || r.Dropped {
+					t.Fatalf("cam-b result %+v", r)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("cam-b stopped serving after cam-a's session ended")
+			}
+			close(inB)
+			for range outB {
+			}
+			if got := srv.Stats().Frames; got != 1 {
+				t.Fatalf("server saw %d frames, want cam-b's 1", got)
+			}
+		})
 	}
 }
 

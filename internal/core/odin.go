@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"odin/internal/cluster"
@@ -34,6 +33,12 @@ type Config struct {
 	// Otherwise each frame builds and lands its own jobs before its
 	// selection, under the pipeline lock — the deterministic inline timing.
 	AsyncTrain bool
+
+	// Obs is the observability hook (stage timings, lifecycle events); nil
+	// disables it, and every obs method is nil-receiver-safe. Strictly
+	// observational: nothing read from it feeds back into processing, so
+	// it never changes a Result.
+	Obs *obs.Observer
 }
 
 // DefaultConfig returns the experiment configuration.
@@ -177,11 +182,6 @@ type Odin struct {
 	// to sink, so their training never runs under mu.
 	pendingJobs []TrainJob
 	sink        func([]TrainJob)
-
-	// obsv is the optional observability hook (stage timings, lifecycle
-	// events). Strictly observational: nothing read from it feeds back into
-	// processing. Atomic so hot-path loads never contend with mu.
-	obsv atomic.Pointer[obs.Observer]
 }
 
 // New assembles ODIN from a trained projector and a baseline heavyweight
@@ -208,19 +208,6 @@ func (o *Odin) SetTrainSink(fn func([]TrainJob)) {
 	o.mu.Unlock()
 }
 
-// SetObserver installs (or, with nil, removes) the observability hook.
-// Instrumentation is strictly observational — installing an observer must
-// not change any Result. Install before serving to capture every frame.
-func (o *Odin) SetObserver(ob *obs.Observer) {
-	o.obsv.Store(ob)
-}
-
-// observer returns the current observability hook (nil when disabled; every
-// obs method is nil-receiver-safe).
-func (o *Odin) observer() *obs.Observer {
-	return o.obsv.Load()
-}
-
 // ErrJobDropped marks a job discarded before it was built (its trainer shut
 // down). FinishJob rolls it back like a failed build, but reports it as
 // dropped rather than failed.
@@ -244,7 +231,7 @@ func (o *Odin) FinishJob(job TrainJob, m *Model, dur time.Duration, err error) b
 // whichever timing built it.
 func (o *Odin) landLocked(job TrainJob, m *Model, dur time.Duration, err error) bool {
 	installed := o.Manager.land(job, m, err != nil)
-	if ob := o.observer(); ob != nil {
+	if ob := o.Cfg.Obs; ob != nil {
 		gen := int(o.Manager.Gen())
 		switch {
 		case installed:
@@ -333,7 +320,7 @@ func (o *Odin) takeJobsLocked() ([]TrainJob, func([]TrainJob)) {
 // for the sink after the window; otherwise it builds and lands them here,
 // before the frame's selection. Caller holds o.mu.
 func (o *Odin) scheduleLocked(jobs []TrainJob) {
-	ob := o.observer()
+	ob := o.Cfg.Obs
 	for i := range jobs {
 		if c := o.Detector.Clusters.ByID(jobs[i].ClusterID); c != nil {
 			sig := c.Signature()
@@ -405,7 +392,7 @@ func (o *Odin) advanceLocked(f *synth.Frame, z []float64, fid qos.Fidelity) Plan
 		res.Drift = a.Drift
 		seeds := o.takeOutliers(a.Drift.Cluster)
 		jobs = o.Manager.OnDrift(a.Drift, seeds, o.stats.Frames)
-		if ob := o.observer(); ob != nil {
+		if ob := o.Cfg.Obs; ob != nil {
 			ob.Event(obs.EvDrift, "", a.Drift.Cluster.ID, int(o.Manager.Gen()),
 				fmt.Sprintf("%s/%d seeds", a.Drift.Cluster.Label, a.Drift.NumSeeds))
 		}
@@ -536,7 +523,7 @@ func (mm *ModelManager) selectFor(z []float64, clusters *cluster.Set, sel Select
 
 // Process runs one frame through the pipeline: Project → Advance → Execute.
 func (o *Odin) Process(f *synth.Frame) Result {
-	ob := o.observer()
+	ob := o.Cfg.Obs
 	t0 := ob.Now()
 	z := o.Project(f)
 	ob.Stage(obs.StageProject, t0, 1)

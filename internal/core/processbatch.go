@@ -81,7 +81,7 @@ func (o *Odin) processBatch(frames []*synth.Frame, workers int, fids []qos.Fidel
 		}
 	}
 
-	ob := o.observer()
+	ob := o.Cfg.Obs
 	t0 := ob.Now()
 	results := o.executeAll(frames, plans, workers)
 	ob.Stage(obs.StageDetect, t0, n)
@@ -114,7 +114,7 @@ func fidelityAt(fids []qos.Fidelity, i int) qos.Fidelity {
 // frames are excluded from projection and short-circuit inside
 // advanceLocked, so a shed frame costs only its result slot.
 func (o *Odin) advanceAll(frames []*synth.Frame, workers int, fids []qos.Fidelity) []Plan {
-	ob := o.observer()
+	ob := o.Cfg.Obs
 	t0 := ob.Now()
 	latents := o.projectAll(frames, workers, fids)
 	ob.Stage(obs.StageProject, t0, len(frames))

@@ -8,9 +8,9 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"odin/internal/core"
@@ -45,6 +45,9 @@ type Config struct {
 	MaxLinger time.Duration
 	// Workers is the ProcessBatch fan-out for merged batches. 0 picks 1.
 	Workers int
+	// Obs records merge widths and window-assembly waits; nil disables it.
+	// Strictly observational.
+	Obs *obs.Observer
 }
 
 func (c Config) withDefaults() Config {
@@ -67,7 +70,7 @@ type window struct {
 	frames []*synth.Frame
 	fids   []qos.Fidelity     // nil = full fidelity
 	res    chan []core.Result // buffered 1: flushes never block on a consumer
-	at     time.Time          // submit time; zero unless an observer is attached
+	at     time.Time          // submit time; zero without an observer
 }
 
 // Stats is batcher telemetry; the json tags are the keys of /v1/stats's
@@ -124,10 +127,6 @@ type Batcher struct {
 	lingerArmed   bool   // a live timer exists for the current timerGen
 	rrNext        uint64 // session id the weighted round-robin resumes at
 	stats         Stats
-
-	// obsv is the optional observability hook: merge widths and
-	// window-assembly waits. Strictly observational.
-	obsv atomic.Pointer[obs.Observer]
 }
 
 // NewBatcher creates a batcher over the pipeline.
@@ -137,12 +136,6 @@ func NewBatcher(pipe Pipeline, cfg Config) *Batcher {
 		cfg:      cfg.withDefaults(),
 		sessions: make(map[uint64]bool),
 	}
-}
-
-// SetObserver installs (or, with nil, removes) the observability hook.
-// Install before serving so every window's assembly wait is stamped.
-func (b *Batcher) SetObserver(ob *obs.Observer) {
-	b.obsv.Store(ob)
 }
 
 // Stats returns a snapshot of the batcher telemetry.
@@ -206,6 +199,10 @@ func (s *Session) Leave() {
 	b.process(flush)
 }
 
+// ErrAbandoned is SubmitFid's error when its done channel closed before the
+// window's results arrived.
+var ErrAbandoned = errors.New("dispatch: submit abandoned")
+
 // Submit hands one in-order window of the session's frames to the batcher
 // and blocks until the merged batch containing it has been processed,
 // returning the window's results in frame order. On ctx cancellation a
@@ -213,13 +210,15 @@ func (s *Session) Leave() {
 // processed — while a window already merged into an in-flight batch is
 // processed but its results discarded; either way Submit returns ctx.Err().
 func (s *Session) Submit(ctx context.Context, frames []*synth.Frame) ([]core.Result, error) {
-	return s.SubmitFid(ctx, frames, nil)
+	return s.SubmitFid(ctx, nil, frames, nil)
 }
 
 // SubmitFid is Submit with a per-frame fidelity assignment from the QoS
-// layer (fids[i] governs frames[i]; nil means full fidelity). Fidelities
-// ride along into the merged batch.
-func (s *Session) SubmitFid(ctx context.Context, frames []*synth.Frame, fids []qos.Fidelity) ([]core.Result, error) {
+// layer (fids[i] governs frames[i]; nil means full fidelity), which rides
+// along into the merged batch. It also stops waiting when done closes (a
+// nil done never does): the window is withdrawn or its results discarded
+// as on cancellation, and SubmitFid returns ErrAbandoned.
+func (s *Session) SubmitFid(ctx context.Context, done <-chan struct{}, frames []*synth.Frame, fids []qos.Fidelity) ([]core.Result, error) {
 	if len(frames) == 0 {
 		return nil, nil
 	}
@@ -228,7 +227,7 @@ func (s *Session) SubmitFid(ctx context.Context, frames []*synth.Frame, fids []q
 	}
 	b := s.b
 	w := &window{sessID: s.id, weight: s.weight, frames: frames, fids: fids, res: make(chan []core.Result, 1)}
-	if b.obsv.Load() != nil {
+	if b.cfg.Obs != nil {
 		w.at = time.Now()
 	}
 	b.mu.Lock()
@@ -241,19 +240,23 @@ func (s *Session) SubmitFid(ctx context.Context, frames []*synth.Frame, fids []q
 	b.mu.Unlock()
 	b.process(flush)
 
+	var err error
 	select {
 	case rs := <-w.res:
 		return rs, nil
 	case <-ctx.Done():
-		b.withdraw(w)
-		// The flush may have raced the cancellation; prefer real results.
-		select {
-		case rs := <-w.res:
-			return rs, nil
-		default:
-		}
-		return nil, ctx.Err()
+		err = ctx.Err()
+	case <-done:
+		err = ErrAbandoned
 	}
+	b.withdraw(w)
+	// The flush may have raced the cancellation; prefer real results.
+	select {
+	case rs := <-w.res:
+		return rs, nil
+	default:
+	}
+	return nil, err
 }
 
 // takeReadyLocked selects a flush if a flush condition holds — pending
@@ -445,7 +448,7 @@ func (b *Batcher) runBatch(ws []*window) {
 		total += len(w.frames)
 		degraded = degraded || w.fids != nil
 	}
-	if ob := b.obsv.Load(); ob != nil {
+	if ob := b.cfg.Obs; ob != nil {
 		ob.MergeWindows(len(ws))
 		for _, w := range ws {
 			if !w.at.IsZero() {

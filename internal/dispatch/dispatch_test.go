@@ -205,52 +205,69 @@ func TestLeaveUnblocksFleet(t *testing.T) {
 }
 
 // TestCancelWithdrawsFromAssembler: cancelling a Submit whose window is
-// still in the assembler withdraws it — the frames are never processed —
-// and later flushes exclude it.
+// still in the assembler, or closing its done channel, withdraws it — the
+// frames are never processed — and later flushes exclude it.
 func TestCancelWithdrawsFromAssembler(t *testing.T) {
-	fp := newFakePipe()
-	b := NewBatcher(fp, Config{MaxBatch: 1 << 20, MaxLinger: time.Minute})
-	a, other := b.Join(), b.Join()
-	ctx, cancel := context.WithCancel(context.Background())
-	frames := fp.frames(3)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := a.Submit(ctx, frames)
-		errc <- err
-	}()
-	for i := 0; i < 1000; i++ {
-		b.mu.Lock()
-		n := len(b.pending)
-		b.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-errc; err != context.Canceled {
-		t.Fatalf("cancelled Submit returned %v", err)
-	}
+	for _, row := range []struct {
+		name string
+		want error // what the abandoned submit returns
+	}{
+		{"cancel", context.Canceled},
+		{"done", ErrAbandoned},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			fp := newFakePipe()
+			b := NewBatcher(fp, Config{MaxBatch: 1 << 20, MaxLinger: time.Minute})
+			a, other := b.Join(), b.Join()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan struct{})
+			frames := fp.frames(3)
+			errc := make(chan error, 1)
+			go func() {
+				_, err := a.SubmitFid(ctx, done, frames, nil)
+				errc <- err
+			}()
+			for i := 0; i < 1000; i++ {
+				b.mu.Lock()
+				n := len(b.pending)
+				b.mu.Unlock()
+				if n == 1 {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if row.want == ErrAbandoned {
+				close(done)
+			} else {
+				cancel()
+			}
+			if err := <-errc; err != row.want {
+				t.Fatalf("abandoned Submit returned %v, want %v", err, row.want)
+			}
 
-	// The withdrawn frames must never appear in any batch: a leaves, and
-	// the other session's flush carries only its own frames.
-	a.Leave()
-	oframes := fp.frames(2)
-	rs, err := other.Submit(context.Background(), oframes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResults(t, fp, oframes, rs)
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	for _, batch := range fp.batches {
-		for _, fr := range batch {
-			for _, withdrawn := range frames {
-				if fr == withdrawn {
-					t.Fatal("withdrawn frame was processed")
+			// The withdrawn frames must never appear in any batch: a
+			// leaves, and the other session's flush carries only its own
+			// frames.
+			a.Leave()
+			oframes := fp.frames(2)
+			rs, err := other.Submit(context.Background(), oframes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkResults(t, fp, oframes, rs)
+			fp.mu.Lock()
+			defer fp.mu.Unlock()
+			for _, batch := range fp.batches {
+				for _, fr := range batch {
+					for _, withdrawn := range frames {
+						if fr == withdrawn {
+							t.Fatal("withdrawn frame was processed")
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

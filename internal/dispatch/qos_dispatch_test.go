@@ -230,7 +230,7 @@ func TestSubmitFidRoutesFidelities(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		rs, err := s1.SubmitFid(context.Background(), f1, fids1)
+		rs, err := s1.SubmitFid(context.Background(), nil, f1, fids1)
 		if err != nil {
 			t.Errorf("s1: %v", err)
 			return

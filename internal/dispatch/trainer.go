@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"odin/internal/core"
@@ -96,7 +95,7 @@ type queuedJob struct {
 // simply queue. A failed build — one that errors or panics — rolls back:
 // FinishJob skips the swap and the prior model keeps serving.
 //
-// With a fleet registry attached (AttachRegistry), each job is resolved
+// With a fleet registry (NewTrainer's reg), each job is resolved
 // against the fleet's recovered models before building: adopt installs a
 // cached model directly, warm-start seeds training from cached weights,
 // coalesce waits for another pipeline's in-flight build of the same regime,
@@ -110,6 +109,12 @@ type Trainer struct {
 	// when it is nil, from scratch.
 	build func(core.TrainJob, *core.Model) (*core.Model, error)
 
+	// reg is the fleet registry jobs resolve against (nil: every job builds
+	// from scratch); source names this pipeline in registry provenance and
+	// in lifecycle events.
+	reg    *registry.Registry
+	source string
+
 	mu      sync.Mutex
 	queue   []queuedJob
 	busy    bool
@@ -117,26 +122,25 @@ type Trainer struct {
 	waiters []chan struct{}
 	stats   TrainerStats
 
-	reg    *registry.Registry
-	source string
-
 	wake    chan struct{}
 	done    chan struct{}
 	closing chan struct{}
-
-	// obsv is the optional observability hook: recovery-path lifecycle
-	// events and build-duration histograms. Strictly observational.
-	obsv atomic.Pointer[obs.Observer]
 }
 
 // NewTrainer starts a trainer over the pipeline and installs itself as the
-// pipeline's train sink. Close it to stop the background goroutine.
-func NewTrainer(pipe *core.Odin) *Trainer {
+// pipeline's train sink. reg, when non-nil, is the fleet registry every job
+// carrying a regime signature is resolved against, and source names this
+// pipeline there. Lifecycle events and build durations go to the
+// pipeline's observer (pipe.Cfg.Obs). Close it to stop the background
+// goroutine.
+func NewTrainer(pipe *core.Odin, reg *registry.Registry, source string) *Trainer {
 	t := &Trainer{
 		pipe: pipe,
 		build: func(job core.TrainJob, from *core.Model) (*core.Model, error) {
 			return pipe.Manager.BuildModelFrom(job, from), nil
 		},
+		reg:     reg,
+		source:  source,
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		closing: make(chan struct{}),
@@ -144,16 +148,6 @@ func NewTrainer(pipe *core.Odin) *Trainer {
 	pipe.SetTrainSink(t.Enqueue)
 	go t.loop()
 	return t
-}
-
-// AttachRegistry connects the trainer to a fleet model registry: every
-// subsequent job carrying a regime signature is resolved against it. source
-// names this pipeline in registry provenance. Call before serving frames.
-func (t *Trainer) AttachRegistry(reg *registry.Registry, source string) {
-	t.mu.Lock()
-	t.reg = reg
-	t.source = source
-	t.mu.Unlock()
 }
 
 // SetBuild replaces the model-build function (tests inject failures with
@@ -165,24 +159,6 @@ func (t *Trainer) SetBuild(fn func(core.TrainJob, *core.Model) (*core.Model, err
 	t.mu.Unlock()
 }
 
-// SetObserver installs (or, with nil, removes) the observability hook.
-func (t *Trainer) SetObserver(ob *obs.Observer) {
-	t.obsv.Store(ob)
-}
-
-// observer returns the current hook (nil when disabled) plus the registry
-// source label naming this pipeline in events.
-func (t *Trainer) observer() (*obs.Observer, string) {
-	ob := t.obsv.Load()
-	if ob == nil {
-		return nil, ""
-	}
-	t.mu.Lock()
-	src := t.source
-	t.mu.Unlock()
-	return ob, src
-}
-
 // Stats returns a snapshot of the trainer telemetry.
 func (t *Trainer) Stats() TrainerStats {
 	t.mu.Lock()
@@ -191,7 +167,7 @@ func (t *Trainer) Stats() TrainerStats {
 }
 
 // Enqueue appends jobs to the training queue without blocking, resolving
-// each against the fleet registry (when attached) at enqueue time. Jobs
+// each against the fleet registry (when there is one) at enqueue time. Jobs
 // enqueued after Close are dropped immediately (their recoveries roll
 // back), never silently leaked.
 func (t *Trainer) Enqueue(jobs []core.TrainJob) {
@@ -250,7 +226,7 @@ func (t *Trainer) loop() {
 // pipeline's outstanding-recovery accounting stays balanced.
 func (t *Trainer) runJob(q queuedJob) {
 	job := q.job
-	ob, src := t.observer()
+	ob, src := t.pipe.Cfg.Obs, t.source
 	switch q.res.Outcome {
 	case registry.OutcomeAdopt:
 		ob.Event(obs.EvRecoveryAdopted, src, job.ClusterID, -1, "fleet model adopted")
@@ -302,8 +278,8 @@ func (t *Trainer) runScratch(job core.TrainJob, claim *registry.Claim) {
 			defer func() { claim.Publish(m, t.pipe.Stats().ModelGen) }()
 		}
 	}
-	ob, src := t.observer()
-	ob.Event(obs.EvRecoveryScratch, src, job.ClusterID, -1, "")
+	ob := t.pipe.Cfg.Obs
+	ob.Event(obs.EvRecoveryScratch, t.source, job.ClusterID, -1, "")
 	ob.BuildSeconds("scratch", dur)
 	t.finish(job, m, dur, err, &t.stats.Scratch)
 }

@@ -59,10 +59,9 @@ func waitTrainer(t *testing.T, tr *Trainer) {
 // immutable detector across pipelines.
 func TestTrainerAdoptsFromRegistry(t *testing.T) {
 	pipe, gen := trainerTestPipe(t)
-	tr := NewTrainer(pipe)
-	defer tr.Close()
 	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1")
+	tr := NewTrainer(pipe, reg, "cam1")
+	defer tr.Close()
 	tr.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
 		t.Error("adopt path must not build")
 		return nil, errors.New("unexpected build")
@@ -98,10 +97,9 @@ func TestTrainerAdoptsFromRegistry(t *testing.T) {
 // via the warm-start build path instead of scratch.
 func TestTrainerWarmStartsFromRegistry(t *testing.T) {
 	pipe, gen := trainerTestPipe(t)
-	tr := NewTrainer(pipe)
-	defer tr.Close()
 	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1")
+	tr := NewTrainer(pipe, reg, "cam1")
+	defer tr.Close()
 
 	published := seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
 	var mu sync.Mutex
@@ -136,12 +134,10 @@ func TestTrainerWarmStartsFromRegistry(t *testing.T) {
 func TestTrainerMissPublishesForFleet(t *testing.T) {
 	pipeA, genA := trainerTestPipe(t)
 	pipeB, genB := trainerTestPipe(t)
-	trA, trB := NewTrainer(pipeA), NewTrainer(pipeB)
+	reg := registry.New(4)
+	trA, trB := NewTrainer(pipeA, reg, "camA"), NewTrainer(pipeB, reg, "camB")
 	defer trA.Close()
 	defer trB.Close()
-	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA")
-	trB.AttachRegistry(reg, "camB")
 
 	trA.Enqueue([]core.TrainJob{liveJob(pipeA, genA, detect.KindLite, 5, 0)})
 	waitTrainer(t, trA)
@@ -168,12 +164,10 @@ func TestTrainerMissPublishesForFleet(t *testing.T) {
 func TestTrainerCoalescesConcurrentBuilds(t *testing.T) {
 	pipeA, genA := trainerTestPipe(t)
 	pipeB, genB := trainerTestPipe(t)
-	trA, trB := NewTrainer(pipeA), NewTrainer(pipeB)
+	reg := registry.New(4)
+	trA, trB := NewTrainer(pipeA, reg, "camA"), NewTrainer(pipeB, reg, "camB")
 	defer trA.Close()
 	defer trB.Close()
-	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA")
-	trB.AttachRegistry(reg, "camB")
 
 	release := make(chan struct{})
 	built := &core.Model{Kind: detect.KindLite, Det: detect.NewGridDetector(detect.LiteConfig(8, 8))}
@@ -212,12 +206,10 @@ func TestTrainerCoalescesConcurrentBuilds(t *testing.T) {
 func TestTrainerCoalesceFallsBackOnAbort(t *testing.T) {
 	pipeA, genA := trainerTestPipe(t)
 	pipeB, genB := trainerTestPipe(t)
-	trA, trB := NewTrainer(pipeA), NewTrainer(pipeB)
+	reg := registry.New(4)
+	trA, trB := NewTrainer(pipeA, reg, "camA"), NewTrainer(pipeB, reg, "camB")
 	defer trA.Close()
 	defer trB.Close()
-	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA")
-	trB.AttachRegistry(reg, "camB")
 
 	release := make(chan struct{})
 	trA.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
@@ -251,11 +243,9 @@ func TestTrainerCoalesceFallsBackOnAbort(t *testing.T) {
 func TestTrainerCloseDropsCoalescedWaiters(t *testing.T) {
 	pipeA, genA := trainerTestPipe(t)
 	pipeB, genB := trainerTestPipe(t)
-	trA, trB := NewTrainer(pipeA), NewTrainer(pipeB)
-	defer trA.Close()
 	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA")
-	trB.AttachRegistry(reg, "camB")
+	trA, trB := NewTrainer(pipeA, reg, "camA"), NewTrainer(pipeB, reg, "camB")
+	defer trA.Close()
 
 	release := make(chan struct{})
 	trA.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) {
@@ -299,10 +289,9 @@ func TestTrainerCloseDropsCoalescedWaiters(t *testing.T) {
 // same FinishJob downgrade guard as a trained one.
 func TestTrainerAdoptSupersededRollback(t *testing.T) {
 	pipe, gen := trainerTestPipe(t)
-	tr := NewTrainer(pipe)
-	defer tr.Close()
 	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1")
+	tr := NewTrainer(pipe, reg, "cam1")
+	defer tr.Close()
 	seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
 
 	// Land a specialized model for cluster 5 first.
@@ -335,10 +324,9 @@ func TestTrainerAdoptSupersededRollback(t *testing.T) {
 // was evicted while the job queued rolls back like any other late landing.
 func TestTrainerEvictedClusterRejectsAdopted(t *testing.T) {
 	pipe, gen := trainerTestPipe(t)
-	tr := NewTrainer(pipe)
-	defer tr.Close()
 	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1")
+	tr := NewTrainer(pipe, reg, "cam1")
+	defer tr.Close()
 	seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
 
 	job := liveJob(pipe, gen, detect.KindLite, 5, 0)

@@ -77,7 +77,7 @@ func driftOnce(t *testing.T, o *core.Odin, gen *synth.SceneGen) {
 // goroutine and swaps in; Wait observes the swap.
 func TestTrainerLandsRecovery(t *testing.T) {
 	pipe, gen := trainerTestPipe(t)
-	tr := NewTrainer(pipe)
+	tr := NewTrainer(pipe, nil, "")
 	defer tr.Close()
 
 	driftOnce(t, pipe, gen)
@@ -106,8 +106,8 @@ func TestTrainerLandsRecovery(t *testing.T) {
 func TestTrainerFailureRollsBack(t *testing.T) {
 	pipe, gen := trainerTestPipe(t)
 	ob := obs.New(16)
-	pipe.SetObserver(ob)
-	tr := NewTrainer(pipe)
+	pipe.Cfg.Obs = ob
+	tr := NewTrainer(pipe, nil, "")
 	defer tr.Close()
 	boom := errors.New("synthetic trainer crash")
 	tr.SetBuild(func(core.TrainJob, *core.Model) (*core.Model, error) { return nil, boom })
@@ -146,14 +146,12 @@ func TestTrainerFailureRollsBack(t *testing.T) {
 func TestTrainerBuildPanicRollsBack(t *testing.T) {
 	pipeA, genA := trainerTestPipe(t)
 	pipeB, genB := trainerTestPipe(t)
-	trA, trB := NewTrainer(pipeA), NewTrainer(pipeB)
+	ob := obs.New(16)
+	pipeA.Cfg.Obs = ob
+	reg := registry.New(4)
+	trA, trB := NewTrainer(pipeA, reg, "camA"), NewTrainer(pipeB, reg, "camB")
 	defer trA.Close()
 	defer trB.Close()
-	reg := registry.New(4)
-	trA.AttachRegistry(reg, "camA")
-	trB.AttachRegistry(reg, "camB")
-	ob := obs.New(16)
-	pipeA.SetObserver(ob)
 
 	release := make(chan struct{})
 	var builds atomic.Int32
@@ -195,12 +193,11 @@ func TestTrainerBuildPanicRollsBack(t *testing.T) {
 // TestTrainerWarmBuildPanicRollsBack: the same for a warm-started build.
 func TestTrainerWarmBuildPanicRollsBack(t *testing.T) {
 	pipe, gen := trainerTestPipe(t)
-	tr := NewTrainer(pipe)
-	defer tr.Close()
-	reg := registry.New(4)
-	tr.AttachRegistry(reg, "cam1")
 	ob := obs.New(16)
-	pipe.SetObserver(ob)
+	pipe.Cfg.Obs = ob
+	reg := registry.New(4)
+	tr := NewTrainer(pipe, reg, "cam1")
+	defer tr.Close()
 	seedRegistry(t, reg, 0, detect.KindLite, &core.Model{Kind: detect.KindLite})
 	tr.SetBuild(func(job core.TrainJob, from *core.Model) (*core.Model, error) {
 		if from != nil {
@@ -232,10 +229,10 @@ func TestTrainerWarmBuildPanicRollsBack(t *testing.T) {
 // is on a pool helper; it reaches the trainer, not the process.
 func TestTrainerKernelPanicRollsBack(t *testing.T) {
 	pipe, gen := trainerTestPipe(t)
-	tr := NewTrainer(pipe)
-	defer tr.Close()
 	ob := obs.New(16)
-	pipe.SetObserver(ob)
+	pipe.Cfg.Obs = ob
+	tr := NewTrainer(pipe, nil, "")
+	defer tr.Close()
 	prev := tensor.Parallelism()
 	tensor.SetParallelism(2)
 	defer tensor.SetParallelism(prev)
@@ -299,7 +296,7 @@ func TestGuardBuild(t *testing.T) {
 // their recoveries back, and still joins the goroutine mid-build.
 func TestTrainerCloseDropsQueue(t *testing.T) {
 	pipe, _ := trainerTestPipe(t)
-	tr := NewTrainer(pipe)
+	tr := NewTrainer(pipe, nil, "")
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -352,8 +349,8 @@ func TestTrainerCloseDropsQueue(t *testing.T) {
 func TestTrainerDroppedJobsAreNotFailed(t *testing.T) {
 	pipe, _ := trainerTestPipe(t)
 	ob := obs.New(16)
-	pipe.SetObserver(ob)
-	tr := NewTrainer(pipe)
+	pipe.Cfg.Obs = ob
+	tr := NewTrainer(pipe, nil, "")
 	tr.Close()
 	const n = 3
 	jobs := make([]core.TrainJob, n)

@@ -150,7 +150,7 @@ func RunTable6(c *Context, w io.Writer) Table6Result {
 	streamGen := synth.NewSceneGen(93, c.Scene)
 	frames := streamGen.Dataset(synth.FullData, c.P.Table6Frames)
 
-	eng := query.NewEngine()
+	eng := query.NewEngine(query.DefaultMinScore)
 	eng.RegisterModel("yolo", staticModel)
 	eng.RegisterModel("yolo_specialized", odinModel)
 	eng.RegisterModel("yolo_heavy", heavyModel)

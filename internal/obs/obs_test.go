@@ -147,7 +147,6 @@ func TestObserverNilSafe(t *testing.T) {
 	o.Stage(StageProject, t0, 1)
 	o.StageDur(StageDetect, time.Millisecond, 1)
 	o.Event(EvDrift, "s", 0, 0, "")
-	o.DroppedFrames(3)
 	o.RejectedFrames(1)
 	o.MergeWindows(2)
 	o.BuildSeconds("scratch", time.Second)
@@ -195,7 +194,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		"counter":   func() { c.Add(1) },
 		"histogram": func() { h.Observe(0.001) },
 		"tracer":    func() { o.Stage(StageProject, t0, 8) },
-		"dropped":   func() { o.DroppedFrames(1) },
+		"rejected":  func() { o.RejectedFrames(1) },
 		"merge":     func() { o.MergeWindows(3) },
 	}
 	for name, fn := range cases {
@@ -223,7 +222,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				}
 				o.Stage(StageAdvance, time.Now().Add(-time.Millisecond), 4)
 				o.Event(EvDrift, "cam", i, 1, "")
-				o.DroppedFrames(1)
+				o.RejectedFrames(1)
 				o.MergeWindows(i + 1)
 			}
 		}(i)

@@ -7,8 +7,8 @@ import "time"
 // unconditionally, and a server without WithObservability holds a nil
 // *Observer, making the disabled cost one predictable nil check per hook.
 //
-// Direct instrumentation (tracer stages, event counters, QoS drop/reject
-// counters, dispatcher merge widths, trainer build durations) lives here;
+// Direct instrumentation (tracer stages, event counters, the QoS reject
+// counter, dispatcher merge widths, trainer build durations) lives here;
 // counters a subsystem already maintains under its own lock (core Stats,
 // TrainerStats, RegistryStats, DispatchStats) are exported via scrape-time
 // CounterFunc/GaugeFunc callbacks instead of being double-counted on the
@@ -20,7 +20,6 @@ type Observer struct {
 
 	evCount map[string]*Counter // fixed at New; read-only afterwards
 
-	qosDropped  *Counter
 	qosRejected *Counter
 	mergeWidth  *Histogram
 	buildSecs   map[string]*Histogram // "scratch" | "warm"
@@ -42,8 +41,6 @@ func New(eventCap int) *Observer {
 			"Lifecycle events by kind (drift, recovery, fidelity, checkpoint).",
 			Label{Key: "kind", Value: kind})
 	}
-	o.qosDropped = reg.Counter("odin_qos_dropped_frames_total",
-		"Frames dropped by the bounded admission queue (drop-newest/oldest markers).")
 	o.qosRejected = reg.Counter("odin_qos_rejected_frames_total",
 		"Frames rejected by non-blocking admission offers (TryPush).")
 	o.mergeWidth = reg.Histogram("odin_dispatch_merge_windows",
@@ -109,14 +106,6 @@ func (o *Observer) Event(kind, stream string, cluster, gen int, detail string) {
 	}
 	o.evCount[kind].Inc() // nil-safe for unknown kinds
 	o.events.Append(Event{Kind: kind, Stream: stream, Cluster: cluster, Gen: gen, Detail: detail})
-}
-
-// DroppedFrames books n frames dropped by a bounded admission queue.
-func (o *Observer) DroppedFrames(n int) {
-	if o == nil {
-		return
-	}
-	o.qosDropped.Add(n)
 }
 
 // RejectedFrames books n frames rejected by non-blocking admission.

@@ -34,46 +34,35 @@ type CountModelFunc func(frames []*synth.Frame, class int, minScore float64) []i
 
 // Engine prepares and executes queries over a frame source. Registration,
 // preparation and execution are safe for concurrent use: the registries
-// and the score floor are guarded by a read-write mutex (registrations are
-// rare, queries are hot), and each prepared Plan freezes the bindings and
-// threshold it was compiled with.
+// are guarded by a read-write mutex (registrations are rare, queries are
+// hot), and each prepared Plan freezes the bindings it was compiled with.
+// The score floor is fixed at construction.
 type Engine struct {
+	// minScore is the detection-confidence floor plans compile with unless
+	// the WithMinScore prepare option overrides it.
+	minScore float64
+
 	mu          sync.RWMutex
 	models      map[string]ModelFunc
 	batchModels map[string]BatchModelFunc
 	countModels map[string]CountModelFunc
 	filters     map[string]FilterFunc
-	minScore    float64
 }
 
-// DefaultMinScore is the engine's initial detection-confidence floor.
+// DefaultMinScore is the detection-confidence floor a server's engine gets
+// unless it is configured otherwise.
 const DefaultMinScore = 0.3
 
-// NewEngine returns an engine with empty registries.
-func NewEngine() *Engine {
+// NewEngine returns an engine with empty registries and the given default
+// score floor.
+func NewEngine(minScore float64) *Engine {
 	return &Engine{
+		minScore:    minScore,
 		models:      make(map[string]ModelFunc),
 		batchModels: make(map[string]BatchModelFunc),
 		countModels: make(map[string]CountModelFunc),
 		filters:     make(map[string]FilterFunc),
-		minScore:    DefaultMinScore,
 	}
-}
-
-// SetMinScore sets the default detection-confidence floor new plans
-// inherit. Plans already prepared keep the threshold they were compiled
-// with (use the WithMinScore prepare option for a per-plan override).
-func (e *Engine) SetMinScore(s float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.minScore = s
-}
-
-// MinScore returns the engine's current default score floor.
-func (e *Engine) MinScore() float64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.minScore
 }
 
 // RegisterModel binds a model name usable in USING MODEL clauses.

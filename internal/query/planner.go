@@ -70,11 +70,10 @@ type Plan struct {
 // nesting shape; model, filter and class references are resolved against
 // the engine registries now, returning typed errors instead of failing
 // mid-execution. Predicates on levels other than the model's are validated
-// but inert, matching the executor this planner replaced. The bindings and
-// the MinScore threshold are snapshots: later registrations or threshold
-// changes do not affect an existing plan.
+// but inert, matching the executor this planner replaced. The bindings are
+// snapshots: later registrations do not affect an existing plan.
 func (e *Engine) Prepare(q *Query, opts ...PrepareOption) (*Plan, error) {
-	cfg := prepConfig{minScore: e.MinScore()}
+	cfg := prepConfig{minScore: e.minScore}
 	for _, o := range opts {
 		o(&cfg)
 	}

@@ -46,7 +46,7 @@ func TestParseErrorPaths(t *testing.T) {
 // names and bad predicates fail at Prepare with errors.Is-testable
 // sentinels, before any frame is touched.
 func TestPrepareValidation(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("m", oracleModel)
 	e.RegisterFilter("f", func(*synth.Frame) bool { return true })
 
@@ -85,7 +85,7 @@ func TestPrepareValidation(t *testing.T) {
 
 // TestExplainGolden pins the Explain rendering of representative plans.
 func TestExplainGolden(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("oracle", oracleModel)
 	e.RegisterBatchModel("batched_oracle", func(fs []*synth.Frame) [][]detect.Detection {
 		out := make([][]detect.Detection, len(fs))
@@ -141,7 +141,7 @@ func TestExplainGolden(t *testing.T) {
 // the filter level, so filtered frames never reach the model.
 func TestPlannerFlattensFilterBeforeModel(t *testing.T) {
 	frames := makeFrames(21, 12)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	seen := 0
 	e.RegisterModel("counting", func(f *synth.Frame) []detect.Detection {
 		seen++
@@ -162,12 +162,13 @@ func TestPlannerFlattensFilterBeforeModel(t *testing.T) {
 	}
 }
 
-// TestPlanMinScoreOption: the score floor is frozen per plan; plans with
-// different thresholds over the same engine disagree exactly as expected,
-// and mutating the engine default after Prepare changes nothing.
+// TestPlanMinScoreOption: the score floor is frozen per plan; a plan
+// without the option takes the engine's floor, plans with different
+// thresholds over the same engine disagree exactly as expected, and
+// rebinding the model after Prepare changes nothing.
 func TestPlanMinScoreOption(t *testing.T) {
 	frames := makeFrames(22, 6)
-	e := NewEngine()
+	e := NewEngine(0.99)
 	e.RegisterModel("half", func(f *synth.Frame) []detect.Detection {
 		out := oracleModel(f)
 		for i := range out {
@@ -187,7 +188,15 @@ func TestPlanMinScoreOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetMinScore(0.99) // must not retro-affect prepared plans
+	def, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.minScore != 0.99 {
+		t.Fatalf("plan without WithMinScore froze %v, want the engine's 0.99", def.minScore)
+	}
+	// must not retro-affect prepared plans
+	e.RegisterModel("half", func(*synth.Frame) []detect.Detection { return nil })
 
 	lres, err := loose.Execute(context.Background(), frames)
 	if err != nil {
@@ -208,14 +217,15 @@ func TestPlanMinScoreOption(t *testing.T) {
 	}
 }
 
-// TestMinScoreConcurrentAccess: SetMinScore races against concurrent
-// prepare+execute without tripping the race detector (the former bare
-// field was a data race).
+// TestMinScoreConcurrentAccess: model and filter registrations race
+// against concurrent prepare+execute, which read the registries and the
+// engine's score floor, without tripping the race detector.
 func TestMinScoreConcurrentAccess(t *testing.T) {
 	frames := makeFrames(23, 4)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("oracle", oracleModel)
-	q, err := Parse("SELECT COUNT(detections) FROM bdd USING MODEL oracle WHERE class='car'")
+	e.RegisterFilter("any", func(*synth.Frame) bool { return true })
+	q, err := Parse("SELECT COUNT(detections) FROM (SELECT * FROM bdd USING FILTER any) USING MODEL oracle WHERE class='car'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +236,8 @@ func TestMinScoreConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				if w%2 == 0 {
-					e.SetMinScore(float64(i%10) / 10)
+					e.RegisterModel("oracle", oracleModel)
+					e.RegisterFilter("any", func(*synth.Frame) bool { return true })
 					continue
 				}
 				p, err := e.Prepare(q)
@@ -248,7 +259,7 @@ func TestMinScoreConcurrentAccess(t *testing.T) {
 // path produce identical results.
 func TestPrepareExecuteMatchesRun(t *testing.T) {
 	frames := makeFrames(24, 16)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("oracle", oracleModel)
 	i := -1
 	e.RegisterFilter("odd", func(*synth.Frame) bool { i++; return i%2 == 1 })
@@ -287,7 +298,7 @@ func TestPrepareExecuteMatchesRun(t *testing.T) {
 // model would have produced.
 func TestExecuteOverMatchesExecute(t *testing.T) {
 	frames := makeFrames(25, 10)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("oracle", oracleModel)
 	q, err := Parse("SELECT COUNT(detections) FROM bdd USING MODEL oracle WHERE class='car'")
 	if err != nil {
@@ -343,7 +354,7 @@ func TestCountPushdown(t *testing.T) {
 	sql := "SELECT COUNT(detections) FROM (SELECT * FROM bdd USING FILTER odd) USING MODEL oracle WHERE class='car'"
 
 	mkEngine := func(pushdown bool, calls *int) *Engine {
-		e := NewEngine()
+		e := NewEngine(DefaultMinScore)
 		e.RegisterModel("oracle", oracleModel)
 		if pushdown {
 			e.RegisterCountModel("oracle", countingOracle(calls))
@@ -410,7 +421,7 @@ func TestCountPushdown(t *testing.T) {
 	}
 
 	// A count binding alone never makes an unregistered name valid.
-	e2 := NewEngine()
+	e2 := NewEngine(DefaultMinScore)
 	e2.RegisterCountModel("ghost", countingOracle(nil))
 	q3, _ := Parse("SELECT COUNT(detections) FROM bdd USING MODEL ghost")
 	if _, err := e2.Prepare(q3); !errors.Is(err, ErrUnknownModel) {
@@ -422,7 +433,7 @@ func TestCountPushdown(t *testing.T) {
 // is a typed execution error, not a panic or silent truncation.
 func TestCountPushdownBadBinding(t *testing.T) {
 	frames := makeFrames(28, 4)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("oracle", oracleModel)
 	e.RegisterCountModel("oracle", func(fs []*synth.Frame, class int, minScore float64) []int {
 		return make([]int, len(fs)-1)
@@ -440,7 +451,7 @@ func TestCountPushdownBadBinding(t *testing.T) {
 // TestFilterOnlyPlan: a query with no model is a pure filter scan.
 func TestFilterOnlyPlan(t *testing.T) {
 	frames := makeFrames(26, 8)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	i := -1
 	e.RegisterFilter("odd", func(*synth.Frame) bool { i++; return i%2 == 1 })
 	res, err := e.Run(context.Background(), "SELECT * FROM bdd USING FILTER odd", frames)

@@ -133,7 +133,7 @@ func makeFrames(seed uint64, n int) []*synth.Frame {
 
 func TestEngineCountWithOracle(t *testing.T) {
 	frames := makeFrames(1, 20)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("oracle", oracleModel)
 	res, err := e.Run(context.Background(), "SELECT COUNT(detections) FROM bdd USING MODEL oracle WHERE class='car'", frames)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestEngineCountWithOracle(t *testing.T) {
 
 func TestEngineNumericClassPredicate(t *testing.T) {
 	frames := makeFrames(2, 10)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("oracle", oracleModel)
 	byName, err := e.Run(context.Background(), "SELECT COUNT(detections) FROM bdd USING MODEL oracle WHERE class='truck'", frames)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestEngineNumericClassPredicate(t *testing.T) {
 
 func TestEngineFilterStage(t *testing.T) {
 	frames := makeFrames(3, 30)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("oracle", oracleModel)
 	// A filter that drops every other frame.
 	i := 0
@@ -197,7 +197,7 @@ func TestEngineFilterStage(t *testing.T) {
 
 func TestEngineUnknownNames(t *testing.T) {
 	frames := makeFrames(4, 2)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	if _, err := e.Run(context.Background(), "SELECT COUNT(detections) FROM bdd USING MODEL nope WHERE class='car'", frames); err == nil {
 		t.Fatal("unknown model should error")
 	}
@@ -222,8 +222,7 @@ func TestEngineScoreThreshold(t *testing.T) {
 		}
 		return out
 	}
-	e := NewEngine()
-	e.SetMinScore(0.3)
+	e := NewEngine(0.3)
 	e.RegisterModel("weak", lowScore)
 	res, err := e.Run(context.Background(), "SELECT COUNT(detections) FROM bdd USING MODEL weak WHERE class='car'", frames)
 	if err != nil {
@@ -310,9 +309,9 @@ func TestParseWhitespaceRobust(t *testing.T) {
 // per-frame binding of the same name.
 func TestBatchModelMatchesPerFrame(t *testing.T) {
 	frames := makeFrames(3, 24)
-	perFrame := NewEngine()
+	perFrame := NewEngine(DefaultMinScore)
 	perFrame.RegisterModel("oracle", oracleModel)
-	batch := NewEngine()
+	batch := NewEngine(DefaultMinScore)
 	// Shadowed per-frame binding returns garbage; batch must win.
 	batch.RegisterModel("oracle", func(f *synth.Frame) []detect.Detection { return nil })
 	var sawBatch int
@@ -353,7 +352,7 @@ func TestBatchModelMatchesPerFrame(t *testing.T) {
 // batch model, and their slots must report zero.
 func TestBatchModelSeesOnlyLiveFrames(t *testing.T) {
 	frames := makeFrames(4, 10)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	i := -1
 	e.RegisterFilter("odd", func(f *synth.Frame) bool { i++; return i%2 == 1 })
 	e.RegisterBatchModel("oracle", func(fs []*synth.Frame) [][]detect.Detection {
@@ -385,7 +384,7 @@ func TestBatchModelSeesOnlyLiveFrames(t *testing.T) {
 // context's error, for both per-frame and batch bindings.
 func TestRunCancelledContext(t *testing.T) {
 	frames := makeFrames(5, 8)
-	e := NewEngine()
+	e := NewEngine(DefaultMinScore)
 	e.RegisterModel("oracle", oracleModel)
 	e.RegisterBatchModel("batch", func(fs []*synth.Frame) [][]detect.Detection {
 		t.Fatal("batch model must not run under a cancelled context")

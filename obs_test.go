@@ -43,7 +43,6 @@ var goldenFamilies = map[string]string{
 	"odin_dispatch_frames_total":          "counter",
 	"odin_dispatch_partial_flushes_total": "counter",
 	"odin_events_total":                   "counter",
-	"odin_qos_dropped_frames_total":       "counter",
 	"odin_qos_rejected_frames_total":      "counter",
 	"odin_stage_frames_total":             "counter",
 	"odin_model_generation":               "gauge",
@@ -309,7 +308,7 @@ func TestObsStreamAllocFree(t *testing.T) {
 
 // TestObsDropLedgerConsistency is the cross-layer accounting contract: at
 // quiescence, the per-stream QoS drop counters, the server-level
-// Stats().Dropped ledger, and both exported drop metrics all agree.
+// Stats().Dropped ledger, and the exported drop metric all agree.
 func TestObsDropLedgerConsistency(t *testing.T) {
 	srv := obsServer(t, 5, WithMaxQueue(2), WithDropPolicy(DropNewest))
 	var streams []*Stream
@@ -348,8 +347,58 @@ func TestObsDropLedgerConsistency(t *testing.T) {
 	if got := metricValue(t, page, "odin_dropped_frames_total"); got != float64(sum) {
 		t.Fatalf("odin_dropped_frames_total %v, want %d", got, sum)
 	}
-	if got := metricValue(t, page, "odin_qos_dropped_frames_total"); got != float64(sum) {
-		t.Fatalf("odin_qos_dropped_frames_total %v, want %d", got, sum)
+}
+
+// TestObsStageFramesOncePerFrame: a Run session books every frame it
+// serves once in each serving stage on its path, and nothing in the stages
+// off it. The assembly stage is the one two layers can time: a queue-less
+// session's greedy fill, or — when the session is dispatched — the
+// dispatcher's submit-to-flush wait, which alone is recorded then.
+func TestObsStageFramesOncePerFrame(t *testing.T) {
+	const n = 40
+	always := []string{"project", "advance", "detect", "emit"}
+	for _, row := range []struct {
+		name   string
+		opts   []Option
+		stages []string // the stages on the session's path besides always
+	}{
+		{"direct", nil, []string{"assembly"}},
+		{"queue", []Option{WithMaxQueue(64)}, []string{"admission", "queue_wait"}},
+		{"dispatched", []Option{WithDispatcher(true)}, []string{"assembly"}},
+		{"queue+dispatched", []Option{WithMaxQueue(64), WithDispatcher(true)}, []string{"admission", "queue_wait", "assembly"}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			srv := obsServer(t, 7, row.opts...)
+			st, err := srv.OpenStream(context.Background(), StreamOptions{Name: "cam", MaxBatch: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			served := 0
+			for r := range st.Run(context.Background(), feedAll(srv.GenerateFrames(NightData, n))) {
+				if r.Dropped || r.Err != nil {
+					t.Fatalf("frame %d not served: %+v", r.Seq, r)
+				}
+				served++
+			}
+			if served != n {
+				t.Fatalf("served %d of %d frames", served, n)
+			}
+			on := map[string]bool{}
+			for _, stage := range append(row.stages, always...) {
+				on[stage] = true
+			}
+			page := scrape(t, srv)
+			for _, stage := range []string{"admission", "queue_wait", "assembly", "project", "advance", "detect", "emit"} {
+				want := 0
+				if on[stage] {
+					want = served
+				}
+				if got := metricValue(t, page, `odin_stage_frames_total{stage="`+stage+`"}`); got != float64(want) {
+					t.Errorf("stage %s booked %v frames, want %d", stage, got, want)
+				}
+			}
+		})
 	}
 }
 

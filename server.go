@@ -97,13 +97,11 @@ func New(opts ...Option) (*Server, error) {
 // observer with its metrics. The server holds no models until assemble
 // installs them.
 func newServer(cfg config, gen *synth.SceneGen) *Server {
-	engine := query.NewEngine()
-	engine.SetMinScore(cfg.minScore)
 	s := &Server{
 		cfg:    cfg,
 		scene:  synth.DefaultSceneConfig(),
 		gen:    gen,
-		engine: engine,
+		engine: query.NewEngine(cfg.minScore),
 	}
 	if cfg.obs {
 		s.obs = obs.New(0)
@@ -220,6 +218,7 @@ func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, resto
 		cfg.Spec.LabelDelay = s.cfg.labelDelay
 	}
 	cfg.Selector.Policy, _ = s.cfg.policy.corePolicy() // validated by WithPolicy
+	cfg.Obs = s.obs
 
 	var pipeline *core.Odin
 	if restored != nil {
@@ -233,32 +232,30 @@ func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, resto
 	}
 
 	// The fleet subsystem: the trainer takes drift recoveries off the
-	// serving path, the batcher merges Run-session windows across streams.
+	// serving path (resolving them against the fleet registry, when there
+	// is one), the batcher merges Run-session windows across streams.
 	var trainer *dispatch.Trainer
 	var reg *registry.Registry
 	if s.cfg.trainAsync {
-		trainer = dispatch.NewTrainer(pipeline)
-		trainer.SetObserver(s.obs)
+		source := ""
 		if fr := s.cfg.fleet; fr != nil {
 			switch {
 			case fr.Registry != nil:
 				reg = fr.Registry.reg
 			case regState != nil:
 				var err error
-				reg, err = registry.FromState(*regState)
-				if err != nil {
-					trainer.Close()
+				if reg, err = registry.FromState(*regState); err != nil {
 					return err
 				}
 			default:
 				reg = registry.New(registry.DefaultCapacity)
 			}
-			source := fr.Source
+			source = fr.Source
 			if source == "" {
 				source = "server"
 			}
-			trainer.AttachRegistry(reg, source)
 		}
+		trainer = dispatch.NewTrainer(pipeline, reg, source)
 	}
 	var batcher *dispatch.Batcher
 	if s.cfg.dispatcher {
@@ -266,10 +263,9 @@ func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, resto
 			MaxBatch:  s.cfg.dispatchMaxBatch,
 			MaxLinger: s.cfg.dispatchLinger,
 			Workers:   s.cfg.workers,
+			Obs:       s.obs,
 		})
-		batcher.SetObserver(s.obs)
 	}
-	pipeline.SetObserver(s.obs)
 
 	// Built-in query models: the drift-aware pipeline (sharded + batched)
 	// and the static baseline (batched forward pass).

@@ -464,24 +464,11 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 	// order get deterministic session join order (the dispatcher's merge
 	// order) regardless of goroutine scheduling.
 	var sess *dispatch.Session
-	submitCtx := ctx
-	var stopWatch context.CancelFunc
 	if bat := st.srv.dispatcher(); bat != nil {
 		sess = bat.JoinWeighted(st.weight)
-		// Submit must also wake on Stream.Close; fold st.done into the
-		// context it honours.
-		c, cancel := context.WithCancel(ctx)
-		submitCtx, stopWatch = c, cancel
-		go func() {
-			select {
-			case <-st.done:
-				cancel()
-			case <-c.Done():
-			}
-		}()
 	}
 
-	next, queue := st.windowSource(ctx, in)
+	next, queue := st.windowSource(ctx, in, sess == nil)
 	// Fidelity is per-frame data: a replay script or the live hysteresis
 	// controller picks a degradation level, qos.ForLevel maps it to each
 	// frame. Neither exists without adaptive fidelity — every frame is full.
@@ -512,7 +499,6 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 			st.qosMu.Unlock()
 		}()
 		if sess != nil {
-			defer stopWatch()
 			defer sess.Leave()
 		}
 		ob := st.srv.obs
@@ -597,7 +583,7 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 					batchFids = nil // nil is the representation of all-full
 				}
 				if sess != nil {
-					if results, err = sess.SubmitFid(submitCtx, frames, batchFids); err != nil {
+					if results, err = sess.SubmitFid(ctx, st.done, frames, batchFids); err != nil {
 						return // run context cancelled or stream closed
 					}
 				} else {
@@ -622,7 +608,6 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 				case e.DropN > 0:
 					sr.Dropped, n = true, e.DropN
 					p.AddDropped(n)
-					ob.DroppedFrames(n)
 				case bad[i] != nil:
 					sr.Err = bad[i]
 				default:
@@ -658,14 +643,20 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 // window's first frame, greedily takes whatever has already arrived, and
 // numbers the frames itself. No goroutine and no buffer sit between the
 // caller's channel and the loop, so the caller's channel is the only
-// back-pressure and a window is exactly what had arrived. With a queue an
-// intake goroutine admits frames from in under the drop policy — a
+// back-pressure and a window is exactly what had arrived. With timeFill the
+// fill is timed as the window's assembly stage; a dispatched session passes
+// false, since the dispatcher times that stage from submit to flush. With a
+// queue an intake goroutine admits frames from in under the drop policy — a
 // blocked push (DropBlock) wakes on cancellation or stream close, and
-// closing in closes the queue, which Pop reports once the backlog
-// drains — and the source is Pop.
-func (st *Stream) windowSource(ctx context.Context, in <-chan *Frame) (func() ([]qos.Entry, error), *qos.Queue) {
+// closing in closes the queue, which Pop reports once the backlog drains —
+// and the source is Pop.
+func (st *Stream) windowSource(ctx context.Context, in <-chan *Frame, timeFill bool) (func() ([]qos.Entry, error), *qos.Queue) {
 	ob := st.srv.obs
 	if st.maxQueue == 0 {
+		fillObs := ob
+		if !timeFill {
+			fillObs = nil
+		}
 		seq := 0
 		win := make([]qos.Entry, 0, st.maxBatch)
 		return func() ([]qos.Entry, error) {
@@ -681,7 +672,7 @@ func (st *Stream) windowSource(ctx context.Context, in <-chan *Frame) (func() ([
 				}
 				win = append(win, qos.Entry{Frame: f, Seq: seq})
 			}
-			tA := ob.Now()
+			tA := fillObs.Now()
 		fill:
 			for len(win) < st.maxBatch {
 				select {
@@ -695,7 +686,7 @@ func (st *Stream) windowSource(ctx context.Context, in <-chan *Frame) (func() ([
 				}
 			}
 			seq += len(win)
-			ob.Stage(obs.StageAssembly, tA, len(win))
+			fillObs.Stage(obs.StageAssembly, tA, len(win))
 			return win, nil
 		}, nil
 	}
