@@ -231,7 +231,7 @@ func TestCountBatchMatchesProcessBatch(t *testing.T) {
 	var wantCounts []int
 	const class, minScore = 0, 0.3
 	for _, res := range full.ProcessBatch(framesA, 2) {
-		wantCounts = append(wantCounts, countKept(res.Detections, class, minScore))
+		wantCounts = append(wantCounts, detect.CountClass(res.Detections, class, minScore))
 	}
 	wantStats := full.Stats()
 	if wantStats.DriftEvents == 0 {

@@ -215,7 +215,7 @@ func TestSelectorPolicies(t *testing.T) {
 
 func TestPolicyStrings(t *testing.T) {
 	for p, want := range map[Policy]string{
-		PolicyKNNU: "KNN-U", PolicyKNNW: "KNN-W", PolicyDeltaBM: "∆-BM", PolicyMostRecent: "MOST-RECENT",
+		PolicyKNNU: "knn-u", PolicyKNNW: "knn-w", PolicyDeltaBM: "delta-bm", PolicyMostRecent: "most-recent",
 	} {
 		if p.String() != want {
 			t.Fatalf("%v != %v", p.String(), want)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"odin/internal/detect"
-	"odin/internal/synth"
-)
+import "odin/internal/synth"
 
 // This file is the COUNT projection pushdown (ROADMAP follow-on from the
 // query planner split): when a query only needs per-frame detection counts,
@@ -32,18 +29,4 @@ func (o *Odin) CountBatch(frames []*synth.Frame, workers, class int, minScore fl
 		counts[i] = r.Count
 	}
 	return counts
-}
-
-// countKept counts the detections that clear minScore and match class.
-func countKept(dets []detect.Detection, class int, minScore float64) int {
-	n := 0
-	for _, d := range dets {
-		if d.Score < minScore {
-			continue
-		}
-		if class < 0 || d.Box.Class == class {
-			n++
-		}
-	}
-	return n
 }

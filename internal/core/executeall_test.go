@@ -72,7 +72,7 @@ func TestExecuteAllMatchesExecute(t *testing.T) {
 			want[i] = o.Execute(frames[i], p)
 			detected += len(want[i].Detections)
 			if count != nil {
-				want[i].Count = countKept(want[i].Detections, count.class, count.minScore)
+				want[i].Count = detect.CountClass(want[i].Detections, count.class, count.minScore)
 				want[i].Detections = nil
 			}
 		}

@@ -490,7 +490,7 @@ func (p Plan) assemble(sets [][]detect.Detection) Result {
 		res.Detections = FuseDetections(sets, weights)
 	}
 	if c := p.count; c != nil {
-		res.Count = countKept(res.Detections, c.class, c.minScore)
+		res.Count = detect.CountClass(res.Detections, c.class, c.minScore)
 		res.Detections = nil
 	}
 	return res

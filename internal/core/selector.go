@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"odin/internal/cluster"
@@ -13,32 +14,47 @@ type Policy int
 
 // Selection policies.
 const (
+	// PolicyDeltaBM picks the models of every cluster whose ∆-band
+	// contains the point, falling back to KNN-W outside all bands (the
+	// default).
+	PolicyDeltaBM Policy = iota
 	// PolicyKNNU picks the k nearest models, unweighted.
-	PolicyKNNU Policy = iota
+	PolicyKNNU
 	// PolicyKNNW picks the k nearest models, weighted inversely to
 	// distance (Equation 8).
 	PolicyKNNW
-	// PolicyDeltaBM picks the models of every cluster whose ∆-band
-	// contains the point, falling back to KNN-W outside all bands.
-	PolicyDeltaBM
 	// PolicyMostRecent always uses the most recently created model — the
 	// naive policy of the §6.7 ablation ("-SELECTOR").
 	PolicyMostRecent
 )
 
-// String returns the paper's policy name.
+// String returns the policy's CLI name (the form ParsePolicy accepts).
 func (p Policy) String() string {
 	switch p {
-	case PolicyKNNU:
-		return "KNN-U"
-	case PolicyKNNW:
-		return "KNN-W"
 	case PolicyDeltaBM:
-		return "∆-BM"
+		return "delta-bm"
+	case PolicyKNNU:
+		return "knn-u"
+	case PolicyKNNW:
+		return "knn-w"
 	case PolicyMostRecent:
-		return "MOST-RECENT"
+		return "most-recent"
 	}
-	return "unknown"
+	return fmt.Sprintf("policy(%d)", int(p))
+}
+
+// ParsePolicy maps a CLI name ("delta-bm", "knn-u", "knn-w",
+// "most-recent"; empty means the default) to a Policy.
+func ParsePolicy(s string) (Policy, error) {
+	for p := PolicyDeltaBM; p <= PolicyMostRecent; p++ {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	if s == "" {
+		return PolicyDeltaBM, nil
+	}
+	return PolicyDeltaBM, fmt.Errorf("odin: unknown policy %q", s)
 }
 
 // WeightedModel is one model chosen by the selector with its ensemble

@@ -25,8 +25,8 @@ func countTestImgs(n int) []*synth.Image {
 
 // TestCountBatchMatchesDetectBatch is the pushdown correctness gate: for
 // every class/score combination, CountBatch must equal the filtered
-// DetectBatch output exactly — same decode arithmetic, same (stable) NMS
-// suppression.
+// DetectBatch output exactly — both read decodeRow's survivors through
+// CountClass's predicate.
 func TestCountBatchMatchesDetectBatch(t *testing.T) {
 	scene := synth.DefaultSceneConfig()
 	g := NewGridDetector(YOLOConfig(scene.H, scene.W))
@@ -88,8 +88,8 @@ func mallocsPerCall(fn func()) float64 {
 // allocates is a constant (the counts slice, pooled scratch churn, the
 // range closures of its parallel kernel calls) that does not grow with the
 // batch: the pin is the slope between a 16- and a 64-frame batch, so it
-// holds at any core count. DetectBatch necessarily allocates several
-// objects per frame just for the boxes.
+// holds at any core count. DetectBatch allocates one slice per frame with
+// boxes, for the boxes.
 func TestCountBatchBoxAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool reuse is randomised)")

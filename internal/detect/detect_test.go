@@ -267,6 +267,9 @@ func TestCountClass(t *testing.T) {
 	if CountClass(dets, 0, 0) != 2 {
 		t.Fatal("CountClass without threshold")
 	}
+	if CountClass(dets, -1, 0.5) != 2 {
+		t.Fatal("CountClass with class < 0 must count every class")
+	}
 }
 
 func TestKindString(t *testing.T) {
@@ -371,6 +374,20 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	// matrix (input wrapper included) is recycled.
 	if avg > 12 {
 		t.Fatalf("Detect allocates %.0f/op at steady state, want recycled wrapper + pooled pass (≤12)", avg)
+	}
+
+	// With every cell firing, decoding and suppressing run in pooled
+	// scratch: the frame's kept boxes are its one extra allocation. (The
+	// race detector randomises sync.Pool reuse, so it cannot hold there.)
+	if raceEnabled {
+		return
+	}
+	d.ScoreThreshold = 0
+	if k := len(d.Detect(img)); k == 0 {
+		t.Fatal("no box survived with every cell firing")
+	}
+	if boxes := testing.AllocsPerRun(20, func() { d.Detect(img) }); boxes != avg+1 {
+		t.Fatalf("Detect allocates %.0f/op with boxes, %.0f without: want exactly one more (the kept boxes)", boxes, avg)
 	}
 }
 

@@ -10,7 +10,7 @@ package detect
 import (
 	"fmt"
 	"math"
-	"sort"
+	"sync"
 
 	"odin/internal/nn"
 	"odin/internal/synth"
@@ -201,37 +201,84 @@ func (g *GridDetector) Detect(img *synth.Image) []Detection {
 }
 
 // DetectBatch runs the network on many frames at once and decodes each
-// frame's head row.
+// frame's head row. Each frame's boxes are a slice of their own, nil when
+// none survive.
 func (g *GridDetector) DetectBatch(imgs []*synth.Image) [][]Detection {
 	if len(imgs) == 0 {
 		return nil
 	}
-	out := g.predict(imgs)
 	res := make([][]Detection, len(imgs))
-	for i := range imgs {
-		res[i] = g.decode(out.Row(i))
-	}
-	nn.Recycle(out)
+	g.decodeEach(imgs, func(i int, kept []Detection) {
+		if len(kept) > 0 {
+			res[i] = make([]Detection, len(kept))
+			copy(res[i], kept)
+		}
+	})
 	return res
 }
 
-// decode converts one raw head output row into thresholded, NMS-filtered
-// detections.
-func (g *GridDetector) decode(row []float64) []Detection {
+// CountBatch counts, per image, the detections DetectBatch would return
+// that clear minScore and match class (CountClass's predicate), without
+// materialising them: the COUNT projection pushdown. Like Detect, it
+// mutates no detector state and is safe for concurrent use.
+func (g *GridDetector) CountBatch(imgs []*synth.Image, class int, minScore float64) []int {
+	if len(imgs) == 0 {
+		return nil
+	}
+	counts := make([]int, len(imgs))
+	g.decodeEach(imgs, func(i int, kept []Detection) {
+		counts[i] = CountClass(kept, class, minScore)
+	})
+	return counts
+}
+
+// decodeScratch is the working set of decodeRow: the candidate boxes and
+// one cell's class logits and probabilities. It is pooled with sync.Pool
+// rather than the workspace pool because decoding runs concurrently across
+// stream shards and the slices are tiny.
+type decodeScratch struct {
+	dets          []Detection
+	logits, probs []float64
+}
+
+var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// decodeEach runs the network on imgs in one batched pass and hands each
+// frame's post-NMS boxes to use. The boxes live in pooled scratch that the
+// next frame overwrites.
+func (g *GridDetector) decodeEach(imgs []*synth.Image, use func(i int, kept []Detection)) {
+	out := g.predict(imgs)
+	sc := decodePool.Get().(*decodeScratch)
+	for i := range imgs {
+		use(i, g.decodeRow(out.Row(i), sc))
+	}
+	decodePool.Put(sc)
+	nn.Recycle(out)
+}
+
+// decodeRow converts one raw head output row into thresholded,
+// NMS-filtered detections held in sc: each cell whose objectness clears
+// ScoreThreshold proposes one box of its most probable class.
+func (g *GridDetector) decodeRow(row []float64, sc *decodeScratch) []Detection {
 	cellW := float64(g.Cfg.W) / float64(g.GW)
 	cellH := float64(g.Cfg.H) / float64(g.GH)
-	var dets []Detection
+	if cap(sc.logits) < g.Cfg.Classes {
+		sc.logits = make([]float64, g.Cfg.Classes)
+		sc.probs = make([]float64, g.Cfg.Classes)
+	}
+	logits := sc.logits[:g.Cfg.Classes]
+	probs := sc.probs[:g.Cfg.Classes]
+	dets := sc.dets[:0]
 	for gy := 0; gy < g.GH; gy++ {
 		for gx := 0; gx < g.GW; gx++ {
 			obj := nn.SigmoidScalar(row[g.cellIndex(0, gy, gx)])
 			if obj < g.ScoreThreshold {
 				continue
 			}
-			logits := make([]float64, g.Cfg.Classes)
-			for c := 0; c < g.Cfg.Classes; c++ {
+			for c := range logits {
 				logits[c] = row[g.cellIndex(1+c, gy, gx)]
 			}
-			probs := nn.Softmax(logits)
+			nn.SoftmaxInto(probs, logits)
 			bestC, bestP := 0, probs[0]
 			for c, p := range probs {
 				if p > bestP {
@@ -256,32 +303,45 @@ func (g *GridDetector) decode(row []float64) []Detection {
 			})
 		}
 	}
-	return NMS(dets, g.NMSIoU)
+	sc.dets = dets
+	return suppress(dets, g.NMSIoU)
 }
 
-// NMS applies per-class non-maximum suppression, keeping the highest-score
-// box of each overlapping group. The sort is stable so the counting path
-// (count.go), which sorts in place without allocating, suppresses exactly
-// the same boxes on score ties.
+// NMS applies per-class non-maximum suppression in place (see suppress)
+// and returns the survivors, highest score first; nil when dets is empty.
 func NMS(dets []Detection, iouThr float64) []Detection {
-	sort.SliceStable(dets, func(a, b int) bool { return dets[a].Score > dets[b].Score })
-	var keep []Detection
-	suppressed := make([]bool, len(dets))
-	for i := range dets {
-		if suppressed[i] {
-			continue
-		}
-		keep = append(keep, dets[i])
-		for j := i + 1; j < len(dets); j++ {
-			if suppressed[j] || dets[j].Box.Class != dets[i].Box.Class {
-				continue
-			}
-			if dets[i].Box.IoU(dets[j].Box) > iouThr {
-				suppressed[j] = true
-			}
-		}
+	if kept := suppress(dets, iouThr); len(kept) > 0 {
+		return kept
 	}
-	return keep
+	return nil
+}
+
+// suppress is per-class non-maximum suppression in place: a stable sort by
+// descending score (so score ties keep their decode order), then each box
+// survives unless a surviving box of its class overlaps it by more than
+// iouThr. The survivors move to the front of dets, which is returned
+// truncated to them.
+func suppress(dets []Detection, iouThr float64) []Detection {
+	for i := 1; i < len(dets); i++ {
+		d := dets[i]
+		j := i - 1
+		for ; j >= 0 && dets[j].Score < d.Score; j-- {
+			dets[j+1] = dets[j]
+		}
+		dets[j+1] = d
+	}
+	n := 0
+next:
+	for _, d := range dets {
+		for _, k := range dets[:n] {
+			if k.Box.Class == d.Box.Class && k.Box.IoU(d.Box) > iouThr {
+				continue next
+			}
+		}
+		dets[n] = d
+		n++
+	}
+	return dets[:n]
 }
 
 // buildTargets encodes ground-truth boxes into the head's target layout and
@@ -341,6 +401,8 @@ func (g *GridDetector) lossGrad(row, target []float64, objMask []bool) (float64,
 		lambdaClass = 1.0
 	)
 	grad := make([]float64, len(row))
+	logits := make([]float64, g.Cfg.Classes)
+	probs := make([]float64, g.Cfg.Classes)
 	var loss float64
 	cells := g.GH * g.GW
 	for cell := 0; cell < cells; cell++ {
@@ -361,7 +423,6 @@ func (g *GridDetector) lossGrad(row, target []float64, objMask []bool) (float64,
 			continue
 		}
 		// Class cross-entropy over softmax.
-		logits := make([]float64, g.Cfg.Classes)
 		var tc int
 		for c := 0; c < g.Cfg.Classes; c++ {
 			logits[c] = row[g.cellIndex(1+c, gy, gx)]
@@ -369,7 +430,7 @@ func (g *GridDetector) lossGrad(row, target []float64, objMask []bool) (float64,
 				tc = c
 			}
 		}
-		probs := nn.Softmax(logits)
+		nn.SoftmaxInto(probs, logits)
 		loss += -lambdaClass * math.Log(math.Max(probs[tc], 1e-9))
 		for c := 0; c < g.Cfg.Classes; c++ {
 			ci := g.cellIndex(1+c, gy, gx)

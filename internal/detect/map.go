@@ -151,12 +151,13 @@ func EvaluateDetector(d Detector, frames []*synth.Frame, iouThr float64) EvalRes
 	return MeanAveragePrecision(detectAll(d, imgs), truth, iouThr)
 }
 
-// CountClass counts detections of a class above a score threshold — the
-// primitive behind the paper's aggregation queries (§6.6).
+// CountClass counts the detections that clear minScore and match class
+// (class < 0 matches every class) — the primitive behind the paper's
+// aggregation queries (§6.6).
 func CountClass(dets []Detection, class int, minScore float64) int {
 	n := 0
 	for _, d := range dets {
-		if d.Box.Class == class && d.Score >= minScore {
+		if d.Score >= minScore && (class < 0 || d.Box.Class == class) {
 			n++
 		}
 	}

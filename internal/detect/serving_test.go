@@ -49,10 +49,11 @@ func sameDetections(a, b []Detection) bool {
 	return true
 }
 
-// TestDetectBatchParity: DetectBatch ≡ Detect frame by frame ≡ decode of the
-// layer-by-layer head rows, and CountBatch counts exactly those boxes — for
-// the pruned, the distilled and the BatchNorm-carrying configuration, at a
-// single frame and at a block with a remainder.
+// TestDetectBatchParity: DetectBatch ≡ Detect frame by frame ≡ the reference
+// decoder (refDecode) on the layer-by-layer head rows, and CountBatch
+// counts exactly those boxes — for the pruned, the distilled and the
+// BatchNorm-carrying configuration, at a single frame and at a block with a
+// remainder.
 func TestDetectBatchParity(t *testing.T) {
 	scene := synth.DefaultSceneConfig()
 	imgs := countTestImgs(11)
@@ -69,7 +70,7 @@ func TestDetectBatchParity(t *testing.T) {
 				if single := g.Detect(imgs[i]); !sameDetections(batch[i], single) {
 					t.Fatalf("%s n=%d frame %d: DetectBatch has %d boxes, Detect %d, or they differ", name, n, i, len(batch[i]), len(single))
 				}
-				if want := g.decode(rows.Row(i)); !sameDetections(batch[i], want) {
+				if want := refDecode(g, rows.Row(i)); !sameDetections(batch[i], want) {
 					t.Fatalf("%s n=%d frame %d: DetectBatch differs from the layers run one by one (%d boxes against %d)", name, n, i, len(batch[i]), len(want))
 				}
 				if counts[i] != len(batch[i]) {

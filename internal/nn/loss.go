@@ -73,21 +73,10 @@ func BCEScalarTarget(pred *tensor.Mat, target float64) (float64, *tensor.Mat) {
 	return bceScalarImpl(pred.V, target, grad.V), grad
 }
 
-// Softmax returns the softmax of a logit row.
-func Softmax(row []float64) []float64 { return softmax(row) }
-
 // SoftmaxInto writes softmax(row) into out (len(out) == len(row)) without
-// allocating — the single source of the softmax op order, so callers that
-// avoid the allocating Softmax still get bit-identical probabilities.
-func SoftmaxInto(out, row []float64) { softmaxInto(out, row) }
-
-func softmax(row []float64) []float64 {
-	out := make([]float64, len(row))
-	softmaxInto(out, row)
-	return out
-}
-
-func softmaxInto(out, row []float64) {
+// allocating — the single source of the softmax op order, so decoding and
+// training compute bit-identical probabilities.
+func SoftmaxInto(out, row []float64) {
 	maxv := math.Inf(-1)
 	for _, v := range row {
 		if v > maxv {

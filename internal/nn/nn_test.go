@@ -42,7 +42,8 @@ func TestSoftmaxNormalised(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
 		row := rng.NormVec(5)
-		p := Softmax(row)
+		p := make([]float64, len(row))
+		SoftmaxInto(p, row)
 		var sum float64
 		for _, v := range p {
 			if v < 0 || v > 1 {

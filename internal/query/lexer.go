@@ -7,6 +7,8 @@ package query
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -39,6 +41,13 @@ var keywords = map[string]bool{
 	"SELECT": true, "COUNT": true, "FROM": true, "USING": true,
 	"MODEL": true, "FILTER": true, "WHERE": true, "AND": true,
 }
+
+// IsKeyword reports whether word, in any case, is a reserved word of the
+// dialect: Lex reads it as a keyword, never as an identifier.
+func IsKeyword(word string) bool { return keywords[strings.ToUpper(word)] }
+
+// Keywords returns the dialect's reserved words, upper case and sorted.
+func Keywords() []string { return slices.Sorted(maps.Keys(keywords)) }
 
 // Lex tokenises a query string. Keywords are case-insensitive; identifiers
 // keep their case.
@@ -91,7 +100,7 @@ func Lex(input string) ([]Token, error) {
 				j++
 			}
 			word := input[i:j]
-			if keywords[strings.ToUpper(word)] {
+			if IsKeyword(word) {
 				toks = append(toks, Token{TokKeyword, strings.ToUpper(word), i})
 			} else {
 				toks = append(toks, Token{TokIdent, word, i})

@@ -297,12 +297,7 @@ func (p *Plan) runFilters(frames []*synth.Frame, live []bool, res *Result) {
 // materialising the kept detections.
 func (p *Plan) reduceInto(res *Result, i int, dets []detect.Detection) {
 	if p.sel == SelectCount {
-		n := 0
-		for _, d := range dets {
-			if p.keeps(d) {
-				n++
-			}
-		}
+		n := detect.CountClass(dets, p.class, p.minScore)
 		res.PerFrame[i] = n
 		res.Count += n
 		return

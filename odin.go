@@ -30,8 +30,6 @@
 package odin
 
 import (
-	"fmt"
-
 	"odin/internal/core"
 	"odin/internal/detect"
 	"odin/internal/qos"
@@ -67,6 +65,8 @@ type (
 	// DropPolicy selects what a full admission queue (WithMaxQueue) does
 	// with new frames.
 	DropPolicy = qos.DropPolicy
+	// Policy selects the SELECTOR's model-ensemble policy (§5.3).
+	Policy = core.Policy
 )
 
 // Fidelity ladder, re-exported (see WithAdaptiveFidelity). Ordered from
@@ -115,65 +115,22 @@ const (
 	ClassSign         = synth.ClassSign
 )
 
-// Policy selects the SELECTOR's model-ensemble policy (§5.3).
-type Policy int
-
-// Selection policies.
+// Selection policies of the SELECTOR (§5.3), re-exported (see WithPolicy).
 const (
 	// PolicyDeltaBM runs the models of every cluster whose ∆-band contains
 	// the frame, falling back to KNN-W outside all bands (the default).
-	PolicyDeltaBM Policy = iota
+	PolicyDeltaBM = core.PolicyDeltaBM
 	// PolicyKNNU runs the k nearest models, unweighted.
-	PolicyKNNU
+	PolicyKNNU = core.PolicyKNNU
 	// PolicyKNNW runs the k nearest models, weighted inversely to distance.
-	PolicyKNNW
+	PolicyKNNW = core.PolicyKNNW
 	// PolicyMostRecent always runs the most recently trained model (the
 	// "-SELECTOR" ablation).
-	PolicyMostRecent
+	PolicyMostRecent = core.PolicyMostRecent
 )
-
-// String returns the policy's CLI name (the form ParsePolicy accepts).
-func (p Policy) String() string {
-	switch p {
-	case PolicyDeltaBM:
-		return "delta-bm"
-	case PolicyKNNU:
-		return "knn-u"
-	case PolicyKNNW:
-		return "knn-w"
-	case PolicyMostRecent:
-		return "most-recent"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
 
 // ParsePolicy maps a CLI string ("delta-bm", "knn-u", "knn-w",
 // "most-recent"; empty means the default) to a Policy.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "delta-bm":
-		return PolicyDeltaBM, nil
-	case "knn-u":
-		return PolicyKNNU, nil
-	case "knn-w":
-		return PolicyKNNW, nil
-	case "most-recent":
-		return PolicyMostRecent, nil
-	}
-	return PolicyDeltaBM, fmt.Errorf("odin: unknown policy %q", s)
-}
-
-// corePolicy maps the public constant to the internal selector policy.
-func (p Policy) corePolicy() (core.Policy, error) {
-	switch p {
-	case PolicyDeltaBM:
-		return core.PolicyDeltaBM, nil
-	case PolicyKNNU:
-		return core.PolicyKNNU, nil
-	case PolicyKNNW:
-		return core.PolicyKNNW, nil
-	case PolicyMostRecent:
-		return core.PolicyMostRecent, nil
-	}
-	return core.PolicyDeltaBM, fmt.Errorf("odin: invalid policy %v", int(p))
+	return core.ParsePolicy(s)
 }

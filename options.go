@@ -137,8 +137,10 @@ func WithMaxModels(n int) Option {
 // WithPolicy selects the SELECTOR policy (default PolicyDeltaBM).
 func WithPolicy(p Policy) Option {
 	return func(c *config) error {
-		if _, err := p.corePolicy(); err != nil {
-			return err
+		switch p {
+		case PolicyDeltaBM, PolicyKNNU, PolicyKNNW, PolicyMostRecent:
+		default:
+			return fmt.Errorf("odin: invalid policy %d", int(p))
 		}
 		c.policy = p
 		return nil

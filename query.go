@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"odin/internal/query"
 )
@@ -94,13 +93,6 @@ func Select(p Projection) *Query {
 	return q
 }
 
-// dialectKeywords are spellings the lexer reserves; a name that collides
-// with one would render as a keyword token and break the SQL round trip.
-var dialectKeywords = map[string]bool{
-	"SELECT": true, "COUNT": true, "FROM": true, "USING": true,
-	"MODEL": true, "FILTER": true, "WHERE": true, "AND": true,
-}
-
 // validIdent reports whether s is a dialect identifier — a letter or '_'
 // followed by letters, digits, '_' or '-', and not a reserved keyword —
 // so every name the builder accepts renders back to parseable SQL.
@@ -113,7 +105,7 @@ func validIdent(s string) bool {
 			return false
 		}
 	}
-	return s != "" && !dialectKeywords[strings.ToUpper(s)]
+	return s != "" && !query.IsKeyword(s)
 }
 
 // From names the frame source (diagnostics and Explain output only). The

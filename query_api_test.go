@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+
+	"odin/internal/query"
 )
 
 // oracle returns ground-truth boxes as perfect detections — a cheap,
@@ -51,6 +54,20 @@ func TestQueryBuilderConstructionErrors(t *testing.T) {
 		{"keyword model", Select(Count).UsingModel("count")},
 		{"conflicting models", Select(Count).UsingModel("odin").UsingModel("yolo")},
 		{"bad min score", Select(Count).UsingModel("odin").WithMinScore(1.5)},
+	}
+	// Every word the lexer reserves, in any case, as a source, filter or
+	// model name: the builder must refuse what would render unparseable SQL.
+	for _, kw := range query.Keywords() {
+		for _, name := range []string{kw, strings.ToLower(kw), kw[:1] + strings.ToLower(kw[1:])} {
+			cases = append(cases, []struct {
+				name string
+				q    *Query
+			}{
+				{"keyword source " + name, Select(Count).From(name).UsingModel("odin")},
+				{"keyword filter " + name, Select(Count).UsingModel("odin").UsingFilter(name)},
+				{"keyword model " + name, Select(Count).UsingModel(name)},
+			}...)
+		}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -217,7 +217,7 @@ func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, resto
 	if s.cfg.labelDelay > 0 {
 		cfg.Spec.LabelDelay = s.cfg.labelDelay
 	}
-	cfg.Selector.Policy, _ = s.cfg.policy.corePolicy() // validated by WithPolicy
+	cfg.Selector.Policy = s.cfg.policy
 	cfg.Obs = s.obs
 
 	var pipeline *core.Odin
