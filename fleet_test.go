@@ -8,17 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"odin/internal/dispatch"
 	"odin/internal/qos"
 )
 
-// withDispatchBounds overrides the dispatcher's flush threshold and linger
-// so a test can hold windows in the assembler until the fleet is ready.
-func withDispatchBounds(maxBatch int, linger time.Duration) Option {
-	return func(c *config) error {
-		c.dispatchMaxBatch = maxBatch
-		c.dispatchLinger = linger
-		return nil
-	}
+// holdDispatch replaces s's dispatcher with one whose flush bounds (1024
+// frames, a minute's linger) hold windows in the assembler until every
+// joined camera has one. Call it before any stream opens.
+func holdDispatch(s *Server) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.batcher = dispatch.NewBatcher(s.pipeline, dispatch.Config{MaxBatch: 1024, MaxLinger: time.Minute, Workers: s.cfg.workers, Obs: s.obs})
 }
 
 // TestDispatchAsyncRecoveryConverges: with the full fleet mode on
@@ -258,7 +258,8 @@ func TestDispatchCancelWithFramesInAssembler(t *testing.T) {
 		{"close", func(_ context.CancelFunc, st *Stream) { st.Close() }},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			srv := qosServer(t, 41, WithDispatcher(true), withDispatchBounds(1024, time.Minute))
+			srv := qosServer(t, 41, WithDispatcher(true))
+			holdDispatch(srv)
 			stA, err := srv.OpenStream(context.Background(), StreamOptions{Name: "cam-a"})
 			if err != nil {
 				t.Fatal(err)

@@ -72,20 +72,19 @@ func TestDetectorObserveFormsClusters(t *testing.T) {
 
 	var drift bool
 	for i := 0; i < 300; i++ {
-		obs := d.Observe(gen.GenerateSubset(synth.DayData).Image)
-		if obs.Assignment.Drift != nil {
-			drift = true
-		}
-		if len(obs.Latent) != 8 {
+		z := d.Project(gen.GenerateSubset(synth.DayData).Image)
+		if len(z) != 8 {
 			t.Fatal("latent dim")
+		}
+		if d.Clusters.Observe(z).Drift != nil {
+			drift = true
 		}
 	}
 	if !drift {
 		t.Fatal("stationary day stream should form a cluster")
 	}
 	// A night frame must be an outlier for the day cluster.
-	obs := d.Observe(gen.GenerateSubset(synth.NightData).Image)
-	if !obs.Assignment.Outlier {
+	if !d.Clusters.Observe(d.Project(gen.GenerateSubset(synth.NightData).Image)).Outlier {
 		t.Fatal("night frame should be an outlier of the day cluster")
 	}
 }

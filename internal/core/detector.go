@@ -55,18 +55,6 @@ func NewDetector(proj gan.Projector, cfg cluster.Config) *Detector {
 	return &Detector{Proj: proj, Clusters: cluster.NewSet(cfg)}
 }
 
-// Observation is the outcome of processing one frame through the detector.
-type Observation struct {
-	Latent     []float64
-	Assignment cluster.Assignment
-}
-
-// Observe projects a frame and updates the cluster set.
-func (d *Detector) Observe(img *synth.Image) Observation {
-	z := d.Project(img)
-	return Observation{Latent: z, Assignment: d.Clusters.Observe(z)}
-}
-
 // Project returns a frame's latent without updating cluster state (used by
 // selection-only paths).
 func (d *Detector) Project(img *synth.Image) []float64 {

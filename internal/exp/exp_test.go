@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -116,6 +117,25 @@ func TestRunFig5Shape(t *testing.T) {
 	}
 	if r.OutlierErr < r.InlierErr {
 		t.Fatalf("unseen digits should reconstruct worse: in=%v out=%v", r.InlierErr, r.OutlierErr)
+	}
+}
+
+// TestRunFig2Shape: Figure 2 trains the AE, the AAE and the DA-GAN side by
+// side and renders one row each, every cycle and reconstruction error
+// finite and positive.
+func TestRunFig2Shape(t *testing.T) {
+	c := tinyContext()
+	var buf bytes.Buffer
+	r := RunFig2(c, &buf)
+	for _, v := range []float64{r.AECycle, r.AAECycle, r.DGCycle, r.AERecon, r.AAERecon, r.DGRecon} {
+		if !(v > 0) || math.IsInf(v, 0) {
+			t.Fatalf("figure 2 error not finite and positive: %+v", r)
+		}
+	}
+	for _, row := range []string{"Standard AE", "Adversarial AE", "DA-GAN"} {
+		if !strings.Contains(buf.String(), row) {
+			t.Fatalf("figure 2 has no %q row:\n%s", row, buf.String())
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func RunTable2(c *Context, w io.Writer) Table2Result {
 	gen := synth.NewSceneGen(71, c.Scene)
 	for _, sub := range order {
 		for i := 0; i < c.P.Table2PerSubset; i++ {
-			det.Observe(gen.GenerateSubset(sub).Image)
+			det.Clusters.Observe(det.Project(gen.GenerateSubset(sub).Image))
 		}
 	}
 

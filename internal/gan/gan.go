@@ -1,9 +1,11 @@
 // Package gan implements the generative models of the paper's §2.3 and
-// §4.3–4.4: the standard autoencoder (AE), the adversarial autoencoder
-// (AAE), a plain GAN, and the paper's contribution — the dual-adversarial
-// GAN (DA-GAN) with its latent discriminator, image discriminator and the
-// Algorithm 1 training procedure. The trained DA-GAN encoder is the
-// distance-preserving projection used by the drift DETECTOR.
+// §4.3–4.4 as one encoder–decoder body with zero, one or two adversaries:
+// the standard autoencoder (AE) trains it on reconstruction alone, the
+// adversarial autoencoder (AAE) adds a latent discriminator, and the
+// paper's contribution, the dual-adversarial GAN (DA-GAN), adds a latent
+// and an image discriminator and trains all four networks in Algorithm 1's
+// order. The trained DA-GAN encoder is the distance-preserving projection
+// used by the drift DETECTOR.
 package gan
 
 import (
@@ -57,48 +59,6 @@ func ProjectMat(proj Projector, x *tensor.Mat) [][]float64 {
 	return out
 }
 
-// projBatch bounds the encoder batch so one-shot dataset projections do
-// not park dataset-sized buffers in the workspace pool (which never
-// shrinks) — the pooled working set stays at a few hundred rows.
-const projBatch = 256
-
-// projectBatch runs the shared encoder-batch path behind the ProjectBatch
-// methods: stack a chunk, project it (projectMat), recycle the stack.
-func projectBatch(enc *nn.Network, rows [][]float64) [][]float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	zs := make([][]float64, 0, len(rows))
-	for start := 0; start < len(rows); start += projBatch {
-		x := ToBatch(rows[start:min(start+projBatch, len(rows))])
-		zs = append(zs, projectMat(enc, x)...)
-		nn.Recycle(x)
-	}
-	return zs
-}
-
-// projectMat runs the ProjectMat methods: one forward pass over x, its
-// output copied into one slab and cut into latents, each capped at its own
-// end.
-func projectMat(enc *nn.Network, x *tensor.Mat) [][]float64 {
-	out := enc.Predict(x)
-	slab := append([]float64(nil), out.V[:out.R*out.C]...)
-	zs := make([][]float64, out.R)
-	for i := range zs {
-		zs[i] = slab[i*out.C : (i+1)*out.C : (i+1)*out.C]
-	}
-	nn.Recycle(out)
-	return zs
-}
-
-// rowCopy returns row i of out as a fresh slice: out is usually a pooled
-// matrix about to be recycled.
-func rowCopy(out *tensor.Mat, i int) []float64 {
-	z := make([]float64, out.C)
-	copy(z, out.Row(i))
-	return z
-}
-
 // Config describes the shared architecture of the generative models.
 type Config struct {
 	InputDim int   // flattened image dimensionality
@@ -149,17 +109,8 @@ func buildDecoder(cfg Config, rng *tensor.RNG) *nn.Network {
 // a high-dimensional image discriminator cannot dwarf (and destabilise)
 // the generator it trains against.
 func buildDiscriminator(name string, dim int, rng *tensor.RNG) *nn.Network {
-	h1 := dim / 2
-	if h1 < 16 {
-		h1 = 16
-	}
-	if h1 > 256 {
-		h1 = 256
-	}
-	h2 := h1 / 4
-	if h2 < 8 {
-		h2 = 8
-	}
+	h1 := min(max(dim/2, 16), 256)
+	h2 := max(h1/4, 8)
 	return nn.NewNetwork(name,
 		nn.NewDense(dim, h1, rng),
 		nn.NewLeakyReLU(0.2),
@@ -188,11 +139,7 @@ func miniBatches(n, batch int, rng *tensor.RNG) [][]int {
 	perm := rng.Perm(n)
 	var out [][]int
 	for i := 0; i < n; i += batch {
-		j := i + batch
-		if j > n {
-			j = n
-		}
-		out = append(out, perm[i:j])
+		out = append(out, perm[i:min(i+batch, n)])
 	}
 	return out
 }

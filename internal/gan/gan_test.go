@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"odin/internal/nn"
 	"odin/internal/synth"
 	"odin/internal/tensor"
 )
@@ -65,6 +66,52 @@ func TestConfigValidation(t *testing.T) {
 		if cfg.validate() == nil {
 			t.Fatalf("config %d should be invalid", i)
 		}
+	}
+}
+
+// sameWeights reports whether a and b hold bit-identical parameters.
+func sameWeights(a, b *nn.Network) bool {
+	pa, pb := a.Params(), b.Params()
+	if len(pa) != len(pb) {
+		return false
+	}
+	for i := range pa {
+		if len(pa[i].W.V) != len(pb[i].W.V) {
+			return false
+		}
+		for j, v := range pa[i].W.V {
+			if math.Float64bits(v) != math.Float64bits(pb[i].W.V[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestCodecDrawOrder pins the construction draw order every checkpointed
+// projector and figure depends on: one RNG seeded with Config.Seed draws
+// the encoder, then the decoder, then each discriminator, so the three
+// models built from one Config share their encoder–decoder start and the
+// AAE's DZ is the DA-GAN's.
+func TestCodecDrawOrder(t *testing.T) {
+	cfg := smallConfig(64, 21)
+	ae, aae, dg := NewAutoencoder(cfg), NewAAE(cfg), NewDAGAN(cfg)
+	if !sameWeights(ae.Enc, buildEncoder(cfg, tensor.NewRNG(cfg.Seed))) {
+		t.Fatal("the encoder is not the seeded RNG's first draw")
+	}
+	for _, m := range []struct {
+		name     string
+		enc, dec *nn.Network
+	}{{"AAE", aae.Enc, aae.Dec}, {"DA-GAN", dg.Enc, dg.Dec}} {
+		if !sameWeights(ae.Enc, m.enc) || !sameWeights(ae.Dec, m.dec) {
+			t.Fatalf("%s's encoder–decoder differs from the AE's at construction", m.name)
+		}
+	}
+	if !sameWeights(aae.DZ, dg.DZ) {
+		t.Fatal("the AAE's DZ differs from the DA-GAN's at construction")
+	}
+	if sameWeights(ae.Enc, NewAutoencoder(smallConfig(64, 22)).Enc) {
+		t.Fatal("the seed does not reach the weights")
 	}
 }
 

@@ -42,13 +42,17 @@ func MeanReconError(r Reconstructor, data [][]float64) float64 {
 	}
 	var total float64
 	for _, x := range data {
-		rec := r.Reconstruct(x)
-		var s float64
-		for i, v := range rec {
-			d := v - x[i]
-			s += d * d
-		}
-		total += s / float64(len(x))
+		total += sqErr(r.Reconstruct(x), x)
 	}
 	return total / float64(len(data))
+}
+
+// sqErr is the mean squared error of rec against the image x.
+func sqErr(rec, x []float64) float64 {
+	var s float64
+	for i, v := range rec {
+		d := v - x[i]
+		s += d * d
+	}
+	return s / float64(len(x))
 }

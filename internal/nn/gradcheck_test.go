@@ -7,6 +7,20 @@ import (
 	"odin/internal/tensor"
 )
 
+// mse is the gradient checks' loss: the mean squared error over all
+// elements and its gradient with respect to pred.
+func mse(pred, target *tensor.Mat) (float64, *tensor.Mat) {
+	grad := tensor.New(pred.R, pred.C)
+	n := float64(len(pred.V))
+	var loss float64
+	for i, p := range pred.V {
+		d := p - target.V[i]
+		loss += d * d
+		grad.V[i] = 2 * d / n
+	}
+	return loss / n, grad
+}
+
 // numericalGrad estimates dLoss/dx by central differences for an arbitrary
 // scalar loss of the network output, and compares against Backward.
 func checkLayerGradient(t *testing.T, layer Layer, in *tensor.Mat, tol float64) {
@@ -18,13 +32,13 @@ func checkLayerGradient(t *testing.T, layer Layer, in *tensor.Mat, tol float64) 
 	}
 	lossOf := func(x *tensor.Mat) float64 {
 		out := layer.Forward(x, true)
-		l, _ := MSE(out, target)
+		l, _ := mse(out, target)
 		return l
 	}
 
 	// Analytic input gradient.
 	out := layer.Forward(in, true)
-	_, g := MSE(out, target)
+	_, g := mse(out, target)
 	analytic := layer.Backward(g)
 
 	const h = 1e-5
@@ -46,7 +60,7 @@ func checkLayerGradient(t *testing.T, layer Layer, in *tensor.Mat, tol float64) 
 		p.Grad.Zero()
 	}
 	out = layer.Forward(in, true)
-	_, g = MSE(out, target)
+	_, g = mse(out, target)
 	layer.Backward(g)
 	for pi, p := range layer.Params() {
 		for i := range p.W.V {

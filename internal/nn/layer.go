@@ -2,8 +2,8 @@
 // the training substrate for every model in the repository: autoencoders,
 // adversarial autoencoders, the DA-GAN, the YOLO-style grid detectors and
 // the lightweight query filters. It supports dense and convolutional layers,
-// batch normalisation, the ReLU, LeakyReLU and Sigmoid activations, BCE and
-// MSE losses and the Adam optimizer.
+// batch normalisation, the ReLU, LeakyReLU and Sigmoid activations, the BCE
+// loss and the Adam optimizer.
 //
 // Data layout: a batch is a tensor.Mat whose rows are flattened examples.
 // Spatial layers (Conv2D) carry their own (C, H, W) input shape

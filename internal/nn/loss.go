@@ -10,27 +10,6 @@ const lossEps = 1e-7
 
 func lossGradFor(pred *tensor.Mat) *tensor.Mat { return ws.GetRaw(pred.R, pred.C) }
 
-func mseImpl(pred, target, grad []float64) float64 {
-	n := float64(len(pred))
-	var loss float64
-	for i, p := range pred {
-		d := p - target[i]
-		loss += d * d
-		grad[i] = 2 * d / n
-	}
-	return loss / n
-}
-
-// MSE returns the mean squared error over all elements and its gradient
-// with respect to pred.
-func MSE(pred, target *tensor.Mat) (float64, *tensor.Mat) {
-	if pred.R != target.R || pred.C != target.C {
-		panic("nn: mse shape mismatch")
-	}
-	grad := lossGradFor(pred)
-	return mseImpl(pred.V, target.V, grad.V), grad
-}
-
 func bceImpl(pred, target, grad []float64) float64 {
 	n := float64(len(pred))
 	var loss float64

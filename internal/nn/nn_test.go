@@ -8,18 +8,6 @@ import (
 	"odin/internal/tensor"
 )
 
-func TestMSEKnownValue(t *testing.T) {
-	pred := tensor.FromSlice(1, 2, []float64{1, 3})
-	target := tensor.FromSlice(1, 2, []float64{0, 0})
-	loss, grad := MSE(pred, target)
-	if math.Abs(loss-5) > 1e-12 {
-		t.Fatalf("loss=%v, want 5", loss)
-	}
-	if math.Abs(grad.V[0]-1) > 1e-12 || math.Abs(grad.V[1]-3) > 1e-12 {
-		t.Fatalf("grad=%v", grad.V)
-	}
-}
-
 func TestBCEPerfectPrediction(t *testing.T) {
 	pred := tensor.FromSlice(1, 2, []float64{1 - 1e-9, 1e-9})
 	target := tensor.FromSlice(1, 2, []float64{1, 0})

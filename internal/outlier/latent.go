@@ -85,19 +85,19 @@ func NewAAEDetector(cfg gan.Config, epochs, batch, k int) *LatentKNN {
 
 // DAGANDetector is the "DG" Table 1 detector — the paper's proposed
 // metric. It combines the three drift signals the DA-GAN provides (§4.3):
-// latent-space k-NN distance, the latent discriminator's realism judgement
-// (outliers encode away from the smooth prior), and reconstruction error.
-// Each component is standardised against its training distribution and the
-// standardised scores are summed.
+// latent-space k-NN distance (a LatentKNN over the DA-GAN), the latent
+// discriminator's realism judgement (outliers encode away from the smooth
+// prior), and reconstruction error. Each component is standardised against
+// its training distribution and the standardised scores are summed.
 type DAGANDetector struct {
 	Cfg    gan.Config
 	Epochs int
 	Batch  int
 	K      int
 
-	dg      *gan.DAGAN
-	latents [][]float64
-	stats   [3][2]float64 // per-component (mean, std) on training data
+	dg    *gan.DAGAN
+	knn   *LatentKNN
+	stats [3][2]float64 // per-component (mean, std) on training data
 }
 
 // NewDAGANDetector builds the composite DA-GAN detector.
@@ -110,9 +110,12 @@ func NewDAGANDetector(cfg gan.Config, epochs, batch, k int) *DAGANDetector {
 
 // Fit trains the DA-GAN and calibrates the component statistics.
 func (d *DAGANDetector) Fit(train [][]float64) {
-	d.dg = gan.NewDAGAN(d.Cfg)
-	d.dg.Fit(train, d.Epochs, d.Batch)
-	d.latents = d.dg.ProjectBatch(train)
+	d.knn = &LatentKNN{K: d.K, Train: func(data [][]float64) gan.Projector {
+		d.dg = gan.NewDAGAN(d.Cfg)
+		d.dg.Fit(data, d.Epochs, d.Batch)
+		return d.dg
+	}}
+	d.knn.Fit(train)
 	comps := make([][]float64, 3)
 	for _, x := range train {
 		c := d.components(x)
@@ -128,24 +131,7 @@ func (d *DAGANDetector) Fit(train [][]float64) {
 
 // components returns the raw drift signals for x.
 func (d *DAGANDetector) components(x []float64) [3]float64 {
-	z := d.dg.Project(x)
-	ds := make([]float64, len(d.latents))
-	for i, t := range d.latents {
-		ds[i] = tensor.L2(z, t)
-	}
-	sort.Float64s(ds)
-	k := d.K
-	if k > len(ds) {
-		k = len(ds)
-	}
-	var knn float64
-	for i := 0; i < k; i++ {
-		knn += ds[i]
-	}
-	if k > 0 {
-		knn /= float64(k)
-	}
-	return [3]float64{knn, 1 - d.dg.LatentRealism(x), d.dg.ReconError(x)}
+	return [3]float64{d.knn.Score(x), 1 - d.dg.LatentRealism(x), d.dg.ReconError(x)}
 }
 
 // Score returns the summed standardised drift signals.

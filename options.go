@@ -3,7 +3,6 @@ package odin
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"odin/internal/qos"
 	"odin/internal/query"
@@ -22,13 +21,9 @@ type config struct {
 	minScore        float64
 
 	dispatcher bool
-	// The dispatcher's flush bounds have no Option: only tests set them, to
-	// hold windows in the assembler until every camera has one.
-	dispatchMaxBatch int           // 0: dispatch.DefaultMaxBatch
-	dispatchLinger   time.Duration // 0: dispatch.DefaultMaxLinger
-	trainAsync       bool
-	labelDelay       int // 0: keep the specializer default
-	fleet            *FleetRecovery
+	trainAsync bool
+	labelDelay int // 0: keep the specializer default
+	fleet      *FleetRecovery
 
 	maxQueue      int // 0: no admission queue (Run reads its input channel directly)
 	dropPolicy    qos.DropPolicy

@@ -57,10 +57,9 @@ const noRef = "-"
 func (r *parityRow) key() string { return r.test + "/" + r.name }
 
 var (
-	fullScript   = WithAdaptiveFidelity(AdaptiveFidelity{Script: []int{0}})
-	degrading    = WithAdaptiveFidelity(AdaptiveFidelity{Script: []int{0, 1, 2, 3, 2, 1, 0}})
-	obsOn        = WithObservability(true)
-	dispatchHeld = withDispatchBounds(1024, time.Minute) // flush only when every camera has a window
+	fullScript = WithAdaptiveFidelity(AdaptiveFidelity{Script: []int{0}})
+	degrading  = WithAdaptiveFidelity(AdaptiveFidelity{Script: []int{0, 1, 2, 3, 2, 1, 0}})
+	obsOn      = WithObservability(true)
 )
 
 var parityRows = []parityRow{
@@ -86,9 +85,9 @@ var parityRows = []parityRow{
 	{test: "ObsFingerprintParityWorkers", name: "workers=4", script: mainScript, cams: 1, opts: []Option{obsOn}, so: StreamOptions{MaxBatch: 16, Workers: 4}, drive: runSingle},
 	{test: "ObsFingerprintParityWorkers", name: "workers=8", script: mainScript, cams: 1, opts: []Option{obsOn}, so: StreamOptions{MaxBatch: 16, Workers: 8}, drive: runSingle},
 	{test: "DispatchedMatchesPerStream", name: "per-stream", script: mainScript, cams: 3, so: StreamOptions{MaxBatch: 10, Workers: 2}, drive: runLockstep},
-	{test: "DispatchedMatchesPerStream", name: "workers=1", script: mainScript, cams: 3, opts: []Option{WithDispatcher(true), dispatchHeld, WithWorkers(1)}, so: StreamOptions{MaxBatch: 10, Workers: 1}, drive: runLockstep},
-	{test: "DispatchedMatchesPerStream", name: "workers=4", script: mainScript, cams: 3, opts: []Option{WithDispatcher(true), dispatchHeld, WithWorkers(4)}, so: StreamOptions{MaxBatch: 10, Workers: 4}, drive: runLockstep},
-	{test: "DispatchedMatchesPerStream", name: "workers=8", script: mainScript, cams: 3, opts: []Option{WithDispatcher(true), dispatchHeld, WithWorkers(8)}, so: StreamOptions{MaxBatch: 10, Workers: 8}, drive: runLockstep},
+	{test: "DispatchedMatchesPerStream", name: "workers=1", script: mainScript, cams: 3, opts: []Option{WithDispatcher(true), WithWorkers(1)}, so: StreamOptions{MaxBatch: 10, Workers: 1}, drive: runLockstep},
+	{test: "DispatchedMatchesPerStream", name: "workers=4", script: mainScript, cams: 3, opts: []Option{WithDispatcher(true), WithWorkers(4)}, so: StreamOptions{MaxBatch: 10, Workers: 4}, drive: runLockstep},
+	{test: "DispatchedMatchesPerStream", name: "workers=8", script: mainScript, cams: 3, opts: []Option{WithDispatcher(true), WithWorkers(8)}, so: StreamOptions{MaxBatch: 10, Workers: 8}, drive: runLockstep},
 	{test: "FleetRegistryParity", name: "registry-off", script: fleetScript, cams: 2, so: StreamOptions{MaxBatch: 20, Workers: 1}, drive: runFleet(false), ref: noRef},
 	{test: "FleetRegistryParity", name: "registry-on", script: fleetScript, cams: 2, so: StreamOptions{MaxBatch: 20, Workers: 1}, drive: runFleet(true), ref: "FleetRegistryParity/registry-off", counts: true},
 	{test: "FleetRegistryParity", name: "registry-on-4-workers", script: fleetScript, cams: 2, so: StreamOptions{MaxBatch: 20, Workers: 4}, drive: runFleet(true), ref: "FleetRegistryParity/registry-on", long: true},
@@ -370,10 +369,12 @@ func runLockstep(t *testing.T, row *parityRow) *parityRun {
 	outs := make([]<-chan StreamResult, row.cams)
 	results := make([][]StreamResult, row.cams)
 	if srv.cfg.dispatcher {
+		// The held dispatcher flushes only when every camera has a window.
 		// Each input is full before its Run starts, so no window is cut
 		// short by a producer descheduled mid-push. Runs join in camera
 		// order (join order = merge order) behind a gate session that
 		// submits nothing: until it leaves, cam-0 cannot flush alone.
+		holdDispatch(srv)
 		gate := make(chan *Frame)
 		gateOut := run("gate", gate)
 		for c := range outs {

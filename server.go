@@ -259,12 +259,7 @@ func (s *Server) assemble(dagan *gan.DAGAN, baseline *detect.GridDetector, resto
 	}
 	var batcher *dispatch.Batcher
 	if s.cfg.dispatcher {
-		batcher = dispatch.NewBatcher(pipeline, dispatch.Config{
-			MaxBatch:  s.cfg.dispatchMaxBatch,
-			MaxLinger: s.cfg.dispatchLinger,
-			Workers:   s.cfg.workers,
-			Obs:       s.obs,
-		})
+		batcher = dispatch.NewBatcher(pipeline, dispatch.Config{Workers: s.cfg.workers, Obs: s.obs})
 	}
 
 	// Built-in query models: the drift-aware pipeline (sharded + batched)
