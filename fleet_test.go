@@ -317,6 +317,76 @@ func TestDispatchCancelWithFramesInAssembler(t *testing.T) {
 	}
 }
 
+// TestDispatchIdleCameraDoesNotStallFleet: on a held dispatcher (a
+// minute's linger), a camera running on an empty buffered input is seen
+// to have no input waiting, so it does not hold another camera's window:
+// cam-a's result arrives at once. A camera on an unbuffered input cannot
+// be seen, so it holds cam-a's window until it gets a frame, and the two
+// windows then merge.
+func TestDispatchIdleCameraDoesNotStallFleet(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		bufB  int
+		holds bool
+	}{
+		{"buffered", 4, false},
+		{"unbuffered", 0, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			srv := qosServer(t, 43, WithDispatcher(true))
+			holdDispatch(srv)
+			stA, err := srv.OpenStream(context.Background(), StreamOptions{Name: "cam-a"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stB, err := srv.OpenStream(context.Background(), StreamOptions{Name: "cam-b"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inA, inB := make(chan *Frame, 4), make(chan *Frame, row.bufB)
+			outA := stA.Run(context.Background(), inA)
+			outB := stB.Run(context.Background(), inB)
+			frames := srv.GenerateFrames(DayData, 2)
+			recv := func(out <-chan StreamResult, cam string) {
+				t.Helper()
+				select {
+				case r := <-out:
+					if r.Seq != 0 || r.Err != nil || r.Dropped {
+						t.Fatalf("%s result %+v", cam, r)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s's window was not served", cam)
+				}
+			}
+
+			inA <- frames[0]
+			if row.holds {
+				select {
+				case <-outA:
+					t.Fatal("cam-a was served before cam-b, which holds the fleet, got a frame")
+				case <-time.After(100 * time.Millisecond):
+				}
+				inB <- frames[1]
+				recv(outB, "cam-b")
+			}
+			recv(outA, "cam-a")
+			close(inA)
+			close(inB)
+			for range outA {
+			}
+			for range outB {
+			}
+			wantMerge := 1
+			if row.holds {
+				wantMerge = 2
+			}
+			if st := srv.DispatchStats(); st.MaxMerge != wantMerge || st.Frames != wantMerge {
+				t.Fatalf("dispatch stats %+v, want %d window(s) merged into one batch", st, wantMerge)
+			}
+		})
+	}
+}
+
 // TestDispatchOptionValidation pins the fleet options' eager validation.
 func TestDispatchOptionValidation(t *testing.T) {
 	for _, c := range []struct {

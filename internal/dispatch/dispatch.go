@@ -65,8 +65,7 @@ func (c Config) withDefaults() Config {
 
 // window is one session's submitted frame window awaiting a flush.
 type window struct {
-	sessID uint64
-	weight int
+	sess   *Session
 	frames []*synth.Frame
 	fids   []qos.Fidelity     // nil = full fidelity
 	res    chan []core.Result // buffered 1: flushes never block on a consumer
@@ -97,14 +96,16 @@ type Stats struct {
 
 // Batcher assembles cross-stream batches: sessions submit in-order frame
 // windows, and the batcher flushes the assembler into a merged
-// ProcessBatch call when (a) the pending frames reach MaxBatch, (b) every
-// joined session has a window waiting — the fleet is ready, merging more
-// would stall someone — or (c) the oldest pending window has lingered
-// MaxLinger. A flush selects windows by weighted round-robin under a
-// MaxBatch frame budget (takeWeightedLocked) instead of taking the whole
-// assembler, so one camera's backlog cannot inflate every other camera's
-// latency; windows left behind are drained by the processing loop or
-// their re-armed linger timer.
+// ProcessBatch call when (a) the pending frames reach MaxBatch, (b) no
+// joined session without a window waiting holds the flush — the fleet is
+// ready, merging more would stall someone — or (c) the oldest pending
+// window has lingered MaxLinger. A session holds only while it has input
+// waiting (see JoinWeighted), so a camera with nothing to send never
+// delays another camera's frames. A flush selects windows by weighted
+// round-robin under a MaxBatch frame budget (takeWeightedLocked) instead
+// of taking the whole assembler, so one camera's backlog cannot inflate
+// every other camera's latency; windows left behind are drained by the
+// processing loop or their re-armed linger timer.
 //
 // Determinism: within a merged batch, windows are ordered by session join
 // order, so when sessions proceed in lock-step (every session submits a
@@ -120,12 +121,11 @@ type Batcher struct {
 
 	mu            sync.Mutex
 	nextID        uint64
-	sessions      map[uint64]bool
+	sessions      map[uint64]*Session
 	pending       []*window
 	pendingFrames int
-	timerGen      uint64 // invalidates linger timers armed for a flushed assembler
-	lingerArmed   bool   // a live timer exists for the current timerGen
-	rrNext        uint64 // session id the weighted round-robin resumes at
+	linger        *time.Timer // the live no-starvation timer; nil when none is armed
+	rrNext        uint64      // session id the weighted round-robin resumes at
 	stats         Stats
 }
 
@@ -134,7 +134,7 @@ func NewBatcher(pipe Pipeline, cfg Config) *Batcher {
 	return &Batcher{
 		pipe:     pipe,
 		cfg:      cfg.withDefaults(),
-		sessions: make(map[uint64]bool),
+		sessions: make(map[uint64]*Session),
 	}
 }
 
@@ -155,32 +155,55 @@ type Session struct {
 	b      *Batcher
 	id     uint64
 	weight int
-	left   bool
+	fed    func() bool // input probe; nil: always fed
+
+	// Guarded by b.mu.
+	left    bool
+	pending bool // the session's window is in the assembler
+	owes    bool // fed when it last had no window pending, and has not submitted since
 }
 
-// Join registers a new session with weight 1. A joined session counts
-// toward the fleet-ready flush condition, so an idle joined session delays
-// merged flushes by up to MaxLinger; Leave when the session's window
-// source ends.
+// Join registers a new session with weight 1 and no input probe: until it
+// leaves, every merged flush waits for its window (or for MaxLinger).
+// Leave when the session's window source ends.
 func (b *Batcher) Join() *Session {
-	return b.JoinWeighted(1)
+	return b.JoinWeighted(1, nil)
 }
 
-// JoinWeighted registers a session with a flush weight: when a flush hits
-// the frame budget, a session's windows are charged budget at 1/weight, so
-// a weight-2 camera fits twice the frames of a weight-1 camera into one
-// merged batch before the round-robin cuts it off. Weights below 1 clamp
-// to 1.
-func (b *Batcher) JoinWeighted(weight int) *Session {
+// JoinWeighted registers a session with a flush weight and an input probe.
+//
+// The weight: when a flush hits the frame budget, a session's windows are
+// charged budget at 1/weight, so a weight-2 camera fits twice the frames
+// of a weight-1 camera into one merged batch before the round-robin cuts
+// it off. Weights below 1 clamp to 1.
+//
+// The probe, fed, reports whether input is waiting for the session. A
+// session without a window in the assembler holds merged flushes only
+// while it is fed: while fed reads true, or while it is building the
+// window from input that was waiting when it last had none pending (at
+// join, or when its previous window flushed) — that input may already be
+// off its source but not yet submitted. A session that is not fed lets
+// the others flush at once. A nil fed means the input cannot be seen, so
+// the session holds every flush until it submits, for up to MaxLinger.
+// The batcher calls fed under its lock; it must be cheap and must not
+// call back into the batcher.
+func (b *Batcher) JoinWeighted(weight int, fed func() bool) *Session {
 	if weight < 1 {
 		weight = 1
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nextID++
-	id := b.nextID
-	b.sessions[id] = true
-	return &Session{b: b, id: id, weight: weight}
+	s := &Session{b: b, id: b.nextID, weight: weight, fed: fed}
+	s.owes = s.feedingLocked()
+	b.sessions[s.id] = s
+	return s
+}
+
+// feedingLocked reports whether the session's input probe sees input
+// waiting. Caller holds b.mu.
+func (s *Session) feedingLocked() bool {
+	return s.fed != nil && s.fed()
 }
 
 // Leave unregisters the session. The remaining sessions may now be
@@ -218,19 +241,29 @@ func (s *Session) Submit(ctx context.Context, frames []*synth.Frame) ([]core.Res
 // along into the merged batch. It also stops waiting when done closes (a
 // nil done never does): the window is withdrawn or its results discarded
 // as on cancellation, and SubmitFid returns ErrAbandoned.
+//
+// A window with no frames processes nothing and returns at once; it tells
+// the batcher that the input the session was building from held nothing
+// to submit, so the session stops holding merged flushes for it.
 func (s *Session) SubmitFid(ctx context.Context, done <-chan struct{}, frames []*synth.Frame, fids []qos.Fidelity) ([]core.Result, error) {
+	b := s.b
 	if len(frames) == 0 {
+		b.mu.Lock()
+		s.owes = false
+		flush := b.takeReadyLocked()
+		b.mu.Unlock()
+		b.process(flush)
 		return nil, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b := s.b
-	w := &window{sessID: s.id, weight: s.weight, frames: frames, fids: fids, res: make(chan []core.Result, 1)}
+	w := &window{sess: s, frames: frames, fids: fids, res: make(chan []core.Result, 1)}
 	if b.cfg.Obs != nil {
 		w.at = time.Now()
 	}
 	b.mu.Lock()
+	s.pending, s.owes = true, false
 	b.pending = append(b.pending, w)
 	b.pendingFrames += len(frames)
 	flush := b.takeReadyLocked()
@@ -260,9 +293,8 @@ func (s *Session) SubmitFid(ctx context.Context, done <-chan struct{}, frames []
 }
 
 // takeReadyLocked selects a flush if a flush condition holds — pending
-// frames at the MaxBatch budget, or every joined session has a window
-// waiting — and returns the windows to process (nil otherwise). Caller
-// holds b.mu.
+// frames at the MaxBatch budget, or the fleet is ready — and returns the
+// windows to process (nil otherwise). Caller holds b.mu.
 func (b *Batcher) takeReadyLocked() []*window {
 	if b.pendingFrames == 0 {
 		return nil
@@ -273,18 +305,11 @@ func (b *Batcher) takeReadyLocked() []*window {
 	return b.takeWeightedLocked()
 }
 
-// fleetReadyLocked reports whether every joined session has a window in
-// the assembler.
+// fleetReadyLocked reports whether no joined session holds the flush:
+// each has a window in the assembler or is not fed (see JoinWeighted).
 func (b *Batcher) fleetReadyLocked() bool {
-	if len(b.sessions) == 0 || len(b.pending) < len(b.sessions) {
-		return false
-	}
-	have := make(map[uint64]bool, len(b.pending))
-	for _, w := range b.pending {
-		have[w.sessID] = true
-	}
-	for id := range b.sessions {
-		if !have[id] {
+	for _, s := range b.sessions {
+		if !s.pending && (s.fed == nil || s.owes || s.fed()) {
 			return false
 		}
 	}
@@ -312,10 +337,10 @@ func (b *Batcher) takeWeightedLocked() []*window {
 	byID := make(map[uint64]*queue)
 	var order []*queue
 	for _, w := range b.pending {
-		q := byID[w.sessID]
+		q := byID[w.sess.id]
 		if q == nil {
-			q = &queue{id: w.sessID, weight: w.weight}
-			byID[w.sessID] = q
+			q = &queue{id: w.sess.id, weight: w.sess.weight}
+			byID[w.sess.id] = q
 			order = append(order, q)
 		}
 		q.wins = append(q.wins, w)
@@ -372,8 +397,14 @@ func (b *Batcher) takeWeightedLocked() []*window {
 	}
 	b.pending = remaining
 	b.pendingFrames = remFrames
-	b.timerGen++
-	b.lingerArmed = false
+	for _, w := range selected {
+		w.sess.pending = false
+		w.sess.owes = w.sess.feedingLocked()
+	}
+	if b.linger != nil {
+		b.linger.Stop()
+		b.linger = nil
+	}
 	if len(b.pending) > 0 {
 		b.stats.PartialFlushes++
 		b.armLingerLocked()
@@ -381,21 +412,21 @@ func (b *Batcher) takeWeightedLocked() []*window {
 	return selected
 }
 
-// armLingerLocked starts the no-starvation timer for the current assembler
-// generation if none is live. Caller holds b.mu.
+// armLingerLocked starts the no-starvation timer for the pending windows
+// if none is live. Every flush stops the live timer, and a flush that
+// leaves windows behind arms a fresh one. Caller holds b.mu.
 func (b *Batcher) armLingerLocked() {
-	if b.lingerArmed || len(b.pending) == 0 {
+	if b.linger != nil || len(b.pending) == 0 {
 		return
 	}
-	b.lingerArmed = true
-	gen := b.timerGen
-	time.AfterFunc(b.cfg.MaxLinger, func() {
+	var t *time.Timer
+	t = time.AfterFunc(b.cfg.MaxLinger, func() {
 		b.mu.Lock()
-		if gen != b.timerGen {
+		if b.linger != t { // stopped too late: a flush already took its windows
 			b.mu.Unlock()
 			return
 		}
-		b.lingerArmed = false
+		b.linger = nil
 		if len(b.pending) == 0 {
 			b.mu.Unlock()
 			return
@@ -404,6 +435,7 @@ func (b *Batcher) armLingerLocked() {
 		b.mu.Unlock()
 		b.process(flush)
 	})
+	b.linger = t
 }
 
 // withdraw removes a window from the assembler if it has not been flushed
@@ -415,6 +447,7 @@ func (b *Batcher) withdraw(w *window) {
 		if pw == w {
 			b.pending = append(b.pending[:i], b.pending[i+1:]...)
 			b.pendingFrames -= len(w.frames)
+			w.sess.pending = false
 			return
 		}
 	}
@@ -441,7 +474,7 @@ func (b *Batcher) process(ws []*window) {
 // unless some window carried any; a full-fidelity window merged beside a
 // degraded one contributes explicit Full entries.
 func (b *Batcher) runBatch(ws []*window) {
-	sort.SliceStable(ws, func(i, j int) bool { return ws[i].sessID < ws[j].sessID })
+	sort.SliceStable(ws, func(i, j int) bool { return ws[i].sess.id < ws[j].sess.id })
 	total := 0
 	degraded := false
 	for _, w := range ws {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -316,4 +317,110 @@ func TestEmptySubmit(t *testing.T) {
 		t.Fatalf("empty submit: %v %v", rs, err)
 	}
 	s.Leave()
+}
+
+// TestFlushWaitsOnlyForFedSessions: a joined session without a window
+// pending holds a merged flush only while its input probe sees input
+// waiting. A probe reporting none lets the other session's window flush
+// at once; a probe reporting input, and a nil probe (what Join gives),
+// hold that window until the session submits, and the two windows then
+// merge in join order. The linger is a minute, so only the fleet rule
+// flushes.
+func TestFlushWaitsOnlyForFedSessions(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		fed   func() bool
+		holds bool
+	}{
+		{"no input waiting", func() bool { return false }, false},
+		{"input waiting", func() bool { return true }, true},
+		{"nil probe", nil, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			fp := newFakePipe()
+			b := NewBatcher(fp, Config{MaxBatch: 1 << 20, MaxLinger: time.Minute})
+			a, other := b.Join(), b.JoinWeighted(1, row.fed)
+			fa, fo := fp.frames(3), fp.frames(2)
+			got := make(chan []core.Result, 1)
+			go func() {
+				rs, err := a.Submit(context.Background(), fa)
+				if err != nil {
+					t.Error(err)
+				}
+				got <- rs
+			}()
+			if !row.holds {
+				select {
+				case rs := <-got:
+					checkResults(t, fp, fa, rs)
+				case <-time.After(5 * time.Second):
+					t.Fatal("a session with no input waiting held the other's window")
+				}
+				return
+			}
+			select {
+			case <-got:
+				t.Fatal("the window flushed before the holding session submitted")
+			case <-time.After(100 * time.Millisecond):
+			}
+			rs, err := other.Submit(context.Background(), fo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkResults(t, fp, fo, rs)
+			checkResults(t, fp, fa, <-got)
+			if n := fp.batchCount(); n != 1 {
+				t.Fatalf("%d batches, want one merged batch", n)
+			}
+			for i, fr := range append(fa, fo...) {
+				if fp.batches[0][i] != fr {
+					t.Fatalf("merged batch position %d out of join order", i)
+				}
+			}
+		})
+	}
+}
+
+// TestFlushWaitsForWindowInAssembly: a session whose window flushed while
+// its input was waiting is assembling its next window from that input, so
+// it keeps holding merged flushes after its probe reads empty — until it
+// submits. An empty submit (the input held nothing to serve) releases the
+// held window at once.
+func TestFlushWaitsForWindowInAssembly(t *testing.T) {
+	fp := newFakePipe()
+	b := NewBatcher(fp, Config{MaxBatch: 1 << 20, MaxLinger: time.Minute})
+	var waiting atomic.Bool
+	waiting.Store(true)
+	x, y := b.JoinWeighted(1, waiting.Load), b.JoinWeighted(1, func() bool { return false })
+	fx := fp.frames(2)
+	rs, err := x.Submit(context.Background(), fx) // y does not hold: flushes at once
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResults(t, fp, fx, rs)
+
+	waiting.Store(false) // x has taken its waiting input off the source
+	fy := fp.frames(3)
+	got := make(chan []core.Result, 1)
+	go func() {
+		rs, err := y.Submit(context.Background(), fy)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- rs
+	}()
+	select {
+	case <-got:
+		t.Fatal("y's window flushed while x was assembling its next window")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if rs, err := x.Submit(context.Background(), nil); rs != nil || err != nil {
+		t.Fatalf("empty submit: %v %v", rs, err)
+	}
+	select {
+	case rs := <-got:
+		checkResults(t, fp, fy, rs)
+	case <-time.After(5 * time.Second):
+		t.Fatal("x's empty submit did not release y's window")
+	}
 }

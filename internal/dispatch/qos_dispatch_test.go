@@ -34,7 +34,7 @@ func TestWeightedFlushSelection(t *testing.T) {
 	s1, s2 := b.Join(), b.Join()
 
 	mk := func(s *Session, n int) *window {
-		return &window{sessID: s.id, weight: s.weight, frames: fp.frames(n), res: make(chan []core.Result, 1)}
+		return &window{sess: s, frames: fp.frames(n), res: make(chan []core.Result, 1)}
 	}
 	w1, w2 := mk(s1, 6), mk(s2, 6)
 	b.mu.Lock()
@@ -72,10 +72,10 @@ func TestWeightedFlushSelection(t *testing.T) {
 func TestWeightedFlushWeightShare(t *testing.T) {
 	fp := newFakePipe()
 	b := NewBatcher(fp, Config{MaxBatch: 8, MaxLinger: time.Minute})
-	heavy, light := b.JoinWeighted(2), b.Join()
+	heavy, light := b.JoinWeighted(2, nil), b.Join()
 
 	mk := func(s *Session, n int) *window {
-		return &window{sessID: s.id, weight: s.weight, frames: fp.frames(n), res: make(chan []core.Result, 1)}
+		return &window{sess: s, frames: fp.frames(n), res: make(chan []core.Result, 1)}
 	}
 	w1, w2 := mk(heavy, 8), mk(light, 4)
 	b.mu.Lock()

@@ -164,9 +164,10 @@ func WithMinScore(s float64) Option {
 // bit for bit (see DESIGN.md §7). Merged batches run at the server-wide
 // worker budget (WithWorkers); a StreamOptions.Workers override then
 // applies only to synchronous Process calls. The assembler flushes once
-// the pending windows hold 64 frames, and no window waits longer than 2ms
-// to be co-batched even if every other camera goes idle. Default off —
-// each Run session batches only its own frames.
+// the pending windows hold 64 frames or every camera with input waiting
+// has submitted a window; a camera with none waiting (on a buffered input
+// channel) holds nobody, and no window waits longer than 2ms to be
+// co-batched. Default off — each Run session batches only its own frames.
 func WithDispatcher(on bool) Option {
 	return func(c *config) error {
 		c.dispatcher = on

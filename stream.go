@@ -430,7 +430,9 @@ func (st *Stream) finishSubs(ctx context.Context, clean bool) {
 // before Run returns: its windows merge with other cameras' windows into
 // shared ProcessBatch calls (ordered by session join order), and the
 // session leaves the fleet when the loop exits. Results are still
-// delivered in this stream's frame order.
+// delivered in this stream's frame order. A session whose buffered in and
+// admission queue hold no frame holds no other camera's merged batch; one
+// on an unbuffered in holds each until it submits (see inputWaiting).
 //
 // There is one session loop. Admission control (WithMaxQueue, implied by
 // WithAdaptiveFidelity) changes where a window comes from and which
@@ -460,15 +462,15 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 		st.finishSubs(ctx, false)
 		return out
 	}
+	bat := st.srv.dispatcher()
+	next, queue := st.windowSource(ctx, in, bat == nil)
 	// Join the fleet before returning, so callers that start N Runs in
 	// order get deterministic session join order (the dispatcher's merge
 	// order) regardless of goroutine scheduling.
 	var sess *dispatch.Session
-	if bat := st.srv.dispatcher(); bat != nil {
-		sess = bat.JoinWeighted(st.weight)
+	if bat != nil {
+		sess = bat.JoinWeighted(st.weight, inputWaiting(in, queue))
 	}
-
-	next, queue := st.windowSource(ctx, in, sess == nil)
 	// Fidelity is per-frame data: a replay script or the live hysteresis
 	// controller picks a degradation level, qos.ForLevel maps it to each
 	// frame. Neither exists without adaptive fidelity — every frame is full.
@@ -594,6 +596,11 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 				if !st.deliverSubs(ctx, frames, results, seqs) {
 					return
 				}
+			} else if sess != nil {
+				// The input held no frame to serve: an empty window, which
+				// returns at once with nothing, tells the fleet this
+				// session is not building one.
+				sess.SubmitFid(ctx, st.done, nil, nil)
 			}
 
 			// Emit in admission order: real results interleaved with one
@@ -630,6 +637,27 @@ func (st *Stream) Run(ctx context.Context, in <-chan *Frame) <-chan StreamResult
 		}
 	}()
 	return out
+}
+
+// inputWaiting is a dispatched session's input probe: whether a frame is
+// waiting on in or in the admission queue (nil without one). It is nil when
+// in is unbuffered, since a sender blocked on it cannot be seen: such a
+// session holds every merged flush until it submits, as a lock-step driver
+// needs.
+func inputWaiting(in <-chan *Frame, queue *qos.Queue) func() bool {
+	if cap(in) == 0 {
+		return nil
+	}
+	return func() bool {
+		if len(in) > 0 {
+			return true
+		}
+		if queue == nil {
+			return false
+		}
+		d, _ := queue.Depth()
+		return d > 0
+	}
 }
 
 // windowSource is the one place that knows whether admission control is
