@@ -50,15 +50,22 @@ func (h *Histogram) Reset() {
 }
 
 // Probs returns the Laplace-smoothed probability mass function, the PA/PB
-// of Equation 2. Smoothing keeps the KL divergence finite when bins are
-// empty.
-func (h *Histogram) Probs() []float64 {
-	out := make([]float64, len(h.Counts))
+// of Equation 2, in a fresh slice. Smoothing keeps the KL divergence finite
+// when bins are empty.
+func (h *Histogram) Probs() []float64 { return h.ProbsInto(nil) }
+
+// ProbsInto is Probs written into dst, which is reallocated only when it
+// has fewer elements than h has bins; it returns the filled slice.
+func (h *Histogram) ProbsInto(dst []float64) []float64 {
+	if len(dst) < len(h.Counts) {
+		dst = make([]float64, len(h.Counts))
+	}
+	dst = dst[:len(h.Counts)]
 	denom := float64(h.N) + float64(len(h.Counts))*smoothing
 	for i, c := range h.Counts {
-		out[i] = (c + smoothing) / denom
+		dst[i] = (c + smoothing) / denom
 	}
-	return out
+	return dst
 }
 
 const smoothing = 0.5
@@ -152,6 +159,9 @@ type Tracker struct {
 	Delta float64
 
 	band Band
+	// prior and post hold PA and PB between calls, so observing a point
+	// allocates nothing.
+	prior, post []float64
 }
 
 // NewTracker returns a tracker with the given histogram resolution and ∆.
@@ -162,11 +172,11 @@ func NewTracker(bins int, delta float64) *Tracker {
 // Observe records a distance, recomputes the band, and returns the KL
 // divergence between the prior and posterior distributions.
 func (t *Tracker) Observe(d float64) float64 {
-	prior := t.Hist.Probs()
+	t.prior = t.Hist.ProbsInto(t.prior)
 	t.Hist.Add(d)
-	kl := KL(prior, t.Hist.Probs())
+	t.post = t.Hist.ProbsInto(t.post)
 	t.band = Compute(t.Hist, t.Delta)
-	return kl
+	return KL(t.prior, t.post)
 }
 
 // Band returns the current ∆-band.
@@ -179,4 +189,13 @@ func (t *Tracker) Rebuild(dists []float64) {
 		t.Hist.Add(d)
 	}
 	t.band = Compute(t.Hist, t.Delta)
+}
+
+// RebuildKL is Rebuild that also returns the KL divergence between the
+// distributions before and after it, computed in the tracker's buffers.
+func (t *Tracker) RebuildKL(dists []float64) float64 {
+	t.prior = t.Hist.ProbsInto(t.prior)
+	t.Rebuild(dists)
+	t.post = t.Hist.ProbsInto(t.post)
+	return KL(t.prior, t.post)
 }

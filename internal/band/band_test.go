@@ -202,3 +202,34 @@ func TestTrackerRebuild(t *testing.T) {
 		t.Fatalf("rebuilt band %v should contain the new mass", tr.Band())
 	}
 }
+
+// TestTrackerObserveAllocFree pins the serving path's per-point drift
+// signal at zero allocations — PA and PB live in the tracker — and holds
+// Observe and RebuildKL to the KL of fresh Probs copies, bit for bit.
+func TestTrackerObserveAllocFree(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	tr := NewTracker(24, 0.75)
+	shadow := NewHistogram(24)
+	for i := 0; i < 200; i++ {
+		d := 0.5 + 0.1*rng.Norm()
+		prior := shadow.Probs()
+		shadow.Add(d)
+		if got, want := tr.Observe(d), KL(prior, shadow.Probs()); got != want {
+			t.Fatalf("point %d: Observe KL %v, want %v", i, got, want)
+		}
+	}
+	dists := []float64{0.2, 0.25, 0.3, 0.9}
+	want := KL(tr.Hist.Probs(), func() []float64 {
+		h := NewHistogram(24)
+		for _, d := range dists {
+			h.Add(d)
+		}
+		return h.Probs()
+	}())
+	if got := tr.RebuildKL(dists); got != want {
+		t.Fatalf("RebuildKL %v, want %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.Observe(0.4) }); n != 0 {
+		t.Fatalf("Observe allocates %.0f times a point, want 0", n)
+	}
+}

@@ -315,7 +315,6 @@ func (s *Set) observeTemp(z []float64) *DriftEvent {
 	}
 	t.scale = mean / float64(len(s.tempPoints))
 	t.n = len(s.tempPoints)
-	prior := t.Tracker.Hist.Probs()
 	s.tempDists = s.tempDists[:0]
 	for _, r := range raw {
 		sc := t.scale
@@ -324,9 +323,7 @@ func (s *Set) observeTemp(z []float64) *DriftEvent {
 		}
 		s.tempDists = append(s.tempDists, r/(r+sc))
 	}
-	t.Tracker.Rebuild(s.tempDists)
-	posterior := t.Tracker.Hist.Probs()
-	kl := band.KL(prior, posterior)
+	kl := t.Tracker.RebuildKL(s.tempDists)
 
 	alpha := s.cfg.KLAlpha
 	if alpha <= 0 {

@@ -127,8 +127,18 @@ type GridDetector struct {
 	ScoreThreshold float64
 	NMSIoU         float64
 
-	opt *nn.Adam
-	rng *tensor.RNG
+	opt  *nn.Adam
+	rng  *tensor.RNG
+	loss *lossScratch // training only: made by TrainEpoch, dropped by Fit
+}
+
+// lossScratch is one sample's loss working set — its targets, object mask
+// and box areas (buildTargets), one cell's class logits and probabilities
+// (lossGrad) — sized by the head and cleared sample by sample.
+type lossScratch struct {
+	target, area  []float64
+	objMask       []bool
+	logits, probs []float64
 }
 
 // cellChannels returns the per-cell prediction width: 1 objectness +
@@ -346,14 +356,27 @@ next:
 
 // buildTargets encodes ground-truth boxes into the head's target layout and
 // an object mask. For each GT box, the cell containing its centre is
-// responsible for predicting it.
+// responsible for predicting it. Both results live in the detector's loss
+// scratch, which the next call overwrites.
 func (g *GridDetector) buildTargets(boxes []synth.Box) (target []float64, objMask []bool) {
-	n := g.Cfg.cellChannels() * g.GH * g.GW
-	target = make([]float64, n)
-	objMask = make([]bool, g.GH*g.GW)
+	cells := g.GH * g.GW
+	sc := g.loss
+	if sc == nil {
+		sc = &lossScratch{
+			target:  make([]float64, g.Cfg.cellChannels()*cells),
+			area:    make([]float64, cells),
+			objMask: make([]bool, cells),
+			logits:  make([]float64, g.Cfg.Classes),
+			probs:   make([]float64, g.Cfg.Classes),
+		}
+		g.loss = sc
+	}
+	target, objMask, area := sc.target, sc.objMask, sc.area
+	clear(target)
+	clear(objMask)
+	clear(area)
 	cellW := float64(g.Cfg.W) / float64(g.GW)
 	cellH := float64(g.Cfg.H) / float64(g.GH)
-	area := make([]float64, g.GH*g.GW)
 	for _, b := range boxes {
 		cx := b.X + b.W/2
 		cy := b.Y + b.H/2
@@ -391,18 +414,19 @@ func (g *GridDetector) buildTargets(boxes []synth.Box) (target []float64, objMas
 	return target, objMask
 }
 
-// lossGrad computes the YOLO-style loss and its gradient for one sample:
-// objectness BCE (down-weighted on empty cells), class cross-entropy and
-// box regression on object cells.
-func (g *GridDetector) lossGrad(row, target []float64, objMask []bool) (float64, []float64) {
+// lossGrad computes the YOLO-style loss for one sample and writes its
+// gradient to grad, a row as wide as row: objectness BCE (down-weighted on
+// empty cells), class cross-entropy and box regression on object cells.
+// target and objMask come from buildTargets, whose scratch holds the class
+// logits and probabilities too.
+func (g *GridDetector) lossGrad(row, target []float64, objMask []bool, grad []float64) float64 {
 	const (
 		lambdaNoObj = 0.5
 		lambdaCoord = 5.0
 		lambdaClass = 1.0
 	)
-	grad := make([]float64, len(row))
-	logits := make([]float64, g.Cfg.Classes)
-	probs := make([]float64, g.Cfg.Classes)
+	clear(grad)
+	logits, probs := g.loss.logits, g.loss.probs
 	var loss float64
 	cells := g.GH * g.GW
 	for cell := 0; cell < cells; cell++ {
@@ -451,5 +475,5 @@ func (g *GridDetector) lossGrad(row, target []float64, objMask []bool) (float64,
 			grad[bi] = lambdaCoord * 2 * d * pb * (1 - pb)
 		}
 	}
-	return loss, grad
+	return loss
 }

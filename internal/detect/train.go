@@ -66,9 +66,7 @@ func (g *GridDetector) TrainEpoch(samples []Sample, batch int) float64 {
 		grad := nn.GetMatRaw(out.R, out.C)
 		for i, id := range idx {
 			target, objMask := g.buildTargets(samples[id].Boxes)
-			loss, gr := g.lossGrad(out.Row(i), target, objMask)
-			total += loss
-			grad.SetRow(i, gr)
+			total += g.lossGrad(out.Row(i), target, objMask, grad.Row(i))
 			count++
 		}
 		// Mean gradient over the batch.
@@ -86,11 +84,16 @@ func (g *GridDetector) TrainEpoch(samples []Sample, batch int) float64 {
 }
 
 // Fit trains for the given number of epochs and returns the final epoch's
-// mean loss.
+// mean loss. The training buffers — the network's batch caches and the
+// loss scratch — are made once for the whole run and dropped when it
+// returns, so a trained model holds its weights and nothing sized for
+// training.
 func (g *GridDetector) Fit(samples []Sample, epochs, batch int) float64 {
 	var last float64
 	for e := 0; e < epochs; e++ {
 		last = g.TrainEpoch(samples, batch)
 	}
+	g.Net.DropTrainCaches()
+	g.loss = nil
 	return last
 }

@@ -24,8 +24,10 @@ type BatchNorm struct {
 	// Caches for backward, plus per-call statistics scratch retained across
 	// steps so a training step allocates nothing. The scratch is made by the
 	// layer's first training forward or backward (scratch): a layer that
-	// only infers carries none.
+	// only infers carries none. lastXHat views xhatRows, kept at the largest
+	// batch seen; nil after a single-row step (running statistics).
 	lastXHat *tensor.Mat
+	xhatRows rowCache
 	lastStd  []float64
 	lastN    int
 	mean     []float64
@@ -147,9 +149,7 @@ func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	for j := range variance {
 		b.lastStd[j] = math.Sqrt(variance[j] + b.Eps)
 	}
-	if b.lastXHat == nil || b.lastXHat.R != x.R || b.lastXHat.C != x.C {
-		b.lastXHat = tensor.New(x.R, x.C)
-	}
+	b.lastXHat = b.xhatRows.rows(x.R, x.C)
 	bnNormalize(x.V, b.lastXHat.V, out.V, mean, b.lastStd, b.Gamma.W.V, b.Beta.W.V, b.Dim, x.R)
 	b.lastN = x.R
 	for j := range mean {
@@ -225,3 +225,12 @@ func (b *BatchNorm) Backward(grad *tensor.Mat) *tensor.Mat {
 
 // Params returns the scale and shift parameters.
 func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
+
+// TrainCacheLen returns the float64s the retained x̂ holds.
+func (b *BatchNorm) TrainCacheLen() int { return len(b.xhatRows.buf) }
+
+// DropTrainCaches releases the retained x̂.
+func (b *BatchNorm) DropTrainCaches() {
+	b.lastXHat = nil
+	b.xhatRows.drop()
+}

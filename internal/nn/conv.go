@@ -31,9 +31,12 @@ type Conv2D struct {
 	planes         *tensor.Pool
 
 	// trainPlanes holds the phase planes of the last training forward, a
-	// row per sample: the backward cache, retained across steps and
-	// reallocated (zeroed: the border) only when the batch size changes.
+	// row per sample: the backward cache. It views planeRows, kept at the
+	// largest batch seen and zeroed (the border) only when it grows; every
+	// row shares one layout, so a row's border stays zero whichever batch
+	// wrote it last. DropTrainCaches releases both.
 	trainPlanes *tensor.Mat
+	planeRows   rowCache
 }
 
 // NewConv2D builds a conv layer. Output spatial dims follow the standard
@@ -92,9 +95,7 @@ func (c *Conv2D) tapRange(k, in, out int) (o0, o1 int) {
 func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	st := convStage{c: c}
 	if train {
-		if p := c.trainPlanes; p == nil || p.R != x.R {
-			c.trainPlanes = tensor.New(x.R, c.planesLen())
-		}
+		c.trainPlanes = c.planeRows.rows(x.R, c.planesLen())
 		st.keep = c.trainPlanes
 		allocGrads(c.Weight, c.Bias)
 	}
@@ -125,3 +126,12 @@ func (c *Conv2D) Backward(grad *tensor.Mat) *tensor.Mat {
 
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
+
+// TrainCacheLen returns the float64s the retained phase planes hold.
+func (c *Conv2D) TrainCacheLen() int { return len(c.planeRows.buf) }
+
+// DropTrainCaches releases the retained phase planes.
+func (c *Conv2D) DropTrainCaches() {
+	c.trainPlanes = nil
+	c.planeRows.drop()
+}

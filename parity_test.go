@@ -417,6 +417,14 @@ func runLockstep(t *testing.T, row *parityRow) *parityRun {
 		}()
 	}
 	wg.Wait()
+	if srv.cfg.dispatcher {
+		// One merged batch a join-order round, a window from each camera
+		// still fed: a round split in two, or a window flushed on its
+		// own, shows here even when the fingerprints agree.
+		if got, want := srv.DispatchStats().Batches, (len(frames[0])+win-1)/win; got != want {
+			t.Fatalf("dispatcher issued %d merged batches, want %d: one per round", got, want)
+		}
+	}
 	return newParityRun(frames, results, srv)
 }
 
