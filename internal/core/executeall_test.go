@@ -115,10 +115,9 @@ func plantLatent(im *synth.Image, z0, z1 float64) {
 // TestProcessBatchHeapStaysFlat drives windows of every width from 1 to 64,
 // with a share of ensemble frames that changes from window to window,
 // through ProcessBatch and checks the heap stops growing after warm-up.
-// The workspace pool keys on exact matrix size and never evicts, so a
-// stage that asks for window-wide batches parks one matrix set per
-// distinct width (over 100 MB in this run); block sharding asks for
-// nothing wider than shardBlock.
+// The workspace pool keeps every buffer it has handed out, so a stage that
+// asks for window-wide batches parks matrices as wide as the widest window;
+// block sharding asks for nothing wider than shardBlock.
 func TestProcessBatchHeapStaysFlat(t *testing.T) {
 	scene := synth.DefaultSceneConfig()
 	base, spec, lite := executeTestModels()

@@ -139,8 +139,8 @@ func (o *Odin) advanceAll(frames []*synth.Frame, workers int, fids []qos.Fidelit
 // shardBlock is the number of frames one worker takes through a whole
 // network at a time. Throughput is flat in it (steady_1cam, two cores: 2 to
 // 64 alike, convolution being sample-blocked underneath), so it is set for
-// memory: the workspace pool never evicts, and no stage asks it for a
-// batch wider than a block however wide the window.
+// memory: the workspace pool keeps every buffer it has handed out, and no
+// stage asks it for a batch wider than a block however wide the window.
 const shardBlock = 8
 
 // blockSize is the block width for n frames: shardBlock, or less when that

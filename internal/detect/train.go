@@ -84,16 +84,15 @@ func (g *GridDetector) TrainEpoch(samples []Sample, batch int) float64 {
 }
 
 // Fit trains for the given number of epochs and returns the final epoch's
-// mean loss. The training buffers — the network's batch caches and the
-// loss scratch — are made once for the whole run and dropped when it
-// returns, so a trained model holds its weights and nothing sized for
-// training.
+// mean loss. The loss scratch is made once for the whole run and dropped
+// when it returns; the network's batch buffers go back to the workspace at
+// every Backward. So a trained model holds its weights and nothing sized
+// for training.
 func (g *GridDetector) Fit(samples []Sample, epochs, batch int) float64 {
 	var last float64
 	for e := 0; e < epochs; e++ {
 		last = g.TrainEpoch(samples, batch)
 	}
-	g.Net.DropTrainCaches()
 	g.loss = nil
 	return last
 }

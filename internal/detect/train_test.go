@@ -33,10 +33,10 @@ func epochBytes(g *GridDetector, samples []Sample, batch int) uint64 {
 }
 
 // TestTrainEpochAllocs pins what a warm training epoch allocates: the phase
-// planes and x̂ are kept at the largest batch and viewed at a short last
-// batch's row count, and the loss works in per-detector scratch, so an
-// epoch of 37 samples at batch 16 (a 5-sample last batch) reallocates
-// none of them. What remains is small and per batch: parameter lists,
+// planes and x̂ come from the workspace, whose capacity classes serve a
+// short last batch from a full batch's buffers, and the loss works in
+// per-detector scratch, so an epoch of 37 samples at batch 16 (a 5-sample
+// last batch) allocates none of them. What remains is small and per batch: parameter lists,
 // the epoch's permutation and the parallel kernels' closures.
 func TestTrainEpochAllocs(t *testing.T) {
 	if raceEnabled {
@@ -66,8 +66,8 @@ func paramBits(g *GridDetector) []uint64 {
 
 // TestFitBitIdenticalWarmScratch trains one detector twice from the same
 // start, once cold and once after other training has left every buffer
-// warm and dirty: the workspace, the loss scratch, and planes and x̂ kept
-// at a larger batch than the run uses. Both runs must end on the same bits.
+// warm and dirty: the workspace, planes and x̂ included, at a larger batch
+// than the run uses, and the loss scratch. Both runs must end on the same bits.
 func TestFitBitIdenticalWarmScratch(t *testing.T) {
 	samples := trainSamples(23, 37)
 	other := trainSamples(29, 50)
@@ -100,20 +100,18 @@ func TestFitBitIdenticalWarmScratch(t *testing.T) {
 	}
 }
 
-// TestFitDropsTrainCaches: a finished Fit leaves the model its weights and
-// nothing sized for training — no phase planes, no x̂, no loss scratch —
-// while TrainEpoch alone keeps them for the next epoch.
+// TestFitDropsTrainCaches: a finished Fit leaves the detector no loss
+// scratch, while TrainEpoch alone keeps it for the next epoch. The network's
+// own batch buffers go back at every Backward (TestBackwardHandsBackBatchBuffers
+// in internal/nn).
 func TestFitDropsTrainCaches(t *testing.T) {
 	samples := trainSamples(31, 21)
 	g := NewGridDetector(YOLOConfig(27, 48))
 	g.TrainEpoch(samples, 16)
-	if g.Net.TrainCacheLen() == 0 || g.loss == nil {
-		t.Fatalf("TrainEpoch kept %d cached floats and loss scratch %v: want both", g.Net.TrainCacheLen(), g.loss != nil)
+	if g.loss == nil {
+		t.Fatal("TrainEpoch dropped the loss scratch: want it kept")
 	}
 	g.Fit(samples, 1, 16)
-	if n := g.Net.TrainCacheLen(); n != 0 {
-		t.Fatalf("Fit left %d floats of planes and x̂", n)
-	}
 	if g.loss != nil {
 		t.Fatal("Fit left the loss scratch")
 	}

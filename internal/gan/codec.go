@@ -43,8 +43,9 @@ func (c *codec) Project(x []float64) []float64 {
 func (c *codec) LatentDim() int { return c.Cfg.Latent }
 
 // projBatch bounds the encoder batch so one-shot dataset projections do
-// not park dataset-sized buffers in the workspace pool (which never
-// shrinks) — the pooled working set stays at a few hundred rows.
+// not park dataset-sized buffers in the workspace pool, which keeps every
+// buffer it has handed out: the pooled working set stays at a few hundred
+// rows.
 const projBatch = 256
 
 // ProjectBatch encodes many images, a chunk of at most projBatch rows per

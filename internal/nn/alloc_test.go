@@ -7,8 +7,8 @@ import (
 	"odin/internal/tensor"
 )
 
-// The pooled workspace and the retained training planes exist to make
-// training steps allocation-free at steady state. These tests pin that property down: the
+// The pooled workspace exists to make training steps allocation-free at
+// steady state. These tests pin that property down: the
 // naive per-sample kernels sat at ~217 allocs per conv forward+backward,
 // the batched ones must stay in single digits (a little headroom is left
 // for the worker-pool job headers on multi-core machines).

@@ -24,10 +24,10 @@ type BatchNorm struct {
 	// Caches for backward, plus per-call statistics scratch retained across
 	// steps so a training step allocates nothing. The scratch is made by the
 	// layer's first training forward or backward (scratch): a layer that
-	// only infers carries none. lastXHat views xhatRows, kept at the largest
-	// batch seen; nil after a single-row step (running statistics).
+	// only infers carries none. lastXHat is drawn from the workspace by a
+	// training forward and handed back by Backward; nil after a single-row
+	// step (running statistics).
 	lastXHat *tensor.Mat
-	xhatRows rowCache
 	lastStd  []float64
 	lastN    int
 	mean     []float64
@@ -149,7 +149,7 @@ func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	for j := range variance {
 		b.lastStd[j] = math.Sqrt(variance[j] + b.Eps)
 	}
-	b.lastXHat = b.xhatRows.rows(x.R, x.C)
+	b.lastXHat = ws.GetRaw(x.R, x.C)
 	bnNormalize(x.V, b.lastXHat.V, out.V, mean, b.lastStd, b.Gamma.W.V, b.Beta.W.V, b.Dim, x.R)
 	b.lastN = x.R
 	for j := range mean {
@@ -220,17 +220,10 @@ func (b *BatchNorm) Backward(grad *tensor.Mat) *tensor.Mat {
 	n := float64(b.lastN)
 	bnReduce(grad.V, b.lastXHat.V, b.sumG, b.sumGX, b.Beta.Grad.V, b.Gamma.Grad.V, b.Dim, grad.R)
 	bnInputGrad(grad.V, b.lastXHat.V, dx.V, b.Gamma.W.V, b.lastStd, b.sumG, b.sumGX, n, b.Dim, grad.R)
+	ws.Put(b.lastXHat)
+	b.lastXHat = nil
 	return dx
 }
 
 // Params returns the scale and shift parameters.
 func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
-
-// TrainCacheLen returns the float64s the retained x̂ holds.
-func (b *BatchNorm) TrainCacheLen() int { return len(b.xhatRows.buf) }
-
-// DropTrainCaches releases the retained x̂.
-func (b *BatchNorm) DropTrainCaches() {
-	b.lastXHat = nil
-	b.xhatRows.drop()
-}

@@ -30,13 +30,10 @@ type Conv2D struct {
 	taps           tensor.Taps
 	planes         *tensor.Pool
 
-	// trainPlanes holds the phase planes of the last training forward, a
-	// row per sample: the backward cache. It views planeRows, kept at the
-	// largest batch seen and zeroed (the border) only when it grows; every
-	// row shares one layout, so a row's border stays zero whichever batch
-	// wrote it last. DropTrainCaches releases both.
+	// trainPlanes holds the phase planes of a training forward, a row per
+	// sample, until Backward has read them: drawn zeroed (the border) from
+	// the workspace and handed back by Backward.
 	trainPlanes *tensor.Mat
-	planeRows   rowCache
 }
 
 // NewConv2D builds a conv layer. Output spatial dims follow the standard
@@ -91,11 +88,11 @@ func (c *Conv2D) tapRange(k, in, out int) (o0, o1 int) {
 // Forward convolves the batch sample by sample, split across the workers: a
 // one-layer run of forwardConvs. Inference writes no layer state, so
 // concurrent inference is race-free. Training splits each sample into its
-// row of the retained planes, which Backward reads.
+// row of trainPlanes, which Backward reads.
 func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	st := convStage{c: c}
 	if train {
-		c.trainPlanes = c.planeRows.rows(x.R, c.planesLen())
+		c.trainPlanes = ws.Get(x.R, c.planesLen())
 		st.keep = c.trainPlanes
 		allocGrads(c.Weight, c.Bias)
 	}
@@ -104,7 +101,7 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 
 // Backward accumulates the weight and bias gradients and returns the input
 // gradient, out of grad's rows and the planes the training forward kept
-// (convGrads).
+// (convGrads), and hands the planes back.
 func (c *Conv2D) Backward(grad *tensor.Mat) *tensor.Mat {
 	// The kernels index the planes by grad's shape on trust. Each check is a
 	// programmer-error invariant, not an input error.
@@ -120,18 +117,10 @@ func (c *Conv2D) Backward(grad *tensor.Mat) *tensor.Mat {
 	dx := ws.Get(grad.R, c.InSize())
 	convGrads(c, grad, dW, dx)
 	c.Weight.Grad.Add(dW)
-	ws.Put(dW)
+	ws.Put(dW, c.trainPlanes)
+	c.trainPlanes = nil
 	return dx
 }
 
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
-
-// TrainCacheLen returns the float64s the retained phase planes hold.
-func (c *Conv2D) TrainCacheLen() int { return len(c.planeRows.buf) }
-
-// DropTrainCaches releases the retained phase planes.
-func (c *Conv2D) DropTrainCaches() {
-	c.trainPlanes = nil
-	c.planeRows.drop()
-}

@@ -77,10 +77,10 @@ func (c *Conv2D) phaseRect(py, px int) (y0, y1, x0, x1 int) {
 // channel-major with rows srcW and channels srcC apart: a sample where it
 // lies — a batch row or a frame — or the wide output of the layer before,
 // whose junk columns lie past every InW and are not read. Only a plane's
-// covered rectangle is written, all of it: planes come from c.planes or
-// c.trainPlanes, which hand out zeroed memory or what an earlier splitPlanes
-// left, so the border is zero for as long as the layer lives and is never
-// cleared again. Within the rectangle each row is one strided run of an
+// covered rectangle is written, all of it: planes come from c.planes, which
+// hands out zeroed memory or what an earlier splitPlanes of the layer left,
+// or are c.trainPlanes, drawn zeroed, so the border is zero and no split
+// clears it. Within the rectangle each row is one strided run of an
 // input row: copied at stride 1, and at stride 2 both column phases of an
 // input row come from one pass over it (splitPair).
 func splitPlanes(c *Conv2D, src []float64, srcW, srcC int, planes []float64) {

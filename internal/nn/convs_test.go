@@ -96,9 +96,11 @@ func plantWeights(c *Conv2D, rng *tensor.RNG, frees *[]func()) {
 
 // seedPools lays guarded memory where a one-layer inference run will draw
 // its scratch from — the layer's planes, the wide output, the result — so
-// that a kernel reading or writing past any of them faults. It returns the
-// function that takes the scratch back out of the pools before it is
-// unmapped. Parallelism must be 1: a second worker would draw plain memory.
+// that a kernel reading or writing past any of them faults. The run gets a
+// fresh workspace, whose floor classes hand each request the guarded buffer
+// of exactly its size. It returns the function that restores the workspace
+// and empties the layer's plane pool before the scratch is unmapped.
+// Parallelism must be 1: a second worker would draw plain memory.
 func seedPools(c *Conv2D, n int, frees *[]func()) (unseed func()) {
 	raw := func(len int) *tensor.Mat {
 		m := &tensor.Mat{R: 1, C: len}
@@ -107,18 +109,17 @@ func seedPools(c *Conv2D, n int, frees *[]func()) (unseed func()) {
 		*frees = append(*frees, free)
 		return m
 	}
+	old := ws
+	ws = tensor.NewPool()
 	c.planes = tensor.NewPool()
 	c.planes.Put(raw(c.planesLen()))
-	wide := c.planeW != c.OutW
-	if wide {
+	if c.planeW != c.OutW {
 		ws.Put(raw(c.wideLen()))
 	}
 	ws.Put(raw(n * c.OutSize()))
 	return func() {
 		c.planes = tensor.NewPool()
-		if wide {
-			ws.GetRaw(1, c.wideLen())
-		}
+		ws = old
 	}
 }
 

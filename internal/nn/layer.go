@@ -221,37 +221,6 @@ func (n *Network) Backward(grad *tensor.Mat) *tensor.Mat {
 	return grad
 }
 
-// trainCache is a layer that keeps batch-sized buffers between a training
-// Forward and its Backward: Conv2D's phase planes, BatchNorm's x̂, and a
-// network holding either.
-type trainCache interface {
-	TrainCacheLen() int
-	DropTrainCaches()
-}
-
-// TrainCacheLen returns how many float64s the training caches of the
-// network's layers hold, nested networks included.
-func (n *Network) TrainCacheLen() int {
-	total := 0
-	for _, l := range n.Layers {
-		if c, ok := l.(trainCache); ok {
-			total += c.TrainCacheLen()
-		}
-	}
-	return total
-}
-
-// DropTrainCaches releases the training caches. A trained model then holds
-// its weights and nothing sized by a batch; the next training forward
-// allocates them anew.
-func (n *Network) DropTrainCaches() {
-	for _, l := range n.Layers {
-		if c, ok := l.(trainCache); ok {
-			c.DropTrainCaches()
-		}
-	}
-}
-
 // Params returns every trainable parameter in the network.
 func (n *Network) Params() []*Param {
 	var ps []*Param
